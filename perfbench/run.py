@@ -14,8 +14,10 @@ Workloads (see ``perfbench/README.md`` for why each exists):
 * ``core_membound`` - in-process event-engine ``OutOfOrderCore.run`` calls on
   the two memory-bound specs of ``repro bench``, seeded from ``--seed``.
 
-Each unit of work repeats until ``--seconds`` have passed; the reported
-times are medians over the units.  With ``--trace 0`` the last stdout line
+Each unit of work repeats until ``--seconds`` have passed.  The reported
+times are CPU seconds scaled to a reference host's speed by a fixed probe
+(:mod:`hostprobe`) sampled while each unit runs, then medians over the units;
+the serial workloads and the probe are pinned to one CPU.  With ``--trace 0`` the last stdout line
 carries the end-to-end metrics; with ``--trace 1`` one more unit runs under
 :mod:`tracer` and the line carries the per-layer metrics instead.  Every unit's
 output is checked (the checks are listed in ``perfbench/README.md``).  The
@@ -42,6 +44,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from hostprobe import REFERENCE_S, ProbeServer
 from tracer import LAYERS, Tracer, load_dumps
 
 PERFBENCH = Path(__file__).resolve().parent
@@ -68,12 +71,25 @@ RUN_DEADLINE_S = 150.0
 #: A sweep taking longer than this is killed, with its pool workers.
 CHILD_TIMEOUT_S = 60.0
 
+#: The reported metrics: CPU seconds, host-normalised (see
+#: :meth:`Outcome.end_to_end`), and memory.
 END_TO_END = (
+    ("norm_cpu_s", "s", "lower"),
+    ("norm_sim_instr_per_s", "1/s", "higher"),
+    ("norm_jobs_per_s", "1/s", "higher"),
+    ("setup_s", "s", "lower"),
+    ("peak_rss_mb", "MB", "lower"),
+)
+
+#: What this host took, unscaled (``Outcome.measured``): wall time and the
+#: rates per wall second a user waits for, and the CPU seconds behind
+#: ``norm_cpu_s`` and ``setup_s``.
+MEASURED = (
     ("wall_s", "s", "lower"),
     ("sim_instr_per_s", "1/s", "higher"),
     ("jobs_per_s", "1/s", "higher"),
-    ("setup_s", "s", "lower"),
-    ("peak_rss_mb", "MB", "lower"),
+    ("cpu_s", "s", "lower"),
+    ("setup_cpu_s", "s", "lower"),
 )
 
 FIG11_CONFIGS = (("eves", "eves"), ("constable", "constable"),
@@ -122,6 +138,7 @@ def per_layer_table() -> List[Tuple[str, str, str]]:
         ("host.calib_s", "s", "lower"),
         ("host.load_1m", "load", "lower"),
     ]
+    rows += [(f"measured.{name}", unit, better) for name, unit, better in MEASURED]
     return rows
 
 
@@ -140,6 +157,8 @@ class Child:
     """One finished child process."""
 
     wall_s: float
+    #: CPU seconds of the child and of every descendant it reaped.
+    cpu_s: float
     rss_mb: float
     returncode: int
     stdout: str
@@ -168,7 +187,8 @@ def run_child(argv: Sequence[str], log: Path) -> Child:
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
         sys.stderr.write(err_path.read_text(encoding="utf-8", errors="replace")[-2000:])
-    return Child(wall_s=wall, rss_mb=usage.ru_maxrss / 1024.0,
+    return Child(wall_s=wall, cpu_s=usage.ru_utime + usage.ru_stime,
+                 rss_mb=usage.ru_maxrss / 1024.0,
                  returncode=proc.returncode,
                  stdout=out_path.read_text(encoding="utf-8"))
 
@@ -214,11 +234,14 @@ class Unit:
     """One measured unit of work."""
 
     wall_s: float
+    cpu_s: float
     rss_mb: float
     jobs: int
     instructions: int
     failed: int
     correct: bool
+    #: Median host probe seconds while the unit ran, set by :func:`measure`.
+    probe_s: float = 0.0
 
 
 @dataclasses.dataclass
@@ -226,6 +249,8 @@ class Outcome:
     """What one benchmark run measured."""
 
     setup_s: float
+    #: Median host probe seconds while set-up ran.
+    setup_probe_s: float
     units: List[Unit]
     layers: Dict[str, float] = dataclasses.field(default_factory=dict)
     notes: List[str] = dataclasses.field(default_factory=list)
@@ -242,53 +267,74 @@ class Outcome:
     def correct(self) -> bool:
         return all(unit.correct for unit in self.units) and not self.notes
 
+    @property
+    def probe_s(self) -> float:
+        return statistics.median(unit.probe_s for unit in self.units)
+
+    def rates(self, times: List[float]) -> Tuple[float, float, float]:
+        """Medians of the units' ``times`` and of the instructions and jobs
+        they completed per second of them."""
+        units = self.units
+        return (statistics.median(times),
+                statistics.median(unit.instructions / spent
+                                  for unit, spent in zip(units, times)),
+                statistics.median((unit.jobs - unit.failed) / spent
+                                  for unit, spent in zip(units, times)))
+
+    def measured(self) -> Dict[str, float]:
+        """What this host took, unscaled."""
+        wall, instructions, jobs = self.rates([unit.wall_s for unit in self.units])
+        return {"wall_s": wall, "sim_instr_per_s": instructions,
+                "jobs_per_s": jobs,
+                "cpu_s": statistics.median(unit.cpu_s for unit in self.units),
+                "setup_cpu_s": self.setup_s}
+
     def end_to_end(self) -> Dict[str, float]:
-        wall = statistics.median(unit.wall_s for unit in self.units)
-        instructions = statistics.median(unit.instructions for unit in self.units)
-        jobs = statistics.median(unit.jobs - unit.failed for unit in self.units)
-        return {"wall_s": wall, "sim_instr_per_s": instructions / wall,
-                "jobs_per_s": jobs / wall, "setup_s": self.setup_s,
+        """The reported metrics.  Each unit's CPU seconds, and the set-up's,
+        are scaled to the reference host's speed by the probe samples taken
+        while they ran (``* REFERENCE_S / probe``); then medians over the
+        units."""
+        cpu, instructions, jobs = self.rates(
+            [unit.cpu_s * REFERENCE_S / unit.probe_s for unit in self.units])
+        return {"norm_cpu_s": cpu, "norm_sim_instr_per_s": instructions,
+                "norm_jobs_per_s": jobs,
+                "setup_s": self.setup_s * REFERENCE_S / self.setup_probe_s,
                 "peak_rss_mb": max(unit.rss_mb for unit in self.units)}
 
 
-def measure(unit: Callable[[], Unit], seconds: float, started: float) -> List[Unit]:
-    """Repeat ``unit`` until ``seconds`` have passed (at least once)."""
+def measure(unit: Callable[[], Unit], seconds: float, started: float,
+            probe: ProbeServer) -> List[Unit]:
+    """Repeat ``unit`` until ``seconds`` have passed (at least once).
+
+    The host probe samples while each unit runs; the unit's ``probe_s`` is
+    the median of its samples.
+    """
     begin = time.perf_counter()
-    units = [unit()]
-    while time.perf_counter() - begin < seconds:
+    units: List[Unit] = []
+    while True:
+        done, samples = probe.during(unit)
+        done.probe_s = statistics.median(samples)
+        units.append(done)
         longest = max(done.wall_s for done in units)
-        if time.perf_counter() + longest - started > RUN_DEADLINE_S:
-            break
-        units.append(unit())
-    return units
+        if (time.perf_counter() - begin >= seconds
+                or time.perf_counter() + longest - started > RUN_DEADLINE_S):
+            return units
 
 
-def median_seconds(action: Callable[[], object], repeats: int) -> float:
+def median_cpu_seconds(action: Callable[[], object], repeats: int) -> float:
     samples = []
     for _ in range(repeats):
-        start = time.perf_counter()
+        start = time.process_time()
         action()
-        samples.append(time.perf_counter() - start)
+        samples.append(time.process_time() - start)
     return statistics.median(samples)
 
 
-def calibration_s() -> float:
-    """A fixed pure-Python probe of host speed (median of three)."""
-    def probe() -> int:
-        table: Dict[int, int] = {}
-        total = 0
-        for index in range(200_000):
-            table[index & 1023] = table.get(index & 1023, 0) + index
-            total += table[index & 1023] % 7
-        return total
-    return median_seconds(probe, 3)
-
-
-def host_line() -> Dict[str, object]:
+def host_line(outcome: Outcome) -> Dict[str, object]:
     from repro.experiments.bench import host_provenance
 
     host = host_provenance()
-    host["calib_s"] = calibration_s()
+    host["calib_s"] = outcome.probe_s
     return host
 
 
@@ -336,10 +382,10 @@ class SweepBench:
         return self.work / f"{stem}{self.count}"
 
     def import_setup_s(self) -> float:
-        """Median wall of interpreter start plus ``import repro.cli``."""
+        """Median CPU seconds of interpreter start plus ``import repro.cli``."""
         return statistics.median(
             run_child([sys.executable, "-c", "import repro.cli"],
-                      self.fresh("import")).wall_s
+                      self.fresh("import")).cpu_s
             for _ in range(SETUP_REPEATS))
 
     def sweep(self, workers: int, cache_dir: Path,
@@ -369,8 +415,8 @@ class SweepBench:
         expected = self.reference.unique if self.reference else unique
         if child.returncode != 0 or simulated != unique or unique == 0:
             self.notes.append(f"cold sweep exited {child.returncode}")
-            return Unit(child.wall_s, child.rss_mb, max(expected, 1), 0,
-                        max(expected, 1), False)
+            return Unit(child.wall_s, child.cpu_s, child.rss_mb,
+                        max(expected, 1), 0, max(expected, 1), False)
         correct = problem is None
         if problem:
             self.notes.append(problem)
@@ -379,8 +425,8 @@ class SweepBench:
         elif (payloads, unique) != (self.reference.payloads, self.reference.unique):
             self.notes.append("cold sweep payloads differ from the first cold sweep")
             correct = False
-        return Unit(child.wall_s, child.rss_mb, unique, instructions, 0,
-                    correct)
+        return Unit(child.wall_s, child.cpu_s, child.rss_mb, unique,
+                    instructions, 0, correct)
 
     def warm(self, cache_dir: Path, dump_dir: Optional[Path] = None) -> Unit:
         """One invocation against a filled cache: byte-identical payloads to
@@ -388,7 +434,7 @@ class SweepBench:
         reference = self.reference
         child = self.sweep(1, cache_dir, dump_dir)
         if reference is None:  # the cold sweep that filled the cache failed
-            return Unit(child.wall_s, child.rss_mb, 1, 0, 1, False)
+            return Unit(child.wall_s, child.cpu_s, child.rss_mb, 1, 0, 1, False)
         payloads, _ = figure_payloads(child.stdout)
         simulated, unique = done_counts(child.stdout)
         correct = (child.returncode == 0 and simulated == 0
@@ -398,15 +444,15 @@ class SweepBench:
             self.notes.append(f"warm sweep exited {child.returncode}, simulated "
                               f"{simulated}, payloads identical: "
                               f"{payloads == reference.payloads}")
-        return Unit(child.wall_s, child.rss_mb, reference.unique,
+        return Unit(child.wall_s, child.cpu_s, child.rss_mb, reference.unique,
                     reference.instructions, 0 if correct else reference.unique,
                     correct)
 
 
 def sweep_workload(name: str, args: argparse.Namespace, work: Path,
-                   started: float) -> Outcome:
+                   started: float, probe: ProbeServer) -> Outcome:
     bench = SweepBench(work, args.smoke)
-    setup_s = bench.import_setup_s()
+    setup_s, setup_samples = probe.during(bench.import_setup_s)
     workers = POOL_WORKERS if name == "sweep_cold_pool" else 1
     fill = work / "filled-cache"
     if name == "sweep_cold":
@@ -417,13 +463,18 @@ def sweep_workload(name: str, args: argparse.Namespace, work: Path,
     else:
         bench.cold(1, keep=fill)
         unit = lambda: bench.warm(fill)
-    units = measure(unit, args.seconds, started)
-    outcome = Outcome(setup_s=setup_s, units=units, notes=bench.notes)
+    units = measure(unit, args.seconds, started, probe)
+    outcome = Outcome(setup_s=setup_s,
+                      setup_probe_s=statistics.median(setup_samples),
+                      units=units, notes=bench.notes)
     if args.trace:
         dump_dir = bench.fresh("trace")
         dump_dir.mkdir(parents=True)
-        traced = (bench.warm(fill, dump_dir) if name == "sweep_warm"
-                  else bench.cold(workers, dump_dir))
+        # Under the probe like the measured units, so trace.overhead_s
+        # compares like with like.
+        traced, _ = probe.during(
+            lambda: bench.warm(fill, dump_dir) if name == "sweep_warm"
+            else bench.cold(workers, dump_dir))
         figures = bench.reference.figures if bench.reference else []
         outcome.layers = layer_metrics(
             load_dumps(str(dump_dir)), outcome, traced,
@@ -448,7 +499,7 @@ def membound_specs(seed: int):
 
 
 def membound_workload(args: argparse.Namespace, started: float,
-                      import_s: float) -> Outcome:
+                      import_s: float, probe: ProbeServer) -> Outcome:
     from repro.experiments.configs import named_configs
     from repro.pipeline.cpu import GoldenCheckError, OutOfOrderCore
     from repro.workloads.generator import generate_trace
@@ -462,14 +513,15 @@ def membound_workload(args: argparse.Namespace, started: float,
         traces[:] = [generate_trace(spec, num_instructions=instructions)
                      for spec in specs]
 
-    setup_s = median_seconds(generate, SETUP_REPEATS)
+    setup_s, setup_samples = probe.during(
+        lambda: median_cpu_seconds(generate, SETUP_REPEATS))
     factories = named_configs()
     configs = [(name, factories[name]()) for name in MEMBOUND_CONFIGS]
     reference: List[Optional[dict]] = []
     notes: List[str] = []
 
     def one_pass() -> Unit:
-        start = time.perf_counter()
+        start, cpu_start = time.perf_counter(), time.process_time()
         results, failed = [], 0
         for trace in traces:
             for name, config in configs:
@@ -481,24 +533,27 @@ def membound_workload(args: argparse.Namespace, started: float,
                     results.append(None)
                     failed += 1
         wall = time.perf_counter() - start
+        cpu = time.process_time() - cpu_start
         records = [result.to_dict() if result else None for result in results]
         if not reference:
             reference.extend(records)
         correct = records == reference
         if not correct:
             notes.append("simulator counters differ between repetitions")
-        return Unit(wall_s=wall,
+        return Unit(wall_s=wall, cpu_s=cpu,
                     rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
                     jobs=len(results),
                     instructions=sum(r.instructions for r in results if r),
                     failed=failed, correct=correct and not failed)
 
-    units = measure(one_pass, args.seconds, started)
-    outcome = Outcome(setup_s=setup_s, units=units, notes=notes)
+    units = measure(one_pass, args.seconds, started, probe)
+    outcome = Outcome(setup_s=setup_s,
+                      setup_probe_s=statistics.median(setup_samples),
+                      units=units, notes=notes)
     if args.trace:
         tracer = Tracer().install()
         try:
-            traced = one_pass()
+            traced, _ = probe.during(one_pass)
         finally:
             tracer.uninstall()
         snapshot = tracer.snapshot()
@@ -554,7 +609,7 @@ def layer_metrics(snapshot: Dict[str, object], outcome: Outcome, traced: Unit,
         metrics[f"figures.fig11.{label}"] = value
     metrics["failed_frac"] = outcome.failed / max(1, outcome.attempted)
     metrics["trace.wall_s"] = traced.wall_s
-    metrics["trace.overhead_s"] = traced.wall_s - outcome.end_to_end()["wall_s"]
+    metrics["trace.overhead_s"] = traced.wall_s - outcome.measured()["wall_s"]
     self_total = sum(self_s for _, _, self_s in layers.values())
     if self_total > traced.wall_s * processes:
         outcome.notes.append(f"traced self times sum to {self_total:.3f} s, more "
@@ -591,32 +646,42 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     import_s = time.perf_counter() - start
     work = SCRATCH / str(os.getpid())
     work.mkdir(parents=True)
+    if args.workload != "sweep_cold_pool":
+        # The serial workloads and the probe share one CPU, so the probe
+        # samples the CPU the work runs on, in the time slices between.
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     try:
-        if args.workload == "core_membound":
-            outcome = membound_workload(args, started, import_s)
-        else:
-            outcome = sweep_workload(args.workload, args, work, started)
+        with ProbeServer() as probe:
+            if args.workload == "core_membound":
+                outcome = membound_workload(args, started, import_s, probe)
+            else:
+                outcome = sweep_workload(args.workload, args, work, started,
+                                         probe)
     finally:
         shutil.rmtree(work, ignore_errors=True)
         try:
             SCRATCH.rmdir()
         except OSError:
             pass  # another run still uses it
-    host = host_line()
+    host = host_line(outcome)
     metrics = outcome.end_to_end()
     print(f"workload {args.workload} seed {args.seed}: {len(outcome.units)} "
           f"units, {outcome.attempted} jobs attempted, {outcome.failed} failed")
     print("host " + json.dumps(host, sort_keys=True))
     for note in outcome.notes:
         print(f"CHECK FAILED: {note}")
-    unit_of = {name: unit for name, unit, _ in END_TO_END}
     failed_frac = outcome.failed / max(1, outcome.attempted)
-    for name, value in metrics.items():
-        print(f"  {name:<16} {value:14.4f} {unit_of[name]}")
-    print(f"  {'failed_frac':<16} {failed_frac:14.4f} ratio")
+    measured = outcome.measured()
+    for name, unit, _ in MEASURED:
+        print(f"  {'measured ' + name:<22} {measured[name]:14.4f} {unit}")
+    for name, unit, _ in END_TO_END:
+        print(f"  {name:<22} {metrics[name]:14.4f} {unit}")
+    print(f"  {'failed_frac':<22} {failed_frac:14.4f} ratio")
     if args.trace:
         outcome.layers["host.calib_s"] = host["calib_s"]
         outcome.layers["host.load_1m"] = (host["load_average"] or [0.0])[0]
+        for name, value in measured.items():
+            outcome.layers[f"measured.{name}"] = value
         table = {name: unit for name, unit, _ in per_layer_table()}
         reported = {name: {"value": outcome.layers[name], "unit": table[name]}
                     for name in table}

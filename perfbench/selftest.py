@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ ROOT = PERFBENCH.parent
 sys.path.insert(0, str(PERFBENCH))
 sys.path.insert(0, str(ROOT / "src"))
 
+import hostprobe  # noqa: E402
 import run  # noqa: E402
 import tracer  # noqa: E402
 
@@ -97,6 +99,16 @@ def test_tracer_wraps_names_where_callers_look_them_up():
         assert module.inspect_trace is inspect_trace
     assert OutOfOrderCore.run is original_run
     assert FIGURE_HARNESSES["fig11"] is original_fig11
+
+
+def test_probe_server_samples_while_watching_and_stops():
+    with hostprobe.ProbeServer() as server:
+        for pause in (0.0, 0.6):
+            _, samples = server.during(lambda: time.sleep(pause))
+            assert samples and all(0 < sample < 5 for sample in samples)
+        assert len(samples) >= 2  # one walk per WATCH_PERIOD_S
+        proc = server.proc
+    assert proc.returncode == 0
 
 
 def test_fails_without_the_program_sources():
