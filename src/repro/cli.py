@@ -19,8 +19,8 @@ Subcommands:
   append-only row files into one columnar segment, and check that the
   warehouse agrees with the cache journal (exit 1 when any journaled entry
   lacks a row; ``--strict`` also fails on rows whose entries were evicted).
-* ``repro sweep`` — run the paper's configuration sweep through the shared
-  plan → filter-by-shard → execute → commit pipeline.  ``--shard K/N``
+* ``repro sweep`` — run the paper's configuration sweep as one deduplicated
+  wave (plan → filter-by-shard → execute → commit).  ``--shard K/N``
   deterministically restricts execution to shard K of N, so N hosts pointed
   at one cache directory cover the full suite disjointly; an unsharded
   ``repro sweep --merge`` afterwards folds the per-shard cache entries into
@@ -33,7 +33,8 @@ Subcommands:
   points at that journal and re-executes only the missing jobs.  Ctrl-C
   shuts the pool down, flushes the counter ledgers and exits 130.
 * ``repro figures <name ...|all>`` — regenerate paper figure harnesses from
-  ``repro.experiments.figures``; warm from a swept cache this performs zero
+  ``repro.experiments.figures``, running every requested figure's plan as one
+  deduplicated wave first; warm from a swept cache this performs zero
   simulations and zero inspection passes (enforceable via ``--expect-warm``).
 * ``repro lint`` — AST-based invariant checker (``repro.analysis.lint``):
   enforces the determinism, cache-key-purity, schema-manifest, env-registry,
@@ -53,7 +54,8 @@ Every subcommand resolves its cache directory from ``--cache-dir``, then the
 and ``figures`` print the hit/miss counters of the run they just performed and
 flush them to the directory's counter ledger on exit, so ``repro cache
 stats`` reports real aggregate hit rates across every process — including the
-other hosts of a ``--shard K/N`` sweep — that shared the directory.
+other hosts of a ``--shard K/N`` sweep — that shared the directory.  Each
+``sweep`` or ``figures`` wave also records its dedup stats there.
 """
 
 from __future__ import annotations
@@ -86,6 +88,7 @@ from repro.experiments.cache import (
     ReportCache,
     ResultCache,
     compact_persisted_stats,
+    persist_dedup_stats,
     persisted_cache_stats,
 )
 from repro.experiments.warehouse import (
@@ -102,19 +105,17 @@ from repro.experiments.warehouse import (
     warehouse_stats,
 )
 from repro.experiments.figures import (
+    FIG14_MAX_PAIRS,
     FIGURE_HARNESSES,
+    FIGURE_PLANS,
     STANDALONE_HARNESSES,
     SWEEP_FAMILIES,
     default_runner,
+    orchestrate_figures,
     sweep_smt_configs,
 )
 from repro.analysis.lint import all_rules, refresh_manifest, run_lint
-from repro.experiments.orchestrator import (
-    FIGURE_PLANS,
-    FigurePlan,
-    SweepOrchestrator,
-    orchestrate_figures,
-)
+from repro.experiments.orchestrator import FigurePlan, SweepOrchestrator
 from repro.experiments.parallel import (
     DEFAULT_MAX_RETRIES,
     JOB_TIMEOUT_ENV,
@@ -141,24 +142,9 @@ EXIT_DEAD_LETTER = 3
 #: Exit code on Ctrl-C, following the shell convention of 128 + SIGINT.
 EXIT_INTERRUPT = 130
 
-#: Environment variable flipping the default of ``--orchestrate`` (``0``,
-#: ``false``, ``no`` or ``off`` disable cross-figure orchestration when the
-#: flag is not given explicitly).
-ORCHESTRATE_ENV = "REPRO_ORCHESTRATE"
-
 
 def _resolve_cache_dir(arg: Optional[str]) -> str:
     return arg or os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
-
-
-def _resolve_orchestrate(flag: Optional[bool]) -> bool:
-    """The effective orchestration switch: explicit flag, else env, else on."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get(ORCHESTRATE_ENV)
-    if raw is None:
-        return True
-    return raw.strip().lower() not in {"0", "false", "no", "off"}
 
 
 def _human_bytes(count: int) -> str:
@@ -177,11 +163,6 @@ def _add_cache_dir_argument(parser: argparse.ArgumentParser) -> None:
 
 def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     _add_cache_dir_argument(parser)
-    parser.add_argument(
-        "--orchestrate", action=argparse.BooleanOptionalAction, default=None,
-        help="dedupe shared jobs across figures/configs and execute them as "
-             "one continuously fed wave (default: on, or $"
-             f"{ORCHESTRATE_ENV})")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (>1 uses the parallel runner)")
     parser.add_argument("--per-suite", type=int, default=2,
@@ -548,37 +529,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                                    "configs")
     smt_configs = _parse_config_subset(args.smt_configs, sweep_smt_configs(),
                                        "SMT configs")
-    orchestrate = _resolve_orchestrate(args.orchestrate)
     wave_stats = None
     with _build_runner(args) as runner:
         label = f"shard {shard.index}/{shard.count}" if shard else "full sweep"
         print(f"{label}: {len(runner.specs())} workloads, "
               f"{len(configs)} configs, {len(smt_configs)} SMT configs "
               f"-> cache {runner.cache.directory}")
-        if orchestrate and (configs or smt_configs):
-            # One deduped wave over every outstanding job (single-thread and
-            # SMT alike); the per-config loops below then just read back the
-            # committed results without simulating anything.
+        if configs or smt_configs:
+            # One deduped wave over every outstanding job, single-thread and
+            # SMT alike; the loops below read back the committed results.
             plan = FigurePlan("sweep", configs=configs, smt_configs=smt_configs,
                               smt_max_pairs=args.max_pairs)
             wave_stats = SweepOrchestrator(runner).execute([plan], shard=shard)
+            persist_dedup_stats(runner.cache.directory, wave_stats.to_dict())
             print(format_dedup_stats(wave_stats, title="orchestrated wave"))
             if args.resume:
                 print(f"resume: {wave_stats.cache_warm} job(s) already "
                       f"journaled, {wave_stats.executed} executed")
-        for name, config in configs.items():
-            before = runner.cache.stats.stores
-            results = runner.run_config(name, config, shard=shard)
-            note = ("wave" if orchestrate
-                    else f"{runner.cache.stats.stores - before} simulated")
-            print(f"  {name}: {len(results)} workloads ({note})")
-        for name, config in smt_configs.items():
-            before = runner.cache.stats.stores
-            results = runner.run_smt_config(name, config,
-                                            max_pairs=args.max_pairs, shard=shard)
-            note = ("wave" if orchestrate
-                    else f"{runner.cache.stats.stores - before} simulated")
-            print(f"  smt:{name}: {len(results)} pairs ({note})")
+        for name in configs:
+            print(f"  {name}: {len(runner.results(name, shard))} workloads")
+        for name in smt_configs:
+            pairs = runner.smt_results(name, args.max_pairs, shard)
+            print(f"  smt:{name}: {len(pairs)} pairs")
         simulated = runner.cache.stats.stores
         inspected = (runner.report_cache.stats.stores
                      if runner.report_cache is not None else 0)
@@ -608,19 +580,20 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         else:
             available = sorted(FIGURE_HARNESSES) + sorted(STANDALONE_HARNESSES)
             raise SystemExit(f"unknown figure {name!r}; available: {available}")
-    orchestrate = _resolve_orchestrate(args.orchestrate)
     with _build_runner(args) as runner:
         orchestrated: Dict[str, Dict[str, object]] = {}
         dedup_stats = None
-        if orchestrate:
-            planned = [name for name in names if name in FIGURE_PLANS]
-            if planned:
-                orchestrated, dedup_stats = orchestrate_figures(runner, planned)
+        planned = [name for name in names if name in FIGURE_PLANS]
+        if planned:
+            # One deduped wave over every requested figure's plan; each
+            # harness then finds its own results already committed.
+            orchestrated, dedup_stats = orchestrate_figures(runner, planned)
+            if runner.cache is not None:
+                persist_dedup_stats(runner.cache.directory,
+                                    dedup_stats.to_dict())
         for name in names:
             if name in orchestrated:
                 result = orchestrated[name]
-            elif name in FIGURE_HARNESSES:
-                result = FIGURE_HARNESSES[name](runner)
             else:
                 result = STANDALONE_HARNESSES[name]()
             if args.json:
@@ -665,8 +638,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_history(args: argparse.Namespace) -> int:
-    entries = load_bench_history(directory=args.dir,
-                                 legacy_directory=args.legacy_dir)
+    entries = load_bench_history(directory=args.dir)
     if args.json:
         print(json.dumps(entries, indent=2, sort_keys=True))
         return 0
@@ -674,9 +646,8 @@ def _cmd_bench_history(args: argparse.Namespace) -> int:
         # An empty trajectory is a normal state (fresh clone, wiped
         # bench_reports/), not an error: say so plainly and exit 0 so
         # scripted `repro bench history` probes don't trip on it.
-        print(f"no bench reports accumulated yet under {args.dir} "
-              f"(or {args.legacy_dir}); run `repro bench --quick` to "
-              f"record the first one")
+        print(f"no bench reports accumulated yet under {args.dir}; run "
+              f"`repro bench --quick` to record the first one")
         return 0
     print(format_bench_history(entries))
     return 0
@@ -716,8 +687,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 1
     orchestrator = payload.get("orchestrator")
     if orchestrator is not None and not orchestrator["identical"]:
-        print("ORCHESTRATOR DIVERGENCE: orchestrated figure payloads differ "
-              "from the serial per-figure path", file=sys.stderr)
+        print("ORCHESTRATOR DIVERGENCE: figure payloads from one shared wave "
+              "differ from one wave per figure", file=sys.stderr)
         return 1
     return 0
 
@@ -819,8 +790,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated single-thread config subset, or 'none'")
     sweep.add_argument("--smt-configs", default=None,
                        help="comma-separated SMT config subset, or 'none'")
-    sweep.add_argument("--max-pairs", type=int, default=4,
-                       help="SMT pair budget (matches fig. 14's default)")
+    sweep.add_argument("--max-pairs", type=int, default=FIG14_MAX_PAIRS,
+                       help="SMT pair budget (default: fig. 14's, "
+                            f"{FIG14_MAX_PAIRS})")
     sweep.add_argument("--merge", action="store_true",
                        help="full run that folds shard results and prints a summary")
     sweep.add_argument("--expect-warm", action="store_true",
@@ -863,9 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "BENCH_*.json report")
     history.add_argument("--dir", default=BENCH_REPORTS_DIR,
                          help=f"report directory (default: {BENCH_REPORTS_DIR})")
-    history.add_argument("--legacy-dir", default=".",
-                         help="pre-bench_reports/ location also scanned "
-                              "(default: the working directory)")
     history.add_argument("--json", action="store_true",
                          help="machine-readable output")
     bench.add_argument("--quick", action="store_true",
@@ -886,8 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--instructions", type=int, default=None,
                        help="override the per-family instruction budgets")
     bench.add_argument("--orchestrator", action="store_true",
-                       help="also measure the cross-figure orchestrator against "
-                            "the serial per-figure path (figures: "
+                       help="also measure one wave over every figure against "
+                            "one wave per figure (figures: "
                             f"{', '.join(ORCHESTRATOR_BENCH_FIGURES)})")
     bench.add_argument("--workers", type=int, default=None,
                        help="worker processes for the orchestrator measurement "

@@ -30,14 +30,9 @@ from repro.experiments.runner import (
     WorkloadRun,
 )
 from repro.experiments.parallel import ParallelExperimentRunner
-from repro.experiments.orchestrator import (
-    DedupStats,
-    FIGURE_PLANS,
-    FigurePlan,
-    SweepOrchestrator,
-    orchestrate_figures,
-)
+from repro.experiments.orchestrator import DedupStats, FigurePlan, SweepOrchestrator
 from repro.experiments import figures
+from repro.experiments.figures import FIGURE_PLANS, orchestrate_figures
 from repro.experiments.reporting import format_table, format_percent
 
 __all__ = [

@@ -27,9 +27,8 @@ Families mirror how the paper's figures load the simulator:
 * ``sensitivity`` — fig. 13/20-style width/depth/category variants.
 
 Reports land in ``bench_reports/`` by default (``BENCH_<UTC timestamp>.json``);
-:func:`latest_bench_report` resolves the newest committed report, still
-accepting the pre-``bench_reports/`` repo-root location with a deprecation
-warning.  :func:`perf_gate` compares a fresh report against a committed
+:func:`latest_bench_report` resolves the newest committed report there.
+:func:`perf_gate` compares a fresh report against a committed
 reference — the soft regression gate CI's perf-smoke job runs — and
 :func:`load_bench_history` / ``repro bench history`` render the perf
 trajectory across every accumulated report.
@@ -78,7 +77,7 @@ trajectory across every accumulated report.
         "figures": [...], "workers": N,
         "per_suite": N, "instructions": N,
         "reps": N, "warmup_discarded": bool,
-        "serial_wall_seconds": s,     # median over reps (harnesses serial)
+        "serial_wall_seconds": s,     # median over reps (one wave per figure)
         "orchestrated_wall_seconds": s,  # median over reps (one deduped wave)
         "serial_wall_samples": [...], "orchestrated_wall_samples": [...],
         "serial_wall_mad": s, "orchestrated_wall_mad": s,
@@ -500,22 +499,20 @@ def run_orchestrator_bench(quick: bool = False,
                            figures: Optional[Sequence[str]] = None,
                            reps: Optional[int] = None,
                            discard_warmup: bool = True) -> Dict[str, object]:
-    """Measure the cross-figure orchestrator against the serial per-figure path.
+    """Measure one shared wave over every figure against one wave per figure.
 
     Both paths run the same figure set cold (no on-disk cache) on identical
-    parallel runners: the *serial* path executes each harness back-to-back —
-    every ``run_config`` call is its own pool barrier, exactly what
-    ``repro figures all --no-orchestrate`` does — while the *orchestrated*
-    path dedups all figures' jobs and feeds them through one wave.  The
-    serial-vs-wave measurement repeats ``reps`` times (fresh runners each
+    parallel runners: the *serial* path executes each harness back-to-back,
+    so every figure's plan is its own wave and its own pool barrier, while
+    the *orchestrated* path dedups all figures' jobs and feeds them through
+    one wave.  The serial-vs-wave measurement repeats ``reps`` times (fresh runners each
     repetition, warm-up discardable exactly like :func:`run_bench`); figure
     payloads are verified bit-identical between the two paths on every
     repetition.  The returned section (see the module docstring's schema)
     records both wall distributions, the median speedup ratio and the dedup
     stats.
     """
-    from repro.experiments.figures import FIGURE_HARNESSES
-    from repro.experiments.orchestrator import orchestrate_figures
+    from repro.experiments.figures import FIGURE_HARNESSES, orchestrate_figures
     from repro.experiments.parallel import ParallelExperimentRunner
 
     selected = list(figures) if figures is not None else list(ORCHESTRATOR_BENCH_FIGURES)
@@ -604,93 +601,64 @@ def _report_paths(directory: Union[str, Path]) -> List[Path]:
                   if BENCH_FILE_RE.match(path.name))
 
 
-def latest_bench_report(directory: Union[str, Path] = BENCH_REPORTS_DIR,
-                        legacy_directory: Union[str, Path] = "."
+def latest_bench_report(directory: Union[str, Path] = BENCH_REPORTS_DIR
                         ) -> Optional[Tuple[Path, Dict[str, object]]]:
-    """Locate and load the newest committed bench report.
+    """Locate and load the newest committed bench report in ``directory``.
 
-    Looks in ``bench_reports/`` first; when empty, falls back to the
-    pre-``bench_reports/`` location (``BENCH_*.json`` in the repo root) with a
-    :class:`DeprecationWarning`.  Only strictly named reports participate (see
-    :data:`BENCH_FILE_RE`); filenames embed a UTC timestamp, so the lexically
-    greatest name is the newest report.  A legacy-root report *newer* than
-    everything in ``bench_reports/`` would silently lose to the new location —
-    that shadowing gets an explicit :class:`UserWarning` so a misplaced fresh
-    reference is noticed instead of green-washing the perf gate.  Returns
-    ``(path, payload)`` or None when no report exists anywhere.
+    Only strictly named reports participate (see :data:`BENCH_FILE_RE`);
+    filenames embed a UTC timestamp, so the lexically greatest name is the
+    newest report.  Returns ``(path, payload)`` or None when no report exists
+    (including when the directory itself is missing).
     """
     reports = _report_paths(directory)
-    legacy = _report_paths(legacy_directory)
-    if reports:
-        if legacy and legacy[-1].name > reports[-1].name:
-            warnings.warn(
-                f"legacy-root bench report {legacy[-1]} is newer than every "
-                f"report in {Path(directory)}/ but is shadowed by "
-                f"{reports[-1]}; move it into {BENCH_REPORTS_DIR}/ if it is "
-                f"meant to be the reference",
-                UserWarning, stacklevel=2)
-    elif legacy:
-        warnings.warn(
-            f"bench reports in {Path(legacy_directory).resolve()} are "
-            f"deprecated; move them into {BENCH_REPORTS_DIR}/",
-            DeprecationWarning, stacklevel=2)
-        reports = legacy
-    else:
+    if not reports:
         return None
     path = reports[-1]
     return path, json.loads(path.read_text(encoding="utf-8"))
 
 
-def load_bench_history(directory: Union[str, Path] = BENCH_REPORTS_DIR,
-                       legacy_directory: Union[str, Path] = "."
+def load_bench_history(directory: Union[str, Path] = BENCH_REPORTS_DIR
                        ) -> List[Dict[str, object]]:
-    """One summary per discovered report, oldest first — the perf trajectory.
+    """One summary per report in ``directory``, oldest first — the perf trajectory.
 
-    Reads every strictly named report under ``directory`` *and* the legacy
-    repo root (schemas 1-3 alike) and reduces each to the numbers the
-    trajectory cares about: per-family median event-engine wall, the
-    engine-speedup geomean and the orchestrator speedup.  A report that fails
-    to parse is skipped with a :class:`UserWarning` rather than sinking the
-    whole history.
+    Reads every strictly named report (schemas 1-4 alike) and reduces each to
+    the numbers the trajectory cares about: per-family median event-engine
+    wall, the engine-speedup geomean and the orchestrator speedup.  A report
+    that fails to parse is skipped with a :class:`UserWarning` rather than
+    sinking the whole history.
     """
     entries: List[Dict[str, object]] = []
-    seen: set = set()
-    for base in (directory, legacy_directory):
-        for path in _report_paths(base):
-            if path.name in seen:
-                continue
-            seen.add(path.name)
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                if not isinstance(payload, dict):
-                    raise ValueError("report is not a JSON object")
-            except (OSError, ValueError) as error:
-                warnings.warn(f"skipping unreadable bench report {path}: {error}",
-                              UserWarning, stacklevel=2)
-                continue
-            family_walls: Dict[str, Optional[float]] = {}
-            families = payload.get("families")
-            if isinstance(families, dict):
-                for family, report in families.items():
-                    try:
-                        family_walls[family] = (
-                            report["totals"]["event"]["wall_seconds"])
-                    except (KeyError, TypeError):
-                        family_walls[family] = None
-            orchestrator = payload.get("orchestrator") or {}
-            entries.append({
-                "path": str(path),
-                "name": path.name,
-                "created_utc": payload.get("created_utc",
-                                           BENCH_FILE_RE.match(path.name).group(1)),
-                "schema": payload.get("schema"),
-                "quick": bool(payload.get("quick")),
-                "reps": int(payload.get("reps", 1)),
-                "family_walls": family_walls,
-                "speedup_geomean": payload.get("speedup_geomean"),
-                "orchestrator_speedup": orchestrator.get("speedup"),
-            })
-    entries.sort(key=lambda entry: entry["name"])
+    for path in _report_paths(directory):
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(payload, dict):
+                raise ValueError("report is not a JSON object")
+        except (OSError, ValueError) as error:
+            warnings.warn(f"skipping unreadable bench report {path}: {error}",
+                          UserWarning, stacklevel=2)
+            continue
+        family_walls: Dict[str, Optional[float]] = {}
+        families = payload.get("families")
+        if isinstance(families, dict):
+            for family, report in families.items():
+                try:
+                    family_walls[family] = (
+                        report["totals"]["event"]["wall_seconds"])
+                except (KeyError, TypeError):
+                    family_walls[family] = None
+        orchestrator = payload.get("orchestrator") or {}
+        entries.append({
+            "path": str(path),
+            "name": path.name,
+            "created_utc": payload.get("created_utc",
+                                       BENCH_FILE_RE.match(path.name).group(1)),
+            "schema": payload.get("schema"),
+            "quick": bool(payload.get("quick")),
+            "reps": int(payload.get("reps", 1)),
+            "family_walls": family_walls,
+            "speedup_geomean": payload.get("speedup_geomean"),
+            "orchestrator_speedup": orchestrator.get("speedup"),
+        })
     return entries
 
 

@@ -1,10 +1,16 @@
-"""Per-figure experiment harnesses.
+"""Per-figure experiment harnesses and the plans they run.
 
-Every public function regenerates one table or figure of the paper and returns
-a plain dictionary with the numbers (plus, in most cases, a ``text`` entry with
-a formatted table).  The functions accept an :class:`ExperimentRunner`; when
-none is given they build a small default runner so that each harness stays
-runnable on a laptop in seconds-to-minutes.
+Every ``fig*``/``table*`` function regenerates one table or figure of the
+paper and returns a plain dictionary with the numbers (plus, in most cases, a
+``text`` entry with a formatted table).  The functions accept an
+:class:`ExperimentRunner`; when none is given they build a small default
+runner so that each harness stays runnable on a laptop in seconds-to-minutes.
+
+Each runner-based harness declares its configurations exactly once, in the
+``plan_fig*`` factory beside it: the harness runs that :class:`FigurePlan` as
+one wave and reads the committed results back by name.  The same factories
+feed :data:`FIGURE_PLANS` (``repro figures`` merges the requested figures'
+plans into one deduplicated wave) and the ``repro sweep`` families.
 
 The absolute values will not match the paper (synthetic workloads, simplified
 core); EXPERIMENTS.md records, per figure, which qualitative property is
@@ -14,7 +20,7 @@ expected to hold.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.load_inspector import inspect_trace
 from repro.analysis.stats_utils import box_whisker_summary, filtered_geomean
@@ -35,6 +41,7 @@ from repro.experiments.configs import (
 )
 from repro.experiments.cache import (CACHE_DIR_ENV, DEFAULT_CACHE_DIR,
                                      SCHEMA_VERSION, ReportCache, ResultCache)
+from repro.experiments.orchestrator import DedupStats, FigurePlan, SweepOrchestrator
 from repro.experiments.parallel import ParallelExperimentRunner
 from repro.experiments.warehouse import (load_rows, speedup_summary,
                                          warehouse_present)
@@ -83,6 +90,14 @@ def default_runner(per_suite: int = 2, instructions: int = 6000,
                             suites=suites, cache=cache, report_cache=report_cache)
 
 
+#: Fig. 14's SMT2 pair budget (also ``repro sweep --max-pairs``'s default).
+FIG14_MAX_PAIRS = 4
+
+#: Fig. 20's load-width and pipeline-depth sensitivity grids.
+FIG20_LOAD_WIDTHS = (3, 4, 5, 6)
+FIG20_DEPTH_SCALES = (1.0, 2.0, 4.0)
+
+
 def _ideal_builder(mode: IdealMode, lvp: Optional[str] = None):
     """Config builder for the oracle-driven ideal mechanisms (needs the trace report)."""
     def build(trace, report):
@@ -91,11 +106,25 @@ def _ideal_builder(mode: IdealMode, lvp: Optional[str] = None):
     return build
 
 
+def _run_plan(plan: FigurePlan,
+              runner: Optional[ExperimentRunner]) -> ExperimentRunner:
+    """The harness's runner (a default one when none is given), after one
+    wave over ``plan`` has committed every result the harness reads."""
+    runner = runner or default_runner()
+    SweepOrchestrator(runner).execute([plan])
+    return runner
+
+
 # ======================================================================== Fig 3
+
+def plan_fig3() -> FigurePlan:
+    """Fig. 3 consumes only traces and Load Inspector reports."""
+    return FigurePlan("fig3")
+
 
 def fig3_global_stable_characterisation(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 3: fraction, addressing modes and reuse distances of global-stable loads."""
-    runner = runner or default_runner()
+    runner = _run_plan(plan_fig3(), runner)
     per_suite_fraction: Dict[str, List[float]] = {suite: [] for suite in runner.suites}
     mode_breakdown: Dict[str, Dict[str, List[float]]] = {}
     distance: Dict[str, List[float]] = {}
@@ -136,10 +165,15 @@ def fig3_global_stable_characterisation(runner: Optional[ExperimentRunner] = Non
 
 # ======================================================================== Fig 6
 
+def plan_fig6() -> FigurePlan:
+    """Fig. 6: load-port utilisation under baseline + EVES."""
+    return FigurePlan("fig6", configs={"baseline+eves": eves_config()})
+
+
 def fig6_load_port_utilisation(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 6: load-port-utilised cycles and how often stable loads hold the port."""
-    runner = runner or default_runner()
-    results = runner.run_config("baseline+eves", eves_config())
+    runner = _run_plan(plan_fig6(), runner)
+    results = runner.results("baseline+eves")
     utilised_fractions = []
     blocking_fractions = []
     for result in results.values():
@@ -164,17 +198,23 @@ def fig6_load_port_utilisation(runner: Optional[ExperimentRunner] = None) -> Dic
 
 # ======================================================================== Fig 7
 
+def plan_fig7() -> FigurePlan:
+    """Fig. 7: ideal-mechanism headroom sweeps."""
+    return FigurePlan("fig7", configs={
+        "baseline": baseline_config(),
+        "ideal_stable_lvp": _ideal_builder(IdealMode.STABLE_LVP),
+        "ideal_stable_lvp_fetch_elim":
+            _ideal_builder(IdealMode.STABLE_LVP_FETCH_ELIM),
+        "2x_load_width": baseline_config().with_load_width(6),
+        "ideal_constable": _ideal_builder(IdealMode.CONSTABLE),
+    })
+
+
 def fig7_headroom(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 7: Ideal Constable vs Ideal Stable LVP vs 2x load width."""
-    runner = runner or default_runner()
-    runner.run_config("baseline", baseline_config())
-    runner.run_config("ideal_stable_lvp", _ideal_builder(IdealMode.STABLE_LVP))
-    runner.run_config("ideal_stable_lvp_fetch_elim",
-                      _ideal_builder(IdealMode.STABLE_LVP_FETCH_ELIM))
-    runner.run_config("2x_load_width", baseline_config().with_load_width(6))
-    runner.run_config("ideal_constable", _ideal_builder(IdealMode.CONSTABLE))
-    configs = ["ideal_stable_lvp", "ideal_stable_lvp_fetch_elim", "2x_load_width",
-               "ideal_constable"]
+    plan = plan_fig7()
+    runner = _run_plan(plan, runner)
+    configs = [name for name in plan.configs if name != "baseline"]
     per_suite = {}
     for config in configs:
         for suite, value in runner.speedups_by_suite(config).items():
@@ -187,14 +227,21 @@ def fig7_headroom(runner: Optional[ExperimentRunner] = None) -> Dict[str, object
 
 # ======================================================================== Fig 9
 
+def plan_fig9() -> FigurePlan:
+    """Fig. 9: SLD update rate and wrong-path sensitivity."""
+    return FigurePlan("fig9", configs={
+        "baseline": baseline_config(),
+        "constable": constable_config(),
+        "constable_wrong_path": constable_config(
+            constable=constable_engine_config(wrong_path_updates=True)),
+    })
+
+
 def fig9_sld_updates(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 9: SLD updates per cycle and the effect of wrong-path updates."""
-    runner = runner or default_runner()
-    runner.run_config("baseline", baseline_config())
-    clean = runner.run_config("constable", constable_config())
-    noisy = runner.run_config(
-        "constable_wrong_path",
-        constable_config(constable=constable_engine_config(wrong_path_updates=True)))
+    runner = _run_plan(plan_fig9(), runner)
+    clean = runner.results("constable")
+    noisy = runner.results("constable_wrong_path")
     updates = [result.stats.average_sld_updates_per_cycle() for result in clean.values()]
     deltas = []
     for name in clean:
@@ -221,16 +268,22 @@ def fig9_sld_updates(runner: Optional[ExperimentRunner] = None) -> Dict[str, obj
 
 # ======================================================================= Fig 11
 
+def plan_fig11() -> FigurePlan:
+    """Fig. 11: the headline noSMT speedup sweep."""
+    return FigurePlan("fig11", configs={
+        "baseline": baseline_config(),
+        "eves": eves_config(),
+        "constable": constable_config(),
+        "eves+constable": eves_constable_config(),
+        "eves+ideal_constable": _ideal_builder(IdealMode.CONSTABLE, lvp="eves"),
+    })
+
+
 def fig11_speedup_nosmt(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 11: noSMT speedups of EVES, Constable, EVES+Constable, EVES+Ideal Constable."""
-    runner = runner or default_runner()
-    runner.run_config("baseline", baseline_config())
-    runner.run_config("eves", eves_config())
-    runner.run_config("constable", constable_config())
-    runner.run_config("eves+constable", eves_constable_config())
-    runner.run_config("eves+ideal_constable",
-                      _ideal_builder(IdealMode.CONSTABLE, lvp="eves"))
-    configs = ["eves", "constable", "eves+constable", "eves+ideal_constable"]
+    plan = plan_fig11()
+    runner = _run_plan(plan, runner)
+    configs = [name for name in plan.configs if name != "baseline"]
     per_suite = {}
     for config in configs:
         for suite, value in runner.speedups_by_suite(config).items():
@@ -243,13 +296,19 @@ def fig11_speedup_nosmt(runner: Optional[ExperimentRunner] = None) -> Dict[str, 
 
 # ======================================================================= Fig 12
 
+def plan_fig12() -> FigurePlan:
+    """Fig. 12: per-workload speedups (subset of fig. 11's configs)."""
+    return FigurePlan("fig12", configs={
+        "baseline": baseline_config(),
+        "eves": eves_config(),
+        "constable": constable_config(),
+        "eves+constable": eves_constable_config(),
+    })
+
+
 def fig12_per_workload(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 12: per-workload speedup line graph data (sorted by EVES speedup)."""
-    runner = runner or default_runner()
-    runner.run_config("baseline", baseline_config())
-    runner.run_config("eves", eves_config())
-    runner.run_config("constable", constable_config())
-    runner.run_config("eves+constable", eves_constable_config())
+    runner = _run_plan(plan_fig12(), runner)
     eves = runner.speedups("eves")
     constable = runner.speedups("constable")
     combined = runner.speedups("eves+constable")
@@ -272,23 +331,27 @@ def fig12_per_workload(runner: Optional[ExperimentRunner] = None) -> Dict[str, o
 
 # ======================================================================= Fig 13
 
-def fig13_load_categories(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
-    """Fig. 13: Constable restricted to PC-/stack-/register-relative loads."""
-    runner = runner or default_runner()
-    runner.run_config("baseline", baseline_config())
+def plan_fig13() -> FigurePlan:
+    """Fig. 13: Constable restricted to single addressing-mode categories."""
+    configs: Dict[str, ConfigLike] = {"baseline": baseline_config()}
     categories = {
         "pc_relative_only": frozenset({AddressingMode.PC_RELATIVE}),
         "stack_relative_only": frozenset({AddressingMode.STACK_RELATIVE}),
         "register_relative_only": frozenset({AddressingMode.REG_RELATIVE}),
     }
-    geomeans: Dict[str, float] = {}
     for name, modes in categories.items():
-        runner.run_config(
-            name, constable_config(
-                constable=constable_engine_config(eliminate_addressing_modes=modes)))
-        geomeans[name] = runner.geomean_speedup(name)
-    runner.run_config("all_loads", constable_config())
-    geomeans["all_loads"] = runner.geomean_speedup("all_loads")
+        configs[name] = constable_config(
+            constable=constable_engine_config(eliminate_addressing_modes=modes))
+    configs["all_loads"] = constable_config()
+    return FigurePlan("fig13", configs=configs)
+
+
+def fig13_load_categories(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
+    """Fig. 13: Constable restricted to PC-/stack-/register-relative loads."""
+    plan = plan_fig13()
+    runner = _run_plan(plan, runner)
+    geomeans = {name: runner.geomean_speedup(name)
+                for name in plan.configs if name != "baseline"}
     rows = [(name, f"{value:.3f}") for name, value in geomeans.items()]
     return {"geomean_speedups": geomeans,
             "text": format_table(["category", "speedup"], rows,
@@ -297,20 +360,28 @@ def fig13_load_categories(runner: Optional[ExperimentRunner] = None) -> Dict[str
 
 # ======================================================================= Fig 14
 
-def fig14_speedup_smt2(runner: Optional[ExperimentRunner] = None,
-                       max_pairs: Optional[int] = 4) -> Dict[str, object]:
-    """Fig. 14: SMT2 speedups of EVES, Constable and EVES+Constable."""
-    runner = runner or default_runner()
-    baseline = runner.run_smt_config("baseline", baseline_config(), max_pairs=max_pairs)
-    configs = {
+def plan_fig14(max_pairs: Optional[int] = FIG14_MAX_PAIRS) -> FigurePlan:
+    """Fig. 14: the SMT2 speedup sweep over the first ``max_pairs`` pairs."""
+    return FigurePlan("fig14", smt_configs={
+        "baseline": baseline_config(),
         "eves": eves_config(),
         "constable": constable_config(),
         "eves+constable": eves_constable_config(),
-    }
+    }, smt_max_pairs=max_pairs)
+
+
+def fig14_speedup_smt2(runner: Optional[ExperimentRunner] = None,
+                       max_pairs: Optional[int] = FIG14_MAX_PAIRS) -> Dict[str, object]:
+    """Fig. 14: SMT2 speedups of EVES, Constable and EVES+Constable."""
+    plan = plan_fig14(max_pairs)
+    runner = _run_plan(plan, runner)
+    baseline = runner.smt_results("baseline", max_pairs)
     geomeans: Dict[str, float] = {}
     per_pair: Dict[str, Dict[str, float]] = {}
-    for name, config in configs.items():
-        results = runner.run_smt_config(name, config, max_pairs=max_pairs)
+    for name in plan.smt_configs:
+        if name == "baseline":
+            continue
+        results = runner.smt_results(name, max_pairs)
         speedups = []
         for pair, result in results.items():
             # Degenerate tiny-trace pairs can retire in zero cycles; skip them
@@ -329,21 +400,24 @@ def fig14_speedup_smt2(runner: Optional[ExperimentRunner] = None,
 
 # ======================================================================= Fig 15
 
-def fig15_prior_works(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
-    """Fig. 15: ELAR and RFP compared with (and combined with) Constable."""
-    runner = runner or default_runner()
-    runner.run_config("baseline", baseline_config())
-    configs = {
+def plan_fig15() -> FigurePlan:
+    """Fig. 15: prior works (ELAR, RFP) vs and with Constable."""
+    return FigurePlan("fig15", configs={
+        "baseline": baseline_config(),
         "elar": elar_config(),
         "rfp": rfp_config(),
         "constable": constable_config(),
         "elar+constable": elar_constable_config(),
         "rfp+constable": rfp_constable_config(),
-    }
-    geomeans = {}
-    for name, config in configs.items():
-        runner.run_config(name, config)
-        geomeans[name] = runner.geomean_speedup(name)
+    })
+
+
+def fig15_prior_works(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
+    """Fig. 15: ELAR and RFP compared with (and combined with) Constable."""
+    plan = plan_fig15()
+    runner = _run_plan(plan, runner)
+    geomeans = {name: runner.geomean_speedup(name)
+                for name in plan.configs if name != "baseline"}
     rows = [(name, f"{value:.3f}") for name, value in geomeans.items()]
     return {"geomean_speedups": geomeans,
             "text": format_table(["config", "speedup"], rows,
@@ -352,14 +426,23 @@ def fig15_prior_works(runner: Optional[ExperimentRunner] = None) -> Dict[str, ob
 
 # ======================================================================= Fig 16
 
+def plan_fig16() -> FigurePlan:
+    """Fig. 16: load coverage."""
+    return FigurePlan("fig16", configs={
+        "eves": eves_config(),
+        "constable": constable_config(),
+        "eves+constable": eves_constable_config(),
+        "eves+ideal_constable": _ideal_builder(IdealMode.CONSTABLE, lvp="eves"),
+    })
+
+
 def fig16_coverage(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 16: load coverage of EVES, Constable and their combination."""
-    runner = runner or default_runner()
-    eves = runner.run_config("eves", eves_config())
-    constable = runner.run_config("constable", constable_config())
-    combined = runner.run_config("eves+constable", eves_constable_config())
-    ideal = runner.run_config("eves+ideal_constable",
-                              _ideal_builder(IdealMode.CONSTABLE, lvp="eves"))
+    runner = _run_plan(plan_fig16(), runner)
+    eves = runner.results("eves")
+    constable = runner.results("constable")
+    combined = runner.results("eves+constable")
+    ideal = runner.results("eves+ideal_constable")
 
     def _coverage(result, include_lvp: bool, include_constable: bool) -> float:
         loads = max(1, result.stats.loads_renamed)
@@ -388,10 +471,15 @@ def fig16_coverage(runner: Optional[ExperimentRunner] = None) -> Dict[str, objec
 
 # ======================================================================= Fig 17
 
+def plan_fig17() -> FigurePlan:
+    """Fig. 17: runtime coverage of global-stable loads."""
+    return FigurePlan("fig17", configs={"constable": constable_config()})
+
+
 def fig17_stable_breakdown(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 17: how many global-stable loads Constable actually eliminates."""
-    runner = runner or default_runner()
-    results = runner.run_config("constable", constable_config())
+    runner = _run_plan(plan_fig17(), runner)
+    results = runner.results("constable")
     eliminated_stable = 0
     eliminated_other = 0
     stable_total = 0
@@ -413,11 +501,17 @@ def fig17_stable_breakdown(runner: Optional[ExperimentRunner] = None) -> Dict[st
 
 # ======================================================================= Fig 18
 
+def plan_fig18() -> FigurePlan:
+    """Fig. 18: RS-allocation and L1-D access reduction."""
+    return FigurePlan("fig18", configs={
+        "baseline": baseline_config(),
+        "constable": constable_config(),
+    })
+
+
 def fig18_resource_utilisation(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 18: reduction in RS allocations and L1-D accesses with Constable."""
-    runner = runner or default_runner()
-    runner.run_config("baseline", baseline_config())
-    runner.run_config("constable", constable_config())
+    runner = _run_plan(plan_fig18(), runner)
     rs_ratio = runner.metric_ratio(
         "constable", lambda r: r.resource_stats.get("rs_allocations", 0))
     l1_ratio = runner.metric_ratio(
@@ -444,15 +538,22 @@ def fig18_resource_utilisation(runner: Optional[ExperimentRunner] = None) -> Dic
 
 # ======================================================================= Fig 19
 
+def plan_fig19() -> FigurePlan:
+    """Fig. 19: core dynamic power."""
+    return FigurePlan("fig19", configs={
+        "baseline": baseline_config(),
+        "eves": eves_config(),
+        "constable": constable_config(),
+        "eves+constable": eves_constable_config(),
+    })
+
+
 def fig19_power(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 19: core dynamic power of EVES, Constable and EVES+Constable vs baseline."""
-    runner = runner or default_runner()
+    plan = plan_fig19()
+    runner = _run_plan(plan, runner)
     model = CorePowerModel()
-    config_names = ["baseline", "eves", "constable", "eves+constable"]
-    runner.run_config("baseline", baseline_config())
-    runner.run_config("eves", eves_config())
-    runner.run_config("constable", constable_config())
-    runner.run_config("eves+constable", eves_constable_config())
+    config_names = list(plan.configs)
 
     totals: Dict[str, float] = {name: 0.0 for name in config_names}
     sub_units: Dict[str, Dict[str, float]] = {name: {} for name in config_names}
@@ -486,32 +587,32 @@ def fig19_power(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
 
 # ======================================================================= Fig 20
 
-def fig20_sensitivity(runner: Optional[ExperimentRunner] = None,
-                      load_widths: Sequence[int] = (3, 4, 5, 6),
-                      depth_scales: Sequence[float] = (1.0, 2.0, 4.0)) -> Dict[str, object]:
-    """Fig. 20: sensitivity to load execution width and pipeline depth."""
-    runner = runner or default_runner()
-    runner.run_config("baseline", baseline_config())
-    width_results: Dict[int, Dict[str, float]] = {}
+def plan_fig20(load_widths: Sequence[int] = FIG20_LOAD_WIDTHS,
+               depth_scales: Sequence[float] = FIG20_DEPTH_SCALES) -> FigurePlan:
+    """Fig. 20: the load-width / pipeline-depth sensitivity grids."""
+    configs: Dict[str, ConfigLike] = {"baseline": baseline_config()}
     for width in load_widths:
-        base_name = f"baseline_w{width}"
-        cons_name = f"constable_w{width}"
-        runner.run_config(base_name, baseline_config().with_load_width(width))
-        runner.run_config(cons_name, constable_config().with_load_width(width))
-        width_results[width] = {
-            "baseline": runner.geomean_speedup(base_name),
-            "constable": runner.geomean_speedup(cons_name),
-        }
-    depth_results: Dict[float, Dict[str, float]] = {}
+        configs[f"baseline_w{width}"] = baseline_config().with_load_width(width)
+        configs[f"constable_w{width}"] = constable_config().with_load_width(width)
     for scale in depth_scales:
-        base_name = f"baseline_d{scale}"
-        cons_name = f"constable_d{scale}"
-        runner.run_config(base_name, baseline_config().with_depth_scale(scale))
-        runner.run_config(cons_name, constable_config().with_depth_scale(scale))
-        depth_results[scale] = {
-            "baseline": runner.geomean_speedup(base_name),
-            "constable": runner.geomean_speedup(cons_name),
-        }
+        configs[f"baseline_d{scale}"] = baseline_config().with_depth_scale(scale)
+        configs[f"constable_d{scale}"] = constable_config().with_depth_scale(scale)
+    return FigurePlan("fig20", configs=configs)
+
+
+def fig20_sensitivity(runner: Optional[ExperimentRunner] = None,
+                      load_widths: Sequence[int] = FIG20_LOAD_WIDTHS,
+                      depth_scales: Sequence[float] = FIG20_DEPTH_SCALES) -> Dict[str, object]:
+    """Fig. 20: sensitivity to load execution width and pipeline depth."""
+    runner = _run_plan(plan_fig20(load_widths, depth_scales), runner)
+    width_results = {width: {
+        "baseline": runner.geomean_speedup(f"baseline_w{width}"),
+        "constable": runner.geomean_speedup(f"constable_w{width}"),
+    } for width in load_widths}
+    depth_results = {scale: {
+        "baseline": runner.geomean_speedup(f"baseline_d{scale}"),
+        "constable": runner.geomean_speedup(f"constable_d{scale}"),
+    } for scale in depth_scales}
     rows = [(f"load width {w}", f"{v['baseline']:.3f}", f"{v['constable']:.3f}")
             for w, v in width_results.items()]
     rows += [(f"depth x{s}", f"{v['baseline']:.3f}", f"{v['constable']:.3f}")
@@ -523,11 +624,18 @@ def fig20_sensitivity(runner: Optional[ExperimentRunner] = None,
 
 # ======================================================================= Fig 21
 
+def plan_fig21() -> FigurePlan:
+    """Fig. 21: memory-ordering violation cost."""
+    return FigurePlan("fig21", configs={
+        "baseline": baseline_config(),
+        "constable": constable_config(),
+    })
+
+
 def fig21_ordering_violations(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 21: memory-ordering violations by eliminated loads and ROB allocation increase."""
-    runner = runner or default_runner()
-    runner.run_config("baseline", baseline_config())
-    results = runner.run_config("constable", constable_config())
+    runner = _run_plan(plan_fig21(), runner)
+    results = runner.results("constable")
     violation_fractions = []
     for result in results.values():
         eliminated = max(1, int((result.constable_stats or {}).get("loads_eliminated", 0)))
@@ -554,15 +662,22 @@ def fig21_ordering_violations(runner: Optional[ExperimentRunner] = None) -> Dict
 
 # ======================================================================= Fig 22
 
+def plan_fig22() -> FigurePlan:
+    """Fig. 22: CV-bit pinning vs AMT invalidation."""
+    return FigurePlan("fig22", configs={
+        "baseline": baseline_config(),
+        "constable": constable_config(),
+        "constable_amt_i": constable_config(
+            constable=constable_engine_config(
+                amt_invalidate_on_l1_eviction=True, pin_cv_bits=False)),
+    })
+
+
 def fig22_amt_invalidation(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Fig. 22: CV-bit pinning vs invalidating AMT entries on every L1 eviction."""
-    runner = runner or default_runner()
-    runner.run_config("baseline", baseline_config())
-    vanilla = runner.run_config("constable", constable_config())
-    amt_i = runner.run_config(
-        "constable_amt_i",
-        constable_config(constable=constable_engine_config(
-            amt_invalidate_on_l1_eviction=True, pin_cv_bits=False)))
+    runner = _run_plan(plan_fig22(), runner)
+    vanilla = runner.results("constable")
+    amt_i = runner.results("constable_amt_i")
     speedup_vanilla = runner.geomean_speedup("constable")
     speedup_amt_i = runner.geomean_speedup("constable_amt_i")
 
@@ -729,66 +844,78 @@ STANDALONE_HARNESSES: Dict[str, Callable[[], Dict[str, object]]] = {
 }
 
 
+#: Plan factory per figure harness: the configurations each harness runs,
+#: declared once beside it.  Keys match :data:`FIGURE_HARNESSES`.
+FIGURE_PLANS: Dict[str, Callable[[], FigurePlan]] = {
+    "fig3": plan_fig3,
+    "fig6": plan_fig6,
+    "fig7": plan_fig7,
+    "fig9": plan_fig9,
+    "fig11": plan_fig11,
+    "fig12": plan_fig12,
+    "fig13": plan_fig13,
+    "fig14": plan_fig14,
+    "fig15": plan_fig15,
+    "fig16": plan_fig16,
+    "fig17": plan_fig17,
+    "fig18": plan_fig18,
+    "fig19": plan_fig19,
+    "fig20": plan_fig20,
+    "fig21": plan_fig21,
+    "fig22": plan_fig22,
+}
+
+
+def orchestrate_figures(runner: ExperimentRunner, names: Sequence[str]
+                        ) -> Tuple[Dict[str, Dict[str, object]], DedupStats]:
+    """Run the named figure harnesses over one shared wave.
+
+    The named figures' plans (keys of :data:`FIGURE_PLANS`) are merged,
+    deduped and executed as a single wave; the harnesses then run against
+    the warmed runner in the order given, each finding its own plan already
+    committed (zero simulations).  Returns ``(results by figure name, dedup
+    stats)``.
+    """
+    stats = SweepOrchestrator(runner).execute(
+        [FIGURE_PLANS[name]() for name in names])
+    return {name: FIGURE_HARNESSES[name](runner) for name in names}, stats
+
+
+def _union(plans: Sequence[FigurePlan]) -> Dict[str, ConfigLike]:
+    """The single-thread configs of ``plans``, in first-declaration order."""
+    configs: Dict[str, ConfigLike] = {}
+    for plan in plans:
+        for name, config in plan.configs.items():
+            configs.setdefault(name, config)
+    return configs
+
+
 def sweep_configs() -> Dict[str, ConfigLike]:
     """The single-thread configurations ``repro sweep`` runs by default.
 
-    Covers every configuration the main-result harnesses (figs. 11, 12, 15
-    and 16) consume, so a sweep warmed into a cache directory lets those
-    figures regenerate without a single simulation.
+    The union of the main-result harnesses' plans (figs. 11, 12, 15 and 16),
+    so a sweep warmed into a cache directory lets those figures regenerate
+    without a single simulation.
     """
-    return {
-        "baseline": baseline_config(),
-        "eves": eves_config(),
-        "constable": constable_config(),
-        "eves+constable": eves_constable_config(),
-        "eves+ideal_constable": _ideal_builder(IdealMode.CONSTABLE, lvp="eves"),
-        "elar": elar_config(),
-        "rfp": rfp_config(),
-        "elar+constable": elar_constable_config(),
-        "rfp+constable": rfp_constable_config(),
-    }
+    return _union([plan_fig11(), plan_fig12(), plan_fig15(), plan_fig16()])
 
 
 def sweep_smt_configs() -> Dict[str, ConfigLike]:
     """The SMT2 configurations ``repro sweep`` runs by default (fig. 14's set)."""
-    return {
-        "baseline": baseline_config(),
-        "eves": eves_config(),
-        "constable": constable_config(),
-        "eves+constable": eves_constable_config(),
-    }
+    return dict(plan_fig14().smt_configs)
 
 
-def sensitivity_sweep_configs(load_widths: Sequence[int] = (3, 4, 5, 6),
-                              depth_scales: Sequence[float] = (1.0, 2.0, 4.0)
-                              ) -> Dict[str, ConfigLike]:
+def sensitivity_sweep_configs() -> Dict[str, ConfigLike]:
     """The sensitivity-sweep configuration families (figs. 13 and 20).
 
-    Covers every configuration :func:`fig13_load_categories` and
-    :func:`fig20_sensitivity` consume — the addressing-mode-restricted
-    Constable variants, and the load-width / pipeline-depth grids — under the
-    exact names and contents those harnesses use, so ``repro sweep --families
-    sensitivity`` warmed into a shared cache directory lets both figures
-    regenerate without a single simulation.  ``baseline`` is included because
-    every speedup in those figures is computed against it.
+    The union of :func:`plan_fig13` and :func:`plan_fig20` — the
+    addressing-mode-restricted Constable variants and the load-width /
+    pipeline-depth grids, plus the ``baseline`` every speedup in those
+    figures is computed against — so ``repro sweep --families sensitivity``
+    warmed into a shared cache directory lets both figures regenerate without
+    a single simulation.
     """
-    configs: Dict[str, ConfigLike] = {"baseline": baseline_config()}
-    categories = {
-        "pc_relative_only": frozenset({AddressingMode.PC_RELATIVE}),
-        "stack_relative_only": frozenset({AddressingMode.STACK_RELATIVE}),
-        "register_relative_only": frozenset({AddressingMode.REG_RELATIVE}),
-    }
-    for name, modes in categories.items():
-        configs[name] = constable_config(
-            constable=constable_engine_config(eliminate_addressing_modes=modes))
-    configs["all_loads"] = constable_config()
-    for width in load_widths:
-        configs[f"baseline_w{width}"] = baseline_config().with_load_width(width)
-        configs[f"constable_w{width}"] = constable_config().with_load_width(width)
-    for scale in depth_scales:
-        configs[f"baseline_d{scale}"] = baseline_config().with_depth_scale(scale)
-        configs[f"constable_d{scale}"] = constable_config().with_depth_scale(scale)
-    return configs
+    return _union([plan_fig13(), plan_fig20()])
 
 
 #: Named single-thread sweep families ``repro sweep --families`` selects from:

@@ -1,22 +1,21 @@
-"""Cross-figure sweep orchestration with global job dedup.
+"""The wave: plan, dedup, execute and commit simulations as one batch.
 
-The paper's evaluation is ~20 figures whose configuration sweeps overlap
-heavily: figs. 11, 12, 14, 16 and 17 all re-simulate the same
+Every simulation runs through :meth:`SweepOrchestrator.execute`: a
+``run_config`` call is a one-plan wave, a figure harness is a wave over its own
+:class:`FigurePlan`, and ``repro figures all`` is one wave over every figure's
+plan.  The paper's evaluation is ~20 figures whose configuration sweeps
+overlap heavily: figs. 11, 12, 14, 16 and 17 all re-simulate the same
 baseline/constable configurations, fig. 20's ``baseline_w3``/``baseline_d1.0``
 grid points are content-identical to the plain baseline, and fig. 13's
-``all_loads`` is the plain Constable configuration under another name.  Run
-back-to-back (``repro figures all``), each harness re-plans those shared
-``(config, workload)`` jobs and every ``run_config`` call is its own barrier,
-so the worker pool drains between harnesses and between configurations.
+``all_loads`` is the plain Constable configuration under another name.  One
+wave over many plans pays for each shared simulation once and keeps the
+worker pool fed instead of draining it between harnesses:
 
-:class:`SweepOrchestrator` removes both costs while staying bit-identical to
-the serial per-figure path:
-
-1. **Collect** — every requested figure declares its configuration demand as a
-   :class:`FigurePlan` (the :data:`FIGURE_PLANS` registry mirrors each harness
-   in :mod:`repro.experiments.figures`; a consistency test pins the two
-   against each other).  The orchestrator merges the plans and materialises
-   jobs through the runner's existing planning hooks
+1. **Collect** — each figure declares its configuration demand once, as the
+   :class:`FigurePlan` beside its harness in :mod:`repro.experiments.figures`
+   (registered in :data:`~repro.experiments.figures.FIGURE_PLANS`).  The
+   orchestrator merges the plans and materialises jobs through the runner's
+   planning hooks
    (:meth:`~repro.experiments.runner.ExperimentRunner.plan_jobs` /
    :meth:`~repro.experiments.runner.ExperimentRunner.plan_smt_jobs`).
 2. **Dedup** — planned jobs are grouped by *content* fingerprint (the same
@@ -27,15 +26,15 @@ the serial per-figure path:
 3. **Execute** — every outstanding representative job, single-thread and SMT
    alike, goes through the runner's
    :meth:`~repro.experiments.runner.ExperimentRunner._execute_wave` hook as
-   **one** batch: the parallel runner submits them all to one process pool up
-   front and awaits once, so the pool never drains between harnesses.
+   **one** batch: the parallel runner submits them all to one process pool
+   up front and awaits once.  A failed batch journals its successes to the
+   on-disk cache before the error propagates.
 4. **Commit** — each group's single result is committed under *every*
-   ``(config name, workload)`` alias that demanded it, through the exact
-   in-memory stores the serial ``run_config``/``run_smt_config`` pipeline
-   commits to.  Running the figure harnesses afterwards finds everything
-   already committed and performs **zero** simulations, so their outputs are
-   bit-identical to the serial per-figure path by construction (pinned
-   differentially at 1/2/4 workers in ``tests/test_orchestrator.py``).
+   ``(config name, workload)`` alias that demanded it, into the runner's
+   in-memory stores.  A figure harness run afterwards executes its own plan's
+   wave, finds everything committed and performs **zero** simulations, so its
+   output is bit-identical to running that figure alone on a fresh runner
+   (pinned differentially at 1/2/4 workers in ``tests/test_orchestrator.py``).
 
 Results are pure functions of ``(config, trace)``, which is what makes the
 aliasing sound: committing one result object under several names is
@@ -43,7 +42,8 @@ observationally identical to simulating the same inputs once per name.
 
 The :class:`DedupStats` record (``planned`` figure demand, ``unique`` after
 dedup, ``cache_warm`` served from disk, ``executed`` actually simulated) is
-surfaced by ``repro figures``/``repro sweep`` and recorded by ``repro bench
+printed by ``repro figures``/``repro sweep``, which also stream it into the
+cache directory's counter ledger, and recorded by ``repro bench
 --orchestrator`` reports.
 """
 
@@ -52,21 +52,9 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.ideal import IdealMode
-from repro.experiments.cache import config_fingerprint, persist_dedup_stats
-from repro.experiments.configs import (
-    baseline_config,
-    constable_config,
-    constable_engine_config,
-    elar_config,
-    elar_constable_config,
-    eves_config,
-    eves_constable_config,
-    rfp_config,
-    rfp_constable_config,
-)
+from repro.experiments.cache import config_fingerprint
 from repro.experiments.runner import (
     ConfigLike,
     ExperimentRunner,
@@ -75,7 +63,6 @@ from repro.experiments.runner import (
     SmtJob,
     SweepExecutionError,
 )
-from repro.isa.instruction import AddressingMode
 from repro.pipeline.smt import SmtResult
 from repro.pipeline.stats import SimulationResult
 
@@ -84,12 +71,12 @@ from repro.pipeline.stats import SimulationResult
 class FigurePlan:
     """One figure harness's declared configuration demand.
 
-    ``configs`` maps the exact configuration names the harness passes to
-    ``run_config`` to equivalent :data:`ConfigLike` values; ``smt_configs``
-    does the same for ``run_smt_config`` with ``smt_max_pairs`` as the
-    harness's pair budget (None = the full pair list).  A harness that only
-    consumes workload traces and Load Inspector reports (fig. 3) declares an
-    empty plan — the orchestrator still generates its workloads.
+    ``configs`` maps the configuration names the harness reads results under
+    to their :data:`ConfigLike` values; ``smt_configs`` does the same for SMT2
+    pair sweeps, with ``smt_max_pairs`` as the pair budget (None = the full
+    pair list).  A harness that only consumes workload traces and Load
+    Inspector reports (fig. 3) declares an empty plan — the orchestrator still
+    generates its workloads.
     """
 
     figure: str
@@ -142,8 +129,7 @@ def _relabelled(result: SimulationResult, config_name: str) -> SimulationResult:
 
     A deduped group commits one simulation under several alias names; shallow
     relabelling keeps each alias's ``result.config_name`` (and ``summary()``)
-    telling the truth, exactly as if the serial path had simulated under that
-    name.  Everything else is shared — results are immutable downstream.
+    telling the truth, exactly as if it had been simulated under that name.  Everything else is shared — results are immutable downstream.
     """
     if result.config_name == config_name:
         return result
@@ -185,13 +171,13 @@ def _smt_identity(job: SmtJob) -> str:
 
 
 class SweepOrchestrator:
-    """Plans, dedups and executes many figures' sweeps as one wave.
+    """Plans, dedups and executes any number of plans' sweeps as one wave.
 
     The orchestrator owns no execution machinery of its own: planning goes
     through the runner's ``plan_jobs``/``plan_smt_jobs`` hooks, execution
-    through its ``_execute_wave`` hook and commits through the same in-memory
-    stores the serial pipeline uses, so serial and parallel runners (and any
-    future runner subclass) orchestrate without modification.
+    through its ``_execute_wave`` hook and commits into the runner's
+    in-memory stores, so serial and parallel runners (and any future runner
+    subclass) run waves without modification.
     """
 
     def __init__(self, runner: ExperimentRunner):
@@ -281,7 +267,11 @@ class SweepOrchestrator:
                               ) -> None:
         """Best-effort cache journal of a failed wave's completed jobs.
 
-        The puts below also append each journaled entry's columnar warehouse
+        Runs on the error path, so cache I/O failures are absorbed — a full
+        disk must never mask the execution error being propagated.  The
+        in-memory stores are deliberately untouched: partial results are a
+        *journal* for resume, not a committed sweep.  The puts below also
+        append each journaled entry's columnar warehouse
         row (inside ``cache.put``/``put_smt``), so after a chaos-faulted wave
         the warehouse lists exactly the journaled jobs — which is what lets
         ``repro warehouse verify`` assert journal agreement before and after
@@ -313,9 +303,12 @@ class SweepOrchestrator:
         After this returns, every ``(config name, workload)`` and
         ``(config name, pair)`` the plans demanded is committed in the
         runner's stores, so running the corresponding figure harnesses
-        performs zero simulations.  The commit is atomic in the same sense as
-        ``run_config``: a failure anywhere in the wave leaves every store
-        untouched.
+        performs zero simulations.  The commit is atomic: a failure anywhere
+        in the wave leaves every in-memory store untouched (the failed wave's
+        successes are journaled to the on-disk cache only).  The caller
+        decides whether the returned stats belong in the cache directory's
+        dedup ledger (``persist_dedup_stats``); the CLI records one entry per
+        ``repro figures``/``repro sweep`` wave.
         """
         runner = self.runner
         merged, merged_smt, stats = self._merge_plans(plans, shard)
@@ -401,8 +394,10 @@ class SweepOrchestrator:
                 f"wave executor returned no result for jobs {missing!r}")
 
         # Commit every alias only after the whole wave succeeded — and before
-        # the disk-store writes, so a cache I/O failure cannot discard the
-        # finished wave (same ordering contract as run_config).
+        # the disk-store writes, so a cache I/O failure (disk full,
+        # permissions) cannot discard the finished wave.  The disk puts also
+        # append each entry's columnar warehouse row, which keeps the
+        # warehouse in lockstep with the journal.
         workloads = runner.workloads()
         for identity, group in sim_groups.items():
             result = staged_sim[identity]
@@ -421,216 +416,5 @@ class SweepOrchestrator:
             for identity, job in outstanding_smt:
                 if job.cache_key is not None:
                     runner.cache.put_smt(job.cache_key, staged_smt[identity])
-            # Stream this wave's dedup accounting into the cache directory's
-            # counter ledger so `repro cache stats` reports cross-host
-            # planned/unique/cache-warm dedup rates alongside hit rates.
-            persist_dedup_stats(runner.cache.directory, stats.to_dict())
         self.stats = stats
         return stats
-
-
-# ----------------------------------------------------------- figure plan registry
-
-def _ideal_builder(mode: IdealMode, lvp: Optional[str] = None):
-    """Mirror of the figure harnesses' oracle-driven config builder."""
-    from repro.experiments.figures import _ideal_builder as harness_builder
-    return harness_builder(mode, lvp)
-
-
-def _plan_fig3() -> FigurePlan:
-    """Fig. 3 consumes only traces and Load Inspector reports."""
-    return FigurePlan("fig3")
-
-
-def _plan_fig6() -> FigurePlan:
-    """Fig. 6: load-port utilisation under baseline + EVES."""
-    return FigurePlan("fig6", configs={"baseline+eves": eves_config()})
-
-
-def _plan_fig7() -> FigurePlan:
-    """Fig. 7: ideal-mechanism headroom sweeps."""
-    return FigurePlan("fig7", configs={
-        "baseline": baseline_config(),
-        "ideal_stable_lvp": _ideal_builder(IdealMode.STABLE_LVP),
-        "ideal_stable_lvp_fetch_elim":
-            _ideal_builder(IdealMode.STABLE_LVP_FETCH_ELIM),
-        "2x_load_width": baseline_config().with_load_width(6),
-        "ideal_constable": _ideal_builder(IdealMode.CONSTABLE),
-    })
-
-
-def _plan_fig9() -> FigurePlan:
-    """Fig. 9: SLD update rate and wrong-path sensitivity."""
-    return FigurePlan("fig9", configs={
-        "baseline": baseline_config(),
-        "constable": constable_config(),
-        "constable_wrong_path": constable_config(
-            constable=constable_engine_config(wrong_path_updates=True)),
-    })
-
-
-def _plan_fig11() -> FigurePlan:
-    """Fig. 11: the headline noSMT speedup sweep."""
-    return FigurePlan("fig11", configs={
-        "baseline": baseline_config(),
-        "eves": eves_config(),
-        "constable": constable_config(),
-        "eves+constable": eves_constable_config(),
-        "eves+ideal_constable": _ideal_builder(IdealMode.CONSTABLE, lvp="eves"),
-    })
-
-
-def _plan_fig12() -> FigurePlan:
-    """Fig. 12: per-workload speedups (subset of fig. 11's configs)."""
-    return FigurePlan("fig12", configs={
-        "baseline": baseline_config(),
-        "eves": eves_config(),
-        "constable": constable_config(),
-        "eves+constable": eves_constable_config(),
-    })
-
-
-def _plan_fig13() -> FigurePlan:
-    """Fig. 13: Constable restricted to single addressing-mode categories."""
-    configs: Dict[str, ConfigLike] = {"baseline": baseline_config()}
-    categories = {
-        "pc_relative_only": frozenset({AddressingMode.PC_RELATIVE}),
-        "stack_relative_only": frozenset({AddressingMode.STACK_RELATIVE}),
-        "register_relative_only": frozenset({AddressingMode.REG_RELATIVE}),
-    }
-    for name, modes in categories.items():
-        configs[name] = constable_config(
-            constable=constable_engine_config(eliminate_addressing_modes=modes))
-    configs["all_loads"] = constable_config()
-    return FigurePlan("fig13", configs=configs)
-
-
-def _plan_fig14() -> FigurePlan:
-    """Fig. 14: the SMT2 speedup sweep (harness default pair budget)."""
-    return FigurePlan("fig14", smt_configs={
-        "baseline": baseline_config(),
-        "eves": eves_config(),
-        "constable": constable_config(),
-        "eves+constable": eves_constable_config(),
-    }, smt_max_pairs=4)
-
-
-def _plan_fig15() -> FigurePlan:
-    """Fig. 15: prior works (ELAR, RFP) vs and with Constable."""
-    return FigurePlan("fig15", configs={
-        "baseline": baseline_config(),
-        "elar": elar_config(),
-        "rfp": rfp_config(),
-        "constable": constable_config(),
-        "elar+constable": elar_constable_config(),
-        "rfp+constable": rfp_constable_config(),
-    })
-
-
-def _plan_fig16() -> FigurePlan:
-    """Fig. 16: load coverage."""
-    return FigurePlan("fig16", configs={
-        "eves": eves_config(),
-        "constable": constable_config(),
-        "eves+constable": eves_constable_config(),
-        "eves+ideal_constable": _ideal_builder(IdealMode.CONSTABLE, lvp="eves"),
-    })
-
-
-def _plan_fig17() -> FigurePlan:
-    """Fig. 17: runtime coverage of global-stable loads."""
-    return FigurePlan("fig17", configs={"constable": constable_config()})
-
-
-def _plan_fig18() -> FigurePlan:
-    """Fig. 18: RS-allocation and L1-D access reduction."""
-    return FigurePlan("fig18", configs={
-        "baseline": baseline_config(),
-        "constable": constable_config(),
-    })
-
-
-def _plan_fig19() -> FigurePlan:
-    """Fig. 19: core dynamic power."""
-    return FigurePlan("fig19", configs={
-        "baseline": baseline_config(),
-        "eves": eves_config(),
-        "constable": constable_config(),
-        "eves+constable": eves_constable_config(),
-    })
-
-
-def _plan_fig20(load_widths: Sequence[int] = (3, 4, 5, 6),
-                depth_scales: Sequence[float] = (1.0, 2.0, 4.0)) -> FigurePlan:
-    """Fig. 20: the load-width / pipeline-depth sensitivity grids."""
-    configs: Dict[str, ConfigLike] = {"baseline": baseline_config()}
-    for width in load_widths:
-        configs[f"baseline_w{width}"] = baseline_config().with_load_width(width)
-        configs[f"constable_w{width}"] = constable_config().with_load_width(width)
-    for scale in depth_scales:
-        configs[f"baseline_d{scale}"] = baseline_config().with_depth_scale(scale)
-        configs[f"constable_d{scale}"] = constable_config().with_depth_scale(scale)
-    return FigurePlan("fig20", configs=configs)
-
-
-def _plan_fig21() -> FigurePlan:
-    """Fig. 21: memory-ordering violation cost."""
-    return FigurePlan("fig21", configs={
-        "baseline": baseline_config(),
-        "constable": constable_config(),
-    })
-
-
-def _plan_fig22() -> FigurePlan:
-    """Fig. 22: CV-bit pinning vs AMT invalidation."""
-    return FigurePlan("fig22", configs={
-        "baseline": baseline_config(),
-        "constable": constable_config(),
-        "constable_amt_i": constable_config(
-            constable=constable_engine_config(
-                amt_invalidate_on_l1_eviction=True, pin_cv_bits=False)),
-    })
-
-
-#: Plan factory per orchestratable figure harness.  Keys mirror
-#: :data:`repro.experiments.figures.FIGURE_HARNESSES` exactly; the
-#: plan/harness consistency test in ``tests/test_orchestrator.py`` asserts
-#: both that the key sets match and that a harness run after its own plan's
-#: wave performs zero simulations (i.e. the plan covers the harness fully).
-FIGURE_PLANS: Dict[str, Callable[[], FigurePlan]] = {
-    "fig3": _plan_fig3,
-    "fig6": _plan_fig6,
-    "fig7": _plan_fig7,
-    "fig9": _plan_fig9,
-    "fig11": _plan_fig11,
-    "fig12": _plan_fig12,
-    "fig13": _plan_fig13,
-    "fig14": _plan_fig14,
-    "fig15": _plan_fig15,
-    "fig16": _plan_fig16,
-    "fig17": _plan_fig17,
-    "fig18": _plan_fig18,
-    "fig19": _plan_fig19,
-    "fig20": _plan_fig20,
-    "fig21": _plan_fig21,
-    "fig22": _plan_fig22,
-}
-
-
-def orchestrate_figures(runner: ExperimentRunner, names: Sequence[str]
-                        ) -> Tuple[Dict[str, Dict[str, object]], DedupStats]:
-    """Run the named figure harnesses through one orchestrated wave.
-
-    Plans are collected for every name present in :data:`FIGURE_PLANS`,
-    deduped and executed as a single wave; the harnesses then run against the
-    warmed runner (zero simulations) in the order given.  Names without a plan
-    (standalone harnesses) are skipped here — callers dispatch those
-    separately.  Returns ``(results by figure name, dedup stats)``.
-    """
-    from repro.experiments.figures import FIGURE_HARNESSES
-
-    planned_names = [name for name in names if name in FIGURE_PLANS]
-    orchestrator = SweepOrchestrator(runner)
-    stats = orchestrator.execute([FIGURE_PLANS[name]() for name in planned_names])
-    results = {name: FIGURE_HARNESSES[name](runner) for name in planned_names}
-    return results, stats

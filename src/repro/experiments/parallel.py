@@ -2,12 +2,12 @@
 
 :class:`ParallelExperimentRunner` reuses the whole planning/aggregation core of
 :class:`~repro.experiments.runner.ExperimentRunner` and overrides only its
-execution hooks:
+two hooks:
 
-* ``_execute_jobs`` — outstanding (workload, configuration) simulations are
-  sharded across ``max_workers`` OS processes,
-* ``_execute_smt_jobs`` — SMT2 pair simulations shard the same way; workers
-  regenerate both threads' traces (the second at its distinct base PC),
+* ``_execute_wave`` — every outstanding simulation of a wave, single-thread
+  (workload, configuration) jobs and SMT2 pair jobs alike, is sharded across
+  ``max_workers`` OS processes; workers regenerate the traces (an SMT second
+  thread at its distinct base PC),
 * ``_generate_workloads`` — cold-start trace synthesis plus Load Inspector
   analysis shards across the pool too, so even the first run of a sweep
   scales with the core count.
@@ -20,10 +20,10 @@ Determinism guarantees (enforced by ``tests/test_parallel_determinism.py``):
   trace is therefore bit-identical in every worker and to the parent's copy,
   regardless of worker count or how jobs land on shards.
 * **Order-independent merge.**  Results are merged into dictionaries keyed by
-  workload name (or SMT pair) as futures complete; since each key appears in
-  at most one job per sweep, completion order cannot change the merged value,
-  and downstream aggregation (speedups, geomeans) iterates over the runner's
-  workload order, never shard order.
+  ``(config, workload)`` (or ``(config, SMT pair)``) as futures complete;
+  since each key appears in at most one job per wave, completion order cannot
+  change the merged value, and downstream aggregation (speedups, geomeans)
+  iterates over the runner's workload order, never shard order.
 * **Deterministic sharding.**  Jobs are submitted in sorted key order so a
   fixed worker count also yields a reproducible shard assignment.
 
@@ -165,22 +165,26 @@ def _regenerate_trace(spec_dict: Dict[str, object], instructions: int,
     return trace
 
 
-def simulate_job_payload(payload: Tuple[str, Dict[str, object], int, int, CoreConfig]
-                         ) -> Tuple[str, SimulationResult]:
-    """Worker entry point: regenerate the trace, simulate, return (workload, result).
+def simulate_keyed_job_payload(payload: Tuple[str, Dict[str, object], int, int, CoreConfig]
+                               ) -> Tuple[str, Tuple[str, str], SimulationResult]:
+    """Worker entry point for one single-thread job of a wave.
 
-    Module-level (not a closure) so it pickles under every start method.
+    Regenerates the trace, simulates, and returns the result tagged ``"sim"``
+    and keyed by ``(config_name, workload)``, so one wave may carry jobs for
+    many configurations without the merged keys colliding.  Module-level (not
+    a closure) so it pickles under every start method.
     """
     config_name, spec_dict, instructions, num_registers, config = payload
     trace = _regenerate_trace(spec_dict, instructions, num_registers)
     core = OutOfOrderCore(config, [trace], name=config_name)
-    return str(spec_dict["name"]), core.run()
+    return "sim", (config_name, str(spec_dict["name"])), core.run()
 
 
-def simulate_smt_job_payload(
+def simulate_keyed_smt_job_payload(
         payload: Tuple[str, Dict[str, object], Dict[str, object], int, int, int, CoreConfig]
-) -> Tuple[Tuple[str, str], SmtResult]:
-    """Worker entry point for one SMT2 pair: regenerate both traces, simulate.
+) -> Tuple[str, Tuple[str, Tuple[str, str]], SmtResult]:
+    """Worker entry point for one SMT2 pair job of a wave, keyed by
+    ``(config_name, pair)`` (see :func:`simulate_keyed_job_payload`).
 
     The second thread's trace is regenerated at its own base PC (and memoised
     under that PC), exactly matching the serial executor's behaviour.
@@ -191,25 +195,8 @@ def simulate_smt_job_payload(
     second_trace = _regenerate_trace(second_dict, instructions, num_registers,
                                      base_pc=second_base_pc)
     result = simulate_smt_pair(first_trace, second_trace, config, name=config_name)
-    return (str(first_dict["name"]), str(second_dict["name"])), result
-
-
-def simulate_keyed_job_payload(payload: Tuple[str, Dict[str, object], int, int, CoreConfig]
-                               ) -> Tuple[str, Tuple[str, str], SimulationResult]:
-    """Worker entry point for wave execution: like :func:`simulate_job_payload`
-    but tagged and keyed by ``(config_name, workload)``, so one wave may carry
-    jobs for many configurations without the merged keys colliding."""
-    workload, result = simulate_job_payload(payload)
-    return "sim", (payload[0], workload), result
-
-
-def simulate_keyed_smt_job_payload(
-        payload: Tuple[str, Dict[str, object], Dict[str, object], int, int, int, CoreConfig]
-) -> Tuple[str, Tuple[str, Tuple[str, str]], SmtResult]:
-    """Worker entry point for wave execution of one SMT2 pair, keyed by
-    ``(config_name, pair)`` (see :func:`simulate_keyed_job_payload`)."""
-    pair, result = simulate_smt_job_payload(payload)
-    return "smt", (payload[0], pair), result
+    pair = (str(first_dict["name"]), str(second_dict["name"]))
+    return "smt", (config_name, pair), result
 
 
 def generate_workload_payload(payload: Tuple[Dict[str, object], int, int, bool]
@@ -299,8 +286,8 @@ class ParallelExperimentRunner(ExperimentRunner):
     inherited from the serial runner, so the two are drop-in interchangeable
     anywhere an :class:`ExperimentRunner` is accepted (figure harnesses,
     benchmarks, examples).  In particular every cache write stays
-    parent-side: workers return results over the pool and the inherited
-    commit loop calls ``cache.put``/``put_smt`` here, which is also what
+    parent-side: workers return results over the pool and the wave's commit
+    calls ``cache.put``/``put_smt`` here, which is also what
     appends each entry's columnar warehouse row — N workers never contend on
     the warehouse, and its rows stay in lockstep with the resume journal.
 
@@ -566,67 +553,6 @@ class ParallelExperimentRunner(ExperimentRunner):
 
     # ---------------------------------------------------------------- execution
 
-    @staticmethod
-    def _sim_validator(workload: str) -> Callable[[object], bool]:
-        def validate(value: object) -> bool:
-            return (isinstance(value, tuple) and len(value) == 2
-                    and value[0] == workload
-                    and isinstance(value[1], SimulationResult))
-        return validate
-
-    @staticmethod
-    def _smt_validator(pair: Tuple[str, str]) -> Callable[[object], bool]:
-        def validate(value: object) -> bool:
-            return (isinstance(value, tuple) and len(value) == 2
-                    and value[0] == tuple(pair)
-                    and isinstance(value[1], SmtResult))
-        return validate
-
-    def _execute_jobs(self, jobs: Sequence[SimulationJob]) -> Dict[str, SimulationResult]:
-        """Shard ``jobs`` across the pool and merge keyed by workload name."""
-        if len(jobs) <= 1 or self.max_workers == 1:
-            return super()._execute_jobs(jobs)
-        tasks = []
-        for job in sorted(jobs, key=lambda job: job.workload):
-            payload = (job.config_name, job.run.spec.to_dict(),
-                       self.instructions, self.num_registers, job.config)
-            tasks.append(_SupervisedTask(
-                fn=simulate_job_payload, payload=payload,
-                label=sim_job_label(job),
-                validate=self._sim_validator(job.workload)))
-        try:
-            raw = self._supervise(tasks)
-        except SweepExecutionError as error:
-            error.partial = dict(self._partial_successes(error))
-            raise
-        return dict(raw)
-
-    def _execute_smt_jobs(self, jobs: Sequence[SmtJob]
-                          ) -> Dict[Tuple[str, str], SmtResult]:
-        """Shard SMT pair simulations across the pool, merged keyed by pair."""
-        if len(jobs) <= 1 or self.max_workers == 1:
-            return super()._execute_smt_jobs(jobs)
-        tasks = []
-        for job in sorted(jobs, key=lambda job: job.pair):
-            payload = (job.config_name, job.run.spec.to_dict(),
-                       job.second_spec.to_dict(), self.instructions,
-                       self.num_registers, job.second_base_pc, job.config)
-            tasks.append(_SupervisedTask(
-                fn=simulate_smt_job_payload, payload=payload,
-                label=smt_job_label(job),
-                validate=self._smt_validator(job.pair)))
-        try:
-            raw = self._supervise(tasks)
-        except SweepExecutionError as error:
-            error.partial = dict(self._partial_successes(error))
-            raise
-        return dict(raw)
-
-    @staticmethod
-    def _partial_successes(error: SweepExecutionError) -> List[Tuple[object, object]]:
-        """The keyed payload tuples a failed supervision pass still completed."""
-        return list(error.results)
-
     def _execute_wave(self, jobs: Sequence[SimulationJob],
                       smt_jobs: Sequence[SmtJob] = ()
                       ) -> Tuple[Dict[Tuple[str, str], SimulationResult],
@@ -639,9 +565,11 @@ class ParallelExperimentRunner(ExperimentRunner):
         per-configuration barrier.  Submission order is sorted by
         ``(config_name, workload/pair)`` for a reproducible shard assignment;
         results merge keyed by those same tuples, so completion order never
-        affects the merged value.
+        affects the merged value.  Even a one-job wave goes through the
+        pool, so its job gets the same timeout, retries and fault injection
+        as any other.
         """
-        if len(jobs) + len(smt_jobs) <= 1 or self.max_workers == 1:
+        if not (jobs or smt_jobs) or self.max_workers == 1:
             return super()._execute_wave(jobs, smt_jobs)
         tasks = []
         for job in sorted(jobs, key=lambda job: (job.config_name, job.workload)):
@@ -664,7 +592,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         try:
             raw = self._supervise(tasks)
         except SweepExecutionError as error:
-            error.partial = self._merge_wave(self._partial_successes(error))
+            error.partial = self._merge_wave(error.results)
             raise
         return self._merge_wave(raw)
 
@@ -702,7 +630,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         completed shards of a *failed* generation pass, so even a cold start
         that dead-letters leaves its finished inspection work journalled.
         """
-        if len(specs) <= 1 or self.max_workers == 1:
+        if not specs or self.max_workers == 1:
             return super()._generate_workloads(specs)
         specs_by_name = {spec.name: spec for spec in specs}
         cached_reports: Dict[str, GlobalStableReport] = {}
@@ -723,8 +651,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         try:
             raw = self._supervise(tasks)
         except SweepExecutionError as error:
-            self._publish_reports(self._partial_successes(error),
-                                  specs_by_name, cached_reports)
+            self._publish_reports(error.results, specs_by_name, cached_reports)
             raise
         runs: Dict[str, WorkloadRun] = {}
         for name, trace, report in raw:

@@ -7,23 +7,19 @@ benchmarks use a reduced set (a few workloads per suite, a few thousand
 instructions) so the whole suite finishes in minutes, while the full
 90-workload sweep of the paper is available by passing ``per_suite=None``.
 
-The execution layer is split so serial and parallel runners share one
-planning/aggregation core, with every expensive phase behind an overridable
-hook:
+Every simulation runs through one pipeline — plan, stage from the on-disk
+cache, execute, journal a failed batch's successes, commit — driven by
+:class:`~repro.experiments.orchestrator.SweepOrchestrator`.  The runner
+supplies the pieces, with every expensive phase behind an overridable hook:
 
-* :meth:`ExperimentRunner.run_config` plans the outstanding
-  :class:`SimulationJob` list (consulting the optional on-disk
-  :class:`~repro.experiments.cache.ResultCache` first), hands the jobs to
-  :meth:`ExperimentRunner._execute_jobs`, and commits the merged results
-  *atomically* — either every selected workload gets a result or none does,
-  so a config factory raising mid-sweep can never leave a partially populated
-  :class:`WorkloadRun` that later aggregation misreads as complete.
-* :meth:`ExperimentRunner.run_smt_config` follows the same pipeline for the
-  paper's SMT2 pair sweeps: it plans :class:`SmtJob` records, consults the
-  result cache (SMT entries round-trip through
-  :meth:`~repro.pipeline.smt.SmtResult.to_dict`), executes the outstanding
-  jobs via the :meth:`ExperimentRunner._execute_smt_jobs` hook and commits the
-  per-pair results atomically into an in-memory store keyed by config name.
+* :meth:`ExperimentRunner.plan_jobs` / :meth:`ExperimentRunner.plan_smt_jobs`
+  materialise one :class:`SimulationJob` per outstanding workload and one
+  :class:`SmtJob` per outstanding SMT2 pair;
+* :meth:`ExperimentRunner._execute_wave` executes a mixed batch of both kinds
+  (the one execution hook), and the orchestrator commits the results
+  *atomically* — either every planned job gets a result or none does, so a
+  config factory raising mid-sweep can never leave a partially populated
+  :class:`WorkloadRun` that later aggregation misreads as complete;
 * :meth:`ExperimentRunner.workloads` generates traces and Load Inspector
   reports through the :meth:`ExperimentRunner._generate_workloads` hook, so
   cold starts can shard trace synthesis too.  Reports are served from the
@@ -31,11 +27,16 @@ hook:
   attached; traces are always regenerated from the spec's seed, which keeps
   them bit-identical at any worker count.
 
-The base class runs every hook serially in-process;
+:meth:`ExperimentRunner.run_config` and :meth:`ExperimentRunner.run_smt_config`
+are one-plan waves through that pipeline; the figure harnesses run their
+whole plan as one wave and read the committed results back with
+:meth:`ExperimentRunner.results` / :meth:`ExperimentRunner.smt_results`.
+
+The base class runs both hooks serially in-process;
 :class:`~repro.experiments.parallel.ParallelExperimentRunner` overrides just
 the hooks to shard work over a process pool.  All hook results merge into
-dictionaries keyed by workload name (or pair), so shard completion order never
-affects an aggregate.
+dictionaries keyed by workload name, pair or ``(config, workload/pair)``, so
+shard completion order never affects an aggregate.
 
 Both ``run_config`` and ``run_smt_config`` additionally accept a
 :class:`Shard` (``K/N``), which restricts execution to a deterministic slice
@@ -200,8 +201,8 @@ class DeadLetter:
 class SweepHealthReport:
     """Supervision accounting for every job a runner executed.
 
-    Counters accumulate across the runner's lifetime (every ``run_config`` /
-    ``run_smt_config`` / orchestrated wave), are rendered by
+    Counters accumulate across the runner's lifetime (every wave, including
+    the one-plan waves of ``run_config`` / ``run_smt_config``), are rendered by
     ``repro.experiments.reporting.format_health_report`` and flushed to the
     cache directory's counter ledger on close, so ``repro cache stats``
     surfaces retry/timeout/dead-letter rates across every process sharing a
@@ -253,8 +254,8 @@ class SweepExecutionError(RuntimeError):
     a resume journal: a rerun (or ``repro sweep --resume``) re-executes only
     the jobs that are genuinely missing.
 
-    ``partial`` is set by each ``_execute_*`` hook to its merged-dictionary
-    return shape (results keyed exactly as the hook would have keyed them).
+    ``partial`` is set by ``_execute_wave`` to the ``(sim results, smt
+    results)`` pair completed so far, keyed exactly as its return value.
     """
 
     def __init__(self, dead_letters: Sequence[DeadLetter],
@@ -429,47 +430,26 @@ class ExperimentRunner:
         self.health.dead_letters.append(letter)
         return letter
 
-    def _execute_jobs(self, jobs: Sequence[SimulationJob]) -> Dict[str, SimulationResult]:
-        """Simulate every planned job serially; subclasses override to shard.
-
-        Returns results keyed by workload name, so merging is independent of
-        execution/completion order.  A failure raises
-        :class:`SweepExecutionError` carrying the results completed so far
-        (``partial``), so the commit layer can journal them to the on-disk
-        cache before the error propagates.
-        """
-        results: Dict[str, SimulationResult] = {}
-        for job in jobs:
-            self.health.jobs += 1
-            self.health.attempts += 1
-            try:
-                results[job.workload] = self._simulate_job(job)
-            except Exception as exc:
-                letter = self._dead_letter(sim_job_label(job), error=exc)
-                error = SweepExecutionError([letter], self.health)
-                error.partial = results
-                raise error from exc
-        return results
-
     def _execute_wave(self, jobs: Sequence[SimulationJob],
                       smt_jobs: Sequence[SmtJob] = ()
                       ) -> Tuple[Dict[Tuple[str, str], SimulationResult],
                                  Dict[Tuple[str, Tuple[str, str]], SmtResult]]:
         """Execute a mixed multi-configuration batch as one wave.
 
-        Unlike :meth:`_execute_jobs`, whose result dictionary is keyed by
-        workload alone (one configuration per call), a wave may carry jobs for
-        *many* configurations at once, so results are keyed by
+        The one execution hook: every simulation, from a single
+        ``run_config`` call to a whole ``repro figures all`` sweep, reaches
+        the simulator through here.  A wave may carry jobs for *many*
+        configurations at once, so results are keyed by
         ``(config_name, workload)`` and ``(config_name, pair)``.  The serial
         implementation just loops; the parallel runner overrides this to feed
         every job — single-thread and SMT alike — into one process pool
         submission, so the pool never drains between configurations or figure
-        harnesses.  This is the execution hook behind the cross-figure
-        :class:`~repro.experiments.orchestrator.SweepOrchestrator`.
+        harnesses.
 
-        Like :meth:`_execute_jobs`, a failure raises
-        :class:`SweepExecutionError` whose ``partial`` carries the
-        ``(sim results, smt results)`` completed so far.
+        A failure raises :class:`SweepExecutionError` whose ``partial``
+        carries the ``(sim results, smt results)`` completed so far, so the
+        orchestrator can journal them to the on-disk cache before the error
+        propagates.
         """
         sim_results: Dict[Tuple[str, str], SimulationResult] = {}
         smt_results: Dict[Tuple[str, Tuple[str, str]], SmtResult] = {}
@@ -509,113 +489,46 @@ class ExperimentRunner:
         error.partial = (sim_results, smt_results)
         return error
 
-    def _stage_cached_jobs(self, jobs: Sequence[SimulationJob]
-                           ) -> Tuple[Dict[str, SimulationResult], List[SimulationJob]]:
-        """Split planned jobs into (cache-served results, outstanding jobs)."""
-        staged: Dict[str, SimulationResult] = {}
-        outstanding: List[SimulationJob] = []
-        for job in jobs:
-            cached = self.cache.get(job.cache_key) if job.cache_key is not None else None
-            if cached is not None:
-                staged[job.workload] = cached
-            else:
-                outstanding.append(job)
-        return staged, outstanding
+    def _run_wave(self, name: str, shard: Optional[Shard], **demand) -> None:
+        """Run config ``name``'s ``FigurePlan`` demand as a one-plan wave."""
+        # Imported here because the orchestrator module builds on this one.
+        from repro.experiments.orchestrator import FigurePlan, SweepOrchestrator
+        SweepOrchestrator(self).execute([FigurePlan(name, **demand)], shard=shard)
 
     def run_config(self, name: str, config: ConfigLike,
-                   workload_names: Optional[Sequence[str]] = None,
                    shard: Optional[Shard] = None) -> Dict[str, SimulationResult]:
         """Run ``config`` over the workload set; results are cached by ``name``.
 
-        The pipeline is plan → filter-by-shard → execute → commit: when a
-        :class:`Shard` is given, only the workloads that shard owns execute
-        (and only their results are committed and returned); N shards sharing
-        one cache directory therefore cover the full suite disjointly, and a
-        later unsharded call folds the per-shard cache entries back into the
-        exact result set the serial runner produces.
+        A one-plan wave through
+        :meth:`~repro.experiments.orchestrator.SweepOrchestrator.execute`:
+        plan → filter-by-shard → stage from the on-disk cache → execute →
+        commit.  When a :class:`Shard` is given, only the workloads that
+        shard owns execute (and only their results are returned); N shards
+        sharing one cache directory therefore cover the full suite
+        disjointly, and a later unsharded call folds the per-shard cache
+        entries back into the exact result set the serial runner produces.
 
         Results are committed atomically: if planning, simulation or cache
         lookup raises for any workload, no workload's result store is touched.
+        A cache entry simulated under another name is returned relabelled as
+        ``name``, exactly as if it had been simulated under that name.
         """
-        selected: Optional[set] = None
-        if shard is not None:
-            selected = set(shard.select(list(self.workloads())))
-            if workload_names is not None:
-                selected &= set(workload_names)
-            # Plan only the shard's workloads: materialising configs (oracle
-            # builders, cache-key hashing) for workloads other shards own
-            # would waste (N-1)/N of the planning work on every host.
-            workload_names = selected
-        jobs = self.plan_jobs(name, config, workload_names)
-        staged, outstanding = self._stage_cached_jobs(jobs)
-        if outstanding:
-            try:
-                staged.update(self._execute_jobs(outstanding))
-            except SweepExecutionError as error:
-                # Journal the failed sweep's successes to the on-disk cache
-                # (never the in-memory store — the atomic-commit contract
-                # holds) so a rerun re-executes only the missing jobs.
-                partial = error.partial if isinstance(error.partial, dict) else {}
-                self._journal_partial({job.cache_key: partial.get(job.workload)
-                                       for job in outstanding}, smt=False)
-                raise
-        missing = [job.workload for job in jobs if job.workload not in staged]
-        if missing:
-            raise RuntimeError(
-                f"executor returned no result for workloads {missing!r} of config {name!r}")
-        # Commit only after every job succeeded — and before the disk-store
-        # writes, so a cache I/O failure (disk full, permissions) cannot throw
-        # away an entire successfully simulated sweep.  The disk puts below
-        # are also what append each entry's columnar warehouse row: every
-        # commit path (serial, parallel, orchestrated, journaled) funnels
-        # through cache.put/put_smt, which keeps the warehouse in lockstep
-        # with the journal without any per-path wiring.
+        self._run_wave(name, shard, configs={name: config})
+        return self.results(name, shard)
+
+    def results(self, name: str,
+                shard: Optional[Shard] = None) -> Dict[str, SimulationResult]:
+        """The committed results of config ``name`` by workload, in spec order.
+
+        With a :class:`Shard`, only the workloads that shard owns: shard
+        coverage, not residual-plan coverage, so workloads committed by an
+        earlier call still belong in the returned slice.
+        """
         workloads = self.workloads()
-        for workload_name, result in staged.items():
-            workloads[workload_name].results[name] = result
-        if self.cache is not None:
-            for job in outstanding:
-                self.cache.put(job.cache_key, staged[job.workload])
-        if selected is not None:
-            # Shard coverage, not residual-plan coverage: workloads this shard
-            # owns that were committed by an earlier call still belong in the
-            # returned slice.  Iterate the workload dict (spec order) so the
-            # returned mapping's order is deterministic, never set order.
-            return {workload_name: run.results[name]
-                    for workload_name, run in workloads.items()
-                    if workload_name in selected and name in run.results}
-
-        results: Dict[str, SimulationResult] = {}
-        for workload_name, run in workloads.items():
-            if workload_names is not None and workload_name not in workload_names:
-                continue
-            results[workload_name] = run.results[name]
-        return results
-
-    def _journal_partial(self, by_key: Dict[Optional[str], object],
-                         smt: bool) -> None:
-        """Best-effort commit of a failed sweep's successes to the disk cache.
-
-        Runs on the error path, so every cache I/O failure is absorbed — a
-        full disk must never mask the execution error being propagated.  The
-        in-memory stores are deliberately untouched: partial results are a
-        *journal* for resume, not a committed sweep.  Each journaled put also
-        appends the entry's columnar warehouse row (inside ``cache.put``), so
-        the warehouse agrees with the journal even on the failure path — a
-        ``--resume`` of this sweep finds both in lockstep.
-        """
-        if self.cache is None:
-            return
-        for key, result in by_key.items():
-            if key is None or result is None:
-                continue
-            try:
-                if smt:
-                    self.cache.put_smt(key, result)
-                else:
-                    self.cache.put(key, result)
-            except OSError:
-                pass
+        owned = set(shard.select(list(workloads))) if shard is not None else workloads
+        return {workload_name: run.results[name]
+                for workload_name, run in workloads.items()
+                if workload_name in owned and name in run.results}
 
     # ---------------------------------------------------------------- lifecycle
 
@@ -740,78 +653,31 @@ class ExperimentRunner:
                                cache_key=cache_key))
         return jobs
 
-    def _execute_smt_jobs(self, jobs: Sequence[SmtJob]
-                          ) -> Dict[Tuple[str, str], SmtResult]:
-        """Simulate every planned SMT job serially; subclasses override to shard.
-
-        Results are keyed by pair, so merging is independent of execution
-        order.  Failures follow the :meth:`_execute_jobs` contract: a
-        :class:`SweepExecutionError` with the completed pairs in ``partial``.
-        """
-        results: Dict[Tuple[str, str], SmtResult] = {}
-        for job in jobs:
-            self.health.jobs += 1
-            self.health.attempts += 1
-            try:
-                results[job.pair] = self._simulate_smt_job(job)
-            except Exception as exc:
-                letter = self._dead_letter(smt_job_label(job), error=exc)
-                error = SweepExecutionError([letter], self.health)
-                error.partial = results
-                raise error from exc
-        return results
-
-    def _stage_cached_smt_jobs(self, jobs: Sequence[SmtJob]
-                               ) -> Tuple[Dict[Tuple[str, str], SmtResult], List[SmtJob]]:
-        """Split planned SMT jobs into (cache-served results, outstanding jobs)."""
-        staged: Dict[Tuple[str, str], SmtResult] = {}
-        outstanding: List[SmtJob] = []
-        for job in jobs:
-            cached = (self.cache.get_smt(job.cache_key)
-                      if job.cache_key is not None else None)
-            if cached is not None:
-                staged[job.pair] = cached
-            else:
-                outstanding.append(job)
-        return staged, outstanding
-
     def run_smt_config(self, name: str, config: ConfigLike,
                        max_pairs: Optional[int] = None,
                        shard: Optional[Shard] = None) -> Dict[Tuple[str, str], SmtResult]:
         """Run an SMT2 configuration over the cross-suite pairs.
 
-        Follows the same plan → filter-by-shard → execute → commit pipeline as
-        :meth:`run_config`: per-pair results are memoised under ``name``, warm
-        cache entries skip simulation entirely, a :class:`Shard` restricts the
-        sweep to the pairs that shard owns, and the commit is atomic — a
-        failure anywhere in the sweep leaves the in-memory store untouched.
+        The SMT counterpart of :meth:`run_config`, and the same one-plan wave:
+        per-pair results are memoised under ``name``, warm cache entries skip
+        simulation entirely, a :class:`Shard` restricts the sweep to the pairs
+        that shard owns, and the commit is atomic — a failure anywhere in the
+        sweep leaves the in-memory store untouched.
+        """
+        self._run_wave(name, shard, smt_configs={name: config},
+                       smt_max_pairs=max_pairs)
+        return self.smt_results(name, max_pairs, shard)
+
+    def smt_results(self, name: str, max_pairs: Optional[int] = None,
+                    shard: Optional[Shard] = None) -> Dict[Tuple[str, str], SmtResult]:
+        """The committed SMT2 results of config ``name``, in pairing order.
+
+        Covers the first ``max_pairs`` pairs (all of them when None), or only
+        the ones a :class:`Shard` owns.
         """
         pairs = self.smt_pairs(max_pairs)
         if shard is not None:
             owned = set(shard.select(pairs))
             pairs = [pair for pair in pairs if pair in owned]
-        jobs = self.plan_smt_jobs(name, config, max_pairs)
-        if shard is not None:
-            jobs = [job for job in jobs if job.pair in owned]
-        staged, outstanding = self._stage_cached_smt_jobs(jobs)
-        if outstanding:
-            try:
-                staged.update(self._execute_smt_jobs(outstanding))
-            except SweepExecutionError as error:
-                # Same resume-journal contract as run_config: disk cache only.
-                partial = error.partial if isinstance(error.partial, dict) else {}
-                self._journal_partial({job.cache_key: partial.get(job.pair)
-                                       for job in outstanding}, smt=True)
-                raise
-        missing = [job.pair for job in jobs if job.pair not in staged]
-        if missing:
-            raise RuntimeError(
-                f"executor returned no result for SMT pairs {missing!r} of config {name!r}")
-        # Commit only after every job succeeded, and before the disk-store
-        # writes so a cache I/O failure cannot discard a finished sweep.
-        committed = self._smt_results.setdefault(name, {})
-        committed.update(staged)
-        if self.cache is not None:
-            for job in outstanding:
-                self.cache.put_smt(job.cache_key, staged[job.pair])
-        return {pair: committed[pair] for pair in pairs}
+        committed = self._smt_results.get(name, {})
+        return {pair: committed[pair] for pair in pairs if pair in committed}

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import ReportCache, ResultCache
 from repro.experiments.configs import baseline_config, constable_config
 from repro.experiments.runner import ExperimentRunner, Shard
 from repro.pipeline.cpu import OutOfOrderCore
@@ -530,50 +530,6 @@ def test_bench_reports_default_into_bench_reports_dir(tmp_path, monkeypatch):
     assert path.name.startswith("BENCH_") and path.suffix == ".json"
 
 
-def test_latest_bench_report_prefers_new_dir_and_warns_on_legacy(tmp_path):
-    from repro.experiments.bench import latest_bench_report
-
-    new_dir = tmp_path / "bench_reports"
-    assert latest_bench_report(new_dir, legacy_directory=tmp_path) is None
-    legacy = tmp_path / "BENCH_20250101T000000Z.json"
-    legacy.write_text('{"schema": 1}', encoding="utf-8")
-    with pytest.warns(DeprecationWarning, match="bench_reports"):
-        path, payload = latest_bench_report(new_dir, legacy_directory=tmp_path)
-    assert path == legacy and payload["schema"] == 1
-    new_dir.mkdir()
-    newer = new_dir / "BENCH_20260101T000000Z.json"
-    newer.write_text('{"schema": 2}', encoding="utf-8")
-    path, payload = latest_bench_report(new_dir, legacy_directory=tmp_path)
-    assert path == newer and payload["schema"] == 2
-
-
-def test_latest_bench_report_warns_when_newer_legacy_report_is_shadowed(tmp_path):
-    from repro.experiments.bench import latest_bench_report
-
-    new_dir = tmp_path / "bench_reports"
-    new_dir.mkdir()
-    committed = new_dir / "BENCH_20260101T000000Z.json"
-    committed.write_text('{"schema": 3}', encoding="utf-8")
-    stray = tmp_path / "BENCH_20270101T000000Z.json"
-    stray.write_text('{"schema": 3, "fresh": true}', encoding="utf-8")
-    with pytest.warns(UserWarning, match="shadowed") as caught:
-        path, payload = latest_bench_report(new_dir, legacy_directory=tmp_path)
-    # The warning must name BOTH sides of the shadowing: the stray legacy
-    # report and the committed report that wins, so the operator can compare
-    # them without re-deriving the discovery order.
-    message = str(caught[0].message)
-    assert str(stray) in message and str(committed) in message
-    assert path == committed, "the new location still wins"
-    assert "fresh" not in payload
-    # An *older* legacy report shadows nothing: no warning.
-    stray.rename(tmp_path / "BENCH_20250101T000000Z.json")
-    import warnings as warnings_module
-    with warnings_module.catch_warnings():
-        warnings_module.simplefilter("error")
-        path, _ = latest_bench_report(new_dir, legacy_directory=tmp_path)
-    assert path == committed
-
-
 def test_bench_report_discovery_skips_loosely_named_files(tmp_path):
     """A stray ``BENCH_notes.json`` (which the old glob matched and — sorting
     after any timestamp — would have been picked as 'latest') is ignored."""
@@ -584,13 +540,13 @@ def test_bench_report_discovery_skips_loosely_named_files(tmp_path):
     (new_dir / "BENCH_notes.json").write_text("not json at all {",
                                               encoding="utf-8")
     (new_dir / "BENCH_20260101T000000.json").write_text('{}', encoding="utf-8")
-    assert latest_bench_report(new_dir, legacy_directory=tmp_path) is None, \
+    assert latest_bench_report(new_dir) is None, \
         "no strictly named report -> no report (never a scratch file)"
     real = new_dir / "BENCH_20260101T000000Z.json"
     real.write_text('{"schema": 3}', encoding="utf-8")
-    path, _ = latest_bench_report(new_dir, legacy_directory=tmp_path)
+    path, _ = latest_bench_report(new_dir)
     assert path == real
-    history = load_bench_history(new_dir, legacy_directory=tmp_path)
+    history = load_bench_history(new_dir)
     assert [entry["name"] for entry in history] == [real.name]
 
 
@@ -608,8 +564,8 @@ def test_bench_history_renders_trajectory_across_schemas(tmp_path):
 
     new_dir = tmp_path / "bench_reports"
     new_dir.mkdir()
-    # A legacy-root schema-1 report, then two generations in bench_reports/.
-    (tmp_path / "BENCH_20250101T000000Z.json").write_text(
+    # Three report generations: schemas 1, 2 and 3.
+    (new_dir / "BENCH_20250101T000000Z.json").write_text(
         _history_report(1, 3.0), encoding="utf-8")
     (new_dir / "BENCH_20260101T000000Z.json").write_text(
         _history_report(2, 2.0, orchestrator={"speedup": 1.25}),
@@ -620,7 +576,7 @@ def test_bench_history_renders_trajectory_across_schemas(tmp_path):
     (new_dir / "BENCH_20260701T000000Z.json").write_text("{broken",
                                                         encoding="utf-8")
     with pytest.warns(UserWarning, match="skipping unreadable"):
-        entries = load_bench_history(new_dir, legacy_directory=tmp_path)
+        entries = load_bench_history(new_dir)
     assert [entry["schema"] for entry in entries] == [1, 2, 3]
     assert entries[0]["name"] < entries[1]["name"] < entries[2]["name"]
     assert [entry["family_walls"]["speedup"] for entry in entries] \
@@ -637,24 +593,20 @@ def test_bench_history_cli(tmp_path, capsys):
     new_dir.mkdir()
     # An empty (or entirely missing) report directory is a normal fresh-clone
     # state: the command says so on stdout and exits 0 so scripts can probe.
-    empty = main(["bench", "history", "--dir", str(new_dir),
-                  "--legacy-dir", str(tmp_path)])
+    empty = main(["bench", "history", "--dir", str(new_dir)])
     captured = capsys.readouterr()
     assert empty == 0 and "no bench reports accumulated yet" in captured.out
     assert captured.err == ""
-    missing = main(["bench", "history", "--dir", str(tmp_path / "nowhere"),
-                    "--legacy-dir", str(tmp_path / "nowhere-legacy")])
+    missing = main(["bench", "history", "--dir", str(tmp_path / "nowhere")])
     captured = capsys.readouterr()
     assert missing == 0 and "no bench reports accumulated yet" in captured.out
     for stamp, wall in (("20260101T000000Z", 2.0), ("20260201T000000Z", 1.0)):
         (new_dir / f"BENCH_{stamp}.json").write_text(
             _history_report(3, wall), encoding="utf-8")
-    assert main(["bench", "history", "--dir", str(new_dir),
-                 "--legacy-dir", str(tmp_path)]) == 0
+    assert main(["bench", "history", "--dir", str(new_dir)]) == 0
     out = capsys.readouterr().out
     assert "bench trajectory (2 reports)" in out
-    assert main(["bench", "history", "--json", "--dir", str(new_dir),
-                 "--legacy-dir", str(tmp_path)]) == 0
+    assert main(["bench", "history", "--json", "--dir", str(new_dir)]) == 0
     entries = json.loads(capsys.readouterr().out)
     assert len(entries) == 2
     assert entries[1]["family_walls"]["speedup"] == 1.0
@@ -666,10 +618,8 @@ def test_latest_bench_report_handles_missing_directories(tmp_path):
     from repro.experiments.bench import latest_bench_report, load_bench_history
 
     nowhere = tmp_path / "does-not-exist"
-    assert latest_bench_report(nowhere,
-                               legacy_directory=tmp_path / "nor-this") is None
-    assert load_bench_history(nowhere,
-                              legacy_directory=tmp_path / "nor-this") == []
+    assert latest_bench_report(nowhere) is None
+    assert load_bench_history(nowhere) == []
 
 
 def _gate_payload(quick: bool, wall: float, mad: float = 0.0) -> dict:
@@ -936,36 +886,23 @@ def test_expect_warm_catches_cold_orchestrator_jobs_without_sim_counters():
         "no wave (serial path) leaves the harness counters in charge"
 
 
-def test_figures_cli_prints_dedup_stats_only_when_orchestrating(tmp_path, capsys):
-    args = ["figures", "fig11"] + _runner_args(tmp_path)
-    assert main(args) == 0
-    assert "orchestrated wave" in capsys.readouterr().out
-    assert main(args + ["--no-orchestrate"]) == 0
-    assert "orchestrated wave" not in capsys.readouterr().out
-
-
-def test_orchestrate_env_flips_the_default(tmp_path, capsys, monkeypatch):
-    from repro.cli import ORCHESTRATE_ENV
-
-    monkeypatch.setenv(ORCHESTRATE_ENV, "0")
-    assert main(["figures", "fig11"] + _runner_args(tmp_path)) == 0
-    assert "orchestrated wave" not in capsys.readouterr().out
-    # The explicit flag beats the environment.
-    assert main(["figures", "fig11", "--orchestrate"]
-                + _runner_args(tmp_path)) == 0
-    assert "orchestrated wave" in capsys.readouterr().out
-
-
 def test_orchestrated_and_serial_figures_cli_share_cache_bit_identically(
-        tmp_path, capsys):
-    """The CLI's orchestrated path warms a cache the serial path then reuses."""
-    args = _runner_args(tmp_path)
-    assert main(["figures", "fig11", "--json"] + args) == 0
-    orchestrated, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
-    assert main(["figures", "fig11", "--json", "--no-orchestrate",
-                 "--expect-warm"] + args) == 0
-    serial, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
-    assert orchestrated == serial
+        tmp_path, capsys, simulation_counter):
+    """The CLI's shared wave warms a cache that the library harness, run on a
+    fresh runner over the same cache, reuses with identical payloads."""
+    from repro.experiments.figures import fig11_speedup_nosmt
+
+    assert main(["figures", "fig11", "--json"] + _runner_args(tmp_path)) == 0
+    payload, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+    simulated = simulation_counter["count"]
+    with ExperimentRunner(per_suite=1, instructions=INSTRUCTIONS, suites=SUITES,
+                          cache=ResultCache(tmp_path),
+                          report_cache=ReportCache(tmp_path)) as runner:
+        library = fig11_speedup_nosmt(runner)
+    assert simulation_counter["count"] == simulated, "the harness ran warm"
+    library.pop("text")
+    assert json.loads(json.dumps(library, sort_keys=True, default=str)) \
+        == payload["fig11"]
 
 
 def test_figures_cli_rejects_unknown_figure(tmp_path):

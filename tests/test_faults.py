@@ -214,6 +214,30 @@ def test_exhausted_pool_budget_degrades_to_in_process(monkeypatch):
     assert health.attempts == 6
 
 
+def test_one_job_wave_is_supervised_too(monkeypatch):
+    """A wave of exactly one job still runs in the pool, under its timeout.
+
+    One workload, one config: the lone job hangs past ``job_timeout`` in its
+    worker, so the supervisor must record the timeout and rescue the job
+    in-process (worker-scoped faults do not fire in the parent).
+    """
+    monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps({
+        "sim:baseline/client_00": {"kind": "hang", "seconds": 2},
+    }))
+    with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
+                                  suites=("Client",), max_workers=2,
+                                  max_retries=0, job_timeout=0.5,
+                                  retry_backoff_seconds=0.0) as runner:
+        results = runner.run_config("baseline", baseline_config())
+        health = runner.health
+    assert health.timeouts == 1
+    assert health.degraded == 1
+    assert not health.dead_letters
+    reference = ExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
+                                 suites=("Client",))
+    assert results == reference.run_config("baseline", baseline_config())
+
+
 def test_supervision_env_defaults_are_lenient(monkeypatch):
     monkeypatch.setenv(MAX_RETRIES_ENV, "several")
     monkeypatch.setenv(JOB_TIMEOUT_ENV, "-3")
@@ -265,8 +289,8 @@ def test_failed_sweep_journals_successes_and_resumes(tmp_path, monkeypatch):
 
 def test_failed_wave_journals_and_resume_executes_only_missing(tmp_path,
                                                                monkeypatch):
-    """Orchestrated waves journal partial successes too (runner.py commit layer
-    + orchestrator._journal_partial_wave), and the resumed wave's own dedup
+    """Multi-config waves journal partial successes too
+    (orchestrator._journal_partial_wave), and the resumed wave's own dedup
     stats prove only the missing job executed."""
     plan = FigurePlan("sweep", configs={"baseline": baseline_config(),
                                         "constable": constable_config()})
@@ -336,7 +360,8 @@ def test_crash_during_commit_leaves_reclaimable_orphan(tmp_path):
                               suites=("Client",), cache=ResultCache(tmp_path))
     (job,) = runner.plan_jobs("baseline", baseline_config())
     assert job.cache_key is not None
-    result = runner._execute_jobs([job])[job.workload]
+    sim_results, _ = runner._execute_wave([job])
+    result = sim_results[(job.config_name, job.workload)]
 
     context = multiprocessing.get_context("fork")
     child = context.Process(target=_crash_inside_commit,

@@ -2,15 +2,16 @@
 
 The three load-bearing guarantees:
 
-* **Bit-identity** — orchestrated figure payloads equal the serial
-  per-figure path (fresh runner per figure) exactly, at 1, 2 and 4 workers.
+* **Bit-identity** — figure payloads from one shared wave equal the
+  per-figure path (fresh runner per figure, one wave each) exactly, at 1, 2
+  and 4 workers.
 * **At-most-once execution** — each unique ``(config, workload)`` simulation
   runs at most once across all requested figures; content-identical jobs
   demanded under different names (fig. 13's ``all_loads`` vs ``constable``)
   share one execution.
-* **Plan/harness consistency** — every figure harness runs with *zero*
-  simulations after its own plan's wave, so the :data:`FIGURE_PLANS`
-  registry can never silently drift from the harnesses it mirrors.
+* **Plans cover their harnesses** — every figure harness runs with *zero*
+  simulations after the shared wave over :data:`FIGURE_PLANS`.  Each harness
+  runs the plan declared beside it, so the two cannot drift apart.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ import pytest
 
 from repro.experiments.cache import ReportCache, ResultCache
 from repro.experiments.configs import baseline_config, constable_config
-from repro.experiments.figures import FIGURE_HARNESSES
-from repro.experiments.orchestrator import (
+from repro.experiments.figures import (
+    FIGURE_HARNESSES,
     FIGURE_PLANS,
-    FigurePlan,
-    SweepOrchestrator,
     orchestrate_figures,
 )
+from repro.experiments.orchestrator import FigurePlan, SweepOrchestrator
 from repro.experiments.parallel import ParallelExperimentRunner
 from repro.experiments.runner import ExperimentRunner, Shard
 from repro.pipeline.cpu import OutOfOrderCore
@@ -61,7 +61,7 @@ def simulation_counter(monkeypatch):
 
 @pytest.fixture(scope="module")
 def serial_reference():
-    """Serial per-figure reference payloads: a fresh runner per figure."""
+    """Per-figure reference payloads: a fresh runner (and wave) per figure."""
     reference = {}
     for name in FIGURES:
         with _make_runner() as runner:
@@ -103,79 +103,8 @@ def test_each_unique_simulation_runs_at_most_once(simulation_counter):
     assert stats.executed < stats.planned
 
 
-def test_plans_match_harness_config_contents(monkeypatch):
-    """Content drift between a plan and its harness cannot ship.
-
-    ``test_harnesses_after_wave_simulate_nothing`` proves the plans cover the
-    harnesses' *names*; this proves the *contents* match: every config a
-    harness actually passes to ``run_config``/``run_smt_config`` is captured,
-    materialised and fingerprinted (the dedup/cache-key material), and each
-    plan's declared config must fingerprint identically.  It also asserts no
-    two harnesses use one name for different contents — the property that
-    makes committing a shared result under a merged name sound.
-    """
-    from repro.experiments.cache import config_fingerprint
-
-    captured: dict = {}       # name -> set of fingerprint texts (harness side)
-    captured_smt: dict = {}   # name -> (fingerprints, max_pairs values)
-
-    def _text(runner, config):
-        run = next(iter(runner.workloads().values()))
-        materialised = runner._materialise_config(config, run)
-        import json as _json
-        return _json.dumps(config_fingerprint(materialised), sort_keys=True,
-                           default=str)
-
-    original_run = ExperimentRunner.run_config
-    original_smt = ExperimentRunner.run_smt_config
-
-    def recording_run(self, name, config, workload_names=None, shard=None):
-        captured.setdefault(name, set()).add(_text(self, config))
-        return original_run(self, name, config, workload_names, shard)
-
-    def recording_smt(self, name, config, max_pairs=None, shard=None):
-        fingerprints, budgets = captured_smt.setdefault(name, (set(), set()))
-        fingerprints.add(_text(self, config))
-        budgets.add(max_pairs)
-        return original_smt(self, name, config, max_pairs, shard)
-
-    monkeypatch.setattr(ExperimentRunner, "run_config", recording_run)
-    monkeypatch.setattr(ExperimentRunner, "run_smt_config", recording_smt)
-    with _make_runner() as shared:
-        for name in FIGURE_PLANS:
-            FIGURE_HARNESSES[name](shared)
-
-    for name, fingerprints in captured.items():
-        assert len(fingerprints) == 1, (
-            f"harnesses disagree on the contents of config {name!r}")
-    with _make_runner() as clean:
-        for figure, factory in FIGURE_PLANS.items():
-            plan = factory()
-            for name, config in plan.configs.items():
-                assert name in captured, (figure, name)
-                assert _text(clean, config) in captured[name], (
-                    f"plan {figure} declares different contents for "
-                    f"{name!r} than the harness runs")
-            for name, config in plan.smt_configs.items():
-                assert name in captured_smt, (figure, name)
-                fingerprints, budgets = captured_smt[name]
-                assert _text(clean, config) in fingerprints, (figure, name)
-                assert plan.smt_max_pairs in budgets, (
-                    f"plan {figure} requests max_pairs={plan.smt_max_pairs} "
-                    f"but the harness used {budgets}")
-    # And nothing a harness runs is missing from the union of plans.
-    declared = set()
-    declared_smt = set()
-    for factory in FIGURE_PLANS.values():
-        plan = factory()
-        declared.update(plan.configs)
-        declared_smt.update(plan.smt_configs)
-    assert set(captured) <= declared
-    assert set(captured_smt) <= declared_smt
-
-
 def test_harnesses_after_wave_simulate_nothing(simulation_counter):
-    """Plan/harness consistency over *every* orchestratable figure."""
+    """Every harness's plan is covered by the shared wave over all plans."""
     with _make_runner() as runner:
         orchestrate_figures(runner, list(FIGURE_PLANS))
         during_wave = simulation_counter["count"]

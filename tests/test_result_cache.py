@@ -138,6 +138,22 @@ def test_corrupt_entry_is_a_miss_and_gets_rewritten(tmp_path, simulation_counter
     assert json.loads(entry.read_text(encoding="utf-8"))["schema"] == cache.schema_version
 
 
+def test_aliased_warm_hit_carries_the_requested_name(tmp_path, simulation_counter):
+    """A warm entry simulated under another name comes back relabelled.
+
+    ``all_loads`` is content-identical to ``constable``, so it hits the entry
+    ``constable`` stored — but its results must say ``all_loads``, exactly as
+    if they had been simulated under that name.
+    """
+    _make_runner(ResultCache(tmp_path)).run_config("constable", constable_config())
+    simulated = simulation_counter["count"]
+    fresh = _make_runner(ResultCache(tmp_path))
+    results = fresh.run_config("all_loads", constable_config())
+    assert simulation_counter["count"] == simulated, "the alias must hit warm"
+    assert results
+    assert {result.config_name for result in results.values()} == {"all_loads"}
+
+
 def test_parallel_runner_shares_cache_with_serial(tmp_path, simulation_counter):
     with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
                                   suites=SUITES, max_workers=2,
