@@ -6,19 +6,19 @@ Subcommands:
   directory: entry counts and bytes by kind, LRU eviction to a cap, full
   clears, and integrity verification (corrupt/stale/orphan detection against
   the current ``SCHEMA_VERSION``; non-zero exit when anything is wrong).
-  ``stats`` and ``gc`` also report/compact the columnar results warehouse
-  under ``<dir>/.warehouse/``.
+  ``stats`` and ``gc`` also report/compact the tables under
+  ``<dir>/.warehouse/``: the columnar results rows and the counters.
 * ``repro query`` — aggregate cached results from the columnar warehouse
   (zero object-store decodes when warehouse files exist; falls back to a
   full object-store scan otherwise): filter by family/suite/config/workload,
   ``--metric``/``--agg``/``--group-by`` for geomean/median-style rollups,
   ``--speedup-over baseline`` for cross-sweep speedup tables, ``--json``
   for the machine-readable form.
-* ``repro warehouse rebuild|compact|verify`` — regenerate the warehouse from
-  the object store (lossless migration of pre-warehouse caches), fold its
-  append-only row files into one columnar segment, and check that the
-  warehouse agrees with the cache journal (exit 1 when any journaled entry
-  lacks a row; ``--strict`` also fails on rows whose entries were evicted).
+* ``repro warehouse rebuild|compact|verify`` — regenerate the rows table from
+  the object store (lossless migration of pre-warehouse caches), fold every
+  table's append-only logs into one segment per table, and check that the
+  rows agree with the cache journal (exit 1 when any journaled entry lacks
+  a row; ``--strict`` also fails on rows whose entries were evicted).
 * ``repro sweep`` — run the paper's configuration sweep as one deduplicated
   wave (plan → filter-by-shard → execute → commit).  ``--shard K/N``
   deterministically restricts execution to shard K of N, so N hosts pointed
@@ -31,7 +31,7 @@ Subcommands:
   recovery path are *dead-lettered* and the sweep exits with code 3 after
   journaling all completed work to the cache.  ``repro sweep --resume``
   points at that journal and re-executes only the missing jobs.  Ctrl-C
-  shuts the pool down, flushes the counter ledgers and exits 130.
+  shuts the pool down, flushes the counters and exits 130.
 * ``repro figures <name ...|all>`` — regenerate paper figure harnesses from
   ``repro.experiments.figures``, running every requested figure's plan as one
   deduplicated wave first; warm from a swept cache this performs zero
@@ -52,7 +52,7 @@ Subcommands:
 Every subcommand resolves its cache directory from ``--cache-dir``, then the
 ``REPRO_CACHE_DIR`` environment variable, then ``.repro-cache``.  ``sweep``
 and ``figures`` print the hit/miss counters of the run they just performed and
-flush them to the directory's counter ledger on exit, so ``repro cache
+flush them to the directory's counters table on exit, so ``repro cache
 stats`` reports real aggregate hit rates across every process — including the
 other hosts of a ``--shard K/N`` sweep — that shared the directory.  Each
 ``sweep`` or ``figures`` wave also records its dedup stats there.
@@ -87,7 +87,6 @@ from repro.experiments.cache import (
     CacheVerifyReport,
     ReportCache,
     ResultCache,
-    compact_persisted_stats,
     persist_dedup_stats,
     persisted_cache_stats,
 )
@@ -331,13 +330,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         removed = cache.gc(max_mb=max_mb)
-        # Flush the evictions to the directory ledger so `cache stats` on any
+        # Flush the evictions to the counters table so `cache stats` on any
         # host counts manual GC passes, not just runner auto-GC ones — then
-        # fold the accumulated per-run ledgers so their count stays bounded.
+        # fold every table's per-process logs so their count stays bounded.
         cache.persist_stats()
-        compact_persisted_stats(cache.directory)
-        # Fold the warehouse's per-process row files too: gc is the natural
-        # "keep the shared directory tidy" entry point for both ledgers.
         compact_warehouse(cache.directory)
         print(f"evicted {len(removed)} entries; "
               f"{len(cache)} remain ({_human_bytes(cache.total_bytes())})")
@@ -766,7 +762,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(lossless migration of pre-warehouse caches)")
     _add_cache_dir_argument(rebuild)
     compact = warehouse_commands.add_parser(
-        "compact", help="fold append-only row files into one columnar segment")
+        "compact", help="fold every table's append-only logs into one "
+                        "segment per table")
     _add_cache_dir_argument(compact)
     wverify = warehouse_commands.add_parser(
         "verify", help="check warehouse/journal agreement (exit 1 when a "

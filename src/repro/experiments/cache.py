@@ -53,14 +53,14 @@ import math
 import os
 import tempfile
 import time
-import uuid
 import warnings
 from dataclasses import field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.analysis.load_inspector import GlobalStableReport
-from repro.experiments.warehouse import (WarehouseWriter, clear_warehouse,
+from repro.experiments.warehouse import (COUNTERS_TABLE, WarehouseWriter,
+                                         clear_warehouse, read_table,
                                          row_for_result, row_for_smt)
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.smt import SMT_SECOND_THREAD_BASE_PC, SmtResult
@@ -80,30 +80,18 @@ CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"
 #: Default cache directory (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Subdirectory of a cache directory holding persisted counter ledgers.  The
-#: files inside use the ``.stats`` suffix (never ``.json``) so the entry scans
-#: — GC, ``__len__``, ``verify`` — which glob ``*/*.json`` cannot mistake a
-#: ledger for a cache entry.  Ledger *temp* files (``.ledger.*.tmp``) are
-#: deliberately visible to ``verify``'s orphan scan: one left behind means a
-#: writer died mid-flush, which is exactly the anomaly that scan exists to
-#: surface (and ``--purge`` to clean up).
-STATS_SUBDIR = ".stats"
-
-#: The four counters a ledger records (mirrors :meth:`CacheStats.as_dict`).
+#: The four cache counters a flush records (mirrors :meth:`CacheStats.as_dict`).
 _LEDGER_COUNTERS = ("hits", "misses", "stores", "evictions")
 
-#: Counter names of the supervision-health ledger block (see
+#: Counter names of the supervision-health block (see
 #: :func:`persist_health_stats`); ``runs`` counts runner flushes.
 _HEALTH_COUNTERS = ("runs", "jobs", "attempts", "retries", "timeouts",
                     "pool_rebuilds", "degraded", "dead_lettered")
 
 #: The counters of an orchestrated wave's dedup block.  ``waves`` counts the
-#: ledger's folded wave records (1 per fresh ledger, summed by compaction), so
-#: rates stay computable after any number of compaction passes.
+#: wave records (1 per flush, summed by compaction), so rates stay
+#: computable after any number of compaction passes.
 _DEDUP_COUNTERS = ("waves", "planned", "unique", "cache_warm", "executed")
-
-#: A compaction lock older than this is from a dead compactor and may be broken.
-_COMPACT_LOCK_STALE_SECONDS = 3600.0
 
 #: Per-class runtime fields excluded from fingerprints: they accumulate while
 #: a simulation runs and say nothing about what will be simulated.
@@ -187,290 +175,84 @@ class CacheStats:
                 "stores": self.stores, "evictions": self.evictions}
 
 
-def _ledger_dir(directory: Optional[Union[str, Path]]) -> Path:
-    if directory is None:
-        directory = os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR)
-    return Path(directory) / STATS_SUBDIR
-
-
-def _read_ledgers(stats_dir: Path
-                  ) -> Tuple[List[Tuple[Path, str, Dict[str, int],
-                                        Optional[Dict[str, int]],
-                                        Optional[Dict[str, int]]]], List[Path]]:
-    """Parseable ledgers as ``(live entries, superseded leftovers)``.
-
-    Entries are ``(path, cache class, counters, dedup, health)`` with counters
-    normalised to :data:`_LEDGER_COUNTERS` (missing keys read as zero),
-    ``dedup`` the optional orchestrator-wave block normalised to
-    :data:`_DEDUP_COUNTERS` and ``health`` the optional supervision block
-    normalised to :data:`_HEALTH_COUNTERS` (None when absent).
-    Unreadable or malformed ledgers are skipped — one bad writer must never
-    poison observability for every host sharing the directory.
-
-    A compacted ledger lists the source files it folded; any of those still
-    on disk (a compactor died between writing its output and unlinking the
-    sources) is returned in the second list and excluded from the first, so
-    the crash window can never double-count — aggregation reads either the
-    compacted sums or the originals, never both.
-    """
-    entries: List[Tuple[Path, str, Dict[str, int], Optional[Dict[str, int]],
-                        Optional[Dict[str, int]]]] = []
-    superseded: Set[str] = set()
-    if not stats_dir.is_dir():
-        return entries, []
-    for path in sorted(stats_dir.glob("*.stats")):
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            raw = payload["counters"]
-            counters = {name: int(raw.get(name, 0)) for name in _LEDGER_COUNTERS}
-            cache_name = str(payload.get("cache", "unknown"))
-            folded = [str(name) for name in payload.get("folded", [])]
-            raw_dedup = payload.get("dedup")
-            dedup = (None if raw_dedup is None else
-                     {name: int(raw_dedup.get(name, 0))
-                      for name in _DEDUP_COUNTERS})
-            raw_health = payload.get("health")
-            health = (None if raw_health is None else
-                      {name: int(raw_health.get(name, 0))
-                       for name in _HEALTH_COUNTERS})
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
-            continue
-        superseded.update(folded)
-        entries.append((path, cache_name, counters, dedup, health))
-    stale = [path for path, _, _, _, _ in entries if path.name in superseded]
-    live = [entry for entry in entries if entry[0].name not in superseded]
-    return live, stale
-
-
-def _write_ledger(stats_dir: Path, payload: Dict[str, object],
-                  name: str) -> Optional[Path]:
-    """Atomically write one ledger file; returns None on any I/O failure.
-
-    Ledger I/O is observability, never a correctness requirement, so every
-    failure mode (including temp-file creation on a full disk) is absorbed
-    and the half-written temp file cleaned up.
-    """
-    handle = None
-    try:
-        stats_dir.mkdir(parents=True, exist_ok=True)
-        handle = tempfile.NamedTemporaryFile(
-            "w", encoding="utf-8", dir=stats_dir,
-            prefix=".ledger.", suffix=".tmp", delete=False)
-        with handle:
-            json.dump(payload, handle)
-        target = stats_dir / name
-        os.replace(handle.name, target)
-        return target
-    except OSError:
-        if handle is not None:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-        return None
-
-
-def compact_persisted_stats(directory: Optional[Union[str, Path]] = None) -> int:
-    """Fold every counter ledger under ``directory`` into one file per cache.
-
-    Each runner close appends a new ledger file, so a long-lived shared
-    directory accumulates them; ``repro cache gc`` calls this to keep the
-    ledger count bounded (O(cache classes), not O(runs)).  Aggregation over
-    (ledgers union compacted files) is unchanged because counters are plain
-    sums.  Concurrent compactors — two hosts of a sharded sweep running
-    ``cache gc`` at once — are serialised by an ``O_EXCL`` lock file (the
-    loser is a no-op; a lock older than :data:`_COMPACT_LOCK_STALE_SECONDS`
-    is from a dead compactor and is broken — after a re-stat — so the *next*
-    call can proceed).  A compactor dying between writing its output and
-    unlinking the folded sources is harmless: the compacted file lists the
-    sources it folded, so :func:`_read_ledgers` excludes the leftovers from
-    every aggregation and the next compaction deletes them.  Readers racing
-    a compaction may still transiently double- or under-count — acceptable
-    for an advisory observability ledger.  Returns the number of ledger
-    files removed.
-    """
-    stats_dir = _ledger_dir(directory)
-    if not stats_dir.is_dir():
-        return 0
-    lock = stats_dir / ".compact.lock"
-    try:
-        lock_fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        try:
-            # Stat immediately before breaking so a lock refreshed since the
-            # caller's glob is left alone.
-            if time.time() - lock.stat().st_mtime > _COMPACT_LOCK_STALE_SECONDS:
-                lock.unlink()
-        except OSError:
-            pass
-        return 0
-    except OSError:
-        return 0
-    try:
-        live, stale = _read_ledgers(stats_dir)
-        removed = 0
-        for path in stale:
-            # Leftovers from a compactor that died mid-fold; their sums
-            # already live in a compacted file.
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        by_cache: Dict[str, Dict[str, int]] = {}
-        by_cache_dedup: Dict[str, Dict[str, int]] = {}
-        by_cache_health: Dict[str, Dict[str, int]] = {}
-        sources: Dict[str, List[Path]] = {}
-        folded: List[Path] = []
-        for path, cache_name, counters, dedup, health in live:
-            bucket = by_cache.setdefault(cache_name, {})
-            for name, value in counters.items():
-                bucket[name] = bucket.get(name, 0) + value
-            if dedup is not None:
-                dedup_bucket = by_cache_dedup.setdefault(cache_name, {})
-                for name, value in dedup.items():
-                    dedup_bucket[name] = dedup_bucket.get(name, 0) + value
-            if health is not None:
-                health_bucket = by_cache_health.setdefault(cache_name, {})
-                for name, value in health.items():
-                    health_bucket[name] = health_bucket.get(name, 0) + value
-            sources.setdefault(cache_name, []).append(path)
-            folded.append(path)
-        if len(folded) <= len(by_cache):
-            return removed
-        written: List[Path] = []
-        for cache_name, counters in by_cache.items():
-            # Each compacted file lists only its own class's sources: if a
-            # crash strands one class's output unwritten, the other class's
-            # originals stay live instead of being excluded sum-less.
-            payload = {"schema": SCHEMA_VERSION, "cache": cache_name,
-                       "pid": os.getpid(), "written_at": time.time(),
-                       "counters": counters, "compacted": True,
-                       "folded": [path.name for path in sources[cache_name]]}
-            if cache_name in by_cache_dedup:
-                payload["dedup"] = by_cache_dedup[cache_name]
-            if cache_name in by_cache_health:
-                payload["health"] = by_cache_health[cache_name]
-            target = _write_ledger(stats_dir, payload,
-                                   f"compacted-{uuid.uuid4().hex}.stats")
-            if target is None:
-                # Roll back: leave the original ledgers as the single source
-                # of truth rather than double-counting alongside partials.
-                for partial in written:
-                    try:
-                        os.unlink(partial)
-                    except OSError:
-                        pass
-                return removed
-            written.append(target)
-        for path in folded:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-    finally:
-        os.close(lock_fd)
-        try:
-            lock.unlink()
-        except OSError:
-            pass
-
-
-def persisted_cache_stats(directory: Optional[Union[str, Path]] = None
-                          ) -> Dict[str, object]:
-    """Aggregate every persisted counter ledger under ``directory``.
+def persisted_cache_stats(directory: Union[str, Path]) -> Dict[str, object]:
+    """Aggregate the counters table under ``directory``.
 
     Returns ``{"ledgers": n, "total": {hits, misses, stores, evictions},
     "by_cache": {<cache class>: {...}}, "dedup": {waves, planned, unique,
     deduped, cache_warm, executed}, "health": {runs, jobs, attempts, retries,
-    timeouts, pool_rebuilds, degraded, dead_lettered}}`` summed over all
-    ledger files — i.e. over every process (and every shard host writing to a
-    shared directory) that flushed its counters via
-    :meth:`JsonDiskCache.persist_stats`, plus every orchestrated wave streamed
-    in via :func:`persist_dedup_stats` and every runner close streamed in via
-    :func:`persist_health_stats`.  Unreadable ledgers are skipped; an empty
-    or missing directory aggregates to all-zero counters.
+    timeouts, pool_rebuilds, degraded, dead_lettered}}`` summed over every
+    live counter record (``ledgers`` counts them) — i.e. over every process
+    (and every shard host writing to a shared directory) that flushed its
+    counters via :meth:`JsonDiskCache.persist_stats`, plus every orchestrated
+    wave streamed in via :func:`persist_dedup_stats` and every runner close
+    streamed in via :func:`persist_health_stats`.  An empty or missing
+    directory aggregates to all-zero counters.
     """
     zero = {name: 0 for name in _LEDGER_COUNTERS}
     dedup_total = {name: 0 for name in _DEDUP_COUNTERS}
     health_total = {name: 0 for name in _HEALTH_COUNTERS}
     summary: Dict[str, object] = {"ledgers": 0, "total": dict(zero),
                                   "by_cache": {}}
-    live, _ = _read_ledgers(_ledger_dir(directory))
-    for _, cache_name, counters, dedup, health in live:
+    for record in read_table(directory, COUNTERS_TABLE):
         summary["ledgers"] += 1
-        bucket = summary["by_cache"].setdefault(cache_name, dict(zero))
-        for counter, value in counters.items():
-            bucket[counter] += value
-            summary["total"][counter] += value
-        if dedup is not None:
-            for counter, value in dedup.items():
-                dedup_total[counter] += value
-        if health is not None:
-            for counter, value in health.items():
-                health_total[counter] += value
+        bucket = summary["by_cache"].setdefault(record["cache"], dict(zero))
+        counters = record.get("counters", {})
+        for name in _LEDGER_COUNTERS:
+            bucket[name] += counters.get(name, 0)
+            summary["total"][name] += counters.get(name, 0)
+        for block, totals in (("dedup", dedup_total), ("health", health_total)):
+            values = record.get(block, {})
+            for name in totals:
+                totals[name] += values.get(name, 0)
     dedup_total["deduped"] = dedup_total["planned"] - dedup_total["unique"]
     summary["dedup"] = dedup_total
     summary["health"] = health_total
     return summary
 
 
-#: Ledger cache-class name under which orchestrator waves record dedup stats.
+#: Source class under which orchestrator waves record dedup stats.
 DEDUP_LEDGER_CLASS = "SweepOrchestrator"
 
 
 def persist_dedup_stats(directory: Union[str, Path],
                         dedup: Dict[str, object]) -> Optional[Path]:
-    """Stream one orchestrated wave's dedup stats into the counter ledger.
+    """Append one orchestrated wave's dedup stats to the counters table.
 
     ``dedup`` is a :meth:`~repro.experiments.orchestrator.DedupStats.to_dict`
-    payload; its planned/unique/cache_warm/executed counts are written as one
-    ledger file (class :data:`DEDUP_LEDGER_CLASS`, zero cache counters so old
-    readers still parse it) under ``<directory>/.stats/``.
-    :func:`persisted_cache_stats` sums the blocks, which is how ``repro cache
-    stats`` reports cross-host dedup rates for a shared sweep directory.
-    Like every ledger write, failures are swallowed — observability, never a
-    correctness requirement.
+    payload; its planned/unique/cache_warm/executed counts are appended as
+    one record of class :data:`DEDUP_LEDGER_CLASS`.
+    :func:`persisted_cache_stats` sums the records, which is how ``repro
+    cache stats`` reports cross-host dedup rates for a shared sweep
+    directory.  Returns the log appended to, or None on I/O failure.
     """
     block = {name: int(dedup.get(name, 0)) for name in _DEDUP_COUNTERS}
     block["waves"] = 1
-    payload = {"schema": SCHEMA_VERSION, "cache": DEDUP_LEDGER_CLASS,
-               "pid": os.getpid(), "written_at": time.time(),
-               "counters": {name: 0 for name in _LEDGER_COUNTERS},
-               "dedup": block}
-    return _write_ledger(Path(directory) / STATS_SUBDIR, payload,
-                         f"{os.getpid()}-{uuid.uuid4().hex}.stats")
+    return WarehouseWriter(directory, COUNTERS_TABLE).append(
+        {"cache": DEDUP_LEDGER_CLASS, "dedup": block})
 
 
-#: Ledger cache-class name under which runners record supervision health.
+#: Source class under which runners record supervision health.
 HEALTH_LEDGER_CLASS = "SweepSupervisor"
 
 
 def persist_health_stats(directory: Union[str, Path],
                          health: Dict[str, object]) -> Optional[Path]:
-    """Stream one runner's supervision-health deltas into the counter ledger.
+    """Append one runner's supervision-health deltas to the counters table.
 
     ``health`` carries :data:`_HEALTH_COUNTERS` deltas (a
     :meth:`~repro.experiments.runner.SweepHealthReport.counters` payload, or
     the delta since the runner's previous flush); each flush counts as one
-    ``runs``.  The block is written as its own ledger file (class
-    :data:`HEALTH_LEDGER_CLASS`, zero cache counters so old readers still
-    parse it) and :func:`persisted_cache_stats` sums it, which is how ``repro
-    cache stats`` reports cross-host retry/timeout/dead-letter rates for a
-    shared sweep directory.  Like every ledger write, failures are swallowed
-    — observability, never a correctness requirement.
+    ``runs``.  The block is appended as one record of class
+    :data:`HEALTH_LEDGER_CLASS` and :func:`persisted_cache_stats` sums it,
+    which is how ``repro cache stats`` reports cross-host
+    retry/timeout/dead-letter rates for a shared sweep directory.  Returns
+    the log appended to, or None on I/O failure.
     """
     block = {name: int(health.get(name, 0)) for name in _HEALTH_COUNTERS}
     block["runs"] = 1
-    payload = {"schema": SCHEMA_VERSION, "cache": HEALTH_LEDGER_CLASS,
-               "pid": os.getpid(), "written_at": time.time(),
-               "counters": {name: 0 for name in _LEDGER_COUNTERS},
-               "health": block}
-    return _write_ledger(Path(directory) / STATS_SUBDIR, payload,
-                         f"{os.getpid()}-{uuid.uuid4().hex}.stats")
+    return WarehouseWriter(directory, COUNTERS_TABLE).append(
+        {"cache": HEALTH_LEDGER_CLASS, "health": block})
 
 
 #: How to decode each entry kind's record body; single-thread result entries
@@ -541,10 +323,11 @@ class JsonDiskCache:
             raise ValueError("max_mb must be positive")
         self.max_mb = max_mb
         self.stats = CacheStats()
-        # Counter values already flushed to the on-disk ledger; persist_stats
+        # Counter values already flushed to the counters table; persist_stats
         # writes only the delta since the last flush, so calling it from both
         # a runner's close() and a CLI epilogue never double-counts.
         self._persisted_counters: Dict[str, int] = {}
+        self._counter_log = WarehouseWriter(self.directory, COUNTERS_TABLE)
         # Running directory-size estimate for the auto-GC: initialised by one
         # full scan on the first capped store, then maintained incrementally
         # so puts stay O(1) while the directory is under the cap.  A GC pass
@@ -692,47 +475,31 @@ class JsonDiskCache:
         return sum(1 for _ in self.directory.glob("*/*.json"))
 
     def persist_stats(self) -> Optional[Path]:
-        """Flush this instance's counter deltas to the directory's ledger.
+        """Append this instance's counter deltas to the counters table.
 
-        Each flush writes one append-only ledger file under
-        ``<dir>/.stats/`` (atomic temp-file + rename; a unique name per
-        flush, so concurrent processes — the N hosts of a sharded sweep —
-        never contend).  :func:`persisted_cache_stats` sums the ledgers,
-        which is how ``repro cache stats`` reports real cross-process hit
-        rates instead of just the calling process's counters.  Only the
-        delta since the previous flush is written, so the method is safe to
-        call any number of times; a no-delta flush writes nothing.  Ledger
-        I/O failures are swallowed — the ledger is observability, never a
-        correctness requirement.
+        :func:`persisted_cache_stats` sums the table, which is how ``repro
+        cache stats`` reports real cross-process hit rates instead of just
+        the calling process's counters.  Only the delta since the previous
+        flush is appended, so the method is safe to call any number of
+        times; a no-delta flush writes nothing.  Returns the log appended
+        to, or None when there was nothing to flush or the append failed.
         """
         counters = self.stats.as_dict()
         delta = {name: value - self._persisted_counters.get(name, 0)
                  for name, value in counters.items()}
         if not any(delta.values()):
             return None
-        payload = {"schema": self.schema_version, "cache": type(self).__name__,
-                   "pid": os.getpid(), "written_at": time.time(),
-                   "counters": delta}
-        path = _write_ledger(self.directory / STATS_SUBDIR, payload,
-                             f"{os.getpid()}-{uuid.uuid4().hex}.stats")
-        if path is None:
-            return None
-        self._persisted_counters = counters
+        path = self._counter_log.append({"cache": type(self).__name__,
+                                         "counters": delta})
+        if path is not None:
+            self._persisted_counters = counters
         return path
 
     def clear(self) -> int:
-        """Delete every entry (and counter ledger); returns files removed."""
+        """Delete every entry and every table; returns files removed."""
         removed = 0
         self._size_estimate = None
-        if not self.directory.is_dir():
-            return removed
         for path in self.directory.glob("*/*.json"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        for path in (self.directory / STATS_SUBDIR).glob("*.stats"):
             try:
                 path.unlink()
                 removed += 1
@@ -740,9 +507,8 @@ class JsonDiskCache:
                 pass
         # A cleared store must not leave warehouse rows describing entries
         # that no longer exist (the rows-without-entries case ``repro
-        # warehouse verify --strict`` flags).
-        removed += clear_warehouse(self.directory)
-        return removed
+        # warehouse verify --strict`` flags), nor counters of its history.
+        return removed + clear_warehouse(self.directory)
 
     #: ``*.tmp`` files younger than this are assumed to belong to a live
     #: writer mid-store and are never reported (or purged) as orphans.
@@ -835,8 +601,8 @@ class ResultCache(JsonDiskCache):
     The row is appended *after* the entry write succeeds, so the warehouse
     can trail the journal by at most the in-flight put (repaired by ``repro
     warehouse rebuild``) but never lists a row for an entry that was never
-    committed.  Row appends absorb I/O errors and can be disabled with
-    ``REPRO_WAREHOUSE=0``; they are analytics, never correctness.
+    committed.  Row appends absorb I/O errors; they are analytics, never
+    correctness.
     """
 
     def __init__(self, directory: Optional[Union[str, Path]] = None,

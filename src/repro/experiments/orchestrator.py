@@ -43,7 +43,7 @@ observationally identical to simulating the same inputs once per name.
 The :class:`DedupStats` record (``planned`` figure demand, ``unique`` after
 dedup, ``cache_warm`` served from disk, ``executed`` actually simulated) is
 printed by ``repro figures``/``repro sweep``, which also stream it into the
-cache directory's counter ledger, and recorded by ``repro bench
+cache directory's counters table, and recorded by ``repro bench
 --orchestrator`` reports.
 """
 
@@ -307,7 +307,7 @@ class SweepOrchestrator:
         in the wave leaves every in-memory store untouched (the failed wave's
         successes are journaled to the on-disk cache only).  The caller
         decides whether the returned stats belong in the cache directory's
-        dedup ledger (``persist_dedup_stats``); the CLI records one entry per
+        counters table (``persist_dedup_stats``); the CLI records one entry per
         ``repro figures``/``repro sweep`` wave.
         """
         runner = self.runner

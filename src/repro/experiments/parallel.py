@@ -384,7 +384,7 @@ class ParallelExperimentRunner(ExperimentRunner):
     def close(self) -> None:
         """Shut the worker pool down; the runner may be reused (pool respawns).
 
-        Also flushes cache counters to the directory ledger (the parent owns
+        Also flushes cache counters to the counters table (the parent owns
         all cache I/O — workers only simulate — so the parent-side flush
         captures the whole run).
         """

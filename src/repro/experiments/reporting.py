@@ -64,7 +64,7 @@ def format_dedup_stats(stats, title: str = "orchestrated wave") -> str:
 def format_persisted_dedup(dedup: Mapping[str, int],
                            title: str = "orchestrated waves (all processes)"
                            ) -> str:
-    """Render the ledger-aggregated dedup block of ``persisted_cache_stats``.
+    """Render the aggregated dedup block of ``persisted_cache_stats``.
 
     Counts are sums over every orchestrated wave that streamed its stats into
     the cache directory (possibly from several shard hosts); the dedup and
@@ -135,7 +135,7 @@ def format_dead_letters(dead_letters: Sequence[object],
 
 def format_persisted_health(health: Mapping[str, int],
                             title: str = "sweep health (all processes)") -> str:
-    """Render the ledger-aggregated health block of ``persisted_cache_stats``.
+    """Render the aggregated health block of ``persisted_cache_stats``.
 
     Counts are sums over every runner that flushed supervision counters into
     the cache directory (possibly from several shard hosts); the retry rate

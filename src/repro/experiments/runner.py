@@ -204,7 +204,7 @@ class SweepHealthReport:
     Counters accumulate across the runner's lifetime (every wave, including
     the one-plan waves of ``run_config`` / ``run_smt_config``), are rendered by
     ``repro.experiments.reporting.format_health_report`` and flushed to the
-    cache directory's counter ledger on close, so ``repro cache stats``
+    cache directory's counters table on close, so ``repro cache stats``
     surfaces retry/timeout/dead-letter rates across every process sharing a
     sweep directory.
     """
@@ -533,14 +533,14 @@ class ExperimentRunner:
     # ---------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
-        """Release executor resources and flush cache counters to the ledger.
+        """Release executor resources and flush counters to the counters table.
 
         The flush is what makes ``repro cache stats`` see this process's
         hit/miss counters after the run is gone; it writes only deltas, so
         closing a runner repeatedly (context manager plus explicit call)
         never double-counts.  Supervision health counters flush the same way
-        (class ``SweepSupervisor`` in the ledger), so retry/timeout/dead-letter
-        rates are visible cross-process too.
+        (class ``SweepSupervisor``), so retry/timeout/dead-letter rates are
+        visible cross-process too.
         """
         if self.cache is not None:
             counters = self.health.counters()

@@ -1,42 +1,51 @@
-"""Columnar results warehouse over the content-addressed object cache.
+"""The crash-safe tables under a cache directory: results rows and counters.
 
 The object store under a cache directory holds one JSON blob per simulation
 (:mod:`repro.experiments.cache`), which is the right shape for *replaying* a
 result but the wrong shape for *analytics*: every ``repro cache stats`` or
 cross-sweep aggregation ("geomean speedup by suite across all cached sweeps")
 would otherwise re-decode thousands of full per-entry payloads.  This module
-maintains a flat, engine-independent table of per-result rows next to the
-object store, so aggregation reads columns instead of blobs:
+keeps append-only tables next to the object store, under
+``<cache-dir>/.warehouse/``, so aggregation reads records instead of blobs:
 
-* **Write path.**  :class:`ResultCache.put`/``put_smt`` (``cache.py``) append
-  one :class:`WarehouseRow` per committed entry through a
-  :class:`WarehouseWriter` — an append-only JSONL file per process under
-  ``<cache-dir>/.warehouse/``.  Every commit path funnels through those two
-  methods (serial and parallel runners, orchestrated waves, partial-wave
-  journals, ``--resume`` re-execution), so the warehouse can never disagree
-  with the cache journal: a journaled entry and its row are written by the
-  same ``put`` call.  Appends are observability-grade: I/O failures are
-  absorbed, and ``REPRO_WAREHOUSE=0`` disables them entirely.
-* **Compaction.**  :func:`compact_warehouse` folds the accumulated row files
-  into one columnar segment (struct-of-arrays JSON, ``*.whseg``), crash-safely
-  mirroring the stats ledger: an ``O_EXCL`` lock serialises compactors, the
-  output lists the sources it ``folded`` so readers exclude leftover
-  originals, and a failed write rolls back to the originals.
-* **Rebuild.**  :func:`rebuild_warehouse` regenerates every row from the
-  object store itself (``repro warehouse rebuild``), so pre-warehouse caches
-  migrate losslessly.  Row derivation is a pure function of ``(key, entry
-  payload)`` — identical on the write path and the rebuild path — which is
-  what the differential suite in ``tests/test_warehouse.py`` proves
-  bit-for-bit.
-* **Read path.**  :func:`load_rows` serves ``repro query``, ``repro cache
-  stats`` and the ``warehouse`` figure harness from the columnar files alone
-  (zero object-store decodes); when no warehouse files exist it falls back to
-  an in-memory object-store scan, so analytics never require a migration
-  first.
+* **The rows table** (:data:`ROWS_TABLE`) holds one flat, engine-independent
+  :class:`WarehouseRow` per committed entry, appended by
+  :class:`ResultCache.put`/``put_smt`` (``cache.py``).  Every commit path
+  funnels through those two methods (serial and parallel runners,
+  orchestrated waves, partial-wave journals, ``--resume`` re-execution), so
+  the rows can never disagree with the cache journal: a journaled entry and
+  its row are written by the same ``put`` call.
+* **The counters table** (:data:`COUNTERS_TABLE`) holds the cache hit/miss,
+  orchestrator dedup and supervision-health counter records that
+  ``cache.py`` flushes and ``repro cache stats`` sums.
+
+Both tables share one protocol:
+
+* **Append.**  :class:`WarehouseWriter` appends one JSON line per record to
+  a per-process log.  I/O failures are absorbed: both tables are
+  observability, never a correctness requirement.
+* **Read.**  :func:`read_table` returns a table's live records from its logs
+  and segments, excluding leftovers a crashed compactor had already folded.
+* **Compact.**  :func:`compact_warehouse` folds each table's files into one
+  segment: an ``O_EXCL`` lock serialises compactors, every log is
+  ``flock``-ed for the fold, the segment lists the sources it ``folded`` so
+  readers exclude leftover originals, and a failed write rolls back to the
+  originals.  The rows fold is :func:`canonical_rows`; the counters fold
+  sums each counter per source class.
+* **Rebuild.**  :func:`rebuild_warehouse` is the same locked fold of the rows
+  table, with a fold that re-derives every row from the object store
+  (``repro warehouse rebuild``), so pre-warehouse caches migrate losslessly.
+  Row derivation is a pure function of ``(key, entry payload)`` — identical
+  on the write path and the rebuild path — which is what the differential
+  suite in ``tests/test_warehouse.py`` proves bit-for-bit.
+
+:func:`load_rows` serves ``repro query``, ``repro cache stats`` and the
+``warehouse`` figure harness from the rows table alone (zero object-store
+decodes); when the table is absent it falls back to an in-memory
+object-store scan, so analytics never require a migration first.
 
 File suffixes are deliberately never ``.json``: the object store's entry
-scans glob ``*/*.json`` and must not mistake warehouse files for entries,
-exactly like the ``.stats`` ledger files.
+scans glob ``*/*.json`` and must not mistake table files for entries.
 
 Bump :data:`WAREHOUSE_SCHEMA_VERSION` whenever the row layout changes;
 RL003 pins :meth:`WarehouseRow.to_dict`'s key set against it.
@@ -44,6 +53,7 @@ RL003 pins :meth:`WarehouseRow.to_dict`'s key set against it.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import fcntl
 import json
@@ -52,7 +62,8 @@ import tempfile
 import time
 import uuid
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (IO, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Set, Tuple, Union)
 
 from repro.analysis.stats_utils import filtered_geomean, median
 from repro.pipeline.smt import SmtResult
@@ -60,23 +71,12 @@ from repro.pipeline.stats import SimulationResult
 from repro.power.power_model import CorePowerModel
 from repro.workloads.suites import get_workload_spec
 
-#: Subdirectory of a cache directory holding the columnar warehouse files.
+#: Subdirectory of a cache directory holding every table's files.
 WAREHOUSE_SUBDIR = ".warehouse"
 
 #: Version of the warehouse row/segment layout; bump on any row-shape change
 #: (RL003 gates :meth:`WarehouseRow.to_dict` drift on this constant).
 WAREHOUSE_SCHEMA_VERSION = 1
-
-#: Environment variable disabling warehouse appends (``0``/``false``/``no``/
-#: ``off``).  Reads stay available either way; the rebuild command restores a
-#: warehouse that was written with appends off.
-WAREHOUSE_ENV = "REPRO_WAREHOUSE"
-
-#: Suffix of live append-only row files (one JSON object per line).
-_ROWS_SUFFIX = ".rows.jsonl"
-
-#: Suffix of columnar segment files (struct-of-arrays JSON).
-_SEGMENT_SUFFIX = ".whseg"
 
 #: A compaction lock older than this is from a dead compactor and may be broken.
 _COMPACT_LOCK_STALE_SECONDS = 3600.0
@@ -258,15 +258,90 @@ def decode_rows(payload: Dict[str, object]) -> List[WarehouseRow]:
             for values in zip(*series)] if count else []
 
 
+# -------------------------------------------------------------------- tables
+
+
+def _counter_record(data: Dict[str, object]) -> Dict[str, object]:
+    """Validate one counters-table record; raises when it is malformed.
+
+    A record is ``{"cache": <source class>, <block>: {<counter>: int}, ...}``:
+    ``counters`` for a cache's hit/miss/store/eviction deltas, ``dedup`` for
+    an orchestrated wave, ``health`` for a runner's supervision counters.
+    """
+    record: Dict[str, object] = {"cache": str(data["cache"])}
+    for block, counters in data.items():
+        if block != "cache":
+            record[block] = {str(name): int(value)
+                             for name, value in counters.items()}
+    return record
+
+
+def _sum_counters(records: Sequence[Dict[str, object]]
+                  ) -> List[Dict[str, object]]:
+    """The counters fold: one record per source class, every counter summed.
+
+    Counters are plain sums, so the folded records aggregate exactly like
+    their originals; classes come back sorted, so folding is idempotent.
+    """
+    folded: Dict[str, Dict[str, object]] = {}
+    for record in records:
+        target = folded.setdefault(record["cache"], {"cache": record["cache"]})
+        for block, counters in record.items():
+            if block == "cache":
+                continue
+            bucket = target.setdefault(block, {})
+            for name, value in counters.items():
+                bucket[name] = bucket.get(name, 0) + value
+    return [folded[name] for name in sorted(folded)]
+
+
+@dataclasses.dataclass(frozen=True)
+class Table:
+    """One append-only table under ``<cache-dir>/.warehouse/``.
+
+    Every table shares one crash-safe protocol: :class:`WarehouseWriter`
+    appends, :func:`read_table` reads and :func:`compact_warehouse` folds.  A
+    table only declares its file suffixes, its codecs and its fold.  Live
+    records go to ``*<log_suffix>`` JSONL logs, one record per line, and
+    compaction writes ``*<segment_suffix>`` segments; no table's suffix
+    matches another table's globs.
+    """
+
+    log_suffix: str
+    segment_suffix: str
+    #: One record as the JSON object of its log line, and back (raising on
+    #: a malformed line, which readers then skip).
+    to_json: Callable[[object], Dict[str, object]]
+    from_json: Callable[[Dict[str, object]], object]
+    #: Records as a segment payload, and back (raising on a malformed
+    #: segment, which readers then skip whole).
+    encode: Callable[[Sequence[object]], Dict[str, object]]
+    decode: Callable[[Dict[str, object]], List[object]]
+    #: What compaction writes for the live records.
+    fold: Callable[[Sequence[object]], List[object]]
+
+
+#: One :class:`WarehouseRow` per cached result, in columnar segments.
+ROWS_TABLE = Table(log_suffix=".rows.jsonl", segment_suffix=".whseg",
+                   to_json=WarehouseRow.to_dict,
+                   from_json=WarehouseRow.from_dict,
+                   encode=encode_rows, decode=decode_rows,
+                   fold=canonical_rows)
+
+#: Counter records (see :func:`_counter_record`), folded per source class.
+COUNTERS_TABLE = Table(
+    log_suffix=".counters.jsonl", segment_suffix=".counters.seg",
+    to_json=dict, from_json=_counter_record,
+    encode=lambda records: {"records": list(records)},
+    decode=lambda payload: [_counter_record(data)
+                            for data in payload["records"]],
+    fold=_sum_counters)
+
+#: Every table under a cache directory, in the order compaction folds them.
+TABLES = (ROWS_TABLE, COUNTERS_TABLE)
+
+
 # ---------------------------------------------------------------- write path
-
-
-def warehouse_enabled() -> bool:
-    """Whether warehouse appends are on (:data:`WAREHOUSE_ENV` can disable)."""
-    raw = os.environ.get(WAREHOUSE_ENV)
-    if raw is None:
-        return True
-    return raw.strip().lower() not in {"0", "false", "no", "off"}
 
 
 def warehouse_dir(directory: Union[str, Path]) -> Path:
@@ -275,46 +350,47 @@ def warehouse_dir(directory: Union[str, Path]) -> Path:
 
 
 class WarehouseWriter:
-    """Appends rows to one per-process JSONL file under ``.warehouse/``.
+    """Appends records to one per-process JSONL log of a table.
 
-    One writer per :class:`~repro.experiments.cache.ResultCache` instance;
-    the file name embeds the pid and a fresh UUID, so any number of
-    concurrent processes (the N hosts of a sharded sweep) append without
-    contention.  Each append is a single ``O_APPEND``-mode line write, so a
-    crash can tear at most the final line — which the readers skip — and
-    every line before it stays in agreement with the cache journal.  Like
-    the stats ledger, append I/O failures are absorbed: the warehouse is an
-    analytics index, never a correctness requirement.
+    Each writer owns one log: :class:`~repro.experiments.cache.ResultCache`
+    keeps one for its rows and every cache one for its counter flushes.  The
+    file name embeds the pid and a fresh UUID, so any number of concurrent
+    processes (the N hosts of a sharded sweep) append without contention.
+    Each append is a single ``O_APPEND``-mode line write, so a crash can tear
+    at most the final line — which the readers skip — and every line before
+    it stays intact.  Append I/O failures are absorbed: both tables are
+    observability, never a correctness requirement.
 
-    Appends and :func:`compact_warehouse` coordinate through an advisory
-    ``flock`` per row file: the compactor locks every source before its
-    final read and unlink, and an appender that acquires the lock only to
-    find its file already folded (the path no longer names its inode)
-    rotates to a fresh file and retries — so a row can never land in the
-    window between a compactor's read and its unlink and silently vanish.
+    Appends and compaction coordinate through an advisory ``flock`` per log:
+    the compactor locks every log before its final read and unlink, and an
+    appender that acquires the lock only to find its file already folded
+    (the path no longer names its inode) rotates to a fresh file and retries
+    — so a record can never land in the window between a compactor's read
+    and its unlink and silently vanish.
     """
 
-    def __init__(self, directory: Union[str, Path]):
+    def __init__(self, directory: Union[str, Path],
+                 table: Table = ROWS_TABLE):
         self.directory = warehouse_dir(directory)
-        self.enabled = warehouse_enabled()
+        self.table = table
         self._path: Optional[Path] = None
 
-    def append(self, row: WarehouseRow) -> bool:
-        """Append one row; returns False when disabled or on I/O failure."""
-        if not self.enabled:
-            return False
-        line = json.dumps(row.to_dict(), sort_keys=True).encode("utf-8") + b"\n"
+    def append(self, record: object) -> Optional[Path]:
+        """Append one record; returns its log file, or None on I/O failure."""
+        line = (json.dumps(self.table.to_json(record), sort_keys=True)
+                .encode("utf-8") + b"\n")
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             # Bounded retry: each miss means a compactor folded our file
             # around this append, and the next round rotates to a fresh name.
             # A folded *name* is never reused (O_EXCL on a new UUID, never
             # O_CREAT on the old path): segments list folded names to hide
-            # leftover sources, so recreating one would hide live rows.
+            # leftover sources, so recreating one would hide live records.
             for _ in range(4):
                 if self._path is None:
                     self._path = self.directory / (
-                        f"{os.getpid()}-{uuid.uuid4().hex}{_ROWS_SUFFIX}")
+                        f"{os.getpid()}-{uuid.uuid4().hex}"
+                        f"{self.table.log_suffix}")
                     fd = os.open(self._path,
                                  os.O_WRONLY | os.O_APPEND | os.O_CREAT
                                  | os.O_EXCL)
@@ -329,116 +405,124 @@ class WarehouseWriter:
                     fcntl.flock(fd, fcntl.LOCK_EX)
                     if os.fstat(fd).st_nlink == 0:
                         # Unlinked between our open and our lock: this inode
-                        # was already folded; the row must go elsewhere.
+                        # was already folded; the record must go elsewhere.
                         self._path = None
                         continue
                     os.write(fd, line)
-                    return True
+                    return self._path
                 finally:
                     os.close(fd)
-            return False
+            return None
         except OSError:
-            return False
+            return None
 
 
 def _write_segment(directory: Path, payload: Dict[str, object],
-                   name: str) -> Optional[Path]:
-    """Atomically write one segment file; returns None on any I/O failure.
+                   name: str) -> None:
+    """Atomically write one segment file (temp file + rename).
 
-    Mirrors the stats ledger's ``_write_ledger``: temp file + rename, and the
-    temp prefix starts with a dot so a writer that dies mid-flush leaves an
-    orphan the ``repro cache verify`` scan surfaces (and ``--purge`` cleans).
+    The temp prefix starts with a dot, so a compactor that dies mid-write
+    leaves an orphan the ``repro cache verify`` scan surfaces (and
+    ``--purge`` cleans).  Raises ``OSError`` once the temp file is removed.
     """
-    handle = None
+    handle = tempfile.NamedTemporaryFile(
+        "w", encoding="utf-8", dir=directory,
+        prefix=".wh.", suffix=".tmp", delete=False)
     try:
-        directory.mkdir(parents=True, exist_ok=True)
-        handle = tempfile.NamedTemporaryFile(
-            "w", encoding="utf-8", dir=directory,
-            prefix=".wh.", suffix=".tmp", delete=False)
         with handle:
             json.dump(payload, handle)
-        target = directory / name
-        os.replace(handle.name, target)
-        return target
-    except OSError:
-        if handle is not None:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-        return None
+        os.replace(handle.name, directory / name)
+    except BaseException:
+        try:
+            os.unlink(handle.name)
+        except OSError:
+            pass
+        raise
 
 
 # ----------------------------------------------------------------- read path
 
 
-def _parse_row_file(path: Path) -> List[WarehouseRow]:
-    """Rows of one JSONL file; torn or malformed lines are skipped."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        return []
-    return _parse_rows_text(text)
-
-
-def _parse_rows_text(text: str) -> List[WarehouseRow]:
-    """Rows of JSONL text; torn or malformed lines are skipped."""
-    rows: List[WarehouseRow] = []
+def _parse_log(text: str, table: Table) -> List[object]:
+    """Records of one JSONL log; torn or malformed lines are skipped."""
+    records: List[object] = []
     for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
         try:
-            data = json.loads(line)
-            if not isinstance(data, dict):
-                continue
-            rows.append(WarehouseRow.from_dict(data))
-        except (ValueError, KeyError, TypeError):
+            records.append(table.from_json(json.loads(line)))
+        except (ValueError, KeyError, TypeError, AttributeError):
             continue
-    return rows
+    return records
 
 
-def _read_sources(directory: Path
-                  ) -> Tuple[List[Tuple[Path, List[WarehouseRow]]], List[Path]]:
-    """Parseable warehouse files as ``(live sources, superseded leftovers)``.
+def _sources(base: Path, table: Table,
+             locked: Optional[List[IO[str]]] = None
+             ) -> Tuple[List[Tuple[Path, List[object]]], List[Path]]:
+    """Every parseable file of ``table`` as ``(live sources, leftovers)``.
 
-    A compacted/rebuilt segment lists the files it ``folded``; any of those
-    still on disk (a compactor died between writing its output and unlinking
-    the sources) is excluded from the live set and returned separately, so
-    the crash window can never double-count — exactly the stats-ledger
-    contract.  Unreadable files are skipped: one bad writer must never poison
-    analytics for every host sharing the directory.
+    A segment lists the files it ``folded``; any of those still on disk (a
+    compactor died between writing its segment and unlinking the sources)
+    is excluded from the live set and returned separately, so the crash
+    window can never double-count.  Unreadable files are skipped: one bad
+    writer must never poison analytics for every host sharing the directory.
+    With ``locked``, each log is ``flock``-ed before its read and its open
+    handle appended to ``locked``, for a compactor to hold until its fold
+    commits.
     """
-    live: List[Tuple[Path, List[WarehouseRow]]] = []
+    parsed: List[Tuple[Path, List[object]]] = []
     superseded: Set[str] = set()
-    if not directory.is_dir():
-        return live, []
-    parsed: List[Tuple[Path, List[WarehouseRow]]] = []
-    for path in sorted(directory.glob(f"*{_SEGMENT_SUFFIX}")):
+    # Segments are immutable once renamed into place: read them plainly.
+    for path in sorted(base.glob(f"*{table.segment_suffix}")):
         try:
             with path.open("r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-            rows = decode_rows(payload)
+            records = table.decode(payload)
             folded = [str(name) for name in payload.get("folded", [])]
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             continue
         superseded.update(folded)
-        parsed.append((path, rows))
-    for path in sorted(directory.glob(f"*{_ROWS_SUFFIX}")):
-        parsed.append((path, _parse_row_file(path)))
+        parsed.append((path, records))
+    for path in sorted(base.glob(f"*{table.log_suffix}")):
+        try:
+            handle = path.open("r", encoding="utf-8")
+        except OSError:
+            continue
+        try:
+            if locked is not None:
+                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+            records = _parse_log(handle.read(), table)
+        except (OSError, ValueError):
+            handle.close()
+            continue
+        if locked is None:
+            handle.close()
+        else:
+            locked.append(handle)
+        parsed.append((path, records))
     stale = [path for path, _ in parsed if path.name in superseded]
-    live = [(path, rows) for path, rows in parsed
+    live = [(path, records) for path, records in parsed
             if path.name not in superseded]
     return live, stale
 
 
+def read_table(directory: Union[str, Path], table: Table) -> List[object]:
+    """Every live record of ``table``, in file order.
+
+    Reads only the table's files — never an object-store entry — and
+    excludes leftovers a crashed compactor had already folded.
+    """
+    live, _ = _sources(warehouse_dir(directory), table)
+    return [record for _, records in live for record in records]
+
+
 def warehouse_present(directory: Union[str, Path]) -> bool:
-    """Whether any warehouse file exists under the cache directory."""
+    """Whether any rows-table file exists under the cache directory."""
     base = warehouse_dir(directory)
-    if not base.is_dir():
-        return False
-    return (next(base.glob(f"*{_SEGMENT_SUFFIX}"), None) is not None
-            or next(base.glob(f"*{_ROWS_SUFFIX}"), None) is not None)
+    return any(next(base.glob(f"*{suffix}"), None) is not None
+               for suffix in (ROWS_TABLE.segment_suffix,
+                              ROWS_TABLE.log_suffix))
 
 
 def read_rows(directory: Union[str, Path]) -> List[WarehouseRow]:
@@ -447,11 +531,7 @@ def read_rows(directory: Union[str, Path]) -> List[WarehouseRow]:
     Reads only warehouse files — never an object-store entry — so this is
     the zero-decode path the acceptance criterion instruments.
     """
-    live, _ = _read_sources(warehouse_dir(directory))
-    merged: List[WarehouseRow] = []
-    for _, rows in live:
-        merged.extend(rows)
-    return canonical_rows(merged)
+    return canonical_rows(read_table(directory, ROWS_TABLE))
 
 
 def scan_object_store(directory: Union[str, Path],
@@ -498,10 +578,10 @@ def load_rows(directory: Union[str, Path], schema_version: int,
               allow_fallback: bool = True) -> List[WarehouseRow]:
     """Rows for analytics: warehouse segments first, object store as fallback.
 
-    When any warehouse file exists the read is tabular-only (zero object
-    decodes); a cache with no warehouse — written before this layer existed,
-    or with ``REPRO_WAREHOUSE=0`` — falls back to
-    :func:`scan_object_store` unless ``allow_fallback`` is off.
+    When any rows-table file exists the read is tabular-only (zero object
+    decodes); a cache with no rows table — written before this layer
+    existed — falls back to :func:`scan_object_store` unless
+    ``allow_fallback`` is off.
     """
     if warehouse_present(directory):
         return read_rows(directory)
@@ -513,163 +593,145 @@ def load_rows(directory: Union[str, Path], schema_version: int,
 # ------------------------------------------------------- compaction / rebuild
 
 
-def compact_warehouse(directory: Union[str, Path]) -> int:
-    """Fold every live warehouse file into one columnar segment.
+@contextlib.contextmanager
+def _compaction_lock(base: Path) -> Iterator[bool]:
+    """Hold the directory's ``O_EXCL`` compaction lock for the ``with`` body.
 
-    Each process's cache appends its own row file, so a long-lived shared
-    directory accumulates them; ``repro cache gc`` and ``repro warehouse
-    compact`` call this to keep the file count at one.  Crash safety mirrors
-    :func:`~repro.experiments.cache.compact_persisted_stats`: concurrent
-    compactors are serialised by an ``O_EXCL`` lock (stale locks from dead
-    compactors are broken after a re-stat), the output segment lists its
-    ``folded`` sources so readers exclude leftovers from a compactor that
-    died before unlinking them, and a failed segment write leaves the
-    originals as the single source of truth.  Live *row files* are
-    additionally ``flock``-ed for the duration of the fold: an appender
-    either lands its row before the final read (it is folded) or finds its
-    file gone and rotates to a fresh one (it survives the fold) — never in
-    between.  Returns files removed.
+    Yields False, without waiting, when another compactor holds the lock.
+    A lock older than :data:`_COMPACT_LOCK_STALE_SECONDS` is from a dead
+    compactor: it is broken — after a re-stat, so a lock refreshed since is
+    left alone — and the *next* caller takes it.
     """
-    base = warehouse_dir(directory)
-    if not base.is_dir():
-        return 0
     lock = base / ".compact.lock"
     try:
-        lock_fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
         try:
-            # Stat immediately before breaking so a lock refreshed since the
-            # caller's glob is left alone.
             if time.time() - lock.stat().st_mtime > _COMPACT_LOCK_STALE_SECONDS:
                 lock.unlink()
         except OSError:
             pass
-        return 0
+        fd = None
     except OSError:
-        return 0
-    locked: List[Tuple[Path, object]] = []
+        fd = None
+    if fd is None:
+        yield False
+        return
     try:
-        # Segments are immutable once renamed into place: read them plainly.
-        superseded: Set[str] = set()
-        parsed: List[Tuple[Path, List[WarehouseRow]]] = []
-        for path in sorted(base.glob(f"*{_SEGMENT_SUFFIX}")):
-            try:
-                with path.open("r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                rows = decode_rows(payload)
-                folded = [str(name) for name in payload.get("folded", [])]
-            except (OSError, ValueError, KeyError, TypeError, AttributeError):
-                continue
-            superseded.update(folded)
-            parsed.append((path, rows))
-        # Row files may have a live appender: take each file's flock before
-        # the final read, and hold it until the fold commits, so no row can
-        # land between this read and the unlink below.  Only files locked
-        # here are folded — one created after this glob keeps its rows.
-        for path in sorted(base.glob(f"*{_ROWS_SUFFIX}")):
-            try:
-                handle = path.open("r", encoding="utf-8")
-            except OSError:
-                continue
-            try:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            except OSError:
-                handle.close()
-                continue
-            locked.append((path, handle))
-            parsed.append((path, _parse_rows_text(handle.read())))
-        stale = [path for path, _ in parsed if path.name in superseded]
-        live = [(path, rows) for path, rows in parsed
-                if path.name not in superseded]
-        removed = 0
-        for path in stale:
-            # Leftovers from a compactor that died mid-fold; their rows
-            # already live in a compacted segment.
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        needs_fold = (len(live) > 1
-                      or any(path.name.endswith(_ROWS_SUFFIX)
-                             for path, _ in live))
-        if not live or not needs_fold:
-            return removed
-        merged = canonical_rows([row for _, rows in live for row in rows])
-        payload = {"pid": os.getpid(), "written_at": time.time(),
-                   "compacted": True,
-                   "folded": [path.name for path, _ in live]}
-        payload.update(encode_rows(merged))
-        target = _write_segment(base, payload,
-                                f"compacted-{uuid.uuid4().hex}{_SEGMENT_SUFFIX}")
-        if target is None:
-            # Roll back: the originals stay authoritative.
-            return removed
-        for path, _ in live:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        yield True
     finally:
-        for _, handle in locked:
-            try:
-                handle.close()
-            except OSError:
-                pass
-        os.close(lock_fd)
+        os.close(fd)
         try:
             lock.unlink()
         except OSError:
             pass
 
 
-def rebuild_warehouse(directory: Union[str, Path],
-                      schema_version: int) -> Tuple[int, int]:
-    """Regenerate the whole warehouse from the object store.
+def _fold_table(base: Path, table: Table,
+                fold: Callable[[Sequence[object]], List[object]],
+                force: bool = False) -> Tuple[int, int]:
+    """Replace every file of ``table`` by one segment of ``fold(records)``.
 
-    Decodes every current-schema result/SMT entry, writes one fresh segment
-    that lists **every** pre-existing warehouse file as folded, then unlinks
-    them — so a crash mid-rebuild leaves readers on the new segment, never
-    double-counting, and the next rebuild deletes the leftovers.  Returns
-    ``(rows written, files replaced)``.  Raises ``OSError`` when the segment
-    cannot be written: unlike appends, an explicitly requested rebuild must
-    fail loudly.
+    The caller holds the compaction lock.  Every log is ``flock``-ed before
+    its final read and held until the fold commits: an appender either lands
+    its record before that read (it is folded) or finds its file gone and
+    rotates to a fresh one (it survives the fold) — never in between.  Only
+    files read here are replaced; one created after the glob keeps its
+    records.  The segment lists every file it replaces as ``folded``, so
+    readers exclude leftovers of a compactor that dies before unlinking
+    them.  A failed segment write raises ``OSError`` and leaves the
+    originals authoritative.  Unless ``force``, a table already held in at
+    most one segment is left alone.  Returns ``(files removed, records
+    written)``.
     """
-    base = warehouse_dir(directory)
-    rows = scan_object_store(directory, schema_version)
-    existing = (sorted(base.glob(f"*{_SEGMENT_SUFFIX}"))
-                + sorted(base.glob(f"*{_ROWS_SUFFIX}"))) if base.is_dir() else []
-    payload = {"pid": os.getpid(), "written_at": time.time(),
-               "compacted": True, "rebuilt": True,
-               "folded": [path.name for path in existing]}
-    payload.update(encode_rows(rows))
-    target = _write_segment(base, payload,
-                            f"rebuilt-{uuid.uuid4().hex}{_SEGMENT_SUFFIX}")
-    if target is None:
-        raise OSError(f"could not write warehouse segment under {base}")
-    for path in existing:
-        try:
-            path.unlink()
-        except OSError:
-            pass
-    return len(rows), len(existing)
-
-
-def clear_warehouse(directory: Union[str, Path]) -> int:
-    """Delete every warehouse file (``repro cache clear``); returns count."""
-    base = warehouse_dir(directory)
-    removed = 0
-    if not base.is_dir():
-        return removed
-    for pattern in (f"*{_SEGMENT_SUFFIX}", f"*{_ROWS_SUFFIX}"):
-        for path in base.glob(pattern):
+    locked: List[IO[str]] = []
+    try:
+        live, stale = _sources(base, table, locked)
+        files = [path for path, _ in live] + stale
+        settled = len(files) <= 1 and not any(
+            path.name.endswith(table.log_suffix) for path in files)
+        if settled and not force:
+            return 0, 0
+        records = fold([record for _, batch in live for record in batch])
+        payload = table.encode(records)
+        payload.update({"pid": os.getpid(), "written_at": time.time(),
+                        "compacted": True,
+                        "folded": [path.name for path in files]})
+        _write_segment(base, payload,
+                       f"compacted-{uuid.uuid4().hex}{table.segment_suffix}")
+        removed = 0
+        for path in files:
             try:
                 path.unlink()
                 removed += 1
             except OSError:
                 pass
+        return removed, len(records)
+    finally:
+        for handle in locked:
+            handle.close()
+
+
+def compact_warehouse(directory: Union[str, Path]) -> int:
+    """Fold each table's live files into one segment per table.
+
+    Each process appends its own logs, so a long-lived shared directory
+    accumulates them; ``repro cache gc`` and ``repro warehouse compact``
+    call this to keep the file count at one per table.  Concurrent
+    compactors are serialised by one ``O_EXCL`` lock (the loser is a no-op),
+    and a table whose segment write fails keeps its originals.  Readers
+    racing a compaction of the counters table may transiently double- or
+    under-count — acceptable for advisory counters.  Returns files removed.
+    """
+    base = warehouse_dir(directory)
+    removed = 0
+    with _compaction_lock(base) as held:
+        if held:
+            for table in TABLES:
+                try:
+                    removed += _fold_table(base, table, table.fold)[0]
+                except OSError:
+                    pass  # rolled back: this table's originals stay live
+    return removed
+
+
+def rebuild_warehouse(directory: Union[str, Path],
+                      schema_version: int) -> Tuple[int, int]:
+    """Regenerate the rows table from the object store.
+
+    A compaction of the rows table whose fold discards the table's records
+    for :func:`scan_object_store`.  The scan runs under the compaction lock
+    and the log flocks, so a row appended meanwhile either reached its log
+    before the fold (its entry was committed first, so the scan sees it) or
+    rotates to a fresh log that survives.  Returns ``(rows written, files
+    replaced)``.  Raises ``OSError`` when another compactor holds the lock
+    or the segment cannot be written: unlike compaction, an explicitly
+    requested rebuild must fail loudly.
+    """
+    base = warehouse_dir(directory)
+    base.mkdir(parents=True, exist_ok=True)
+    with _compaction_lock(base) as held:
+        if not held:
+            raise OSError(f"another compaction of {base} is in progress")
+        replaced, rows = _fold_table(
+            base, ROWS_TABLE,
+            lambda _: scan_object_store(directory, schema_version),
+            force=True)
+    return rows, replaced
+
+
+def clear_warehouse(directory: Union[str, Path]) -> int:
+    """Delete every table's files (``repro cache clear``); returns count."""
+    base = warehouse_dir(directory)
+    removed = 0
+    for table in TABLES:
+        for suffix in (table.segment_suffix, table.log_suffix):
+            for path in base.glob(f"*{suffix}"):
+                try:
+                    path.unlink()
+                    removed += 1
+                except OSError:
+                    pass
     return removed
 
 
@@ -677,10 +739,10 @@ def clear_warehouse(directory: Union[str, Path]) -> int:
 
 
 def warehouse_stats(directory: Union[str, Path]) -> Dict[str, object]:
-    """Summary block for ``repro cache stats``: files, rows, kinds, configs.
+    """Summary of the rows table for ``repro cache stats``: files, rows, kinds.
 
     Tabular-only (zero object-store decodes); ``present`` is False when no
-    warehouse file exists, which is how the stats path knows to say so
+    rows-table file exists, which is how the stats path knows to say so
     instead of printing an empty table.
     """
     base = warehouse_dir(directory)
@@ -691,8 +753,8 @@ def warehouse_stats(directory: Union[str, Path]) -> Dict[str, object]:
     }
     if not summary["present"]:
         return summary
-    for pattern, field in ((f"*{_SEGMENT_SUFFIX}", "segments"),
-                           (f"*{_ROWS_SUFFIX}", "row_files")):
+    for pattern, field in ((f"*{ROWS_TABLE.segment_suffix}", "segments"),
+                           (f"*{ROWS_TABLE.log_suffix}", "row_files")):
         for path in base.glob(pattern):
             summary[field] += 1
             try:

@@ -261,76 +261,7 @@ def test_cache_gc_compacts_ledgers_losslessly(tmp_path, capsys):
     assert after["total"] == before["total"], "compaction must not change sums"
     assert after["by_cache"] == before["by_cache"]
     assert after["ledgers"] == len(after["by_cache"]), \
-        "ledger count must collapse to one file per cache class"
-
-
-def test_compaction_lock_serialises_concurrent_compactors(tmp_path):
-    """A second compactor racing the first is a no-op; stale locks get broken."""
-    import json as json_module
-    import os as os_module
-    import time
-    from repro.experiments.cache import (
-        _COMPACT_LOCK_STALE_SECONDS,
-        STATS_SUBDIR,
-        compact_persisted_stats,
-        persisted_cache_stats,
-    )
-
-    stats_dir = tmp_path / STATS_SUBDIR
-    stats_dir.mkdir(parents=True)
-    for index in range(3):
-        (stats_dir / f"run{index}.stats").write_text(json_module.dumps({
-            "cache": "ResultCache",
-            "counters": {"hits": 1, "misses": 0, "stores": 0, "evictions": 0}}))
-    before = persisted_cache_stats(tmp_path)
-
-    lock = stats_dir / ".compact.lock"
-    lock.write_text("")  # a live concurrent compactor holds the lock
-    assert compact_persisted_stats(tmp_path) == 0
-    assert persisted_cache_stats(tmp_path) == before, \
-        "losing the lock race must not touch the ledgers"
-
-    stale = time.time() - _COMPACT_LOCK_STALE_SECONDS - 60
-    os_module.utime(lock, (stale, stale))
-    assert compact_persisted_stats(tmp_path) == 0, \
-        "the call that breaks a stale lock does not compact itself"
-    assert not lock.exists()
-    assert compact_persisted_stats(tmp_path) == 3
-    after = persisted_cache_stats(tmp_path)
-    assert after["total"] == before["total"]
-    assert after["ledgers"] == 1
-
-
-def test_compaction_crash_leftovers_never_double_count(tmp_path):
-    """A compactor dying between writing its output and unlinking the folded
-    sources must not double-count: the compacted file's `folded` list makes
-    readers skip the leftovers, and the next compaction deletes them."""
-    import json as json_module
-    from repro.experiments.cache import (
-        STATS_SUBDIR,
-        compact_persisted_stats,
-        persisted_cache_stats,
-    )
-
-    stats_dir = tmp_path / STATS_SUBDIR
-    stats_dir.mkdir(parents=True)
-    for index in range(2):
-        (stats_dir / f"run{index}.stats").write_text(json_module.dumps({
-            "cache": "ResultCache",
-            "counters": {"hits": 2, "misses": 1, "stores": 1, "evictions": 0}}))
-    # Emulate the crash: the compacted output exists, the sources were never
-    # unlinked.
-    (stats_dir / "compacted-dead.stats").write_text(json_module.dumps({
-        "cache": "ResultCache",
-        "counters": {"hits": 4, "misses": 2, "stores": 2, "evictions": 0},
-        "compacted": True, "folded": ["run0.stats", "run1.stats"]}))
-    summary = persisted_cache_stats(tmp_path)
-    assert summary["total"]["hits"] == 4, "leftover sources must be excluded"
-    assert summary["ledgers"] == 1
-    assert compact_persisted_stats(tmp_path) == 2, \
-        "the next compaction must delete the superseded leftovers"
-    assert not (stats_dir / "run0.stats").exists()
-    assert persisted_cache_stats(tmp_path)["total"]["hits"] == 4
+        "ledger count must collapse to one record per cache class"
 
 
 def test_bench_rejects_non_positive_instruction_budget():
@@ -347,16 +278,18 @@ def test_sweep_families_all_with_typo_is_rejected(tmp_path):
 
 def test_persist_stats_flushes_deltas_exactly_once(tmp_path):
     cache = ResultCache(tmp_path)
-    assert cache.persist_stats() is None, "no counters -> no ledger file"
+    from repro.experiments.warehouse import COUNTERS_TABLE
+
+    assert cache.persist_stats() is None, "no counters -> no ledger record"
     cache.get("0" * 64)  # a miss
     first = cache.persist_stats()
-    assert first is not None and first.suffix == ".stats"
+    assert first is not None and first.name.endswith(COUNTERS_TABLE.log_suffix)
     assert cache.persist_stats() is None, "same counters -> nothing to flush"
     cache.get("1" * 64)
     assert cache.persist_stats() is not None
     from repro.experiments.cache import persisted_cache_stats
     assert persisted_cache_stats(tmp_path)["total"]["misses"] == 2
-    assert len(cache) == 0, "ledger files must be invisible to entry scans"
+    assert len(cache) == 0, "counter logs must be invisible to entry scans"
     cache.clear()
     assert persisted_cache_stats(tmp_path)["total"] == {
         "hits": 0, "misses": 0, "stores": 0, "evictions": 0}
@@ -367,10 +300,10 @@ def test_dedup_ledger_aggregates_and_survives_compaction(tmp_path):
     them across waves (and hosts) and compaction folds them losslessly."""
     from repro.experiments.cache import (
         DEDUP_LEDGER_CLASS,
-        compact_persisted_stats,
         persist_dedup_stats,
         persisted_cache_stats,
     )
+    from repro.experiments.warehouse import compact_warehouse
 
     assert persisted_cache_stats(tmp_path)["dedup"]["waves"] == 0
     persist_dedup_stats(tmp_path, {"planned": 10, "unique": 7,
@@ -383,7 +316,7 @@ def test_dedup_ledger_aggregates_and_survives_compaction(tmp_path):
     assert DEDUP_LEDGER_CLASS in summary["by_cache"]
     assert summary["by_cache"][DEDUP_LEDGER_CLASS]["stores"] == 0, \
         "dedup-only ledgers carry zero cache counters for old readers"
-    assert compact_persisted_stats(tmp_path) == 2
+    assert compact_warehouse(tmp_path) == 2
     after = persisted_cache_stats(tmp_path)
     assert after["dedup"] == summary["dedup"], \
         "compaction must not change the dedup sums (waves included)"

@@ -31,7 +31,6 @@ import pytest
 from repro.cli import EXIT_DEAD_LETTER, EXIT_INTERRUPT, main
 from repro.experiments.cache import (
     ResultCache,
-    compact_persisted_stats,
     persist_health_stats,
     persisted_cache_stats,
 )
@@ -56,6 +55,7 @@ from repro.experiments.reporting import (
     format_persisted_health,
 )
 from repro.experiments.runner import ExperimentRunner, SweepExecutionError
+from repro.experiments.warehouse import compact_warehouse
 
 #: Reduced sweep shared by the chaos tests: 2 workloads, short traces.
 SUITES = ("Client", "Server")
@@ -403,7 +403,7 @@ def test_health_ledger_aggregates_and_survives_compaction(tmp_path):
     assert summary["health"]["jobs"] == 6
     assert summary["health"]["attempts"] == 9
     assert summary["health"]["retries"] == 3
-    compact_persisted_stats(tmp_path)
+    compact_warehouse(tmp_path)
     assert persisted_cache_stats(tmp_path)["health"] == summary["health"]
 
 

@@ -18,15 +18,19 @@ losslessness.  Four layers of evidence here:
   run with ``SimulationResult.from_dict``/``SmtResult.from_dict`` patched to
   explode, proving the read path touches no object-store body (the
   acceptance criterion of the warehouse issue).
-* **Crash-safety**: torn JSONL tails are skipped, superseded compaction
-  leftovers never double-count, two concurrent writer+compactor threads
-  cannot corrupt the store, and ``repro warehouse verify`` flags a warehouse
-  that disagrees with the cache journal.
+* **Crash-safety**, parametrized over both tables of the shared protocol
+  (result rows and counters): torn JSONL tails are skipped, superseded
+  compaction leftovers never double-count, stale compaction locks never
+  wedge, two concurrent writer+compactor threads cannot corrupt either
+  table, a rebuild never loses a row committed while it runs, and ``repro
+  warehouse verify`` flags a warehouse that disagrees with the cache
+  journal.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import tempfile
 import threading
 
@@ -35,7 +39,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.experiments.cache import SCHEMA_VERSION, ResultCache
+from repro.experiments.cache import (SCHEMA_VERSION, ResultCache,
+                                     persisted_cache_stats)
 from repro.experiments.configs import baseline_config, constable_config
 from repro.experiments.faults import FAULT_PLAN_ENV
 from repro.experiments.parallel import (
@@ -45,16 +50,17 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.runner import ExperimentRunner, SweepExecutionError
 from repro.experiments.warehouse import (
-    WAREHOUSE_ENV,
+    COUNTERS_TABLE,
+    ROWS_TABLE,
     WAREHOUSE_SCHEMA_VERSION,
     WarehouseRow,
     WarehouseWriter,
     aggregate_rows,
-    canonical_rows,
     compact_warehouse,
     decode_rows,
     encode_rows,
     read_rows,
+    read_table,
     rebuild_warehouse,
     scan_object_store,
     speedup_summary,
@@ -74,12 +80,11 @@ INSTRUCTIONS = 1200
 
 @pytest.fixture(autouse=True)
 def _no_inherited_knobs(monkeypatch):
-    """Tests opt into chaos/engine/warehouse overrides explicitly."""
+    """Tests opt into chaos/engine overrides explicitly."""
     monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
     monkeypatch.delenv(MAX_RETRIES_ENV, raising=False)
     monkeypatch.delenv(JOB_TIMEOUT_ENV, raising=False)
     monkeypatch.delenv(CORE_ENGINE_ENV, raising=False)
-    monkeypatch.delenv(WAREHOUSE_ENV, raising=False)
 
 
 def _dump(rows):
@@ -118,6 +123,13 @@ def _synthetic_key(tag: str) -> str:
     return hashlib.sha256(tag.encode("utf-8")).hexdigest()
 
 
+def _row_dict():
+    return {"key": "ab" + "0" * 62, "kind": "result", "workload": "client_00",
+            "suite": "Client", "config": "baseline", "cycles": 100,
+            "instructions": 250, "ipc": 2.5, "coverage": 0.4, "power": 1.0,
+            "l1d_accesses": 7, "schema": SCHEMA_VERSION}
+
+
 # ------------------------------------------------------------ codec properties
 
 
@@ -134,6 +146,21 @@ _ROW = st.builds(
     l1d_accesses=st.integers(min_value=0, max_value=2**63 - 1),
     schema=st.integers(min_value=0, max_value=10**6),
 )
+_COUNTER = st.fixed_dictionaries({
+    "cache": st.sampled_from(["ResultCache", "ReportCache", "SweepSupervisor"]),
+    "counters": st.dictionaries(
+        st.sampled_from(["hits", "misses", "stores", "evictions"]),
+        st.integers(min_value=0, max_value=2**31)),
+})
+
+#: The crash-safety battery runs over every table of the shared protocol;
+#: each case is ``(table, record strategy, one sample record)``.
+_TABLE_CASES = {
+    "rows": (ROWS_TABLE, _ROW, WarehouseRow.from_dict(_row_dict())),
+    "counters": (COUNTERS_TABLE, _COUNTER,
+                 {"cache": "ResultCache", "counters": {"hits": 2, "misses": 1}}),
+}
+each_table = pytest.mark.parametrize("case", list(_TABLE_CASES))
 
 
 @settings(max_examples=50, deadline=None)
@@ -145,22 +172,25 @@ def test_codec_round_trip_is_exact(rows):
     assert decode_rows(payload) == rows
 
 
+@each_table
 @settings(max_examples=25, deadline=None)
-@given(rows=st.lists(_ROW, max_size=12))
-def test_append_compact_equivalence(rows):
-    """Whatever set of rows the writer appended, compaction never changes
-    what a reader sees (the canonical dedup/sort makes both sides stable)."""
+@given(data=st.data())
+def test_append_compact_equivalence(case, data):
+    """Whatever records the writer appended, compaction never changes what
+    the table's fold reads (canonical rows; per-class counter sums)."""
+    table, strategy, _ = _TABLE_CASES[case]
+    records = data.draw(st.lists(strategy, max_size=12))
     with tempfile.TemporaryDirectory() as tmp:
-        writer = WarehouseWriter(tmp)
-        for row in rows:
-            assert writer.append(row)
-        before = read_rows(tmp)
-        assert before == canonical_rows(rows)
+        writer = WarehouseWriter(tmp, table)
+        for record in records:
+            assert writer.append(record)
+        before = table.fold(read_table(tmp, table))
+        assert before == table.fold(records)
         compact_warehouse(tmp)
-        assert read_rows(tmp) == before
-        # Compacting a compacted warehouse is a no-op.
+        assert table.fold(read_table(tmp, table)) == before
+        # Compacting a compacted table is a no-op.
         assert compact_warehouse(tmp) == 0
-        assert read_rows(tmp) == before
+        assert table.fold(read_table(tmp, table)) == before
 
 
 def test_codec_rejects_malformed_segments():
@@ -178,13 +208,6 @@ def test_codec_rejects_malformed_segments():
     del missing["columns"]["cycles"]
     with pytest.raises(ValueError):
         decode_rows(missing)
-
-
-def _row_dict():
-    return {"key": "ab" + "0" * 62, "kind": "result", "workload": "client_00",
-            "suite": "Client", "config": "baseline", "cycles": 100,
-            "instructions": 250, "ipc": 2.5, "coverage": 0.4, "power": 1.0,
-            "l1d_accesses": 7, "schema": SCHEMA_VERSION}
 
 
 # --------------------------------------------------------- differential core
@@ -325,16 +348,15 @@ def test_query_reads_zero_object_store_decodes(tmp_path, monkeypatch, capsys):
 
 
 def test_query_falls_back_to_object_store_without_warehouse(tmp_path,
-                                                            monkeypatch,
                                                             capsys):
-    """A pre-warehouse cache (appends disabled) still answers queries via the
+    """A pre-warehouse cache (no rows table) still answers queries via the
     object-store fallback, and ``rebuild`` then migrates it losslessly."""
-    monkeypatch.setenv(WAREHOUSE_ENV, "0")
     _run_sweep(tmp_path)
+    for path in warehouse_dir(tmp_path).glob(f"*{ROWS_TABLE.log_suffix}"):
+        path.unlink()
     assert not warehouse_present(tmp_path)
     assert main(["query", "--cache-dir", str(tmp_path), "--json"]) == 0
     fallback = capsys.readouterr().out
-    monkeypatch.delenv(WAREHOUSE_ENV)
 
     rows, replaced = rebuild_warehouse(tmp_path, SCHEMA_VERSION)
     assert rows == 4 and replaced == 0
@@ -346,39 +368,38 @@ def test_query_falls_back_to_object_store_without_warehouse(tmp_path,
 # ----------------------------------------------------------- crash-safety
 
 
-def test_torn_tail_line_is_skipped(tmp_path):
-    writer = WarehouseWriter(tmp_path)
-    row = WarehouseRow.from_dict(_row_dict())
-    assert writer.append(row)
-    with writer._path.open("a", encoding="utf-8") as handle:
-        handle.write('{"key": "torn-mid-wri')  # crash mid-append
-    assert read_rows(tmp_path) == [row]
+@each_table
+def test_torn_tail_line_is_skipped(tmp_path, case):
+    table, _, record = _TABLE_CASES[case]
+    log = WarehouseWriter(tmp_path, table).append(record)
+    assert log is not None
+    with log.open("a", encoding="utf-8") as handle:
+        handle.write('{"torn": "mid-wri')  # crash mid-append
+    assert read_table(tmp_path, table) == [record]
 
 
-def test_superseded_leftovers_never_double_count(tmp_path):
+@each_table
+def test_superseded_leftovers_never_double_count(tmp_path, case):
     """A compactor that died after writing its segment but before unlinking
-    the sources leaves both on disk; readers must count each row once, and
-    the next compaction removes the leftovers."""
-    writer = WarehouseWriter(tmp_path)
-    row = WarehouseRow.from_dict(_row_dict())
-    assert writer.append(row)
-    source_name = writer._path.name
-    source_text = writer._path.read_text(encoding="utf-8")
+    the sources leaves both on disk; readers must count each record once,
+    and the next compaction removes the leftovers."""
+    table, _, record = _TABLE_CASES[case]
+    source = WarehouseWriter(tmp_path, table).append(record)
+    assert source is not None
+    source_text = source.read_text(encoding="utf-8")
     assert compact_warehouse(tmp_path) == 1
     # Resurrect the folded source, as if the unlink never happened.
-    (warehouse_dir(tmp_path) / source_name).write_text(source_text,
-                                                       encoding="utf-8")
-    assert read_rows(tmp_path) == [row]
-    summary = warehouse_stats(tmp_path)
-    assert summary["rows"] == 1
+    source.write_text(source_text, encoding="utf-8")
+    assert read_table(tmp_path, table) == [record]
     compact_warehouse(tmp_path)
-    assert not (warehouse_dir(tmp_path) / source_name).exists()
-    assert read_rows(tmp_path) == [row]
+    assert not source.exists()
+    assert read_table(tmp_path, table) == [record]
 
 
 def test_two_writer_compaction_stress(tmp_path):
-    """Two threads, each appending through its own cache and compacting
-    concurrently: no operation may raise, and every key must survive."""
+    """Two threads, each appending rows and counter flushes through its own
+    cache and compacting concurrently: no operation may raise, and every
+    key and every counted store must survive."""
     errors = []
     barrier = threading.Barrier(2)
 
@@ -389,8 +410,11 @@ def test_two_writer_compaction_stress(tmp_path):
             for index in range(40):
                 cache.put(_synthetic_key(f"{name}-{index}"),
                           _synthetic_result(config=name))
+                if index % 5 == 0:
+                    cache.persist_stats()
                 if index % 7 == 0:
                     compact_warehouse(tmp_path)
+            cache.persist_stats()
         except BaseException as error:  # pragma: no cover - failure path
             errors.append(error)
 
@@ -398,7 +422,8 @@ def test_two_writer_compaction_stress(tmp_path):
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
     assert not errors, errors
 
     compact_warehouse(tmp_path)
@@ -408,39 +433,67 @@ def test_two_writer_compaction_stress(tmp_path):
         _synthetic_key(f"{name}-{index}") for name in "AB"
         for index in range(40)}
     assert _dump(rows) == _dump(scan_object_store(tmp_path, SCHEMA_VERSION))
+    assert persisted_cache_stats(tmp_path)["total"]["stores"] == 80
 
 
-def test_stale_compaction_lock_does_not_wedge(tmp_path):
+def test_rebuild_keeps_rows_committed_while_it_runs(tmp_path, monkeypatch):
+    """A put whose append lands after rebuild's object-store scan keeps its
+    row: rebuild holds the compaction lock and every log's flock from before
+    the scan until after the unlink, so the blocked append then finds its
+    log folded and rotates to a fresh one."""
+    import repro.experiments.warehouse as warehouse
+
+    cache = ResultCache(tmp_path)
+    cache.put(_synthetic_key("before"), _synthetic_result())  # log now open
+    late = threading.Thread(target=cache.put, args=(
+        _synthetic_key("during"), _synthetic_result(config="constable")))
+    real_scan = warehouse.scan_object_store
+
+    def scan_then_put(directory, schema_version):
+        rows = real_scan(directory, schema_version)
+        late.start()
+        late.join(timeout=0.5)  # lands now, or waits on the log's flock
+        return rows
+
+    monkeypatch.setattr(warehouse, "scan_object_store", scan_then_put)
+    rebuild_warehouse(tmp_path, SCHEMA_VERSION)
+    late.join(timeout=30)
+    assert not late.is_alive()
+    report = verify_warehouse(tmp_path, SCHEMA_VERSION)
+    assert report["entries"] == 2
+    assert report["missing"] == []
+
+
+def test_rebuild_fails_loudly_while_another_compactor_runs(tmp_path, capsys):
+    """Rebuild takes the compaction lock; losing it is an error, never a
+    silent no-op, and the existing rows stay untouched."""
+    ResultCache(tmp_path).put(_synthetic_key("kept"), _synthetic_result())
+    before = read_rows(tmp_path)
+    (warehouse_dir(tmp_path) / ".compact.lock").touch()
+    assert main(["warehouse", "rebuild", "--cache-dir", str(tmp_path)]) == 1
+    assert "rebuild failed" in capsys.readouterr().err
+    assert read_rows(tmp_path) == before
+
+
+@each_table
+def test_stale_compaction_lock_does_not_wedge(tmp_path, case):
     """A lock from a dead compactor blocks one pass, is broken once stale,
     and the following pass proceeds."""
-    writer = WarehouseWriter(tmp_path)
-    writer.append(WarehouseRow.from_dict(_row_dict()))
-    base = warehouse_dir(tmp_path)
-    lock = base / ".compact.lock"
+    table, _, record = _TABLE_CASES[case]
+    assert WarehouseWriter(tmp_path, table).append(record)
+    lock = warehouse_dir(tmp_path) / ".compact.lock"
     lock.touch()
     assert compact_warehouse(tmp_path) == 0  # held: no fold
     assert lock.exists()
-    import os
     old = 10_000.0
     os.utime(lock, (old, old))
     assert compact_warehouse(tmp_path) == 0  # stale: broken, still no fold
     assert not lock.exists()
     assert compact_warehouse(tmp_path) == 1  # and now the fold happens
-    assert len(read_rows(tmp_path)) == 1
+    assert read_table(tmp_path, table) == [record]
 
 
 # ------------------------------------------------------ wiring and CLI layer
-
-
-def test_env_toggle_disables_appends_only(tmp_path, monkeypatch):
-    monkeypatch.setenv(WAREHOUSE_ENV, "off")
-    cache = ResultCache(tmp_path)
-    cache.put(_synthetic_key("quiet"), _synthetic_result())
-    assert not warehouse_present(tmp_path)
-    # Reads and rebuilds stay available with appends off.
-    assert scan_object_store(tmp_path, SCHEMA_VERSION)
-    rebuild_warehouse(tmp_path, SCHEMA_VERSION)
-    assert warehouse_present(tmp_path)
 
 
 def test_cache_clear_removes_warehouse(tmp_path):
