@@ -12,7 +12,7 @@ prose and after-the-fact differential tests:
   state.
 * **RL003** (:mod:`~repro.analysis.lint.schema`) — serialized ``to_dict``
   key sets must match the committed manifest unless
-  ``SCHEMA_VERSION``/``BENCH_SCHEMA_VERSION`` changed in the same tree.
+  ``SCHEMA_VERSION``/``WAREHOUSE_SCHEMA_VERSION`` changed in the same tree.
 * **RL004** (:mod:`~repro.analysis.lint.env_registry`) — every ``REPRO_*``
   variable read in code needs a ``docs/ENVIRONMENT.md`` row and vice versa.
 * **RL005** (:mod:`~repro.analysis.lint.engine_parity`) — event-engine

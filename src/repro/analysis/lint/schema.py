@@ -1,12 +1,12 @@
 """RL003 — serialized ``to_dict`` key sets must not drift without a schema bump.
 
-Every record persisted by the cache/bench layer round-trips through a
-``to_dict`` method, and the compatibility contract (``docs/ARCHITECTURE.md``)
-says any timing-affecting serialization change must bump
-``SCHEMA_VERSION`` (cache entries) or ``BENCH_SCHEMA_VERSION`` (bench
-reports) so stale entries read as misses instead of decoding wrongly.  The
-PR 7 stale-docstring episode showed prose contracts drift; this rule makes
-the contract mechanical:
+Every record persisted by the cache layer round-trips through a ``to_dict``
+method, and the compatibility contract (``docs/ARCHITECTURE.md``) says any
+timing-affecting serialization change must bump the version that guards it —
+``SCHEMA_VERSION`` (cache entries) or ``WAREHOUSE_SCHEMA_VERSION`` (warehouse
+rows), the constants named in :data:`VERSION_SOURCES` — so stale entries
+read as misses instead of decoding wrongly.  Prose contracts drift; this
+rule makes the contract mechanical:
 
 * The key set of every ``to_dict`` in :data:`SERIALIZED_MODULES` is
   extracted from the AST (string keys of returned dict literals, ``d["k"] =``
@@ -41,8 +41,8 @@ from repro.analysis.lint.engine import (
 #: Repo-relative path of the committed manifest.
 MANIFEST_REL = "src/repro/analysis/lint/schema_manifest.json"
 
-#: Modules whose ``to_dict`` payloads reach the on-disk cache or the bench
-#: reports — i.e. whose key sets the schema versions vouch for.  A
+#: Modules whose ``to_dict`` payloads reach the on-disk cache or its
+#: warehouse — i.e. whose key sets the schema versions vouch for.  A
 #: ``to_dict`` elsewhere (e.g. the lint report itself) is not persisted
 #: key material and is deliberately out of scope.
 SERIALIZED_MODULES = (
@@ -58,8 +58,6 @@ SERIALIZED_MODULES = (
 #: (module, module-level constant name).
 VERSION_SOURCES = {
     "schema_version": ("src/repro/experiments/cache.py", "SCHEMA_VERSION"),
-    "bench_schema_version": ("src/repro/experiments/bench.py",
-                             "BENCH_SCHEMA_VERSION"),
     "warehouse_schema_version": ("src/repro/experiments/warehouse.py",
                                  "WAREHOUSE_SCHEMA_VERSION"),
 }
@@ -152,6 +150,10 @@ def extract_manifest(ctx: LintContext) -> Dict[str, object]:
     return manifest
 
 
+#: The guarded constants as one phrase, e.g. ``SCHEMA_VERSION/WAREHOUSE_...``.
+_VERSION_NAMES = "/".join(constant for _, constant in VERSION_SOURCES.values())
+
+
 def _class_line(ctx: LintContext, class_key: str) -> Tuple[str, int]:
     """``(path, line)`` anchoring a manifest class key to its definition."""
     rel, _, class_name = class_key.partition("::")
@@ -177,21 +179,18 @@ def compare_manifest(ctx: LintContext, current: Dict[str, object],
         return [Finding(rule_id, MANIFEST_REL, 1,
                         "schema manifest missing or unreadable; run "
                         "`repro lint --refresh-manifest` and commit the result")]
-    versions_bumped = any(
-        current.get(field) != committed.get(field) for field in VERSION_SOURCES)
+    bumped = [f"{constant} {committed.get(field)} -> {current.get(field)}"
+              for field, (_, constant) in VERSION_SOURCES.items()
+              if current.get(field) != committed.get(field)]
     current_keys: Dict[str, List[str]] = dict(current.get("to_dict_keys", {}))
     committed_keys: Dict[str, List[str]] = dict(committed.get("to_dict_keys", {}))
-    if versions_bumped:
+    if bumped:
         # The bump unlocks any drift, but the manifest must be regenerated in
         # the same tree so the next drift is judged against *these* versions.
         return [Finding(
             rule_id, MANIFEST_REL, 1,
-            f"schema version changed "
-            f"({committed.get('schema_version')}/"
-            f"{committed.get('bench_schema_version')} -> "
-            f"{current.get('schema_version')}/"
-            f"{current.get('bench_schema_version')}) but the manifest still "
-            f"records the old one; run `repro lint --refresh-manifest`")]
+            f"schema version changed ({', '.join(bumped)}) but the manifest "
+            f"still records the old one; run `repro lint --refresh-manifest`")]
     findings: List[Finding] = []
     for class_key in sorted(set(current_keys) | set(committed_keys)):
         now = current_keys.get(class_key)
@@ -215,7 +214,7 @@ def compare_manifest(ctx: LintContext, current: Dict[str, object],
         findings.append(Finding(
             rule_id, path, line,
             f"{class_key.partition('::')[2]}: {detail} without a "
-            f"SCHEMA_VERSION/BENCH_SCHEMA_VERSION bump; bump the version "
+            f"{_VERSION_NAMES} bump; bump the version "
             f"(stale entries must read as misses) and run "
             f"`repro lint --refresh-manifest`"))
     return findings
@@ -256,7 +255,7 @@ class SchemaManifestRule(Rule):
 
     id = "RL003"
     title = ("to_dict key sets must match the committed schema manifest "
-             "unless SCHEMA_VERSION/BENCH_SCHEMA_VERSION changed")
+             f"unless {_VERSION_NAMES} changed")
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
         """Compare the tree's extracted manifest against the committed one."""

@@ -43,11 +43,12 @@ Subcommands:
   select rules, ``--refresh-manifest`` to regenerate the committed
   ``schema_manifest.json`` after a deliberate schema bump.  Exits 1 on any
   finding.
-* ``repro bench`` — wall-clock performance harness for the simulator core:
-  measures every figure family with the per-cycle reference stepper and the
-  event-driven cycle-skipping engine, verifies the two are bit-identical, and
-  writes a ``BENCH_<timestamp>.json`` report (``--quick`` for the reduced CI
-  budgets).  Exits non-zero if the engines diverge.
+* ``repro bench`` — the engine check: runs four figure families under the
+  per-cycle reference stepper and the event-driven cycle-skipping engine,
+  verifies the two are bit-identical (exit 1 otherwise) and prints per-family
+  speedups and skipped-cycle fractions (``--quick`` for the reduced CI
+  budgets, ``--output`` to also write the JSON payload).  How fast the
+  simulator runs end to end is measured by ``perfbench/``, not here.
 
 Every subcommand resolves its cache directory from ``--cache-dir``, then the
 ``REPRO_CACHE_DIR`` environment variable, then ``.repro-cache``.  ``sweep``
@@ -65,20 +66,14 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.bench import (
     BENCH_FAMILIES,
-    BENCH_REPORTS_DIR,
-    BENCH_REPS_ENV,
     DEFAULT_BENCH_REPS,
-    ORCHESTRATOR_BENCH_FIGURES,
-    format_bench_history,
     format_bench_table,
-    load_bench_history,
     run_bench,
-    run_orchestrator_bench,
-    write_bench_report,
 )
 from repro.experiments.cache import (
     CACHE_DIR_ENV,
@@ -359,11 +354,6 @@ def _query_rows(args: argparse.Namespace):
     caches written before the warehouse existed.
     """
     directory = _resolve_cache_dir(args.cache_dir)
-    if args.engine is not None and args.engine not in CORE_ENGINES:
-        raise SystemExit(f"unknown engine {args.engine!r}; available: "
-                         f"{list(CORE_ENGINES)} (note: engines are verified "
-                         "bit-identical, so this filter never changes which "
-                         "rows are selected)")
     configs = None
     if args.family:
         configs = set(_sweep_families(args.family))
@@ -633,58 +623,28 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_bench_history(args: argparse.Namespace) -> int:
-    entries = load_bench_history(directory=args.dir)
-    if args.json:
-        print(json.dumps(entries, indent=2, sort_keys=True))
-        return 0
-    if not entries:
-        # An empty trajectory is a normal state (fresh clone, wiped
-        # bench_reports/), not an error: say so plainly and exit 0 so
-        # scripted `repro bench history` probes don't trip on it.
-        print(f"no bench reports accumulated yet under {args.dir}; run "
-              f"`repro bench --quick` to record the first one")
-        return 0
-    print(format_bench_history(entries))
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if getattr(args, "bench_command", None) == "history":
-        return _cmd_bench_history(args)
     engines = [name.strip() for name in args.engines.split(",") if name.strip()]
     families = None
     if args.families:
         families = [name.strip() for name in args.families.split(",")
                     if name.strip()]
-    if args.workers is not None and not args.orchestrator:
-        print("--workers only applies to the orchestrator measurement; "
-              "pass --orchestrator too (engine timings are serial by design)",
-              file=sys.stderr)
-        return 2
     try:
         payload = run_bench(quick=args.quick, engines=engines, families=families,
-                            instructions=args.instructions, reps=args.reps,
-                            discard_warmup=not args.keep_warmup)
-        if args.orchestrator:
-            payload["orchestrator"] = run_orchestrator_bench(
-                quick=args.quick, workers=args.workers,
-                instructions=args.instructions, reps=args.reps,
-                discard_warmup=not args.keep_warmup)
+                            instructions=args.instructions, reps=args.reps)
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
     print(format_bench_table(payload))
-    path = write_bench_report(payload, output=args.output)
-    print(f"wrote {path}")
+    if args.output is not None:
+        path = Path(args.output)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8")
+        print(f"wrote {path}")
     if not payload["identical"]:
         print("ENGINE DIVERGENCE: at least one workload/config simulated "
               "differently under the cycle and event engines", file=sys.stderr)
-        return 1
-    orchestrator = payload.get("orchestrator")
-    if orchestrator is not None and not orchestrator["identical"]:
-        print("ORCHESTRATOR DIVERGENCE: figure payloads from one shared wave "
-              "differ from one wave per figure", file=sys.stderr)
         return 1
     return 0
 
@@ -734,10 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="restrict to one config label")
     query.add_argument("--workload", default=None,
                        help="restrict to one workload name")
-    query.add_argument("--engine", default=None,
-                       help="validated for symmetry with sweep filters; rows "
-                            "are engine-independent (engines are verified "
-                            "bit-identical), so this never changes selection")
     query.add_argument("--metric", choices=list(QUERY_METRICS), default=None,
                        help="aggregate this column instead of the overview")
     query.add_argument("--agg", choices=sorted(QUERY_AGGREGATES),
@@ -824,25 +780,14 @@ def build_parser() -> argparse.ArgumentParser:
                            "(required after a deliberate schema bump)")
 
     bench = commands.add_parser(
-        "bench", help="measure simulator wall-clock performance per figure "
-                      "family and write a BENCH_<timestamp>.json report")
-    bench_commands = bench.add_subparsers(dest="bench_command")
-    history = bench_commands.add_parser(
-        "history", help="render the perf trajectory across every accumulated "
-                        "BENCH_*.json report")
-    history.add_argument("--dir", default=BENCH_REPORTS_DIR,
-                         help=f"report directory (default: {BENCH_REPORTS_DIR})")
-    history.add_argument("--json", action="store_true",
-                         help="machine-readable output")
+        "bench", help="run every bench family under both engines, check they "
+                      "are bit-identical and report the event-engine speedup")
     bench.add_argument("--quick", action="store_true",
                        help="reduced instruction budgets (CI perf-smoke mode)")
-    bench.add_argument("--reps", type=int, default=None,
-                       help="repetitions per measurement; median-of-N walls "
-                            f"(default: ${BENCH_REPS_ENV} or "
-                            f"{DEFAULT_BENCH_REPS})")
-    bench.add_argument("--keep-warmup", action="store_true",
-                       help="include the first (warm-up) repetition in the "
-                            "statistics instead of discarding it")
+    bench.add_argument("--reps", type=int, default=DEFAULT_BENCH_REPS,
+                       help="repetitions per measurement; the first is a "
+                            "warm-up when there are several "
+                            f"(default: {DEFAULT_BENCH_REPS})")
     bench.add_argument("--families", default=None,
                        help="comma-separated family subset "
                             f"(default: all of {', '.join(BENCH_FAMILIES)})")
@@ -851,16 +796,9 @@ def build_parser() -> argparse.ArgumentParser:
                             f"(available: {', '.join(CORE_ENGINES)})")
     bench.add_argument("--instructions", type=int, default=None,
                        help="override the per-family instruction budgets")
-    bench.add_argument("--orchestrator", action="store_true",
-                       help="also measure one wave over every figure against "
-                            "one wave per figure (figures: "
-                            f"{', '.join(ORCHESTRATOR_BENCH_FIGURES)})")
-    bench.add_argument("--workers", type=int, default=None,
-                       help="worker processes for the orchestrator measurement "
-                            "(default: the parallel runner's default)")
     bench.add_argument("--output", default=None,
-                       help="report path (default: BENCH_<timestamp>.json in "
-                            "bench_reports/)")
+                       help="also write the JSON payload to this path "
+                            "(default: no file)")
     return parser
 
 

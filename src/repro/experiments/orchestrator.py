@@ -43,8 +43,7 @@ observationally identical to simulating the same inputs once per name.
 The :class:`DedupStats` record (``planned`` figure demand, ``unique`` after
 dedup, ``cache_warm`` served from disk, ``executed`` actually simulated) is
 printed by ``repro figures``/``repro sweep``, which also stream it into the
-cache directory's counters table, and recorded by ``repro bench
---orchestrator`` reports.
+cache directory's counters table.
 """
 
 from __future__ import annotations
@@ -112,7 +111,7 @@ class DedupStats:
         return self.planned - self.unique
 
     def to_dict(self) -> Dict[str, object]:
-        """A JSON-serializable form (embedded in bench reports)."""
+        """A JSON-serializable form (streamed into the counters table)."""
         return {
             "figures": list(self.figures),
             "planned": self.planned,

@@ -43,20 +43,14 @@ def format_mapping(mapping: Mapping[str, object], title: str = "") -> str:
 
 
 def format_dedup_stats(stats, title: str = "orchestrated wave") -> str:
-    """Render a :class:`~repro.experiments.orchestrator.DedupStats` record.
-
-    Accepts the dataclass itself or its ``to_dict()`` form, so bench reports
-    loaded back from JSON render identically to live runs.
-    """
-    payload = stats.to_dict() if hasattr(stats, "to_dict") else dict(stats)
+    """Render a :class:`~repro.experiments.orchestrator.DedupStats` record."""
     rows = [
-        ("figures", len(payload.get("figures", []))),
-        ("jobs planned", payload["planned"]),
-        ("unique after dedup", payload["unique"]),
-        ("shared across figures",
-         payload.get("deduped", payload["planned"] - payload["unique"])),
-        ("cache-warm", payload["cache_warm"]),
-        ("executed", payload["executed"]),
+        ("figures", len(stats.figures)),
+        ("jobs planned", stats.planned),
+        ("unique after dedup", stats.unique),
+        ("shared across figures", stats.deduped),
+        ("cache-warm", stats.cache_warm),
+        ("executed", stats.executed),
     ]
     return format_table(["metric", "count"], rows, title=title)
 
@@ -88,21 +82,15 @@ def format_persisted_dedup(dedup: Mapping[str, int],
 
 
 def format_health_report(health, title: str = "sweep health") -> str:
-    """Render a :class:`~repro.experiments.runner.SweepHealthReport`.
-
-    Accepts the dataclass itself or its ``to_dict()`` form, so bench reports
-    loaded back from JSON render identically to live runs.
-    """
-    payload = health.to_dict() if hasattr(health, "to_dict") else dict(health)
+    """Render a :class:`~repro.experiments.runner.SweepHealthReport`."""
     rows = [
-        ("jobs supervised", payload.get("jobs", 0)),
-        ("attempts", payload.get("attempts", 0)),
-        ("retries", payload.get("retries", 0)),
-        ("timeouts", payload.get("timeouts", 0)),
-        ("pool rebuilds", payload.get("pool_rebuilds", 0)),
-        ("degraded (in-process)", payload.get("degraded", 0)),
-        ("dead-lettered", payload.get("dead_lettered",
-                                      len(payload.get("dead_letters", [])))),
+        ("jobs supervised", health.jobs),
+        ("attempts", health.attempts),
+        ("retries", health.retries),
+        ("timeouts", health.timeouts),
+        ("pool rebuilds", health.pool_rebuilds),
+        ("degraded (in-process)", health.degraded),
+        ("dead-lettered", health.dead_lettered),
     ]
     return format_table(["metric", "count"], rows, title=title)
 
@@ -114,19 +102,18 @@ def _last_line(text: str) -> str:
 
 def format_dead_letters(dead_letters: Sequence[object],
                         title: str = "dead-lettered jobs") -> str:
-    """Render dead letters (dataclasses or their ``to_dict()`` forms), one per line.
+    """Render :class:`~repro.experiments.runner.DeadLetter` records, one per line.
 
     Full tracebacks are deliberately reduced to their last line here — the
-    complete text stays on the :class:`~repro.experiments.runner.DeadLetter`
-    records (and in ``--json`` bench/health payloads) for forensics; the
-    human summary needs *which* job died of *what*, not forty frames each.
+    complete text stays on the records (and in the health report's
+    ``to_dict()`` form) for forensics; the human summary needs *which* job
+    died of *what*, not forty frames each.
     """
     lines: List[str] = [title] if title else []
     for letter in dead_letters:
-        payload = letter.to_dict() if hasattr(letter, "to_dict") else dict(letter)
-        line = (f"  {payload['label']} (attempts {payload.get('attempts', '?')}): "
-                f"{_last_line(payload.get('error', '')) or 'unknown error'}")
-        fallback = _last_line(payload.get("fallback_error", ""))
+        line = (f"  {letter.label} (attempts {letter.attempts}): "
+                f"{_last_line(letter.error) or 'unknown error'}")
+        fallback = _last_line(letter.fallback_error)
         if fallback:
             line += f"; in-process fallback: {fallback}"
         lines.append(line)

@@ -236,7 +236,7 @@ class SweepHealthReport:
                 "dead_lettered": self.dead_lettered}
 
     def to_dict(self) -> Dict[str, object]:
-        """A JSON-serializable form (embedded in bench reports)."""
+        """A JSON-serializable form: the counters plus every dead letter."""
         payload: Dict[str, object] = dict(self.counters())
         payload["dead_letters"] = [letter.to_dict()
                                    for letter in self.dead_letters]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
 
 import pytest
 
@@ -369,6 +368,16 @@ def test_sweep_rejects_unknown_family(tmp_path):
 
 # ----------------------------------------------------------------------- bench
 
+def test_bench_cli_writes_no_report_without_output(tmp_path, monkeypatch,
+                                                    capsys):
+    # Without --output the payload is only printed: no file appears.
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", "--quick", "--families", "sensitivity", "--reps", "1",
+                 "--instructions", "200"]) == 0
+    assert "wrote" not in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_cli_writes_report(tmp_path, capsys):
     output = tmp_path / "bench.json"
     assert main(["bench", "--quick", "--families", "sensitivity", "--reps", "2",
@@ -376,8 +385,6 @@ def test_bench_cli_writes_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "repro bench" in out and str(output) in out
     payload = json.loads(output.read_text(encoding="utf-8"))
-    from repro.experiments.bench import BENCH_SCHEMA_VERSION
-    assert payload["schema"] == BENCH_SCHEMA_VERSION
     assert payload["identical"] is True
     assert payload["engines"] == ["cycle", "event"]
     assert payload["reps"] == 2 and payload["warmup_discarded"] is True
@@ -390,7 +397,6 @@ def test_bench_cli_writes_report(tmp_path, capsys):
         # Warm-up discarded: the summary is the median of the single
         # remaining sample.
         assert engine["wall_seconds"] == engine["wall_samples"][1]
-    assert "orchestrator" not in payload, "only --orchestrator adds the section"
 
 
 def test_bench_reps_distribution_statistics():
@@ -417,28 +423,6 @@ def test_bench_reps_distribution_statistics():
             "family totals must be per-repetition sums, not sums of medians"
 
 
-def test_bench_reps_env_and_keep_warmup(monkeypatch):
-    from repro.experiments.bench import resolve_bench_reps, run_bench
-
-    monkeypatch.setenv("REPRO_BENCH_REPS", "2")
-    assert resolve_bench_reps() == 2
-    payload = run_bench(quick=True, families=["sensitivity"],
-                        instructions=200, discard_warmup=False)
-    assert payload["reps"] == 2
-    assert payload["warmup_discarded"] is False
-    engine = payload["families"]["sensitivity"]["jobs"][0]["engines"]["event"]
-    from repro.analysis.stats_utils import median
-    assert engine["wall_seconds"] == pytest.approx(median(engine["wall_samples"]))
-    monkeypatch.setenv("REPRO_BENCH_REPS", "zero")
-    with pytest.warns(RuntimeWarning, match="REPRO_BENCH_REPS"):
-        assert resolve_bench_reps() == 3
-    monkeypatch.setenv("REPRO_BENCH_REPS", "-1")
-    with pytest.warns(RuntimeWarning):
-        assert resolve_bench_reps() == 3
-    with pytest.raises(ValueError):
-        resolve_bench_reps(0)
-
-
 def test_bench_cli_rejects_unknown_family_and_engine(tmp_path, capsys):
     assert main(["bench", "--families", "nope",
                  "--output", str(tmp_path / "b.json")]) == 2
@@ -446,253 +430,12 @@ def test_bench_cli_rejects_unknown_family_and_engine(tmp_path, capsys):
     assert main(["bench", "--engines", "warp",
                  "--output", str(tmp_path / "b.json")]) == 2
     assert "engine" in capsys.readouterr().err
-
-
-def test_bench_cli_rejects_workers_without_orchestrator(tmp_path, capsys):
-    assert main(["bench", "--workers", "4",
+    # A repeated engine would time every job twice per repetition.
+    assert main(["bench", "--engines", "event,event", "--families",
+                 "sensitivity", "--instructions", "200",
                  "--output", str(tmp_path / "b.json")]) == 2
-    assert "--orchestrator" in capsys.readouterr().err
-
-
-def test_bench_reports_default_into_bench_reports_dir(tmp_path, monkeypatch):
-    from repro.experiments.bench import BENCH_REPORTS_DIR, write_bench_report
-
-    monkeypatch.chdir(tmp_path)
-    path = write_bench_report({"schema": 2})
-    assert path.parent.name == BENCH_REPORTS_DIR
-    assert path.name.startswith("BENCH_") and path.suffix == ".json"
-
-
-def test_bench_report_discovery_skips_loosely_named_files(tmp_path):
-    """A stray ``BENCH_notes.json`` (which the old glob matched and — sorting
-    after any timestamp — would have been picked as 'latest') is ignored."""
-    from repro.experiments.bench import latest_bench_report, load_bench_history
-
-    new_dir = tmp_path / "bench_reports"
-    new_dir.mkdir()
-    (new_dir / "BENCH_notes.json").write_text("not json at all {",
-                                              encoding="utf-8")
-    (new_dir / "BENCH_20260101T000000.json").write_text('{}', encoding="utf-8")
-    assert latest_bench_report(new_dir) is None, \
-        "no strictly named report -> no report (never a scratch file)"
-    real = new_dir / "BENCH_20260101T000000Z.json"
-    real.write_text('{"schema": 3}', encoding="utf-8")
-    path, _ = latest_bench_report(new_dir)
-    assert path == real
-    history = load_bench_history(new_dir)
-    assert [entry["name"] for entry in history] == [real.name]
-
-
-def _history_report(schema: int, wall: float, **extra) -> str:
-    payload = {"schema": schema, "quick": True,
-               "families": {"speedup": {
-                   "totals": {"event": {"wall_seconds": wall}}}},
-               "speedup_geomean": 1.5}
-    payload.update(extra)
-    return json.dumps(payload)
-
-
-def test_bench_history_renders_trajectory_across_schemas(tmp_path):
-    from repro.experiments.bench import format_bench_history, load_bench_history
-
-    new_dir = tmp_path / "bench_reports"
-    new_dir.mkdir()
-    # Three report generations: schemas 1, 2 and 3.
-    (new_dir / "BENCH_20250101T000000Z.json").write_text(
-        _history_report(1, 3.0), encoding="utf-8")
-    (new_dir / "BENCH_20260101T000000Z.json").write_text(
-        _history_report(2, 2.0, orchestrator={"speedup": 1.25}),
-        encoding="utf-8")
-    (new_dir / "BENCH_20260601T000000Z.json").write_text(
-        _history_report(3, 1.0, reps=3), encoding="utf-8")
-    # A malformed strictly-named report is skipped with a warning, not fatal.
-    (new_dir / "BENCH_20260701T000000Z.json").write_text("{broken",
-                                                        encoding="utf-8")
-    with pytest.warns(UserWarning, match="skipping unreadable"):
-        entries = load_bench_history(new_dir)
-    assert [entry["schema"] for entry in entries] == [1, 2, 3]
-    assert entries[0]["name"] < entries[1]["name"] < entries[2]["name"]
-    assert [entry["family_walls"]["speedup"] for entry in entries] \
-        == [3.0, 2.0, 1.0]
-    assert entries[2]["reps"] == 3 and entries[0]["reps"] == 1
-    table = format_bench_history(entries)
-    assert "bench trajectory (3 reports)" in table
-    assert "speedup wall" in table and "3.00s" in table and "1.00s" in table
-    assert "1.25x" in table, "the schema-2 orchestrator speedup renders"
-
-
-def test_bench_history_cli(tmp_path, capsys):
-    new_dir = tmp_path / "bench_reports"
-    new_dir.mkdir()
-    # An empty (or entirely missing) report directory is a normal fresh-clone
-    # state: the command says so on stdout and exits 0 so scripts can probe.
-    empty = main(["bench", "history", "--dir", str(new_dir)])
-    captured = capsys.readouterr()
-    assert empty == 0 and "no bench reports accumulated yet" in captured.out
-    assert captured.err == ""
-    missing = main(["bench", "history", "--dir", str(tmp_path / "nowhere")])
-    captured = capsys.readouterr()
-    assert missing == 0 and "no bench reports accumulated yet" in captured.out
-    for stamp, wall in (("20260101T000000Z", 2.0), ("20260201T000000Z", 1.0)):
-        (new_dir / f"BENCH_{stamp}.json").write_text(
-            _history_report(3, wall), encoding="utf-8")
-    assert main(["bench", "history", "--dir", str(new_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "bench trajectory (2 reports)" in out
-    assert main(["bench", "history", "--json", "--dir", str(new_dir)]) == 0
-    entries = json.loads(capsys.readouterr().out)
-    assert len(entries) == 2
-    assert entries[1]["family_walls"]["speedup"] == 1.0
-
-
-def test_latest_bench_report_handles_missing_directories(tmp_path):
-    """A clone with no bench_reports/ at all (or one that was wiped) yields
-    None — the documented nothing-to-compare signal — rather than raising."""
-    from repro.experiments.bench import latest_bench_report, load_bench_history
-
-    nowhere = tmp_path / "does-not-exist"
-    assert latest_bench_report(nowhere) is None
-    assert load_bench_history(nowhere) == []
-
-
-def _gate_payload(quick: bool, wall: float, mad: float = 0.0) -> dict:
-    return {"quick": quick, "families": {
-        "speedup": {"totals": {"event": {"wall_seconds": wall,
-                                         "wall_mad": mad}}}}}
-
-
-def test_perf_gate_flags_only_regressions_past_threshold():
-    from repro.experiments.bench import perf_gate
-
-    reference = _gate_payload(True, 10.0)
-    ok = perf_gate(_gate_payload(True, 14.9), reference)
-    assert ok.ok and not ok.vacuous and ok.problems == []
-    assert ok.compared == ["speedup", "aggregate"]
-    assert "perf gate OK" in ok.describe()
-    result = perf_gate(_gate_payload(True, 15.1), reference)
-    # Both the family and the aggregate (same numbers here) trip.
-    assert not result.ok and not result.vacuous
-    assert len(result.problems) == 2 and "speedup/event" in result.problems[0]
-    assert "aggregate/event" in result.problems[1]
-    assert result.describe().count("PERF REGRESSION") == 2
-    with pytest.raises(ValueError):
-        perf_gate(_gate_payload(True, 1.0), reference, threshold=1.0)
-    with pytest.raises(ValueError):
-        perf_gate(_gate_payload(True, 1.0), reference, mad_multiplier=-1.0)
-
-
-def test_perf_gate_noise_margin_absorbs_spread_within_reference_mad():
-    """A rerun within the reference's own measured spread never flags, even
-    past the relative threshold; a genuine 2x median slowdown still does."""
-    from repro.experiments.bench import perf_gate
-
-    # Reference: 1.0s median with a wide 0.3s MAD (a noisy shared box).
-    reference = _gate_payload(True, 1.0, mad=0.3)
-    # 1.8s is >1.5x but inside the +3*MAD (= +0.9s) margin: not a regression.
-    within_noise = perf_gate(_gate_payload(True, 1.8), reference)
-    assert within_noise.ok and within_noise.problems == []
-    # 2.0s clears both bars: flagged.
-    slowdown = perf_gate(_gate_payload(True, 2.0), reference)
-    assert slowdown.problems and "speedup/event" in slowdown.problems[0]
-    # A tight reference (MAD 0) degenerates to the old threshold-only check.
-    tight = _gate_payload(True, 1.0)
-    assert perf_gate(_gate_payload(True, 1.8), tight).problems
-
-
-def test_perf_gate_vacuous_comparisons_carry_an_explicit_reason():
-    from repro.experiments.bench import perf_gate
-
-    reference = _gate_payload(True, 10.0)
-    # Cross-budget: vacuous, never ok, reason names the mismatch.
-    budget = perf_gate(_gate_payload(False, 99.0), reference)
-    assert budget.vacuous and not budget.ok and budget.problems == []
-    assert "budget mismatch" in budget.vacuous_reason
-    assert "VACUOUS" in budget.describe()
-    # Disjoint family sets: vacuous with the no-shared-family reason.
-    disjoint = perf_gate({"quick": True, "families": {"other": {}}}, reference)
-    assert disjoint.vacuous and "no comparable family" in disjoint.vacuous_reason
-
-
-def test_perf_gate_ignores_sub_floor_walls_but_gates_the_aggregate():
-    from repro.experiments.bench import perf_gate
-
-    # Individually tiny families are timer noise: no per-family verdicts even
-    # at a 10x blowup, and the 0.2s aggregate stays under the 0.5s floor —
-    # but that is a VACUOUS verdict (nothing compared), not a green one.
-    reference = {"quick": True, "families": {
-        f: {"totals": {"event": {"wall_seconds": 0.1}}} for f in ("a", "b")}}
-    noisy = {"quick": True, "families": {
-        f: {"totals": {"event": {"wall_seconds": 1.0}}} for f in ("a", "b")}}
-    sub_floor = perf_gate(noisy, reference)
-    assert sub_floor.vacuous and "noise floor" in sub_floor.vacuous_reason
-    # Enough tiny families to clear the aggregate floor: a broad slowdown
-    # spread thinly across them is still caught (aggregate only).
-    reference["families"].update(
-        {f: {"totals": {"event": {"wall_seconds": 0.1}}}
-         for f in ("c", "d", "e")})
-    noisy["families"].update(
-        {f: {"totals": {"event": {"wall_seconds": 1.0}}}
-         for f in ("c", "d", "e")})
-    result = perf_gate(noisy, reference)
-    assert result.compared == ["aggregate"]
-    assert len(result.problems) == 1 and "aggregate/event" in result.problems[0]
-
-
-def test_perf_gate_accepts_committed_schema1_and_schema2_reports():
-    """The committed legacy reports stay usable as gate references: their
-    single-shot ``wall_seconds`` reads as a median with zero spread."""
-    from repro.experiments.bench import perf_gate
-
-    reports_dir = Path(__file__).resolve().parent.parent / "bench_reports"
-    for name in ("BENCH_20260728T122855Z.json", "BENCH_20260728T130454Z.json"):
-        reference = json.loads(
-            (reports_dir / name).read_text(encoding="utf-8"))
-        assert reference["schema"] in (1, 2)
-        same = perf_gate(reference, reference)
-        assert same.ok, same.describe()
-        slowed = json.loads(json.dumps(reference))
-        for family in slowed["families"].values():
-            for engine in family["totals"].values():
-                engine["wall_seconds"] *= 2.5
-        assert perf_gate(slowed, reference).problems
-
-
-def test_perf_gate_min_noise_floor_protects_degenerate_references():
-    """Regression: references with no recorded spread used to get a +0 noise
-    margin.  Schema-1/2 reports never recorded ``wall_mad`` and a schema-3
-    report taken with ``--reps 1`` records MAD exactly 0.0; in both cases the
-    margin bar collapsed into the relative bar, so a *tight* threshold let
-    pure timer jitter flag a regression.  The ``min_noise_fraction`` floor
-    (5% of the reference median) must absorb sub-5% deltas no matter how the
-    reference was taken — verified against the actual committed legacy
-    reports, not just synthetic payloads."""
-    from repro.experiments.bench import perf_gate
-
-    # Synthetic zero-MAD reference at a deliberately tight threshold.
-    reference = _gate_payload(True, 1.0, mad=0.0)
-    jitter = perf_gate(_gate_payload(True, 1.04), reference, threshold=1.02)
-    assert jitter.ok, jitter.describe()
-    real = perf_gate(_gate_payload(True, 1.10), reference, threshold=1.02)
-    assert real.problems
-    # The floor is relative, so it scales with the reference wall.
-    big = _gate_payload(True, 100.0, mad=0.0)
-    assert perf_gate(_gate_payload(True, 104.0), big, threshold=1.02).ok
-    with pytest.raises(ValueError):
-        perf_gate(reference, reference, min_noise_fraction=-0.1)
-
-    # The committed legacy reports themselves: a 3% across-the-board drift
-    # must never flag, even at a tight threshold.
-    reports_dir = Path(__file__).resolve().parent.parent / "bench_reports"
-    for name in ("BENCH_20260728T122855Z.json", "BENCH_20260728T130454Z.json"):
-        reference = json.loads((reports_dir / name).read_text(encoding="utf-8"))
-        assert reference["schema"] in (1, 2), \
-            "these fixtures exist to pin the no-spread legacy schemas"
-        drifted = json.loads(json.dumps(reference))
-        for family in drifted["families"].values():
-            for engine in family["totals"].values():
-                engine["wall_seconds"] *= 1.03
-        result = perf_gate(drifted, reference, threshold=1.02)
-        assert result.ok, f"{name}: {result.describe()}"
+    assert "duplicate engine" in capsys.readouterr().err
+    assert not (tmp_path / "b.json").exists()
 
 
 def _floor_payload(**overrides) -> dict:
@@ -718,13 +461,6 @@ def test_speedup_floor_gate_passes_healthy_payloads():
     assert result.compared[-1] == "geomean"
     assert set(result.compared) == {"memory_bound", "speedup", "smt",
                                     "sensitivity", "geomean"}
-    # The actual committed schema-3 reference clears the CI floors too.
-    reports_dir = Path(__file__).resolve().parent.parent / "bench_reports"
-    committed = max(p for p in reports_dir.glob("BENCH_*.json"))
-    payload = json.loads(committed.read_text(encoding="utf-8"))
-    if payload.get("schema", 0) >= 3:
-        result = speedup_floor_gate(payload)
-        assert result.ok, f"{committed.name}: {result.describe()}"
 
 
 def test_speedup_floor_gate_flags_collapsed_wins():
@@ -761,30 +497,6 @@ def test_speedup_floor_gate_is_vacuous_never_green_when_unmeasurable():
     unmeasured = speedup_floor_gate(
         _floor_payload(families={"speedup": {"totals": {}}}))
     assert unmeasured.vacuous and "speedup" in unmeasured.vacuous_reason
-
-
-def test_orchestrator_bench_measures_and_verifies(tmp_path):
-    from repro.experiments.bench import run_orchestrator_bench
-
-    section = run_orchestrator_bench(quick=True, workers=2, per_suite=1,
-                                     instructions=500, reps=2,
-                                     figures=("fig11", "fig13"))
-    assert section["identical"] is True
-    assert section["dedup"]["deduped"] > 0
-    assert section["serial_wall_seconds"] > 0
-    assert section["orchestrated_wall_seconds"] > 0
-    assert len(section["serial_wall_samples"]) == 2
-    assert len(section["orchestrated_wall_samples"]) == 2
-    assert section["serial_wall_mad"] >= 0.0
-    assert section["orchestrated_wall_mad"] >= 0.0
-    # Medians come from the post-warm-up samples.
-    assert section["serial_wall_seconds"] == section["serial_wall_samples"][1]
-    assert section["speedup"] == pytest.approx(
-        section["serial_wall_seconds"] / section["orchestrated_wall_seconds"])
-    with pytest.raises(ValueError):
-        run_orchestrator_bench(figures=("not_a_figure",))
-    with pytest.raises(ValueError):
-        run_orchestrator_bench(reps=-2)
 
 
 # --------------------------------------------------------------------- figures

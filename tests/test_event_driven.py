@@ -262,4 +262,7 @@ def test_bench_rejects_unknown_inputs():
     with pytest.raises(ValueError):
         run_bench(engines=[])
     with pytest.raises(ValueError):
+        run_bench(engines=["event", "event"], families=["sensitivity"],
+                  instructions=200, reps=1)
+    with pytest.raises(ValueError):
         run_bench(families=["speedup"], instructions=200, reps=0)

@@ -434,8 +434,6 @@ def test_health_and_dead_letter_rendering():
     text = format_health_report(health)
     assert "retries" in text and "3" in text
     assert "dead-lettered" in text
-    # The dict form renders identically (bench reports read back from JSON).
-    assert format_health_report(health.to_dict()) == text
     letters = format_dead_letters(health.dead_letters)
     assert "sim:eves/client_00" in letters
     assert "ValueError: boom" in letters        # last line, not the full text

@@ -68,10 +68,9 @@ _ENV_DOC = """# Environment variables
 | `REPRO_FIXTURE_KNOB` | tests/lint_fixtures |
 """
 
-#: Version-source stubs for the synthetic RL003 tree (same constants the
-#: real modules define, so the manifest records 1/4 like the committed one).
+#: Version-source stub for the synthetic RL003 tree (the same constant the
+#: real cache module defines, so the manifest records it like the committed one).
 _CACHE_STUB = '"""Stub version source."""\n\nSCHEMA_VERSION = 1\n'
-_BENCH_STUB = '"""Stub version source."""\n\nBENCH_SCHEMA_VERSION = 4\n'
 
 
 def _write(root: Path, rel: str, text: str) -> Path:
@@ -103,7 +102,6 @@ def _materialize(root: Path, rule_id: str, variant: str) -> Path:
         # then the requested variant is swapped in; the bad twin therefore
         # drifts from a manifest recording unchanged schema versions.
         _write(root, "src/repro/experiments/cache.py", _CACHE_STUB)
-        _write(root, "src/repro/experiments/bench.py", _BENCH_STUB)
         target = root / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         shutil.copyfile(FIXTURES / f"{rule_id}_good.py", target)
@@ -279,7 +277,6 @@ def _materialize_warehouse(root: Path, variant: str) -> Path:
     the requested variant is swapped in.
     """
     _write(root, "src/repro/experiments/cache.py", _CACHE_STUB)
-    _write(root, "src/repro/experiments/bench.py", _BENCH_STUB)
     target = root / "src/repro/experiments/warehouse.py"
     target.parent.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(FIXTURES / "RL003_warehouse_good.py", target)
@@ -297,6 +294,7 @@ def test_warehouse_row_drift_without_version_bump_fails_lint(tmp_path):
     assert finding.path == "src/repro/experiments/warehouse.py"
     assert "WarehouseRow" in finding.message
     assert "drifted" in finding.message and "added ['mpki']" in finding.message
+    assert "WAREHOUSE_SCHEMA_VERSION bump" in finding.message
 
 
 def test_warehouse_good_twin_is_clean(tmp_path):
@@ -316,6 +314,7 @@ def test_warehouse_version_bump_unlocks_drift_but_requires_refresh(tmp_path):
     bumped = run_lint(tmp_path, rule_ids=["RL003"])
     assert [f.path for f in bumped.findings] == [MANIFEST_REL]
     assert "--refresh-manifest" in bumped.findings[0].message
+    assert "WAREHOUSE_SCHEMA_VERSION 1 -> 2" in bumped.findings[0].message
     refresh_manifest(tmp_path)
     assert run_lint(tmp_path, rule_ids=["RL003"]).ok
 
@@ -362,14 +361,12 @@ def test_cache_fingerprint_ignores_engine_and_runtime_env(tmp_path, monkeypatch)
         return cache.key_for(config, spec, instructions=2000, num_registers=16)
 
     monkeypatch.setenv("REPRO_CORE_ENGINE", "cycle")
-    monkeypatch.delenv("REPRO_BENCH_REPS", raising=False)
     monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
     monkeypatch.delenv("REPRO_MAX_RETRIES", raising=False)
     monkeypatch.delenv("REPRO_JOB_TIMEOUT", raising=False)
     reference = key()
 
     monkeypatch.setenv("REPRO_CORE_ENGINE", "event")
-    monkeypatch.setenv("REPRO_BENCH_REPS", "9")
     monkeypatch.setenv("REPRO_FAULT_PLAN", '{"sim:*": {"kind": "raise"}}')
     monkeypatch.setenv("REPRO_MAX_RETRIES", "7")
     monkeypatch.setenv("REPRO_JOB_TIMEOUT", "1.5")

@@ -111,21 +111,6 @@ def test_format_dedup_stats_from_dataclass():
     }
 
 
-def test_format_dedup_stats_from_json_payload_matches_live_rendering():
-    """Bench reports loaded back from JSON render identically to live runs."""
-    stats = _stats()
-    assert (format_dedup_stats(stats.to_dict(), title="x")
-            == format_dedup_stats(stats, title="x"))
-
-
-def test_format_dedup_stats_computes_deduped_when_absent():
-    payload = {"figures": ["a"], "planned": 7, "unique": 4,
-               "cache_warm": 0, "executed": 4}
-    text = format_dedup_stats(payload)
-    assert any("shared across figures" in line and "3" in line
-               for line in text.splitlines())
-
-
 def test_format_dedup_stats_custom_title():
     assert format_dedup_stats(_stats(), title="wave").splitlines()[0] == "wave"
 

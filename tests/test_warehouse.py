@@ -566,9 +566,7 @@ def test_cache_gc_compacts_warehouse(tmp_path, capsys):
     assert summary["rows"] == 4
 
 
-def test_query_rejects_unknown_engine_and_family(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["query", "--cache-dir", str(tmp_path), "--engine", "quantum"])
+def test_query_rejects_unknown_family(tmp_path):
     with pytest.raises(SystemExit):
         main(["query", "--cache-dir", str(tmp_path), "--family", "nope"])
 
