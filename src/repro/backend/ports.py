@@ -8,15 +8,14 @@ occupancy is also tracked for the Fig. 6 analysis.
 The per-kind availability lives in plain integer slots rather than a dict
 keyed by :class:`PortKind` — :meth:`new_cycle` runs every simulated cycle and
 :meth:`issue` runs on every issued micro-op, so the enum-hashing dictionary
-rebuild used to dominate the per-cycle sweep.  The dict-shaped
-:attr:`issue_counts` view is kept for reporting.
+rebuild used to dominate the per-cycle sweep.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 
 class PortKind(enum.Enum):
@@ -57,12 +56,6 @@ class ExecutionPorts:
         self.cycles = 0
         self.load_port_busy_cycles = 0       # cycles with >= 1 load port in use
         self.load_port_uses = 0              # total load issues
-        # Per-kind issue totals as plain ints (the dict view is rebuilt on
-        # demand): ``issue`` runs per micro-op, where enum hashing shows up.
-        self._count_alu = 0
-        self._count_load = 0
-        self._count_sa = 0
-        self._count_sd = 0
         #: Earliest scheduled completion among micro-ops issued through the
         #: ports that is still in flight (None when nothing is outstanding or
         #: the stored timer has already expired).  Fed by
@@ -73,14 +66,6 @@ class ExecutionPorts:
         self._avail_sa = config.store_address
         self._avail_sd = config.store_data
         self.new_cycle()
-
-    @property
-    def issue_counts(self) -> Dict[PortKind, int]:
-        """Total issues per port kind (reporting view)."""
-        return {PortKind.ALU: self._count_alu,
-                PortKind.LOAD: self._count_load,
-                PortKind.STORE_ADDRESS: self._count_sa,
-                PortKind.STORE_DATA: self._count_sd}
 
     def new_cycle(self) -> None:
         """Start a new cycle: refresh port availability and issue bandwidth."""
@@ -95,21 +80,6 @@ class ExecutionPorts:
         self._issued_this_cycle = 0
         self.cycles += 1
 
-    def _available_for(self, kind: PortKind) -> int:
-        if kind is PortKind.ALU:
-            return self._avail_alu
-        if kind is PortKind.LOAD:
-            return self._avail_load
-        if kind is PortKind.STORE_ADDRESS:
-            return self._avail_sa
-        return self._avail_sd
-
-    def can_issue(self, kind: PortKind) -> bool:
-        """True if a micro-op of this kind can issue this cycle."""
-        if self._issued_this_cycle >= self.config.issue_width:
-            return False
-        return self._available_for(kind) > 0
-
     def issue(self, kind: PortKind) -> bool:
         """Claim a port of ``kind`` for this cycle; returns False if none is free."""
         if self._issued_this_cycle >= self.config.issue_width:
@@ -118,23 +88,19 @@ class ExecutionPorts:
             if self._avail_alu <= 0:
                 return False
             self._avail_alu -= 1
-            self._count_alu += 1
         elif kind is PortKind.LOAD:
             if self._avail_load <= 0:
                 return False
             self._avail_load -= 1
             self.load_port_uses += 1
-            self._count_load += 1
         elif kind is PortKind.STORE_ADDRESS:
             if self._avail_sa <= 0:
                 return False
             self._avail_sa -= 1
-            self._count_sa += 1
         else:
             if self._avail_sd <= 0:
                 return False
             self._avail_sd -= 1
-            self._count_sd += 1
         self._issued_this_cycle += 1
         return True
 
@@ -185,7 +151,3 @@ class ExecutionPorts:
             self._earliest_inflight = None
             return None
         return earliest
-
-    def loads_issued_this_cycle(self) -> int:
-        """Number of load ports already claimed in the current cycle."""
-        return self.config.load - self._avail_load

@@ -24,10 +24,6 @@ class ResourcePool:
         self.allocation_stalls = 0
         self.peak_occupancy = 0
 
-    def available(self) -> int:
-        """Number of free entries."""
-        return self.capacity - self.occupied
-
     def can_allocate(self, count: int = 1) -> bool:
         """True if ``count`` entries can be allocated right now."""
         return self.occupied + count <= self.capacity
@@ -52,14 +48,6 @@ class ResourcePool:
         if count > self.occupied:
             raise ValueError(f"{self.name}: releasing more entries than occupied")
         self.occupied -= count
-
-    def reset_occupancy(self) -> None:
-        """Drop all occupancy (used on pipeline flush of the whole window)."""
-        self.occupied = 0
-
-    def utilisation(self) -> float:
-        """Current occupancy as a fraction of capacity."""
-        return self.occupied / self.capacity
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"ResourcePool({self.name}, {self.occupied}/{self.capacity}, "

@@ -103,10 +103,6 @@ class StoreQueue:
                 return True
         return False
 
-    def unresolved_older_stores(self, load_seq: int) -> List[StoreRecord]:
-        """All older stores whose address is still unknown."""
-        return [s for s in self._stores if s.seq < load_seq and not s.address_ready]
-
     def next_release_cycle(self, now: int) -> Optional[int]:
         """Earliest future cycle at which a queue entry resolves, or None.
 

@@ -14,6 +14,16 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 
+def _fold(history: int, bits: int) -> int:
+    """XOR of the consecutive ``bits``-wide chunks of ``history``."""
+    folded = 0
+    mask = (1 << bits) - 1
+    while history:
+        folded ^= history & mask
+        history >>= bits
+    return folded
+
+
 class BimodalPredictor:
     """2-bit saturating-counter predictor indexed by PC."""
 
@@ -82,44 +92,51 @@ class TagePredictor:
         self._global_history = 0
         # Index hash width, fixed by the table geometry.
         self._index_bits = cfg.tagged_entries.bit_length() - 1
-        # Folded-history values keyed by (length, bits).  The fold depends
-        # only on the global history, which changes exclusively in `update`,
-        # so one resolution's worth of predict/update/allocate index and tag
-        # computations all share the same few folds.
-        self._fold_cache: dict = {}
+        self._tag_mask = (1 << cfg.tag_bits) - 1
+        self._tables_longest_first = tuple(reversed(range(cfg.num_tables)))
+        # Per table, the history-dependent part of the index and tag hashes
+        # (the folded history and the per-table constant).  Only ``_train``
+        # changes the history, so it refreshes these once per update and every
+        # index and tag computation until the next update reads them.
+        self._index_mix: List[int] = []
+        self._tag_mix: List[int] = []
+        self._refresh_folds()
         self.predictions = 0
         self.mispredictions = 0
 
     # ------------------------------------------------------------------ hashing
 
-    def _folded_history(self, length: int, bits: int) -> int:
-        key = (length, bits)
-        cached = self._fold_cache.get(key)
-        if cached is not None:
-            return cached
-        history = self._global_history & ((1 << length) - 1)
-        folded = 0
-        while history:
-            folded ^= history & ((1 << bits) - 1)
-            history >>= bits
-        self._fold_cache[key] = folded
-        return folded
+    def _refresh_folds(self) -> None:
+        cfg = self.config
+        history = self._global_history
+        index_bits, tag_bits = self._index_bits, cfg.tag_bits
+        index_mix, tag_mix = [], []
+        for table, length in enumerate(self.history_lengths):
+            window = history & ((1 << length) - 1)
+            index_fold = _fold(window, index_bits)
+            tag_fold = index_fold if tag_bits == index_bits else _fold(window, tag_bits)
+            index_mix.append(index_fold ^ (table * 0x9E5))
+            tag_mix.append((tag_fold << 1) ^ table)
+        self._index_mix = index_mix
+        self._tag_mix = tag_mix
 
     def _index(self, pc: int, table: int) -> int:
-        fold = self._folded_history(self.history_lengths[table], self._index_bits)
-        return ((pc >> 2) ^ fold ^ (table * 0x9E5)) % self.config.tagged_entries
+        return ((pc >> 2) ^ self._index_mix[table]) % self.config.tagged_entries
 
     def _tag(self, pc: int, table: int) -> int:
-        cfg = self.config
-        fold = self._folded_history(self.history_lengths[table], cfg.tag_bits)
-        return ((pc >> 2) ^ (fold << 1) ^ table) & ((1 << cfg.tag_bits) - 1)
+        return ((pc >> 2) ^ self._tag_mix[table]) & self._tag_mask
 
     # --------------------------------------------------------------- prediction
 
     def _find_provider(self, pc: int) -> Tuple[Optional[int], Optional[_TaggedEntry]]:
-        for table in reversed(range(self.config.num_tables)):
-            entry = self._tables[table][self._index(pc, table)]
-            if entry is not None and entry.tag == self._tag(pc, table):
+        # Inlined _index/_tag: this runs for every predicted and resolved branch.
+        pc_bits = pc >> 2
+        tables = self._tables
+        entries = self.config.tagged_entries
+        index_mix, tag_mix = self._index_mix, self._tag_mix
+        for table in self._tables_longest_first:
+            entry = tables[table][(pc_bits ^ index_mix[table]) % entries]
+            if entry is not None and entry.tag == (pc_bits ^ tag_mix[table]) & self._tag_mask:
                 return table, entry
         return None, None
 
@@ -183,7 +200,7 @@ class TagePredictor:
                     break
 
         self._global_history = ((self._global_history << 1) | int(taken)) & ((1 << 128) - 1)
-        self._fold_cache.clear()
+        self._refresh_folds()
 
     def misprediction_rate(self) -> float:
         """Fraction of predictions that were wrong."""

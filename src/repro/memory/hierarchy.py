@@ -86,8 +86,11 @@ class MemoryHierarchy:
             return
         for line in self.l1_stride.observe(pc, address):
             self._fill_l1(line, from_prefetch=True)
-        l2_candidates = self.l2_stride.observe(pc, address) + self.l2_streamer.observe(pc, address)
-        for line in l2_candidates:
+        # Neither L2 prefetcher reads the L2, so filling the stride
+        # candidates before the streamer observes matches observing both first.
+        for line in self.l2_stride.observe(pc, address):
+            self.l2.fill(line, from_prefetch=True)
+        for line in self.l2_streamer.observe(pc, address):
             self.l2.fill(line, from_prefetch=True)
 
     # ------------------------------------------------------------------- access

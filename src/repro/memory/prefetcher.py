@@ -9,7 +9,11 @@ results is indirect (they shape the load-latency distribution of the baseline).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
+
+#: What ``observe`` returns when there is nothing to prefetch, which is most
+#: calls: one shared empty tuple instead of a new list per demand access.
+_NO_PREFETCHES: Tuple[int, ...] = ()
 
 
 @dataclass(slots=True)
@@ -33,16 +37,15 @@ class StridePrefetcher:
         self._table: Dict[int, _StrideEntry] = {}
         self.issued_prefetches = 0
 
-    def observe(self, pc: int, address: int) -> List[int]:
+    def observe(self, pc: int, address: int) -> Sequence[int]:
         """Observe a demand access and return line addresses to prefetch."""
         entry = self._table.get(pc)
-        prefetches: List[int] = []
         if entry is None:
             if len(self._table) >= self.table_size:
                 # Evict an arbitrary (oldest-inserted) entry.
                 self._table.pop(next(iter(self._table)))
             self._table[pc] = _StrideEntry(last_address=address)
-            return prefetches
+            return _NO_PREFETCHES
         stride = address - entry.last_address
         if stride != 0 and stride == entry.stride:
             entry.confidence = min(entry.confidence + 1, 7)
@@ -50,11 +53,13 @@ class StridePrefetcher:
             entry.confidence = max(entry.confidence - 1, 0)
             entry.stride = stride
         entry.last_address = address
-        if entry.confidence >= self.confidence_threshold and entry.stride != 0:
-            for k in range(1, self.degree + 1):
-                target = address + entry.stride * k
-                if target >= 0:
-                    prefetches.append(target - (target % self.line_size))
+        if entry.confidence < self.confidence_threshold or entry.stride == 0:
+            return _NO_PREFETCHES
+        prefetches: List[int] = []
+        for k in range(1, self.degree + 1):
+            target = address + entry.stride * k
+            if target >= 0:
+                prefetches.append(target - (target % self.line_size))
         self.issued_prefetches += len(prefetches)
         return prefetches
 
@@ -70,14 +75,14 @@ class StreamPrefetcher:
         self._last_line: Optional[int] = None
         self.issued_prefetches = 0
 
-    def observe(self, pc: int, address: int) -> List[int]:
+    def observe(self, pc: int, address: int) -> Sequence[int]:
         """Observe a demand access and return line addresses to prefetch."""
         del pc
         line = address - (address % self.line_size)
-        prefetches: List[int] = []
-        if self._last_line is not None and 0 < line - self._last_line <= 2 * self.line_size:
-            for k in range(1, self.degree + 1):
-                prefetches.append(line + k * self.line_size)
+        last_line = self._last_line
         self._last_line = line
+        if last_line is None or not 0 < line - last_line <= 2 * self.line_size:
+            return _NO_PREFETCHES
+        prefetches = [line + k * self.line_size for k in range(1, self.degree + 1)]
         self.issued_prefetches += len(prefetches)
         return prefetches

@@ -85,6 +85,7 @@ fixtures pin this equivalence.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import operator
 import os
@@ -99,7 +100,7 @@ from repro.backend.store_queue import StoreQueue
 from repro.core.constable import ConstableEngine
 from repro.core.ideal import IdealMode, IdealOracle
 from repro.frontend.branch_predictor import BranchPredictor
-from repro.isa.instruction import DynamicInstruction, OpClass
+from repro.isa.instruction import DynamicInstruction, OpClass, StaticInstruction
 from repro.lvp.eves import EvesPredictor
 from repro.lvp.llvp import LipastiPredictor
 from repro.memory.coherence import Directory
@@ -123,6 +124,15 @@ CORE_ENGINE_ENV = "REPRO_CORE_ENGINE"
 #: Sort key restoring reservation-station age order when parked
 #: dependence-blocked micro-ops are merged back into the issue scan.
 _RS_SLOT = operator.attrgetter("rs_slot")
+
+#: How a decoded micro-op leaves rename (see OutOfOrderCore._decode):
+#: complete at rename, or bound for the reservation station as a load, a
+#: store or an integer op.
+_COMPLETE, _LOAD, _STORE, _INT = range(4)
+
+#: Opclasses that execute on an ALU port when rename does not fold them.
+_INT_OPCLASSES = frozenset({OpClass.ALU, OpClass.MUL, OpClass.DIV,
+                            OpClass.MOVE_REG, OpClass.MOVE_IMM})
 
 #: Supported execution engines: event-driven cycle skipping (default) and the
 #: per-cycle reference stepper it is differentially tested against.
@@ -192,6 +202,10 @@ class _ThreadState:
         self.mrn: Optional[MemoryRenamer] = None
         self.retired_instructions = 0
         self.finish_cycle: Optional[int] = None
+        # Rename-sweep scratch, reset at the start of every sweep: loads
+        # renamed so far (the SLD read-port limit) and whether the head stalled.
+        self.rename_loads = 0
+        self.rename_stalled = False
 
     def fetch_done(self) -> bool:
         return self.fetch_index >= len(self.instructions)
@@ -254,16 +268,40 @@ class OutOfOrderCore:
             self.oracle.reset_runtime_state()
         self.stats_oracle_pcs: Set[int] = set(config.stats_oracle_pcs or ())
 
-        # Coherence bookkeeping: CV bits follow L1 fills and evictions.
-        self.hierarchy.l1_fill_listeners.append(self._on_l1_fill)
-        self.hierarchy.l1_eviction_listeners.append(self._on_l1_eviction)
+        # Threads with a Constable engine attached (fixed after construction);
+        # hoisted because both run loops touch it every cycle.
+        self._constable_threads = [t for t in self.threads
+                                   if t.constable is not None]
+
+        # Coherence bookkeeping: CV bits follow L1 fills and evictions.  The
+        # listeners are the directory's and the engines' own methods, never
+        # the core's: a core -> hierarchy -> core cycle would keep every
+        # finished core alive until a full collection of the cycle collector.
+        hierarchy = self.hierarchy
+        hierarchy.l1_fill_listeners.append(
+            functools.partial(self.directory.record_fill, core=OWN_CORE))
+        hierarchy.l1_eviction_listeners.append(
+            functools.partial(self.directory.record_eviction, core=OWN_CORE))
+        for thread in self._constable_threads:
+            hierarchy.l1_eviction_listeners.append(thread.constable.on_l1_eviction)
+
+        # One rename decode per static instruction (see _decode).  Keyed by
+        # the static object itself, not its PC: SMT traces can share a PC.
+        self._decoded: Dict[StaticInstruction, tuple] = {}
+        # The rename sweep's thread order for each value of cycle % threads.
+        count = len(self.threads)
+        self._rename_orders = tuple(
+            tuple(self.threads[(start + i) % count] for i in range(count))
+            for start in range(count))
+        # Threads not yet drained; the run loops stop at zero.  A thread
+        # drains only inside a retire sweep, which stamps its finish cycle
+        # and decrements this.
+        self._running = 0 if all(t.done() for t in self.threads) else count
 
         self.cycle = 0
         self._completion_heap: List[Tuple[int, int, InflightOp]] = []
         self._heap_counter = 0
         self._rs_waiting: List[InflightOp] = []
-        self._denied_nonstable_load_this_cycle = False
-        self._issued_loads_this_cycle: List[InflightOp] = []
         # True while nothing in the reservation station can possibly issue:
         # set when an issue sweep claims no port, cleared by every wake event
         # (completion-heap pop, RS insertion, flush).  Lets the event engine
@@ -287,38 +325,12 @@ class OutOfOrderCore:
         # stall statistics, rename mechanisms re-run against a full RS);
         # _rename_stage folds it into its "acted" report.
         self._rename_stall_acted = False
-        # Threads with a Constable engine attached (fixed after construction);
-        # hoisted because both run loops touch it every cycle.
-        self._constable_threads = [t for t in self.threads
-                                   if t.constable is not None]
-        # Precomputed per-opclass execution latencies for RS-bound non-load
-        # micro-ops (PR 4 flattened static decode the same way): rename stamps
-        # each uop's ``exec_latency`` once via identity checks (no enum
-        # hashing), and the issue sweep reads one slot per uop instead of
-        # chasing config attributes.
-        self._alu_latency = config.alu_latency
-        self._mul_latency = config.mul_latency
-        self._div_latency = config.div_latency
         #: Idle cycles the event engine jumped over instead of stepping.
         self.skipped_idle_cycles = 0
         #: Cycles in which the stage pipeline actually ran.
         self.stepped_cycles = 0
 
     # ------------------------------------------------------------------ helpers
-
-    def _on_l1_fill(self, line_address: int) -> None:
-        self.directory.record_fill(line_address, OWN_CORE)
-
-    def _on_l1_eviction(self, line_address: int) -> None:
-        self.directory.record_eviction(line_address, OWN_CORE)
-        for thread in self.threads:
-            if thread.constable is not None:
-                thread.constable.on_l1_eviction(line_address)
-
-    def _schedule_completion(self, op: InflightOp, finish_cycle: int) -> None:
-        self._heap_counter += 1
-        op.finish_cycle = finish_cycle
-        heapq.heappush(self._completion_heap, (finish_cycle, self._heap_counter, op))
 
     @staticmethod
     def _word(address: int) -> int:
@@ -408,22 +420,37 @@ class OutOfOrderCore:
 
     # ==================================================================== rename
 
-    def _producer_sources(self, thread: _ThreadState, dyn: DynamicInstruction,
-                          op: InflightOp) -> None:
-        # Inlined RegisterAliasTable.producer_of (the per-register lookup
-        # statistic is batched; the mapping itself is a plain dict read).
-        rat = thread.rat
-        producers = rat._producer
-        srcs = dyn.static.source_registers()
-        rat.lookups += len(srcs)
-        cycle = self.cycle
-        depends = op.depends_on
-        for register in srcs:
-            producer = producers[register]
-            if producer is not None and not producer.squashed:
-                ready = producer.value_ready_cycle
-                if ready is None or ready > cycle:
-                    depends.append(producer)
+    def _decode(self, dyn: DynamicInstruction) -> tuple:
+        """Decode ``dyn``'s static instruction for rename, once per core.
+
+        Returns ``(route, kind, port_kind, exec_latency, sources, dest)``:
+        how the micro-op leaves rename (:data:`_COMPLETE` at rename,
+        :data:`_LOAD`, :data:`_STORE` or :data:`_INT`), its rename
+        optimization, and the port, latency and registers it needs.  All of
+        it is a pure function of the static instruction and the fixed config.
+        """
+        static = dyn.static
+        config = self.config
+        kind = self.rename_optimizer.classify(dyn)
+        opclass = static.opclass
+        port_kind, latency = None, 0
+        if kind is not OptimizationKind.NONE:
+            route = _COMPLETE
+        elif static.is_load:
+            route, port_kind = _LOAD, PortKind.LOAD
+        elif static.is_store:
+            route, port_kind, latency = _STORE, PortKind.STORE_ADDRESS, config.agu_latency
+        elif static.is_branch or opclass in _INT_OPCLASSES:
+            # Non-folded moves execute on an ALU port like any other integer op.
+            route, port_kind = _INT, PortKind.ALU
+            latency = (config.mul_latency if opclass is OpClass.MUL
+                       else config.div_latency if opclass is OpClass.DIV
+                       else config.alu_latency)
+        else:
+            route = _COMPLETE
+        decoded = (route, kind, port_kind, latency, static.source_registers(), static.dest)
+        self._decoded[static] = decoded
+        return decoded
 
     def _rename_load(self, thread: _ThreadState, op: InflightOp) -> None:
         dyn = op.dyn
@@ -495,69 +522,75 @@ class OutOfOrderCore:
                 self.hierarchy.load_access(predicted_address, dyn.pc)
 
     def _rename_one(self, thread: _ThreadState, dyn: DynamicInstruction,
-                    trace_index: int, loads_renamed_this_cycle: int) -> Optional[InflightOp]:
+                    trace_index: int) -> Optional[InflightOp]:
         """Rename a single micro-op; returns None if allocation must stall."""
-        config = self.config
+        decoded = self._decoded.get(dyn.static)
+        if decoded is None:
+            decoded = self._decode(dyn)
+        route, kind, port_kind, exec_latency, sources, dest = decoded
+        is_load = route == _LOAD
+        is_store = route == _STORE
+        constable = thread.constable
 
         # Per-cycle SLD read-port limit (§6.7.1): stall beyond three loads/cycle.
-        if (thread.constable is not None and dyn.is_load
-                and loads_renamed_this_cycle >= config.constable.sld_read_ports):
-            self.stats.rename_stalls_sld_ports += 1
-            self._rename_stall_acted = True
-            return None
-        if (thread.constable is not None
-                and thread.constable.sld_updates_this_cycle > config.constable.sld_write_ports):
-            self.stats.rename_stalls_sld_ports += 1
-            self._rename_stall_acted = True
-            return None
-
-        op = InflightOp(dyn, thread.thread_id, trace_index, self.cycle)
-        op.optimization = self.rename_optimizer.classify(dyn)
+        if constable is not None:
+            constable_config = self.config.constable
+            if ((is_load and thread.rename_loads >= constable_config.sld_read_ports)
+                    or constable.sld_updates_this_cycle > constable_config.sld_write_ports):
+                self.stats.rename_stalls_sld_ports += 1
+                self._rename_stall_acted = True
+                return None
 
         # Resource checks (no partial allocation: check first, then claim).
-        if not thread.rob_pool.can_allocate():
+        rob_pool = thread.rob_pool
+        if rob_pool.occupied >= rob_pool.capacity:
             return None
-        if dyn.is_load and not thread.lb_pool.can_allocate():
-            return None
-        if dyn.is_store and not thread.sb_pool.can_allocate():
-            return None
+        if is_load:
+            lb_pool = thread.lb_pool
+            if lb_pool.occupied >= lb_pool.capacity:
+                return None
+        elif is_store:
+            sb_pool = thread.sb_pool
+            if sb_pool.occupied >= sb_pool.capacity:
+                return None
 
-        # Producer capture happens only on the paths that can reach the
-        # reservation station: a micro-op that completes at rename never has
-        # its depends_on scanned (it never issues), so capturing sources for
-        # it is dead work in both engines.
-        if op.optimization is not OptimizationKind.NONE:
+        cycle = self.cycle
+        op = InflightOp(dyn, thread.thread_id, trace_index, cycle)
+        op.optimization = kind
+        if route == _COMPLETE:
             # Folded/eliminated at rename: completes immediately, no RS, no port.
             op.needs_rs = False
             op.executed_at_rename = True
-            op.mark_complete(self.cycle)
-        elif dyn.is_load:
-            self._producer_sources(thread, dyn, op)
-            self._rename_load(thread, op)
-        elif dyn.is_store:
-            self._producer_sources(thread, dyn, op)
-            op.port_kind = PortKind.STORE_ADDRESS
-            op.exec_latency = config.agu_latency
-        elif (dyn.is_branch
-              or dyn.static.opclass in (OpClass.ALU, OpClass.MUL, OpClass.DIV,
-                                        OpClass.MOVE_REG, OpClass.MOVE_IMM)):
-            # Non-folded moves execute on an ALU port like any other integer op.
-            self._producer_sources(thread, dyn, op)
-            op.port_kind = PortKind.ALU
-            opclass = dyn.static.opclass
-            op.exec_latency = (self._mul_latency if opclass is OpClass.MUL
-                               else self._div_latency if opclass is OpClass.DIV
-                               else self._alu_latency)
+            op.complete = True
+            op.complete_cycle = op.value_ready_cycle = cycle
+            needs_rs = False
         else:
-            op.needs_rs = False
-            op.executed_at_rename = True
-            op.mark_complete(self.cycle)
+            # Producer capture happens only on the paths that can reach the
+            # reservation station: a micro-op that completes at rename never
+            # has its depends_on scanned.  Inlined
+            # RegisterAliasTable.producer_of, with the lookup statistic batched.
+            rat = thread.rat
+            rat.lookups += len(sources)
+            producers = rat._producer
+            depends = op.depends_on
+            for register in sources:
+                producer = producers[register]
+                if producer is not None and not producer.squashed:
+                    ready = producer.value_ready_cycle
+                    if ready is None or ready > cycle:
+                        depends.append(producer)
+            if is_load:
+                self._rename_load(thread, op)
+                needs_rs = op.needs_rs
+                if needs_rs:
+                    op.port_kind = port_kind
+            else:
+                op.port_kind = port_kind
+                op.exec_latency = exec_latency
+                needs_rs = True
 
-        if dyn.is_load and not op.eliminated and op.optimization is OptimizationKind.NONE:
-            op.port_kind = PortKind.LOAD
-
-        needs_rs = op.needs_rs and not op.executed_at_rename
-        if needs_rs and not self.rs_pool.can_allocate():
+        rs_pool = self.rs_pool
+        if needs_rs and rs_pool.occupied >= rs_pool.capacity:
             # A load reaching this point already ran its rename-stage
             # mechanisms (Constable SLD lookup, LVP predict, RFP prefetch
             # into the real hierarchy), and the per-cycle reference re-runs
@@ -569,26 +602,22 @@ class OutOfOrderCore:
 
         # Claim resources (inlined ResourcePool.allocate: capacity was checked
         # above, so the claim is occupancy bookkeeping only).
-        rob_pool = thread.rob_pool
         rob_pool.occupied += 1
         rob_pool.total_allocations += 1
         if rob_pool.occupied > rob_pool.peak_occupancy:
             rob_pool.peak_occupancy = rob_pool.occupied
-        if dyn.is_load:
-            lb_pool = thread.lb_pool
+        if is_load:
             lb_pool.occupied += 1
             lb_pool.total_allocations += 1
             if lb_pool.occupied > lb_pool.peak_occupancy:
                 lb_pool.peak_occupancy = lb_pool.occupied
-        if dyn.is_store:
-            sb_pool = thread.sb_pool
+        elif is_store:
             sb_pool.occupied += 1
             sb_pool.total_allocations += 1
             if sb_pool.occupied > sb_pool.peak_occupancy:
                 sb_pool.peak_occupancy = sb_pool.occupied
             op.store_record = thread.store_queue.insert(dyn.seq, dyn.pc)
         if needs_rs:
-            rs_pool = self.rs_pool
             rs_pool.occupied += 1
             rs_pool.total_allocations += 1
             if rs_pool.occupied > rs_pool.peak_occupancy:
@@ -599,15 +628,16 @@ class OutOfOrderCore:
             self._rs_waiting.append(op)
             self._issue_quiescent = False
 
-        # Constable: every destination write is visible to the RMT (steps 7-8).
-        if thread.constable is not None and dyn.static.dest is not None:
-            thread.constable.on_register_write(dyn.static.dest)
-
-        # Update the RAT and the window.
-        if dyn.static.dest is not None:
-            thread.rat.set_producer(dyn.static.dest, op)
+        if dest is not None:
+            # Constable: every destination write is visible to the RMT (steps 7-8).
+            if constable is not None:
+                constable.on_register_write(dest)
+            # Inlined RegisterAliasTable.set_producer.
+            rat = thread.rat
+            rat.updates += 1
+            rat._producer[dest] = op
         thread.rob.append(op)
-        if dyn.is_load:
+        if is_load:
             thread.load_buffer.append(op)
 
         # Branch history for context-based value prediction.
@@ -616,13 +646,15 @@ class OutOfOrderCore:
                                      | int(dyn.branch_taken)) & ((1 << 64) - 1)
 
         # Bookkeeping.
-        self.stats.uops_renamed += 1
-        if dyn.is_load:
-            self.stats.loads_renamed += 1
-        elif dyn.is_store:
-            self.stats.stores_renamed += 1
+        stats = self.stats
+        stats.uops_renamed += 1
+        if is_load:
+            stats.loads_renamed += 1
+            thread.rename_loads += 1
+        elif is_store:
+            stats.stores_renamed += 1
         elif dyn.is_branch:
-            self.stats.branches_renamed += 1
+            stats.branches_renamed += 1
         return op
 
     def _rename_stage(self) -> bool:
@@ -636,25 +668,23 @@ class OutOfOrderCore:
         """
         self._rename_stall_acted = False
         budget = self.config.rename_width
-        thread_order = [self.threads[(self.cycle + i) % len(self.threads)]
-                        for i in range(len(self.threads))]
-        loads_this_cycle = {thread.thread_id: 0 for thread in self.threads}
-        stalled = {thread.thread_id: False for thread in self.threads}
+        orders = self._rename_orders
+        thread_order = orders[self.cycle % len(orders)]
+        for thread in thread_order:
+            thread.rename_loads = 0
+            thread.rename_stalled = False
+        rename_one = self._rename_one
         renamed = 0
         while renamed < budget:
             progress = False
             for thread in thread_order:
-                if renamed >= budget or stalled[thread.thread_id] or not thread.idq:
+                if renamed >= budget or thread.rename_stalled or not thread.idq:
                     continue
                 dyn, trace_index = thread.idq[0]
-                op = self._rename_one(thread, dyn, trace_index,
-                                      loads_this_cycle[thread.thread_id])
-                if op is None:
-                    stalled[thread.thread_id] = True
+                if rename_one(thread, dyn, trace_index) is None:
+                    thread.rename_stalled = True
                     continue
                 thread.idq.popleft()
-                if dyn.is_load:
-                    loads_this_cycle[thread.thread_id] += 1
                 renamed += 1
                 progress = True
             if not progress:
@@ -744,8 +774,13 @@ class OutOfOrderCore:
         threads = self.threads
         rs_pool = self.rs_pool
         should_wait_for_stores = self.dependence_predictor.should_wait_for_stores
-        self._denied_nonstable_load_this_cycle = False
-        self._issued_loads_this_cycle = []
+        heap = self._completion_heap
+        heappush = heapq.heappush
+        heap_counter = self._heap_counter
+        earliest_completion: Optional[int] = None
+        # Load-port accounting for Fig. 6: a load issued this sweep, one of
+        # them oracle-stable, and a non-stable load denied a port.
+        issued_load = stable_issued = denied_nonstable = False
         issued_any = False
         still_waiting: List[InflightOp] = []
         waiting_append = still_waiting.append
@@ -763,10 +798,10 @@ class OutOfOrderCore:
                 continue
             if op.issued:
                 continue
-            # Inlined InflightOp.sources_ready with the same pruning of
-            # already-satisfied producers (readiness is monotone).  A micro-op
-            # still dependence-blocked parks in one unready producer's
-            # waiters list until that completion pops and re-wakes it.
+            # Operand readiness, pruning already-satisfied producers as it
+            # goes (readiness is monotone).  A micro-op still
+            # dependence-blocked parks in one unready producer's waiters list
+            # until that completion pops and re-wakes it.
             deps = op.depends_on
             if deps:
                 keep = 0
@@ -797,7 +832,7 @@ class OutOfOrderCore:
             kind = op.port_kind or PortKind.ALU
             if not ports.issue(kind):
                 if op.is_load and not op.oracle_stable:
-                    self._denied_nonstable_load_this_cycle = True
+                    denied_nonstable = True
                 waiting_append(op)
                 continue
 
@@ -817,7 +852,9 @@ class OutOfOrderCore:
                     latency = self._load_latency(thread, op)
                 stats.loads_executed += 1
                 stats.agu_ops += 1
-                self._issued_loads_this_cycle.append(op)
+                issued_load = True
+                if op.oracle_stable:
+                    stable_issued = True
                 if op.value_obtained_cycle is None:
                     op.value_obtained_cycle = cycle + latency
             else:
@@ -837,22 +874,29 @@ class OutOfOrderCore:
                         stats.alu_ops += 1
 
             completion = cycle + latency
-            self._schedule_completion(op, completion)
-            ports.note_inflight(completion)
+            heap_counter += 1
+            op.finish_cycle = completion
+            heappush(heap, (completion, heap_counter, op))
+            if earliest_completion is None or completion < earliest_completion:
+                earliest_completion = completion
 
+        self._heap_counter = heap_counter
+        if earliest_completion is not None:
+            # The port model's forward timer keeps only the earliest
+            # completion, so one note per sweep is enough.
+            ports.note_inflight(earliest_completion)
         self._rs_waiting = still_waiting
         # If nothing issued, no port was claimed either, so every waiting uop
         # failed a condition (operand readiness, store-ordering wait) that
         # only a wake event can change — the station is quiescent until then.
         self._issue_quiescent = not issued_any
 
-        if self._issued_loads_this_cycle:
-            self.stats.load_utilized_cycles += 1
-            stable_issued = any(op.oracle_stable for op in self._issued_loads_this_cycle)
-            if stable_issued and self._denied_nonstable_load_this_cycle:
-                self.stats.load_utilized_cycles_stable_blocking += 1
+        if issued_load:
+            stats.load_utilized_cycles += 1
+            if stable_issued and denied_nonstable:
+                stats.load_utilized_cycles_stable_blocking += 1
             elif stable_issued:
-                self.stats.load_utilized_cycles_stable_only += 1
+                stats.load_utilized_cycles_stable_only += 1
         return issued_any
 
     # ================================================================= writeback
@@ -915,6 +959,7 @@ class OutOfOrderCore:
         heap = self._completion_heap
         heappop = heapq.heappop
         cycle = self.cycle
+        threads = self.threads
         while heap and heap[0][0] <= cycle:
             _, _, op = heappop(heap)
             acted = True
@@ -923,8 +968,13 @@ class OutOfOrderCore:
             self._issue_quiescent = False
             if op.squashed:
                 continue
-            thread = self.threads[op.thread]
-            op.mark_complete(self.cycle)
+            thread = threads[op.thread]
+            # Inlined InflightOp.mark_complete.
+            op.complete = True
+            op.complete_cycle = cycle
+            ready = op.value_ready_cycle
+            if ready is None or cycle < ready:
+                op.value_ready_cycle = cycle
             waiters = op.waiters
             if waiters is not None:
                 # Dependents parked on this producer re-enter the issue scan.
@@ -1007,6 +1057,7 @@ class OutOfOrderCore:
         acted = retired > 0
         if thread.finish_cycle is None and thread.done():
             thread.finish_cycle = self.cycle
+            self._running -= 1
             acted = True
         return acted
 
@@ -1242,10 +1293,9 @@ class OutOfOrderCore:
 
     def _run_cycle_engine(self, max_cycles: int) -> None:
         """The reference stepper: every cycle runs every stage, idle or not."""
-        threads = self.threads
         constable_threads = self._constable_threads
         stats = self.stats
-        while not all(thread.done() for thread in threads):
+        while self._running:
             self.cycle += 1
             if self.cycle > max_cycles:
                 raise RuntimeError(
@@ -1280,11 +1330,10 @@ class OutOfOrderCore:
         jumps straight to that event.  All three refinements eliminate no-ops
         only; the machine trajectory is exactly the reference stepper's.
         """
-        threads = self.threads
         constable_threads = self._constable_threads
         stats = self.stats
         heap = self._completion_heap
-        while not all(thread.done() for thread in threads):
+        while self._running:
             self.cycle += 1
             cycle = self.cycle
             if cycle > max_cycles:

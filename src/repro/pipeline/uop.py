@@ -90,30 +90,6 @@ class InflightOp:
 
     # ------------------------------------------------------------------ queries
 
-    def sources_ready(self, cycle: int) -> bool:
-        """True if every producer has made its value available by ``cycle``.
-
-        Producers whose value is already available are pruned from
-        ``depends_on`` as a side effect: readiness is monotone (a value never
-        becomes un-ready), so dropping satisfied producers cannot change any
-        later answer, and it keeps the issue stage's repeated rescans of
-        long-waiting micro-ops from re-checking the whole producer list.
-        """
-        deps = self.depends_on
-        if not deps:
-            return True
-        keep = 0
-        for producer in deps:
-            ready = producer.value_ready_cycle
-            if ready is None or ready > cycle:
-                deps[keep] = producer
-                keep += 1
-        if keep:
-            del deps[keep:]
-            return False
-        del deps[:]
-        return True
-
     def mark_value_ready(self, cycle: int) -> None:
         """Record the earliest cycle at which dependents may consume the value."""
         if self.value_ready_cycle is None or cycle < self.value_ready_cycle:

@@ -42,8 +42,7 @@ class RenameOptimizationConfig:
         return RenameOptimizationConfig(False, False, False, False)
 
 
-#: Dense per-kind counter index (classify runs per renamed micro-op, where
-#: enum hashing is measurable; a list increment is not).
+#: Dense per-kind counter index.
 _KIND_INDEX: Dict[OptimizationKind, int] = {
     kind: index for index, kind in enumerate(OptimizationKind)}
 
@@ -54,15 +53,6 @@ class RenameOptimizer:
     def __init__(self, config: Optional[RenameOptimizationConfig] = None):
         self.config = config or RenameOptimizationConfig()
         self._counts = [0] * len(OptimizationKind)
-        # The classification is a pure function of the *static* instruction
-        # (opclass, immediate, source list — all final after construction)
-        # and the fixed config, so it is memoised per static object.  Keying
-        # by identity rather than PC matters under SMT: co-scheduled traces
-        # have independent address spaces, so one PC can name two different
-        # static instructions.  The dict key is the static object itself
-        # (identity hash), which also keeps it alive so the entry can never
-        # be aliased by a recycled allocation.
-        self._by_static: Dict[object, tuple] = {}
 
     @property
     def counts(self) -> Dict[OptimizationKind, int]:
@@ -71,14 +61,15 @@ class RenameOptimizer:
                 for kind, index in _KIND_INDEX.items()}
 
     def classify(self, dyn: DynamicInstruction) -> OptimizationKind:
-        """Return the optimization applied to ``dyn`` (NONE if it must execute)."""
-        entry = self._by_static.get(dyn.static)
-        if entry is None:
-            kind = self._classify(dyn)
-            entry = (kind, _KIND_INDEX[kind])
-            self._by_static[dyn.static] = entry
-        self._counts[entry[1]] += 1
-        return entry[0]
+        """Return the optimization applied to ``dyn`` (NONE if it must execute).
+
+        The answer depends only on ``dyn.static`` and the config, so the core
+        classifies each static instruction once, when it first decodes it;
+        :attr:`counts` then counts classified static instructions.
+        """
+        kind = self._classify(dyn)
+        self._counts[_KIND_INDEX[kind]] += 1
+        return kind
 
     def _classify(self, dyn: DynamicInstruction) -> OptimizationKind:
         cfg = self.config

@@ -1,8 +1,12 @@
 """Integration tests for the out-of-order core: baseline behaviour and invariants."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.backend.ports import PortConfig
+from repro.experiments.configs import constable_config
 from repro.pipeline import CoreConfig, OutOfOrderCore, simulate_trace
 from repro.rename.optimizations import RenameOptimizationConfig
 
@@ -118,3 +122,20 @@ def test_config_copy_is_independent():
     assert wider.ports.load == 5
     deeper = config.with_depth_scale(2.0)
     assert deeper.sizes.rob == config.sizes.rob * 2
+
+
+def test_finished_core_is_freed_without_the_cycle_collector(client_trace):
+    # The hierarchy's L1 listeners must not hold the core: a core -> hierarchy
+    # -> core cycle keeps every finished core alive until a generation-2
+    # collection, and a sweep builds one core per job.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        core = OutOfOrderCore(constable_config(), [client_trace], name="constable")
+        core.run()
+        core_ref = weakref.ref(core)
+        del core
+        assert core_ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()

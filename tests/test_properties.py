@@ -7,7 +7,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.load_inspector import GlobalStableReport, LoadSiteStats
 from repro.analysis.stats_utils import box_whisker_summary, geomean
@@ -38,13 +38,64 @@ def test_sparse_memory_reads_back_last_write(writes):
         assert memory.read(word) == value
 
 
-@given(st.lists(_addresses, min_size=1, max_size=200))
+class _ListOfListsLru:
+    """Reference LRU cache: one list per set, most recently used last."""
+
+    def __init__(self, num_sets, ways, line_size):
+        self.sets = [[] for _ in range(num_sets)]
+        self.ways = ways
+        self.line_size = line_size
+
+    def _locate(self, address):
+        line = address - address % self.line_size
+        return line, self.sets[(line // self.line_size) % len(self.sets)]
+
+    def probe(self, address):
+        line, lines = self._locate(address)
+        return line in lines
+
+    def access(self, address):
+        line, lines = self._locate(address)
+        if line not in lines:
+            return False
+        lines.remove(line)
+        lines.append(line)
+        return True
+
+    def fill(self, address):
+        line, lines = self._locate(address)
+        if line in lines:
+            lines.remove(line)
+            lines.append(line)
+            return None
+        evicted = lines.pop(0) if len(lines) >= self.ways else None
+        lines.append(line)
+        return evicted
+
+    def resident_lines(self):
+        return sum(len(lines) for lines in self.sets)
+
+
+# Small addresses span 24 lines over 4 sets of 4 ways, so hits, LRU updates
+# and evictions all occur; the full range covers sparse, mostly-cold sets.
+_cache_addresses = st.one_of(_addresses, st.integers(min_value=0, max_value=24 * 64 - 1))
+
+
+@given(st.lists(_cache_addresses, min_size=1, max_size=200))
+# Fills set 0, hits its oldest line, then misses into it three times: each
+# eviction must take the least recently used line.
+@example([0, 256, 512, 768, 0, 1024, 256, 1280, 8, 1 << 40])
 @settings(max_examples=50, deadline=None)
 def test_cache_occupancy_never_exceeds_capacity(addresses):
     cache = SetAssociativeCache(CacheConfig("L1", 16 * 64, 4, line_size=64))
+    reference = _ListOfListsLru(num_sets=4, ways=4, line_size=64)
     for address in addresses:
-        if not cache.access(address):
-            cache.fill(address)
+        assert cache.probe(address) == reference.probe(address)
+        hit = cache.access(address)
+        assert hit == reference.access(address)
+        if not hit:
+            assert cache.fill(address) == reference.fill(address)
+        assert cache.resident_lines() == reference.resident_lines()
     assert cache.resident_lines() <= 16
     assert cache.stats.hits + cache.stats.misses == len(addresses)
 
