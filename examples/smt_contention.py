@@ -11,6 +11,7 @@ from repro.core import ConstableConfig
 from repro.experiments import format_table
 from repro.pipeline import CoreConfig, simulate_smt_pair, simulate_trace
 from repro.workloads import generate_trace, workload_specs_for_suite
+from repro.workloads.generator import THREAD_BASE_PCS
 
 
 def main() -> None:
@@ -19,7 +20,8 @@ def main() -> None:
     trace_a = generate_trace(workload_specs_for_suite("Client")[0],
                              num_instructions=instructions)
     trace_b = generate_trace(workload_specs_for_suite("Server")[0],
-                             num_instructions=instructions, base_pc=0x800000)
+                             num_instructions=instructions,
+                             base_pc=THREAD_BASE_PCS[1])
 
     rows = []
     # Single-thread (noSMT) comparison on thread A.
@@ -31,15 +33,15 @@ def main() -> None:
     # SMT2 comparison on the pair.
     base_pair = simulate_smt_pair(trace_a, trace_b, CoreConfig())
     cons_pair = simulate_smt_pair(trace_a, trace_b, CoreConfig(constable=constable))
-    rows.append(("SMT2", f"{base_pair.cycles / cons_pair.cycles:.3f}x",
-                 f"{base_pair.throughput():.2f}", f"{cons_pair.throughput():.2f}"))
+    rows.append(("SMT2", f"{cons_pair.speedup_over(base_pair):.3f}x",
+                 f"{base_pair.ipc:.2f}", f"{cons_pair.ipc:.2f}"))
 
     print(format_table(["mode", "constable speedup", "baseline IPC", "constable IPC"],
                        rows, title="Constable under SMT contention"))
     print("\nper-thread IPC (SMT2 baseline):",
-          [f"{ipc:.2f}" for ipc in base_pair.per_thread_ipc])
+          [f"{thread['ipc']:.2f}" for thread in base_pair.per_thread])
     print("per-thread IPC (SMT2 constable):",
-          [f"{ipc:.2f}" for ipc in cons_pair.per_thread_ipc])
+          [f"{thread['ipc']:.2f}" for thread in cons_pair.per_thread])
 
 
 if __name__ == "__main__":

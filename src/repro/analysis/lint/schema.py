@@ -47,7 +47,6 @@ MANIFEST_REL = "src/repro/analysis/lint/schema_manifest.json"
 #: key material and is deliberately out of scope.
 SERIALIZED_MODULES = (
     "src/repro/pipeline/stats.py",
-    "src/repro/pipeline/smt.py",
     "src/repro/workloads/suites.py",
     "src/repro/experiments/orchestrator.py",
     "src/repro/experiments/warehouse.py",

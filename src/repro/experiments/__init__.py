@@ -24,7 +24,6 @@ from repro.experiments.runner import (
     ExperimentRunner,
     Shard,
     SimulationJob,
-    SmtJob,
     SweepExecutionError,
     SweepHealthReport,
     WorkloadRun,
@@ -43,7 +42,6 @@ __all__ = [
     "Shard",
     "config_fingerprint",
     "SimulationJob",
-    "SmtJob",
     "ParallelExperimentRunner",
     "EXPERIMENT_CONFIDENCE_THRESHOLD",
     "baseline_config",

@@ -91,8 +91,7 @@ from repro.experiments.configs import (
 )
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.cpu import CORE_ENGINES, OutOfOrderCore
-from repro.pipeline.smt import SMT_SECOND_THREAD_BASE_PC
-from repro.workloads.generator import DEFAULT_BASE_PC, generate_trace
+from repro.workloads.generator import THREAD_BASE_PCS, generate_trace
 from repro.workloads.suites import WorkloadSpec, get_workload_spec
 from repro.workloads.trace import Trace
 
@@ -227,8 +226,7 @@ def _traces_for(job: BenchJob, instructions: int,
                 memo: Dict[Tuple[str, int, int], Trace]) -> List[Trace]:
     """Generate (and memoise) the job's traces; generation is not timed."""
     traces = []
-    for position, spec in enumerate(job.specs):
-        base_pc = DEFAULT_BASE_PC if position == 0 else SMT_SECOND_THREAD_BASE_PC
+    for spec, base_pc in zip(job.specs, THREAD_BASE_PCS):
         key = (spec.name, instructions, base_pc)
         trace = memo.get(key)
         if trace is None:

@@ -1,20 +1,18 @@
 """Content-addressed on-disk caches for simulation results and inspector reports.
 
 A cache entry is keyed by a SHA-256 fingerprint of everything that determines
-its content: the fully materialised :class:`CoreConfig` (for simulations), the
-:class:`WorkloadSpec`, the trace-generation parameters (instruction budget,
-architectural register count, base PC) and a schema version.  Workload traces
-are regenerated deterministically from the spec's seed, so the trace itself
-never needs to be stored — two runs that fingerprint identically simulate
-identically.
+its content: the fully materialised :class:`CoreConfig` (for simulations),
+the :class:`WorkloadSpec` of each thread, the trace-generation parameters
+(instruction budget, architectural register count, each thread's base PC) and
+a schema version.  Workload traces are regenerated deterministically from the
+spec's seed, so the trace itself never needs to be stored — two runs that
+fingerprint identically simulate identically.
 
-Three entry kinds share one store format and directory layout:
+Two entry kinds share one store format and directory layout:
 
-* single-thread :class:`SimulationResult` records (:meth:`ResultCache.get` /
-  :meth:`ResultCache.put`),
-* SMT pair :class:`~repro.pipeline.smt.SmtResult` records
-  (:meth:`ResultCache.get_smt` / :meth:`ResultCache.put_smt`), keyed over both
-  workload specs and the second thread's base PC, and
+* :class:`SimulationResult` records (:meth:`ResultCache.get` /
+  :meth:`ResultCache.put`) of one workload or of an SMT2 pair, keyed over
+  every thread's spec in order, and
 * Load Inspector :class:`~repro.analysis.load_inspector.GlobalStableReport`
   records (:class:`ReportCache`), keyed over the workload spec and trace
   parameters alone — reports depend only on the trace, never on a core config.
@@ -56,20 +54,19 @@ import time
 import warnings
 from dataclasses import field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.load_inspector import GlobalStableReport
 from repro.experiments.warehouse import (COUNTERS_TABLE, WarehouseWriter,
                                          clear_warehouse, read_table,
-                                         row_for_result, row_for_smt)
+                                         row_for_result)
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.smt import SMT_SECOND_THREAD_BASE_PC, SmtResult
 from repro.pipeline.stats import SimulationResult
-from repro.workloads.generator import DEFAULT_BASE_PC
+from repro.workloads.generator import DEFAULT_BASE_PC, THREAD_BASE_PCS
 from repro.workloads.suites import WorkloadSpec
 
 #: Version of the cached-entry schema; bump to invalidate all prior entries.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -255,11 +252,10 @@ def persist_health_stats(directory: Union[str, Path],
         {"cache": HEALTH_LEDGER_CLASS, "health": block})
 
 
-#: How to decode each entry kind's record body; single-thread result entries
-#: predate the ``kind`` field, so they decode under the implicit kind "result".
+#: How to decode each entry kind's record body; result entries carry no
+#: ``kind`` field, so they decode under the implicit kind "result".
 _ENTRY_DECODERS: Dict[str, Callable[[Dict[str, object]], object]] = {
     "result": lambda payload: SimulationResult.from_dict(payload["result"]),
-    "smt": lambda payload: SmtResult.from_dict(payload["result"]),
     "report": lambda payload: GlobalStableReport.from_dict(payload["report"]),
 }
 
@@ -519,8 +515,8 @@ class JsonDiskCache:
         """Scan every entry in the directory and classify its integrity.
 
         Each entry must parse as JSON, carry the current schema version, decode
-        through its kind's record type (single-thread result, SMT result or
-        inspector report — all kinds are checked regardless of which cache
+        through its kind's record type (simulation result or inspector
+        report — all kinds are checked regardless of which cache
         class runs the scan, since the kinds may share one directory) and live
         at the path its embedded key dictates.  Leftover ``*.tmp`` files from
         writers that died between create and rename are reported as orphans —
@@ -589,14 +585,14 @@ class JsonDiskCache:
 
 
 class ResultCache(JsonDiskCache):
-    """Content-addressed store of :class:`SimulationResult` / :class:`SmtResult`.
+    """Content-addressed store of :class:`SimulationResult` records.
 
-    Every successful :meth:`put`/:meth:`put_smt` also appends one flat
-    analytics row to the columnar warehouse under ``.warehouse/`` (see
+    Every successful :meth:`put` also appends one flat analytics row to the
+    columnar warehouse under ``.warehouse/`` (see
     :mod:`repro.experiments.warehouse`).  Because all cache writes are
     parent-side — the serial runner's commit loop, the parallel runner's
     result drain, orchestrated wave commits, partial-wave journals and
-    ``--resume`` re-execution all funnel through these two methods — the
+    ``--resume`` re-execution all funnel through this method — the
     warehouse stays in lockstep with the resume journal by construction.
     The row is appended *after* the entry write succeeds, so the warehouse
     can trail the journal by at most the in-flight put (repaired by ``repro
@@ -611,20 +607,21 @@ class ResultCache(JsonDiskCache):
         super().__init__(directory, schema_version, max_mb)
         self.warehouse = WarehouseWriter(self.directory)
 
-    # ------------------------------------------------------- single-thread keys
+    def key_for(self, config: CoreConfig, specs: Sequence[WorkloadSpec],
+                instructions: int, num_registers: int) -> str:
+        """The content hash identifying one (config, workload threads, trace) job.
 
-    def key_for(self, config: CoreConfig, spec: WorkloadSpec,
-                instructions: int, num_registers: int,
-                base_pc: int = DEFAULT_BASE_PC) -> str:
-        """The content hash identifying one (config, workload, trace) job."""
+        ``specs`` holds one spec per hardware thread, in thread order; thread
+        ``i`` runs at ``THREAD_BASE_PCS[i]``.
+        """
         payload = {
             "schema": self.schema_version,
             "config": config_fingerprint(config),
-            "workload": spec.to_dict(),
+            "workloads": [spec.to_dict() for spec in specs],
             "trace": {
                 "instructions": instructions,
                 "num_registers": num_registers,
-                "base_pc": base_pc,
+                "base_pcs": list(THREAD_BASE_PCS[:len(specs)]),
             },
         }
         return self._digest(payload)
@@ -648,44 +645,9 @@ class ResultCache(JsonDiskCache):
                                   "result": result.to_dict()})
         self.warehouse.append(row_for_result(key, result, self.schema_version))
 
-    # ----------------------------------------------------------------- SMT keys
-
-    def key_for_smt(self, config: CoreConfig, first: WorkloadSpec,
-                    second: WorkloadSpec, instructions: int, num_registers: int,
-                    first_base_pc: int = DEFAULT_BASE_PC,
-                    second_base_pc: int = SMT_SECOND_THREAD_BASE_PC) -> str:
-        """The content hash identifying one SMT2 (config, pair, trace) job."""
-        payload = {
-            "schema": self.schema_version,
-            "kind": "smt",
-            "config": config_fingerprint(config),
-            "workloads": [first.to_dict(), second.to_dict()],
-            "trace": {
-                "instructions": instructions,
-                "num_registers": num_registers,
-                "base_pcs": [first_base_pc, second_base_pc],
-            },
-        }
-        return self._digest(payload)
-
-    def get_smt(self, key: str) -> Optional[SmtResult]:
-        """The cached SMT result for ``key``, or None."""
-        payload = self._read_payload(key, kind="smt")
-        if payload is None:
-            return None
-        try:
-            result = SmtResult.from_dict(payload["result"])
-        except (ValueError, KeyError, TypeError):
-            self.stats.misses += 1
-            return None
-        self._mark_hit(key)
-        return result
-
-    def put_smt(self, key: str, result: SmtResult) -> None:
-        """Store an :class:`SmtResult` under ``key`` atomically."""
-        self._write_payload(key, {"schema": self.schema_version, "kind": "smt",
-                                  "key": key, "result": result.to_dict()})
-        self.warehouse.append(row_for_smt(key, result, self.schema_version))
+    #: Names older callers (and the perfbench layer tracer) look up.
+    get_smt = get
+    put_smt = put
 
 
 class ReportCache(JsonDiskCache):
@@ -698,8 +660,7 @@ class ReportCache(JsonDiskCache):
     size cap then covers both.
     """
 
-    def key_for(self, spec: WorkloadSpec, instructions: int, num_registers: int,
-                base_pc: int = DEFAULT_BASE_PC) -> str:
+    def key_for(self, spec: WorkloadSpec, instructions: int, num_registers: int) -> str:
         """The content hash identifying one workload's inspector report."""
         payload = {
             "schema": self.schema_version,
@@ -708,7 +669,7 @@ class ReportCache(JsonDiskCache):
             "trace": {
                 "instructions": instructions,
                 "num_registers": num_registers,
-                "base_pc": base_pc,
+                "base_pc": DEFAULT_BASE_PC,
             },
         }
         return self._digest(payload)

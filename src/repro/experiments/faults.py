@@ -1,9 +1,9 @@
 """Deterministic fault injection for chaos-testing the sweep execution stack.
 
-A :class:`FaultPlan` maps *job labels* (``sim:<config>/<workload>``,
-``smt:<config>/<first>+<second>``, ``gen:<workload>``) to faults that the
-worker-side payload wrapper (:func:`repro.experiments.parallel.run_supervised`)
-injects deterministically:
+A :class:`FaultPlan` maps *job labels* (``sim:<config>/<workload>``, where an
+SMT2 pair's workload is ``<first>+<second>``, and ``gen:<workload>``) to
+faults that the worker-side payload wrapper
+(:func:`repro.experiments.parallel.run_supervised`) injects deterministically:
 
 * ``raise`` — raise :class:`InjectedFault` before simulating,
 * ``crash`` — ``os._exit`` the worker process (the parent sees a

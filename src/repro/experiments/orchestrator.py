@@ -23,18 +23,19 @@ worker pool fed instead of draining it between harnesses:
    :class:`~repro.pipeline.config.CoreConfig`, the workload spec and the trace
    parameters), so two figures demanding the same simulation under different
    names share one job.  Each group consults the on-disk cache once.
-3. **Execute** — every outstanding representative job, single-thread and SMT
-   alike, goes through the runner's
+3. **Execute** — every outstanding representative job goes through the
+   runner's
    :meth:`~repro.experiments.runner.ExperimentRunner._execute_wave` hook as
    **one** batch: the parallel runner submits them all to one process pool
    up front and awaits once.  A failed batch journals its successes to the
    on-disk cache before the error propagates.
 4. **Commit** — each group's single result is committed under *every*
    ``(config name, workload)`` alias that demanded it, into the runner's
-   in-memory stores.  A figure harness run afterwards executes its own plan's
-   wave, finds everything committed and performs **zero** simulations, so its
-   output is bit-identical to running that figure alone on a fresh runner
-   (pinned differentially at 1/2/4 workers in ``tests/test_orchestrator.py``).
+   in-memory stores (a pair's workload is ``a+b``).  A figure harness run
+   afterwards executes its own plan's wave, finds everything committed and
+   performs **zero** simulations, so its output is bit-identical to running
+   that figure alone on a fresh runner (pinned differentially at 1/2/4
+   workers in ``tests/test_orchestrator.py``).
 
 Results are pure functions of ``(config, trace)``, which is what makes the
 aliasing sound: committing one result object under several names is
@@ -59,10 +60,8 @@ from repro.experiments.runner import (
     ExperimentRunner,
     Shard,
     SimulationJob,
-    SmtJob,
     SweepExecutionError,
 )
-from repro.pipeline.smt import SmtResult
 from repro.pipeline.stats import SimulationResult
 
 
@@ -93,8 +92,8 @@ class DedupStats:
     simulate.  ``unique`` is the job count after merging identical names and
     grouping by content fingerprint; ``cache_warm`` of those came from the
     on-disk cache and ``executed`` were actually simulated in the wave.
-    ``cold_jobs`` names each executed job (``config/workload`` or
-    ``smt:config/first+second``) so an ``--expect-warm`` violation can say
+    ``cold_jobs`` names each executed job by its label
+    (``sim:<config>/<workload>``) so an ``--expect-warm`` violation can say
     exactly *which* jobs ran cold instead of just how many.
     """
 
@@ -128,19 +127,12 @@ def _relabelled(result: SimulationResult, config_name: str) -> SimulationResult:
 
     A deduped group commits one simulation under several alias names; shallow
     relabelling keeps each alias's ``result.config_name`` (and ``summary()``)
-    telling the truth, exactly as if it had been simulated under that name.  Everything else is shared — results are immutable downstream.
+    telling the truth, exactly as if it had been simulated under that name.
+    Everything else is shared — results are immutable downstream.
     """
     if result.config_name == config_name:
         return result
     return dataclasses.replace(result, config_name=config_name)
-
-
-def _relabelled_smt(result: SmtResult, config_name: str) -> SmtResult:
-    """SMT counterpart of :func:`_relabelled` (the label lives one level down)."""
-    if result.result.config_name == config_name:
-        return result
-    return dataclasses.replace(
-        result, result=_relabelled(result.result, config_name))
 
 
 def _fingerprint_text(job_config) -> str:
@@ -150,30 +142,22 @@ def _fingerprint_text(job_config) -> str:
 
 
 def _sim_identity(job: SimulationJob) -> str:
-    """The content identity of a single-thread job (cache key when available).
+    """The content identity of a job (its cache key when available).
 
     Falls back to the same material the cache key hashes — the materialised
-    config fingerprint plus the workload — so dedup behaves identically with
-    and without an attached on-disk cache.
+    config fingerprint plus the workload threads — so dedup behaves
+    identically with and without an attached on-disk cache.
     """
     if job.cache_key is not None:
         return job.cache_key
     return f"sim:{job.workload}:{_fingerprint_text(job.config)}"
 
 
-def _smt_identity(job: SmtJob) -> str:
-    """The content identity of an SMT2 job (cache key when available)."""
-    if job.cache_key is not None:
-        return f"smt:{job.cache_key}"
-    return (f"smt:{job.pair[0]}+{job.pair[1]}@{job.second_base_pc}:"
-            f"{_fingerprint_text(job.config)}")
-
-
 class SweepOrchestrator:
     """Plans, dedups and executes any number of plans' sweeps as one wave.
 
     The orchestrator owns no execution machinery of its own: planning goes
-    through the runner's ``plan_jobs``/``plan_smt_jobs`` hooks, execution
+    through the runner's ``plan_jobs``/``plan_smt_jobs`` planners, execution
     through its ``_execute_wave`` hook and commits into the runner's
     in-memory stores, so serial and parallel runners (and any future runner
     subclass) run waves without modification.
@@ -261,8 +245,7 @@ class SweepOrchestrator:
     # --------------------------------------------------------------- execution
 
     def _journal_partial_wave(self, error: SweepExecutionError,
-                              outstanding_sim: Sequence[Tuple[str, SimulationJob]],
-                              outstanding_smt: Sequence[Tuple[str, SmtJob]]
+                              outstanding: Sequence[Tuple[str, SimulationJob]]
                               ) -> None:
         """Best-effort cache journal of a failed wave's completed jobs.
 
@@ -271,27 +254,19 @@ class SweepOrchestrator:
         in-memory stores are deliberately untouched: partial results are a
         *journal* for resume, not a committed sweep.  The puts below also
         append each journaled entry's columnar warehouse
-        row (inside ``cache.put``/``put_smt``), so after a chaos-faulted wave
+        row (inside ``cache.put``), so after a chaos-faulted wave
         the warehouse lists exactly the journaled jobs — which is what lets
         ``repro warehouse verify`` assert journal agreement before and after
         a ``--resume``.
         """
         runner = self.runner
-        if runner.cache is None or not isinstance(error.partial, tuple):
+        if runner.cache is None or not isinstance(error.partial, dict):
             return
-        partial_sim, partial_smt = error.partial
-        for _, job in outstanding_sim:
-            result = partial_sim.get((job.config_name, job.workload))
+        for _, job in outstanding:
+            result = error.partial.get(job.key)
             if result is not None and job.cache_key is not None:
                 try:
                     runner.cache.put(job.cache_key, result)
-                except OSError:
-                    pass
-        for _, job in outstanding_smt:
-            result = partial_smt.get((job.config_name, job.pair))
-            if result is not None and job.cache_key is not None:
-                try:
-                    runner.cache.put_smt(job.cache_key, result)
                 except OSError:
                     pass
 
@@ -316,104 +291,64 @@ class SweepOrchestrator:
             selected = shard.select(list(runner.workloads()))
 
         # Plan per unique config name, then group planned jobs by content.
-        sim_groups: Dict[str, List[SimulationJob]] = {}
-        for name, config in merged.items():
-            for job in runner.plan_jobs(name, config, workload_names=selected):
-                sim_groups.setdefault(_sim_identity(job), []).append(job)
-        smt_groups: Dict[str, List[SmtJob]] = {}
+        planned = [job for name, config in merged.items()
+                   for job in runner.plan_jobs(name, config, workload_names=selected)]
         for name, (config, bound, unbounded) in merged_smt.items():
             max_pairs = None if unbounded else bound
             pairs = runner.smt_pairs(max_pairs)
-            if shard is not None:
-                owned = set(shard.select(pairs))
-                pairs = [pair for pair in pairs if pair in owned]
-            owned_pairs = set(pairs)
-            for job in runner.plan_smt_jobs(name, config, max_pairs):
-                if job.pair not in owned_pairs:
-                    continue
-                smt_groups.setdefault(_smt_identity(job), []).append(job)
-        stats.unique = len(sim_groups) + len(smt_groups)
+            owned = set(pairs if shard is None else shard.select(pairs))
+            planned.extend(job for job in runner.plan_smt_jobs(name, config, max_pairs)
+                           if job.names in owned)
+        groups: Dict[str, List[SimulationJob]] = {}
+        for job in planned:
+            groups.setdefault(_sim_identity(job), []).append(job)
+        stats.unique = len(groups)
 
         # Stage each group's representative from the on-disk cache once.
-        staged_sim: Dict[str, SimulationResult] = {}
-        outstanding_sim: List[Tuple[str, SimulationJob]] = []
-        for identity, group in sim_groups.items():
+        staged: Dict[str, SimulationResult] = {}
+        outstanding: List[Tuple[str, SimulationJob]] = []
+        for identity, group in groups.items():
             representative = group[0]
             cached = (runner.cache.get(representative.cache_key)
                       if representative.cache_key is not None else None)
             if cached is not None:
-                staged_sim[identity] = cached
+                staged[identity] = cached
             else:
-                outstanding_sim.append((identity, representative))
-        staged_smt: Dict[str, SmtResult] = {}
-        outstanding_smt: List[Tuple[str, SmtJob]] = []
-        for identity, group in smt_groups.items():
-            representative = group[0]
-            cached = (runner.cache.get_smt(representative.cache_key)
-                      if representative.cache_key is not None else None)
-            if cached is not None:
-                staged_smt[identity] = cached
-            else:
-                outstanding_smt.append((identity, representative))
-        stats.cache_warm = len(staged_sim) + len(staged_smt)
-        stats.executed = len(outstanding_sim) + len(outstanding_smt)
-        stats.cold_jobs = (
-            [f"{job.config_name}/{job.workload}" for _, job in outstanding_sim]
-            + [f"smt:{job.config_name}/{'+'.join(job.pair)}"
-               for _, job in outstanding_smt])
+                outstanding.append((identity, representative))
+        stats.cache_warm = len(staged)
+        stats.executed = len(outstanding)
+        stats.cold_jobs = [job.label for _, job in outstanding]
 
         # One continuously fed wave over every outstanding representative.
         try:
-            sim_results, smt_results = runner._execute_wave(
-                [job for _, job in outstanding_sim],
-                [job for _, job in outstanding_smt])
+            results = runner._execute_wave([job for _, job in outstanding])
         except SweepExecutionError as error:
             # Partial-wave commit: journal the failed wave's successes to the
             # on-disk cache (never the in-memory stores — the atomic-commit
             # contract of `execute` holds), so the content-addressed cache
             # doubles as the resume journal and a rerun (`repro sweep
             # --resume`) stages them warm and executes only the missing jobs.
-            self._journal_partial_wave(error, outstanding_sim, outstanding_smt)
+            self._journal_partial_wave(error, outstanding)
             raise
-        missing: List[str] = []
-        for identity, job in outstanding_sim:
-            result = sim_results.get((job.config_name, job.workload))
-            if result is None:
-                missing.append(f"{job.config_name}/{job.workload}")
-            else:
-                staged_sim[identity] = result
-        for identity, job in outstanding_smt:
-            result = smt_results.get((job.config_name, job.pair))
-            if result is None:
-                missing.append(f"smt:{job.config_name}/{'+'.join(job.pair)}")
-            else:
-                staged_smt[identity] = result
+        missing = [job.label for _, job in outstanding if job.key not in results]
         if missing:
             raise RuntimeError(
                 f"wave executor returned no result for jobs {missing!r}")
+        for identity, job in outstanding:
+            staged[identity] = results[job.key]
 
         # Commit every alias only after the whole wave succeeded — and before
         # the disk-store writes, so a cache I/O failure (disk full,
         # permissions) cannot discard the finished wave.  The disk puts also
         # append each entry's columnar warehouse row, which keeps the
         # warehouse in lockstep with the journal.
-        workloads = runner.workloads()
-        for identity, group in sim_groups.items():
-            result = staged_sim[identity]
+        for identity, group in groups.items():
             for job in group:
-                workloads[job.workload].results[job.config_name] = \
-                    _relabelled(result, job.config_name)
-        for identity, group in smt_groups.items():
-            result = staged_smt[identity]
-            for job in group:
-                runner._smt_results.setdefault(job.config_name, {})[job.pair] = \
-                    _relabelled_smt(result, job.config_name)
+                runner._committed(job.runs)[job.config_name] = \
+                    _relabelled(staged[identity], job.config_name)
         if runner.cache is not None:
-            for identity, job in outstanding_sim:
+            for identity, job in outstanding:
                 if job.cache_key is not None:
-                    runner.cache.put(job.cache_key, staged_sim[identity])
-            for identity, job in outstanding_smt:
-                if job.cache_key is not None:
-                    runner.cache.put_smt(job.cache_key, staged_smt[identity])
+                    runner.cache.put(job.cache_key, staged[identity])
         self.stats = stats
         return stats

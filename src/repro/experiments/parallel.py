@@ -4,10 +4,9 @@
 :class:`~repro.experiments.runner.ExperimentRunner` and overrides only its
 two hooks:
 
-* ``_execute_wave`` — every outstanding simulation of a wave, single-thread
-  (workload, configuration) jobs and SMT2 pair jobs alike, is sharded across
-  ``max_workers`` OS processes; workers regenerate the traces (an SMT second
-  thread at its distinct base PC),
+* ``_execute_wave`` — every outstanding simulation of a wave is sharded
+  across ``max_workers`` OS processes; workers regenerate the traces, each
+  thread at its own base PC,
 * ``_generate_workloads`` — cold-start trace synthesis plus Load Inspector
   analysis shards across the pool too, so even the first run of a sweep
   scales with the core count.
@@ -20,7 +19,7 @@ Determinism guarantees (enforced by ``tests/test_parallel_determinism.py``):
   trace is therefore bit-identical in every worker and to the parent's copy,
   regardless of worker count or how jobs land on shards.
 * **Order-independent merge.**  Results are merged into dictionaries keyed by
-  ``(config, workload)`` (or ``(config, SMT pair)``) as futures complete;
+  ``(config, workload)`` (a pair's workload is ``a+b``) as futures complete;
   since each key appears in at most one job per wave, completion order cannot
   change the merged value, and downstream aggregation (speedups, geomeans)
   iterates over the runner's workload order, never shard order.
@@ -35,7 +34,7 @@ simulation job it later receives.
 
 **Failure semantics** (the supervision layer; see docs/ARCHITECTURE.md):
 every payload runs through :func:`run_supervised`, which names failures with
-the job's ``(config, workload/pair)`` label and ships the remote traceback
+the job's ``sim:<config>/<workload>`` label and ships the remote traceback
 text home inside a pickle-safe :class:`JobExecutionError`.  The parent-side
 supervisor (:meth:`ParallelExperimentRunner._supervise`) gives each job a
 retry budget (``1 + max_retries`` pool attempts with exponential backoff), an
@@ -43,6 +42,8 @@ optional per-attempt wall timeout, rebuilds the pool when a dying worker
 breaks it (``BrokenProcessPool``), validates every returned value (corrupted
 results are retried, never merged) and, once the pool budget is exhausted,
 degrades the job to one in-process serial attempt before dead-lettering it.
+A model error (:class:`~repro.pipeline.cpu.GoldenCheckError`) is
+deterministic, so it is dead-lettered on its first attempt instead.
 Dead letters raise :class:`~repro.experiments.runner.SweepExecutionError`
 carrying the wave's successes, which the commit layer journals to the on-disk
 cache so a rerun executes only the missing jobs.  Simulation payloads are pure
@@ -78,17 +79,13 @@ from repro.experiments.runner import (
     DeadLetter,
     ExperimentRunner,
     SimulationJob,
-    SmtJob,
     SweepExecutionError,
     WorkloadRun,
-    sim_job_label,
-    smt_job_label,
 )
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.cpu import OutOfOrderCore
-from repro.pipeline.smt import SmtResult, simulate_smt_pair
+from repro.pipeline.cpu import GoldenCheckError, OutOfOrderCore
 from repro.pipeline.stats import SimulationResult
-from repro.workloads.generator import DEFAULT_BASE_PC, generate_trace
+from repro.workloads.generator import DEFAULT_BASE_PC, THREAD_BASE_PCS, generate_trace
 from repro.workloads.suites import SUITE_NAMES, WorkloadSpec
 from repro.workloads.trace import Trace
 
@@ -165,38 +162,23 @@ def _regenerate_trace(spec_dict: Dict[str, object], instructions: int,
     return trace
 
 
-def simulate_keyed_job_payload(payload: Tuple[str, Dict[str, object], int, int, CoreConfig]
-                               ) -> Tuple[str, Tuple[str, str], SimulationResult]:
-    """Worker entry point for one single-thread job of a wave.
+def simulate_keyed_job_payload(
+        payload: Tuple[str, Tuple[Dict[str, object], ...], int, int, CoreConfig]
+) -> Tuple[Tuple[str, str], SimulationResult]:
+    """Worker entry point for one job of a wave.
 
-    Regenerates the trace, simulates, and returns the result tagged ``"sim"``
-    and keyed by ``(config_name, workload)``, so one wave may carry jobs for
-    many configurations without the merged keys colliding.  Module-level (not
-    a closure) so it pickles under every start method.
+    Regenerates each thread's trace at its base PC (memoised under that PC),
+    simulates, and returns the result keyed by ``(config_name, workload)``, so
+    one wave may carry jobs for many configurations without the merged keys
+    colliding.  Module-level (not a closure) so it pickles under every start
+    method.
     """
-    config_name, spec_dict, instructions, num_registers, config = payload
-    trace = _regenerate_trace(spec_dict, instructions, num_registers)
-    core = OutOfOrderCore(config, [trace], name=config_name)
-    return "sim", (config_name, str(spec_dict["name"])), core.run()
-
-
-def simulate_keyed_smt_job_payload(
-        payload: Tuple[str, Dict[str, object], Dict[str, object], int, int, int, CoreConfig]
-) -> Tuple[str, Tuple[str, Tuple[str, str]], SmtResult]:
-    """Worker entry point for one SMT2 pair job of a wave, keyed by
-    ``(config_name, pair)`` (see :func:`simulate_keyed_job_payload`).
-
-    The second thread's trace is regenerated at its own base PC (and memoised
-    under that PC), exactly matching the serial executor's behaviour.
-    """
-    (config_name, first_dict, second_dict, instructions, num_registers,
-     second_base_pc, config) = payload
-    first_trace = _regenerate_trace(first_dict, instructions, num_registers)
-    second_trace = _regenerate_trace(second_dict, instructions, num_registers,
-                                     base_pc=second_base_pc)
-    result = simulate_smt_pair(first_trace, second_trace, config, name=config_name)
-    pair = (str(first_dict["name"]), str(second_dict["name"]))
-    return "smt", (config_name, pair), result
+    config_name, spec_dicts, instructions, num_registers, config = payload
+    traces = [_regenerate_trace(spec_dict, instructions, num_registers, base_pc)
+              for spec_dict, base_pc in zip(spec_dicts, THREAD_BASE_PCS)]
+    core = OutOfOrderCore(config, traces, name=config_name)
+    workload = "+".join(str(spec_dict["name"]) for spec_dict in spec_dicts)
+    return (config_name, workload), core.run()
 
 
 def generate_workload_payload(payload: Tuple[Dict[str, object], int, int, bool]
@@ -224,21 +206,25 @@ class JobExecutionError(RuntimeError):
     (``label`` is ``sim:<config>/<workload>`` etc.) and *why*
     (``remote_traceback`` is the fully formatted worker-side traceback —
     exception objects lose their traceback in pickling, text does not).
+    ``retryable`` is False for a deterministic model error, which another
+    attempt would only repeat.
     """
 
-    def __init__(self, label: str, attempt: int, remote_traceback: str):
+    def __init__(self, label: str, attempt: int, remote_traceback: str,
+                 retryable: bool = True):
         last_line = remote_traceback.strip().splitlines()[-1] \
             if remote_traceback.strip() else "unknown error"
         super().__init__(f"job {label} failed on attempt {attempt}: {last_line}")
         self.label = label
         self.attempt = attempt
         self.remote_traceback = remote_traceback
+        self.retryable = retryable
 
     def __reduce__(self):
         # Multi-argument exception __init__ breaks default unpickling; spell
         # the reconstruction out so the error survives the trip home.
-        return (JobExecutionError,
-                (self.label, self.attempt, self.remote_traceback))
+        return (JobExecutionError, (self.label, self.attempt,
+                                    self.remote_traceback, self.retryable))
 
 
 def run_supervised(fn: Callable[[object], object], payload: object,
@@ -248,13 +234,16 @@ def run_supervised(fn: Callable[[object], object], payload: object,
     Consults the chaos :class:`~repro.experiments.faults.FaultPlan` (if any)
     before and after the payload, and converts every payload exception into a
     :class:`JobExecutionError` naming the job — satellite of the supervision
-    contract: no failure may reach the parent anonymously.
+    contract: no failure may reach the parent anonymously.  A
+    :class:`~repro.pipeline.cpu.GoldenCheckError` is marked not retryable.
     """
     maybe_inject(label, attempt)
     try:
         result = fn(payload)
-    except Exception:
-        raise JobExecutionError(label, attempt, traceback.format_exc()) from None
+    except Exception as exc:
+        raise JobExecutionError(label, attempt, traceback.format_exc(),
+                                retryable=not isinstance(exc, GoldenCheckError)
+                                ) from None
     return corrupt_result(label, attempt, result)
 
 
@@ -287,7 +276,7 @@ class ParallelExperimentRunner(ExperimentRunner):
     anywhere an :class:`ExperimentRunner` is accepted (figure harnesses,
     benchmarks, examples).  In particular every cache write stays
     parent-side: workers return results over the pool and the wave's commit
-    calls ``cache.put``/``put_smt`` here, which is also what
+    calls ``cache.put`` here, which is also what
     appends each entry's columnar warehouse row — N workers never contend on
     the warehouse, and its rows stay in lockstep with the resume journal.
 
@@ -430,10 +419,12 @@ class ParallelExperimentRunner(ExperimentRunner):
         futures, and classifies every completion:
 
         * a validated result is accepted;
-        * an invalid result (corruption) or any failure consumes one attempt —
-          the task retries with exponential backoff while its budget
-          (``1 + max_retries`` pool attempts) lasts, then degrades to one
-          in-process attempt, then dead-letters;
+        * a model error (a :class:`JobExecutionError` that is not
+          ``retryable``) dead-letters at once;
+        * an invalid result (corruption) or any other failure consumes one
+          attempt — the task retries with exponential backoff while its
+          budget (``1 + max_retries`` pool attempts) lasts, then degrades to
+          one in-process attempt, then dead-letters;
         * a cancelled future never ran (pool rebuild collateral), so its
           attempt is refunded and the task requeues immediately;
         * an attempt exceeding ``job_timeout`` is abandoned — and if it cannot
@@ -500,7 +491,11 @@ class ParallelExperimentRunner(ExperimentRunner):
                     ready.append(task)
                     continue
                 except JobExecutionError as error:
-                    fail(task, error.remote_traceback)
+                    if error.retryable:
+                        fail(task, error.remote_traceback)
+                    else:
+                        dead.append(DeadLetter(task.label, task.attempts,
+                                               error.remote_traceback))
                     continue
                 except BrokenExecutor:
                     fail(task, f"worker process died while {task.label} was "
@@ -553,70 +548,43 @@ class ParallelExperimentRunner(ExperimentRunner):
 
     # ---------------------------------------------------------------- execution
 
-    def _execute_wave(self, jobs: Sequence[SimulationJob],
-                      smt_jobs: Sequence[SmtJob] = ()
-                      ) -> Tuple[Dict[Tuple[str, str], SimulationResult],
-                                 Dict[Tuple[str, Tuple[str, str]], SmtResult]]:
-        """Feed a mixed multi-configuration batch into one pool submission.
+    def _execute_wave(self, jobs: Sequence[SimulationJob]
+                      ) -> Dict[Tuple[str, str], SimulationResult]:
+        """Feed a multi-configuration batch into one pool submission.
 
-        Every job — single-thread and SMT alike, across every configuration in
-        the batch — is submitted up front and supervised together, so the pool
-        stays continuously fed for the whole wave instead of draining at each
-        per-configuration barrier.  Submission order is sorted by
-        ``(config_name, workload/pair)`` for a reproducible shard assignment;
-        results merge keyed by those same tuples, so completion order never
-        affects the merged value.  Even a one-job wave goes through the
-        pool, so its job gets the same timeout, retries and fault injection
-        as any other.
+        Every job, across every configuration in the batch, is submitted up
+        front and supervised together, so the pool stays continuously fed for
+        the whole wave instead of draining at each per-configuration barrier.
+        Submission order is sorted by :attr:`SimulationJob.key` for a
+        reproducible shard assignment; results merge keyed by those same
+        tuples, so completion order never affects the merged value.  Even a
+        one-job wave goes through the pool, so its job gets the same timeout,
+        retries and fault injection as any other.
         """
-        if not (jobs or smt_jobs) or self.max_workers == 1:
-            return super()._execute_wave(jobs, smt_jobs)
+        if not jobs or self.max_workers == 1:
+            return super()._execute_wave(jobs)
         tasks = []
-        for job in sorted(jobs, key=lambda job: (job.config_name, job.workload)):
-            payload = (job.config_name, job.run.spec.to_dict(),
+        for job in sorted(jobs, key=lambda job: job.key):
+            payload = (job.config_name,
+                       tuple(run.spec.to_dict() for run in job.runs),
                        self.instructions, self.num_registers, job.config)
             tasks.append(_SupervisedTask(
                 fn=simulate_keyed_job_payload, payload=payload,
-                label=sim_job_label(job),
-                validate=self._wave_validator("sim", (job.config_name,
-                                                      job.workload))))
-        for job in sorted(smt_jobs, key=lambda job: (job.config_name, job.pair)):
-            payload = (job.config_name, job.run.spec.to_dict(),
-                       job.second_spec.to_dict(), self.instructions,
-                       self.num_registers, job.second_base_pc, job.config)
-            tasks.append(_SupervisedTask(
-                fn=simulate_keyed_smt_job_payload, payload=payload,
-                label=smt_job_label(job),
-                validate=self._wave_validator("smt", (job.config_name,
-                                                      job.pair))))
+                label=job.label, validate=self._wave_validator(job.key)))
         try:
             raw = self._supervise(tasks)
         except SweepExecutionError as error:
-            error.partial = self._merge_wave(error.results)
+            error.partial = dict(error.results)
             raise
-        return self._merge_wave(raw)
+        return dict(raw)
 
     @staticmethod
-    def _wave_validator(kind: str, key: object) -> Callable[[object], bool]:
-        expected_type = SimulationResult if kind == "sim" else SmtResult
+    def _wave_validator(key: Tuple[str, str]) -> Callable[[object], bool]:
         def validate(value: object) -> bool:
-            return (isinstance(value, tuple) and len(value) == 3
-                    and value[0] == kind and value[1] == key
-                    and isinstance(value[2], expected_type))
+            return (isinstance(value, tuple) and len(value) == 2
+                    and value[0] == key
+                    and isinstance(value[1], SimulationResult))
         return validate
-
-    @staticmethod
-    def _merge_wave(raw: Sequence[Tuple[str, object, object]]
-                    ) -> Tuple[Dict[Tuple[str, str], SimulationResult],
-                               Dict[Tuple[str, Tuple[str, str]], SmtResult]]:
-        sim_results: Dict[Tuple[str, str], SimulationResult] = {}
-        smt_results: Dict[Tuple[str, Tuple[str, str]], SmtResult] = {}
-        for kind, key, result in raw:
-            if kind == "sim":
-                sim_results[key] = result
-            else:
-                smt_results[key] = result
-        return sim_results, smt_results
 
     # --------------------------------------------------------------- generation
 

@@ -13,10 +13,10 @@ cache, execute, journal a failed batch's successes, commit — driven by
 supplies the pieces, with every expensive phase behind an overridable hook:
 
 * :meth:`ExperimentRunner.plan_jobs` / :meth:`ExperimentRunner.plan_smt_jobs`
-  materialise one :class:`SimulationJob` per outstanding workload and one
-  :class:`SmtJob` per outstanding SMT2 pair;
-* :meth:`ExperimentRunner._execute_wave` executes a mixed batch of both kinds
-  (the one execution hook), and the orchestrator commits the results
+  materialise one :class:`SimulationJob` per outstanding workload or SMT2
+  pair: a job is a config over one or two workload threads;
+* :meth:`ExperimentRunner._execute_wave` executes a batch of jobs (the one
+  execution hook), and the orchestrator commits the results
   *atomically* — either every planned job gets a result or none does, so a
   config factory raising mid-sweep can never leave a partially populated
   :class:`WorkloadRun` that later aggregation misreads as complete;
@@ -35,8 +35,8 @@ whole plan as one wave and read the committed results back with
 The base class runs both hooks serially in-process;
 :class:`~repro.experiments.parallel.ParallelExperimentRunner` overrides just
 the hooks to shard work over a process pool.  All hook results merge into
-dictionaries keyed by workload name, pair or ``(config, workload/pair)``, so
-shard completion order never affects an aggregate.
+dictionaries keyed by workload name or ``(config, workload)``, where a pair's
+workload is ``a+b``, so shard completion order never affects an aggregate.
 
 Both ``run_config`` and ``run_smt_config`` additionally accept a
 :class:`Shard` (``K/N``), which restricts execution to a deterministic slice
@@ -57,9 +57,8 @@ from repro.analysis.stats_utils import filtered_geomean
 from repro.experiments.cache import ReportCache, ResultCache, persist_health_stats
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.cpu import OutOfOrderCore
-from repro.pipeline.smt import SMT_SECOND_THREAD_BASE_PC, SmtResult, simulate_smt_pair
 from repro.pipeline.stats import SimulationResult
-from repro.workloads.generator import generate_trace
+from repro.workloads.generator import THREAD_BASE_PCS, generate_trace
 from repro.workloads.suites import (
     SUITE_NAMES,
     WorkloadSpec,
@@ -128,52 +127,40 @@ class WorkloadRun:
 
 @dataclass
 class SimulationJob:
-    """One planned (workload, configuration) simulation.
+    """One planned simulation: a configuration over one or two workload threads.
 
-    The configuration is fully materialised (oracles built, stats-oracle PCs
-    attached), so executing a job needs nothing beyond the job itself plus the
-    workload's trace — which executors may regenerate deterministically from
-    ``run.spec`` instead of shipping the trace across a process boundary.
+    ``runs`` holds one :class:`WorkloadRun` per hardware thread; two make an
+    SMT2 pair.  The configuration is fully materialised (oracles built, the
+    first thread's stats-oracle PCs attached), so executing a job needs
+    nothing beyond the job itself.  Thread ``i`` runs at
+    ``THREAD_BASE_PCS[i]``: executors regenerate traces deterministically from
+    each run's spec instead of shipping them across a process boundary.
     """
 
     config_name: str
-    run: WorkloadRun
+    runs: Tuple[WorkloadRun, ...]
     config: CoreConfig
     cache_key: Optional[str] = None
 
     @property
+    def names(self) -> Tuple[str, ...]:
+        """Each thread's workload name (a pair's key in the SMT2 results)."""
+        return tuple(run.spec.name for run in self.runs)
+
+    @property
     def workload(self) -> str:
-        """The planned workload's name (the result-dictionary key)."""
-        return self.run.spec.name
+        """The workload the job simulates; a pair's is ``a+b``."""
+        return "+".join(self.names)
 
+    @property
+    def key(self) -> Tuple[str, str]:
+        """The job's key in a wave's result dictionary."""
+        return self.config_name, self.workload
 
-@dataclass
-class SmtJob:
-    """One planned SMT2 (workload pair, configuration) simulation.
-
-    The first thread's trace lives in ``run``; the second thread's trace is
-    *not* materialised here — executors regenerate it deterministically from
-    ``second_spec`` at ``second_base_pc``, exactly as single-thread executors
-    regenerate traces from ``run.spec``.
-    """
-
-    config_name: str
-    pair: Tuple[str, str]
-    run: WorkloadRun
-    second_spec: WorkloadSpec
-    config: CoreConfig
-    second_base_pc: int = SMT_SECOND_THREAD_BASE_PC
-    cache_key: Optional[str] = None
-
-
-def sim_job_label(job: SimulationJob) -> str:
-    """The canonical supervision/fault label of a single-thread job."""
-    return f"sim:{job.config_name}/{job.workload}"
-
-
-def smt_job_label(job: SmtJob) -> str:
-    """The canonical supervision/fault label of an SMT2 pair job."""
-    return f"smt:{job.config_name}/{job.pair[0]}+{job.pair[1]}"
+    @property
+    def label(self) -> str:
+        """The canonical supervision/fault label, ``sim:<config>/<workload>``."""
+        return f"sim:{self.config_name}/{self.workload}"
 
 
 @dataclass
@@ -254,8 +241,8 @@ class SweepExecutionError(RuntimeError):
     a resume journal: a rerun (or ``repro sweep --resume``) re-executes only
     the jobs that are genuinely missing.
 
-    ``partial`` is set by ``_execute_wave`` to the ``(sim results, smt
-    results)`` pair completed so far, keyed exactly as its return value.
+    ``partial`` is set by ``_execute_wave`` to the results completed so far,
+    keyed exactly as its return value.
     """
 
     def __init__(self, dead_letters: Sequence[DeadLetter],
@@ -303,7 +290,8 @@ class ExperimentRunner:
         self.health = SweepHealthReport()
         self._flushed_health: Dict[str, int] = {}
         self._workloads: Optional[Dict[str, WorkloadRun]] = None
-        self._smt_results: Dict[str, Dict[Tuple[str, str], SmtResult]] = {}
+        #: Committed SMT2 results: pair -> config name -> result.
+        self._pair_results: Dict[Tuple[str, ...], Dict[str, SimulationResult]] = {}
 
     # ---------------------------------------------------------------- workloads
 
@@ -380,46 +368,56 @@ class ExperimentRunner:
                 stats_oracle_pcs=run.report.global_stable_pcs())
         return materialised
 
-    def plan_jobs(self, name: str, config: ConfigLike,
-                  workload_names: Optional[Sequence[str]] = None) -> List[SimulationJob]:
-        """Materialise one :class:`SimulationJob` per workload still missing ``name``.
+    def _committed(self, runs: Sequence[WorkloadRun]) -> Dict[str, SimulationResult]:
+        """The committed results, by config name, of the job over ``runs``:
+        the workload's own store for one thread, the pair's for two."""
+        if len(runs) == 1:
+            return runs[0].results
+        return self._pair_results.setdefault(
+            tuple(run.spec.name for run in runs), {})
+
+    def _plan(self, name: str, config: ConfigLike,
+              threads: Sequence[Sequence[WorkloadRun]]) -> List[SimulationJob]:
+        """Materialise one :class:`SimulationJob` per thread set still missing
+        ``name``.
 
         Planning materialises every configuration *before* anything executes,
         so a factory raising mid-sweep aborts the whole sweep with the in-memory
         result store untouched.
         """
         jobs: List[SimulationJob] = []
-        for workload_name, run in self.workloads().items():
-            if workload_names is not None and workload_name not in workload_names:
+        for runs in threads:
+            if name in self._committed(runs):
                 continue
-            if name in run.results:
-                continue
-            core_config = self._materialise_config(config, run)
+            core_config = self._materialise_config(config, runs[0])
             cache_key = None
             if self.cache is not None:
-                cache_key = self.cache.key_for(core_config, run.spec,
-                                               self.instructions, self.num_registers)
-            jobs.append(SimulationJob(config_name=name, run=run,
+                cache_key = self.cache.key_for(
+                    core_config, [run.spec for run in runs],
+                    self.instructions, self.num_registers)
+            jobs.append(SimulationJob(config_name=name, runs=tuple(runs),
                                       config=core_config, cache_key=cache_key))
         return jobs
 
+    def plan_jobs(self, name: str, config: ConfigLike,
+                  workload_names: Optional[Sequence[str]] = None) -> List[SimulationJob]:
+        """Plan config ``name`` over every workload (or ``workload_names``)."""
+        return self._plan(name, config, [
+            (run,) for workload_name, run in self.workloads().items()
+            if workload_names is None or workload_name in workload_names])
+
     def _simulate_job(self, job: SimulationJob) -> SimulationResult:
-        """Simulate one planned single-thread job in-process."""
-        core = OutOfOrderCore(job.config, [job.run.trace], name=job.config_name)
-        return core.run()
+        """Simulate one planned job in-process.
 
-    def _simulate_smt_job(self, job: SmtJob) -> SmtResult:
-        """Simulate one planned SMT2 job in-process.
-
-        The second thread's trace is regenerated at ``second_base_pc`` so the
-        two threads do not alias in the PC-indexed predictors.
+        The first thread runs the workload's own trace; a second thread's is
+        regenerated at its base PC so the threads do not alias in the
+        PC-indexed predictors.
         """
-        second_trace = generate_trace(job.second_spec,
-                                      num_instructions=self.instructions,
-                                      num_registers=self.num_registers,
-                                      base_pc=job.second_base_pc)
-        return simulate_smt_pair(job.run.trace, second_trace,
-                                 job.config, name=job.config_name)
+        traces = [job.runs[0].trace] + [
+            generate_trace(run.spec, num_instructions=self.instructions,
+                           num_registers=self.num_registers, base_pc=base_pc)
+            for run, base_pc in zip(job.runs[1:], THREAD_BASE_PCS[1:])]
+        return OutOfOrderCore(job.config, traces, name=job.config_name).run()
 
     def _dead_letter(self, label: str, attempts: int = 1,
                      error: Optional[BaseException] = None) -> DeadLetter:
@@ -430,64 +428,35 @@ class ExperimentRunner:
         self.health.dead_letters.append(letter)
         return letter
 
-    def _execute_wave(self, jobs: Sequence[SimulationJob],
-                      smt_jobs: Sequence[SmtJob] = ()
-                      ) -> Tuple[Dict[Tuple[str, str], SimulationResult],
-                                 Dict[Tuple[str, Tuple[str, str]], SmtResult]]:
-        """Execute a mixed multi-configuration batch as one wave.
+    def _execute_wave(self, jobs: Sequence[SimulationJob]
+                      ) -> Dict[Tuple[str, str], SimulationResult]:
+        """Execute a multi-configuration batch as one wave.
 
         The one execution hook: every simulation, from a single
         ``run_config`` call to a whole ``repro figures all`` sweep, reaches
         the simulator through here.  A wave may carry jobs for *many*
-        configurations at once, so results are keyed by
-        ``(config_name, workload)`` and ``(config_name, pair)``.  The serial
-        implementation just loops; the parallel runner overrides this to feed
-        every job — single-thread and SMT alike — into one process pool
-        submission, so the pool never drains between configurations or figure
-        harnesses.
+        configurations at once, so results are keyed by :attr:`SimulationJob.key`,
+        ``(config_name, workload)``.  The serial implementation just loops;
+        the parallel runner overrides this to feed every job into one process
+        pool submission, so the pool never drains between configurations or
+        figure harnesses.
 
         A failure raises :class:`SweepExecutionError` whose ``partial``
-        carries the ``(sim results, smt results)`` completed so far, so the
-        orchestrator can journal them to the on-disk cache before the error
-        propagates.
+        carries the results completed so far, so the orchestrator can journal
+        them to the on-disk cache before the error propagates.
         """
-        sim_results: Dict[Tuple[str, str], SimulationResult] = {}
-        smt_results: Dict[Tuple[str, Tuple[str, str]], SmtResult] = {}
-        self.health.jobs += len(jobs) + len(smt_jobs)
-        try:
-            for job in jobs:
-                self.health.attempts += 1
-                sim_results[(job.config_name, job.workload)] = \
-                    self._simulate_job(job)
-            for smt_job in smt_jobs:
-                self.health.attempts += 1
-                smt_results[(smt_job.config_name, smt_job.pair)] = \
-                    self._simulate_smt_job(smt_job)
-        except Exception as exc:
-            raise self._wave_failure(exc, sim_results, smt_results,
-                                     jobs, smt_jobs) from exc
-        return sim_results, smt_results
-
-    def _wave_failure(self, exc: BaseException,
-                      sim_results: Dict[Tuple[str, str], SimulationResult],
-                      smt_results: Dict[Tuple[str, Tuple[str, str]], SmtResult],
-                      jobs: Sequence[SimulationJob],
-                      smt_jobs: Sequence[SmtJob]) -> "SweepExecutionError":
-        """Build the partial-carrying error for a serial wave failure."""
-        label = "wave"
+        results: Dict[Tuple[str, str], SimulationResult] = {}
+        self.health.jobs += len(jobs)
         for job in jobs:
-            if (job.config_name, job.workload) not in sim_results:
-                label = sim_job_label(job)
-                break
-        else:
-            for smt_job in smt_jobs:
-                if (smt_job.config_name, smt_job.pair) not in smt_results:
-                    label = smt_job_label(smt_job)
-                    break
-        letter = self._dead_letter(label, error=exc)
-        error = SweepExecutionError([letter], self.health)
-        error.partial = (sim_results, smt_results)
-        return error
+            self.health.attempts += 1
+            try:
+                results[job.key] = self._simulate_job(job)
+            except Exception as exc:
+                letter = self._dead_letter(job.label, error=exc)
+                error = SweepExecutionError([letter], self.health)
+                error.partial = results
+                raise error from exc
+        return results
 
     def _run_wave(self, name: str, shard: Optional[Shard], **demand) -> None:
         """Run config ``name``'s ``FigurePlan`` demand as a one-plan wave."""
@@ -627,35 +596,17 @@ class ExperimentRunner:
         return pairs
 
     def plan_smt_jobs(self, name: str, config: ConfigLike,
-                      max_pairs: Optional[int] = None) -> List[SmtJob]:
-        """Materialise one :class:`SmtJob` per pair still missing ``name``.
-
-        Mirrors :meth:`plan_jobs`: every configuration is materialised before
-        anything executes, so a factory raising mid-sweep aborts the whole SMT
-        sweep with the in-memory result store untouched.
-        """
-        committed = self._smt_results.get(name, {})
+                      max_pairs: Optional[int] = None) -> List[SimulationJob]:
+        """Plan config ``name`` over the first ``max_pairs`` SMT2 pairs."""
         workloads = self.workloads()
-        jobs: List[SmtJob] = []
-        for pair in self.smt_pairs(max_pairs):
-            if pair in committed:
-                continue
-            first = workloads[pair[0]]
-            second_spec = workloads[pair[1]].spec
-            core_config = self._materialise_config(config, first)
-            cache_key = None
-            if self.cache is not None:
-                cache_key = self.cache.key_for_smt(
-                    core_config, first.spec, second_spec,
-                    self.instructions, self.num_registers)
-            jobs.append(SmtJob(config_name=name, pair=pair, run=first,
-                               second_spec=second_spec, config=core_config,
-                               cache_key=cache_key))
-        return jobs
+        return self._plan(name, config, [
+            (workloads[first], workloads[second])
+            for first, second in self.smt_pairs(max_pairs)])
 
     def run_smt_config(self, name: str, config: ConfigLike,
                        max_pairs: Optional[int] = None,
-                       shard: Optional[Shard] = None) -> Dict[Tuple[str, str], SmtResult]:
+                       shard: Optional[Shard] = None
+                       ) -> Dict[Tuple[str, str], SimulationResult]:
         """Run an SMT2 configuration over the cross-suite pairs.
 
         The SMT counterpart of :meth:`run_config`, and the same one-plan wave:
@@ -669,7 +620,8 @@ class ExperimentRunner:
         return self.smt_results(name, max_pairs, shard)
 
     def smt_results(self, name: str, max_pairs: Optional[int] = None,
-                    shard: Optional[Shard] = None) -> Dict[Tuple[str, str], SmtResult]:
+                    shard: Optional[Shard] = None
+                    ) -> Dict[Tuple[str, str], SimulationResult]:
         """The committed SMT2 results of config ``name``, in pairing order.
 
         Covers the first ``max_pairs`` pairs (all of them when None), or only
@@ -679,5 +631,5 @@ class ExperimentRunner:
         if shard is not None:
             owned = set(shard.select(pairs))
             pairs = [pair for pair in pairs if pair in owned]
-        committed = self._smt_results.get(name, {})
-        return {pair: committed[pair] for pair in pairs if pair in committed}
+        return {pair: self._pair_results[pair][name] for pair in pairs
+                if name in self._pair_results.get(pair, {})}

@@ -10,8 +10,8 @@ keeps append-only tables next to the object store, under
 
 * **The rows table** (:data:`ROWS_TABLE`) holds one flat, engine-independent
   :class:`WarehouseRow` per committed entry, appended by
-  :class:`ResultCache.put`/``put_smt`` (``cache.py``).  Every commit path
-  funnels through those two methods (serial and parallel runners,
+  :class:`ResultCache.put` (``cache.py``).  Every commit path
+  funnels through that method (serial and parallel runners,
   orchestrated waves, partial-wave journals, ``--resume`` re-execution), so
   the rows can never disagree with the cache journal: a journaled entry and
   its row are written by the same ``put`` call.
@@ -66,7 +66,6 @@ from typing import (IO, Callable, Dict, Iterator, List, Optional, Sequence,
                     Set, Tuple, Union)
 
 from repro.analysis.stats_utils import filtered_geomean, median
-from repro.pipeline.smt import SmtResult
 from repro.pipeline.stats import SimulationResult
 from repro.power.power_model import CorePowerModel
 from repro.workloads.suites import get_workload_spec
@@ -82,7 +81,8 @@ WAREHOUSE_SCHEMA_VERSION = 1
 _COMPACT_LOCK_STALE_SECONDS = 3600.0
 
 #: Column order of the flat row schema.  ``key`` is the cache key (already
-#: engine-independent by the RL002 purity contract), ``schema`` the
+#: engine-independent by the RL002 purity contract), ``kind`` is ``result``
+#: for one thread and ``smt`` for an SMT2 pair, ``schema`` the
 #: ``SCHEMA_VERSION`` of the source cache entry.
 ROW_COLUMNS = ("key", "kind", "workload", "suite", "config", "cycles",
                "instructions", "ipc", "coverage", "power", "l1d_accesses",
@@ -182,10 +182,10 @@ def _coverage_of(result: SimulationResult) -> float:
 
 def row_for_result(key: str, result: SimulationResult,
                    schema_version: int) -> WarehouseRow:
-    """The warehouse row of one single-thread result entry."""
+    """The warehouse row of one result entry; its kind follows the thread count."""
     return WarehouseRow(
         key=key,
-        kind="result",
+        kind="smt" if len(result.per_thread) > 1 else "result",
         workload=result.trace_name,
         suite=suite_of(result.trace_name),
         config=result.config_name,
@@ -197,13 +197,6 @@ def row_for_result(key: str, result: SimulationResult,
         l1d_accesses=int(result.power_events.get("l1d_accesses", 0)),
         schema=schema_version,
     )
-
-
-def row_for_smt(key: str, smt: SmtResult, schema_version: int) -> WarehouseRow:
-    """The warehouse row of one SMT pair entry (kind ``smt``)."""
-    row = row_for_result(key, smt.result, schema_version)
-    row.kind = "smt"
-    return row
 
 
 def canonical_rows(rows: Sequence[WarehouseRow]) -> List[WarehouseRow]:
@@ -556,19 +549,14 @@ def scan_object_store(directory: Union[str, Path],
             continue
         if not isinstance(payload, dict):
             continue
-        if payload.get("schema") != schema_version:
+        if (payload.get("schema") != schema_version
+                or payload.get("kind", "result") != "result"):
             continue
-        kind = str(payload.get("kind", "result"))
         key = str(payload.get("key", path.stem))
         try:
-            if kind == "result":
-                rows.append(row_for_result(
-                    key, SimulationResult.from_dict(payload["result"]),
-                    schema_version))
-            elif kind == "smt":
-                rows.append(row_for_smt(
-                    key, SmtResult.from_dict(payload["result"]),
-                    schema_version))
+            rows.append(row_for_result(
+                key, SimulationResult.from_dict(payload["result"]),
+                schema_version))
         except (ValueError, KeyError, TypeError):
             continue
     return canonical_rows(rows)
@@ -790,9 +778,8 @@ def verify_warehouse(directory: Union[str, Path],
                 continue
             if not isinstance(payload, dict):
                 continue
-            if payload.get("schema") != schema_version:
-                continue
-            if str(payload.get("kind", "result")) not in ("result", "smt"):
+            if (payload.get("schema") != schema_version
+                    or payload.get("kind", "result") != "result"):
                 continue
             entry_keys.add(str(payload.get("key", path.stem)))
     row_keys = {row.key for row in read_rows(directory)}

@@ -3,8 +3,8 @@ load value prediction, MRN, ELAR and RFP attached."""
 
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.stats import SimulationResult, PipelineStats
-from repro.pipeline.cpu import OutOfOrderCore, GoldenCheckError, simulate_trace
-from repro.pipeline.smt import simulate_smt_pair, SmtResult
+from repro.pipeline.cpu import (OutOfOrderCore, GoldenCheckError, simulate_smt_pair,
+                                simulate_trace)
 
 __all__ = [
     "CoreConfig",
@@ -14,5 +14,4 @@ __all__ = [
     "GoldenCheckError",
     "simulate_trace",
     "simulate_smt_pair",
-    "SmtResult",
 ]

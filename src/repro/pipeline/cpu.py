@@ -597,6 +597,7 @@ class OutOfOrderCore:
             # them on every stalled cycle.  Flagging the stall as an action
             # keeps the event engine stepping such cycles one by one, so the
             # mechanisms re-fire exactly as often as in the reference.
+            rs_pool.allocation_stalls += 1
             self._rename_stall_acted = True
             return None
 
@@ -1503,4 +1504,20 @@ def simulate_trace(trace: Trace, config: Optional[CoreConfig] = None,
     """
     config = config or CoreConfig()
     core = OutOfOrderCore(config, [trace], name=name, engine=engine)
+    return core.run()
+
+
+def simulate_smt_pair(trace_a: Trace, trace_b: Trace,
+                      config: Optional[CoreConfig] = None,
+                      name: str = "smt2",
+                      engine: Optional[str] = None) -> SimulationResult:
+    """Run two traces on one 2-way SMT core (paper §8.1, §9.1.2).
+
+    The threads share fetch/rename/issue bandwidth, the reservation station
+    and the execution ports; the ROB, load buffer and store buffer are
+    statically partitioned, and each thread gets its own Constable/LVP/MRN
+    instances.  The result's ``per_thread`` holds one record per thread.
+    """
+    config = config or CoreConfig()
+    core = OutOfOrderCore(config, [trace_a, trace_b], name=name, engine=engine)
     return core.run()

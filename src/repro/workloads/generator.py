@@ -25,9 +25,13 @@ from repro.workloads.kernels import (
 from repro.workloads.trace import Trace
 from repro.workloads.vm import FunctionalVM, SparseMemory
 
-#: Default code base address of a generated workload; SMT second threads use a
-#: different base so two threads never alias in the PC-indexed predictors.
-DEFAULT_BASE_PC = 0x400000
+#: Code base address of each hardware thread's workload, by thread position:
+#: an SMT second thread starts elsewhere so two threads never alias in the
+#: PC-indexed predictors.
+THREAD_BASE_PCS = (0x400000, 0x800000)
+
+#: Code base address of a generated workload (the first thread's).
+DEFAULT_BASE_PC = THREAD_BASE_PCS[0]
 
 #: Register used as the outer-loop counter in every generated workload.
 OUTER_COUNTER_REGISTER = 15

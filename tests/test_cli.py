@@ -525,7 +525,7 @@ def test_expect_warm_catches_cold_orchestrator_jobs_without_sim_counters():
     warm = DedupStats(planned=4, unique=3, cache_warm=3, executed=0)
     assert _expect_warm_violated(0, 0, warm) is False
     cold = DedupStats(planned=4, unique=3, cache_warm=1, executed=2,
-                      cold_jobs=["constable/client_00", "smt:baseline/a+b"])
+                      cold_jobs=["sim:constable/client_00", "sim:baseline/a+b"])
     assert _expect_warm_violated(0, 0, cold) is True
     assert _expect_warm_violated(0, 0, None) is False, \
         "no wave (serial path) leaves the harness counters in charge"

@@ -34,8 +34,8 @@ from repro.experiments.configs import (
 from repro.experiments.parallel import ParallelExperimentRunner
 from repro.experiments.runner import ExperimentRunner
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.cpu import CORE_ENGINE_ENV, OutOfOrderCore, default_engine
-from repro.pipeline.smt import simulate_smt_pair
+from repro.pipeline.cpu import (CORE_ENGINE_ENV, OutOfOrderCore, default_engine,
+                                simulate_smt_pair)
 from repro.workloads.generator import generate_trace
 from repro.workloads.suites import WorkloadSpec
 

@@ -154,13 +154,13 @@ def test_run_smt_config_failure_mid_sweep_is_atomic():
     with pytest.raises(RuntimeError, match="exploded"):
         runner.run_smt_config("flaky", flaky_factory, max_pairs=2)
     assert calls["count"] > 1
-    assert runner._smt_results.get("flaky", {}) == {}
+    assert runner.smt_results("flaky", max_pairs=2) == {}
 
     # The sweep stays usable afterwards.
     results = runner.run_smt_config("flaky", constable_config(), max_pairs=2)
     assert set(results) == set(runner.smt_pairs(max_pairs=2))
-    for smt in results.values():
-        assert smt.cycles > 0 and len(smt.per_thread_ipc) == 2
+    for result in results.values():
+        assert result.cycles > 0 and len(result.per_thread) == 2
 
 
 def test_runner_rejects_bad_parameters():
@@ -326,9 +326,9 @@ def test_fig14_survives_zero_cycle_smt_results():
     assert set(result["geomean_speedups"]) == {"eves", "constable", "eves+constable"}
     # Zero out one side after the fact and rerun the aggregation path: the
     # memoised results make this cheap, and the degenerate pair must drop out.
-    for results in runner._smt_results.values():
-        for pair, smt in results.items():
-            smt.result.cycles = 0
+    for results in runner._pair_results.values():
+        for result in results.values():
+            result.cycles = 0
     degenerate = figures.fig14_speedup_smt2(runner, max_pairs=1)
     assert all(value == 1.0 for value in degenerate["geomean_speedups"].values())
 

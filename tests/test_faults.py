@@ -141,6 +141,11 @@ def test_job_execution_error_survives_pickling():
     assert clone.remote_traceback == error.remote_traceback
     assert "sim:baseline/client_00" in str(clone)
     assert "ValueError: boom" in str(clone)
+    assert clone.retryable
+    model_error = JobExecutionError("sim:constable/client_00", 1,
+                                    "GoldenCheckError: stale value",
+                                    retryable=False)
+    assert not pickle.loads(pickle.dumps(model_error)).retryable
 
 
 # ----------------------------------------------------- the chaos differential
@@ -195,6 +200,39 @@ def test_worker_exceptions_carry_job_identity_and_traceback(monkeypatch):
     assert "InjectedFault" in letter.error  # the remote traceback text
     assert "InjectedFault" in letter.fallback_error
     assert "sim:baseline/client_00" in str(excinfo.value)
+
+
+def test_model_errors_dead_letter_on_first_attempt(monkeypatch):
+    """A wrong answer fails as fast as it fails loudly: a GoldenCheckError is
+    deterministic, so the supervisor neither retries it in the pool nor
+    degrades it in-process, and the dead letter names the job and the load."""
+    from repro.experiments import parallel
+    from repro.pipeline.cpu import GoldenCheckError, OutOfOrderCore
+
+    class WrongAnswerCore(OutOfOrderCore):
+        def run(self):
+            if self.name == "constable" and self.threads[0].trace.name == "client_00":
+                raise GoldenCheckError("eliminated load at pc=0x400094 seq=42 "
+                                       "retired with a stale value")
+            return super().run()
+
+    # Patched before the fork-started pool exists, so the workers inherit it.
+    monkeypatch.setattr(parallel, "OutOfOrderCore", WrongAnswerCore)
+    with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
+                                  suites=SUITES, max_workers=2, max_retries=2,
+                                  start_method="fork",
+                                  retry_backoff_seconds=0.0) as runner:
+        with pytest.raises(SweepExecutionError):
+            runner.run_config("constable", constable_config())
+        health = runner.health
+    assert health.retries == 0
+    assert health.degraded == 0
+    (letter,) = health.dead_letters
+    assert letter.attempts == 1
+    assert letter.label == "sim:constable/client_00"
+    assert "GoldenCheckError" in letter.error
+    assert "pc=0x400094 seq=42" in letter.error
+    assert letter.fallback_error == ""
 
 
 def test_exhausted_pool_budget_degrades_to_in_process(monkeypatch):
@@ -315,7 +353,7 @@ def test_failed_wave_journals_and_resume_executes_only_missing(tmp_path,
     assert stats.planned == 4
     assert stats.cache_warm == 3  # the three journaled successes
     assert stats.executed == 1    # only the dead-lettered job re-executes
-    assert stats.cold_jobs == ["constable/client_00"]
+    assert stats.cold_jobs == ["sim:constable/client_00"]
     assert wave == _serial_results()
 
 
@@ -360,8 +398,7 @@ def test_crash_during_commit_leaves_reclaimable_orphan(tmp_path):
                               suites=("Client",), cache=ResultCache(tmp_path))
     (job,) = runner.plan_jobs("baseline", baseline_config())
     assert job.cache_key is not None
-    sim_results, _ = runner._execute_wave([job])
-    result = sim_results[(job.config_name, job.workload)]
+    result = runner._execute_wave([job])[job.key]
 
     context = multiprocessing.get_context("fork")
     child = context.Process(target=_crash_inside_commit,

@@ -12,8 +12,10 @@ comparison is exact).
 The summaries are eight fields; the ``result_digests`` pin everything else.
 Each is the SHA-256 of the sorted-key JSON of one full
 ``SimulationResult.to_dict()``, for every named configuration and every ideal
-mode on the fixture's workload, plus one SMT2 pair.  The event-vs-cycle
-differentials cannot see a change both engines share; these digests can.
+mode on the fixture's workload, plus two SMT2 pairs: one run directly at the
+default base PC, and the runner's first pair as a sweep plans it.  The
+event-vs-cycle differentials cannot see a change both engines share; these
+digests can.
 
 When a change *intentionally* alters these numbers, refresh the fixtures and
 bump :data:`repro.experiments.cache.SCHEMA_VERSION` in the same commit:
@@ -35,9 +37,9 @@ import pytest
 from repro.analysis.load_inspector import inspect_trace
 from repro.core.ideal import IdealMode, IdealOracle
 from repro.experiments.configs import baseline_config, constable_config, named_configs
-from repro.pipeline import simulate_trace
+from repro.experiments.runner import ExperimentRunner
+from repro.pipeline import simulate_smt_pair, simulate_trace
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.smt import simulate_smt_pair
 from repro.workloads.generator import generate_trace, trace_signature
 from repro.workloads.suites import get_workload_spec
 
@@ -53,6 +55,11 @@ GOLDEN_WORKLOADS = ("client_00", "ispec_00", "server_00")
 #: example a decode memo keyed by PC rather than by static instruction) moves
 #: its digest.
 GOLDEN_SMT_PAIR = ("client_00", "ispec_00")
+
+#: The runner whose first SMT2 pair (``client_00+enterprise_00``) is pinned
+#: as a sweep plans it: the second thread at its own base PC and the first
+#: thread's global-stable PCs attached as the stats oracle.
+GOLDEN_RUNNER_PAIR = dict(per_suite=1, suites=("Client", "Enterprise"))
 
 #: Trace length of the golden runs (short: each workload simulates 13 times).
 GOLDEN_INSTRUCTIONS = 1200
@@ -106,12 +113,25 @@ def compute_smt_snapshot(pair: Tuple[str, str]) -> Dict[str, object]:
     traces = [generate_trace(get_workload_spec(name),
                              num_instructions=GOLDEN_INSTRUCTIONS)
               for name in pair]
-    smt = simulate_smt_pair(traces[0], traces[1], baseline_config(), name="baseline")
+    result = simulate_smt_pair(traces[0], traces[1], baseline_config(), name="baseline")
     return {
         "workloads": list(pair),
         "instructions": GOLDEN_INSTRUCTIONS,
-        "result_digests": {"baseline": result_digest(smt.result)},
+        "result_digests": {"baseline": result_digest(result)},
     }
+
+
+def compute_runner_pair_snapshot() -> Dict[str, object]:
+    """Regenerate the pinned baseline and constable results of the runner's
+    first SMT2 pair, planned and executed through ``run_smt_config``."""
+    runner = ExperimentRunner(instructions=GOLDEN_INSTRUCTIONS, **GOLDEN_RUNNER_PAIR)
+    (pair,) = runner.smt_pairs(max_pairs=1)
+    digests = {name: result_digest(
+                   runner.run_smt_config(name, factory(), max_pairs=1)[pair])
+               for name, factory in (("baseline", baseline_config),
+                                     ("constable", constable_config))}
+    return {"workloads": list(pair), "instructions": GOLDEN_INSTRUCTIONS,
+            "result_digests": digests}
 
 
 def _fixture_path(name: str) -> Path:
@@ -120,6 +140,10 @@ def _fixture_path(name: str) -> Path:
 
 def _smt_fixture_name(pair: Tuple[str, str]) -> str:
     return "smt2_" + "+".join(pair)
+
+
+#: Fixture of :func:`compute_runner_pair_snapshot`.
+RUNNER_PAIR_FIXTURE = "smt2_runner_client_00+enterprise_00"
 
 
 def _load_fixture(name: str) -> Dict[str, object]:
@@ -167,6 +191,13 @@ def test_golden_smt_pair_reproduces():
         raise AssertionError(_drift_message("+".join(GOLDEN_SMT_PAIR), expected, actual))
 
 
+def test_golden_runner_pair_reproduces():
+    expected = _load_fixture(RUNNER_PAIR_FIXTURE)
+    actual = compute_runner_pair_snapshot()
+    if actual != expected:
+        raise AssertionError(_drift_message(RUNNER_PAIR_FIXTURE, expected, actual))
+
+
 def test_drift_message_names_each_moved_digest():
     expected = {"result_digests": {"baseline": "a", "constable": "b", "eves": "c"}}
     actual = {"result_digests": {"baseline": "a", "constable": "x", "eves": "y"}}
@@ -181,6 +212,7 @@ def refresh() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     snapshots = {workload: compute_snapshot(workload) for workload in GOLDEN_WORKLOADS}
     snapshots[_smt_fixture_name(GOLDEN_SMT_PAIR)] = compute_smt_snapshot(GOLDEN_SMT_PAIR)
+    snapshots[RUNNER_PAIR_FIXTURE] = compute_runner_pair_snapshot()
     for name, snapshot in snapshots.items():
         path = _fixture_path(name)
         path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n",

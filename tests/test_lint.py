@@ -358,7 +358,7 @@ def test_cache_fingerprint_ignores_engine_and_runtime_env(tmp_path, monkeypatch)
 
     def key() -> str:
         cache = ResultCache(tmp_path / "cache")
-        return cache.key_for(config, spec, instructions=2000, num_registers=16)
+        return cache.key_for(config, [spec], instructions=2000, num_registers=16)
 
     monkeypatch.setenv("REPRO_CORE_ENGINE", "cycle")
     monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)

@@ -1,16 +1,15 @@
 """Differential tests: parallel sharded execution is bit-identical to serial.
 
 The parallel runner regenerates traces in workers from the workload spec's
-seed and merges shard results keyed by workload name (or SMT pair), so
+seed and merges shard results keyed by ``(config, workload)``, so
 neither the worker count nor shard completion order may change any statistic
 — or any trace bit.  These tests run the same sweeps serially and with 1-,
 2- and 4-worker pools and require equality of:
 
 * every generated trace (full dynamic content, via ``trace_signature``) and
   every Load Inspector report, covering the sharded cold-start path;
-* the *entire* :class:`SimulationResult` of every (workload, config) pair
-  (every pipeline counter included);
-* every :class:`SmtResult` of the SMT2 pair sweeps;
+* the *entire* :class:`SimulationResult` of every (workload, config) and
+  (SMT2 pair, config) job (every pipeline counter included);
 
 and then check that aggregation is merge-order independent.
 """
@@ -33,19 +32,11 @@ from repro.experiments.parallel import ParallelExperimentRunner
 from repro.experiments.runner import ExperimentRunner
 from repro.workloads.generator import trace_signature
 
-#: Reduced sweep shared by the differential tests.
+#: Reduced sweep shared by the differential tests: three workloads and the
+#: SMT2 pair of the first two.
 SUITES = ("Client", "ISPEC17", "Server")
 INSTRUCTIONS = 1500
 CONFIGS = {
-    "baseline": baseline_config,
-    "constable": constable_config,
-}
-
-#: Reduced SMT sweep: 2 suites x 2 workloads -> 2 cross-suite pairs.
-SMT_SUITES = ("Client", "Server")
-SMT_PER_SUITE = 2
-SMT_INSTRUCTIONS = 1200
-SMT_CONFIGS = {
     "baseline": baseline_config,
     "constable": constable_config,
 }
@@ -54,6 +45,7 @@ SMT_CONFIGS = {
 def _run_sweep(runner: ExperimentRunner) -> ExperimentRunner:
     for name, factory in CONFIGS.items():
         runner.run_config(name, factory())
+        runner.run_smt_config(name, factory())
     return runner
 
 
@@ -69,30 +61,6 @@ def parallel_runner(request):
     runner = ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
                                       suites=SUITES, max_workers=request.param)
     yield _run_sweep(runner)
-    runner.close()
-
-
-def _run_smt_sweep(runner: ExperimentRunner):
-    sweeps = {name: runner.run_smt_config(name, factory())
-              for name, factory in SMT_CONFIGS.items()}
-    return runner, sweeps
-
-
-@pytest.fixture(scope="module")
-def serial_smt():
-    return _run_smt_sweep(ExperimentRunner(per_suite=SMT_PER_SUITE,
-                                           instructions=SMT_INSTRUCTIONS,
-                                           suites=SMT_SUITES))
-
-
-@pytest.fixture(scope="module", params=[1, 2, 4],
-                ids=["workers1", "workers2", "workers4"])
-def parallel_smt(request):
-    runner = ParallelExperimentRunner(per_suite=SMT_PER_SUITE,
-                                      instructions=SMT_INSTRUCTIONS,
-                                      suites=SMT_SUITES,
-                                      max_workers=request.param)
-    yield _run_smt_sweep(runner)
     runner.close()
 
 
@@ -116,7 +84,8 @@ def test_parallel_trace_generation_identical_to_serial(serial_runner, parallel_r
 
 
 def test_parallel_results_identical_to_serial(serial_runner, parallel_runner):
-    """Every workload/config pair produces an identical SimulationResult."""
+    """Every workload/config and pair/config job produces an identical
+    SimulationResult."""
     serial_workloads = serial_runner.workloads()
     parallel_workloads = parallel_runner.workloads()
     assert set(serial_workloads) == set(parallel_workloads)
@@ -128,6 +97,24 @@ def test_parallel_results_identical_to_serial(serial_runner, parallel_runner):
             # Dataclass equality covers cycles, every PipelineStats counter,
             # power events, memory stats, per-thread records, ...
             assert serial_result == parallel_result, (workload, config)
+    for config in CONFIGS:
+        serial_pairs = serial_runner.smt_results(config)
+        parallel_pairs = parallel_runner.smt_results(config)
+        assert list(serial_pairs) == [("client_00", "ispec_00")]
+        assert list(parallel_pairs) == list(serial_pairs), \
+            "pair order must follow smt_pairs order, not shard completion order"
+        for pair, serial_result in serial_pairs.items():
+            assert len(serial_result.per_thread) == 2
+            assert parallel_pairs[pair] == serial_result, (pair, config)
+
+
+def _pair_speedups(runner: ExperimentRunner, config: str):
+    """Each SMT2 pair's speedup over the baseline, overall and per thread."""
+    base = runner.smt_results("baseline")
+    return {pair: (base[pair].cycles / result.cycles,
+                   [mine["ipc"] / theirs["ipc"] for mine, theirs
+                    in zip(result.per_thread, base[pair].per_thread)])
+            for pair, result in runner.smt_results(config).items()}
 
 
 def test_parallel_aggregates_identical_to_serial(serial_runner, parallel_runner):
@@ -140,41 +127,8 @@ def test_parallel_aggregates_identical_to_serial(serial_runner, parallel_runner)
                 == serial_runner.speedups_by_suite(config))
         assert (parallel_runner.geomean_speedup(config)
                 == serial_runner.geomean_speedup(config))
-
-
-# ------------------------------------------------------------------------ SMT
-
-def test_parallel_smt_sweep_identical_to_serial(serial_smt, parallel_smt):
-    """Every SMT pair/config produces an identical SmtResult at any worker count."""
-    _, serial_sweeps = serial_smt
-    _, parallel_sweeps = parallel_smt
-    assert set(serial_sweeps) == set(parallel_sweeps)
-    for config, serial_results in serial_sweeps.items():
-        parallel_results = parallel_sweeps[config]
-        assert list(serial_results) == list(parallel_results), \
-            "pair order must follow smt_pairs order, not shard completion order"
-        for pair, serial_result in serial_results.items():
-            parallel_result = parallel_results[pair]
-            # Dataclass equality covers the full SimulationResult (cycles,
-            # every PipelineStats counter, power events, per-thread records)
-            # plus the per-thread IPC list.
-            assert serial_result == parallel_result, (config, pair)
-
-
-def test_parallel_smt_speedups_identical_to_serial(serial_smt, parallel_smt):
-    """Weighted speedups derived from the sweeps match exactly."""
-    _, serial_sweeps = serial_smt
-    _, parallel_sweeps = parallel_smt
-    for flavour_sweeps in (serial_sweeps, parallel_sweeps):
-        assert set(flavour_sweeps["baseline"]) == set(flavour_sweeps["constable"])
-    for pair in serial_sweeps["baseline"]:
-        serial_ws = serial_sweeps["constable"][pair].weighted_speedup_over(
-            serial_sweeps["baseline"][pair])
-        parallel_ws = parallel_sweeps["constable"][pair].weighted_speedup_over(
-            parallel_sweeps["baseline"][pair])
-        assert serial_ws == parallel_ws, pair
-        assert (serial_sweeps["baseline"][pair].throughput()
-                == parallel_sweeps["baseline"][pair].throughput()), pair
+        assert (_pair_speedups(parallel_runner, config)
+                == _pair_speedups(serial_runner, config))
 
 
 # ---------------------------------------------------------------- aggregation
@@ -191,11 +145,11 @@ def test_shard_merge_order_does_not_change_geomean(serial_runner):
 def test_executor_merges_by_workload_not_completion_order(serial_runner):
     """_execute_wave output is keyed by (config, workload), so merging is a
     plain dict update."""
-    jobs = serial_runner.plan_jobs("eves", eves_config())
-    assert jobs, "eves has not run yet, every workload should be planned"
-    results, smt_results = serial_runner._execute_wave(list(reversed(jobs)))
+    jobs = (serial_runner.plan_jobs("eves", eves_config())
+            + serial_runner.plan_smt_jobs("eves", eves_config()))
+    assert len(jobs) == 4, "eves has not run yet: three workloads and a pair"
+    results = serial_runner._execute_wave(list(reversed(jobs)))
     assert set(results) == {("eves", job.workload) for job in jobs}
-    assert smt_results == {}
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 4,

@@ -6,9 +6,12 @@ import weakref
 import pytest
 
 from repro.backend.ports import PortConfig
-from repro.experiments.configs import constable_config
+from repro.backend.resources import BackendSizes
+from repro.experiments.configs import baseline_config, constable_config
 from repro.pipeline import CoreConfig, OutOfOrderCore, simulate_trace
 from repro.rename.optimizations import RenameOptimizationConfig
+from repro.workloads.generator import generate_trace
+from repro.workloads.suites import get_workload_spec
 
 
 def test_baseline_retires_every_instruction(client_trace, baseline_result):
@@ -35,6 +38,22 @@ def test_resource_counters_are_consistent(baseline_result):
     assert resources["rs_allocations"] <= resources["rob_allocations"]
     assert stats.rs_issues <= resources["rs_allocations"]
     assert stats.loads_executed <= stats.loads_renamed
+
+
+@pytest.mark.parametrize("engine", ["event", "cycle"])
+def test_full_reservation_station_stalls_are_counted(engine):
+    """Rename checks the RS inline; every cycle a micro-op finds it full is
+    one ``rs_allocation_stalls``, identically under both engines."""
+    trace = generate_trace(get_workload_spec("client_00"), num_instructions=1200)
+    stalls = {}
+    for name, factory in (("baseline", baseline_config),
+                          ("constable", constable_config)):
+        config = factory().copy(sizes=BackendSizes(rs=8))
+        resources = simulate_trace(trace, config, name=name,
+                                   engine=engine).resource_stats
+        assert resources["rs_peak_occupancy"] == 8
+        stalls[name] = resources["rs_allocation_stalls"]
+    assert stalls == {"baseline": 1100, "constable": 963}
 
 
 def test_ipc_bounded_by_rename_width(baseline_result):

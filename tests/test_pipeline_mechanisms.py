@@ -46,15 +46,16 @@ def test_smt_pair_runs_both_threads(constable_test_config):
     trace_a = generate_trace(spec_a, num_instructions=2000)
     trace_b = generate_trace(spec_b, num_instructions=2000, base_pc=0x800000)
     baseline = simulate_smt_pair(trace_a, trace_b, CoreConfig())
-    assert baseline.total_instructions == len(trace_a) + len(trace_b)
-    assert len(baseline.per_thread_ipc) == 2
-    assert all(ipc > 0 for ipc in baseline.per_thread_ipc)
+    assert baseline.instructions == len(trace_a) + len(trace_b)
+    assert len(baseline.per_thread) == 2
+    assert all(thread["ipc"] > 0 for thread in baseline.per_thread)
 
     constable = simulate_smt_pair(trace_a, trace_b,
                                   CoreConfig(constable=constable_test_config))
-    assert constable.total_instructions == baseline.total_instructions
+    assert constable.instructions == baseline.instructions
     # Weighted speedup against the baseline run of the same pair is well defined.
-    ws = constable.weighted_speedup_over(baseline)
+    ws = sum(mine["ipc"] / base["ipc"] for mine, base
+             in zip(constable.per_thread, baseline.per_thread)) / 2
     assert 0.8 < ws < 1.5
 
 
@@ -65,4 +66,4 @@ def test_smt_throughput_exceeds_half_of_single_thread(client_trace):
     pair = simulate_smt_pair(client_trace, trace_b, CoreConfig())
     # Co-running a slow memory-bound thread drags aggregate IPC, but SMT must
     # still deliver a reasonable fraction of the single-thread throughput.
-    assert pair.throughput() > single.ipc * 0.4
+    assert pair.ipc > single.ipc * 0.4

@@ -16,7 +16,6 @@ from repro.experiments.cache import ResultCache
 from repro.isa.instruction import MemOperand, AddressingMode
 from repro.isa.registers import STACK_REGISTERS
 from repro.memory.cache import CacheConfig, SetAssociativeCache
-from repro.pipeline.smt import SmtResult
 from repro.pipeline.stats import PipelineStats, SimulationResult
 from repro.workloads.suites import WorkloadSpec
 from repro.workloads.vm import SparseMemory
@@ -205,27 +204,6 @@ def test_simulation_result_serialization_round_trips(stats, cycles, instructions
         memory_stats={"service_levels": dict(power)},
         per_thread=[{"thread": 0, "ipc": 1.5}])
     assert SimulationResult.from_dict(_json_round_trip(result.to_dict())) == result
-
-
-@given(stats=pipeline_stats_strategy(), cycles=_counters, instructions=_counters,
-       power=_metric_dicts,
-       ipcs=st.lists(st.floats(min_value=0.0, max_value=16.0, allow_nan=False),
-                     max_size=4))
-@settings(max_examples=50, deadline=None)
-def test_smt_result_serialization_round_trips(stats, cycles, instructions, power, ipcs):
-    result = SimulationResult(
-        trace_name="a+b", config_name="smt2", cycles=cycles,
-        instructions=instructions, stats=stats, power_events=power,
-        per_thread=[{"thread": float(i), "ipc": ipc} for i, ipc in enumerate(ipcs)])
-    smt = SmtResult(result=result, per_thread_ipc=list(ipcs))
-    rebuilt = SmtResult.from_dict(_json_round_trip(smt.to_dict()))
-    assert rebuilt == smt
-    assert rebuilt.cycles == smt.cycles
-    assert rebuilt.total_instructions == smt.total_instructions
-    assert rebuilt.throughput() == smt.throughput()
-    if any(ipc > 0 for ipc in ipcs):
-        # Derived weighted speedups must survive the round trip bit-for-bit.
-        assert rebuilt.weighted_speedup_over(smt) == smt.weighted_speedup_over(smt)
 
 
 # ----------------------------------------------------- cache GC invariants

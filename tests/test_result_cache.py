@@ -1,8 +1,9 @@
 """Tests for the content-addressed on-disk caches.
 
-Covers the cold/warm protocol for all three entry kinds (single-thread
-results, SMT pair results, Load Inspector reports — a cold run populates the
-store, a warm run returns equal records with zero recomputation), key
+Covers the cold/warm protocol for both entry kinds (simulation results of
+one workload or an SMT2 pair, and Load Inspector reports — a cold run
+populates the store, a warm run returns equal records with zero
+recomputation), key
 invalidation on configuration and schema changes, corruption tolerance, cache
 sharing between the serial and parallel runner flavours, and the LRU size-cap
 GC (``REPRO_CACHE_MAX_MB``).
@@ -52,21 +53,30 @@ def simulation_counter(monkeypatch):
     return calls
 
 
+def _run_baseline(runner: ExperimentRunner):
+    """Baseline over every workload and every SMT2 pair, keyed by either."""
+    results = dict(runner.run_config("baseline", baseline_config()))
+    results.update(runner.run_smt_config("baseline", baseline_config()))
+    return results
+
+
 def test_cold_run_populates_store_warm_run_simulates_nothing(tmp_path, simulation_counter):
     cold = _make_runner(ResultCache(tmp_path))
-    cold_results = cold.run_config("baseline", baseline_config())
-    expected_jobs = len(cold.workloads())
+    cold_results = _run_baseline(cold)
+    expected_jobs = len(cold.workloads()) + len(cold.smt_pairs())
+    assert expected_jobs == 3, "two workloads and one pair"
     assert simulation_counter["count"] == expected_jobs
     assert cold.cache.stats.stores == expected_jobs
     assert len(cold.cache) == expected_jobs
 
     warm = _make_runner(ResultCache(tmp_path))
-    warm_results = warm.run_config("baseline", baseline_config())
+    warm_results = _run_baseline(warm)
     assert simulation_counter["count"] == expected_jobs, "warm run must not simulate"
     assert warm.cache.stats.hits == expected_jobs
     assert warm.cache.stats.misses == 0
     assert set(warm_results) == set(cold_results)
     for workload in cold_results:
+        # Full-record equality, per-thread records included.
         assert warm_results[workload] == cold_results[workload]
 
 
@@ -85,8 +95,8 @@ def test_runner_memory_cache_short_circuits_disk(tmp_path, simulation_counter):
 def test_config_field_change_invalidates_key(tmp_path):
     cache = ResultCache(tmp_path)
     spec = workload_specs_for_suite("Client")[0]
-    base_key = cache.key_for(baseline_config(), spec, INSTRUCTIONS, 16)
-    assert cache.key_for(baseline_config(), spec, INSTRUCTIONS, 16) == base_key
+    base_key = cache.key_for(baseline_config(), [spec], INSTRUCTIONS, 16)
+    assert cache.key_for(baseline_config(), [spec], INSTRUCTIONS, 16) == base_key
     changed = {
         "fetch_width": baseline_config(fetch_width=7),
         "flush_penalty": baseline_config(flush_penalty=11),
@@ -94,15 +104,18 @@ def test_config_field_change_invalidates_key(tmp_path):
         "constable": constable_config(),
         "memory_renaming": baseline_config(enable_memory_renaming=False),
     }
-    keys = {name: cache.key_for(config, spec, INSTRUCTIONS, 16)
+    keys = {name: cache.key_for(config, [spec], INSTRUCTIONS, 16)
             for name, config in changed.items()}
     assert base_key not in keys.values()
     assert len(set(keys.values())) == len(keys), "every field change yields a distinct key"
-    # Trace parameters and the workload itself are part of the key too.
-    assert cache.key_for(baseline_config(), spec, INSTRUCTIONS + 1, 16) != base_key
-    assert cache.key_for(baseline_config(), spec, INSTRUCTIONS, 32) != base_key
+    # Trace parameters and the workload threads are part of the key too: a
+    # pair never shares a key with its first thread, nor with its swap.
+    assert cache.key_for(baseline_config(), [spec], INSTRUCTIONS + 1, 16) != base_key
+    assert cache.key_for(baseline_config(), [spec], INSTRUCTIONS, 32) != base_key
     other_spec = workload_specs_for_suite("Server")[0]
-    assert cache.key_for(baseline_config(), other_spec, INSTRUCTIONS, 16) != base_key
+    threads = {cache.key_for(baseline_config(), specs, INSTRUCTIONS, 16)
+               for specs in ([other_spec], [spec, other_spec], [other_spec, spec])}
+    assert base_key not in threads and len(threads) == 3
 
 
 def test_schema_version_invalidates_key_and_entry(tmp_path, simulation_counter):
@@ -112,9 +125,9 @@ def test_schema_version_invalidates_key_and_entry(tmp_path, simulation_counter):
 
     spec = cold.workloads()[next(iter(cold.workloads()))].spec
     key_v1 = ResultCache(tmp_path, schema_version=1).key_for(
-        baseline_config(), spec, INSTRUCTIONS, 16)
+        baseline_config(), [spec], INSTRUCTIONS, 16)
     key_v2 = ResultCache(tmp_path, schema_version=2).key_for(
-        baseline_config(), spec, INSTRUCTIONS, 16)
+        baseline_config(), [spec], INSTRUCTIONS, 16)
     assert key_v1 != key_v2
 
     bumped = _make_runner(ResultCache(tmp_path, schema_version=2))
@@ -166,44 +179,6 @@ def test_parallel_runner_shares_cache_with_serial(tmp_path, simulation_counter):
     assert simulation_counter["count"] == 0, "parent process never simulated"
     for workload in cold_results:
         assert warm_results[workload] == cold_results[workload]
-
-
-# -------------------------------------------------------------- SMT entries
-
-def test_smt_cold_run_populates_store_warm_run_simulates_nothing(tmp_path, simulation_counter):
-    cold = ExperimentRunner(per_suite=2, instructions=INSTRUCTIONS,
-                            suites=SUITES, cache=ResultCache(tmp_path))
-    cold_results = cold.run_smt_config("baseline", baseline_config())
-    pairs = len(cold.smt_pairs())
-    assert pairs == 2
-    assert simulation_counter["count"] == pairs, "one SMT simulation per pair"
-    assert cold.cache.stats.stores == pairs
-
-    warm = ExperimentRunner(per_suite=2, instructions=INSTRUCTIONS,
-                            suites=SUITES, cache=ResultCache(tmp_path))
-    warm_results = warm.run_smt_config("baseline", baseline_config())
-    assert simulation_counter["count"] == pairs, "warm SMT run must not simulate"
-    assert warm.cache.stats.hits == pairs
-    assert set(warm_results) == set(cold_results)
-    for pair in cold_results:
-        # Full-record equality: SimulationResult + per-thread IPCs round-trip
-        # losslessly through the disk store.
-        assert warm_results[pair] == cold_results[pair]
-
-
-def test_smt_and_result_keys_never_collide(tmp_path):
-    cache = ResultCache(tmp_path)
-    spec_a = workload_specs_for_suite("Client")[0]
-    spec_b = workload_specs_for_suite("Server")[0]
-    single = cache.key_for(baseline_config(), spec_a, INSTRUCTIONS, 16)
-    smt = cache.key_for_smt(baseline_config(), spec_a, spec_b, INSTRUCTIONS, 16)
-    assert single != smt
-    # The SMT key covers the pairing order and the second thread's base PC.
-    swapped = cache.key_for_smt(baseline_config(), spec_b, spec_a, INSTRUCTIONS, 16)
-    assert swapped != smt
-    moved = cache.key_for_smt(baseline_config(), spec_a, spec_b, INSTRUCTIONS, 16,
-                              second_base_pc=0x900000)
-    assert moved != smt
 
 
 # ------------------------------------------------------------ report entries
@@ -462,5 +437,5 @@ def test_cache_clear_removes_entries(tmp_path):
     assert removed > 0
     assert len(cache) == 0
     assert cache.get(cache.key_for(baseline_config(),
-                                   workload_specs_for_suite("Client")[0],
+                                   [workload_specs_for_suite("Client")[0]],
                                    INSTRUCTIONS, 16)) is None

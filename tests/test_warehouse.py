@@ -15,9 +15,8 @@ losslessness.  Four layers of evidence here:
   object-store decodes (:func:`scan_object_store`) — compared through JSON
   so float bits cannot hide behind repr.
 * **Zero-decode instrumentation**: ``repro query`` on a warm warehouse is
-  run with ``SimulationResult.from_dict``/``SmtResult.from_dict`` patched to
-  explode, proving the read path touches no object-store body (the
-  acceptance criterion of the warehouse issue).
+  run with ``SimulationResult.from_dict`` patched to explode, proving the
+  read path touches no object-store body.
 * **Crash-safety**, parametrized over both tables of the shared protocol
   (result rows and counters): torn JSONL tails are skipped, superseded
   compaction leftovers never double-count, stale compaction locks never
@@ -70,7 +69,6 @@ from repro.experiments.warehouse import (
     warehouse_stats,
 )
 from repro.pipeline.cpu import CORE_ENGINE_ENV
-from repro.pipeline.smt import SmtResult
 from repro.pipeline.stats import PipelineStats, SimulationResult
 
 #: Reduced sweep shared by the differential tests: 2 workloads, short traces.
@@ -92,8 +90,9 @@ def _dump(rows):
     return json.dumps([row.to_dict() for row in rows], sort_keys=True)
 
 
-def _run_sweep(cache_dir, workers=1):
-    """One baseline+constable sweep committed to ``cache_dir``."""
+def _run_sweep(cache_dir, workers=1, pairs=0):
+    """One baseline+constable sweep committed to ``cache_dir``, plus the
+    baseline over the first ``pairs`` SMT2 pairs."""
     if workers > 1:
         runner = ParallelExperimentRunner(
             per_suite=1, instructions=INSTRUCTIONS, suites=SUITES,
@@ -105,6 +104,8 @@ def _run_sweep(cache_dir, workers=1):
         for name, factory in (("baseline", baseline_config),
                               ("constable", constable_config)):
             runner.run_config(name, factory())
+        if pairs:
+            runner.run_smt_config("baseline", baseline_config(), max_pairs=pairs)
 
 
 def _synthetic_result(workload="client_00", config="baseline", cycles=100,
@@ -215,12 +216,15 @@ def test_codec_rejects_malformed_segments():
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_warehouse_bit_identical_to_object_store(tmp_path, workers):
-    """The tentpole differential: after a real sweep at N workers, the
-    warehouse read equals a full object-store decode bit-for-bit — and stays
-    equal after compaction and after a rebuild."""
-    _run_sweep(tmp_path, workers=workers)
+    """The tentpole differential: after a real sweep at N workers, SMT2 pair
+    included, the warehouse read equals a full object-store decode
+    bit-for-bit — and stays equal after compaction and after a rebuild."""
+    _run_sweep(tmp_path, workers=workers, pairs=1)
     reference = _dump(scan_object_store(tmp_path, SCHEMA_VERSION))
     assert warehouse_present(tmp_path)
+    (pair_row,) = [row for row in read_rows(tmp_path) if row.kind == "smt"]
+    assert pair_row.workload == "client_00+server_00"
+    assert pair_row.suite == "Client+Server"
     assert _dump(read_rows(tmp_path)) == reference
     compact_warehouse(tmp_path)
     assert _dump(read_rows(tmp_path)) == reference
@@ -302,40 +306,17 @@ def test_query_aggregates_bit_identical_to_object_store_path(tmp_path):
                           sort_keys=True))
 
 
-def test_smt_rows_round_trip_through_rebuild(tmp_path):
-    """``put_smt`` rows (kind, joined workload/suite names) survive the
-    object-store round-trip bit-for-bit."""
-    cache = ResultCache(tmp_path)
-    smt = SmtResult(result=_synthetic_result(workload="client_00+server_00",
-                                             config="smt_baseline"),
-                    per_thread_ipc=[1.25, 1.0])
-    cache.put_smt(_synthetic_key("smt"), smt)
-    cache.put(_synthetic_key("st"), _synthetic_result())
-    reference = _dump(read_rows(tmp_path))
-    (smt_row,) = [row for row in read_rows(tmp_path) if row.kind == "smt"]
-    assert smt_row.workload == "client_00+server_00"
-    assert smt_row.suite == "Client+Server"
-    rebuild_warehouse(tmp_path, SCHEMA_VERSION)
-    assert _dump(read_rows(tmp_path)) == reference
-
-
 def test_query_reads_zero_object_store_decodes(tmp_path, monkeypatch, capsys):
     """Acceptance criterion: on a warm multi-sweep cache, ``repro query``
-    must read only warehouse files.  Both record decoders are patched to
+    must read only warehouse files.  The record decoder is patched to
     explode, so a single object-store body read fails the test."""
-    _run_sweep(tmp_path)
-    cache = ResultCache(tmp_path)
-    smt = SmtResult(result=_synthetic_result(workload="client_00+server_00",
-                                             config="smt_baseline"),
-                    per_thread_ipc=[1.0, 1.0])
-    cache.put_smt(_synthetic_key("smt"), smt)
+    _run_sweep(tmp_path, pairs=1)
     compact_warehouse(tmp_path)
 
     def explode(cls_data):
         raise AssertionError("object-store body decoded on the query path")
 
     monkeypatch.setattr(SimulationResult, "from_dict", explode)
-    monkeypatch.setattr(SmtResult, "from_dict", explode)
     for argv in (["query", "--cache-dir", str(tmp_path)],
                  ["query", "--cache-dir", str(tmp_path), "--json"],
                  ["query", "--cache-dir", str(tmp_path), "--metric", "ipc",
