@@ -46,7 +46,7 @@ META_RULE_ID = "RL000"
 #: Directories (relative to the repository root) scanned for Python sources.
 #: ``tests/`` is deliberately absent: the lint fixtures seeded there violate
 #: the rules on purpose.
-SCAN_ROOTS = ("src/repro", "benchmarks", "examples")
+SCAN_ROOTS = ("src/repro", "examples")
 
 #: A well-formed allowlist comment: ``# repro-lint: ignore[RL001]`` or
 #: ``# repro-lint: ignore[RL001, RL004]`` anywhere in a comment token.
@@ -109,7 +109,10 @@ class SourceFile:
             self.tree = None
             self.syntax_error = f"file does not parse: {error.msg} (line {error.lineno})"
             return
-        self._parse_ignore_comments()
+        # Every directive contains the marker, and tokenizing is most of a
+        # scan's cost, so files that never mention it skip the tokenizer.
+        if _MARKER in self.text:
+            self._parse_ignore_comments()
 
     def _parse_ignore_comments(self) -> None:
         try:

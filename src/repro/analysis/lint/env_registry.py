@@ -9,9 +9,8 @@ class the PR 7 stale-docstring episode demonstrated).
 
 The code side is collected from the AST: every string literal that *is* a
 ``REPRO_*`` name (full match, so prose mentioning a variable inside a longer
-docstring does not count) in any scanned source — ``src/repro``, plus
-``benchmarks/`` and ``examples/``, which read the two ``REPRO_BENCH_*``
-session knobs.  The docs side is the ``| `REPRO_X` | ...`` table rows.
+docstring does not count) in any scanned source: ``src/repro`` and
+``examples/``.  The docs side is the ``| `REPRO_X` | ...`` table rows.
 """
 
 from __future__ import annotations
@@ -90,5 +89,5 @@ class EnvRegistryRule(Rule):
             yield Finding(
                 self.id, DOCS_REL, rows[name],
                 f"{name} is documented but nothing under "
-                f"src/repro, benchmarks/ or examples/ reads it; drop the row "
+                f"src/repro or examples/ reads it; drop the row "
                 f"or restore the reader")

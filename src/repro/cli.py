@@ -406,8 +406,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 "rows": int(count),
                 "geomean_ipc": aggregate_rows(
                     filter_rows(rows, config=config), "ipc")["all"],
-                "geomean_coverage": aggregate_rows(
-                    filter_rows(rows, config=config), "coverage")["all"],
+                "mean_coverage": aggregate_rows(
+                    filter_rows(rows, config=config), "coverage",
+                    agg="mean")["all"],
             } for config, count in sorted(by_config.items())
         }
         print(json.dumps(overview, indent=2, sort_keys=True))
@@ -419,12 +420,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
     for config, count in sorted(by_config.items()):
         subset = filter_rows(rows, config=config)
         ipc = aggregate_rows(subset, "ipc")["all"]
-        cov = aggregate_rows(subset, "coverage")["all"]
+        cov = aggregate_rows(subset, "coverage", agg="mean")["all"]
         power = aggregate_rows(subset, "power", agg="median")["all"]
         table_rows.append([config, str(int(count)), f"{ipc:.6g}",
                            f"{cov:.6g}", f"{power:.6g}"])
     print(format_table(
-        ["config", "rows", "geomean ipc", "geomean coverage", "median power"],
+        ["config", "rows", "geomean ipc", "mean coverage", "median power"],
         table_rows, title=f"{len(rows)} rows"))
     return 0
 
@@ -581,7 +582,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             if name in orchestrated:
                 result = orchestrated[name]
             else:
-                result = STANDALONE_HARNESSES[name]()
+                result = STANDALONE_HARNESSES[name](runner)
             if args.json:
                 payload = {key: value for key, value in result.items() if key != "text"}
                 print(json.dumps({name: payload}, indent=2, sort_keys=True,

@@ -13,8 +13,8 @@ feed :data:`FIGURE_PLANS` (``repro figures`` merges the requested figures'
 plans into one deduplicated wave) and the ``repro sweep`` families.
 
 The absolute values will not match the paper (synthetic workloads, simplified
-core); EXPERIMENTS.md records, per figure, which qualitative property is
-expected to hold.
+core); the claims table in ``tests/test_paper_claims.py`` records, per figure,
+which qualitative property is expected to hold.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def default_runner(per_suite: int = 2, instructions: int = 6000,
                    suites: Sequence[str] = SUITE_NAMES,
                    max_retries: Optional[int] = None,
                    job_timeout: Optional[float] = None) -> ExperimentRunner:
-    """The reduced workload set used by the benchmark and CLI harnesses.
+    """The reduced workload set the CLI and the paper-claims tests run.
 
     Every figure harness accepts either runner flavour: pass ``workers > 1``
     for a :class:`ParallelExperimentRunner` that shards trace generation and
@@ -702,20 +702,26 @@ def fig22_amt_invalidation(runner: Optional[ExperimentRunner] = None) -> Dict[st
 
 # =================================================================== Fig 23 / 24
 
-def fig23_fig24_apx_study(per_suite: int = 2, instructions: int = 6000) -> Dict[str, object]:
+def fig23_fig24_apx_study(runner: Optional[ExperimentRunner] = None) -> Dict[str, object]:
     """Figs. 23-24: effect of doubling the architectural registers (APX) on
-    dynamic load count, global-stable fraction and addressing-mode mix."""
-    base_runner = ExperimentRunner(per_suite=per_suite, instructions=instructions,
-                                   num_registers=16)
-    apx_runner = ExperimentRunner(per_suite=per_suite, instructions=instructions,
-                                  num_registers=32)
+    dynamic load count, global-stable fraction and addressing-mode mix.
+
+    ``runner``'s 16-register workloads are one side; the other is a
+    32-register twin over the same budget, suites and report cache.  Only
+    traces and Load Inspector reports are compared: nothing is simulated.
+    """
+    runner = runner or default_runner()
+    apx_runner = ExperimentRunner(per_suite=runner.per_suite,
+                                  instructions=runner.instructions,
+                                  num_registers=32, suites=runner.suites,
+                                  report_cache=runner.report_cache)
     load_reduction = []
     fraction_16 = []
     fraction_32 = []
     modes_16: Dict[str, List[float]] = {}
     modes_32: Dict[str, List[float]] = {}
     apx_workloads = apx_runner.workloads()
-    for name, run in base_runner.workloads().items():
+    for name, run in runner.workloads().items():
         apx_run = apx_workloads[name]
         base_loads = run.report.total_dynamic_loads()
         apx_loads = apx_run.report.total_dynamic_loads()
@@ -834,13 +840,16 @@ FIGURE_HARNESSES: Dict[str, Callable[..., Dict[str, object]]] = {
     "fig22": fig22_amt_invalidation,
 }
 
-#: Harnesses that build their own reduced runners (or none at all); they are
-#: addressable by name but excluded from ``all`` and from warm-cache checks.
-STANDALONE_HARNESSES: Dict[str, Callable[[], Dict[str, object]]] = {
+#: Harnesses that run no plan wave; they are addressable by name but excluded
+#: from ``all`` and from warm-cache checks.  Each takes the CLI's runner:
+#: fig. 23 for its budget, suites and report cache, ``warehouse`` for its
+#: cache directory, and the tables not at all.
+STANDALONE_HARNESSES: Dict[str, Callable[[ExperimentRunner], Dict[str, object]]] = {
     "fig23": fig23_fig24_apx_study,
-    "table1": table1_storage_overhead,
-    "table3": table3_energy_estimates,
-    "warehouse": warehouse_speedup_summary,
+    "table1": lambda runner: table1_storage_overhead(),
+    "table3": lambda runner: table3_energy_estimates(),
+    "warehouse": lambda runner: warehouse_speedup_summary(
+        str(runner.cache.directory) if runner.cache is not None else None),
 }
 
 

@@ -274,7 +274,7 @@ class ParallelExperimentRunner(ExperimentRunner):
     the on-disk :class:`ResultCache`/:class:`ReportCache` protocols — is
     inherited from the serial runner, so the two are drop-in interchangeable
     anywhere an :class:`ExperimentRunner` is accepted (figure harnesses,
-    benchmarks, examples).  In particular every cache write stays
+    the CLI, examples).  In particular every cache write stays
     parent-side: workers return results over the pool and the wave's commit
     calls ``cache.put`` here, which is also what
     appends each entry's columnar warehouse row — N workers never contend on

@@ -2,9 +2,9 @@
 
 The runner caches traces, Load Inspector reports and simulation results, so a
 figure harness that shares configurations with another figure does not pay for
-the simulation twice.  Workload count and trace length are parameters: the
-benchmarks use a reduced set (a few workloads per suite, a few thousand
-instructions) so the whole suite finishes in minutes, while the full
+the simulation twice.  Workload count and trace length are parameters: the CLI
+and the tests use a reduced set (a few workloads per suite, a few thousand
+instructions) so every figure finishes within minutes, while the full
 90-workload sweep of the paper is available by passing ``per_suite=None``.
 
 Every simulation runs through one pipeline — plan, stage from the on-disk

@@ -306,7 +306,7 @@ def round_robin_specs(specs: Sequence[WorkloadSpec]) -> List[WorkloadSpec]:
 
 
 def representative_specs(per_suite: int = 3) -> List[WorkloadSpec]:
-    """A reduced, suite-balanced workload set for quick experiments and benchmarks."""
+    """A reduced, suite-balanced workload set for quick experiments."""
     if per_suite <= 0:
         raise ValueError("per_suite must be positive")
     specs: List[WorkloadSpec] = []

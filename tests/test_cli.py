@@ -558,3 +558,31 @@ def test_figures_cli_rejects_unknown_figure(tmp_path):
 def test_figures_cli_standalone_harness_runs_without_runner(capsys):
     assert main(["figures", "table1", "--cache-dir", ".unused-cache"]) == 0
     assert "storage" in capsys.readouterr().out.lower()
+
+
+def test_figures_cli_standalone_harnesses_follow_the_runner_flags(
+        tmp_path, monkeypatch, capsys):
+    """``fig23`` runs at the flags' budget and suites, and ``warehouse``
+    reads ``--cache-dir``, not the environment's or the working directory's
+    cache."""
+    from repro.experiments.figures import fig23_fig24_apx_study
+
+    assert main(["figures", "fig23", "--json", "--per-suite", "1",
+                 "--instructions", "500", "--suites", "Client",
+                 "--cache-dir", str(tmp_path / "fig23")]) == 0
+    payload, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+    library = fig23_fig24_apx_study(
+        ExperimentRunner(per_suite=1, instructions=500, suites=("Client",)))
+    library.pop("text")
+    assert payload["fig23"] == json.loads(json.dumps(library, sort_keys=True))
+
+    swept = tmp_path / "swept"
+    with _make_runner(swept) as runner:
+        runner.run_config("baseline", baseline_config())
+        runner.run_config("constable", constable_config())
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(["figures", "warehouse"] + _runner_args(swept)) == 0
+    out = capsys.readouterr().out
+    assert "cross-sweep speedups [warehouse]" in out
+    assert "constable" in out

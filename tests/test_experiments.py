@@ -18,7 +18,7 @@ from repro.experiments.reporting import format_mapping, format_percent, format_s
 
 @pytest.fixture(scope="module")
 def small_runner():
-    """One workload per suite, short traces: shared by all harness tests."""
+    """One workload per suite, short traces: shared by the runner tests."""
     return ExperimentRunner(per_suite=1, instructions=2500)
 
 
@@ -223,73 +223,6 @@ def test_run_config_simulation_failure_is_atomic(monkeypatch):
     monkeypatch.setattr(runner_module.OutOfOrderCore, "run", original)
     results = runner.run_config("baseline", baseline_config())
     assert set(results) == set(runner.workloads())
-
-
-# --------------------------------------------------------------------- figures
-
-def test_fig3_characterisation(small_runner):
-    result = figures.fig3_global_stable_characterisation(small_runner)
-    assert 0.0 < result["global_stable_fraction_avg"] < 1.0
-    assert set(result["global_stable_fraction_by_suite"]) == set(small_runner.suites)
-    assert "text" in result
-
-
-def test_fig6_load_port_utilisation(small_runner):
-    result = figures.fig6_load_port_utilisation(small_runner)
-    assert 0.0 < result["load_utilised_cycle_fraction"] < 1.0
-    assert 0.0 <= result["stable_blocking_fraction_of_utilised"] <= 1.0
-
-
-def test_fig7_headroom_contains_all_configs(small_runner):
-    result = figures.fig7_headroom(small_runner)
-    assert set(result["geomean"]) == {"ideal_stable_lvp", "ideal_stable_lvp_fetch_elim",
-                                      "2x_load_width", "ideal_constable"}
-    assert all(value > 0.9 for value in result["geomean"].values())
-
-
-def test_fig11_and_fig12(small_runner):
-    fig11 = figures.fig11_speedup_nosmt(small_runner)
-    assert set(fig11["geomean"]) == {"eves", "constable", "eves+constable",
-                                     "eves+ideal_constable"}
-    fig12 = figures.fig12_per_workload(small_runner)
-    assert fig12["total_workloads"] == 5
-    assert 0 <= fig12["constable_wins"] <= 5
-
-
-def test_fig13_categories(small_runner):
-    result = figures.fig13_load_categories(small_runner)
-    assert set(result["geomean_speedups"]) == {"pc_relative_only", "stack_relative_only",
-                                               "register_relative_only", "all_loads"}
-
-
-def test_fig16_and_fig17_coverage(small_runner):
-    fig16 = figures.fig16_coverage(small_runner)
-    assert 0.0 < fig16["coverage"]["constable"] < 1.0
-    assert fig16["coverage"]["eves+constable"] >= fig16["coverage"]["constable"] * 0.9
-    fig17 = figures.fig17_stable_breakdown(small_runner)
-    assert 0.0 <= fig17["breakdown"]["global_stable_and_eliminated"] <= 1.0
-
-
-def test_fig18_and_fig19(small_runner):
-    fig18 = figures.fig18_resource_utilisation(small_runner)
-    assert fig18["l1d_access_reduction"]["mean"] > 0.0
-    fig19 = figures.fig19_power(small_runner)
-    assert fig19["relative_core_power"]["baseline"] == pytest.approx(1.0)
-    assert fig19["relative_l1d_power"]["constable"] < 1.0
-
-
-def test_fig21_and_fig22(small_runner):
-    fig21 = figures.fig21_ordering_violations(small_runner)
-    assert fig21["violation_fraction"]["mean"] < 0.05
-    fig22 = figures.fig22_amt_invalidation(small_runner)
-    assert set(fig22["speedup"]) == {"constable", "constable_amt_i"}
-
-
-def test_tables():
-    table1 = figures.table1_storage_overhead()
-    assert table1["storage_kb"]["total"] == pytest.approx(12.4, abs=0.3)
-    table3 = figures.table3_energy_estimates()
-    assert set(table3["estimates"]) == {"sld", "rmt", "amt"}
 
 
 # ------------------------------------------------------- degenerate-run guards

@@ -20,6 +20,8 @@ tier-1 suite enforces a lint-clean tree without any external tooling:
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
 import shutil
@@ -115,9 +117,21 @@ def _materialize(root: Path, rule_id: str, variant: str) -> Path:
 # --------------------------------------------------------------- the mirror
 
 
-def test_repository_tree_is_lint_clean():
+@pytest.fixture(scope="module")
+def repo_context():
+    """One scan of the repository, shared by the manifest and schema tests."""
+    return load_context(REPO_ROOT)
+
+
+@pytest.fixture(scope="module")
+def repo_report():
+    """One lint run over the repository, shared by the mirror tests."""
+    return run_lint(REPO_ROOT)
+
+
+def test_repository_tree_is_lint_clean(repo_report):
     """The in-process twin of CI's ``repro lint`` gate."""
-    report = run_lint(REPO_ROOT)
+    report = repo_report
     assert report.ok, "repro lint found violations:\n" + report.render()
     assert report.files_scanned >= 50, \
         f"suspiciously small scan ({report.files_scanned} files); did " \
@@ -125,10 +139,10 @@ def test_repository_tree_is_lint_clean():
     assert report.rules == sorted(all_rules())
 
 
-def test_committed_manifest_matches_tree():
+def test_committed_manifest_matches_tree(repo_context):
     """``schema_manifest.json`` is in sync and byte-stable under refresh."""
     committed = (REPO_ROOT / MANIFEST_REL).read_text(encoding="utf-8")
-    regenerated = json.dumps(extract_manifest(load_context(REPO_ROOT)),
+    regenerated = json.dumps(extract_manifest(repo_context),
                              indent=2, sort_keys=True) + "\n"
     assert committed == regenerated, \
         "schema manifest out of sync; run `repro lint --refresh-manifest`"
@@ -220,9 +234,9 @@ def test_run_lint_rejects_unknown_rule_selection(tmp_path):
 # ------------------------------------------------------- RL003 gate depth
 
 
-def test_schema_gate_fires_on_in_memory_key_mutation():
+def test_schema_gate_fires_on_in_memory_key_mutation(repo_context):
     """Acceptance criterion: mutate a to_dict key set, the gate reports drift."""
-    ctx = load_context(REPO_ROOT)
+    ctx = repo_context
     current = extract_manifest(ctx)
     committed = json.loads(json.dumps(load_manifest(REPO_ROOT)))
     assert committed == current  # precondition: tree is in sync
@@ -238,8 +252,8 @@ def test_schema_gate_fires_on_in_memory_key_mutation():
     assert f"added {[keys[-1]]}" in finding.message
 
 
-def test_schema_gate_demands_refresh_when_versions_bumped_in_memory():
-    ctx = load_context(REPO_ROOT)
+def test_schema_gate_demands_refresh_when_versions_bumped_in_memory(repo_context):
+    ctx = repo_context
     current = extract_manifest(ctx)
     committed = json.loads(json.dumps(load_manifest(REPO_ROOT)))
     committed["schema_version"] = committed["schema_version"] - 1
@@ -376,14 +390,23 @@ def test_cache_fingerprint_ignores_engine_and_runtime_env(tmp_path, monkeypatch)
 # --------------------------------------------------------------- CLI layer
 
 
-def test_cli_lint_is_clean_on_the_repository(capsys):
-    assert main(["lint", "--root", str(REPO_ROOT)]) == 0
-    assert "repro lint: clean" in capsys.readouterr().out
+@pytest.fixture(scope="module")
+def cli_lint_run():
+    """The one ``repro lint --json`` run over the repository: exit code and payload."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["lint", "--json", "--root", str(REPO_ROOT)])
+    return code, json.loads(out.getvalue())
 
 
-def test_cli_lint_json_payload(capsys):
-    assert main(["lint", "--json", "--root", str(REPO_ROOT)]) == 0
-    payload = json.loads(capsys.readouterr().out)
+def test_cli_lint_is_clean_on_the_repository(cli_lint_run, repo_report):
+    code, payload = cli_lint_run
+    assert code == 0
+    assert payload == repo_report.to_dict()
+
+
+def test_cli_lint_json_payload(cli_lint_run):
+    _, payload = cli_lint_run
     assert payload["ok"] is True
     assert payload["findings"] == []
     assert payload["rules"] == sorted(all_rules())
@@ -397,6 +420,7 @@ def test_cli_lint_findings_exit_code_and_rule_filter(tmp_path, capsys):
     assert "RL006" in out and "finding(s)" in out
     # Selecting a different rule skips the RL006 findings entirely.
     assert main(["lint", "--root", str(tmp_path), "--rule", "RL001"]) == 0
+    assert "repro lint: clean" in capsys.readouterr().out
 
 
 def test_cli_lint_unknown_rule_is_a_usage_error(tmp_path, capsys):

@@ -563,6 +563,28 @@ def test_query_family_filter_selects_config_subset(tmp_path, capsys):
     assert sorted(payload) == ["baseline", "constable"]
 
 
+def test_query_overview_averages_coverage(tmp_path, capsys):
+    """A config that covers no load reads 0 in the overview, not the
+    geomean's empty-input 1.0: coverage is averaged, as fig. 16 does."""
+    cache = ResultCache(tmp_path)
+    for tag, workload, config, covered in (
+            ("a", "client_00", "baseline", False),
+            ("b", "client_01", "baseline", False),
+            ("c", "client_00", "constable", True),
+            ("d", "client_01", "constable", False)):
+        result = _synthetic_result(workload=workload, config=config)
+        if not covered:
+            result.stats.eliminated_loads_retired = 0
+            result.stats.value_predicted_loads = 0
+        cache.put(_synthetic_key(tag), result)
+    assert main(["query", "--cache-dir", str(tmp_path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["baseline"]["mean_coverage"] == 0.0
+    assert payload["constable"]["mean_coverage"] == pytest.approx(0.2)
+    assert main(["query", "--cache-dir", str(tmp_path)]) == 0
+    assert "mean coverage" in capsys.readouterr().out
+
+
 def test_figures_warehouse_harness(tmp_path, monkeypatch, capsys):
     from repro.experiments.figures import warehouse_speedup_summary
     _run_sweep(tmp_path)
