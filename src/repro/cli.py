@@ -10,7 +10,7 @@ Subcommands:
   ``<dir>/.warehouse/``: the columnar results rows and the counters.
 * ``repro query`` — aggregate cached results from the columnar warehouse
   (zero object-store decodes when warehouse files exist; falls back to a
-  full object-store scan otherwise): filter by family/suite/config/workload,
+  full object-store scan otherwise): filter by kind/suite/config/workload,
   ``--metric``/``--agg``/``--group-by`` for geomean/median-style rollups,
   ``--speedup-over baseline`` for cross-sweep speedup tables, ``--json``
   for the machine-readable form.
@@ -19,23 +19,22 @@ Subcommands:
   table's append-only logs into one segment per table, and check that the
   rows agree with the cache journal (exit 1 when any journaled entry lacks
   a row; ``--strict`` also fails on rows whose entries were evicted).
-* ``repro sweep`` — run the paper's configuration sweep as one deduplicated
-  wave (plan → filter-by-shard → execute → commit).  ``--shard K/N``
-  deterministically restricts execution to shard K of N, so N hosts pointed
-  at one cache directory cover the full suite disjointly; an unsharded
-  ``repro sweep --merge`` afterwards folds the per-shard cache entries into
-  results bit-identical to a serial unsharded run and prints the summary.
-  With ``--workers > 1`` every job runs under per-job supervision
-  (``--max-retries`` pool attempts with backoff, ``--job-timeout`` wall
-  clocks, pool rebuilds, in-process degradation); jobs that exhaust every
-  recovery path are *dead-lettered* and the sweep exits with code 3 after
-  journaling all completed work to the cache.  ``repro sweep --resume``
-  points at that journal and re-executes only the missing jobs.  Ctrl-C
-  shuts the pool down, flushes the counters and exits 130.
 * ``repro figures <name ...|all>`` — regenerate paper figure harnesses from
   ``repro.experiments.figures``, running every requested figure's plan as one
-  deduplicated wave first; warm from a swept cache this performs zero
-  simulations and zero inspection passes (enforceable via ``--expect-warm``).
+  deduplicated wave first (plan → execute → commit); warm from a filled
+  cache this performs zero simulations and zero inspection passes
+  (enforceable via ``--expect-warm``).  ``--shard K/N`` deterministically
+  restricts the wave to shard K of N and renders no figure, so N hosts
+  pointed at one cache directory cover the wave disjointly; an unsharded
+  run over the same directory afterwards folds the per-shard cache entries
+  into results bit-identical to a serial unsharded run.  With
+  ``--workers > 1`` every job runs under per-job supervision
+  (``--max-retries`` pool attempts with backoff, ``--job-timeout`` wall
+  clocks, pool rebuilds, in-process degradation); jobs that exhaust every
+  recovery path are *dead-lettered* and the command exits with code 3 after
+  journaling all completed work to the cache, so rerunning the same
+  command executes only the missing jobs.  Ctrl-C shuts the pool down,
+  flushes the counters and exits 130.
 * ``repro lint`` — AST-based invariant checker (``repro.analysis.lint``):
   enforces the determinism, cache-key-purity, schema-manifest, env-registry,
   engine-parity and exception-hygiene contracts statically, before a single
@@ -51,12 +50,12 @@ Subcommands:
   simulator runs end to end is measured by ``perfbench/``, not here.
 
 Every subcommand resolves its cache directory from ``--cache-dir``, then the
-``REPRO_CACHE_DIR`` environment variable, then ``.repro-cache``.  ``sweep``
-and ``figures`` print the hit/miss counters of the run they just performed and
-flush them to the directory's counters table on exit, so ``repro cache
-stats`` reports real aggregate hit rates across every process — including the
-other hosts of a ``--shard K/N`` sweep — that shared the directory.  Each
-``sweep`` or ``figures`` wave also records its dedup stats there.
+``REPRO_CACHE_DIR`` environment variable (when set and non-empty), then
+``.repro-cache``.  ``figures`` prints the hit/miss counters of the run it just
+performed and flushes them to the directory's counters table on exit, so
+``repro cache stats`` reports real aggregate hit rates across every process —
+including the other hosts of a ``--shard K/N`` wave — that shared the
+directory.  Each ``figures`` wave also records its dedup stats there.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -80,10 +78,10 @@ from repro.experiments.cache import (
     DEFAULT_CACHE_DIR,
     SCHEMA_VERSION,
     CacheVerifyReport,
-    ReportCache,
     ResultCache,
     persist_dedup_stats,
     persisted_cache_stats,
+    resolve_cache_dir,
 )
 from repro.experiments.warehouse import (
     QUERY_AGGREGATES,
@@ -95,21 +93,17 @@ from repro.experiments.warehouse import (
     rebuild_warehouse,
     speedup_summary,
     verify_warehouse,
-    warehouse_present,
     warehouse_stats,
 )
 from repro.experiments.figures import (
-    FIG14_MAX_PAIRS,
     FIGURE_HARNESSES,
     FIGURE_PLANS,
     STANDALONE_HARNESSES,
-    SWEEP_FAMILIES,
     default_runner,
     orchestrate_figures,
-    sweep_smt_configs,
 )
 from repro.analysis.lint import all_rules, refresh_manifest, run_lint
-from repro.experiments.orchestrator import FigurePlan, SweepOrchestrator
+from repro.experiments.orchestrator import SweepOrchestrator
 from repro.experiments.parallel import (
     DEFAULT_MAX_RETRIES,
     JOB_TIMEOUT_ENV,
@@ -127,18 +121,14 @@ from repro.experiments.reporting import (
 from repro.experiments.runner import ExperimentRunner, Shard, SweepExecutionError
 from repro.workloads.suites import SUITE_NAMES
 
-#: Exit code for a sweep that dead-lettered at least one job after exhausting
+#: Exit code for a wave that dead-lettered at least one job after exhausting
 #: every recovery path (retries, pool rebuilds, in-process fallback).  Distinct
 #: from 1 (generic failure) and 2 (usage/validation) so wrappers can branch on
-#: "partial results are journaled; rerun with --resume".
+#: "partial results are journaled; rerun the same command".
 EXIT_DEAD_LETTER = 3
 
 #: Exit code on Ctrl-C, following the shell convention of 128 + SIGINT.
 EXIT_INTERRUPT = 130
-
-
-def _resolve_cache_dir(arg: Optional[str]) -> str:
-    return arg or os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
 
 
 def _human_bytes(count: int) -> str:
@@ -186,7 +176,7 @@ def _build_runner(args: argparse.Namespace) -> ExperimentRunner:
     per_suite = None if args.per_suite == 0 else args.per_suite
     return default_runner(per_suite=per_suite, instructions=args.instructions,
                           workers=args.workers,
-                          cache_dir=_resolve_cache_dir(args.cache_dir),
+                          cache_dir=resolve_cache_dir(args.cache_dir),
                           suites=suites,
                           max_retries=args.max_retries,
                           job_timeout=args.job_timeout)
@@ -271,14 +261,14 @@ def _print_runner_health(runner: ExperimentRunner) -> None:
 
 
 def _print_failure_summary(error: SweepExecutionError) -> None:
-    """Explain a dead-lettered sweep on stderr, including the resume hint."""
+    """Explain a dead-lettered wave on stderr, including the rerun hint."""
     print("sweep failed: job(s) dead-lettered after exhausting retries and "
           "the in-process fallback", file=sys.stderr)
     print(format_dead_letters(error.dead_letters), file=sys.stderr)
     print(format_health_report(error.health, title="sweep health at failure"),
           file=sys.stderr)
-    print("completed jobs are journaled in the cache; rerun with --resume to "
-          "execute only the missing ones", file=sys.stderr)
+    print("completed jobs are journaled in the cache; rerun the same command "
+          "to execute only the missing ones", file=sys.stderr)
 
 
 def _print_warehouse_summary(summary: Dict[str, object]) -> None:
@@ -295,7 +285,7 @@ def _print_warehouse_summary(summary: Dict[str, object]) -> None:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    cache = ResultCache(_resolve_cache_dir(args.cache_dir))
+    cache = ResultCache(resolve_cache_dir(args.cache_dir))
     if args.cache_command == "stats":
         # Envelope-only scan: counts and bytes should stay cheap on large
         # directories; `cache verify` is the full-decode integrity pass.
@@ -353,14 +343,9 @@ def _query_rows(args: argparse.Namespace):
     falls back to a full object-store scan otherwise, so the command works on
     caches written before the warehouse existed.
     """
-    directory = _resolve_cache_dir(args.cache_dir)
-    configs = None
-    if args.family:
-        configs = set(_sweep_families(args.family))
-    rows = load_rows(directory, SCHEMA_VERSION)
+    rows = load_rows(resolve_cache_dir(args.cache_dir), SCHEMA_VERSION)
     return filter_rows(rows, kind=args.kind, suite=args.suite,
-                       config=args.config, workload=args.workload,
-                       configs=configs)
+                       config=args.config, workload=args.workload)
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -432,7 +417,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_warehouse(args: argparse.Namespace) -> int:
     """Maintain the columnar warehouse: rebuild, compact, verify."""
-    directory = _resolve_cache_dir(args.cache_dir)
+    directory = resolve_cache_dir(args.cache_dir)
     if args.warehouse_command == "rebuild":
         try:
             rows, replaced = rebuild_warehouse(directory, SCHEMA_VERSION)
@@ -469,93 +454,6 @@ def _cmd_warehouse(args: argparse.Namespace) -> int:
         f"unhandled warehouse command {args.warehouse_command!r}")
 
 
-def _parse_config_subset(raw: Optional[str], available: Dict[str, object],
-                         what: str) -> Dict[str, object]:
-    if raw is None:
-        return dict(available)
-    names = [name.strip() for name in raw.split(",") if name.strip()]
-    if names == ["none"]:
-        return {}
-    unknown = [name for name in names if name not in available]
-    if unknown:
-        raise SystemExit(
-            f"unknown {what} {unknown}; available: {sorted(available)}")
-    return {name: available[name] for name in names}
-
-
-def _sweep_families(raw: str) -> Dict[str, object]:
-    """Merge the selected sweep families into one name->config dictionary."""
-    names = [name.strip() for name in raw.split(",") if name.strip()]
-    # Validate before expanding 'all' so a typo next to it still errors.
-    unknown = [name for name in names
-               if name != "all" and name not in SWEEP_FAMILIES]
-    if unknown:
-        raise SystemExit(
-            f"unknown sweep families {unknown}; available: "
-            f"{sorted(SWEEP_FAMILIES)} or 'all'")
-    if "all" in names:
-        names = list(SWEEP_FAMILIES)
-    merged: Dict[str, object] = {}
-    for name in names:
-        merged.update(SWEEP_FAMILIES[name]())
-    return merged
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    shard = Shard.parse(args.shard) if args.shard else None
-    if shard is not None and args.merge:
-        raise SystemExit("--merge folds every shard's results; drop --shard")
-    if args.resume:
-        journal = _resolve_cache_dir(args.cache_dir)
-        if not os.path.isdir(journal):
-            raise SystemExit(
-                f"--resume: cache directory {journal!r} does not exist; an "
-                "interrupted sweep leaves its journal there, so there is "
-                "nothing to resume from")
-    configs = _parse_config_subset(args.configs, _sweep_families(args.families),
-                                   "configs")
-    smt_configs = _parse_config_subset(args.smt_configs, sweep_smt_configs(),
-                                       "SMT configs")
-    wave_stats = None
-    with _build_runner(args) as runner:
-        label = f"shard {shard.index}/{shard.count}" if shard else "full sweep"
-        print(f"{label}: {len(runner.specs())} workloads, "
-              f"{len(configs)} configs, {len(smt_configs)} SMT configs "
-              f"-> cache {runner.cache.directory}")
-        if configs or smt_configs:
-            # One deduped wave over every outstanding job, single-thread and
-            # SMT alike; the loops below read back the committed results.
-            plan = FigurePlan("sweep", configs=configs, smt_configs=smt_configs,
-                              smt_max_pairs=args.max_pairs)
-            wave_stats = SweepOrchestrator(runner).execute([plan], shard=shard)
-            persist_dedup_stats(runner.cache.directory, wave_stats.to_dict())
-            print(format_dedup_stats(wave_stats, title="orchestrated wave"))
-            if args.resume:
-                print(f"resume: {wave_stats.cache_warm} job(s) already "
-                      f"journaled, {wave_stats.executed} executed")
-        for name in configs:
-            print(f"  {name}: {len(runner.results(name, shard))} workloads")
-        for name in smt_configs:
-            pairs = runner.smt_results(name, args.max_pairs, shard)
-            print(f"  smt:{name}: {len(pairs)} pairs")
-        simulated = runner.cache.stats.stores
-        inspected = (runner.report_cache.stats.stores
-                     if runner.report_cache is not None else 0)
-        print(f"done: {simulated} simulated, {runner.cache.stats.hits} cache hits, "
-              f"{inspected} inspection passes")
-        _print_runner_health(runner)
-        if args.merge and "baseline" in configs:
-            rows = [(name, f"{runner.geomean_speedup(name):.4f}")
-                    for name in configs if name != "baseline"]
-            if rows:
-                print(format_table(["config", "geomean speedup"], rows,
-                                   title="merged sweep summary"))
-    if args.expect_warm and _expect_warm_violated(simulated, inspected,
-                                                  wave_stats):
-        return 2
-    return 0
-
-
 def _cmd_figures(args: argparse.Namespace) -> int:
     names: List[str] = []
     for name in args.names:
@@ -567,17 +465,24 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         else:
             available = sorted(FIGURE_HARNESSES) + sorted(STANDALONE_HARNESSES)
             raise SystemExit(f"unknown figure {name!r}; available: {available}")
+    shard = Shard.parse(args.shard) if args.shard else None
     with _build_runner(args) as runner:
         orchestrated: Dict[str, Dict[str, object]] = {}
         dedup_stats = None
         planned = [name for name in names if name in FIGURE_PLANS]
-        if planned:
+        if shard is not None:
+            # A shard only executes and journals its slice of the wave and
+            # renders nothing; an unsharded run then folds every shard warm.
+            names = []
+            if planned:
+                dedup_stats = SweepOrchestrator(runner).execute(
+                    [FIGURE_PLANS[name]() for name in planned], shard=shard)
+        elif planned:
             # One deduped wave over every requested figure's plan; each
             # harness then finds its own results already committed.
             orchestrated, dedup_stats = orchestrate_figures(runner, planned)
-            if runner.cache is not None:
-                persist_dedup_stats(runner.cache.directory,
-                                    dedup_stats.to_dict())
+        if dedup_stats is not None and runner.cache is not None:
+            persist_dedup_stats(runner.cache.directory, dedup_stats.to_dict())
         for name in names:
             if name in orchestrated:
                 result = orchestrated[name]
@@ -684,10 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_dir_argument(query)
     query.add_argument("--kind", choices=["result", "smt"], default=None,
                        help="restrict to single-thread or SMT rows")
-    query.add_argument("--family", default=None,
-                       help="restrict to a sweep family's configs "
-                            f"({', '.join(sorted(SWEEP_FAMILIES))}, "
-                            "comma-separable, or 'all')")
     query.add_argument("--suite", default=None,
                        help="restrict to one workload suite "
                             f"({', '.join(SUITE_NAMES)})")
@@ -731,36 +632,15 @@ def build_parser() -> argparse.ArgumentParser:
     wverify.add_argument("--json", action="store_true",
                          help="machine-readable output")
 
-    sweep = commands.add_parser(
-        "sweep", help="run the configuration sweep (optionally one shard of N)")
-    _add_runner_arguments(sweep)
-    sweep.add_argument("--shard", default=None, metavar="K/N",
-                       help="run only shard K of N (1-based)")
-    sweep.add_argument("--families", default="main",
-                       help="comma-separated sweep families "
-                            f"({', '.join(sorted(SWEEP_FAMILIES))}) or 'all' "
-                            "(default: main)")
-    sweep.add_argument("--configs", default=None,
-                       help="comma-separated single-thread config subset, or 'none'")
-    sweep.add_argument("--smt-configs", default=None,
-                       help="comma-separated SMT config subset, or 'none'")
-    sweep.add_argument("--max-pairs", type=int, default=FIG14_MAX_PAIRS,
-                       help="SMT pair budget (default: fig. 14's, "
-                            f"{FIG14_MAX_PAIRS})")
-    sweep.add_argument("--merge", action="store_true",
-                       help="full run that folds shard results and prints a summary")
-    sweep.add_argument("--expect-warm", action="store_true",
-                       help="exit 2 if anything had to be simulated or inspected")
-    sweep.add_argument("--resume", action="store_true",
-                       help="resume an interrupted or dead-lettered sweep from "
-                            "its cache journal (the cache directory must "
-                            "exist); only missing jobs are executed")
-
     figures = commands.add_parser(
         "figures", help="regenerate paper figure harnesses (warm-from-cache)")
     figures.add_argument("names", nargs="+",
                          help="figure names (fig11, fig14, ...) or 'all'")
     _add_runner_arguments(figures)
+    figures.add_argument("--shard", default=None, metavar="K/N",
+                         help="execute only shard K of N (1-based) of the "
+                              "wave and render no figure; an unsharded run "
+                              "folds the shards")
     figures.add_argument("--json", action="store_true", help="machine-readable output")
     figures.add_argument("--expect-warm", action="store_true",
                          help="exit 2 if anything had to be simulated or inspected")
@@ -810,16 +690,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_query(args)
     if args.command == "warehouse":
         return _cmd_warehouse(args)
-    if args.command == "sweep":
-        try:
-            return _cmd_sweep(args)
-        except ValueError as error:  # e.g. malformed --shard or --job-timeout
-            print(str(error), file=sys.stderr)
-            return 2
     if args.command == "figures":
         try:
             return _cmd_figures(args)
-        except ValueError as error:  # e.g. invalid --max-retries
+        except ValueError as error:  # e.g. malformed --shard or --max-retries
             print(str(error), file=sys.stderr)
             return 2
     if args.command == "lint":
@@ -838,7 +712,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # The `with runner` blocks unwound on the way here: pools are shut
         # down and the counter ledgers flushed, so the journal is consistent.
         print("interrupted: pool shut down, counter ledgers flushed; rerun "
-              "with --resume to pick the sweep back up", file=sys.stderr)
+              "the same command to pick the wave back up", file=sys.stderr)
         return EXIT_INTERRUPT
     except SweepExecutionError as error:
         _print_failure_summary(error)

@@ -22,7 +22,9 @@ whenever the timing model or a persisted record's layout changes in a way that
 makes old entries incomparable.
 
 The cache directory defaults to ``.repro-cache`` in the working directory and
-can be redirected with the ``REPRO_CACHE_DIR`` environment variable.  Entries
+can be redirected with the ``REPRO_CACHE_DIR`` environment variable; an empty
+value counts as unset (:func:`resolve_cache_dir`, the one resolver every cache
+and every ``repro`` subcommand shares).  Entries
 are plain JSON files laid out as ``<dir>/<key[:2]>/<key>.json`` with atomic
 (write-to-temp, rename) stores, so a cache directory may safely be shared by
 several concurrent figure harnesses — and by result and report caches at once,
@@ -95,6 +97,13 @@ _DEDUP_COUNTERS = ("waves", "planned", "unique", "cache_warm", "executed")
 _FINGERPRINT_EXCLUDE: Dict[str, frozenset] = {
     "IdealOracle": frozenset({"_seen", "loads_covered", "loads_seen"}),
 }
+
+def resolve_cache_dir(directory: Optional[Union[str, Path]] = None
+                      ) -> Union[str, Path]:
+    """The cache directory: ``directory`` when given, else a non-empty
+    ``REPRO_CACHE_DIR``, else :data:`DEFAULT_CACHE_DIR`."""
+    return directory or os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
+
 
 #: Raw ``REPRO_CACHE_MAX_MB`` values already warned about in this process, so a
 #: sweep constructing dozens of cache instances emits the warning exactly once.
@@ -305,9 +314,7 @@ class JsonDiskCache:
     def __init__(self, directory: Optional[Union[str, Path]] = None,
                  schema_version: int = SCHEMA_VERSION,
                  max_mb: Optional[float] = None):
-        if directory is None:
-            directory = os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR)
-        self.directory = Path(directory)
+        self.directory = Path(resolve_cache_dir(directory))
         # Fail fast rather than after the first (expensive) simulation's put().
         if self.directory.exists() and not self.directory.is_dir():
             raise NotADirectoryError(
@@ -591,8 +598,8 @@ class ResultCache(JsonDiskCache):
     columnar warehouse under ``.warehouse/`` (see
     :mod:`repro.experiments.warehouse`).  Because all cache writes are
     parent-side — the serial runner's commit loop, the parallel runner's
-    result drain, orchestrated wave commits, partial-wave journals and
-    ``--resume`` re-execution all funnel through this method — the
+    result drain, orchestrated wave commits, partial-wave journals and the
+    rerun that completes a failed wave all funnel through this method — the
     warehouse stays in lockstep with the resume journal by construction.
     The row is appended *after* the entry write succeeds, so the warehouse
     can trail the journal by at most the in-flight put (repaired by ``repro

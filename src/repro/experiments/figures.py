@@ -9,8 +9,8 @@ runner so that each harness stays runnable on a laptop in seconds-to-minutes.
 Each runner-based harness declares its configurations exactly once, in the
 ``plan_fig*`` factory beside it: the harness runs that :class:`FigurePlan` as
 one wave and reads the committed results back by name.  The same factories
-feed :data:`FIGURE_PLANS` (``repro figures`` merges the requested figures'
-plans into one deduplicated wave) and the ``repro sweep`` families.
+feed :data:`FIGURE_PLANS`: ``repro figures`` runs the requested figures'
+plans as one deduplicated wave.
 
 The absolute values will not match the paper (synthetic workloads, simplified
 core); the claims table in ``tests/test_paper_claims.py`` records, per figure,
@@ -19,7 +19,6 @@ which qualitative property is expected to hold.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.load_inspector import inspect_trace
@@ -39,8 +38,8 @@ from repro.experiments.configs import (
     rfp_config,
     rfp_constable_config,
 )
-from repro.experiments.cache import (CACHE_DIR_ENV, DEFAULT_CACHE_DIR,
-                                     SCHEMA_VERSION, ReportCache, ResultCache)
+from repro.experiments.cache import (SCHEMA_VERSION, ReportCache, ResultCache,
+                                     resolve_cache_dir)
 from repro.experiments.orchestrator import DedupStats, FigurePlan, SweepOrchestrator
 from repro.experiments.parallel import ParallelExperimentRunner
 from repro.experiments.warehouse import (load_rows, speedup_summary,
@@ -90,7 +89,7 @@ def default_runner(per_suite: int = 2, instructions: int = 6000,
                             suites=suites, cache=cache, report_cache=report_cache)
 
 
-#: Fig. 14's SMT2 pair budget (also ``repro sweep --max-pairs``'s default).
+#: Fig. 14's SMT2 pair budget.
 FIG14_MAX_PAIRS = 4
 
 #: Fig. 20's load-width and pipeline-depth sensitivity grids.
@@ -801,8 +800,7 @@ def warehouse_speedup_summary(cache_dir: Optional[str] = None
     ``repro figures warehouse``; the cache directory resolves like every
     other command (``REPRO_CACHE_DIR``, then ``.repro-cache``).
     """
-    directory = (cache_dir or os.environ.get(CACHE_DIR_ENV)
-                 or DEFAULT_CACHE_DIR)
+    directory = resolve_cache_dir(cache_dir)
     rows = load_rows(directory, SCHEMA_VERSION)
     tabular = warehouse_present(directory)
     summary = speedup_summary(rows, group_by="suite")
@@ -888,50 +886,3 @@ def orchestrate_figures(runner: ExperimentRunner, names: Sequence[str]
     stats = SweepOrchestrator(runner).execute(
         [FIGURE_PLANS[name]() for name in names])
     return {name: FIGURE_HARNESSES[name](runner) for name in names}, stats
-
-
-def _union(plans: Sequence[FigurePlan]) -> Dict[str, ConfigLike]:
-    """The single-thread configs of ``plans``, in first-declaration order."""
-    configs: Dict[str, ConfigLike] = {}
-    for plan in plans:
-        for name, config in plan.configs.items():
-            configs.setdefault(name, config)
-    return configs
-
-
-def sweep_configs() -> Dict[str, ConfigLike]:
-    """The single-thread configurations ``repro sweep`` runs by default.
-
-    The union of the main-result harnesses' plans (figs. 11, 12, 15 and 16),
-    so a sweep warmed into a cache directory lets those figures regenerate
-    without a single simulation.
-    """
-    return _union([plan_fig11(), plan_fig12(), plan_fig15(), plan_fig16()])
-
-
-def sweep_smt_configs() -> Dict[str, ConfigLike]:
-    """The SMT2 configurations ``repro sweep`` runs by default (fig. 14's set)."""
-    return dict(plan_fig14().smt_configs)
-
-
-def sensitivity_sweep_configs() -> Dict[str, ConfigLike]:
-    """The sensitivity-sweep configuration families (figs. 13 and 20).
-
-    The union of :func:`plan_fig13` and :func:`plan_fig20` — the
-    addressing-mode-restricted Constable variants and the load-width /
-    pipeline-depth grids, plus the ``baseline`` every speedup in those
-    figures is computed against — so ``repro sweep --families sensitivity``
-    warmed into a shared cache directory lets both figures regenerate without
-    a single simulation.
-    """
-    return _union([plan_fig13(), plan_fig20()])
-
-
-#: Named single-thread sweep families ``repro sweep --families`` selects from:
-#: ``main`` feeds the headline-result harnesses (figs. 11/12/15/16), and
-#: ``sensitivity`` feeds the fig. 13/20 sweeps.  Families may overlap (both
-#: contain ``baseline``) with identical contents, so merging them is safe.
-SWEEP_FAMILIES: Dict[str, Callable[[], Dict[str, ConfigLike]]] = {
-    "main": sweep_configs,
-    "sensitivity": sensitivity_sweep_configs,
-}

@@ -14,10 +14,11 @@ worker pool fed instead of draining it between harnesses:
 1. **Collect** — each figure declares its configuration demand once, as the
    :class:`FigurePlan` beside its harness in :mod:`repro.experiments.figures`
    (registered in :data:`~repro.experiments.figures.FIGURE_PLANS`).  The
-   orchestrator merges the plans and materialises jobs through the runner's
-   planning hooks
+   orchestrator plans each plan's jobs through the runner's planning hooks
    (:meth:`~repro.experiments.runner.ExperimentRunner.plan_jobs` /
-   :meth:`~repro.experiments.runner.ExperimentRunner.plan_smt_jobs`).
+   :meth:`~repro.experiments.runner.ExperimentRunner.plan_smt_jobs`), each
+   at its own SMT pair budget; a ``(config name, workload)`` key that two
+   plans demand with two contents raises before anything executes.
 2. **Dedup** — planned jobs are grouped by *content* fingerprint (the same
    material the on-disk cache keys hash: the fully materialised
    :class:`~repro.pipeline.config.CoreConfig`, the workload spec and the trace
@@ -43,8 +44,8 @@ observationally identical to simulating the same inputs once per name.
 
 The :class:`DedupStats` record (``planned`` figure demand, ``unique`` after
 dedup, ``cache_warm`` served from disk, ``executed`` actually simulated) is
-printed by ``repro figures``/``repro sweep``, which also stream it into the
-cache directory's counters table.
+printed by ``repro figures``, which also streams it into the cache
+directory's counters table.
 """
 
 from __future__ import annotations
@@ -171,76 +172,58 @@ class SweepOrchestrator:
     # ---------------------------------------------------------------- planning
 
     def _merge_plans(self, plans: Sequence[FigurePlan], shard: Optional[Shard]
-                     ) -> Tuple[Dict[str, ConfigLike],
-                                Dict[str, Tuple[ConfigLike, Optional[int], bool]],
-                                DedupStats]:
-        """Merge per-figure demand into unique config names + demand stats.
+                     ) -> Tuple[Dict[str, List[SimulationJob]], DedupStats]:
+        """Plan every plan's jobs and group them by content.
 
-        SMT budgets merge to the *loosest* request per config name: ``None``
-        (the full pair list) beats any bound, otherwise the maximum bound
-        wins, so every figure finds at least the pairs it asked for.
-
-        Two plans reusing one config *name* must mean the same config
-        *content* — otherwise committing a shared result under the merged
-        name would silently hand one figure another figure's data — so every
-        collision is checked by content fingerprint and a mismatch raises.
+        Each plan is planned on its own, its SMT configs at its own pair
+        budget, over the workloads and pairs ``shard`` owns (all of them
+        without one).  A ``(config name, workload)`` key that several plans
+        demand is one job, so its contents must agree — otherwise committing
+        the shared result under that name would silently hand one figure
+        another figure's data — and a key planned with two contents raises
+        before anything executes.  The jobs are then grouped by content
+        identity, so content-identical jobs under different names share one
+        execution.
         """
         runner = self.runner
         stats = DedupStats(figures=[plan.figure for plan in plans])
-        workload_names = list(runner.workloads())
-        if shard is not None:
-            workload_names = shard.select(workload_names)
-        fingerprints: Dict[str, str] = {}
-
-        def _content(config: ConfigLike) -> str:
-            # Materialise against *every* workload: builder configs may
-            # coincide on one trace yet diverge on another, and a collision
-            # must mean identity everywhere for the merge to be sound.
-            return "\n".join(
-                _fingerprint_text(runner._materialise_config(config, run))
-                for run in runner.workloads().values())
-
-        def _check_collision(kind: str, name: str, existing: ConfigLike,
-                             config: ConfigLike, figure: str) -> None:
-            key = f"{kind}:{name}"
-            if key not in fingerprints:
-                fingerprints[key] = _content(existing)
-            if _content(config) != fingerprints[key]:
-                raise ValueError(
-                    f"figure plans disagree on the contents of {kind} config "
-                    f"{name!r} (while merging {figure!r}); rename one of "
-                    f"them — a shared name must mean one configuration")
-
-        merged: Dict[str, ConfigLike] = {}
-        merged_smt: Dict[str, Tuple[ConfigLike, Optional[int], bool]] = {}
+        workloads = list(runner.workloads())
+        selected = None if shard is None else shard.select(workloads)
+        owned_pairs = None if shard is None else set(shard.select(runner.smt_pairs()))
+        demand: List[Tuple[str, SimulationJob]] = []
         for plan in plans:
-            stats.planned += len(plan.configs) * len(workload_names)
+            stats.planned += len(plan.configs) * len(
+                workloads if selected is None else selected)
             for name, config in plan.configs.items():
-                if name in merged:
-                    _check_collision("single-thread", name, merged[name],
-                                     config, plan.figure)
-                else:
-                    merged[name] = config
-            if plan.smt_configs:
-                pairs = runner.smt_pairs(plan.smt_max_pairs)
-                if shard is not None:
-                    owned = set(shard.select(pairs))
-                    pairs = [pair for pair in pairs if pair in owned]
-                stats.planned += len(plan.smt_configs) * len(pairs)
-                for name, config in plan.smt_configs.items():
-                    previous = merged_smt.get(name)
-                    if previous is None:
-                        merged_smt[name] = (config, plan.smt_max_pairs,
-                                            plan.smt_max_pairs is None)
-                    else:
-                        _check_collision("SMT", name, previous[0], config,
-                                         plan.figure)
-                        _, bound, unbounded = previous
-                        unbounded = unbounded or plan.smt_max_pairs is None
-                        if not unbounded:
-                            bound = max(bound, plan.smt_max_pairs)
-                        merged_smt[name] = (previous[0], bound, unbounded)
-        return merged, merged_smt, stats
+                demand.extend((plan.figure, job) for job in runner.plan_jobs(
+                    name, config, workload_names=selected))
+        for plan in plans:
+            if not plan.smt_configs:
+                continue
+            pairs = set(runner.smt_pairs(plan.smt_max_pairs))
+            if owned_pairs is not None:
+                pairs &= owned_pairs
+            stats.planned += len(plan.smt_configs) * len(pairs)
+            for name, config in plan.smt_configs.items():
+                demand.extend((plan.figure, job) for job in runner.plan_smt_jobs(
+                    name, config, plan.smt_max_pairs) if job.names in pairs)
+
+        identities: Dict[Tuple[str, str], str] = {}
+        groups: Dict[str, List[SimulationJob]] = {}
+        for figure, job in demand:
+            identity = _sim_identity(job)
+            known = identities.get(job.key)
+            if known is None:
+                identities[job.key] = identity
+                groups.setdefault(identity, []).append(job)
+            elif known != identity:
+                raise ValueError(
+                    f"figure plans disagree on the contents of config "
+                    f"{job.config_name!r} over {job.workload} (while merging "
+                    f"{figure!r}); rename one of them — a shared name must "
+                    f"mean one configuration")
+        stats.unique = len(groups)
+        return groups, stats
 
     # --------------------------------------------------------------- execution
 
@@ -257,7 +240,7 @@ class SweepOrchestrator:
         row (inside ``cache.put``), so after a chaos-faulted wave
         the warehouse lists exactly the journaled jobs — which is what lets
         ``repro warehouse verify`` assert journal agreement before and after
-        a ``--resume``.
+        the rerun.
         """
         runner = self.runner
         if runner.cache is None or not isinstance(error.partial, dict):
@@ -279,30 +262,20 @@ class SweepOrchestrator:
         runner's stores, so running the corresponding figure harnesses
         performs zero simulations.  The commit is atomic: a failure anywhere
         in the wave leaves every in-memory store untouched (the failed wave's
-        successes are journaled to the on-disk cache only).  The caller
-        decides whether the returned stats belong in the cache directory's
-        counters table (``persist_dedup_stats``); the CLI records one entry per
-        ``repro figures``/``repro sweep`` wave.
+        successes are journaled to the on-disk cache only).
+
+        With a :class:`Shard`, only the workloads and SMT pairs that shard
+        owns are planned, executed and committed.  Membership is an item's
+        ordinal in the canonical workload or pair list, never the residual
+        plan, so N hosts sharing one cache directory cover the wave
+        disjointly and a later unsharded wave folds their entries warm.
+
+        The caller decides whether the returned stats belong in the cache
+        directory's counters table (``persist_dedup_stats``); the CLI records
+        one entry per ``repro figures`` wave.
         """
         runner = self.runner
-        merged, merged_smt, stats = self._merge_plans(plans, shard)
-        selected: Optional[List[str]] = None
-        if shard is not None:
-            selected = shard.select(list(runner.workloads()))
-
-        # Plan per unique config name, then group planned jobs by content.
-        planned = [job for name, config in merged.items()
-                   for job in runner.plan_jobs(name, config, workload_names=selected)]
-        for name, (config, bound, unbounded) in merged_smt.items():
-            max_pairs = None if unbounded else bound
-            pairs = runner.smt_pairs(max_pairs)
-            owned = set(pairs if shard is None else shard.select(pairs))
-            planned.extend(job for job in runner.plan_smt_jobs(name, config, max_pairs)
-                           if job.names in owned)
-        groups: Dict[str, List[SimulationJob]] = {}
-        for job in planned:
-            groups.setdefault(_sim_identity(job), []).append(job)
-        stats.unique = len(groups)
+        groups, stats = self._merge_plans(plans, shard)
 
         # Stage each group's representative from the on-disk cache once.
         staged: Dict[str, SimulationResult] = {}
@@ -326,8 +299,8 @@ class SweepOrchestrator:
             # Partial-wave commit: journal the failed wave's successes to the
             # on-disk cache (never the in-memory stores — the atomic-commit
             # contract of `execute` holds), so the content-addressed cache
-            # doubles as the resume journal and a rerun (`repro sweep
-            # --resume`) stages them warm and executes only the missing jobs.
+            # doubles as the resume journal and rerunning the same command
+            # stages them warm and executes only the missing jobs.
             self._journal_partial_wave(error, outstanding)
             raise
         missing = [job.label for _, job in outstanding if job.key not in results]

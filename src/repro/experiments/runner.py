@@ -38,12 +38,12 @@ the hooks to shard work over a process pool.  All hook results merge into
 dictionaries keyed by workload name or ``(config, workload)``, where a pair's
 workload is ``a+b``, so shard completion order never affects an aggregate.
 
-Both ``run_config`` and ``run_smt_config`` additionally accept a
-:class:`Shard` (``K/N``), which restricts execution to a deterministic slice
-of the planned job list — the distribution primitive behind ``repro sweep
---shard K/N``: N hosts pointed at one shared cache directory cover the full
-suite disjointly, and any subsequent unsharded run folds the per-shard cache
-entries into results bit-identical to a serial unsharded sweep.
+A :class:`Shard` (``K/N``) restricts a wave to a deterministic slice of the
+workloads and pairs — the distribution primitive behind ``repro figures
+--shard K/N``, applied by the orchestrator's wave alone: N hosts pointed at
+one shared cache directory cover the full suite disjointly, and any
+subsequent unsharded run folds the per-shard cache entries into results
+bit-identical to a serial unsharded run.
 """
 
 from __future__ import annotations
@@ -67,10 +67,9 @@ from repro.workloads.suites import (
 )
 from repro.workloads.trace import Trace
 
-#: A configuration may be a CoreConfig, a zero-argument factory, or a builder
-#: taking (trace, report) - the latter is needed by oracle-based configurations.
-ConfigLike = Union[CoreConfig, Callable[[], CoreConfig],
-                   Callable[[Trace, GlobalStableReport], CoreConfig]]
+#: A configuration is a CoreConfig or a builder taking (trace, report), which
+#: oracle-based configurations need.
+ConfigLike = Union[CoreConfig, Callable[[Trace, GlobalStableReport], CoreConfig]]
 
 _Item = TypeVar("_Item")
 
@@ -238,8 +237,8 @@ class SweepExecutionError(RuntimeError):
     (and the atomic-commit tests doing exactly that) keep working.  Carries
     the wave's successes so the partial-commit layer can journal them to the
     on-disk cache before the error propagates — which is what makes the cache
-    a resume journal: a rerun (or ``repro sweep --resume``) re-executes only
-    the jobs that are genuinely missing.
+    a resume journal: rerunning the same command re-executes only the jobs
+    that are genuinely missing.
 
     ``partial`` is set by ``_execute_wave`` to the results completed so far,
     keyed exactly as its return value.
@@ -356,13 +355,8 @@ class ExperimentRunner:
     # ------------------------------------------------------------------ running
 
     def _materialise_config(self, config: ConfigLike, run: WorkloadRun) -> CoreConfig:
-        if isinstance(config, CoreConfig):
-            materialised = config
-        else:
-            try:
-                materialised = config(run.trace, run.report)  # type: ignore[call-arg]
-            except TypeError:
-                materialised = config()  # type: ignore[call-arg]
+        materialised = (config if isinstance(config, CoreConfig)
+                        else config(run.trace, run.report))
         if self.attach_stats_oracle and materialised.stats_oracle_pcs is None:
             materialised = materialised.copy(
                 stats_oracle_pcs=run.report.global_stable_pcs())
@@ -458,46 +452,32 @@ class ExperimentRunner:
                 raise error from exc
         return results
 
-    def _run_wave(self, name: str, shard: Optional[Shard], **demand) -> None:
+    def _run_wave(self, name: str, **demand) -> None:
         """Run config ``name``'s ``FigurePlan`` demand as a one-plan wave."""
         # Imported here because the orchestrator module builds on this one.
         from repro.experiments.orchestrator import FigurePlan, SweepOrchestrator
-        SweepOrchestrator(self).execute([FigurePlan(name, **demand)], shard=shard)
+        SweepOrchestrator(self).execute([FigurePlan(name, **demand)])
 
-    def run_config(self, name: str, config: ConfigLike,
-                   shard: Optional[Shard] = None) -> Dict[str, SimulationResult]:
+    def run_config(self, name: str, config: ConfigLike) -> Dict[str, SimulationResult]:
         """Run ``config`` over the workload set; results are cached by ``name``.
 
         A one-plan wave through
         :meth:`~repro.experiments.orchestrator.SweepOrchestrator.execute`:
-        plan → filter-by-shard → stage from the on-disk cache → execute →
-        commit.  When a :class:`Shard` is given, only the workloads that
-        shard owns execute (and only their results are returned); N shards
-        sharing one cache directory therefore cover the full suite
-        disjointly, and a later unsharded call folds the per-shard cache
-        entries back into the exact result set the serial runner produces.
+        plan → stage from the on-disk cache → execute → commit.
 
         Results are committed atomically: if planning, simulation or cache
         lookup raises for any workload, no workload's result store is touched.
         A cache entry simulated under another name is returned relabelled as
         ``name``, exactly as if it had been simulated under that name.
         """
-        self._run_wave(name, shard, configs={name: config})
-        return self.results(name, shard)
+        self._run_wave(name, configs={name: config})
+        return self.results(name)
 
-    def results(self, name: str,
-                shard: Optional[Shard] = None) -> Dict[str, SimulationResult]:
-        """The committed results of config ``name`` by workload, in spec order.
-
-        With a :class:`Shard`, only the workloads that shard owns: shard
-        coverage, not residual-plan coverage, so workloads committed by an
-        earlier call still belong in the returned slice.
-        """
-        workloads = self.workloads()
-        owned = set(shard.select(list(workloads))) if shard is not None else workloads
+    def results(self, name: str) -> Dict[str, SimulationResult]:
+        """The committed results of config ``name`` by workload, in spec order."""
         return {workload_name: run.results[name]
-                for workload_name, run in workloads.items()
-                if workload_name in owned and name in run.results}
+                for workload_name, run in self.workloads().items()
+                if name in run.results}
 
     # ---------------------------------------------------------------- lifecycle
 
@@ -604,32 +584,22 @@ class ExperimentRunner:
             for first, second in self.smt_pairs(max_pairs)])
 
     def run_smt_config(self, name: str, config: ConfigLike,
-                       max_pairs: Optional[int] = None,
-                       shard: Optional[Shard] = None
+                       max_pairs: Optional[int] = None
                        ) -> Dict[Tuple[str, str], SimulationResult]:
         """Run an SMT2 configuration over the cross-suite pairs.
 
         The SMT counterpart of :meth:`run_config`, and the same one-plan wave:
         per-pair results are memoised under ``name``, warm cache entries skip
-        simulation entirely, a :class:`Shard` restricts the sweep to the pairs
-        that shard owns, and the commit is atomic — a failure anywhere in the
-        sweep leaves the in-memory store untouched.
+        simulation entirely, and the commit is atomic — a failure anywhere in
+        the sweep leaves the in-memory store untouched.
         """
-        self._run_wave(name, shard, smt_configs={name: config},
-                       smt_max_pairs=max_pairs)
-        return self.smt_results(name, max_pairs, shard)
+        self._run_wave(name, smt_configs={name: config}, smt_max_pairs=max_pairs)
+        return self.smt_results(name, max_pairs)
 
-    def smt_results(self, name: str, max_pairs: Optional[int] = None,
-                    shard: Optional[Shard] = None
+    def smt_results(self, name: str, max_pairs: Optional[int] = None
                     ) -> Dict[Tuple[str, str], SimulationResult]:
-        """The committed SMT2 results of config ``name``, in pairing order.
-
-        Covers the first ``max_pairs`` pairs (all of them when None), or only
-        the ones a :class:`Shard` owns.
-        """
-        pairs = self.smt_pairs(max_pairs)
-        if shard is not None:
-            owned = set(shard.select(pairs))
-            pairs = [pair for pair in pairs if pair in owned]
-        return {pair: self._pair_results[pair][name] for pair in pairs
+        """The committed SMT2 results of config ``name``, in pairing order,
+        over the first ``max_pairs`` pairs (all of them when None)."""
+        return {pair: self._pair_results[pair][name]
+                for pair in self.smt_pairs(max_pairs)
                 if name in self._pair_results.get(pair, {})}

@@ -12,7 +12,7 @@ keeps append-only tables next to the object store, under
   :class:`WarehouseRow` per committed entry, appended by
   :class:`ResultCache.put` (``cache.py``).  Every commit path
   funnels through that method (serial and parallel runners,
-  orchestrated waves, partial-wave journals, ``--resume`` re-execution), so
+  orchestrated waves, partial-wave journals, the rerun of a failed wave), so
   the rows can never disagree with the cache journal: a journaled entry and
   its row are written by the same ``put`` call.
 * **The counters table** (:data:`COUNTERS_TABLE`) holds the cache hit/miss,
@@ -795,13 +795,11 @@ def filter_rows(rows: Sequence[WarehouseRow],
                 kind: Optional[str] = None,
                 suite: Optional[str] = None,
                 config: Optional[str] = None,
-                workload: Optional[str] = None,
-                configs: Optional[Set[str]] = None) -> List[WarehouseRow]:
+                workload: Optional[str] = None) -> List[WarehouseRow]:
     """Rows matching every given filter (None matches everything).
 
     ``suite`` matches any ``+``-joined component, so ``Client`` selects the
-    SMT rows of ``Client+Server`` pairs too; ``configs`` restricts to a set
-    of config labels (how ``repro query --family`` selects a sweep family).
+    SMT rows of ``Client+Server`` pairs too.
     """
     selected = []
     for row in rows:
@@ -812,8 +810,6 @@ def filter_rows(rows: Sequence[WarehouseRow],
         if config is not None and row.config != config:
             continue
         if workload is not None and row.workload != workload:
-            continue
-        if configs is not None and row.config not in configs:
             continue
         selected.append(row)
     return selected

@@ -1,9 +1,9 @@
-"""Tests for the ``repro`` console entry point and the shard-aware sweep pipeline.
+"""Tests for the ``repro`` console entry point and the shard-aware wave.
 
 Covers the cache subcommands (stats/gc/clear/verify round-trip, corrupt- and
 orphan-entry detection), shard parsing and partition invariants, the headline
-distribution guarantee — ``sweep --shard 1/2`` + ``--shard 2/2`` into one
-cache directory merge to results bit-identical to a serial unsharded run with
+distribution guarantee — ``figures --shard 1/2`` + ``--shard 2/2`` into one
+cache directory fold to payloads bit-identical to a cold unsharded run with
 zero re-simulation — and the warm-figures contract behind ``--expect-warm``.
 """
 
@@ -17,6 +17,7 @@ import pytest
 from repro.cli import main
 from repro.experiments.cache import ReportCache, ResultCache
 from repro.experiments.configs import baseline_config, constable_config
+from repro.experiments.orchestrator import FigurePlan, SweepOrchestrator
 from repro.experiments.runner import ExperimentRunner, Shard
 from repro.pipeline.cpu import OutOfOrderCore
 
@@ -27,6 +28,16 @@ INSTRUCTIONS = 800
 def _runner_args(cache_dir) -> list:
     return ["--cache-dir", str(cache_dir), "--per-suite", "1",
             "--instructions", str(INSTRUCTIONS), "--suites", ",".join(SUITES)]
+
+
+def _figure_payloads(out: str) -> dict:
+    """The ``--json`` figure payloads that open ``repro figures`` output."""
+    payloads, decoder, index = {}, json.JSONDecoder(), 0
+    while out.startswith("{", index):
+        payload, index = decoder.raw_decode(out, index)
+        payloads.update(payload)
+        index += 1  # the newline print() appends
+    return payloads
 
 
 def _make_runner(cache_dir=None) -> ExperimentRunner:
@@ -74,69 +85,63 @@ def test_shard_selection_ignores_residual_plan_state(simulation_counter, tmp_pat
     """Membership depends on the canonical workload list, not on what a host's
     cache already holds — otherwise two hosts could double- or zero-cover a
     workload once their warm states diverge."""
+    plan = FigurePlan("fig", configs={"baseline": baseline_config()})
     warm = _make_runner(tmp_path)
-    shard_one = set(warm.run_config("baseline", baseline_config(),
-                                    shard=Shard(1, 2)))
-    # A second sharded call on the same runner plans a residual (empty) job
-    # list; the returned coverage must still be exactly shard one's workloads.
-    again = set(warm.run_config("baseline", baseline_config(), shard=Shard(1, 2)))
-    assert again == shard_one
-    shard_two = set(warm.run_config("baseline", baseline_config(),
-                                    shard=Shard(2, 2)))
+    orchestrator = SweepOrchestrator(warm)
+
+    def covered():
+        return {name for name, run in warm.workloads().items()
+                if "baseline" in run.results}
+
+    first = orchestrator.execute([plan], shard=Shard(1, 2))
+    shard_one = covered()
+    # A second sharded wave on the same runner plans a residual (empty) job
+    # list; its demand must still be exactly shard one's workloads.
+    again = orchestrator.execute([plan], shard=Shard(1, 2))
+    assert (again.planned, again.executed) == (first.planned, 0)
+    assert covered() == shard_one
+    # Shard two, on a runner holding shard one, owns exactly the rest.
+    second = orchestrator.execute([plan], shard=Shard(2, 2))
+    shard_two = covered() - shard_one
+    assert second.cold_jobs == [f"sim:baseline/{name}" for name in sorted(shard_two)]
     assert shard_one | shard_two == set(warm.workloads())
-    assert not shard_one & shard_two
+    assert shard_one and shard_two
 
 
-# ------------------------------------------------------- sweep: merge identity
+# ---------------------------------------------------- figures: sharded fold
 
-def test_sharded_sweep_union_is_bit_identical_to_serial(tmp_path, simulation_counter):
-    sweep_args = _runner_args(tmp_path) + ["--configs", "baseline,constable",
-                                           "--smt-configs", "baseline",
-                                           "--max-pairs", "1"]
-    assert main(["sweep", "--shard", "1/2"] + sweep_args) == 0
-    assert main(["sweep", "--shard", "2/2"] + sweep_args) == 0
+def test_sharded_sweep_union_is_bit_identical_to_serial(tmp_path, capsys,
+                                                        simulation_counter):
+    """``figures --shard`` runs only its slice and renders nothing; the
+    unsharded run then folds the shards warm, payloads bit-identical to a
+    cold unsharded run."""
+    figures = ["figures", "fig14", "fig18", "table1", "--json"]
+    for shard in ("1/2", "2/2"):
+        assert main(figures + _runner_args(tmp_path) + ["--shard", shard]) == 0
+        assert _figure_payloads(capsys.readouterr().out) == {}, \
+            "a shard renders no figure, standalone ones included"
     sharded_sims = simulation_counter["count"]
-    assert sharded_sims == 2 * 2 + 1  # two configs x two workloads + one SMT pair
+    # fig18: two configs x two workloads; fig14: four SMT configs x one pair.
+    assert sharded_sims == 2 * 2 + 4
 
-    # Folding the shards: a warm unsharded runner must simulate nothing and
-    # reproduce the serial no-cache reference bit-for-bit.
-    merged = _make_runner(tmp_path)
-    merged_results = {name: merged.run_config(name, config)
-                      for name, config in (("baseline", baseline_config()),
-                                           ("constable", constable_config()))}
-    merged_smt = merged.run_smt_config("baseline", baseline_config(), max_pairs=1)
+    assert main(figures + _runner_args(tmp_path) + ["--expect-warm"]) == 0
+    folded = _figure_payloads(capsys.readouterr().out)
     assert simulation_counter["count"] == sharded_sims, \
-        "merging shard results must not re-simulate"
-
-    reference = _make_runner()
-    for name, results in merged_results.items():
-        config = baseline_config() if name == "baseline" else constable_config()
-        assert reference.run_config(name, config) == results
-    assert reference.run_smt_config("baseline", baseline_config(), max_pairs=1) \
-        == merged_smt
+        "folding shard results must not re-simulate"
+    assert main(figures + _runner_args(tmp_path / "cold")) == 0
+    assert folded == _figure_payloads(capsys.readouterr().out)
+    assert sorted(folded) == ["fig14", "fig18", "table1"]
 
 
 def test_sweep_rejects_malformed_shard(tmp_path, capsys):
-    args = _runner_args(tmp_path) + ["--configs", "none", "--smt-configs", "none"]
-    assert main(["sweep", "--shard", "3/2"] + args) == 2
+    assert main(["figures", "fig17", "--shard", "3/2"] + _runner_args(tmp_path)) == 2
     assert "shard" in capsys.readouterr().err
-
-
-def test_sweep_rejects_unknown_config(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["sweep", "--configs", "no-such-config"] + _runner_args(tmp_path))
-
-
-def test_sweep_merge_with_shard_is_rejected(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["sweep", "--merge", "--shard", "1/2"] + _runner_args(tmp_path))
 
 
 # ----------------------------------------------------------- cache subcommands
 
 def test_cache_stats_gc_clear_round_trip(tmp_path, capsys):
-    assert main(["sweep", "--configs", "baseline", "--smt-configs", "none"]
-                + _runner_args(tmp_path)) == 0
+    assert main(["figures", "fig17"] + _runner_args(tmp_path)) == 0
     capsys.readouterr()
 
     assert main(["cache", "stats", "--cache-dir", str(tmp_path), "--json"]) == 0
@@ -166,8 +171,7 @@ def test_cache_stats_gc_clear_round_trip(tmp_path, capsys):
 
 
 def test_cache_verify_flags_corrupt_and_orphan_entries(tmp_path, capsys):
-    assert main(["sweep", "--configs", "baseline", "--smt-configs", "none"]
-                + _runner_args(tmp_path)) == 0
+    assert main(["figures", "fig17"] + _runner_args(tmp_path)) == 0
     capsys.readouterr()
     assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
 
@@ -200,8 +204,7 @@ def test_cache_verify_flags_corrupt_and_orphan_entries(tmp_path, capsys):
 
 
 def test_cache_verify_flags_stale_schema_without_failing(tmp_path, capsys):
-    assert main(["sweep", "--configs", "baseline", "--smt-configs", "none"]
-                + _runner_args(tmp_path)) == 0
+    assert main(["figures", "fig17"] + _runner_args(tmp_path)) == 0
     entry = next(ResultCache(tmp_path).directory.glob("*/*.json"))
     payload = json.loads(entry.read_text(encoding="utf-8"))
     payload["schema"] = -1
@@ -215,11 +218,10 @@ def test_cache_verify_flags_stale_schema_without_failing(tmp_path, capsys):
 # --------------------------------------------------- persisted hit/miss ledger
 
 def test_cache_stats_reports_cross_run_hit_rates(tmp_path, capsys):
-    """Counters from separate sweep runs accumulate in the directory ledger."""
-    sweep = ["sweep", "--configs", "baseline", "--smt-configs", "none"] \
-        + _runner_args(tmp_path)
-    assert main(sweep) == 0          # cold: stores, no hits
-    assert main(sweep) == 0          # warm: pure hits
+    """Counters from separate figure runs accumulate in the directory ledger."""
+    fig17 = ["figures", "fig17"] + _runner_args(tmp_path)
+    assert main(fig17) == 0          # cold: stores, no hits
+    assert main(fig17) == 0          # warm: pure hits
     capsys.readouterr()
     assert main(["cache", "stats", "--cache-dir", str(tmp_path), "--json"]) == 0
     stats = json.loads(capsys.readouterr().out)
@@ -228,7 +230,7 @@ def test_cache_stats_reports_cross_run_hit_rates(tmp_path, capsys):
     assert counters["total"]["stores"] == len(SUITES) * 2
     assert counters["total"]["hits"] >= len(SUITES) * 2, \
         "the warm rerun's hits must be visible to a later process"
-    # Orchestrated sweeps also stream their wave's dedup stats in, and the
+    # Orchestrated waves also stream their dedup stats in, and the
     # supervisor flushes its health counters alongside them.
     assert set(counters["by_cache"]) == {"ResultCache", "ReportCache",
                                          "SweepOrchestrator", "SweepSupervisor"}
@@ -247,10 +249,9 @@ def test_cache_gc_compacts_ledgers_losslessly(tmp_path, capsys):
     """`cache gc` folds per-run ledger files without changing the aggregate."""
     from repro.experiments.cache import persisted_cache_stats
 
-    sweep = ["sweep", "--configs", "baseline", "--smt-configs", "none"] \
-        + _runner_args(tmp_path)
-    assert main(sweep) == 0
-    assert main(sweep) == 0
+    fig17 = ["figures", "fig17"] + _runner_args(tmp_path)
+    assert main(fig17) == 0
+    assert main(fig17) == 0
     before = persisted_cache_stats(tmp_path)
     assert before["ledgers"] >= 4  # two runs x (result + report cache)
     assert main(["cache", "gc", "--cache-dir", str(tmp_path),
@@ -268,11 +269,6 @@ def test_bench_rejects_non_positive_instruction_budget():
     for bad in (0, -5):
         with pytest.raises(ValueError):
             run_bench(families=["sensitivity"], instructions=bad)
-
-
-def test_sweep_families_all_with_typo_is_rejected(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["sweep", "--families", "all,sensitivty"] + _runner_args(tmp_path))
 
 
 def test_persist_stats_flushes_deltas_exactly_once(tmp_path):
@@ -327,18 +323,17 @@ def test_dedup_ledger_aggregates_and_survives_compaction(tmp_path):
 
 
 def test_orchestrated_sweep_streams_dedup_into_cache_stats(tmp_path, capsys):
-    """An orchestrated `repro sweep` leaves its wave's dedup rates readable
+    """An orchestrated `repro figures` wave leaves its dedup rates readable
     by a later `repro cache stats` process — the cross-host observability
     contract the CI sharded smoke relies on."""
-    assert main(["sweep", "--families", "main", "--smt-configs", "none"]
-                + _runner_args(tmp_path)) == 0
+    assert main(["figures", "fig17", "fig18"] + _runner_args(tmp_path)) == 0
     capsys.readouterr()
     assert main(["cache", "stats", "--cache-dir", str(tmp_path), "--json"]) == 0
     stats = json.loads(capsys.readouterr().out)
     dedup = stats["persisted_counters"]["dedup"]
     assert dedup["waves"] == 1
-    assert dedup["planned"] >= dedup["unique"] > 0
-    assert dedup["executed"] > 0, "a cold sweep's wave executes its jobs"
+    assert dedup["planned"] > dedup["unique"] > 0, "fig17's constable is fig18's"
+    assert dedup["executed"] > 0, "a cold wave executes its jobs"
     # The human-readable rendering surfaces the same block.
     assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -348,10 +343,12 @@ def test_orchestrated_sweep_streams_dedup_into_cache_stats(tmp_path, capsys):
 # ---------------------------------------------------------- sensitivity sweeps
 
 def test_sweep_sensitivity_family_warms_fig13_and_fig20(tmp_path, simulation_counter):
-    """The fig. 13/20 config families are sweepable: a sensitivity sweep into a
-    cache directory lets both sensitivity figures regenerate simulation-free."""
-    assert main(["sweep", "--families", "sensitivity", "--smt-configs", "none"]
-                + _runner_args(tmp_path)) == 0
+    """The sensitivity figures (13 and 20) shard like any other: their two
+    shards, run into one cache directory, let each figure regenerate
+    simulation-free on its own."""
+    for shard in ("1/2", "2/2"):
+        assert main(["figures", "fig13", "fig20", "--shard", shard]
+                    + _runner_args(tmp_path)) == 0
     swept = simulation_counter["count"]
     assert swept > 0
     for figure in ("fig13", "fig20"):
@@ -359,11 +356,6 @@ def test_sweep_sensitivity_family_warms_fig13_and_fig20(tmp_path, simulation_cou
                     + ["--expect-warm"]) == 0, figure
     assert simulation_counter["count"] == swept, \
         "warm sensitivity figures must not simulate"
-
-
-def test_sweep_rejects_unknown_family(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["sweep", "--families", "nope"] + _runner_args(tmp_path))
 
 
 # ----------------------------------------------------------------------- bench

@@ -140,19 +140,19 @@ def test_run_smt_config_memoises_per_pair():
 
 
 def test_run_smt_config_failure_mid_sweep_is_atomic():
-    """A config factory raising mid-SMT-sweep must not commit partial results."""
+    """A config builder raising mid-SMT-sweep must not commit partial results."""
     runner = ExperimentRunner(per_suite=2, instructions=1000,
                               suites=("Client", "Server"))
     calls = {"count": 0}
 
-    def flaky_factory():
+    def flaky_builder(trace, report):
         calls["count"] += 1
         if calls["count"] > 1:
-            raise RuntimeError("factory exploded mid-sweep")
+            raise RuntimeError("builder exploded mid-sweep")
         return constable_config()
 
     with pytest.raises(RuntimeError, match="exploded"):
-        runner.run_smt_config("flaky", flaky_factory, max_pairs=2)
+        runner.run_smt_config("flaky", flaky_builder, max_pairs=2)
     assert calls["count"] > 1
     assert runner.smt_results("flaky", max_pairs=2) == {}
 
@@ -169,10 +169,10 @@ def test_runner_rejects_bad_parameters():
 
 
 def test_run_config_failure_mid_sweep_is_atomic():
-    """A config factory raising mid-sweep must not leave partial results behind.
+    """A config builder raising mid-sweep must not leave partial results behind.
 
     Regression test: previously each workload's result was committed as it was
-    simulated, so a factory raising on the third workload left the first two
+    simulated, so a builder raising on the third workload left the first two
     populated and ``speedups``/geomean aggregation silently used the subset.
     """
     runner = ExperimentRunner(per_suite=1, instructions=1000,
@@ -180,15 +180,15 @@ def test_run_config_failure_mid_sweep_is_atomic():
     runner.run_config("baseline", baseline_config())
     calls = {"count": 0}
 
-    def flaky_factory():
+    def flaky_builder(trace, report):
         calls["count"] += 1
         if calls["count"] > 1:
-            raise RuntimeError("factory exploded mid-sweep")
+            raise RuntimeError("builder exploded mid-sweep")
         return constable_config()
 
     with pytest.raises(RuntimeError, match="exploded"):
-        runner.run_config("flaky", flaky_factory)
-    assert calls["count"] > 1, "the factory must have been consulted more than once"
+        runner.run_config("flaky", flaky_builder)
+    assert calls["count"] > 1, "the builder must have been consulted more than once"
     for run in runner.workloads().values():
         assert "flaky" not in run.results, "no partial results may be committed"
     assert runner.speedups("flaky") == {}
@@ -198,6 +198,18 @@ def test_run_config_failure_mid_sweep_is_atomic():
     results = runner.run_config("flaky", constable_config())
     assert set(results) == set(runner.workloads())
     assert all("flaky" in run.results for run in runner.workloads().values())
+
+
+def test_config_builder_type_error_reaches_the_caller():
+    """A builder's own ``TypeError`` surfaces with its own message, not as a
+    complaint about how the builder was called."""
+    runner = ExperimentRunner(per_suite=1, instructions=1000, suites=("Client",))
+
+    def builder(trace, report):
+        raise TypeError("builder rejected its trace")
+
+    with pytest.raises(TypeError, match="builder rejected its trace"):
+        runner.run_config("broken", builder)
 
 
 def test_run_config_simulation_failure_is_atomic(monkeypatch):

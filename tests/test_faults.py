@@ -12,7 +12,7 @@ Three layers under test:
 * the commit layer — partial-wave journaling to the on-disk cache, resume
   (only missing jobs re-execute, asserted via executed-job counts), the
   health ledger, and the CLI's distinct exit codes (3 = dead-lettered,
-  130 = interrupted) plus ``repro sweep --resume``.
+  130 = interrupted) plus the rerun that completes a dead-lettered wave.
 
 Everything here injects faults only through ``REPRO_FAULT_PLAN`` via
 monkeypatch, so a failing test can never leave chaos armed for its
@@ -25,6 +25,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 
 import pytest
 
@@ -486,51 +487,49 @@ def test_health_and_dead_letter_rendering():
 # ------------------------------------------------------------------ CLI layer
 
 
-def _sweep_argv(cache_dir, *extra):
-    return ["sweep", "--cache-dir", str(cache_dir), "--workers", "2",
+def _figures_argv(cache_dir):
+    """``repro figures fig17`` (Constable over two workloads) on two workers."""
+    return ["figures", "fig17", "--cache-dir", str(cache_dir), "--workers", "2",
             "--suites", "Client,Server", "--per-suite", "1",
-            "--instructions", str(INSTRUCTIONS), "--configs", "baseline",
-            "--smt-configs", "none", *extra]
+            "--instructions", str(INSTRUCTIONS)]
 
 
 def test_cli_dead_letter_exit_code_and_resume(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps({
-        "sim:baseline/client_00": {"kind": "raise", "times": 99,
-                                   "scope": "anywhere"},
+        "sim:constable/client_00": {"kind": "raise", "times": 99,
+                                    "scope": "anywhere"},
     }))
     monkeypatch.setenv(MAX_RETRIES_ENV, "0")
-    assert main(_sweep_argv(tmp_path)) == EXIT_DEAD_LETTER
+    assert main(_figures_argv(tmp_path)) == EXIT_DEAD_LETTER
     captured = capsys.readouterr()
     assert "dead-lettered" in captured.err
-    assert "sim:baseline/client_00" in captured.err
-    assert "--resume" in captured.err
+    assert "sim:constable/client_00" in captured.err
+    assert "rerun the same command" in captured.err
 
+    # The same command again: the journaled job is warm, the other executes.
     monkeypatch.delenv(FAULT_PLAN_ENV)
-    assert main(_sweep_argv(tmp_path, "--resume")) == 0
-    captured = capsys.readouterr()
-    assert "resume: 1 job(s) already journaled, 1 executed" in captured.out
-
-
-def test_cli_resume_requires_an_existing_journal(tmp_path):
-    with pytest.raises(SystemExit, match="nothing to resume"):
-        main(_sweep_argv(tmp_path / "never-created", "--resume"))
+    assert main(_figures_argv(tmp_path)) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^cache-warm +\| 1 *$", out, re.MULTILINE)
+    assert re.search(r"^executed +\| 1 *$", out, re.MULTILINE)
 
 
 def test_cli_interrupt_exits_130(tmp_path, capsys, monkeypatch):
     def interrupted(args):
         raise KeyboardInterrupt
     monkeypatch.setattr("repro.cli._build_runner", interrupted)
-    assert main(_sweep_argv(tmp_path)) == EXIT_INTERRUPT
-    assert "interrupted" in capsys.readouterr().err
+    assert main(_figures_argv(tmp_path)) == EXIT_INTERRUPT
+    err = capsys.readouterr().err
+    assert "interrupted" in err and "rerun the same command" in err
 
 
 def test_cli_sweep_prints_health_on_recovered_faults(tmp_path, capsys,
                                                      monkeypatch):
     monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps({
-        "sim:baseline/client_00": {"kind": "raise", "times": 1},
+        "sim:constable/client_00": {"kind": "raise", "times": 1},
     }))
     monkeypatch.setenv(MAX_RETRIES_ENV, "2")
-    assert main(_sweep_argv(tmp_path)) == 0
+    assert main(_figures_argv(tmp_path)) == 0
     out = capsys.readouterr().out
     assert "sweep health" in out
     # ... and `repro cache stats` aggregates the flushed health ledger.

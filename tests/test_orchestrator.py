@@ -229,21 +229,21 @@ def test_colliding_config_names_with_different_contents_are_rejected():
         assert stats.unique == len(runner.workloads())
 
 
-def test_smt_pair_budgets_merge_to_the_loosest_request():
-    runner = _make_runner()
-    orchestrator = SweepOrchestrator(runner)
-    bounded = FigurePlan("a", smt_configs={"baseline": baseline_config()},
-                         smt_max_pairs=1)
-    looser = FigurePlan("b", smt_configs={"baseline": baseline_config()},
-                        smt_max_pairs=2)
-    unbounded = FigurePlan("c", smt_configs={"baseline": baseline_config()},
-                           smt_max_pairs=None)
-    _, merged_smt, _ = orchestrator._merge_plans([bounded, looser], shard=None)
-    config, bound, is_unbounded = merged_smt["baseline"]
-    assert (bound, is_unbounded) == (2, False)
-    _, merged_smt, _ = orchestrator._merge_plans([bounded, unbounded], shard=None)
-    _, bound, is_unbounded = merged_smt["baseline"]
-    assert is_unbounded
+def test_smt_pair_budgets_merge_to_the_loosest_request(simulation_counter):
+    """Each plan is planned at its own pair budget: plans asking for one SMT
+    config at budgets 1 and 2 commit the looser request's two pairs, and the
+    pair both budgets cover executes once."""
+    with ExperimentRunner(per_suite=2, instructions=INSTRUCTIONS,
+                          suites=SUITES) as runner:
+        pairs = runner.smt_pairs(2)
+        assert len(pairs) == 2
+        plans = [FigurePlan(figure, smt_configs={"baseline": baseline_config()},
+                            smt_max_pairs=budget)
+                 for figure, budget in (("a", 1), ("b", 2))]
+        stats = SweepOrchestrator(runner).execute(plans)
+        assert list(runner.smt_results("baseline", max_pairs=2)) == pairs
+    assert (stats.planned, stats.unique, stats.executed) == (3, 2, 2)
+    assert simulation_counter["count"] == 2
 
 
 def test_dedup_stats_serialise_round_trip():

@@ -17,6 +17,11 @@ the values it compared::
     PYTHONPATH=src python -m pytest tests/test_paper_claims.py -q
     PYTHONPATH=src python -m pytest tests/test_paper_claims.py -q -k fig15
 
+A row with a ``deviation`` records a paper direction this model does not
+reproduce at the wave's budget, with the values it measured: it runs as a
+strict ``xfail``, so a model change that makes it hold fails loudly, and that
+change moves the row into the table proper.
+
 The same wave checks that every counter reads something: a numeric leaf of
 ``SimulationResult.to_dict()`` that takes one value over every committed
 result must be listed in :data:`CONSTANT_FIELDS` with its reason.
@@ -61,12 +66,14 @@ class Claim(NamedTuple):
 
     ``terms`` maps the payload to a chain ``(value, op, value, ...)`` read
     like a chained Python comparison: ``(0.0, "<", x, "<", 1.0)`` holds when
-    ``0.0 < x < 1.0``.
+    ``0.0 < x < 1.0``.  A non-empty ``deviation`` says why the claim does not
+    hold yet, with the measured values; the row then runs as a strict xfail.
     """
 
     figure: str
     statement: str
     terms: Callable[[Payload], Tuple[Any, ...]]
+    deviation: str = ""
 
     @property
     def id(self) -> str:
@@ -137,6 +144,10 @@ CLAIMS: List[Claim] = [
     Claim("fig11", "eves+ideal_constable >= max(eves, constable) - 0.01",
           lambda f: (f["geomean"]["eves+ideal_constable"], ">=",
                      max(f["geomean"]["eves"], f["geomean"]["constable"]) - 0.01)),
+    Claim("fig11", "eves+ideal_constable >= max(eves, constable)",
+          lambda f: (f["geomean"]["eves+ideal_constable"], ">=",
+                     max(f["geomean"]["eves"], f["geomean"]["constable"])),
+          deviation="eves+ideal_constable 1.00864 < constable 1.00897"),
     Claim("fig11", "the four noSMT configs",
           lambda f: (sorted(f["geomean"]), "==",
                      sorted({"eves", "constable", "eves+constable",
@@ -156,6 +167,12 @@ CLAIMS: List[Claim] = [
                      max(f["geomean_speedups"]["pc_relative_only"],
                          f["geomean_speedups"]["stack_relative_only"],
                          f["geomean_speedups"]["register_relative_only"]) - 0.01)),
+    Claim("fig13", "all_loads >= best single category",
+          lambda f: (f["geomean_speedups"]["all_loads"], ">=",
+                     max(f["geomean_speedups"]["pc_relative_only"],
+                         f["geomean_speedups"]["stack_relative_only"],
+                         f["geomean_speedups"]["register_relative_only"])),
+          deviation="all_loads 1.00897 < stack_relative_only 1.00930"),
     Claim("fig13", "the four category configs",
           lambda f: (sorted(f["geomean_speedups"]), "==",
                      sorted({"pc_relative_only", "stack_relative_only",
@@ -178,6 +195,10 @@ CLAIMS: List[Claim] = [
     Claim("fig15", "rfp+constable >= rfp - 0.02",
           lambda f: (f["geomean_speedups"]["rfp+constable"], ">=",
                      f["geomean_speedups"]["rfp"] - 0.02)),
+    Claim("fig15", "rfp+constable >= rfp",
+          lambda f: (f["geomean_speedups"]["rfp+constable"], ">=",
+                     f["geomean_speedups"]["rfp"]),
+          deviation="rfp+constable 0.95576 < rfp 0.95735"),
     # Fig. 16: each mechanism covers some loads but not all, and the
     # combination covers about as many as Constable alone.
     Claim("fig16", "0 < constable coverage < 1",
@@ -336,7 +357,13 @@ def wave() -> Wave:
     return Wave(figures, results)
 
 
-@pytest.mark.parametrize("claim", CLAIMS, ids=lambda claim: claim.id)
+def _case(claim: Claim):
+    marks = ([pytest.mark.xfail(strict=True, reason=claim.deviation)]
+             if claim.deviation else [])
+    return pytest.param(claim, marks=marks, id=claim.id)
+
+
+@pytest.mark.parametrize("claim", [_case(claim) for claim in CLAIMS])
 def test_claim(wave, claim):
     terms = claim.terms(wave.figures[claim.figure])
     holds = all(OPS[op](left, right) for left, op, right

@@ -15,11 +15,14 @@ import hashlib
 import json
 import threading
 import warnings
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.cache import (
+    CACHE_DIR_ENV,
     CACHE_MAX_MB_ENV,
+    DEFAULT_CACHE_DIR,
     ReportCache,
     ResultCache,
     config_fingerprint,
@@ -328,6 +331,20 @@ def test_invalid_env_cap_warns_once_and_disables_the_cap(tmp_path, monkeypatch, 
         warnings.simplefilter("error")
         again = ResultCache(tmp_path)  # second construction: no second warning
     assert again.max_mb is None
+
+
+def test_empty_cache_dir_env_counts_as_unset(tmp_path, monkeypatch, capsys):
+    """An empty ``REPRO_CACHE_DIR`` roots the library caches at
+    ``.repro-cache``, as every ``repro`` subcommand does, never at the
+    working directory itself."""
+    from repro.cli import main
+
+    monkeypatch.setenv(CACHE_DIR_ENV, "")
+    monkeypatch.chdir(tmp_path)
+    assert ResultCache().directory == ReportCache().directory \
+        == Path(DEFAULT_CACHE_DIR)
+    assert main(["cache", "stats", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["directory"] == DEFAULT_CACHE_DIR
 
 
 def test_explicit_invalid_max_mb_still_raises(tmp_path):

@@ -10,8 +10,8 @@ losslessness.  Four layers of evidence here:
   rather than half-read.
 * **The differential core**: after real sweeps at 1, 2 and 4 workers, under
   both execution engines, through a chaos-faulted partial-wave journal and
-  its ``--resume``, after compaction and after ``rebuild``, every warehouse
-  read must be **bit-identical** to deriving the same rows from full
+  the rerun that completes it, after compaction and after ``rebuild``, every
+  warehouse read must be **bit-identical** to deriving the same rows from full
   object-store decodes (:func:`scan_object_store`) — compared through JSON
   so float bits cannot hide behind repr.
 * **Zero-decode instrumentation**: ``repro query`` on a warm warehouse is
@@ -249,7 +249,7 @@ def test_both_engines_produce_identical_rows(tmp_path, monkeypatch):
 def test_chaos_partial_wave_then_resume_agrees_with_journal(tmp_path,
                                                             monkeypatch):
     """A dead-lettered sweep journals its successes — and the warehouse must
-    list exactly those journaled entries, before and after ``--resume``."""
+    list exactly those journaled entries, before and after the rerun."""
     monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps({
         "sim:baseline/client_00": {"kind": "raise", "times": 99,
                                    "scope": "anywhere"},
@@ -545,22 +545,6 @@ def test_cache_gc_compacts_warehouse(tmp_path, capsys):
     assert summary["row_files"] == 0
     assert summary["segments"] == 1
     assert summary["rows"] == 4
-
-
-def test_query_rejects_unknown_family(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["query", "--cache-dir", str(tmp_path), "--family", "nope"])
-
-
-def test_query_family_filter_selects_config_subset(tmp_path, capsys):
-    cache = ResultCache(tmp_path)
-    cache.put(_synthetic_key("a"), _synthetic_result(config="baseline"))
-    cache.put(_synthetic_key("b"), _synthetic_result(config="constable"))
-    cache.put(_synthetic_key("c"), _synthetic_result(config="not-a-family"))
-    assert main(["query", "--cache-dir", str(tmp_path), "--family", "main",
-                 "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert sorted(payload) == ["baseline", "constable"]
 
 
 def test_query_overview_averages_coverage(tmp_path, capsys):
