@@ -1,7 +1,7 @@
 """RL005 — event-engine-only state must come from an explicit allowlist.
 
 The event and cycle engines are bit-identical by construction: the event
-engine may keep *private bookkeeping* (the completion heap, parked-waiter
+engine may keep *private bookkeeping* (the completion buckets, parked-waiter
 lists, quiescence flags) but must never grow architectural state the
 reference stepper lacks, or the differential tests in
 ``tests/test_event_driven.py`` stop proving what they claim.  This rule makes
@@ -24,14 +24,13 @@ CPU_REL = "src/repro/pipeline/cpu.py"
 
 #: Private event-engine bookkeeping ``OutOfOrderCore`` may legitimately write
 #: under an ``engine == "event"`` guard.  Everything here is reconstructible
-#: from the architectural state (heap of in-flight completions, parked RS
+#: from the architectural state (buckets of in-flight completions, parked RS
 #: waiter lists, quiescence flags) — i.e. skipping-related, never
 #: timing-relevant on its own.  Widen it consciously, in the same diff as the
 #: differential test that proves the new state keeps the engines
 #: bit-identical.
 EVENT_ONLY_STATE = frozenset({
-    "_completion_heap",
-    "_heap_counter",
+    "_due",
     "_rs_waiting",
     "_rs_woken",
     "_rs_slot_counter",

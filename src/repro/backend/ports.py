@@ -2,20 +2,20 @@
 
 The baseline (Table 2) issues six micro-ops per cycle to twelve ports: five
 ALU, three load (AGU + load port pairs), two store-address and two store-data.
-Constable's headline effect is freeing the *load* ports, so per-cycle load-port
-occupancy is also tracked for the Fig. 6 analysis.
+Constable's headline effect is freeing the *load* ports; the core's issue
+sweep counts load-port utilisation for the Fig. 6 analysis
+(``PipelineStats.load_utilized_cycles``).
 
 The per-kind availability lives in plain integer slots rather than a dict
-keyed by :class:`PortKind` — :meth:`new_cycle` runs every simulated cycle and
+keyed by :class:`PortKind` — :meth:`new_cycle` runs every issue sweep and
 :meth:`issue` runs on every issued micro-op, so the enum-hashing dictionary
-rebuild used to dominate the per-cycle sweep.
+rebuild used to dominate the sweep.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 
 class PortKind(enum.Enum):
@@ -48,37 +48,28 @@ class PortConfig:
 
 
 class ExecutionPorts:
-    """Per-cycle port arbitration with utilisation statistics."""
+    """Per-cycle port arbitration for the issue sweep."""
 
     def __init__(self, config: PortConfig = PortConfig()):
         self.config = config
         self._issued_this_cycle = 0
-        self.cycles = 0
-        self.load_port_busy_cycles = 0       # cycles with >= 1 load port in use
-        self.load_port_uses = 0              # total load issues
-        #: Earliest scheduled completion among micro-ops issued through the
-        #: ports that is still in flight (None when nothing is outstanding or
-        #: the stored timer has already expired).  Fed by
-        #: :meth:`note_inflight`; read by :meth:`next_release_cycle`.
-        self._earliest_inflight: Optional[int] = None
         self._avail_alu = config.alu
         self._avail_load = config.load
         self._avail_sa = config.store_address
         self._avail_sd = config.store_data
-        self.new_cycle()
 
     def new_cycle(self) -> None:
-        """Start a new cycle: refresh port availability and issue bandwidth."""
+        """Refresh port availability and issue bandwidth.
+
+        The issue sweep is the only client and runs at most once per cycle,
+        so the core calls this at the start of each sweep.
+        """
         config = self.config
-        if self._avail_load < config.load:
-            # At least one load port was claimed during the cycle that just ended.
-            self.load_port_busy_cycles += 1
         self._avail_alu = config.alu
         self._avail_load = config.load
         self._avail_sa = config.store_address
         self._avail_sd = config.store_data
         self._issued_this_cycle = 0
-        self.cycles += 1
 
     def issue(self, kind: PortKind) -> bool:
         """Claim a port of ``kind`` for this cycle; returns False if none is free."""
@@ -92,7 +83,6 @@ class ExecutionPorts:
             if self._avail_load <= 0:
                 return False
             self._avail_load -= 1
-            self.load_port_uses += 1
         elif kind is PortKind.STORE_ADDRESS:
             if self._avail_sa <= 0:
                 return False
@@ -103,51 +93,3 @@ class ExecutionPorts:
             self._avail_sd -= 1
         self._issued_this_cycle += 1
         return True
-
-    def skip_idle_cycles(self, cycles: int) -> None:
-        """Account ``cycles`` cycles in which no micro-op issued.
-
-        Used by the event-driven core when it jumps over an idle gap: each
-        skipped cycle would have started with a fresh (fully available) port
-        set and issued nothing, so the only state the per-cycle reference
-        would have changed is the cycle count.  The availability snapshot is
-        left untouched — it already reflects an idle cycle, so the busy-cycle
-        check in the next :meth:`new_cycle` stays a no-op, exactly as it
-        would after stepping the gap cycle by cycle.
-        """
-        if cycles < 0:
-            raise ValueError("cycles must be non-negative")
-        self.cycles += cycles
-
-    def note_inflight(self, completion_cycle: int) -> None:
-        """Record that a micro-op issued through the ports completes at
-        ``completion_cycle``.
-
-        The core calls this at issue time with the same completion cycle it
-        pushes onto its completion heap, which makes the port model a genuine
-        owner of its forward timer: :meth:`next_release_cycle` can answer the
-        event-driven scheduler from local state instead of ``None``.
-        """
-        earliest = self._earliest_inflight
-        if earliest is None or completion_cycle < earliest:
-            self._earliest_inflight = completion_cycle
-
-    def next_release_cycle(self, now: int) -> Optional[int]:
-        """Earliest known future cycle at which an in-flight micro-op that
-        went through the ports completes, or None.
-
-        Port *bandwidth* renews every cycle (:meth:`new_cycle` restores full
-        availability), so the timer tracks the resource's in-flight work
-        rather than a cross-cycle reservation: the earliest completion
-        recorded by :meth:`note_inflight` that is still in the future.  A
-        timer at or before ``now`` has expired and is dropped (the next
-        earliest completion is unknown locally — the core's completion heap
-        still bounds the skip, so forgetting is safe).
-        """
-        earliest = self._earliest_inflight
-        if earliest is None:
-            return None
-        if earliest <= now:
-            self._earliest_inflight = None
-            return None
-        return earliest

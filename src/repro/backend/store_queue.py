@@ -9,14 +9,14 @@ as memory-ordering violations (paper §6.5).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 
 class StoreRecord:
     """One in-flight store."""
 
     __slots__ = ("seq", "pc", "address", "line_address", "value",
-                 "address_ready", "data_ready", "resolve_cycle")
+                 "address_ready", "data_ready")
 
     def __init__(self, seq: int, pc: int):
         self.seq = seq
@@ -26,11 +26,6 @@ class StoreRecord:
         self.value: Optional[int] = None
         self.address_ready = False
         self.data_ready = False
-        #: Cycle at which the store's address generation completes (set by the
-        #: core at issue time, None while the store sits unissued).  This is
-        #: the record's own forward timer: before it fires the address is
-        #: unknown, at it the record flips to ``address_ready``.
-        self.resolve_cycle: Optional[int] = None
 
     def overlaps(self, address: int) -> bool:
         """Word-granularity overlap check against a load address."""
@@ -102,25 +97,3 @@ class StoreQueue:
             if store.seq < load_seq and not store.address_ready:
                 return True
         return False
-
-    def next_release_cycle(self, now: int) -> Optional[int]:
-        """Earliest future cycle at which a queue entry resolves, or None.
-
-        Each record carries its own forward timer (``resolve_cycle``, set by
-        the core when the store's address generation issues); the queue's
-        next-release answer is the earliest timer still in the future for a
-        record whose address has not resolved yet.  Stores that have not
-        issued (``resolve_cycle`` is None) have no locally knowable timer —
-        their issue waits on events the core's completion heap already bounds.
-        Drain at retirement is likewise heap-scheduled (retire follows the
-        ROB head's completion), so resolution slots are the only timers the
-        queue owns.
-        """
-        earliest: Optional[int] = None
-        for store in self._stores:
-            resolve = store.resolve_cycle
-            if (not store.address_ready and resolve is not None
-                    and resolve > now
-                    and (earliest is None or resolve < earliest)):
-                earliest = resolve
-        return earliest

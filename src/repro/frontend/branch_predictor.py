@@ -14,8 +14,15 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 
+#: Width of the global branch history register.
+HISTORY_BITS = 128
+
+
 def _fold(history: int, bits: int) -> int:
-    """XOR of the consecutive ``bits``-wide chunks of ``history``."""
+    """XOR of the consecutive ``bits``-wide chunks of ``history``.
+
+    The reference the predictor's incremental folds are checked against.
+    """
     folded = 0
     mask = (1 << bits) - 1
     while history:
@@ -94,31 +101,54 @@ class TagePredictor:
         self._index_bits = cfg.tagged_entries.bit_length() - 1
         self._tag_mask = (1 << cfg.tag_bits) - 1
         self._tables_longest_first = tuple(reversed(range(cfg.num_tables)))
+        # Per table, the history window folded to the index width and, when
+        # it differs, to the tag width: ``_fold`` of the window, kept
+        # incrementally by ``_push_history``.  A window longer than the
+        # history register holds only the register's bits.
+        self._fold_windows = tuple(min(length, HISTORY_BITS)
+                                   for length in self.history_lengths)
+        self._index_folds = [0] * cfg.num_tables
+        self._tag_folds = ([0] * cfg.num_tables
+                           if cfg.tag_bits != self._index_bits else None)
         # Per table, the history-dependent part of the index and tag hashes
         # (the folded history and the per-table constant).  Only ``_train``
         # changes the history, so it refreshes these once per update and every
         # index and tag computation until the next update reads them.
-        self._index_mix: List[int] = []
-        self._tag_mix: List[int] = []
-        self._refresh_folds()
+        self._index_mix = [table * 0x9E5 for table in range(cfg.num_tables)]
+        self._tag_mix = list(range(cfg.num_tables))
         self.predictions = 0
         self.mispredictions = 0
 
     # ------------------------------------------------------------------ hashing
 
-    def _refresh_folds(self) -> None:
-        cfg = self.config
+    def _push_history(self, taken: bool) -> None:
+        """Shift ``taken`` into the global history and refresh the hash mixes.
+
+        Shifting the history moves every bit of a table's window up one
+        place, so the window's fold rotates left by one: the new outcome
+        enters at bit 0, and the bit that leaves the window drops out of the
+        place it rotated into.
+        """
         history = self._global_history
-        index_bits, tag_bits = self._index_bits, cfg.tag_bits
-        index_mix, tag_mix = [], []
-        for table, length in enumerate(self.history_lengths):
-            window = history & ((1 << length) - 1)
-            index_fold = _fold(window, index_bits)
-            tag_fold = index_fold if tag_bits == index_bits else _fold(window, tag_bits)
-            index_mix.append(index_fold ^ (table * 0x9E5))
-            tag_mix.append((tag_fold << 1) ^ table)
-        self._index_mix = index_mix
-        self._tag_mix = tag_mix
+        bit = 1 if taken else 0
+        index_bits, tag_bits = self._index_bits, self.config.tag_bits
+        index_mask, tag_mask = (1 << index_bits) - 1, self._tag_mask
+        index_folds, tag_folds = self._index_folds, self._tag_folds
+        index_mix, tag_mix = self._index_mix, self._tag_mix
+        for table, window in enumerate(self._fold_windows):
+            leaving = (history >> (window - 1)) & 1
+            fold = index_folds[table]
+            fold = ((((fold << 1) | (fold >> (index_bits - 1))) & index_mask)
+                    ^ bit ^ (leaving << (window % index_bits)))
+            index_folds[table] = fold
+            index_mix[table] = fold ^ (table * 0x9E5)
+            if tag_folds is not None:
+                fold = tag_folds[table]
+                fold = ((((fold << 1) | (fold >> (tag_bits - 1))) & tag_mask)
+                        ^ bit ^ (leaving << (window % tag_bits)))
+                tag_folds[table] = fold
+            tag_mix[table] = (fold << 1) ^ table
+        self._global_history = ((history << 1) | bit) & ((1 << HISTORY_BITS) - 1)
 
     def _index(self, pc: int, table: int) -> int:
         return ((pc >> 2) ^ self._index_mix[table]) % self.config.tagged_entries
@@ -199,8 +229,7 @@ class TagePredictor:
                         tag=self._tag(pc, table), counter=0 if taken else -1, useful=0)
                     break
 
-        self._global_history = ((self._global_history << 1) | int(taken)) & ((1 << 128) - 1)
-        self._refresh_folds()
+        self._push_history(taken)
 
     def misprediction_rate(self) -> float:
         """Fraction of predictions that were wrong."""

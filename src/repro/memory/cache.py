@@ -25,6 +25,8 @@ class CacheConfig:
     def __post_init__(self) -> None:
         if self.size_bytes <= 0 or self.ways <= 0 or self.line_size <= 0:
             raise ValueError("cache geometry values must be positive")
+        if self.latency < 0:
+            raise ValueError(f"{self.name}: latency must be non-negative")
         if self.size_bytes % (self.ways * self.line_size) != 0:
             raise ValueError(
                 f"{self.name}: size must be a multiple of ways*line_size "

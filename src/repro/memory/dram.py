@@ -10,7 +10,7 @@ and tRP+tRCD+tCAS for row misses, in core cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 
 @dataclass
@@ -27,6 +27,9 @@ class DramConfig:
     def __post_init__(self) -> None:
         if self.channels <= 0 or self.banks_per_channel <= 0:
             raise ValueError("channels and banks must be positive")
+        for name in ("row_hit_latency", "row_miss_latency", "bus_latency"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 class DramModel:
@@ -37,9 +40,6 @@ class DramModel:
         self._open_rows: Dict[int, int] = {}
         self.row_hits = 0
         self.row_misses = 0
-        #: Earliest still-outstanding transaction completion (core cycle) as
-        #: reported by the hierarchy via :meth:`note_inflight`, or None.
-        self._earliest_inflight: Optional[int] = None
 
     def _bank_and_row(self, address: int) -> (int, int):
         cfg = self.config
@@ -63,35 +63,3 @@ class DramModel:
     def accesses(self) -> int:
         """Total DRAM accesses (row hits plus row misses)."""
         return self.row_hits + self.row_misses
-
-    def note_inflight(self, completion_cycle: int) -> None:
-        """Record a DRAM-serviced load whose data returns at ``completion_cycle``.
-
-        The hierarchy forwards the core-scheduled completion cycle of every
-        demand load that missed all the way to main memory, so the model owns
-        a genuine transaction timer even though bank/row state itself only
-        mutates at access time.
-        """
-        earliest = self._earliest_inflight
-        if earliest is None or completion_cycle < earliest:
-            self._earliest_inflight = completion_cycle
-
-    def next_ready_cycle(self, now: int) -> Optional[int]:
-        """Earliest known future cycle at which an outstanding DRAM transaction
-        completes, or None.
-
-        Bank/row state mutates exclusively when an access is performed and the
-        returned latency folds every queueing effect into the access itself,
-        so the forward timer is the earliest :meth:`note_inflight` completion
-        still ahead of ``now``.  Expired timers are dropped — the core's
-        completion heap bounds the skip target regardless, so forgetting can
-        only delay a skip, never overshoot one.  A refresh- or
-        bank-busy-modelling DRAM would fold its own timers in here.
-        """
-        earliest = self._earliest_inflight
-        if earliest is None:
-            return None
-        if earliest <= now:
-            self._earliest_inflight = None
-            return None
-        return earliest

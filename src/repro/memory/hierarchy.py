@@ -20,6 +20,9 @@ from repro.memory.tlb import Tlb, TlbConfig
 #: Cache line size used across the hierarchy and the coherence directory.
 CACHE_LINE_SIZE = 64
 
+#: How many of the shared stride table's candidates the L1-D prefetches.
+L1_STRIDE_DEGREE = 2
+
 
 @dataclass
 class MemoryHierarchyConfig:
@@ -46,8 +49,10 @@ class MemoryHierarchy:
         self.llc = SetAssociativeCache(self.config.llc)
         self.dram = DramModel(self.config.dram)
         self.dtlb = Tlb(self.config.tlb)
-        self.l1_stride = StridePrefetcher(degree=2)
-        self.l2_stride = StridePrefetcher(degree=4)
+        # The L1 and L2 stride prefetchers observe the same demand stream
+        # with the same table geometry, so one table serves both: the L2
+        # fills its four candidates, the L1 the first two.
+        self.stride = StridePrefetcher(degree=4)
         self.l2_streamer = StreamPrefetcher(degree=2)
         #: Callbacks invoked with the line address of every L1-D eviction
         #: (used by the coherence directory and the Constable-AMT-I variant).
@@ -55,13 +60,6 @@ class MemoryHierarchy:
         #: Callbacks invoked with the line address of every L1-D demand fill.
         self.l1_fill_listeners: List[Callable[[int], None]] = []
         self.level_counts: Dict[str, int] = {"L1D": 0, "L2": 0, "LLC": 0, "DRAM": 0}
-        #: Earliest still-in-flight demand-load completion (load-to-use data
-        #: return as scheduled by the core), or None.  Fed by
-        #: :meth:`note_inflight`, consumed by :meth:`next_ready_cycle`.
-        self._earliest_inflight: Optional[int] = None
-        #: Servicing level of the most recent demand load (used to attribute
-        #: the in-flight timer to DRAM when main memory owned the miss).
-        self._last_demand_level: Optional[str] = None
 
     # ------------------------------------------------------------------ helpers
 
@@ -84,12 +82,15 @@ class MemoryHierarchy:
     def _run_prefetchers(self, pc: int, address: int) -> None:
         if not self.config.enable_prefetchers:
             return
-        for line in self.l1_stride.observe(pc, address):
-            self._fill_l1(line, from_prefetch=True)
-        # Neither L2 prefetcher reads the L2, so filling the stride
-        # candidates before the streamer observes matches observing both first.
-        for line in self.l2_stride.observe(pc, address):
-            self.l2.fill(line, from_prefetch=True)
+        lines = self.stride.observe(pc, address)
+        if lines:
+            for line in lines[:L1_STRIDE_DEGREE]:
+                self._fill_l1(line, from_prefetch=True)
+            # Neither L2 prefetcher reads the L2, so filling the stride
+            # candidates before the streamer observes matches observing both
+            # first.
+            for line in lines:
+                self.l2.fill(line, from_prefetch=True)
         for line in self.l2_streamer.observe(pc, address):
             self.l2.fill(line, from_prefetch=True)
 
@@ -102,7 +103,6 @@ class MemoryHierarchy:
         if self.l1d.access(address):
             self._run_prefetchers(pc, address)
             self.level_counts["L1D"] += 1
-            self._last_demand_level = "L1D"
             return latency + cfg.l1d.latency, "L1D"
         if self.l2.access(address):
             level, extra = "L2", cfg.l2.latency
@@ -117,7 +117,6 @@ class MemoryHierarchy:
         self.l2.fill(address)
         self._fill_l1(address)
         self._run_prefetchers(pc, address)
-        self._last_demand_level = level
         return latency + cfg.l1d.latency + extra, level
 
     def store_access(self, address: int, pc: int = 0) -> int:
@@ -137,45 +136,6 @@ class MemoryHierarchy:
         self.l1d.invalidate(address)
         self.l2.invalidate(address)
         self.llc.invalidate(address)
-
-    def note_inflight(self, completion_cycle: int) -> None:
-        """Record that the most recent demand load's data returns to the core
-        at ``completion_cycle``.
-
-        Called by the core at load issue with the completion cycle it pushed
-        onto its completion heap (AGU plus the hierarchy latency this access
-        reported), so the hierarchy's forward timer matches the event the
-        core will actually observe.  When DRAM serviced the miss, the timer
-        is forwarded to the DRAM model too — main memory then owns a genuine
-        transaction-completion timer of its own.
-        """
-        earliest = self._earliest_inflight
-        if earliest is None or completion_cycle < earliest:
-            self._earliest_inflight = completion_cycle
-        if self._last_demand_level == "DRAM":
-            self.dram.note_inflight(completion_cycle)
-
-    def next_ready_cycle(self, now: int) -> Optional[int]:
-        """Earliest known future cycle at which an in-flight access completes.
-
-        The caches and prefetchers charge every latency up front at access
-        time, so the hierarchy's forward timer is the earliest *demand load
-        data return* recorded by :meth:`note_inflight` that is still ahead of
-        ``now``, combined with the DRAM model's own transaction timer.  An
-        expired timer is dropped (the next in-flight completion is not
-        locally derivable; the core's completion heap still bounds the skip
-        target, so forgetting can only delay a skip, never land it past an
-        event).  Returns None when nothing is known to be in flight.
-        """
-        earliest = self._earliest_inflight
-        if earliest is not None and earliest <= now:
-            self._earliest_inflight = earliest = None
-        dram_ready = self.dram.next_ready_cycle(now)
-        if earliest is None:
-            return dram_ready
-        if dram_ready is None:
-            return earliest
-        return min(earliest, dram_ready)
 
     # -------------------------------------------------------------------- stats
 

@@ -35,10 +35,16 @@ class StridePrefetcher:
         self.confidence_threshold = confidence_threshold
         self.line_size = line_size
         self._table: Dict[int, _StrideEntry] = {}
-        self.issued_prefetches = 0
 
     def observe(self, pc: int, address: int) -> Sequence[int]:
-        """Observe a demand access and return line addresses to prefetch."""
+        """Observe a demand access and return line addresses to prefetch.
+
+        The candidates run from one stride ahead to ``degree`` strides ahead,
+        dropping negative targets.  Trace addresses are non-negative (the VM
+        masks them to 64 bits), so a dropped target can only trail the list,
+        and its first ``n`` entries are exactly what a degree-``n`` table over
+        the same stream returns.
+        """
         entry = self._table.get(pc)
         if entry is None:
             if len(self._table) >= self.table_size:
@@ -60,7 +66,6 @@ class StridePrefetcher:
             target = address + entry.stride * k
             if target >= 0:
                 prefetches.append(target - (target % self.line_size))
-        self.issued_prefetches += len(prefetches)
         return prefetches
 
 
@@ -73,7 +78,6 @@ class StreamPrefetcher:
         self.degree = degree
         self.line_size = line_size
         self._last_line: Optional[int] = None
-        self.issued_prefetches = 0
 
     def observe(self, pc: int, address: int) -> Sequence[int]:
         """Observe a demand access and return line addresses to prefetch."""
@@ -83,6 +87,4 @@ class StreamPrefetcher:
         self._last_line = line
         if last_line is None or not 0 < line - last_line <= 2 * self.line_size:
             return _NO_PREFETCHES
-        prefetches = [line + k * self.line_size for k in range(1, self.degree + 1)]
-        self.issued_prefetches += len(prefetches)
-        return prefetches
+        return [line + k * self.line_size for k in range(1, self.degree + 1)]

@@ -24,6 +24,8 @@ class TlbConfig:
             raise ValueError("TLB geometry must be positive")
         if self.entries % self.ways != 0:
             raise ValueError("TLB entries must be a multiple of ways")
+        if self.miss_penalty < 0:
+            raise ValueError("TLB miss penalty must be non-negative")
 
 
 class Tlb:

@@ -72,6 +72,14 @@ class CoreConfig:
         for name in ("fetch_width", "decode_width", "rename_width", "retire_width"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # Every execution latency is at least one cycle (a forwarded load
+        # pays the AGU's), so a completion always lands in a later cycle than
+        # the issue sweep that queued it.
+        for name in ("alu_latency", "mul_latency", "div_latency", "agu_latency"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.store_forward_latency < 0:
+            raise ValueError("store_forward_latency must be non-negative")
         if self.lvp not in (None, "eves", "llvp"):
             raise ValueError(f"unknown load value predictor {self.lvp!r}")
 

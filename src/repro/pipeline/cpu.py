@@ -20,19 +20,24 @@ Two execution engines drive the same stage pipeline:
   when no stage **acted** — retired, popped, issued, renamed or fetched
   something, or performed a side-effecting stall the reference re-runs every
   cycle — the cycle was provably idle, so the core computes the next
-  "interesting" cycle (minimum over the completion-heap head, each thread's
-  front-end refill timer, and the next-ready timers of the memory hierarchy,
-  execution ports and store queues) and advances ``self.cycle`` straight to
-  it instead of ticking through the idle gap.  Long memory stalls collapse
-  into one jump, and dense compute-bound phases — where the skip machinery
-  rarely fires — pay only for the stages that actually have work.
+  "interesting" cycle (the earliest completion bucket or a thread's
+  front-end refill timer, whichever comes first) and advances
+  ``self.cycle`` straight to it instead of ticking through the idle gap.
+  Long memory stalls collapse into one jump, and dense compute-bound phases
+  — where the skip machinery rarely fires — pay only for the stages that
+  actually have work.
+
+Both engines queue each issued micro-op in a per-cycle completion bucket
+(``_due``), in issue order.  Every execution latency is at least one cycle
+(``CoreConfig`` rejects less), so an issue sweep only ever queues into a
+later cycle, and writeback pops exactly the current cycle's bucket.
 
 The two engines are bit-identical by construction, resting on two pillars:
 
 * **Pure-stage gating.**  A stage is gated off on a stepped cycle only when
   its full run would have been observably pure: retire when no ROB head is
-  complete-and-mature (and no thread is newly drained), writeback when the
-  heap head is still in the future, issue when the reservation station is
+  complete-and-mature (and no thread is newly drained), writeback when no
+  completion bucket is due this cycle, issue when the reservation station is
   quiescent (nothing issued last sweep and no wake event — completion pop,
   RS insertion, or flush — has happened since), rename when every non-empty
   IDQ head is blocked on an allocation-pool check that precedes all side
@@ -51,17 +56,18 @@ The two engines are bit-identical by construction, resting on two pillars:
   the cycle counts as acted: a sweep that claimed no port changed nothing
   observable.
 * **Exact skipping.**  A cycle in which no stage acted leaves the whole
-  machine state untouched except for two per-cycle accounting counters (the
-  port model's cycle count and the SLD-updates-per-cycle histogram's zero
-  bucket), which the skip replays in bulk.  No stage can start acting
-  *during* an idle gap except through one of the events the skip target
-  minimises over: source operands only ever become ready at completion-heap
-  pops, retire waits on the heap too, rename waits on resources freed by
-  retire/flush, and fetch waits on the refill timer or a branch resolution
-  (again the heap).  The per-resource timers (ports, store queues, memory
-  hierarchy, DRAM) each mirror a completion the core also scheduled on its
-  heap — see :meth:`OutOfOrderCore._next_event_cycle` for why that keeps the
-  minimum exact.
+  machine state untouched, and no per-cycle counter needs replaying: port
+  availability is refreshed by the issue sweep itself, and the
+  SLD-updates-per-cycle histogram records only the cycles that updated the
+  SLD, its zero bucket derived once at the end of the run.  No stage can
+  start acting *during* an idle gap except through one of the events the
+  skip target minimises over: source operands only ever become ready at
+  completion pops, retire waits on completions too, rename waits on
+  resources freed by retire/flush, and fetch waits on the refill timer or a
+  branch resolution (again a completion).  The resource models keep no
+  timers of their own: a port, a store-queue entry, a cache miss or a DRAM
+  transaction frees up exactly when a queued micro-op completes (see
+  :meth:`OutOfOrderCore._next_event_cycle`).
 
 On top of the two pillars the event engine adds one flattening of *where*
 work happens without changing *what* happens: **exact dependence wakeup**.
@@ -86,12 +92,11 @@ fixtures pin this equivalence.
 from __future__ import annotations
 
 import functools
-import heapq
 import operator
 import os
 import warnings
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.backend.dependence import MemoryDependencePredictor
 from repro.backend.ports import ExecutionPorts, PortKind
@@ -268,10 +273,10 @@ class OutOfOrderCore:
             self.oracle.reset_runtime_state()
         self.stats_oracle_pcs: Set[int] = set(config.stats_oracle_pcs or ())
 
-        # Threads with a Constable engine attached (fixed after construction);
-        # hoisted because both run loops touch it every cycle.
-        self._constable_threads = [t for t in self.threads
-                                   if t.constable is not None]
+        # The threads' Constable engines (fixed after construction); hoisted
+        # because both run loops touch them every cycle.
+        self._constables = [t.constable for t in self.threads
+                            if t.constable is not None]
 
         # Coherence bookkeeping: CV bits follow L1 fills and evictions.  The
         # listeners are the directory's and the engines' own methods, never
@@ -282,8 +287,8 @@ class OutOfOrderCore:
             functools.partial(self.directory.record_fill, core=OWN_CORE))
         hierarchy.l1_eviction_listeners.append(
             functools.partial(self.directory.record_eviction, core=OWN_CORE))
-        for thread in self._constable_threads:
-            hierarchy.l1_eviction_listeners.append(thread.constable.on_l1_eviction)
+        for constable in self._constables:
+            hierarchy.l1_eviction_listeners.append(constable.on_l1_eviction)
 
         # One rename decode per static instruction (see _decode).  Keyed by
         # the static object itself, not its PC: SMT traces can share a PC.
@@ -299,13 +304,16 @@ class OutOfOrderCore:
         self._running = 0 if all(t.done() for t in self.threads) else count
 
         self.cycle = 0
-        self._completion_heap: List[Tuple[int, int, InflightOp]] = []
-        self._heap_counter = 0
+        # Issued micro-ops by completion cycle, each bucket in issue order.
+        # Every latency is at least one cycle, so an issue sweep only ever
+        # queues into a later cycle's bucket, and writeback pops exactly the
+        # current cycle's.
+        self._due: Dict[int, List[InflightOp]] = {}
         self._rs_waiting: List[InflightOp] = []
         # True while nothing in the reservation station can possibly issue:
         # set when an issue sweep claims no port, cleared by every wake event
-        # (completion-heap pop, RS insertion, flush).  Lets the event engine
-        # gate the issue stage off on stepped cycles.
+        # (completion pop, RS insertion, flush).  Lets the event engine gate
+        # the issue stage off on stepped cycles.
         self._issue_quiescent = False
         # Exact dependence wakeup (event engine only).  Producer readiness
         # changes *only* when the producer's completion pops (every
@@ -319,7 +327,8 @@ class OutOfOrderCore:
         # definition, so it never parks.
         self._park_blocked = engine == "event"
         self._rs_woken: List[InflightOp] = []
-        #: Monotone RS insertion counter backing InflightOp.rs_slot.
+        #: Monotone RS insertion counter backing InflightOp.rs_slot; it is
+        #: also the run's RS allocation count.
         self._rs_slot_counter = 0
         # Set by _rename_one when a stall itself had side effects (SLD-port
         # stall statistics, rename mechanisms re-run against a full RS);
@@ -423,18 +432,17 @@ class OutOfOrderCore:
     def _decode(self, dyn: DynamicInstruction) -> tuple:
         """Decode ``dyn``'s static instruction for rename, once per core.
 
-        Returns ``(route, kind, port_kind, exec_latency, sources, dest)``:
-        how the micro-op leaves rename (:data:`_COMPLETE` at rename,
-        :data:`_LOAD`, :data:`_STORE` or :data:`_INT`), its rename
-        optimization, and the port, latency and registers it needs.  All of
-        it is a pure function of the static instruction and the fixed config.
+        Returns ``(route, port_kind, exec_latency, sources, dest)``: how the
+        micro-op leaves rename (:data:`_COMPLETE` at rename, :data:`_LOAD`,
+        :data:`_STORE` or :data:`_INT`), and the port, latency and registers
+        it needs.  All of it is a pure function of the static instruction and
+        the fixed config.
         """
         static = dyn.static
         config = self.config
-        kind = self.rename_optimizer.classify(dyn)
         opclass = static.opclass
         port_kind, latency = None, 0
-        if kind is not OptimizationKind.NONE:
+        if self.rename_optimizer.classify(dyn) is not OptimizationKind.NONE:
             route = _COMPLETE
         elif static.is_load:
             route, port_kind = _LOAD, PortKind.LOAD
@@ -448,13 +456,13 @@ class OutOfOrderCore:
                        else config.alu_latency)
         else:
             route = _COMPLETE
-        decoded = (route, kind, port_kind, latency, static.source_registers(), static.dest)
+        decoded = (route, port_kind, latency, static.source_registers(), static.dest)
         self._decoded[static] = decoded
         return decoded
 
-    def _rename_load(self, thread: _ThreadState, op: InflightOp) -> None:
+    def _rename_load(self, thread: _ThreadState, op: InflightOp) -> bool:
+        """Run a load's rename-stage mechanisms; False if it completed at rename."""
         dyn = op.dyn
-        config = self.config
         mode = dyn.static.addressing_mode()
         op.oracle_stable = dyn.pc in self.stats_oracle_pcs
         if op.oracle_stable:
@@ -463,20 +471,16 @@ class OutOfOrderCore:
         # Ideal oracle mechanisms (Fig. 7) take precedence over everything else.
         if self.oracle is not None and self.oracle.covers(dyn.pc):
             op.ideal_covered = True
-            address, value = self.oracle.known_value(dyn.pc)
-            op.ideal_address, op.ideal_value = address, value
             if self.oracle.mode is IdealMode.CONSTABLE:
                 op.eliminated = True
-                op.constable_address, op.constable_value = address, value
-                op.needs_rs = False
-                op.executed_at_rename = True
+                op.constable_address, op.constable_value = self.oracle.known_value(dyn.pc)
                 op.mark_complete(self.cycle)
                 op.value_obtained_cycle = self.cycle
-                return
+                return False
             # Both stable-LVP modes break the data dependence immediately.
             op.mark_value_ready(self.cycle)
             op.value_obtained_cycle = self.cycle
-            return
+            return True
 
         # Constable (the real mechanism).
         if thread.constable is not None:
@@ -486,11 +490,9 @@ class OutOfOrderCore:
                 op.eliminated = True
                 op.constable_value = decision.value
                 op.constable_address = decision.address
-                op.needs_rs = False
-                op.executed_at_rename = True
                 op.mark_complete(self.cycle)
                 op.value_obtained_cycle = self.cycle
-                return
+                return False
 
         # Load value prediction (EVES / LLVP).
         if thread.lvp is not None:
@@ -520,6 +522,7 @@ class OutOfOrderCore:
             if predicted_address is not None:
                 op.rfp_address = predicted_address
                 self.hierarchy.load_access(predicted_address, dyn.pc)
+        return True
 
     def _rename_one(self, thread: _ThreadState, dyn: DynamicInstruction,
                     trace_index: int) -> Optional[InflightOp]:
@@ -527,7 +530,7 @@ class OutOfOrderCore:
         decoded = self._decoded.get(dyn.static)
         if decoded is None:
             decoded = self._decode(dyn)
-        route, kind, port_kind, exec_latency, sources, dest = decoded
+        route, port_kind, exec_latency, sources, dest = decoded
         is_load = route == _LOAD
         is_store = route == _STORE
         constable = thread.constable
@@ -555,12 +558,9 @@ class OutOfOrderCore:
                 return None
 
         cycle = self.cycle
-        op = InflightOp(dyn, thread.thread_id, trace_index, cycle)
-        op.optimization = kind
+        op = InflightOp(dyn, thread.thread_id, trace_index)
         if route == _COMPLETE:
             # Folded/eliminated at rename: completes immediately, no RS, no port.
-            op.needs_rs = False
-            op.executed_at_rename = True
             op.complete = True
             op.complete_cycle = op.value_ready_cycle = cycle
             needs_rs = False
@@ -568,20 +568,20 @@ class OutOfOrderCore:
             # Producer capture happens only on the paths that can reach the
             # reservation station: a micro-op that completes at rename never
             # has its depends_on scanned.  Inlined
-            # RegisterAliasTable.producer_of, with the lookup statistic batched.
-            rat = thread.rat
-            rat.lookups += len(sources)
-            producers = rat._producer
-            depends = op.depends_on
+            # RegisterAliasTable.producer_of.
+            producers = thread.rat._producer
+            depends = None
             for register in sources:
                 producer = producers[register]
                 if producer is not None and not producer.squashed:
                     ready = producer.value_ready_cycle
                     if ready is None or ready > cycle:
-                        depends.append(producer)
+                        if depends is None:
+                            depends = op.depends_on = [producer]
+                        else:
+                            depends.append(producer)
             if is_load:
-                self._rename_load(thread, op)
-                needs_rs = op.needs_rs
+                needs_rs = self._rename_load(thread, op)
                 if needs_rs:
                     op.port_kind = port_kind
             else:
@@ -602,25 +602,16 @@ class OutOfOrderCore:
             return None
 
         # Claim resources (inlined ResourcePool.allocate: capacity was checked
-        # above, so the claim is occupancy bookkeeping only).
+        # above, so the claim is occupancy bookkeeping only; the allocation
+        # counts are the renamed-op counters and the RS slot counter).
         rob_pool.occupied += 1
-        rob_pool.total_allocations += 1
-        if rob_pool.occupied > rob_pool.peak_occupancy:
-            rob_pool.peak_occupancy = rob_pool.occupied
         if is_load:
             lb_pool.occupied += 1
-            lb_pool.total_allocations += 1
-            if lb_pool.occupied > lb_pool.peak_occupancy:
-                lb_pool.peak_occupancy = lb_pool.occupied
         elif is_store:
             sb_pool.occupied += 1
-            sb_pool.total_allocations += 1
-            if sb_pool.occupied > sb_pool.peak_occupancy:
-                sb_pool.peak_occupancy = sb_pool.occupied
             op.store_record = thread.store_queue.insert(dyn.seq, dyn.pc)
         if needs_rs:
             rs_pool.occupied += 1
-            rs_pool.total_allocations += 1
             if rs_pool.occupied > rs_pool.peak_occupancy:
                 rs_pool.peak_occupancy = rs_pool.occupied
             op.in_rs = True
@@ -634,9 +625,7 @@ class OutOfOrderCore:
             if constable is not None:
                 constable.on_register_write(dest)
             # Inlined RegisterAliasTable.set_producer.
-            rat = thread.rat
-            rat.updates += 1
-            rat._producer[dest] = op
+            thread.rat._producer[dest] = op
         thread.rob.append(op)
         if is_load:
             thread.load_buffer.append(op)
@@ -709,18 +698,12 @@ class OutOfOrderCore:
         if forwarding is not None and forwarding.data_ready:
             self.stats.loads_forwarded_from_store += 1
             latency = config.agu_latency + config.store_forward_latency
-            hierarchy_access = False
         else:
             memory_latency, _ = self.hierarchy.load_access(address, dyn.pc)
             latency = config.agu_latency + memory_latency
-            hierarchy_access = True
 
         if op.elar_early and self.elar is not None:
             latency = max(1, latency - self.elar.latency_savings())
-        if hierarchy_access:
-            # Tell the hierarchy when this access's data returns to the core;
-            # it mirrors the completion the caller schedules on the heap.
-            self.hierarchy.note_inflight(self.cycle + latency)
         return latency
 
     def _execute_store_address(self, thread: _ThreadState, op: InflightOp) -> None:
@@ -772,13 +755,11 @@ class OutOfOrderCore:
         cycle = self.cycle
         stats = self.stats
         ports = self.ports
+        ports.new_cycle()
         threads = self.threads
         rs_pool = self.rs_pool
         should_wait_for_stores = self.dependence_predictor.should_wait_for_stores
-        heap = self._completion_heap
-        heappush = heapq.heappush
-        heap_counter = self._heap_counter
-        earliest_completion: Optional[int] = None
+        due = self._due
         # Load-port accounting for Fig. 6: a load issued this sweep, one of
         # them oracle-stable, and a non-stable load denied a port.
         issued_load = stable_issued = denied_nonstable = False
@@ -823,7 +804,7 @@ class OutOfOrderCore:
                     else:
                         waiting_append(op)
                     continue
-                del deps[:]
+                op.depends_on = None
             thread = threads[op.thread]
             if (op.is_load
                     and should_wait_for_stores(op.pc)
@@ -838,7 +819,6 @@ class OutOfOrderCore:
                 continue
 
             op.issued = True
-            op.issue_cycle = cycle
             rs_pool.occupied -= 1  # inlined release; every issuer holds an entry
             op.in_rs = False
             stats.rs_issues += 1
@@ -862,9 +842,6 @@ class OutOfOrderCore:
                 latency = op.exec_latency
                 if op.is_store:
                     stats.agu_ops += 1
-                    # The store's address-generation slot: the queue's own
-                    # next-release timer (mirrors the heap entry below).
-                    op.store_record.resolve_cycle = cycle + latency
                 else:
                     opclass = op.opclass
                     if opclass is OpClass.MUL:
@@ -875,17 +852,12 @@ class OutOfOrderCore:
                         stats.alu_ops += 1
 
             completion = cycle + latency
-            heap_counter += 1
-            op.finish_cycle = completion
-            heappush(heap, (completion, heap_counter, op))
-            if earliest_completion is None or completion < earliest_completion:
-                earliest_completion = completion
+            bucket = due.get(completion)
+            if bucket is None:
+                due[completion] = [op]
+            else:
+                bucket.append(op)
 
-        self._heap_counter = heap_counter
-        if earliest_completion is not None:
-            # The port model's forward timer keeps only the earliest
-            # completion, so one note per sweep is enough.
-            ports.note_inflight(earliest_completion)
         self._rs_waiting = still_waiting
         # If nothing issued, no port was claimed either, so every waiting uop
         # failed a condition (operand readiness, store-ordering wait) that
@@ -949,24 +921,22 @@ class OutOfOrderCore:
         self.dependence_predictor.observe_safe_execution(dyn.pc)
 
     def _writeback_stage(self) -> bool:
-        """Run the writeback sweep; True if any completion was popped.
+        """Run the writeback sweep; True if this cycle's bucket was popped.
 
-        Popping a squashed completion is counted as acting even though it is
-        unobservable — that is merely conservative (the cycle steps instead
-        of being skipped).  A False sweep never entered the loop, so it was
-        pure.
+        Popping a bucket of squashed completions is counted as acting even
+        though it is unobservable — that is merely conservative (the cycle
+        steps instead of being skipped).  A False sweep found no bucket, so
+        it was pure.
         """
-        acted = False
-        heap = self._completion_heap
-        heappop = heapq.heappop
         cycle = self.cycle
+        completing = self._due.pop(cycle, None)
+        if completing is None:
+            return False
+        # A completion is a wake event for the issue stage: operands may
+        # become ready, store addresses resolve, ordering waits clear.
+        self._issue_quiescent = False
         threads = self.threads
-        while heap and heap[0][0] <= cycle:
-            _, _, op = heappop(heap)
-            acted = True
-            # A completion is a wake event for the issue stage: operands may
-            # become ready, store addresses resolve, ordering waits clear.
-            self._issue_quiescent = False
+        for op in completing:
             if op.squashed:
                 continue
             thread = threads[op.thread]
@@ -992,7 +962,7 @@ class OutOfOrderCore:
                 if thread.pending_redirect_seq == op.seq:
                     thread.pending_redirect_seq = None
                     thread.fetch_blocked_until = self.cycle + self.config.frontend_refill_cycles
-        return acted
+        return True
 
     # ==================================================================== retire
 
@@ -1005,9 +975,6 @@ class OutOfOrderCore:
                     f"eliminated load at pc={dyn.pc:#x} seq={dyn.seq} retired with "
                     f"value={op.constable_value:#x} addr={op.constable_address:#x}, "
                     f"functional value={dyn.load_value:#x} addr={dyn.address:#x}")
-        if op.ideal_covered and op.constable_value == 0 and op.eliminated is False:
-            # Ideal stable LVP modes execute the load, nothing extra to check.
-            return
 
     def _retire_thread(self, thread: _ThreadState, budget: int) -> bool:
         """Retire up to ``budget`` micro-ops; True if the sweep acted.
@@ -1018,10 +985,12 @@ class OutOfOrderCore:
         """
         retired = 0
         rob = thread.rob
+        cycle = self.cycle
+        producers = thread.rat._producer
         while retired < budget and rob:
             op = rob[0]
             if not op.complete or (op.complete_cycle is not None
-                                   and op.complete_cycle > self.cycle):
+                                   and op.complete_cycle > cycle):
                 break
             rob.popleft()
             if op.is_load:
@@ -1048,16 +1017,18 @@ class OutOfOrderCore:
                 self.stats.store_commits += 1
                 thread.store_queue.remove(op.seq)
                 thread.sb_pool.occupied -= 1
-            if op.dest is not None:
-                thread.rat.clear_producer(op.dest, op)
-            thread.rob_pool.occupied -= 1
-            op.retired = True
+            # Inlined RegisterAliasTable.clear_producer.
+            dest = op.dest
+            if dest is not None and producers[dest] is op:
+                producers[dest] = None
             retired += 1
-            thread.retired_instructions += 1
-            self.stats.instructions_retired += 1
         acted = retired > 0
+        if acted:
+            thread.rob_pool.occupied -= retired
+            thread.retired_instructions += retired
+            self.stats.instructions_retired += retired
         if thread.finish_cycle is None and thread.done():
-            thread.finish_cycle = self.cycle
+            thread.finish_cycle = cycle
             self._running -= 1
             acted = True
         return acted
@@ -1146,66 +1117,44 @@ class OutOfOrderCore:
         """The next cycle at which an idle machine can make progress, or None.
 
         After a zero-progress cycle, every stage is blocked on a condition
-        that only one of these events can change (see the module docstring's
-        equivalence argument): the earliest scheduled completion, a thread's
-        front-end refill timer, or a resource timer firing.  The resource
-        models own genuine forward timers now: the execution ports and the
-        memory hierarchy report the earliest in-flight completion the core
-        announced to them at issue time (``note_inflight``), DRAM the
-        earliest outstanding main-memory transaction, and each store queue
-        the earliest unresolved store's address-resolution slot.  Every such
-        timer mirrors a completion that is *also* on the completion heap, so
-        folding them in can never move the minimum past a state change — and
-        a hypothetical early timer would only make the engine step one extra
-        provably-idle cycle, never miss work.  That containment is what keeps
-        the skip exact while letting each resource answer for itself.
+        that only one of two events can change (see the module docstring's
+        equivalence argument): the earliest completion bucket, or a thread's
+        front-end refill timer.  No resource model keeps a timer of its own:
+        a port, a store-queue entry, a cache miss or a DRAM transaction
+        becomes free exactly when a micro-op the core queued completes, so
+        the buckets already bound every such event.
         """
         cycle = self.cycle
-        candidates: List[int] = []
-        if self._completion_heap:
-            candidates.append(self._completion_heap[0][0])
+        due = self._due
+        target = min(due) if due else None
         for thread in self.threads:
-            if not thread.fetch_done() and thread.fetch_blocked_until > cycle:
-                candidates.append(thread.fetch_blocked_until)
-        timer = self.hierarchy.next_ready_cycle(cycle)
-        if timer is not None:
-            candidates.append(timer)
-        timer = self.ports.next_release_cycle(cycle)
-        if timer is not None:
-            candidates.append(timer)
-        for thread in self.threads:
-            timer = thread.store_queue.next_release_cycle(cycle)
-            if timer is not None:
-                candidates.append(timer)
-        if not candidates:
-            return None
-        return min(candidates)
+            refill = thread.fetch_blocked_until
+            if (refill > cycle and (target is None or refill < target)
+                    and not thread.fetch_done()):
+                target = refill
+        return target
 
     def _skip_idle_gap(self, max_cycles: int) -> None:
         """Jump over the idle cycles between now and the next event.
 
-        Replays, in bulk, the only two things the per-cycle reference mutates
-        during an idle cycle: the port model's cycle counter and (per
-        Constable-equipped thread) a zero entry in the SLD-updates-per-cycle
-        histogram.  The jump lands one cycle *before* the event so the main
-        loop's increment and runaway guard see exactly the cycle values the
-        reference stepper would.
+        An idle cycle changes no machine state, and no per-cycle counter
+        needs replaying: the SLD-updates histogram records only the cycles
+        that updated the SLD (:meth:`run` derives its zero bucket).  The jump
+        lands one cycle *before* the event so the main loop's increment and
+        runaway guard see exactly the cycle values the reference stepper
+        would.
         """
         target = self._next_event_cycle()
         if target is None:
-            # Genuine deadlock: no scheduled completion, front-end refill
-            # timer, or resource timer can ever unblock a stage.  Jump to the
-            # runaway guard so both engines raise the identical diagnostic.
+            # Genuine deadlock: no queued completion or front-end refill
+            # timer can ever unblock a stage.  Jump to the runaway guard so
+            # both engines raise the identical diagnostic.
             self.cycle = max_cycles
             return
         resume = min(target, max_cycles + 1)
         skipped = resume - self.cycle - 1
         if skipped <= 0:
             return
-        self.ports.skip_idle_cycles(skipped)
-        if self._constable_threads:
-            self.stats.record_sld_updates(
-                0, cycles=skipped * len(self._constable_threads))
         self.skipped_idle_cycles += skipped
         self.cycle = resume - 1
 
@@ -1294,23 +1243,24 @@ class OutOfOrderCore:
 
     def _run_cycle_engine(self, max_cycles: int) -> None:
         """The reference stepper: every cycle runs every stage, idle or not."""
-        constable_threads = self._constable_threads
+        constables = self._constables
         stats = self.stats
         while self._running:
             self.cycle += 1
             if self.cycle > max_cycles:
                 raise RuntimeError(
                     f"simulation exceeded {max_cycles} cycles; likely a deadlock")
-            self.ports.new_cycle()
-            for thread in constable_threads:
-                thread.constable.begin_cycle()
             self._retire_stage()
             self._writeback_stage()
             self._issue_stage()
             self._rename_stage()
             self._fetch_stage()
-            for thread in constable_threads:
-                stats.record_sld_updates(thread.constable.sld_updates_this_cycle)
+            # Close the cycle's SLD write-port window (§6.7.1): record and
+            # reset each engine's count, if the cycle updated the SLD.
+            for constable in constables:
+                if constable.sld_updates_this_cycle:
+                    stats.record_sld_updates(constable.sld_updates_this_cycle)
+                    constable.begin_cycle()
             self.stepped_cycles += 1
 
     def _run_event_engine(self, max_cycles: int) -> None:
@@ -1331,23 +1281,20 @@ class OutOfOrderCore:
         jumps straight to that event.  All three refinements eliminate no-ops
         only; the machine trajectory is exactly the reference stepper's.
         """
-        constable_threads = self._constable_threads
+        constables = self._constables
         stats = self.stats
-        heap = self._completion_heap
+        due = self._due
         while self._running:
             self.cycle += 1
             cycle = self.cycle
             if cycle > max_cycles:
                 raise RuntimeError(
                     f"simulation exceeded {max_cycles} cycles; likely a deadlock")
-            self.ports.new_cycle()
-            for thread in constable_threads:
-                thread.constable.begin_cycle()
             acted = False
             if self._retire_can_act():
                 self._retire_stage()
                 acted = True
-            if heap and heap[0][0] <= cycle:
+            if cycle in due:
                 self._writeback_stage()
                 acted = True
             if ((self._rs_waiting or self._rs_woken)
@@ -1360,8 +1307,10 @@ class OutOfOrderCore:
             if self._fetch_can_act():
                 self._fetch_stage()
                 acted = True
-            for thread in constable_threads:
-                stats.record_sld_updates(thread.constable.sld_updates_this_cycle)
+            for constable in constables:
+                if constable.sld_updates_this_cycle:
+                    stats.record_sld_updates(constable.sld_updates_this_cycle)
+                    constable.begin_cycle()
             self.stepped_cycles += 1
             if not acted:
                 self._skip_idle_gap(max_cycles)
@@ -1375,6 +1324,12 @@ class OutOfOrderCore:
         else:
             self._run_cycle_engine(max_cycles)
         self.stats.cycles = self.cycle
+        if self._constables:
+            # Every thread-cycle the loops did not record updated no SLD entry.
+            histogram = self.stats.sld_update_cycles_histogram
+            idle = self.cycle * len(self._constables) - sum(histogram.values())
+            if idle:
+                histogram[0] = idle
         return self._build_result()
 
     # ---------------------------------------------------------------- reporting
@@ -1387,9 +1342,9 @@ class OutOfOrderCore:
             "uops_decoded": stats.uops_fetched,
             "uops_renamed": stats.uops_renamed,
             "branches_predicted": stats.branches_predicted,
-            "rs_allocations": self.rs_pool.total_allocations,
+            "rs_allocations": self._rs_slot_counter,
             "rs_issues": stats.rs_issues,
-            "rob_allocations": sum(t.rob_pool.total_allocations for t in self.threads),
+            "rob_allocations": stats.uops_renamed,
             "retired": stats.instructions_retired,
             "alu_ops": stats.alu_ops,
             "mul_ops": stats.mul_ops,
@@ -1424,7 +1379,7 @@ class OutOfOrderCore:
 
     def _build_result(self) -> SimulationResult:
         constable_stats = None
-        engines = [t.constable for t in self.threads if t.constable is not None]
+        engines = self._constables
         if engines:
             constable_stats = {}
             for engine in engines:
@@ -1459,12 +1414,15 @@ class OutOfOrderCore:
                 "ipc": thread.retired_instructions / max(1, thread.finish_cycle or self.cycle),
             })
 
+        # Every renamed micro-op took a ROB entry, every renamed load (store)
+        # a load- (store-) buffer entry, and every RS entry an RS slot.
+        stats = self.stats
         resource_stats = {
-            "rs_allocations": self.rs_pool.total_allocations,
+            "rs_allocations": self._rs_slot_counter,
             "rs_allocation_stalls": self.rs_pool.allocation_stalls,
-            "rob_allocations": sum(t.rob_pool.total_allocations for t in self.threads),
-            "lb_allocations": sum(t.lb_pool.total_allocations for t in self.threads),
-            "sb_allocations": sum(t.sb_pool.total_allocations for t in self.threads),
+            "rob_allocations": stats.uops_renamed,
+            "lb_allocations": stats.loads_renamed,
+            "sb_allocations": stats.stores_renamed,
             "rs_peak_occupancy": self.rs_pool.peak_occupancy,
         }
 

@@ -70,15 +70,14 @@ class PipelineStats:
             return 0.0
         return self.instructions_retired / self.cycles
 
-    def record_sld_updates(self, updates: int, cycles: int = 1) -> None:
-        """Record ``cycles`` thread-cycles that performed ``updates`` SLD writes.
+    def record_sld_updates(self, updates: int) -> None:
+        """Record one thread-cycle that performed ``updates`` SLD writes.
 
-        ``cycles > 1`` is how the event-driven core accounts a skipped idle
-        gap in bulk: every skipped cycle would have recorded zero updates, so
-        the histogram stays bit-identical to the per-cycle reference stepper.
+        The core records only the thread-cycles that updated the SLD and
+        derives the zero bucket once, at the end of the run.
         """
         self.sld_update_cycles_histogram[updates] = (
-            self.sld_update_cycles_histogram.get(updates, 0) + cycles)
+            self.sld_update_cycles_histogram.get(updates, 0) + 1)
 
     def average_sld_updates_per_cycle(self) -> float:
         """Mean SLD updates per cycle from the update histogram."""

@@ -11,39 +11,35 @@ class InflightOp:
     """One micro-op travelling through the out-of-order window."""
 
     __slots__ = (
-        "dyn", "thread", "trace_index", "rename_cycle",
+        "dyn", "thread", "trace_index",
         "seq", "pc", "opclass", "dest",
-        "depends_on", "needs_rs", "port_kind", "exec_latency",
+        "depends_on", "port_kind", "exec_latency",
         "complete", "complete_cycle", "value_ready_cycle",
-        "issued", "issue_cycle", "finish_cycle",
-        "squashed", "in_rs", "rs_slot", "waiters",
+        "issued", "squashed", "in_rs", "rs_slot", "waiters",
         # loads
         "is_load", "is_store",
         "eliminated", "likely_stable", "constable_value", "constable_address",
-        "ideal_covered", "ideal_value", "ideal_address",
+        "ideal_covered",
         "lvp_prediction", "mrn_store", "mrn_predicted",
         "rfp_address", "elar_early",
         "oracle_stable", "reexecuted", "value_obtained_cycle",
-        "executed_at_rename", "optimization",
         # stores
         "store_record",
-        "retired",
     )
 
-    def __init__(self, dyn: DynamicInstruction, thread: int, trace_index: int,
-                 rename_cycle: int):
+    def __init__(self, dyn: DynamicInstruction, thread: int, trace_index: int):
         self.dyn = dyn
         self.thread = thread
         self.trace_index = trace_index
-        self.rename_cycle = rename_cycle
         # Flattened static decode: the retire/issue loops touch these every
         # cycle, so they are plain slots instead of ``dyn.static.*`` chases.
         self.seq = dyn.seq
         self.pc = dyn.pc
         self.opclass = dyn.opclass
         self.dest = dyn.static.dest
-        self.depends_on: List["InflightOp"] = []
-        self.needs_rs = True
+        # Producers still pending at rename; rename allocates the list only
+        # when it finds one.
+        self.depends_on: Optional[List["InflightOp"]] = None
         self.port_kind = None
         # Issue-time execution latency, precomputed at rename for non-load
         # RS-bound uops (loads derive theirs from the memory hierarchy).
@@ -52,8 +48,6 @@ class InflightOp:
         self.complete_cycle: Optional[int] = None
         self.value_ready_cycle: Optional[int] = None
         self.issued = False
-        self.issue_cycle: Optional[int] = None
-        self.finish_cycle: Optional[int] = None
         self.squashed = False
         self.in_rs = False
         # Reservation-station insertion order (monotone across the whole
@@ -73,8 +67,6 @@ class InflightOp:
         self.constable_value = 0
         self.constable_address = 0
         self.ideal_covered = False
-        self.ideal_value = 0
-        self.ideal_address = 0
         self.lvp_prediction = None
         self.mrn_store = None
         self.mrn_predicted = False
@@ -83,10 +75,7 @@ class InflightOp:
         self.oracle_stable = False
         self.reexecuted = False
         self.value_obtained_cycle: Optional[int] = None
-        self.executed_at_rename = False
-        self.optimization = None
         self.store_record = None
-        self.retired = False
 
     # ------------------------------------------------------------------ queries
 

@@ -22,17 +22,13 @@ class RegisterAliasTable(Generic[ProducerT]):
             raise ValueError("num_registers must be positive")
         self.num_registers = num_registers
         self._producer: Dict[int, Optional[ProducerT]] = {r: None for r in range(num_registers)}
-        self.lookups = 0
-        self.updates = 0
 
     def producer_of(self, register: int) -> Optional[ProducerT]:
         """The in-flight producer of ``register`` (None if the value is architectural)."""
-        self.lookups += 1
         return self._producer[register]
 
     def set_producer(self, register: int, producer: Optional[ProducerT]) -> None:
         """Record ``producer`` as the newest writer of ``register``."""
-        self.updates += 1
         self._producer[register] = producer
 
     def clear_producer(self, register: int, producer: ProducerT) -> None:

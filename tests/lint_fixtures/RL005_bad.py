@@ -1,19 +1,17 @@
 """Seeded-bad fixture for RL005: event-guarded stores to shared state, marked."""
 
-import heapq
-
 
 class OutOfOrderCore:
     def __init__(self, engine: str) -> None:
         self.engine = engine
         self.retired_total = 0
-        self._completion_heap = []
+        self._due = {}
 
     def advance(self) -> None:
         if self.engine == "event":
             self.retired_total += 1  # expect[RL005]
             self._wakeup_cache = {}  # expect[RL005]
-            heapq.heappush(self._completion_heap, 0)
+            self._due.setdefault(1, []).append(0)
         else:
             self.retired_total += 1
 

@@ -1,13 +1,11 @@
 """Good twin for RL005: event-guarded stores confined to allowlisted state."""
 
-import heapq
-
 
 class OutOfOrderCore:
     def __init__(self, engine: str) -> None:
         self.engine = engine
         self.retired_total = 0
-        self._completion_heap = []
+        self._due = {}
         self._issue_quiescent = False
         self.stepped_cycles = 0
 
@@ -15,7 +13,7 @@ class OutOfOrderCore:
         if self.engine == "event":
             self._issue_quiescent = True
             self.stepped_cycles += 1
-            heapq.heappush(self._completion_heap, 0)
+            self._due.setdefault(1, []).append(0)
         else:
             self.retired_total += 1
 
@@ -23,4 +21,4 @@ class OutOfOrderCore:
         if self.engine != "event":
             self.retired_total += 1
         else:
-            self._completion_heap = []
+            self._due = {}

@@ -123,25 +123,30 @@ def test_engines_identical_under_smt2(client_trace, server_trace):
 def test_engines_identical_adversarial_flush_heavy_smt2_tiny_rob(
         client_trace, server_trace):
     """The nastiest known configuration for engine equivalence, all at once:
-    EVES value prediction (mispredictions trigger re-execution flushes) plus
-    Constable, SMT2 round-robin arbitration across two different traces, and
-    a near-minimal window so every stage hits resource stalls constantly.
-    Flushes squash producers whose waiters are parked, tiny buffers force the
-    conservative issue/rename gates open and shut every few cycles, and SMT
-    interleaving shifts which thread's micro-ops own the RS age order — any
-    shortcut in the event engine's wake predicates shows up here first."""
+    EVES value prediction plus Constable plus RFP, SMT2 round-robin
+    arbitration across two different traces, and a small window (64/16/32/16
+    ROB/RS/LB/SB) so stages hit resource stalls constantly while loads can
+    still pass older stores.  The run must flush (it does 3 times and
+    re-executes 18 micro-ops), so flushes squash producers whose waiters are
+    parked; the small buffers force the conservative issue/rename gates open
+    and shut every few cycles, and SMT interleaving shifts which thread's
+    micro-ops own the RS age order — any shortcut in the event engine's wake
+    predicates shows up here first."""
     import dataclasses
     from repro.experiments.configs import eves_constable_config
 
     config = eves_constable_config()
     config = config.copy(
-        sizes=dataclasses.replace(config.sizes, rob=16, rs=4,
-                                  load_buffer=8, store_buffer=8),
+        enable_rfp=True,
+        sizes=dataclasses.replace(config.sizes, rob=64, rs=16,
+                                  load_buffer=32, store_buffer=16),
         frontend_refill_cycles=2, flush_penalty=2)
     reference = simulate_smt_pair(client_trace, server_trace, config,
                                   name="adversarial", engine="cycle")
     event = simulate_smt_pair(client_trace, server_trace, config,
                               name="adversarial", engine="event")
+    assert reference.stats.flushes > 0 and reference.stats.reexecuted_uops > 0
+    assert reference.resource_stats["rs_allocation_stalls"] > 0
     assert event == reference
 
 

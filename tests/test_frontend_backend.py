@@ -117,6 +117,8 @@ def test_ports_enforce_per_kind_limits():
     assert not ports.issue(PortKind.LOAD)
     assert ports.issue(PortKind.ALU) and ports.issue(PortKind.ALU)
     assert not ports.issue(PortKind.ALU)
+    ports.new_cycle()
+    assert ports.issue(PortKind.LOAD) and ports.issue(PortKind.ALU)
 
 
 def test_ports_enforce_issue_width():
@@ -125,16 +127,6 @@ def test_ports_enforce_issue_width():
     assert ports.issue(PortKind.ALU)
     assert ports.issue(PortKind.ALU)
     assert not ports.issue(PortKind.LOAD)
-
-
-def test_ports_track_load_busy_cycles():
-    ports = ExecutionPorts(PortConfig())
-    ports.new_cycle()
-    ports.issue(PortKind.LOAD)
-    ports.new_cycle()          # closes the previous cycle
-    ports.new_cycle()
-    assert ports.load_port_busy_cycles == 1
-    assert ports.load_port_uses == 1
 
 
 # ------------------------------------------------------- dependence / store queue

@@ -13,7 +13,9 @@ The summaries are eight fields; the ``result_digests`` pin everything else.
 Each is the SHA-256 of the sorted-key JSON of one full
 ``SimulationResult.to_dict()``, for every named configuration and every ideal
 mode on the fixture's workload, plus two SMT2 pairs: one run directly at the
-default base PC, and the runner's first pair as a sweep plans it.  The
+default base PC, and the runner's first pair as a sweep plans it.  Two longer
+runs add digests of every named configuration on paths the 1,200-instruction
+runs never reach: snoops, and L1-D evictions with DRAM traffic.  The
 event-vs-cycle differentials cannot see a change both engines share; these
 digests can.
 
@@ -47,8 +49,18 @@ from repro.workloads.suites import get_workload_spec
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 #: Seeded workloads pinned by the fixtures: one stable-load-rich suite, one
-#: SPEC-like suite, one snoop-heavy suite.
+#: SPEC-like suite and one server suite.  At ``GOLDEN_INSTRUCTIONS`` their
+#: traces hold no snoop and their runs evict no L1-D line; the
+#: ``GOLDEN_DEEP_RUNS`` reach both.
 GOLDEN_WORKLOADS = ("client_00", "ispec_00", "server_00")
+
+#: Longer runs pinned by digests of every named configuration, each with the
+#: ``reach`` counter that shows it exercises a path the short runs miss:
+#: server_00's trace carries snoops at 6,000 instructions (Constable resets
+#: SLD entries by snoop), and the memory-bound bench workload evicts L1-D
+#: lines and goes to DRAM at 4,000.
+GOLDEN_DEEP_RUNS = {"server_00": (6000, "resets_by_snoop"),
+                    "membound_chase": (4000, "l1d_evictions")}
 
 #: The SMT2 pair pinned by its own fixture.  Both traces start at the default
 #: base PC, so their PCs alias: per-PC state shared between the threads (for
@@ -134,6 +146,39 @@ def compute_runner_pair_snapshot() -> Dict[str, object]:
             "result_digests": digests}
 
 
+def _deep_spec(workload: str):
+    """A suite workload's spec, or one of the memory-bound bench specs."""
+    from repro.experiments.bench import BENCH_FAMILIES
+
+    for job in BENCH_FAMILIES["memory_bound"][0]():
+        for spec in job.specs:
+            if spec.name == workload:
+                return spec
+    return get_workload_spec(workload)
+
+
+def compute_deep_snapshot(workload: str) -> Dict[str, object]:
+    """Regenerate the pinned long run of ``workload`` (see GOLDEN_DEEP_RUNS)."""
+    instructions, _ = GOLDEN_DEEP_RUNS[workload]
+    trace = generate_trace(_deep_spec(workload), num_instructions=instructions)
+    results = {name: simulate_trace(trace, factory(), name=name)
+               for name, factory in named_configs().items()}
+    constable = results["constable"]
+    reach = {
+        "snoops": len(trace.snoops),
+        "resets_by_snoop": constable.constable_stats["resets_by_snoop"],
+        "l1d_evictions": constable.memory_stats["l1d"]["evictions"],
+        "dram_accesses": constable.memory_stats["dram_accesses"],
+    }
+    return json.loads(json.dumps({
+        "workload": workload,
+        "instructions": instructions,
+        "reach": reach,
+        "result_digests": {name: result_digest(result)
+                           for name, result in results.items()},
+    }))
+
+
 def _fixture_path(name: str) -> Path:
     return GOLDEN_DIR / f"{name}.json"
 
@@ -144,6 +189,11 @@ def _smt_fixture_name(pair: Tuple[str, str]) -> str:
 
 #: Fixture of :func:`compute_runner_pair_snapshot`.
 RUNNER_PAIR_FIXTURE = "smt2_runner_client_00+enterprise_00"
+
+
+def _deep_fixture_name(workload: str) -> str:
+    instructions, _ = GOLDEN_DEEP_RUNS[workload]
+    return f"deep_{workload}_{instructions}"
 
 
 def _load_fixture(name: str) -> Dict[str, object]:
@@ -198,6 +248,17 @@ def test_golden_runner_pair_reproduces():
         raise AssertionError(_drift_message(RUNNER_PAIR_FIXTURE, expected, actual))
 
 
+@pytest.mark.parametrize("workload", sorted(GOLDEN_DEEP_RUNS))
+def test_golden_deep_run_reproduces(workload):
+    name = _deep_fixture_name(workload)
+    expected = _load_fixture(name)
+    _, path = GOLDEN_DEEP_RUNS[workload]
+    assert expected["reach"][path] > 0, f"{name} no longer reaches {path}"
+    actual = compute_deep_snapshot(workload)
+    if actual != expected:
+        raise AssertionError(_drift_message(name, expected, actual))
+
+
 def test_drift_message_names_each_moved_digest():
     expected = {"result_digests": {"baseline": "a", "constable": "b", "eves": "c"}}
     actual = {"result_digests": {"baseline": "a", "constable": "x", "eves": "y"}}
@@ -213,6 +274,8 @@ def refresh() -> None:
     snapshots = {workload: compute_snapshot(workload) for workload in GOLDEN_WORKLOADS}
     snapshots[_smt_fixture_name(GOLDEN_SMT_PAIR)] = compute_smt_snapshot(GOLDEN_SMT_PAIR)
     snapshots[RUNNER_PAIR_FIXTURE] = compute_runner_pair_snapshot()
+    for workload in GOLDEN_DEEP_RUNS:
+        snapshots[_deep_fixture_name(workload)] = compute_deep_snapshot(workload)
     for name, snapshot in snapshots.items():
         path = _fixture_path(name)
         path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n",

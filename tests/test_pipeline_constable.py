@@ -5,8 +5,12 @@ import pytest
 from repro.core import ConstableConfig
 from repro.core.ideal import IdealMode, build_oracle_from_trace
 from repro.analysis import inspect_trace
+from repro.experiments.configs import constable_config
 from repro.isa.instruction import AddressingMode
 from repro.pipeline import CoreConfig, simulate_trace
+from repro.pipeline.cpu import GoldenCheckError
+from repro.workloads.generator import generate_trace
+from repro.workloads.suites import get_workload_spec
 
 
 def test_constable_retires_all_instructions_and_passes_golden_check(client_trace, constable_result):
@@ -45,6 +49,16 @@ def test_constable_with_snoop_traffic(server_trace, constable_test_config):
     # The Server suite generates external writes; elimination must stay correct.
     assert result.instructions == len(server_trace)
     assert result.constable_stats["loads_eliminated"] > 0
+
+
+@pytest.mark.xfail(strict=True, raises=GoldenCheckError, reason=(
+    "snoop safety bug (ROADMAP item 1): constable on enterprise_01 runs "
+    "clean at 8,000 instructions, but at 10,000 an eliminated load at pc "
+    "0x400094, seq 8372, retires a stale value under snoop traffic"))
+def test_constable_stays_correct_under_snoops_at_10000_instructions():
+    trace = generate_trace(get_workload_spec("enterprise_01"), num_instructions=10_000)
+    result = simulate_trace(trace, constable_config(), name="constable")
+    assert result.instructions == len(trace)
 
 
 def test_constable_paper_default_threshold_is_usable(client_trace):

@@ -8,6 +8,9 @@ import pytest
 from repro.backend.ports import PortConfig
 from repro.backend.resources import BackendSizes
 from repro.experiments.configs import baseline_config, constable_config
+from repro.memory.cache import CacheConfig
+from repro.memory.dram import DramConfig
+from repro.memory.tlb import TlbConfig
 from repro.pipeline import CoreConfig, OutOfOrderCore, simulate_trace
 from repro.rename.optimizations import RenameOptimizationConfig
 from repro.workloads.generator import generate_trace
@@ -38,6 +41,33 @@ def test_resource_counters_are_consistent(baseline_result):
     assert resources["rs_allocations"] <= resources["rob_allocations"]
     assert stats.rs_issues <= resources["rs_allocations"]
     assert stats.loads_executed <= stats.loads_renamed
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alu_latency", 0), ("alu_latency", -3), ("mul_latency", 0),
+    ("div_latency", 0), ("agu_latency", 0), ("store_forward_latency", -1)])
+def test_config_rejects_execution_latencies_below_the_floor(field, value):
+    """Execution latencies below one cycle (a store-forward latency below
+    zero) used to run silently as one cycle: ``client_00`` at 2,000
+    instructions took 1,497 cycles at ``alu_latency`` 0, -3 and 1 alike.
+    The core queues each completion in a later cycle's bucket, which needs
+    every latency to be at least one cycle."""
+    with pytest.raises(ValueError, match=field):
+        baseline_config().copy(**{field: value})
+
+
+def test_memory_configs_reject_negative_latencies():
+    with pytest.raises(ValueError, match="latency"):
+        CacheConfig(name="L1D", size_bytes=48 * 1024, ways=12, latency=-1)
+    with pytest.raises(ValueError, match="miss penalty"):
+        TlbConfig(miss_penalty=-1)
+    for field in ("row_hit_latency", "row_miss_latency", "bus_latency"):
+        with pytest.raises(ValueError, match=field):
+            DramConfig(**{field: -1})
+    # Zero-cycle memory latencies stay legal: the AGU's cycle keeps every
+    # load's latency at least one.
+    CacheConfig(name="L1D", size_bytes=48 * 1024, ways=12, latency=0)
+    baseline_config().copy(store_forward_latency=0)
 
 
 @pytest.mark.parametrize("engine", ["event", "cycle"])

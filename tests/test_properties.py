@@ -13,6 +13,7 @@ from repro.analysis.load_inspector import GlobalStableReport, LoadSiteStats
 from repro.analysis.stats_utils import box_whisker_summary, geomean
 from repro.core import AddressMonitorTable, ConstableConfig, StableLoadDetector
 from repro.experiments.cache import ResultCache
+from repro.frontend.branch_predictor import TageConfig, TagePredictor, _fold
 from repro.isa.instruction import MemOperand, AddressingMode
 from repro.isa.registers import STACK_REGISTERS
 from repro.memory.cache import CacheConfig, SetAssociativeCache
@@ -300,6 +301,29 @@ def test_global_stable_report_serialization_round_trips(sites, total):
     assert rebuilt.to_dict() == report.to_dict()
     assert rebuilt.summary() == report.summary()
     assert rebuilt.global_stable_pcs() == report.global_stable_pcs()
+
+
+@given(outcomes=st.lists(st.tuples(_pcs, st.booleans()), min_size=1, max_size=300),
+       config=st.sampled_from([TageConfig(), TageConfig(tag_bits=7),
+                               TageConfig(tagged_entries=256, tag_bits=12,
+                                          num_tables=6, max_history=160)]))
+@settings(max_examples=60, deadline=None)
+def test_tage_incremental_folds_match_the_reference_fold(outcomes, config):
+    """After every outcome, each table's index and tag mix is what ``_fold``
+    gives over that table's history window, at the index width and (where
+    it differs) the tag width; one geometry's longest window outgrows the
+    history register."""
+    predictor = TagePredictor(config)
+    index_bits = predictor._index_bits
+    for pc, taken in outcomes:
+        predictor.update(pc, taken)
+        history = predictor._global_history
+        for table, length in enumerate(predictor.history_lengths):
+            window = history & ((1 << length) - 1)
+            assert predictor._index_mix[table] == (
+                _fold(window, index_bits) ^ (table * 0x9E5))
+            assert predictor._tag_mix[table] == (
+                (_fold(window, config.tag_bits) << 1) ^ table)
 
 
 @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=10_000))

@@ -248,6 +248,28 @@ def test_gc_survivors_still_hit_and_evicted_entries_rebuild(tmp_path, simulation
     assert simulation_counter["count"] == sims + 1, "only the evicted entry re-simulates"
 
 
+def test_gc_of_a_shared_directory_keeps_report_survivors_loadable(tmp_path):
+    """GC of a directory shared by result and report entries: the report
+    entries that survive still load through ``ReportCache.get``."""
+    cache, reports = ResultCache(tmp_path), ReportCache(tmp_path)
+    runner = ExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
+                              suites=SUITES, cache=cache, report_cache=reports)
+    runner.run_config("baseline", baseline_config())
+    entries = cache.entries()
+    # Each report hit refreshes its recency, so the result entries become the
+    # LRU victims of a cap that fits exactly the report entries.
+    report_keys = sorted(path.stem for path, _, _ in entries
+                         if reports.get(path.stem) is not None)
+    assert report_keys and len(report_keys) < len(entries)
+    report_bytes = sum(size for path, _, size in entries if path.stem in report_keys)
+    removed = cache.gc(max_mb=(report_bytes + 0.5) / (1024 * 1024))
+    assert len(removed) == len(entries) - len(report_keys)
+    survivors = sorted(path.stem for path, _, _ in cache.entries())
+    assert survivors == report_keys
+    fresh = ReportCache(tmp_path)
+    assert all(fresh.get(key) is not None for key in survivors)
+
+
 def test_gc_noop_without_cap_and_below_cap(tmp_path):
     cache = ResultCache(tmp_path)
     runner = _make_runner(cache)
