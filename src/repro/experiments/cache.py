@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import math
@@ -136,6 +137,20 @@ def _max_mb_from_env() -> Optional[float]:
     return value
 
 
+#: JSON scalars, matched by exact type so a ``bool`` or an ``IntEnum`` is
+#: never mistaken for a plain ``int``.
+_SCALAR_TYPES = frozenset({type(None), bool, int, float, str})
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(kind: type) -> Optional[Tuple[str, ...]]:
+    """``kind``'s fields after :data:`_FINGERPRINT_EXCLUDE`; None for a non-dataclass."""
+    if not dataclasses.is_dataclass(kind):
+        return None
+    excluded = _FINGERPRINT_EXCLUDE.get(kind.__name__, frozenset())
+    return tuple(f.name for f in dataclasses.fields(kind) if f.name not in excluded)
+
+
 def canonical_value(value: object) -> object:
     """Reduce ``value`` to a deterministic JSON-serializable form.
 
@@ -143,10 +158,12 @@ def canonical_value(value: object) -> object:
     sorted lists; insertion order never leaks into the result, so logically
     equal configurations always fingerprint identically.
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        excluded = _FINGERPRINT_EXCLUDE.get(type(value).__name__, frozenset())
-        return {f.name: canonical_value(getattr(value, f.name))
-                for f in dataclasses.fields(value) if f.name not in excluded}
+    kind = type(value)
+    if kind in _SCALAR_TYPES:
+        return value
+    names = _field_names(kind)
+    if names is not None:
+        return {name: canonical_value(getattr(value, name)) for name in names}
     if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, (set, frozenset)):
@@ -156,7 +173,7 @@ def canonical_value(value: object) -> object:
                 for key, val in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (list, tuple)):
         return [canonical_value(item) for item in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
+    if isinstance(value, (int, float, str)):
         return value
     raise TypeError(f"cannot fingerprint value of type {type(value).__name__}: {value!r}")
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.load_inspector import inspect_trace
 from repro.analysis.stats_utils import box_whisker_summary, filtered_geomean
 from repro.core.config import ConstableConfig
 from repro.core.ideal import IdealMode, IdealOracle
@@ -50,11 +49,10 @@ from repro.isa.instruction import AddressingMode
 from repro.pipeline.config import CoreConfig
 from repro.power.cacti import constable_structure_estimates
 from repro.power.power_model import CorePowerModel
-from repro.workloads.generator import generate_trace
 from repro.workloads.suites import SUITE_NAMES
 
 
-def default_runner(per_suite: int = 2, instructions: int = 6000,
+def default_runner(per_suite: Optional[int] = 2, instructions: int = 6000,
                    workers: Optional[int] = None,
                    cache_dir: Optional[str] = None,
                    suites: Sequence[str] = SUITE_NAMES,
@@ -63,8 +61,8 @@ def default_runner(per_suite: int = 2, instructions: int = 6000,
     """The reduced workload set the CLI and the paper-claims tests run.
 
     Every figure harness accepts either runner flavour: pass ``workers > 1``
-    for a :class:`ParallelExperimentRunner` that shards trace generation and
-    simulations (single-thread and SMT) over a process pool, and/or
+    for a :class:`ParallelExperimentRunner` that shards Load Inspector passes
+    and simulations (single-thread and SMT) over a process pool, and/or
     ``cache_dir`` to share an on-disk cache directory with other harnesses and
     reruns.  The directory holds both the result cache (single-thread + SMT
     entries) and the Load Inspector report cache, so a warm rerun of any
@@ -76,6 +74,8 @@ def default_runner(per_suite: int = 2, instructions: int = 6000,
     left as ``None`` and are ignored by the serial runner, which has no
     supervision layer.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     report_cache = ReportCache(cache_dir) if cache_dir is not None else None
     if workers is not None and workers > 1:
@@ -98,8 +98,8 @@ FIG20_DEPTH_SCALES = (1.0, 2.0, 4.0)
 
 
 def _ideal_builder(mode: IdealMode, lvp: Optional[str] = None):
-    """Config builder for the oracle-driven ideal mechanisms (needs the trace report)."""
-    def build(trace, report):
+    """Config builder for the oracle-driven ideal mechanisms (needs the report)."""
+    def build(report):
         oracle = IdealOracle(stable_pcs=set(report.global_stable_pcs()), mode=mode)
         return CoreConfig(ideal_oracle=oracle, lvp=lvp)
     return build
@@ -117,7 +117,7 @@ def _run_plan(plan: FigurePlan,
 # ======================================================================== Fig 3
 
 def plan_fig3() -> FigurePlan:
-    """Fig. 3 consumes only traces and Load Inspector reports."""
+    """Fig. 3 consumes only Load Inspector reports."""
     return FigurePlan("fig3")
 
 
@@ -707,7 +707,7 @@ def fig23_fig24_apx_study(runner: Optional[ExperimentRunner] = None) -> Dict[str
 
     ``runner``'s 16-register workloads are one side; the other is a
     32-register twin over the same budget, suites and report cache.  Only
-    traces and Load Inspector reports are compared: nothing is simulated.
+    Load Inspector reports are compared: nothing is simulated.
     """
     runner = runner or default_runner()
     apx_runner = ExperimentRunner(per_suite=runner.per_suite,

@@ -73,9 +73,8 @@ class FigurePlan:
     ``configs`` maps the configuration names the harness reads results under
     to their :data:`ConfigLike` values; ``smt_configs`` does the same for SMT2
     pair sweeps, with ``smt_max_pairs`` as the pair budget (None = the full
-    pair list).  A harness that only consumes workload traces and Load
-    Inspector reports (fig. 3) declares an empty plan — the orchestrator still
-    generates its workloads.
+    pair list).  A harness that only consumes Load Inspector reports (fig. 3)
+    declares an empty plan — the orchestrator still gathers its workloads.
     """
 
     figure: str

@@ -8,16 +8,17 @@ two hooks:
   across ``max_workers`` OS processes; workers regenerate the traces, each
   thread at its own base PC,
 * ``_generate_workloads`` — cold-start trace synthesis plus Load Inspector
-  analysis shards across the pool too, so even the first run of a sweep
-  scales with the core count.
+  analysis of every workload whose report is not cached shards across the
+  pool too, so even the first run of a sweep scales with the core count;
+  only the reports travel back to the parent.
 
 Determinism guarantees (enforced by ``tests/test_parallel_determinism.py``):
 
 * **Per-spec seeding.**  Trace generation is a pure function of the
   :class:`WorkloadSpec` (whose embedded seed drives every RNG in the pipeline),
   the instruction budget, the register count and the base PC.  A workload's
-  trace is therefore bit-identical in every worker and to the parent's copy,
-  regardless of worker count or how jobs land on shards.
+  trace is therefore bit-identical in every worker and to the serial
+  runner's, regardless of worker count or how jobs land on shards.
 * **Order-independent merge.**  Results are merged into dictionaries keyed by
   ``(config, workload)`` (a pair's workload is ``a+b``) as futures complete;
   since each key appears in at most one job per wave, completion order cannot
@@ -181,19 +182,17 @@ def simulate_keyed_job_payload(
     return (config_name, workload), core.run()
 
 
-def generate_workload_payload(payload: Tuple[Dict[str, object], int, int, bool]
-                              ) -> Tuple[str, Trace, Optional[GlobalStableReport]]:
-    """Worker entry point for cold-start generation: build a trace (+ report).
+def generate_workload_payload(payload: Tuple[Dict[str, object], int, int]
+                              ) -> Tuple[str, GlobalStableReport]:
+    """Worker entry point for cold-start generation: inspect a workload's trace.
 
-    ``need_report`` is False when the parent already holds a cached Load
-    Inspector report for the workload; the worker then skips the inspection
-    pass and ships only the trace.  The generated trace lands in the worker's
-    memo, so simulation jobs later dispatched to this worker reuse it.
+    Only the report travels back to the parent.  The generated trace lands in
+    the worker's memo, so simulation jobs later dispatched to this worker
+    reuse it.
     """
-    spec_dict, instructions, num_registers, need_report = payload
+    spec_dict, instructions, num_registers = payload
     trace = _regenerate_trace(spec_dict, instructions, num_registers)
-    report = inspect_trace(trace) if need_report else None
-    return str(spec_dict["name"]), trace, report
+    return str(spec_dict["name"]), inspect_trace(trace)
 
 
 # ------------------------------------------------------------------ supervision
@@ -589,64 +588,49 @@ class ParallelExperimentRunner(ExperimentRunner):
     # --------------------------------------------------------------- generation
 
     def _generate_workloads(self, specs: Sequence[WorkloadSpec]) -> Dict[str, WorkloadRun]:
-        """Shard cold-start trace generation (+ inspection) across the pool.
+        """Shard the inspection of every uncached workload across the pool.
 
         Load Inspector reports are looked up in the on-disk report cache from
-        the parent before dispatch, so workers only run the inspection pass
-        for workloads whose report is genuinely missing; fresh reports are
-        published back to the cache as shards complete — including the
-        completed shards of a *failed* generation pass, so even a cold start
-        that dead-letters leaves its finished inspection work journalled.
+        the parent first, so a ``gen:<workload>`` task is dispatched only for
+        a workload whose report is genuinely missing, and a fully warm run
+        dispatches none.  Fresh reports are published back to the cache as
+        shards complete — including the completed shards of a *failed*
+        generation pass, so even a cold start that dead-letters leaves its
+        finished inspection work journalled.
         """
         if not specs or self.max_workers == 1:
             return super()._generate_workloads(specs)
         specs_by_name = {spec.name: spec for spec in specs}
-        cached_reports: Dict[str, GlobalStableReport] = {}
+        reports: Dict[str, GlobalStableReport] = {}
         for spec in specs:
-            key = self._report_cache_key(spec)
-            if key is not None:
-                report = self.report_cache.get(key)
-                if report is not None:
-                    cached_reports[spec.name] = report
-        tasks = []
-        for spec in sorted(specs, key=lambda spec: spec.name):
-            payload = (spec.to_dict(), self.instructions, self.num_registers,
-                       spec.name not in cached_reports)
-            tasks.append(_SupervisedTask(
-                fn=generate_workload_payload, payload=payload,
-                label=f"gen:{spec.name}",
-                validate=self._gen_validator(spec.name)))
+            report = self._cached_report(spec)
+            if report is not None:
+                reports[spec.name] = report
+        tasks = [_SupervisedTask(
+                     fn=generate_workload_payload,
+                     payload=(spec.to_dict(), self.instructions, self.num_registers),
+                     label=f"gen:{spec.name}",
+                     validate=self._gen_validator(spec.name))
+                 for spec in sorted(specs, key=lambda spec: spec.name)
+                 if spec.name not in reports]
+
+        def publish(fresh: Sequence[Tuple[str, GlobalStableReport]]) -> None:
+            for name, report in fresh:
+                self._publish_report(specs_by_name[name], report)
+                reports[name] = report
+
         try:
-            raw = self._supervise(tasks)
+            publish(self._supervise(tasks))
         except SweepExecutionError as error:
-            self._publish_reports(error.results, specs_by_name, cached_reports)
+            publish(error.results)
             raise
-        runs: Dict[str, WorkloadRun] = {}
-        for name, trace, report in raw:
-            if report is None:
-                report = cached_reports[name]
-            runs[name] = WorkloadRun(spec=specs_by_name[name], trace=trace,
-                                     report=report)
-        self._publish_reports(raw, specs_by_name, cached_reports)
-        return runs
+        return {spec.name: WorkloadRun(spec=spec, report=reports[spec.name])
+                for spec in specs}
 
     @staticmethod
     def _gen_validator(name: str) -> Callable[[object], bool]:
         def validate(value: object) -> bool:
-            return (isinstance(value, tuple) and len(value) == 3
-                    and value[0] == name and isinstance(value[1], Trace)
-                    and (value[2] is None
-                         or isinstance(value[2], GlobalStableReport)))
+            return (isinstance(value, tuple) and len(value) == 2
+                    and value[0] == name
+                    and isinstance(value[1], GlobalStableReport))
         return validate
-
-    def _publish_reports(self, raw: Sequence[Tuple[str, Trace,
-                                                   Optional[GlobalStableReport]]],
-                         specs_by_name: Dict[str, WorkloadSpec],
-                         cached_reports: Dict[str, GlobalStableReport]) -> None:
-        """Publish freshly inspected reports to the on-disk report cache."""
-        for name, _, report in raw:
-            if report is None or name in cached_reports:
-                continue
-            key = self._report_cache_key(specs_by_name[name])
-            if key is not None:
-                self.report_cache.put(key, report)

@@ -1,11 +1,12 @@
 """Experiment runner: generates workloads once and runs named configurations over them.
 
-The runner caches traces, Load Inspector reports and simulation results, so a
-figure harness that shares configurations with another figure does not pay for
-the simulation twice.  Workload count and trace length are parameters: the CLI
-and the tests use a reduced set (a few workloads per suite, a few thousand
-instructions) so every figure finishes within minutes, while the full
-90-workload sweep of the paper is available by passing ``per_suite=None``.
+The runner caches Load Inspector reports, simulation results and every trace
+it had to generate, so a figure harness that shares configurations with
+another figure does not pay for the simulation twice.  Workload count and
+trace length are parameters: the CLI and the tests use a reduced set (a few
+workloads per suite, a few thousand instructions) so every figure finishes
+within minutes, while the full 90-workload sweep of the paper is available by
+passing ``per_suite=None``.
 
 Every simulation runs through one pipeline — plan, stage from the on-disk
 cache, execute, journal a failed batch's successes, commit — driven by
@@ -20,12 +21,13 @@ supplies the pieces, with every expensive phase behind an overridable hook:
   *atomically* — either every planned job gets a result or none does, so a
   config factory raising mid-sweep can never leave a partially populated
   :class:`WorkloadRun` that later aggregation misreads as complete;
-* :meth:`ExperimentRunner.workloads` generates traces and Load Inspector
-  reports through the :meth:`ExperimentRunner._generate_workloads` hook, so
+* :meth:`ExperimentRunner.workloads` gathers every workload's Load Inspector
+  report through the :meth:`ExperimentRunner._generate_workloads` hook, so
   cold starts can shard trace synthesis too.  Reports are served from the
   optional on-disk :class:`~repro.experiments.cache.ReportCache` when one is
-  attached; traces are always regenerated from the spec's seed, which keeps
-  them bit-identical at any worker count.
+  attached; a trace is generated only when a report is missing or a job
+  simulates it (:meth:`ExperimentRunner.trace`), always from the spec's
+  seed, which keeps it bit-identical at any worker count.
 
 :meth:`ExperimentRunner.run_config` and :meth:`ExperimentRunner.run_smt_config`
 are one-plan waves through that pipeline; the figure harnesses run their
@@ -58,7 +60,7 @@ from repro.experiments.cache import ReportCache, ResultCache, persist_health_sta
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.cpu import OutOfOrderCore
 from repro.pipeline.stats import SimulationResult
-from repro.workloads.generator import THREAD_BASE_PCS, generate_trace
+from repro.workloads.generator import DEFAULT_BASE_PC, THREAD_BASE_PCS, generate_trace
 from repro.workloads.suites import (
     SUITE_NAMES,
     WorkloadSpec,
@@ -67,9 +69,9 @@ from repro.workloads.suites import (
 )
 from repro.workloads.trace import Trace
 
-#: A configuration is a CoreConfig or a builder taking (trace, report), which
-#: oracle-based configurations need.
-ConfigLike = Union[CoreConfig, Callable[[Trace, GlobalStableReport], CoreConfig]]
+#: A configuration is a CoreConfig or a builder taking the workload's Load
+#: Inspector report, which oracle-based configurations need.
+ConfigLike = Union[CoreConfig, Callable[[GlobalStableReport], CoreConfig]]
 
 _Item = TypeVar("_Item")
 
@@ -116,10 +118,13 @@ class Shard:
 
 @dataclass
 class WorkloadRun:
-    """Everything computed for one workload."""
+    """Everything kept for one workload: its report and committed results.
+
+    The trace is not kept here: :meth:`ExperimentRunner.trace` generates it
+    from ``spec`` when something reads it.
+    """
 
     spec: WorkloadSpec
-    trace: Trace
     report: GlobalStableReport
     results: Dict[str, SimulationResult] = field(default_factory=dict)
 
@@ -278,6 +283,9 @@ class ExperimentRunner:
                  report_cache: Optional[ReportCache] = None):
         if instructions <= 0:
             raise ValueError("instructions must be positive")
+        if per_suite is not None and per_suite < 1:
+            raise ValueError(
+                f"per_suite must be at least 1 (None = the full suite), got {per_suite}")
         self.per_suite = per_suite
         self.instructions = instructions
         self.num_registers = num_registers
@@ -289,6 +297,8 @@ class ExperimentRunner:
         self.health = SweepHealthReport()
         self._flushed_health: Dict[str, int] = {}
         self._workloads: Optional[Dict[str, WorkloadRun]] = None
+        #: Traces generated so far, by (workload, base PC).
+        self._traces: Dict[Tuple[str, int], Trace] = {}
         #: Committed SMT2 results: pair -> config name -> result.
         self._pair_results: Dict[Tuple[str, ...], Dict[str, SimulationResult]] = {}
 
@@ -305,7 +315,7 @@ class ExperimentRunner:
         return specs
 
     def workloads(self) -> Dict[str, WorkloadRun]:
-        """Generate (and cache) every workload trace and its Load Inspector report.
+        """Every workload with its Load Inspector report, gathered once.
 
         Generation happens through the overridable :meth:`_generate_workloads`
         hook; the returned dictionary always follows spec order, never the
@@ -321,42 +331,51 @@ class ExperimentRunner:
             self._workloads = {spec.name: generated[spec.name] for spec in specs}
         return self._workloads
 
-    def _report_cache_key(self, spec: WorkloadSpec) -> Optional[str]:
+    def _cached_report(self, spec: WorkloadSpec) -> Optional[GlobalStableReport]:
+        """``spec``'s report from the on-disk report cache, or None."""
         if self.report_cache is None:
             return None
-        return self.report_cache.key_for(spec, self.instructions, self.num_registers)
+        return self.report_cache.get(self.report_cache.key_for(
+            spec, self.instructions, self.num_registers))
 
-    def _report_for(self, spec: WorkloadSpec, trace: Trace) -> GlobalStableReport:
-        """The Load Inspector report for ``trace``, via the on-disk cache if any."""
-        key = self._report_cache_key(spec)
-        if key is not None:
-            cached = self.report_cache.get(key)
-            if cached is not None:
-                return cached
-        report = inspect_trace(trace)
-        if key is not None:
-            self.report_cache.put(key, report)
-        return report
+    def _publish_report(self, spec: WorkloadSpec, report: GlobalStableReport) -> None:
+        """Store a freshly inspected report in the on-disk report cache, if any."""
+        if self.report_cache is not None:
+            self.report_cache.put(self.report_cache.key_for(
+                spec, self.instructions, self.num_registers), report)
+
+    def trace(self, spec: WorkloadSpec, base_pc: int = DEFAULT_BASE_PC) -> Trace:
+        """``spec``'s trace at ``base_pc``, generated on first use and kept."""
+        key = (spec.name, base_pc)
+        trace = self._traces.get(key)
+        if trace is None:
+            trace = generate_trace(spec, num_instructions=self.instructions,
+                                   num_registers=self.num_registers,
+                                   base_pc=base_pc)
+            self._traces[key] = trace
+        return trace
 
     def _generate_workloads(self, specs: Sequence[WorkloadSpec]) -> Dict[str, WorkloadRun]:
-        """Generate every workload trace + report serially; subclasses shard.
+        """Gather every workload's report serially; subclasses shard.
 
-        Returns runs keyed by workload name, so merging is independent of
-        generation order.
+        A report missing from the report cache is inspected from a freshly
+        generated trace.  Returns runs keyed by workload name, so merging is
+        independent of generation order.
         """
         runs: Dict[str, WorkloadRun] = {}
         for spec in specs:
-            trace = generate_trace(spec, num_instructions=self.instructions,
-                                   num_registers=self.num_registers)
-            runs[spec.name] = WorkloadRun(spec=spec, trace=trace,
-                                          report=self._report_for(spec, trace))
+            report = self._cached_report(spec)
+            if report is None:
+                report = inspect_trace(self.trace(spec))
+                self._publish_report(spec, report)
+            runs[spec.name] = WorkloadRun(spec=spec, report=report)
         return runs
 
     # ------------------------------------------------------------------ running
 
     def _materialise_config(self, config: ConfigLike, run: WorkloadRun) -> CoreConfig:
         materialised = (config if isinstance(config, CoreConfig)
-                        else config(run.trace, run.report))
+                        else config(run.report))
         if self.attach_stats_oracle and materialised.stats_oracle_pcs is None:
             materialised = materialised.copy(
                 stats_oracle_pcs=run.report.global_stable_pcs())
@@ -403,14 +422,11 @@ class ExperimentRunner:
     def _simulate_job(self, job: SimulationJob) -> SimulationResult:
         """Simulate one planned job in-process.
 
-        The first thread runs the workload's own trace; a second thread's is
-        regenerated at its base PC so the threads do not alias in the
-        PC-indexed predictors.
+        Each thread runs its workload's trace at its own base PC, so a pair's
+        threads do not alias in the PC-indexed predictors.
         """
-        traces = [job.runs[0].trace] + [
-            generate_trace(run.spec, num_instructions=self.instructions,
-                           num_registers=self.num_registers, base_pc=base_pc)
-            for run, base_pc in zip(job.runs[1:], THREAD_BASE_PCS[1:])]
+        traces = [self.trace(run.spec, base_pc)
+                  for run, base_pc in zip(job.runs, THREAD_BASE_PCS)]
         return OutOfOrderCore(job.config, traces, name=job.config_name).run()
 
     def _dead_letter(self, label: str, attempts: int = 1,

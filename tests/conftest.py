@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ConstableConfig
+from repro.experiments import parallel as parallel_module
+from repro.experiments import runner as runner_module
 from repro.pipeline import CoreConfig, simulate_trace
+from repro.pipeline.cpu import OutOfOrderCore
 from repro.workloads import generate_trace, workload_specs_for_suite
 from repro.workloads.suites import WorkloadSpec
 
@@ -73,3 +76,24 @@ def constable_result(client_trace, constable_test_config):
     """Constable simulation of the Client trace (shared across tests)."""
     return simulate_trace(client_trace, CoreConfig(constable=constable_test_config),
                           name="constable")
+
+
+@pytest.fixture()
+def simulation_counter(monkeypatch):
+    """Counts, in this process, ``OutOfOrderCore.run`` calls (``count``) and
+    the experiment layer's ``generate_trace`` calls (``traces``)."""
+    calls = {"count": 0, "traces": 0}
+    original_run = OutOfOrderCore.run
+
+    def counted_run(self):
+        calls["count"] += 1
+        return original_run(self)
+
+    def counted_trace(*args, **kwargs):
+        calls["traces"] += 1
+        return generate_trace(*args, **kwargs)
+
+    monkeypatch.setattr(OutOfOrderCore, "run", counted_run)
+    for module in (parallel_module, runner_module):
+        monkeypatch.setattr(module, "generate_trace", counted_trace)
+    return calls

@@ -19,7 +19,6 @@ from repro.experiments.cache import ReportCache, ResultCache
 from repro.experiments.configs import baseline_config, constable_config
 from repro.experiments.orchestrator import FigurePlan, SweepOrchestrator
 from repro.experiments.runner import ExperimentRunner, Shard
-from repro.pipeline.cpu import OutOfOrderCore
 
 SUITES = ("Client", "Server")
 INSTRUCTIONS = 800
@@ -44,19 +43,6 @@ def _make_runner(cache_dir=None) -> ExperimentRunner:
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     return ExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
                             suites=SUITES, cache=cache)
-
-
-@pytest.fixture()
-def simulation_counter(monkeypatch):
-    calls = {"count": 0}
-    original = OutOfOrderCore.run
-
-    def counted(self):
-        calls["count"] += 1
-        return original(self)
-
-    monkeypatch.setattr(OutOfOrderCore, "run", counted)
-    return calls
 
 
 # -------------------------------------------------------------------- sharding
@@ -136,6 +122,33 @@ def test_sharded_sweep_union_is_bit_identical_to_serial(tmp_path, capsys,
 def test_sweep_rejects_malformed_shard(tmp_path, capsys):
     assert main(["figures", "fig17", "--shard", "3/2"] + _runner_args(tmp_path)) == 2
     assert "shard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--per-suite", "-1", "per_suite must be at least 1"),
+    ("--workers", "-3", "workers must be at least 1"),
+    ("--workers", "0", "workers must be at least 1"),
+    ("--instructions", "0", "instructions must be positive"),
+])
+def test_figures_cli_rejects_out_of_range_runner_sizes(tmp_path, capsys,
+                                                       simulation_counter,
+                                                       flag, value, message):
+    """An out-of-range size exits 2 with the error's one line, before any
+    work: ``--workers -3`` once ran serially and exited 0."""
+    assert main(["figures", "fig11"] + _runner_args(tmp_path) + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""
+    assert simulation_counter == {"count": 0, "traces": 0}
+
+
+def test_cli_per_suite_zero_means_the_full_suite():
+    from repro.cli import _build_runner, build_parser
+
+    args = build_parser().parse_args(["figures", "fig11", "--per-suite", "0",
+                                      "--suites", "Client"])
+    runner = _build_runner(args)
+    assert runner.per_suite is None and len(runner.specs()) == 22
 
 
 # ----------------------------------------------------------- cache subcommands
@@ -501,10 +514,12 @@ def test_figures_cli_warm_run_performs_zero_simulations(tmp_path, capsys,
     assert "--expect-warm violated" in err
     assert "cold orchestrator jobs executed" in err
     assert "cold job: " in err, "the violation must name the jobs that ran cold"
-    cold_sims = simulation_counter["count"]
-    assert cold_sims > 0
+    cold_sims, cold_traces = simulation_counter["count"], simulation_counter["traces"]
+    assert cold_sims > 0 and cold_traces > 0
     assert main(fig_args) == 0, "a warm rerun must satisfy --expect-warm"
     assert simulation_counter["count"] == cold_sims
+    assert simulation_counter["traces"] == cold_traces, \
+        "a warm rerun reads cached reports and results: it generates no trace"
     assert "cold job" not in capsys.readouterr().err
 
 

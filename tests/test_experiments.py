@@ -64,7 +64,7 @@ def test_runner_workload_generation(small_runner):
     workloads = small_runner.workloads()
     assert len(workloads) == 5
     for run in workloads.values():
-        assert len(run.trace) == 2500
+        assert len(small_runner.trace(run.spec)) == 2500
         assert run.report.total_dynamic_loads() > 0
 
 
@@ -145,7 +145,7 @@ def test_run_smt_config_failure_mid_sweep_is_atomic():
                               suites=("Client", "Server"))
     calls = {"count": 0}
 
-    def flaky_builder(trace, report):
+    def flaky_builder(report):
         calls["count"] += 1
         if calls["count"] > 1:
             raise RuntimeError("builder exploded mid-sweep")
@@ -166,6 +166,28 @@ def test_run_smt_config_failure_mid_sweep_is_atomic():
 def test_runner_rejects_bad_parameters():
     with pytest.raises(ValueError):
         ExperimentRunner(instructions=0)
+    # A size below one once ran silently: per_suite=-1 ran 21 of the 22
+    # Client workloads, -21 one and 0 none; workers=-3 ran serially.
+    for per_suite in (0, -1, -21):
+        with pytest.raises(ValueError, match="per_suite must be at least 1"):
+            ExperimentRunner(per_suite=per_suite, suites=("Client",))
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            figures.default_runner(workers=workers)
+
+
+def test_smt_pair_generates_each_thread_trace_once(simulation_counter):
+    """Two SMT2 configs over one pair generate each trace once: the two
+    workloads' traces at the default base PC (inspected for their reports,
+    the first thread's reused by both jobs) and the second thread's at its
+    own base PC, kept for the second job."""
+    runner = ExperimentRunner(per_suite=1, instructions=1000,
+                              suites=("Client", "Server"))
+    for name, factory in (("baseline", baseline_config),
+                          ("constable", constable_config)):
+        runner.run_smt_config(name, factory(), max_pairs=1)
+    assert simulation_counter["count"] == 2
+    assert simulation_counter["traces"] == 3
 
 
 def test_run_config_failure_mid_sweep_is_atomic():
@@ -180,7 +202,7 @@ def test_run_config_failure_mid_sweep_is_atomic():
     runner.run_config("baseline", baseline_config())
     calls = {"count": 0}
 
-    def flaky_builder(trace, report):
+    def flaky_builder(report):
         calls["count"] += 1
         if calls["count"] > 1:
             raise RuntimeError("builder exploded mid-sweep")
@@ -205,10 +227,10 @@ def test_config_builder_type_error_reaches_the_caller():
     complaint about how the builder was called."""
     runner = ExperimentRunner(per_suite=1, instructions=1000, suites=("Client",))
 
-    def builder(trace, report):
-        raise TypeError("builder rejected its trace")
+    def builder(report):
+        raise TypeError("builder rejected its report")
 
-    with pytest.raises(TypeError, match="builder rejected its trace"):
+    with pytest.raises(TypeError, match="builder rejected its report"):
         runner.run_config("broken", builder)
 
 

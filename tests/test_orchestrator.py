@@ -28,7 +28,6 @@ from repro.experiments.figures import (
 from repro.experiments.orchestrator import FigurePlan, SweepOrchestrator
 from repro.experiments.parallel import ParallelExperimentRunner
 from repro.experiments.runner import ExperimentRunner, Shard
-from repro.pipeline.cpu import OutOfOrderCore
 
 SUITES = ("Client", "Server")
 INSTRUCTIONS = 600
@@ -44,19 +43,6 @@ def _make_runner(workers: int = 1, cache_dir=None) -> ExperimentRunner:
     if workers > 1:
         return ParallelExperimentRunner(**kwargs, max_workers=workers)
     return ExperimentRunner(**kwargs)
-
-
-@pytest.fixture()
-def simulation_counter(monkeypatch):
-    calls = {"count": 0}
-    original = OutOfOrderCore.run
-
-    def counted(self):
-        calls["count"] += 1
-        return original(self)
-
-    monkeypatch.setattr(OutOfOrderCore, "run", counted)
-    return calls
 
 
 @pytest.fixture(scope="module")

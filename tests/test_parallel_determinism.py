@@ -6,8 +6,9 @@ neither the worker count nor shard completion order may change any statistic
 — or any trace bit.  These tests run the same sweeps serially and with 1-,
 2- and 4-worker pools and require equality of:
 
-* every generated trace (full dynamic content, via ``trace_signature``) and
-  every Load Inspector report, covering the sharded cold-start path;
+* every Load Inspector report, covering the sharded cold-start path, and
+  every trace the worker path regenerates (full dynamic content, via
+  ``trace_signature``);
 * the *entire* :class:`SimulationResult` of every (workload, config) and
   (SMT2 pair, config) job (every pipeline counter included);
 
@@ -28,9 +29,9 @@ from repro.experiments.configs import (
     eves_config,
     eves_constable_config,
 )
-from repro.experiments.parallel import ParallelExperimentRunner
+from repro.experiments.parallel import ParallelExperimentRunner, _regenerate_trace
 from repro.experiments.runner import ExperimentRunner
-from repro.workloads.generator import trace_signature
+from repro.workloads.generator import THREAD_BASE_PCS, trace_signature
 
 #: Reduced sweep shared by the differential tests: three workloads and the
 #: SMT2 pair of the first two.
@@ -67,7 +68,9 @@ def parallel_runner(request):
 # ----------------------------------------------------------- trace generation
 
 def test_parallel_trace_generation_identical_to_serial(serial_runner, parallel_runner):
-    """Sharded cold-start generation yields bit-identical traces and reports."""
+    """Sharded cold-start generation yields bit-identical reports, and the
+    worker path regenerates the serial runner's trace at every thread's base
+    PC."""
     serial_workloads = serial_runner.workloads()
     parallel_workloads = parallel_runner.workloads()
     assert list(serial_workloads) == list(parallel_workloads), \
@@ -75,9 +78,12 @@ def test_parallel_trace_generation_identical_to_serial(serial_runner, parallel_r
     for workload, serial_run in serial_workloads.items():
         parallel_run = parallel_workloads[workload]
         assert serial_run.spec == parallel_run.spec
-        assert trace_signature(serial_run.trace) == trace_signature(parallel_run.trace), \
-            workload
         assert serial_run.report.to_dict() == parallel_run.report.to_dict(), workload
+        for base_pc in THREAD_BASE_PCS:
+            regenerated = _regenerate_trace(serial_run.spec.to_dict(),
+                                            INSTRUCTIONS, 16, base_pc)
+            assert trace_signature(regenerated) == trace_signature(
+                serial_runner.trace(serial_run.spec, base_pc)), (workload, base_pc)
 
 
 # -------------------------------------------------------------- single thread

@@ -6,7 +6,9 @@ populates the store, a warm run returns equal records with zero
 recomputation), key
 invalidation on configuration and schema changes, corruption tolerance, cache
 sharing between the serial and parallel runner flavours, and the LRU size-cap
-GC (``REPRO_CACHE_MAX_MB``).
+GC (``REPRO_CACHE_MAX_MB``).  ``tests/golden/cache_keys.json`` pins the
+value of every key one small sweep plans, so a fingerprint edit that moves
+keys fails here instead of silently turning every existing cache cold.
 """
 
 from __future__ import annotations
@@ -27,33 +29,23 @@ from repro.experiments.cache import (
     ResultCache,
     config_fingerprint,
 )
-from repro.experiments.configs import baseline_config, constable_config
+from repro.experiments.configs import baseline_config, constable_config, named_configs
+from repro.experiments.figures import plan_fig7
 from repro.experiments.parallel import ParallelExperimentRunner
 from repro.experiments.runner import ExperimentRunner
-from repro.pipeline.cpu import OutOfOrderCore
+from repro.pipeline.config import CoreConfig
 from repro.workloads.suites import workload_specs_for_suite
 
 SUITES = ("Client", "Server")
 INSTRUCTIONS = 1200
 
+#: The committed keys of :func:`compute_cache_keys`.
+CACHE_KEYS_FIXTURE = Path(__file__).parent / "golden" / "cache_keys.json"
+
 
 def _make_runner(cache: ResultCache) -> ExperimentRunner:
     return ExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
                             suites=SUITES, cache=cache)
-
-
-@pytest.fixture()
-def simulation_counter(monkeypatch):
-    """Counts OutOfOrderCore.run invocations in this process."""
-    calls = {"count": 0}
-    original = OutOfOrderCore.run
-
-    def counted(self):
-        calls["count"] += 1
-        return original(self)
-
-    monkeypatch.setattr(OutOfOrderCore, "run", counted)
-    return calls
 
 
 def _run_baseline(runner: ExperimentRunner):
@@ -213,6 +205,14 @@ def test_report_cache_cold_run_populates_warm_run_inspects_nothing(tmp_path, mon
         warm_run = warm_workloads[name]
         assert warm_run.report.to_dict() == cold_run.report.to_dict()
         assert warm_run.report.global_stable_pcs() == cold_run.report.global_stable_pcs()
+
+    with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
+                                  suites=SUITES, max_workers=2,
+                                  report_cache=ReportCache(tmp_path)) as pool:
+        pool_workloads = pool.workloads()
+        assert pool.health.jobs == 0, "a warm pool run dispatches no generation task"
+    assert {name: run.report.to_dict() for name, run in pool_workloads.items()} \
+        == {name: run.report.to_dict() for name, run in cold_workloads.items()}
 
 
 def test_report_and_result_caches_share_a_directory(tmp_path, simulation_counter):
@@ -478,3 +478,61 @@ def test_cache_clear_removes_entries(tmp_path):
     assert cache.get(cache.key_for(baseline_config(),
                                    [workload_specs_for_suite("Client")[0]],
                                    INSTRUCTIONS, 16)) is None
+
+
+def compute_cache_keys(directory: Path) -> dict:
+    """Every cache key a runner with a result and a report cache plans on one
+    Client and one Enterprise workload at 2,000 instructions: the named
+    configs, fig. 7's ideal builders (stats-oracle PCs attached by planning),
+    one SMT2 pair job and each workload's report key."""
+    runner = ExperimentRunner(per_suite=1, instructions=2000,
+                              suites=("Client", "Enterprise"),
+                              cache=ResultCache(directory),
+                              report_cache=ReportCache(directory))
+    configs = {name: factory() for name, factory in named_configs().items()}
+    configs.update({name: config for name, config in plan_fig7().configs.items()
+                    if not isinstance(config, CoreConfig)})
+    jobs = [job for name, config in configs.items()
+            for job in runner.plan_jobs(name, config)]
+    jobs += runner.plan_smt_jobs("baseline", baseline_config(), max_pairs=1)
+    return {
+        "jobs": {f"{job.config_name}/{job.workload}": job.cache_key
+                 for job in jobs},
+        "reports": {spec.name: runner.report_cache.key_for(
+                        spec, runner.instructions, runner.num_registers)
+                    for spec in runner.specs()},
+    }
+
+
+def test_cache_keys_reproduce(tmp_path):
+    """Every planned key equals its committed value.
+
+    A key that moves turns every existing cache directory cold and gives the
+    warehouse a second row per job.  When a deliberate config or schema
+    change moves keys, regenerate the fixture with
+    ``PYTHONPATH=src python tests/test_result_cache.py --refresh`` and name
+    that change in the commit.
+    """
+    expected = json.loads(CACHE_KEYS_FIXTURE.read_text(encoding="utf-8"))
+    actual = compute_cache_keys(tmp_path)
+    assert len(actual["jobs"]) == 8 * 2 + 3 * 2 + 1
+    moved = sorted(name for kind in ("jobs", "reports")
+                   for name in set(expected[kind]) | set(actual[kind])
+                   if expected[kind].get(name) != actual[kind].get(name))
+    assert not moved, f"cache keys moved: {moved}"
+
+
+if __name__ == "__main__":
+    import argparse
+    import tempfile
+
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--refresh", action="store_true",
+                        help="rewrite tests/golden/cache_keys.json")
+    if not parser.parse_args().refresh:
+        parser.error("nothing to do; pass --refresh to rewrite the fixture")
+    with tempfile.TemporaryDirectory() as directory:
+        keys = compute_cache_keys(Path(directory))
+    CACHE_KEYS_FIXTURE.write_text(json.dumps(keys, indent=2, sort_keys=True) + "\n",
+                                  encoding="utf-8")
+    print(f"wrote {CACHE_KEYS_FIXTURE}")
