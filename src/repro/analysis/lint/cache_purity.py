@@ -2,8 +2,8 @@
 
 The on-disk cache's whole warm-rerun story rests on one invariant: a cache
 key fingerprints *what will be simulated* and nothing else.  The execution
-engine (``engine=`` / ``REPRO_CORE_ENGINE``) is deliberately excluded — the
-engines are bit-identical, so warm entries must stay valid under either —
+engine (``engine=``) is deliberately excluded — the engines are
+bit-identical, so warm entries must stay valid under either —
 and no ``REPRO_*`` runtime knob may leak in, or two hosts with different
 environments would silently stop sharing work.  The same goes for the fault
 injection and supervision layer (``REPRO_FAULT_PLAN``, retry budgets, job

@@ -104,12 +104,7 @@ from repro.experiments.figures import (
 )
 from repro.analysis.lint import all_rules, refresh_manifest, run_lint
 from repro.experiments.orchestrator import SweepOrchestrator
-from repro.experiments.parallel import (
-    DEFAULT_MAX_RETRIES,
-    JOB_TIMEOUT_ENV,
-    MAX_RETRIES_ENV,
-)
-from repro.pipeline.cpu import CORE_ENGINES
+from repro.experiments.parallel import DEFAULT_MAX_RETRIES
 from repro.experiments.reporting import (
     format_dead_letters,
     format_dedup_stats,
@@ -155,15 +150,13 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
                         help="trace length in instructions")
     parser.add_argument("--suites", default=None,
                         help="comma-separated suite subset (default: all suites)")
-    parser.add_argument("--max-retries", type=int, default=None,
+    parser.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES,
                         help="extra pool attempts per failed job before the "
                              "in-process fallback (parallel runner only; "
-                             f"default: ${MAX_RETRIES_ENV} or "
-                             f"{DEFAULT_MAX_RETRIES})")
+                             f"default: {DEFAULT_MAX_RETRIES})")
     parser.add_argument("--job-timeout", type=float, default=None,
                         help="per-job wall-clock timeout in seconds (parallel "
-                             f"runner only; default: ${JOB_TIMEOUT_ENV} or "
-                             "no timeout)")
+                             "runner only; default: no timeout)")
 
 
 def _build_runner(args: argparse.Namespace) -> ExperimentRunner:
@@ -530,13 +523,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    engines = [name.strip() for name in args.engines.split(",") if name.strip()]
     families = None
     if args.families:
         families = [name.strip() for name in args.families.split(",")
                     if name.strip()]
     try:
-        payload = run_bench(quick=args.quick, engines=engines, families=families,
+        payload = run_bench(quick=args.quick, families=families,
                             instructions=args.instructions, reps=args.reps)
     except ValueError as error:
         print(str(error), file=sys.stderr)
@@ -672,9 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--families", default=None,
                        help="comma-separated family subset "
                             f"(default: all of {', '.join(BENCH_FAMILIES)})")
-    bench.add_argument("--engines", default="cycle,event",
-                       help="comma-separated engines to measure "
-                            f"(available: {', '.join(CORE_ENGINES)})")
     bench.add_argument("--instructions", type=int, default=None,
                        help="override the per-family instruction budgets")
     bench.add_argument("--output", default=None,

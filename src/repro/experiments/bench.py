@@ -3,10 +3,10 @@
 The simulator core has two execution engines, the ``"cycle"`` per-cycle
 reference stepper and the default ``"event"`` cycle-skipping engine, and they
 must produce bit-identical :class:`SimulationResult` records.  ``repro bench``
-runs every job of four *figure families* under each requested engine,
-verifies the results are identical (the CLI exits 1 on any divergence) and
-reports, per family, the event-vs-cycle wall-clock speedup and the fraction
-of cycles the event engine skipped.  :func:`speedup_floor_gate` turns that
+runs every job of four *figure families* under both engines, verifies the
+results are identical (the CLI exits 1 on any divergence) and reports, per
+family, the event-vs-cycle wall-clock speedup and the fraction of cycles the
+event engine skipped.  :func:`speedup_floor_gate` turns that
 speedup into a reference-free check: both engines ran on the same host in the
 same process, so the ratio needs no committed baseline.
 
@@ -37,7 +37,7 @@ wall is a median.
       "quick": bool,                  # --quick run (reduced budgets)
       "reps": N,                      # repetitions per measurement
       "warmup_discarded": bool,       # first rep excluded from the stats
-      "engines": ["cycle", "event"],
+      "engines": ["cycle", "event"],  # always both, the reference first
       "host": {...},                  # host_provenance()
       "families": {
         "<family>": {
@@ -65,8 +65,6 @@ wall is a median.
       "speedup_geomean": geomean of family speedups,
       "identical": bool               # every job bit-identical across engines
     }
-
-``speedup``/``speedup_geomean`` are only present when both engines ran.
 """
 
 from __future__ import annotations
@@ -75,7 +73,7 @@ import os
 import platform
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -90,7 +88,7 @@ from repro.experiments.configs import (
     eves_constable_config,
 )
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.cpu import CORE_ENGINES, OutOfOrderCore
+from repro.pipeline.cpu import OutOfOrderCore
 from repro.workloads.generator import THREAD_BASE_PCS, generate_trace
 from repro.workloads.suites import WorkloadSpec, get_workload_spec
 from repro.workloads.trace import Trace
@@ -99,6 +97,9 @@ from repro.workloads.trace import Trace
 #: repetition is a warm-up (caches, allocator) and is left out of the
 #: summary statistics.
 DEFAULT_BENCH_REPS = 3
+
+#: The engines every job runs under, the reference stepper first.
+_ENGINES = ("cycle", "event")
 
 
 def _git_rev() -> Optional[str]:
@@ -259,33 +260,27 @@ def _distribution(samples: Sequence[float], instructions: int,
 
 
 def run_bench(quick: bool = False,
-              engines: Sequence[str] = ("cycle", "event"),
               families: Optional[Sequence[str]] = None,
               instructions: Optional[int] = None,
               reps: int = DEFAULT_BENCH_REPS) -> Dict[str, object]:
-    """Run every requested family under every requested engine.
+    """Run every requested family under both engines.
 
     Each (job, engine) measurement repeats ``reps`` times; with more than one
     repetition the first sample is excluded from the summary statistics but
     still recorded in ``wall_samples``.  ``instructions`` overrides the
     per-family budgets (used by tests); the normal entry points pass None and
-    get the full or ``--quick`` budgets.  Unknown or repeated engines, unknown
-    families and non-positive budgets raise :class:`ValueError`.  Returns the
-    payload described in the module docstring.
+    get the full or ``--quick`` budgets.  An empty or unknown family list and
+    non-positive budgets raise :class:`ValueError`.  Returns the payload
+    described in the module docstring.
     """
-    if not engines:
-        raise ValueError("at least one engine is required")
-    for engine in engines:
-        if engine not in CORE_ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected {CORE_ENGINES}")
-    if len(set(engines)) != len(engines):
-        raise ValueError(f"duplicate engine in {list(engines)}; name each "
-                         "engine once")
     if instructions is not None and instructions <= 0:
         raise ValueError("instructions must be positive")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     selected = list(families) if families is not None else list(BENCH_FAMILIES)
+    if not selected:
+        raise ValueError(
+            f"no bench families selected; available: {list(BENCH_FAMILIES)}")
     unknown = sorted(set(selected) - set(BENCH_FAMILIES))
     if unknown:
         raise ValueError(
@@ -302,20 +297,20 @@ def run_bench(quick: bool = False,
         job_reports: List[Dict[str, object]] = []
         totals = {engine: {"wall_samples": [0.0] * reps,
                            "instructions": 0, "cycles": 0}
-                  for engine in engines}
+                  for engine in _ENGINES}
         family_identical = True
         family_skipped = 0
         family_stepped = 0
         for job in jobs:
             traces = _traces_for(job, budget, trace_memo)
             results = {}
-            walls: Dict[str, List[float]] = {engine: [] for engine in engines}
+            walls: Dict[str, List[float]] = {engine: [] for engine in _ENGINES}
             record: Dict[str, object] = {
                 "workload": job.workload, "config": job.config_name,
                 "smt": job.smt, "engines": {},
             }
             for rep in range(reps):
-                for engine in engines:
+                for engine in _ENGINES:
                     start = time.perf_counter()
                     core = OutOfOrderCore(job.config, traces,
                                           name=job.config_name, engine=engine)
@@ -332,95 +327,51 @@ def run_bench(quick: bool = False,
                             record["stepped_cycles"] = core.stepped_cycles
                             family_skipped += core.skipped_idle_cycles
                             family_stepped += core.stepped_cycles
-            for engine in engines:
+            for engine in _ENGINES:
                 record["engines"][engine] = _distribution(
                     walls[engine], results[engine].instructions,
                     results[engine].cycles)
-            record["instructions"] = results[engines[0]].instructions
-            record["cycles"] = results[engines[0]].cycles
-            reference = results[engines[0]].to_dict()
-            identical = all(results[engine].to_dict() == reference
-                            for engine in engines[1:])
+            record["instructions"] = results["cycle"].instructions
+            record["cycles"] = results["cycle"].cycles
+            identical = results["cycle"].to_dict() == results["event"].to_dict()
             record["identical"] = identical
             family_identical &= identical
             job_reports.append(record)
-        report: Dict[str, object] = {
+        family_totals = {engine: _distribution(values["wall_samples"],
+                                               values["instructions"],
+                                               values["cycles"])
+                         for engine, values in totals.items()}
+        family_reports[family] = {
             "instructions": budget,
             "jobs": job_reports,
-            "totals": {engine: _distribution(values["wall_samples"],
-                                             values["instructions"],
-                                             values["cycles"])
-                       for engine, values in totals.items()},
+            "totals": family_totals,
             "identical": family_identical,
+            "speedup": (family_totals["cycle"]["wall_seconds"]
+                        / max(family_totals["event"]["wall_seconds"], 1e-9)),
+            "skipped_cycle_fraction": (
+                family_skipped / max(1, family_skipped + family_stepped)),
         }
-        if "cycle" in engines and "event" in engines:
-            event_wall = max(report["totals"]["event"]["wall_seconds"], 1e-9)
-            report["speedup"] = (report["totals"]["cycle"]["wall_seconds"]
-                                 / event_wall)
-        if family_stepped or family_skipped:
-            report["skipped_cycle_fraction"] = (
-                family_skipped / max(1, family_skipped + family_stepped))
-        family_reports[family] = report
         all_identical &= family_identical
 
-    payload: Dict[str, object] = {
+    return {
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "quick": quick,
         "reps": reps,
         "warmup_discarded": reps > 1,
-        "engines": list(engines),
+        "engines": list(_ENGINES),
         "host": host_provenance(),
         "families": family_reports,
         "identical": all_identical,
+        "speedup_geomean": filtered_geomean(
+            [report["speedup"] for report in family_reports.values()]),
     }
-    speedups = [report["speedup"] for report in family_reports.values()
-                if "speedup" in report]
-    if speedups:
-        payload["speedup_geomean"] = filtered_geomean(speedups)
-    return payload
-
-
-@dataclass
-class GateResult:
-    """Outcome of one :func:`speedup_floor_gate` evaluation.
-
-    ``problems`` holds one message per floor that was missed; ``compared``
-    names every check actually performed (families plus ``"geomean"``).  A
-    gate that performed *no* check is **vacuous**, not green:
-    ``vacuous_reason`` says why, so a payload that stopped measuring the
-    speedup can never pass silently.
-    """
-
-    problems: List[str] = field(default_factory=list)
-    compared: List[str] = field(default_factory=list)
-    vacuous_reason: Optional[str] = None
-
-    @property
-    def vacuous(self) -> bool:
-        """True when the gate compared nothing at all."""
-        return not self.compared
-
-    @property
-    def ok(self) -> bool:
-        """True when checks happened and none missed its floor."""
-        return bool(self.compared) and not self.problems
-
-    def describe(self) -> str:
-        """A human-readable verdict (what the CI perf-smoke log prints)."""
-        if self.vacuous:
-            reason = self.vacuous_reason or "no comparison was possible"
-            return f"speedup floor VACUOUS (no comparison performed): {reason}"
-        if self.problems:
-            return "\n".join(f"BELOW FLOOR: {problem}"
-                             for problem in self.problems)
-        return (f"speedup floor OK ({len(self.compared)} comparisons: "
-                f"{', '.join(self.compared)})")
 
 
 def speedup_floor_gate(payload: Dict[str, object],
                        geomean_floor: float = 1.3,
-                       family_floor: float = 0.95) -> GateResult:
-    """Assert the event engine actually pays for itself in ``payload``.
+                       family_floor: float = 0.95) -> List[str]:
+    """The speedup floors ``payload`` misses, one message each; empty when
+    the event engine pays for itself.
 
     The cross-family geomean of the event-vs-cycle speedup must reach
     ``geomean_floor`` and no single family may fall below ``family_floor``
@@ -433,69 +384,41 @@ def speedup_floor_gate(payload: Dict[str, object],
     share cores, and this gate is meant to catch the event engine's win
     structurally collapsing — a gating bug re-sweeping every cycle, a new
     per-cycle cost in the skip path — not a 10% scheduler hiccup.
-
-    A payload that never ran both engines (``--engines event``) or recorded
-    no family speedups is **vacuous**, not green.
     """
     if geomean_floor <= 0.0 or family_floor <= 0.0:
         raise ValueError("floors must be positive")
-    result = GateResult()
-    engines = payload.get("engines") or []
-    if "cycle" not in engines or "event" not in engines:
-        result.vacuous_reason = (
-            f"payload ran engines {list(engines)!r}; both 'cycle' and "
-            f"'event' are needed to measure a speedup")
-        return result
-    families = payload.get("families")
-    if not isinstance(families, dict) or not families:
-        result.vacuous_reason = "payload recorded no family reports"
-        return result
-    for family, report in families.items():
-        speedup = report.get("speedup")
-        if not isinstance(speedup, (int, float)):
-            continue
-        result.compared.append(family)
-        if speedup < family_floor:
-            result.problems.append(
-                f"{family}: event engine speedup {speedup:.2f}x is below the "
-                f"{family_floor:.2f}x family floor — the event engine is "
-                f"slower than the cycle stepper here")
-    if not result.compared:
-        result.vacuous_reason = (
-            "no family recorded an event-vs-cycle speedup (were both "
-            "engines actually run?)")
-        return result
-    geomean = payload.get("speedup_geomean")
-    if isinstance(geomean, (int, float)):
-        result.compared.append("geomean")
-        if geomean < geomean_floor:
-            result.problems.append(
-                f"geomean: event engine speedup {geomean:.2f}x is below the "
-                f"{geomean_floor:.2f}x floor")
-    return result
+    problems = [
+        f"{family}: event engine speedup {report['speedup']:.2f}x is below "
+        f"the {family_floor:.2f}x family floor — the event engine is slower "
+        f"than the cycle stepper here"
+        for family, report in payload["families"].items()
+        if report["speedup"] < family_floor]
+    geomean = payload["speedup_geomean"]
+    if geomean < geomean_floor:
+        problems.append(f"geomean: event engine speedup {geomean:.2f}x is below "
+                        f"the {geomean_floor:.2f}x floor")
+    return problems
 
 
 def format_bench_table(payload: Dict[str, object]) -> str:
     """A human-readable summary of one bench payload."""
     from repro.experiments.reporting import format_table
 
-    engines = payload["engines"]
-    primary = "event" if "event" in engines else engines[0]
     rows = []
     for family, report in payload["families"].items():
-        totals = report["totals"][primary]
+        totals = report["totals"]["event"]
         rows.append((
             family,
             f"{totals['wall_seconds']:.2f}s +-{totals['wall_mad']:.3f}",
             f"{totals['instructions_per_second'] / 1000.0:.1f}k",
-            f"{report['speedup']:.2f}x" if "speedup" in report else "-",
-            f"{report.get('skipped_cycle_fraction', 0.0) * 100:.1f}%",
+            f"{report['speedup']:.2f}x",
+            f"{report['skipped_cycle_fraction'] * 100:.1f}%",
             "yes" if report["identical"] else "NO",
         ))
     title = "repro bench (quick)" if payload["quick"] else "repro bench"
     if payload["reps"] > 1:
         title += f" — median of {payload['reps']} reps (first discarded)"
     return format_table(
-        ["family", f"{primary} wall", "sim kinstr/s", "speedup vs cycle",
+        ["family", "event wall", "sim kinstr/s", "speedup vs cycle",
          "cycles skipped", "bit-identical"],
         rows, title=title)

@@ -38,7 +38,8 @@ hits refresh an entry's mtime, so hot entries survive; a GC pass never touches
 anything while the directory is already within the cap.  A malformed or
 non-positive ``REPRO_CACHE_MAX_MB`` value warns once and leaves the cache
 uncapped instead of raising — the cap is an optimisation, never a correctness
-requirement.  :meth:`JsonDiskCache.verify` scans a (possibly shared) directory
+requirement — while an explicit ``max_mb`` that is not positive and finite
+raises.  :meth:`JsonDiskCache.verify` scans a (possibly shared) directory
 for corrupt, stale-schema, misplaced and orphaned entries, which backs the
 ``repro cache verify`` CLI subcommand.
 """
@@ -339,8 +340,8 @@ class JsonDiskCache:
         self.schema_version = schema_version
         if max_mb is None:
             max_mb = _max_mb_from_env()
-        elif max_mb <= 0:
-            raise ValueError("max_mb must be positive")
+        elif not math.isfinite(max_mb) or max_mb <= 0:
+            raise ValueError("max_mb must be positive and finite")
         self.max_mb = max_mb
         self.stats = CacheStats()
         # Counter values already flushed to the counters table; persist_stats
@@ -466,8 +467,8 @@ class JsonDiskCache:
         cap_mb = max_mb if max_mb is not None else self.max_mb
         if cap_mb is None:
             return []
-        if cap_mb <= 0:
-            raise ValueError("max_mb must be positive")
+        if not math.isfinite(cap_mb) or cap_mb <= 0:
+            raise ValueError("max_mb must be positive and finite")
         cap_bytes = int(cap_mb * 1024 * 1024)
         entries = self.entries()
         total = sum(size for _, _, size in entries)

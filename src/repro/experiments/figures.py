@@ -40,7 +40,9 @@ from repro.experiments.configs import (
 from repro.experiments.cache import (SCHEMA_VERSION, ReportCache, ResultCache,
                                      resolve_cache_dir)
 from repro.experiments.orchestrator import DedupStats, FigurePlan, SweepOrchestrator
-from repro.experiments.parallel import ParallelExperimentRunner
+from repro.experiments.parallel import (DEFAULT_MAX_RETRIES,
+                                       ParallelExperimentRunner,
+                                       check_supervision)
 from repro.experiments.warehouse import (load_rows, speedup_summary,
                                          warehouse_present)
 from repro.experiments.reporting import format_table, per_suite_table
@@ -56,7 +58,7 @@ def default_runner(per_suite: Optional[int] = 2, instructions: int = 6000,
                    workers: Optional[int] = None,
                    cache_dir: Optional[str] = None,
                    suites: Sequence[str] = SUITE_NAMES,
-                   max_retries: Optional[int] = None,
+                   max_retries: int = DEFAULT_MAX_RETRIES,
                    job_timeout: Optional[float] = None) -> ExperimentRunner:
     """The reduced workload set the CLI and the paper-claims tests run.
 
@@ -69,13 +71,13 @@ def default_runner(per_suite: Optional[int] = 2, instructions: int = 6000,
     figure harness performs zero simulations and zero inspection passes.
 
     ``max_retries`` and ``job_timeout`` tune the parallel runner's per-job
-    supervision (retry budget and wall-clock timeout); both fall back to their
-    ``REPRO_MAX_RETRIES`` / ``REPRO_JOB_TIMEOUT`` environment defaults when
-    left as ``None`` and are ignored by the serial runner, which has no
-    supervision layer.
+    supervision (retry budget and wall-clock timeout).  They are checked
+    whatever the worker count, and the serial runner, which has no
+    supervision layer, ignores them.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    check_supervision(max_retries, job_timeout)
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     report_cache = ReportCache(cache_dir) if cache_dir is not None else None
     if workers is not None and workers > 1:

@@ -39,10 +39,12 @@ the job's ``sim:<config>/<workload>`` label and ships the remote traceback
 text home inside a pickle-safe :class:`JobExecutionError`.  The parent-side
 supervisor (:meth:`ParallelExperimentRunner._supervise`) gives each job a
 retry budget (``1 + max_retries`` pool attempts with exponential backoff), an
-optional per-attempt wall timeout, rebuilds the pool when a dying worker
-breaks it (``BrokenProcessPool``), validates every returned value (corrupted
-results are retried, never merged) and, once the pool budget is exhausted,
-degrades the job to one in-process serial attempt before dead-lettering it.
+optional per-attempt wall timeout (``job_timeout``; both are constructor
+arguments only, checked by :func:`check_supervision`), rebuilds the pool
+when a dying worker breaks it (``BrokenProcessPool``), validates every
+returned value (corrupted results are retried, never merged) and, once the
+pool budget is exhausted, degrades the job to one in-process serial attempt
+before dead-lettering it.
 A model error (:class:`~repro.pipeline.cpu.GoldenCheckError`) is
 deterministic, so it is dead-lettered on its first attempt instead.
 Dead letters raise :class:`~repro.experiments.runner.SweepExecutionError`
@@ -61,7 +63,6 @@ import multiprocessing
 import os
 import time
 import traceback
-import warnings
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -71,7 +72,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.load_inspector import GlobalStableReport, inspect_trace
 from repro.experiments.cache import ReportCache, ResultCache
@@ -90,63 +91,30 @@ from repro.workloads.generator import DEFAULT_BASE_PC, THREAD_BASE_PCS, generate
 from repro.workloads.suites import SUITE_NAMES, WorkloadSpec
 from repro.workloads.trace import Trace
 
-#: Environment variables providing the supervision defaults (lenient parse:
-#: they tune resilience, not correctness, so malformed values warn once and
-#: fall back rather than killing every runner at construction).
-MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
-JOB_TIMEOUT_ENV = "REPRO_JOB_TIMEOUT"
-
-#: Pool retry budget when neither the parameter nor the env var is given.
+#: Pool retry budget unless ``max_retries`` says otherwise.
 DEFAULT_MAX_RETRIES = 2
 
 #: How long the supervisor's wait() poll lasts between bookkeeping passes.
 _SUPERVISOR_POLL_SECONDS = 0.05
 
-#: Raw env values already warned about in this process (one warning per value).
-_WARNED_ENV_VALUES: Set[str] = set()
+#: The pool's process context: fork (cheap, shares the imported simulator)
+#: where the platform has it, else the platform's default.
+_POOL_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
 
 #: Per-worker memo of regenerated traces:
 #: (workload, instructions, registers, base_pc) -> Trace.
 _WORKER_TRACES: Dict[Tuple[str, int, int, int], Trace] = {}
 
 
-def _warn_once(env_name: str, raw: str, expected: str) -> None:
-    token = f"{env_name}={raw}"
-    if token not in _WARNED_ENV_VALUES:
-        _WARNED_ENV_VALUES.add(token)
-        warnings.warn(
-            f"ignoring invalid {env_name}={raw!r}: expected {expected}",
-            RuntimeWarning, stacklevel=4)
-
-
-def _max_retries_from_env() -> int:
-    """The pool retry budget from ``REPRO_MAX_RETRIES``, leniently parsed."""
-    raw = os.environ.get(MAX_RETRIES_ENV, "").strip()
-    if not raw:
-        return DEFAULT_MAX_RETRIES
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        _warn_once(MAX_RETRIES_ENV, raw, "a non-negative integer")
-        return DEFAULT_MAX_RETRIES
-    return value
-
-
-def _job_timeout_from_env() -> Optional[float]:
-    """The per-attempt wall timeout from ``REPRO_JOB_TIMEOUT`` (None = none)."""
-    raw = os.environ.get(JOB_TIMEOUT_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value) or value <= 0:
-        _warn_once(JOB_TIMEOUT_ENV, raw, "a positive number of seconds")
-        return None
-    return value
+def check_supervision(max_retries: int, job_timeout: Optional[float]) -> None:
+    """Reject a negative retry budget or a timeout that is not a positive
+    number of seconds (None means no timeout)."""
+    if max_retries < 0:
+        raise ValueError("max_retries must be >= 0")
+    if job_timeout is not None and (not math.isfinite(job_timeout)
+                                    or job_timeout <= 0):
+        raise ValueError("job_timeout must be a positive number of seconds")
 
 
 def _regenerate_trace(spec_dict: Dict[str, object], instructions: int,
@@ -260,12 +228,6 @@ class _SupervisedTask:
     last_error: str = ""
 
 
-def _default_start_method() -> str:
-    """Prefer fork (cheap, shares the imported simulator) where available."""
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else methods[0]
-
-
 class ParallelExperimentRunner(ExperimentRunner):
     """Shards trace generation and simulation jobs across worker processes.
 
@@ -280,44 +242,32 @@ class ParallelExperimentRunner(ExperimentRunner):
     the warehouse, and its rows stay in lockstep with the resume journal.
 
     ``max_retries`` bounds how many times a failed job is resubmitted to the
-    pool (``REPRO_MAX_RETRIES``, default 2); ``job_timeout`` abandons any
-    single attempt running longer than that many wall seconds
-    (``REPRO_JOB_TIMEOUT``, default none).  Both are supervision knobs: they
-    change how a sweep executes, never what is simulated, and therefore never
-    enter cache keys (enforced by lint rule RL002).
+    pool (default 2); ``job_timeout`` abandons any single attempt running
+    longer than that many wall seconds (default none).  Both are supervision
+    knobs: they change how a sweep executes, never what is simulated, and
+    therefore never enter cache keys (enforced by lint rule RL002).
     """
 
     def __init__(self, per_suite: Optional[int] = 2, instructions: int = 6000,
                  num_registers: int = 16,
                  suites: Sequence[str] = SUITE_NAMES,
-                 attach_stats_oracle: bool = True,
                  cache: Optional[ResultCache] = None,
                  report_cache: Optional[ReportCache] = None,
                  max_workers: Optional[int] = None,
-                 start_method: Optional[str] = None,
-                 max_retries: Optional[int] = None,
+                 max_retries: int = DEFAULT_MAX_RETRIES,
                  job_timeout: Optional[float] = None,
                  retry_backoff_seconds: float = 0.05):
         super().__init__(per_suite=per_suite, instructions=instructions,
                          num_registers=num_registers, suites=suites,
-                         attach_stats_oracle=attach_stats_oracle, cache=cache,
-                         report_cache=report_cache)
+                         cache=cache, report_cache=report_cache)
         if max_workers is None:
             max_workers = min(4, os.cpu_count() or 1)
         if max_workers <= 0:
             raise ValueError("max_workers must be positive")
-        if max_retries is None:
-            max_retries = _max_retries_from_env()
-        elif max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if job_timeout is None:
-            job_timeout = _job_timeout_from_env()
-        elif not math.isfinite(job_timeout) or job_timeout <= 0:
-            raise ValueError("job_timeout must be a positive number of seconds")
+        check_supervision(max_retries, job_timeout)
         if retry_backoff_seconds < 0:
             raise ValueError("retry_backoff_seconds must be >= 0")
         self.max_workers = max_workers
-        self.start_method = start_method or _default_start_method()
         self.max_retries = max_retries
         self.job_timeout = job_timeout
         self.retry_backoff_seconds = retry_backoff_seconds
@@ -339,9 +289,8 @@ class ParallelExperimentRunner(ExperimentRunner):
         if self._pool is not None and getattr(self._pool, "_broken", False):
             self._discard_pool()
         if self._pool is None:
-            context = multiprocessing.get_context(self.start_method)
             self._pool = ProcessPoolExecutor(max_workers=self.max_workers,
-                                             mp_context=context)
+                                             mp_context=_POOL_CONTEXT)
         return self._pool
 
     def _discard_pool(self, terminate: bool = False) -> None:

@@ -278,7 +278,6 @@ class ExperimentRunner:
     def __init__(self, per_suite: Optional[int] = 2, instructions: int = 6000,
                  num_registers: int = 16,
                  suites: Sequence[str] = SUITE_NAMES,
-                 attach_stats_oracle: bool = True,
                  cache: Optional[ResultCache] = None,
                  report_cache: Optional[ReportCache] = None):
         if instructions <= 0:
@@ -286,11 +285,12 @@ class ExperimentRunner:
         if per_suite is not None and per_suite < 1:
             raise ValueError(
                 f"per_suite must be at least 1 (None = the full suite), got {per_suite}")
+        if not suites:
+            raise ValueError("suites must name at least one suite")
         self.per_suite = per_suite
         self.instructions = instructions
         self.num_registers = num_registers
         self.suites = list(suites)
-        self.attach_stats_oracle = attach_stats_oracle
         self.cache = cache
         self.report_cache = report_cache
         #: Supervision accounting across this runner's lifetime.
@@ -376,7 +376,7 @@ class ExperimentRunner:
     def _materialise_config(self, config: ConfigLike, run: WorkloadRun) -> CoreConfig:
         materialised = (config if isinstance(config, CoreConfig)
                         else config(run.report))
-        if self.attach_stats_oracle and materialised.stats_oracle_pcs is None:
+        if materialised.stats_oracle_pcs is None:
             materialised = materialised.copy(
                 stats_oracle_pcs=run.report.global_stable_pcs())
         return materialised

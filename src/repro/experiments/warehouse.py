@@ -562,20 +562,16 @@ def scan_object_store(directory: Union[str, Path],
     return canonical_rows(rows)
 
 
-def load_rows(directory: Union[str, Path], schema_version: int,
-              allow_fallback: bool = True) -> List[WarehouseRow]:
+def load_rows(directory: Union[str, Path], schema_version: int) -> List[WarehouseRow]:
     """Rows for analytics: warehouse segments first, object store as fallback.
 
     When any rows-table file exists the read is tabular-only (zero object
     decodes); a cache with no rows table — written before this layer
-    existed — falls back to :func:`scan_object_store` unless
-    ``allow_fallback`` is off.
+    existed — falls back to :func:`scan_object_store`.
     """
     if warehouse_present(directory):
         return read_rows(directory)
-    if allow_fallback:
-        return scan_object_store(directory, schema_version)
-    return []
+    return scan_object_store(directory, schema_version)
 
 
 # ------------------------------------------------------- compaction / rebuild

@@ -11,7 +11,8 @@ Functional correctness always comes from the trace; the simulator only decides
 *when* things happen - except for eliminated / ideally-handled loads, whose
 values come from Constable's structures and are therefore checked at retire.
 
-Two execution engines drive the same stage pipeline:
+Two execution engines drive the same stage pipeline, chosen per core by the
+``engine=`` argument of :class:`OutOfOrderCore`:
 
 * ``"cycle"`` — the reference stepper: every cycle runs every stage, idle or
   not.
@@ -93,8 +94,6 @@ from __future__ import annotations
 
 import functools
 import operator
-import os
-import warnings
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Set
 
@@ -123,9 +122,6 @@ from repro.workloads.trace import Trace
 #: The simulated core's identifier in the coherence directory.
 OWN_CORE = 0
 
-#: Environment variable selecting the default execution engine.
-CORE_ENGINE_ENV = "REPRO_CORE_ENGINE"
-
 #: Sort key restoring reservation-station age order when parked
 #: dependence-blocked micro-ops are merged back into the issue scan.
 _RS_SLOT = operator.attrgetter("rs_slot")
@@ -142,33 +138,6 @@ _INT_OPCLASSES = frozenset({OpClass.ALU, OpClass.MUL, OpClass.DIV,
 #: Supported execution engines: event-driven cycle skipping (default) and the
 #: per-cycle reference stepper it is differentially tested against.
 CORE_ENGINES = ("event", "cycle")
-
-
-#: Unknown ``REPRO_CORE_ENGINE`` values already warned about in this process.
-_WARNED_ENGINE_VALUES: Set[str] = set()
-
-
-def default_engine() -> str:
-    """The engine used when a core is built without an explicit choice.
-
-    ``REPRO_CORE_ENGINE=cycle`` forces the per-cycle reference stepper
-    process-wide (including pool workers, which inherit the environment) —
-    the differential tests and the ``repro bench`` harness use this to run
-    both engines over identical sweeps.  Unknown values fall back to the
-    event-driven engine rather than failing an entire sweep over a typo, but
-    warn once per process — a typo here would otherwise turn a differential
-    run into a vacuous event-vs-event comparison.
-    """
-    raw = os.environ.get(CORE_ENGINE_ENV, "").strip().lower()
-    if raw and raw not in CORE_ENGINES:
-        if raw not in _WARNED_ENGINE_VALUES:
-            _WARNED_ENGINE_VALUES.add(raw)
-            warnings.warn(
-                f"ignoring unknown {CORE_ENGINE_ENV}={raw!r}; using 'event' "
-                f"(expected one of {CORE_ENGINES})",
-                RuntimeWarning, stacklevel=2)
-        return "event"
-    return raw or "event"
 
 
 class GoldenCheckError(AssertionError):
@@ -223,13 +192,11 @@ class OutOfOrderCore:
     """The simulated core: one or two hardware threads over shared execution resources."""
 
     def __init__(self, config: CoreConfig, traces: Sequence[Trace],
-                 name: str = "baseline", engine: Optional[str] = None):
+                 name: str = "baseline", engine: str = "event"):
         if not traces:
             raise ValueError("at least one trace is required")
         if len(traces) > 2:
             raise ValueError("at most two hardware threads (2-way SMT) are supported")
-        if engine is None:
-            engine = default_engine()
         if engine not in CORE_ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {CORE_ENGINES}")
         self.config = config
@@ -1454,11 +1421,11 @@ _NO_PREDICTION = _NoPrediction()
 
 def simulate_trace(trace: Trace, config: Optional[CoreConfig] = None,
                    name: str = "baseline",
-                   engine: Optional[str] = None) -> SimulationResult:
+                   engine: str = "event") -> SimulationResult:
     """Convenience wrapper: simulate a single trace on a single hardware thread.
 
-    ``engine`` selects the execution engine (``"event"`` cycle skipping or the
-    ``"cycle"`` reference stepper); None defers to :func:`default_engine`.
+    ``engine`` selects the execution engine: ``"event"`` cycle skipping or the
+    ``"cycle"`` reference stepper.
     """
     config = config or CoreConfig()
     core = OutOfOrderCore(config, [trace], name=name, engine=engine)
@@ -1468,7 +1435,7 @@ def simulate_trace(trace: Trace, config: Optional[CoreConfig] = None,
 def simulate_smt_pair(trace_a: Trace, trace_b: Trace,
                       config: Optional[CoreConfig] = None,
                       name: str = "smt2",
-                      engine: Optional[str] = None) -> SimulationResult:
+                      engine: str = "event") -> SimulationResult:
     """Run two traces on one 2-way SMT core (paper §8.1, §9.1.2).
 
     The threads share fetch/rename/issue bandwidth, the reservation station

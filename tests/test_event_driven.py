@@ -9,17 +9,17 @@ step.  These tests pin their equivalence:
   ideal-oracle configurations, under SMT2, and on a memory-bound workload
   where skipping is the whole point — every :class:`SimulationResult` must
   compare equal field by field;
-* a runner-level sweep where the serial reference runs with
-  ``REPRO_CORE_ENGINE=cycle`` and the sharded runner runs the event engine at
-  1/2/4 workers — results must match the reference exactly, extending the
-  existing parallel-determinism guarantees to the engine dimension;
+* a runner-level sweep where the serial reference runs cycle-engine cores
+  and the sharded runner runs the event engine at 1/2/4 workers — results
+  must match the reference exactly, extending the existing
+  parallel-determinism guarantees to the engine dimension;
 * the ``repro bench`` harness, which re-verifies engine equality on every
   run, must report ``identical`` and actually skip cycles.
 """
 
 from __future__ import annotations
 
-import os
+import functools
 
 import pytest
 
@@ -34,8 +34,7 @@ from repro.experiments.configs import (
 from repro.experiments.parallel import ParallelExperimentRunner
 from repro.experiments.runner import ExperimentRunner
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.cpu import (CORE_ENGINE_ENV, OutOfOrderCore, default_engine,
-                                simulate_smt_pair)
+from repro.pipeline.cpu import OutOfOrderCore, simulate_smt_pair
 from repro.workloads.generator import generate_trace
 from repro.workloads.suites import WorkloadSpec
 
@@ -162,17 +161,10 @@ def test_engines_identical_under_reservation_station_pressure(membound_trace):
         assert event == reference, f"rs={rs}"
 
 
-def test_engine_selection_and_env_default(client_trace, monkeypatch):
+def test_engine_selection_and_env_default(client_trace):
     with pytest.raises(ValueError):
         OutOfOrderCore(baseline_config(), [client_trace], engine="warp")
-    monkeypatch.setenv(CORE_ENGINE_ENV, "cycle")
-    assert default_engine() == "cycle"
-    assert OutOfOrderCore(baseline_config(), [client_trace]).engine == "cycle"
-    monkeypatch.setenv(CORE_ENGINE_ENV, "bogus-unique-for-test")
-    with pytest.warns(RuntimeWarning, match="bogus-unique-for-test"):
-        assert default_engine() == "event", "unknown env values fall back to event"
-    monkeypatch.delenv(CORE_ENGINE_ENV)
-    assert default_engine() == "event"
+    assert OutOfOrderCore(baseline_config(), [client_trace]).engine == "event"
 
 
 # ----------------------------------------------------------- runner level
@@ -187,26 +179,19 @@ def _run_sweeps(runner: ExperimentRunner):
 
 @pytest.fixture(scope="module")
 def reference_sweeps():
-    """Serial sweeps forced onto the per-cycle reference engine."""
-    previous = os.environ.get(CORE_ENGINE_ENV)
-    os.environ[CORE_ENGINE_ENV] = "cycle"
-    try:
+    """Serial sweeps whose cores run the per-cycle reference engine."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.experiments.runner.OutOfOrderCore",
+                      functools.partial(OutOfOrderCore, engine="cycle"))
         runner = ExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
                                   suites=SUITES)
         return _run_sweeps(runner)
-    finally:
-        if previous is None:
-            os.environ.pop(CORE_ENGINE_ENV, None)
-        else:
-            os.environ[CORE_ENGINE_ENV] = previous
 
 
 @pytest.fixture(scope="module", params=[1, 2, 4],
                 ids=["workers1", "workers2", "workers4"])
 def event_sweeps(request):
     """Sharded sweeps on the default (event) engine at several worker counts."""
-    assert os.environ.get(CORE_ENGINE_ENV) in (None, ""), \
-        "event sweeps must run with the default engine"
     runner = ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
                                       suites=SUITES, max_workers=request.param)
     yield _run_sweeps(runner)
@@ -262,12 +247,5 @@ def test_bench_harness_reports_identical_engines():
 def test_bench_rejects_unknown_inputs():
     with pytest.raises(ValueError):
         run_bench(families=["nope"])
-    with pytest.raises(ValueError):
-        run_bench(engines=["warp"])
-    with pytest.raises(ValueError):
-        run_bench(engines=[])
-    with pytest.raises(ValueError):
-        run_bench(engines=["event", "event"], families=["sensitivity"],
-                  instructions=200, reps=1)
     with pytest.raises(ValueError):
         run_bench(families=["speedup"], instructions=200, reps=0)

@@ -45,8 +45,7 @@ from repro.experiments.faults import (
 )
 from repro.experiments.orchestrator import FigurePlan, SweepOrchestrator
 from repro.experiments.parallel import (
-    JOB_TIMEOUT_ENV,
-    MAX_RETRIES_ENV,
+    DEFAULT_MAX_RETRIES,
     JobExecutionError,
     ParallelExperimentRunner,
 )
@@ -67,8 +66,6 @@ INSTRUCTIONS = 1200
 def _no_inherited_chaos(monkeypatch):
     """Tests opt into chaos explicitly; never inherit it from the session."""
     monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-    monkeypatch.delenv(MAX_RETRIES_ENV, raising=False)
-    monkeypatch.delenv(JOB_TIMEOUT_ENV, raising=False)
 
 
 def _serial_results(cache=None):
@@ -221,7 +218,6 @@ def test_model_errors_dead_letter_on_first_attempt(monkeypatch):
     monkeypatch.setattr(parallel, "OutOfOrderCore", WrongAnswerCore)
     with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
                                   suites=SUITES, max_workers=2, max_retries=2,
-                                  start_method="fork",
                                   retry_backoff_seconds=0.0) as runner:
         with pytest.raises(SweepExecutionError):
             runner.run_config("constable", constable_config())
@@ -277,21 +273,17 @@ def test_one_job_wave_is_supervised_too(monkeypatch):
     assert results == reference.run_config("baseline", baseline_config())
 
 
-def test_supervision_env_defaults_are_lenient(monkeypatch):
-    monkeypatch.setenv(MAX_RETRIES_ENV, "several")
-    monkeypatch.setenv(JOB_TIMEOUT_ENV, "-3")
-    with pytest.warns(RuntimeWarning):
-        runner = ParallelExperimentRunner(per_suite=1,
-                                          instructions=INSTRUCTIONS,
-                                          suites=SUITES, max_workers=2)
-    assert runner.max_retries == 2
-    assert runner.job_timeout is None
-    runner.close()
-    # Explicit parameters stay strict.
-    with pytest.raises(ValueError):
-        ParallelExperimentRunner(suites=SUITES, max_workers=2, max_retries=-1)
-    with pytest.raises(ValueError):
-        ParallelExperimentRunner(suites=SUITES, max_workers=2, job_timeout=0)
+def test_supervision_parameters_are_strict():
+    """The retry budget and the timeout come only from their parameters:
+    the defaults are two retries and no timeout, and an out-of-range value
+    raises."""
+    with ParallelExperimentRunner(suites=SUITES, max_workers=2) as runner:
+        assert runner.max_retries == DEFAULT_MAX_RETRIES == 2
+        assert runner.job_timeout is None
+    for bad in (dict(max_retries=-1), dict(job_timeout=0),
+                dict(job_timeout=-3.0), dict(job_timeout=float("nan"))):
+        with pytest.raises(ValueError):
+            ParallelExperimentRunner(suites=SUITES, max_workers=2, **bad)
 
 
 # -------------------------------------------------- partial commit and resume
@@ -499,8 +491,7 @@ def test_cli_dead_letter_exit_code_and_resume(tmp_path, capsys, monkeypatch):
         "sim:constable/client_00": {"kind": "raise", "times": 99,
                                     "scope": "anywhere"},
     }))
-    monkeypatch.setenv(MAX_RETRIES_ENV, "0")
-    assert main(_figures_argv(tmp_path)) == EXIT_DEAD_LETTER
+    assert main(_figures_argv(tmp_path) + ["--max-retries", "0"]) == EXIT_DEAD_LETTER
     captured = capsys.readouterr()
     assert "dead-lettered" in captured.err
     assert "sim:constable/client_00" in captured.err
@@ -528,8 +519,7 @@ def test_cli_sweep_prints_health_on_recovered_faults(tmp_path, capsys,
     monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps({
         "sim:constable/client_00": {"kind": "raise", "times": 1},
     }))
-    monkeypatch.setenv(MAX_RETRIES_ENV, "2")
-    assert main(_figures_argv(tmp_path)) == 0
+    assert main(_figures_argv(tmp_path) + ["--max-retries", "2"]) == 0
     out = capsys.readouterr().out
     assert "sweep health" in out
     # ... and `repro cache stats` aggregates the flushed health ledger.

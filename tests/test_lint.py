@@ -360,12 +360,12 @@ def test_env_registry_flags_documented_but_unread_rows(tmp_path):
 
 
 def test_cache_fingerprint_ignores_engine_and_runtime_env(tmp_path, monkeypatch):
-    """Satellite 2: the dynamic half of RL002's static purity guarantee.
+    """The dynamic half of RL002's static purity guarantee.
 
-    The cache key of a fixed (config, workload, trace) job must be
-    byte-identical whichever engine is selected and however the runtime
-    session knobs are set — otherwise hosts with different environments
-    would silently stop sharing warm entries.
+    The cache key of a fixed (config, workload, trace) job takes no engine
+    argument, and it must be byte-identical however the fault-injection
+    plan is set — otherwise hosts with different environments would
+    silently stop sharing warm entries.
     """
     config = baseline_config()
     spec = all_workload_specs()[0]
@@ -374,16 +374,10 @@ def test_cache_fingerprint_ignores_engine_and_runtime_env(tmp_path, monkeypatch)
         cache = ResultCache(tmp_path / "cache")
         return cache.key_for(config, [spec], instructions=2000, num_registers=16)
 
-    monkeypatch.setenv("REPRO_CORE_ENGINE", "cycle")
     monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
-    monkeypatch.delenv("REPRO_MAX_RETRIES", raising=False)
-    monkeypatch.delenv("REPRO_JOB_TIMEOUT", raising=False)
     reference = key()
 
-    monkeypatch.setenv("REPRO_CORE_ENGINE", "event")
     monkeypatch.setenv("REPRO_FAULT_PLAN", '{"sim:*": {"kind": "raise"}}')
-    monkeypatch.setenv("REPRO_MAX_RETRIES", "7")
-    monkeypatch.setenv("REPRO_JOB_TIMEOUT", "1.5")
     assert key() == reference
 
 

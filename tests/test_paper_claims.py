@@ -24,13 +24,20 @@ change moves the row into the table proper.
 
 The same wave checks that every counter reads something: a numeric leaf of
 ``SimulationResult.to_dict()`` that takes one value over every committed
-result must be listed in :data:`CONSTANT_FIELDS` with its reason.
+result must be listed in :data:`CONSTANT_FIELDS` with its reason.  It also
+pins every payload, ``text`` tables included, by one SHA-256 each in
+``tests/golden/figure_payloads.json``; ``--refresh`` rewrites that file::
+
+    PYTHONPATH=src python tests/test_paper_claims.py --refresh
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import operator
 from collections import defaultdict
+from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Tuple
 
 import pytest
@@ -51,6 +58,9 @@ from repro.workloads.suites import SUITE_NAMES
 WAVE_PER_SUITE = 1
 WAVE_INSTRUCTIONS = 5000
 WAVE_WORKERS = 2
+
+#: One SHA-256 per payload of the wave, by figure or table name.
+FIGURE_PAYLOADS_FIXTURE = Path(__file__).parent / "golden" / "figure_payloads.json"
 
 Payload = Dict[str, Any]
 
@@ -343,8 +353,8 @@ class Wave(NamedTuple):
     results: List[SimulationResult]
 
 
-@pytest.fixture(scope="module")
-def wave() -> Wave:
+def run_wave() -> Wave:
+    """Every figure harness, fig. 23 and tables 1 and 3 over one runner."""
     with default_runner(per_suite=WAVE_PER_SUITE, instructions=WAVE_INSTRUCTIONS,
                         workers=WAVE_WORKERS) as runner:
         figures, _ = orchestrate_figures(runner, list(FIGURE_HARNESSES))
@@ -355,6 +365,18 @@ def wave() -> Wave:
         results += [result for name in plan_fig14().smt_configs
                     for result in runner.smt_results(name).values()]
     return Wave(figures, results)
+
+
+@pytest.fixture(scope="module")
+def wave() -> Wave:
+    return run_wave()
+
+
+def payload_digests(figures: Dict[str, Payload]) -> Dict[str, str]:
+    """The SHA-256 of each payload's sorted-key JSON, ``text`` kept."""
+    return {name: hashlib.sha256(json.dumps(payload, sort_keys=True, default=str)
+                                 .encode("utf-8")).hexdigest()
+            for name, payload in sorted(figures.items())}
 
 
 def _case(claim: Claim):
@@ -400,3 +422,33 @@ def test_every_counter_reads_something(wave):
     assert not unlisted, f"constant over the wave, not in CONSTANT_FIELDS: {unlisted}"
     varying = sorted(set(CONSTANT_FIELDS) - constant)
     assert not varying, f"in CONSTANT_FIELDS but not constant: {varying}"
+
+
+def test_figure_payloads_reproduce(wave):
+    """Every payload of the wave equals its committed digest.
+
+    The result digests pin each ``SimulationResult``; these pin what the
+    harnesses compute from them: sums, orderings and the ``text`` tables.
+    When a deliberate change moves a payload, regenerate the fixture with
+    ``PYTHONPATH=src python tests/test_paper_claims.py --refresh`` and name
+    that change in the commit.
+    """
+    expected = json.loads(FIGURE_PAYLOADS_FIXTURE.read_text(encoding="utf-8"))
+    actual = payload_digests(wave.figures)
+    moved = sorted(name for name in set(expected) | set(actual)
+                   if expected.get(name) != actual.get(name))
+    assert not moved, f"figure payloads moved: {moved}"
+
+
+if __name__ == "__main__":
+    import argparse
+
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--refresh", action="store_true",
+                        help="rewrite tests/golden/figure_payloads.json")
+    if not parser.parse_args().refresh:
+        parser.error("nothing to do; pass --refresh to rewrite the fixture")
+    digests = payload_digests(run_wave().figures)
+    FIGURE_PAYLOADS_FIXTURE.write_text(json.dumps(digests, indent=2, sort_keys=True)
+                                       + "\n", encoding="utf-8")
+    print(f"wrote {FIGURE_PAYLOADS_FIXTURE}")

@@ -370,11 +370,17 @@ def test_empty_cache_dir_env_counts_as_unset(tmp_path, monkeypatch, capsys):
 
 
 def test_explicit_invalid_max_mb_still_raises(tmp_path):
-    """Leniency covers only the environment; a bad argument is a caller bug."""
-    with pytest.raises(ValueError):
-        ResultCache(tmp_path, max_mb=-1)
-    with pytest.raises(ValueError):
-        ResultCache(tmp_path, max_mb=0)
+    """Leniency covers only the environment; a bad argument is a caller bug.
+
+    A non-finite cap has no byte count: the constructor once accepted one,
+    and the first capped store died in the GC check, leaving that entry
+    without its warehouse row.
+    """
+    for cap in (-1, 0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="max_mb must be positive and finite"):
+            ResultCache(tmp_path, max_mb=cap)
+        with pytest.raises(ValueError, match="max_mb must be positive and finite"):
+            ResultCache(tmp_path).gc(max_mb=cap)
 
 
 # -------------------------------------------------- shared-directory drift

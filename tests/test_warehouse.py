@@ -28,6 +28,7 @@ losslessness.  Four layers of evidence here:
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -42,11 +43,7 @@ from repro.experiments.cache import (SCHEMA_VERSION, ResultCache,
                                      persisted_cache_stats)
 from repro.experiments.configs import baseline_config, constable_config
 from repro.experiments.faults import FAULT_PLAN_ENV
-from repro.experiments.parallel import (
-    JOB_TIMEOUT_ENV,
-    MAX_RETRIES_ENV,
-    ParallelExperimentRunner,
-)
+from repro.experiments.parallel import ParallelExperimentRunner
 from repro.experiments.runner import ExperimentRunner, SweepExecutionError
 from repro.experiments.warehouse import (
     COUNTERS_TABLE,
@@ -68,7 +65,7 @@ from repro.experiments.warehouse import (
     warehouse_present,
     warehouse_stats,
 )
-from repro.pipeline.cpu import CORE_ENGINE_ENV
+from repro.pipeline.cpu import OutOfOrderCore
 from repro.pipeline.stats import PipelineStats, SimulationResult
 
 #: Reduced sweep shared by the differential tests: 2 workloads, short traces.
@@ -78,11 +75,8 @@ INSTRUCTIONS = 1200
 
 @pytest.fixture(autouse=True)
 def _no_inherited_knobs(monkeypatch):
-    """Tests opt into chaos/engine overrides explicitly."""
+    """Tests opt into chaos explicitly."""
     monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-    monkeypatch.delenv(MAX_RETRIES_ENV, raising=False)
-    monkeypatch.delenv(JOB_TIMEOUT_ENV, raising=False)
-    monkeypatch.delenv(CORE_ENGINE_ENV, raising=False)
 
 
 def _dump(rows):
@@ -239,7 +233,8 @@ def test_both_engines_produce_identical_rows(tmp_path, monkeypatch):
     included — engines are excluded from cache keys) equal the event
     engine's bit-for-bit."""
     _run_sweep(tmp_path / "event")
-    monkeypatch.setenv(CORE_ENGINE_ENV, "cycle")
+    monkeypatch.setattr("repro.experiments.runner.OutOfOrderCore",
+                        functools.partial(OutOfOrderCore, engine="cycle"))
     _run_sweep(tmp_path / "cycle")
     event_rows = _dump(read_rows(tmp_path / "event"))
     cycle_rows = _dump(read_rows(tmp_path / "cycle"))
