@@ -8,14 +8,14 @@ Subcommands:
   the current ``SCHEMA_VERSION``; non-zero exit when anything is wrong).
   ``stats`` and ``gc`` also report/compact the tables under
   ``<dir>/.warehouse/``: the columnar results rows and the counters.
-* ``repro query`` — aggregate cached results from the columnar warehouse
-  (zero object-store decodes when warehouse files exist; falls back to a
-  full object-store scan otherwise): filter by kind/suite/config/workload,
+* ``repro query`` — aggregate cached results from the columnar warehouse's
+  rows table (zero object-store decodes; rows of the current
+  ``SCHEMA_VERSION`` only): filter by kind/suite/config/workload,
   ``--metric``/``--agg``/``--group-by`` for geomean/median-style rollups,
   ``--speedup-over baseline`` for cross-sweep speedup tables, ``--json``
   for the machine-readable form.
 * ``repro warehouse rebuild|compact|verify`` — regenerate the rows table from
-  the object store (lossless migration of pre-warehouse caches), fold every
+  the object store (the repair for lost or deleted rows), fold every
   table's append-only logs into one segment per table, and check that the
   rows agree with the cache journal (exit 1 when any journaled entry lacks
   a row; ``--strict`` also fails on rows whose entries were evicted).
@@ -266,10 +266,6 @@ def _print_failure_summary(error: SweepExecutionError) -> None:
 
 def _print_warehouse_summary(summary: Dict[str, object]) -> None:
     """One ``cache stats`` block describing the columnar warehouse."""
-    if not summary["present"]:
-        print("warehouse       : absent (queries fall back to the object "
-              "store; run `repro warehouse rebuild` to build it)")
-        return
     print(f"warehouse       : {summary['rows']} rows in "
           f"{summary['segments']} segment(s) + {summary['row_files']} row "
           f"file(s) ({_human_bytes(summary['total_bytes'])})")
@@ -286,7 +282,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         counters = persisted_cache_stats(cache.directory)
         # Warehouse summary reads columnar files only — never entry bodies —
         # so stats stays cheap however large the object store is.
-        wh_summary = warehouse_stats(cache.directory)
+        wh_summary = warehouse_stats(cache.directory, SCHEMA_VERSION)
         if args.json:
             payload = report.as_dict()
             payload["persisted_counters"] = counters
@@ -330,12 +326,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _query_rows(args: argparse.Namespace):
-    """Resolve, filter and return warehouse rows for ``repro query``.
-
-    Reads the columnar warehouse when present (zero object-store decodes) and
-    falls back to a full object-store scan otherwise, so the command works on
-    caches written before the warehouse existed.
-    """
+    """Resolve, filter and return warehouse rows for ``repro query``."""
     rows = load_rows(resolve_cache_dir(args.cache_dir), SCHEMA_VERSION)
     return filter_rows(rows, kind=args.kind, suite=args.suite,
                        config=args.config, workload=args.workload)
@@ -422,7 +413,7 @@ def _cmd_warehouse(args: argparse.Namespace) -> int:
         return 0
     if args.warehouse_command == "compact":
         removed = compact_warehouse(directory)
-        summary = warehouse_stats(directory)
+        summary = warehouse_stats(directory, SCHEMA_VERSION)
         print(f"compacted: folded {removed} file(s); {summary['rows']} rows "
               f"in {summary['segments']} segment(s)")
         return 0
@@ -576,8 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--json", action="store_true", help="machine-readable output")
 
     query = commands.add_parser(
-        "query", help="aggregate cached results from the columnar warehouse "
-                      "(object-store fallback when no warehouse exists)")
+        "query", help="aggregate cached results from the columnar warehouse")
     _add_cache_dir_argument(query)
     query.add_argument("--kind", choices=["result", "smt"], default=None,
                        help="restrict to single-thread or SMT rows")
@@ -595,7 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="aggregation for --metric (default: geomean)")
     query.add_argument("--group-by",
                        choices=["suite", "config", "workload", "kind"],
-                       default=None, help="group the aggregate by this column")
+                       default=None, help="group the aggregate (or the "
+                                          "--speedup-over table) by this column")
     query.add_argument("--speedup-over", default=None, metavar="BASELINE",
                        help="per-config geomean speedup table against this "
                             "baseline config (joined per workload+budget)")
@@ -609,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                   required=True)
     rebuild = warehouse_commands.add_parser(
         "rebuild", help="regenerate every warehouse row from the object store "
-                        "(lossless migration of pre-warehouse caches)")
+                        "(repair)")
     _add_cache_dir_argument(rebuild)
     compact = warehouse_commands.add_parser(
         "compact", help="fold every table's append-only logs into one "

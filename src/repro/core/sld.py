@@ -130,8 +130,3 @@ class StableLoadDetector:
     def eliminable_loads(self) -> int:
         """Number of tracked loads currently eligible for elimination."""
         return sum(1 for s in self._sets for e in s if e.can_eliminate)
-
-    def likely_stable_loads(self) -> int:
-        """Number of tracked loads at or above the confidence threshold."""
-        threshold = self.config.confidence_threshold
-        return sum(1 for s in self._sets for e in s if e.confidence >= threshold)

@@ -184,6 +184,12 @@ def config_fingerprint(config: CoreConfig) -> Dict[str, object]:
     return canonical_value(config)
 
 
+def _digest(payload: Dict[str, object]) -> str:
+    """The SHA-256 of ``payload``'s canonical JSON text (an entry key)."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 class CacheStats:
     """Hit/miss/store/eviction counters for one cache instance."""
 
@@ -330,14 +336,12 @@ class JsonDiskCache:
     """
 
     def __init__(self, directory: Optional[Union[str, Path]] = None,
-                 schema_version: int = SCHEMA_VERSION,
                  max_mb: Optional[float] = None):
         self.directory = Path(resolve_cache_dir(directory))
         # Fail fast rather than after the first (expensive) simulation's put().
         if self.directory.exists() and not self.directory.is_dir():
             raise NotADirectoryError(
                 f"cache path {self.directory} exists and is not a directory")
-        self.schema_version = schema_version
         if max_mb is None:
             max_mb = _max_mb_from_env()
         elif not math.isfinite(max_mb) or max_mb <= 0:
@@ -360,10 +364,6 @@ class JsonDiskCache:
     def _path_for(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.json"
 
-    def _digest(self, payload: Dict[str, object]) -> str:
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
     # ------------------------------------------------------------------ raw i/o
 
     def _read_payload(self, key: str, kind: Optional[str] = None) -> Optional[Dict[str, object]]:
@@ -378,7 +378,7 @@ class JsonDiskCache:
         try:
             with path.open("r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-            if payload.get("schema") != self.schema_version:
+            if payload.get("schema") != SCHEMA_VERSION:
                 raise ValueError("schema mismatch")
             if kind is not None and payload.get("kind") != kind:
                 raise ValueError("entry kind mismatch")
@@ -557,7 +557,7 @@ class JsonDiskCache:
         is deleted; healthy entries are never touched.
         """
         report = CacheVerifyReport(directory=str(self.directory),
-                                   schema_version=self.schema_version)
+                                   schema_version=SCHEMA_VERSION)
         for path, _, size in self.entries():
             report.entries += 1
             report.total_bytes += size
@@ -569,7 +569,7 @@ class JsonDiskCache:
             except (OSError, ValueError):
                 report.corrupt.append(str(path))
                 continue
-            if payload.get("schema") != self.schema_version:
+            if payload.get("schema") != SCHEMA_VERSION:
                 report.stale_schema.append(str(path))
                 continue
             kind = str(payload.get("kind", "result"))
@@ -627,12 +627,12 @@ class ResultCache(JsonDiskCache):
     """
 
     def __init__(self, directory: Optional[Union[str, Path]] = None,
-                 schema_version: int = SCHEMA_VERSION,
                  max_mb: Optional[float] = None):
-        super().__init__(directory, schema_version, max_mb)
+        super().__init__(directory, max_mb)
         self.warehouse = WarehouseWriter(self.directory)
 
-    def key_for(self, config: CoreConfig, specs: Sequence[WorkloadSpec],
+    @staticmethod
+    def key_for(config: CoreConfig, specs: Sequence[WorkloadSpec],
                 instructions: int, num_registers: int) -> str:
         """The content hash identifying one (config, workload threads, trace) job.
 
@@ -640,7 +640,7 @@ class ResultCache(JsonDiskCache):
         ``i`` runs at ``THREAD_BASE_PCS[i]``.
         """
         payload = {
-            "schema": self.schema_version,
+            "schema": SCHEMA_VERSION,
             "config": config_fingerprint(config),
             "workloads": [spec.to_dict() for spec in specs],
             "trace": {
@@ -649,7 +649,7 @@ class ResultCache(JsonDiskCache):
                 "base_pcs": list(THREAD_BASE_PCS[:len(specs)]),
             },
         }
-        return self._digest(payload)
+        return _digest(payload)
 
     def get(self, key: str) -> Optional[SimulationResult]:
         """The cached result for ``key``, or None (corrupt entries are misses)."""
@@ -666,9 +666,9 @@ class ResultCache(JsonDiskCache):
 
     def put(self, key: str, result: SimulationResult) -> None:
         """Store ``result`` under ``key`` atomically (temp file + rename)."""
-        self._write_payload(key, {"schema": self.schema_version, "key": key,
+        self._write_payload(key, {"schema": SCHEMA_VERSION, "key": key,
                                   "result": result.to_dict()})
-        self.warehouse.append(row_for_result(key, result, self.schema_version))
+        self.warehouse.append(row_for_result(key, result, SCHEMA_VERSION))
 
     #: Names older callers (and the perfbench layer tracer) look up.
     get_smt = get
@@ -685,10 +685,11 @@ class ReportCache(JsonDiskCache):
     size cap then covers both.
     """
 
-    def key_for(self, spec: WorkloadSpec, instructions: int, num_registers: int) -> str:
+    @staticmethod
+    def key_for(spec: WorkloadSpec, instructions: int, num_registers: int) -> str:
         """The content hash identifying one workload's inspector report."""
         payload = {
-            "schema": self.schema_version,
+            "schema": SCHEMA_VERSION,
             "kind": "report",
             "workload": spec.to_dict(),
             "trace": {
@@ -697,7 +698,7 @@ class ReportCache(JsonDiskCache):
                 "base_pc": DEFAULT_BASE_PC,
             },
         }
-        return self._digest(payload)
+        return _digest(payload)
 
     def get(self, key: str) -> Optional[GlobalStableReport]:
         """The cached report for ``key``, or None (corrupt entries are misses)."""
@@ -714,5 +715,5 @@ class ReportCache(JsonDiskCache):
 
     def put(self, key: str, report: GlobalStableReport) -> None:
         """Store ``report`` under ``key`` atomically."""
-        self._write_payload(key, {"schema": self.schema_version, "kind": "report",
+        self._write_payload(key, {"schema": SCHEMA_VERSION, "kind": "report",
                                   "key": key, "report": report.to_dict()})

@@ -26,7 +26,6 @@ from repro.core.config import ConstableConfig
 from repro.core.ideal import IdealMode, IdealOracle
 from repro.core.storage import storage_overhead_report
 from repro.experiments.configs import (
-    EXPERIMENT_CONFIDENCE_THRESHOLD,
     baseline_config,
     constable_config,
     constable_engine_config,
@@ -37,14 +36,11 @@ from repro.experiments.configs import (
     rfp_config,
     rfp_constable_config,
 )
-from repro.experiments.cache import (SCHEMA_VERSION, ReportCache, ResultCache,
-                                     resolve_cache_dir)
+from repro.experiments.cache import ReportCache, ResultCache
 from repro.experiments.orchestrator import DedupStats, FigurePlan, SweepOrchestrator
 from repro.experiments.parallel import (DEFAULT_MAX_RETRIES,
                                        ParallelExperimentRunner,
                                        check_supervision)
-from repro.experiments.warehouse import (load_rows, speedup_summary,
-                                         warehouse_present)
 from repro.experiments.reporting import format_table, per_suite_table
 from repro.experiments.runner import ConfigLike, ExperimentRunner
 from repro.isa.instruction import AddressingMode
@@ -790,33 +786,6 @@ def table3_energy_estimates(use_calibrated: bool = True) -> Dict[str, object]:
                 title="Table 3: Constable structure energy/area estimates")}
 
 
-def warehouse_speedup_summary(cache_dir: Optional[str] = None
-                              ) -> Dict[str, object]:
-    """Cross-sweep geomean speedups straight from the columnar warehouse.
-
-    Unlike the per-figure harnesses this aggregates *every* cached sweep in
-    the directory at once — exactly the cross-sweep analytics the warehouse
-    exists for.  With warehouse files present the read is tabular-only (zero
-    object-store decodes); a pre-warehouse cache falls back to the full
-    object-store scan, so the harness works either way.  Addressable as
-    ``repro figures warehouse``; the cache directory resolves like every
-    other command (``REPRO_CACHE_DIR``, then ``.repro-cache``).
-    """
-    directory = resolve_cache_dir(cache_dir)
-    rows = load_rows(directory, SCHEMA_VERSION)
-    tabular = warehouse_present(directory)
-    summary = speedup_summary(rows, group_by="suite")
-    suites = sorted({group for block in summary.values()
-                     for group in block} - {"GEOMEAN"})
-    table_rows = [[config] + [f"{block[s]:.4f}" if s in block else "-"
-                              for s in suites + ["GEOMEAN"]]
-                  for config, block in sorted(summary.items())]
-    source = "warehouse" if tabular else "object store (no warehouse)"
-    return {"rows": len(rows), "tabular": tabular, "speedups": summary,
-            "text": format_table(["config"] + suites + ["GEOMEAN"], table_rows,
-                                 title=f"cross-sweep speedups [{source}]")}
-
-
 # ============================================================ registries (CLI)
 
 #: Every figure harness that consumes a shared :class:`ExperimentRunner`,
@@ -842,14 +811,11 @@ FIGURE_HARNESSES: Dict[str, Callable[..., Dict[str, object]]] = {
 
 #: Harnesses that run no plan wave; they are addressable by name but excluded
 #: from ``all`` and from warm-cache checks.  Each takes the CLI's runner:
-#: fig. 23 for its budget, suites and report cache, ``warehouse`` for its
-#: cache directory, and the tables not at all.
+#: fig. 23 for its budget, suites and report cache, the tables not at all.
 STANDALONE_HARNESSES: Dict[str, Callable[[ExperimentRunner], Dict[str, object]]] = {
     "fig23": fig23_fig24_apx_study,
     "table1": lambda runner: table1_storage_overhead(),
     "table3": lambda runner: table3_energy_estimates(),
-    "warehouse": lambda runner: warehouse_speedup_summary(
-        str(runner.cache.directory) if runner.cache is not None else None),
 }
 
 

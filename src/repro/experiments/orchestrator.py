@@ -19,11 +19,12 @@ worker pool fed instead of draining it between harnesses:
    :meth:`~repro.experiments.runner.ExperimentRunner.plan_smt_jobs`), each
    at its own SMT pair budget; a ``(config name, workload)`` key that two
    plans demand with two contents raises before anything executes.
-2. **Dedup** — planned jobs are grouped by *content* fingerprint (the same
-   material the on-disk cache keys hash: the fully materialised
-   :class:`~repro.pipeline.config.CoreConfig`, the workload spec and the trace
-   parameters), so two figures demanding the same simulation under different
-   names share one job.  Each group consults the on-disk cache once.
+2. **Dedup** — planned jobs are grouped by cache key, which the planner
+   computes for every job whether or not a cache is attached (it hashes the
+   fully materialised :class:`~repro.pipeline.config.CoreConfig`, the
+   workload specs and the trace parameters), so two figures demanding the
+   same simulation under different names share one job.  Each group
+   consults the on-disk cache once.
 3. **Execute** — every outstanding representative job goes through the
    runner's
    :meth:`~repro.experiments.runner.ExperimentRunner._execute_wave` hook as
@@ -51,11 +52,9 @@ directory's counters table.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.experiments.cache import config_fingerprint
 from repro.experiments.runner import (
     ConfigLike,
     ExperimentRunner,
@@ -90,7 +89,7 @@ class DedupStats:
     ``planned`` counts figure demand before any sharing — what serial
     per-figure execution with per-figure runners and a cold cache would
     simulate.  ``unique`` is the job count after merging identical names and
-    grouping by content fingerprint; ``cache_warm`` of those came from the
+    grouping by cache key; ``cache_warm`` of those came from the
     on-disk cache and ``executed`` were actually simulated in the wave.
     ``cold_jobs`` names each executed job by its label
     (``sim:<config>/<workload>``) so an ``--expect-warm`` violation can say
@@ -135,24 +134,6 @@ def _relabelled(result: SimulationResult, config_name: str) -> SimulationResult:
     return dataclasses.replace(result, config_name=config_name)
 
 
-def _fingerprint_text(job_config) -> str:
-    """A deterministic text form of a materialised config's fingerprint."""
-    return json.dumps(config_fingerprint(job_config), sort_keys=True,
-                      separators=(",", ":"))
-
-
-def _sim_identity(job: SimulationJob) -> str:
-    """The content identity of a job (its cache key when available).
-
-    Falls back to the same material the cache key hashes — the materialised
-    config fingerprint plus the workload threads — so dedup behaves
-    identically with and without an attached on-disk cache.
-    """
-    if job.cache_key is not None:
-        return job.cache_key
-    return f"sim:{job.workload}:{_fingerprint_text(job.config)}"
-
-
 class SweepOrchestrator:
     """Plans, dedups and executes any number of plans' sweeps as one wave.
 
@@ -180,9 +161,8 @@ class SweepOrchestrator:
         demand is one job, so its contents must agree — otherwise committing
         the shared result under that name would silently hand one figure
         another figure's data — and a key planned with two contents raises
-        before anything executes.  The jobs are then grouped by content
-        identity, so content-identical jobs under different names share one
-        execution.
+        before anything executes.  The jobs are then grouped by cache key,
+        so content-identical jobs under different names share one execution.
         """
         runner = self.runner
         stats = DedupStats(figures=[plan.figure for plan in plans])
@@ -207,15 +187,14 @@ class SweepOrchestrator:
                 demand.extend((plan.figure, job) for job in runner.plan_smt_jobs(
                     name, config, plan.smt_max_pairs) if job.names in pairs)
 
-        identities: Dict[Tuple[str, str], str] = {}
+        cache_keys: Dict[Tuple[str, str], str] = {}
         groups: Dict[str, List[SimulationJob]] = {}
         for figure, job in demand:
-            identity = _sim_identity(job)
-            known = identities.get(job.key)
+            known = cache_keys.get(job.key)
             if known is None:
-                identities[job.key] = identity
-                groups.setdefault(identity, []).append(job)
-            elif known != identity:
+                cache_keys[job.key] = job.cache_key
+                groups.setdefault(job.cache_key, []).append(job)
+            elif known != job.cache_key:
                 raise ValueError(
                     f"figure plans disagree on the contents of config "
                     f"{job.config_name!r} over {job.workload} (while merging "
@@ -227,8 +206,7 @@ class SweepOrchestrator:
     # --------------------------------------------------------------- execution
 
     def _journal_partial_wave(self, error: SweepExecutionError,
-                              outstanding: Sequence[Tuple[str, SimulationJob]]
-                              ) -> None:
+                              outstanding: Sequence[SimulationJob]) -> None:
         """Best-effort cache journal of a failed wave's completed jobs.
 
         Runs on the error path, so cache I/O failures are absorbed — a full
@@ -244,9 +222,9 @@ class SweepOrchestrator:
         runner = self.runner
         if runner.cache is None or not isinstance(error.partial, dict):
             return
-        for _, job in outstanding:
+        for job in outstanding:
             result = error.partial.get(job.key)
-            if result is not None and job.cache_key is not None:
+            if result is not None:
                 try:
                     runner.cache.put(job.cache_key, result)
                 except OSError:
@@ -278,22 +256,21 @@ class SweepOrchestrator:
 
         # Stage each group's representative from the on-disk cache once.
         staged: Dict[str, SimulationResult] = {}
-        outstanding: List[Tuple[str, SimulationJob]] = []
-        for identity, group in groups.items():
-            representative = group[0]
-            cached = (runner.cache.get(representative.cache_key)
-                      if representative.cache_key is not None else None)
+        outstanding: List[SimulationJob] = []
+        for cache_key, group in groups.items():
+            cached = (runner.cache.get(cache_key)
+                      if runner.cache is not None else None)
             if cached is not None:
-                staged[identity] = cached
+                staged[cache_key] = cached
             else:
-                outstanding.append((identity, representative))
+                outstanding.append(group[0])
         stats.cache_warm = len(staged)
         stats.executed = len(outstanding)
-        stats.cold_jobs = [job.label for _, job in outstanding]
+        stats.cold_jobs = [job.label for job in outstanding]
 
         # One continuously fed wave over every outstanding representative.
         try:
-            results = runner._execute_wave([job for _, job in outstanding])
+            results = runner._execute_wave(outstanding)
         except SweepExecutionError as error:
             # Partial-wave commit: journal the failed wave's successes to the
             # on-disk cache (never the in-memory stores — the atomic-commit
@@ -302,25 +279,24 @@ class SweepOrchestrator:
             # stages them warm and executes only the missing jobs.
             self._journal_partial_wave(error, outstanding)
             raise
-        missing = [job.label for _, job in outstanding if job.key not in results]
+        missing = [job.label for job in outstanding if job.key not in results]
         if missing:
             raise RuntimeError(
                 f"wave executor returned no result for jobs {missing!r}")
-        for identity, job in outstanding:
-            staged[identity] = results[job.key]
+        for job in outstanding:
+            staged[job.cache_key] = results[job.key]
 
         # Commit every alias only after the whole wave succeeded — and before
         # the disk-store writes, so a cache I/O failure (disk full,
         # permissions) cannot discard the finished wave.  The disk puts also
         # append each entry's columnar warehouse row, which keeps the
         # warehouse in lockstep with the journal.
-        for identity, group in groups.items():
+        for cache_key, group in groups.items():
             for job in group:
                 runner._committed(job.runs)[job.config_name] = \
-                    _relabelled(staged[identity], job.config_name)
+                    _relabelled(staged[cache_key], job.config_name)
         if runner.cache is not None:
-            for identity, job in outstanding:
-                if job.cache_key is not None:
-                    runner.cache.put(job.cache_key, staged[identity])
+            for job in outstanding:
+                runner.cache.put(job.cache_key, staged[job.cache_key])
         self.stats = stats
         return stats

@@ -94,6 +94,9 @@ from repro.workloads.trace import Trace
 #: Pool retry budget unless ``max_retries`` says otherwise.
 DEFAULT_MAX_RETRIES = 2
 
+#: Delay before a failed job's first retry; it doubles on each later retry.
+RETRY_BACKOFF_SECONDS = 0.05
+
 #: How long the supervisor's wait() poll lasts between bookkeeping passes.
 _SUPERVISOR_POLL_SECONDS = 0.05
 
@@ -255,8 +258,7 @@ class ParallelExperimentRunner(ExperimentRunner):
                  report_cache: Optional[ReportCache] = None,
                  max_workers: Optional[int] = None,
                  max_retries: int = DEFAULT_MAX_RETRIES,
-                 job_timeout: Optional[float] = None,
-                 retry_backoff_seconds: float = 0.05):
+                 job_timeout: Optional[float] = None):
         super().__init__(per_suite=per_suite, instructions=instructions,
                          num_registers=num_registers, suites=suites,
                          cache=cache, report_cache=report_cache)
@@ -265,12 +267,9 @@ class ParallelExperimentRunner(ExperimentRunner):
         if max_workers <= 0:
             raise ValueError("max_workers must be positive")
         check_supervision(max_retries, job_timeout)
-        if retry_backoff_seconds < 0:
-            raise ValueError("retry_backoff_seconds must be >= 0")
         self.max_workers = max_workers
         self.max_retries = max_retries
         self.job_timeout = job_timeout
-        self.retry_backoff_seconds = retry_backoff_seconds
         self._pool: Optional[ProcessPoolExecutor] = None
         # Validate any chaos plan eagerly: a typo'd REPRO_FAULT_PLAN must die
         # here, loudly, not silently inject nothing inside the workers.
@@ -398,7 +397,7 @@ class ParallelExperimentRunner(ExperimentRunner):
                 health.timeouts += 1
             if task.attempts < budget:
                 health.retries += 1
-                task.not_before = (time.monotonic() + self.retry_backoff_seconds
+                task.not_before = (time.monotonic() + RETRY_BACKOFF_SECONDS
                                    * (2 ** (task.attempts - 1)))
                 ready.append(task)
             else:

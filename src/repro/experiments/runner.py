@@ -139,12 +139,14 @@ class SimulationJob:
     nothing beyond the job itself.  Thread ``i`` runs at
     ``THREAD_BASE_PCS[i]``: executors regenerate traces deterministically from
     each run's spec instead of shipping them across a process boundary.
+    ``cache_key`` is the job's content identity
+    (:meth:`~repro.experiments.cache.ResultCache.key_for`).
     """
 
     config_name: str
     runs: Tuple[WorkloadRun, ...]
     config: CoreConfig
-    cache_key: Optional[str] = None
+    cache_key: str
 
     @property
     def names(self) -> Tuple[str, ...]:
@@ -335,13 +337,13 @@ class ExperimentRunner:
         """``spec``'s report from the on-disk report cache, or None."""
         if self.report_cache is None:
             return None
-        return self.report_cache.get(self.report_cache.key_for(
+        return self.report_cache.get(ReportCache.key_for(
             spec, self.instructions, self.num_registers))
 
     def _publish_report(self, spec: WorkloadSpec, report: GlobalStableReport) -> None:
         """Store a freshly inspected report in the on-disk report cache, if any."""
         if self.report_cache is not None:
-            self.report_cache.put(self.report_cache.key_for(
+            self.report_cache.put(ReportCache.key_for(
                 spec, self.instructions, self.num_registers), report)
 
     def trace(self, spec: WorkloadSpec, base_pc: int = DEFAULT_BASE_PC) -> Trace:
@@ -396,18 +398,17 @@ class ExperimentRunner:
 
         Planning materialises every configuration *before* anything executes,
         so a factory raising mid-sweep aborts the whole sweep with the in-memory
-        result store untouched.
+        result store untouched.  Every job carries its cache key, with or
+        without an attached cache: the key is the job's content identity.
         """
         jobs: List[SimulationJob] = []
         for runs in threads:
             if name in self._committed(runs):
                 continue
             core_config = self._materialise_config(config, runs[0])
-            cache_key = None
-            if self.cache is not None:
-                cache_key = self.cache.key_for(
-                    core_config, [run.spec for run in runs],
-                    self.instructions, self.num_registers)
+            cache_key = ResultCache.key_for(
+                core_config, [run.spec for run in runs],
+                self.instructions, self.num_registers)
             jobs.append(SimulationJob(config_name=name, runs=tuple(runs),
                                       config=core_config, cache_key=cache_key))
         return jobs

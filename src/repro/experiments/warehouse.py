@@ -34,15 +34,15 @@ Both tables share one protocol:
   sums each counter per source class.
 * **Rebuild.**  :func:`rebuild_warehouse` is the same locked fold of the rows
   table, with a fold that re-derives every row from the object store
-  (``repro warehouse rebuild``), so pre-warehouse caches migrate losslessly.
+  (``repro warehouse rebuild``), which repairs rows lost or deleted.
   Row derivation is a pure function of ``(key, entry payload)`` — identical
   on the write path and the rebuild path — which is what the differential
   suite in ``tests/test_warehouse.py`` proves bit-for-bit.
 
-:func:`load_rows` serves ``repro query``, ``repro cache stats`` and the
-``warehouse`` figure harness from the rows table alone (zero object-store
-decodes); when the table is absent it falls back to an in-memory
-object-store scan, so analytics never require a migration first.
+:func:`load_rows` serves ``repro query`` and ``repro cache stats`` from the
+rows table alone (zero object-store decodes), counting only the rows of the
+current ``SCHEMA_VERSION``; ``repro warehouse verify`` reports entries that
+have no row.
 
 File suffixes are deliberately never ``.json``: the object store's entry
 scans glob ``*/*.json`` and must not mistake table files for entries.
@@ -80,17 +80,8 @@ WAREHOUSE_SCHEMA_VERSION = 1
 #: A compaction lock older than this is from a dead compactor and may be broken.
 _COMPACT_LOCK_STALE_SECONDS = 3600.0
 
-#: Column order of the flat row schema.  ``key`` is the cache key (already
-#: engine-independent by the RL002 purity contract), ``kind`` is ``result``
-#: for one thread and ``smt`` for an SMT2 pair, ``schema`` the
-#: ``SCHEMA_VERSION`` of the source cache entry.
-ROW_COLUMNS = ("key", "kind", "workload", "suite", "config", "cycles",
-               "instructions", "ipc", "coverage", "power", "l1d_accesses",
-               "schema")
-
-#: Metrics ``repro query`` can aggregate (numeric row columns).
-QUERY_METRICS = ("ipc", "cycles", "instructions", "coverage", "power",
-                 "l1d_accesses")
+#: The coercion of each declared column type (the annotations are strings).
+_COLUMN_TYPES = {"str": str, "int": int, "float": float}
 
 
 @dataclasses.dataclass
@@ -99,7 +90,10 @@ class WarehouseRow:
 
     Every field derives purely from the cache key and the entry payload, so
     the write path (live result object) and :func:`rebuild_warehouse`
-    (decoded payload) produce bit-identical rows.
+    (decoded payload) produce bit-identical rows.  ``key`` is the cache key
+    (already engine-independent by the RL002 purity contract), ``kind`` is
+    ``result`` for one thread and ``smt`` for an SMT2 pair, ``schema`` the
+    ``SCHEMA_VERSION`` of the source cache entry.
     """
 
     key: str
@@ -117,38 +111,22 @@ class WarehouseRow:
 
     def to_dict(self) -> Dict[str, object]:
         """The row as a plain dictionary (JSONL/columnar form)."""
-        return {
-            "key": self.key,
-            "kind": self.kind,
-            "workload": self.workload,
-            "suite": self.suite,
-            "config": self.config,
-            "cycles": self.cycles,
-            "instructions": self.instructions,
-            "ipc": self.ipc,
-            "coverage": self.coverage,
-            "power": self.power,
-            "l1d_accesses": self.l1d_accesses,
-            "schema": self.schema,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "WarehouseRow":
-        """Rebuild a row from :meth:`to_dict` output (missing keys raise)."""
-        return cls(
-            key=str(data["key"]),
-            kind=str(data["kind"]),
-            workload=str(data["workload"]),
-            suite=str(data["suite"]),
-            config=str(data["config"]),
-            cycles=int(data["cycles"]),
-            instructions=int(data["instructions"]),
-            ipc=float(data["ipc"]),
-            coverage=float(data["coverage"]),
-            power=float(data["power"]),
-            l1d_accesses=int(data["l1d_accesses"]),
-            schema=int(data["schema"]),
-        )
+        """Rebuild a row from :meth:`to_dict` output, coercing each field to
+        its declared type (missing keys raise)."""
+        return cls(**{field.name: _COLUMN_TYPES[field.type](data[field.name])
+                      for field in dataclasses.fields(cls)})
+
+
+#: Column order of the flat row schema: the row's fields.
+ROW_COLUMNS = tuple(field.name for field in dataclasses.fields(WarehouseRow))
+
+#: Metrics ``repro query`` can aggregate: the numeric columns but ``schema``.
+QUERY_METRICS = tuple(field.name for field in dataclasses.fields(WarehouseRow)
+                      if field.type != "str" and field.name != "schema")
 
 
 # ------------------------------------------------------------- row derivation
@@ -510,14 +488,6 @@ def read_table(directory: Union[str, Path], table: Table) -> List[object]:
     return [record for _, records in live for record in records]
 
 
-def warehouse_present(directory: Union[str, Path]) -> bool:
-    """Whether any rows-table file exists under the cache directory."""
-    base = warehouse_dir(directory)
-    return any(next(base.glob(f"*{suffix}"), None) is not None
-               for suffix in (ROWS_TABLE.segment_suffix,
-                              ROWS_TABLE.log_suffix))
-
-
 def read_rows(directory: Union[str, Path]) -> List[WarehouseRow]:
     """Every live warehouse row, deduplicated and in canonical order.
 
@@ -527,32 +497,43 @@ def read_rows(directory: Union[str, Path]) -> List[WarehouseRow]:
     return canonical_rows(read_table(directory, ROWS_TABLE))
 
 
-def scan_object_store(directory: Union[str, Path],
-                      schema_version: int) -> List[WarehouseRow]:
-    """Derive every row straight from the object store (full JSON decodes).
+def load_rows(directory: Union[str, Path], schema_version: int) -> List[WarehouseRow]:
+    """The rows of entries written under ``schema_version``, for analytics.
 
-    The slow path: used by ``repro warehouse rebuild`` to migrate existing
-    caches and by :func:`load_rows` as the fallback when no warehouse files
-    exist yet.  Entries with a different schema version, report entries and
-    undecodable payloads are skipped, matching what the write path would
-    have appended.
+    Reads the rows table alone (zero object-store decodes).  Rows of any
+    other schema, left by sweeps from before a ``SCHEMA_VERSION`` bump, are
+    not counted, so no aggregate mixes two timing models.
     """
-    rows: List[WarehouseRow] = []
-    base = Path(directory)
-    if not base.is_dir():
-        return rows
-    for path in sorted(base.glob("*/*.json")):
+    return [row for row in read_rows(directory) if row.schema == schema_version]
+
+
+def _journal_entries(directory: Union[str, Path], schema_version: int
+                     ) -> Iterator[Tuple[str, Dict[str, object]]]:
+    """``(key, payload)`` of every result entry of ``schema_version`` in the
+    object store, in path order; unreadable, report and other-schema
+    entries are skipped."""
+    for path in sorted(Path(directory).glob("*/*.json")):
         try:
             with path.open("r", encoding="utf-8") as handle:
                 payload = json.load(handle)
         except (OSError, ValueError):
             continue
-        if not isinstance(payload, dict):
-            continue
-        if (payload.get("schema") != schema_version
-                or payload.get("kind", "result") != "result"):
-            continue
-        key = str(payload.get("key", path.stem))
+        if (isinstance(payload, dict)
+                and payload.get("schema") == schema_version
+                and payload.get("kind", "result") == "result"):
+            yield str(payload.get("key", path.stem)), payload
+
+
+def scan_object_store(directory: Union[str, Path],
+                      schema_version: int) -> List[WarehouseRow]:
+    """Derive every row straight from the object store (full JSON decodes).
+
+    The slow path, and the fold of ``repro warehouse rebuild``.  Undecodable
+    payloads are skipped along with the entries :func:`_journal_entries`
+    skips, matching what the write path would have appended.
+    """
+    rows: List[WarehouseRow] = []
+    for key, payload in _journal_entries(directory, schema_version):
         try:
             rows.append(row_for_result(
                 key, SimulationResult.from_dict(payload["result"]),
@@ -560,18 +541,6 @@ def scan_object_store(directory: Union[str, Path],
         except (ValueError, KeyError, TypeError):
             continue
     return canonical_rows(rows)
-
-
-def load_rows(directory: Union[str, Path], schema_version: int) -> List[WarehouseRow]:
-    """Rows for analytics: warehouse segments first, object store as fallback.
-
-    When any rows-table file exists the read is tabular-only (zero object
-    decodes); a cache with no rows table — written before this layer
-    existed — falls back to :func:`scan_object_store`.
-    """
-    if warehouse_present(directory):
-        return read_rows(directory)
-    return scan_object_store(directory, schema_version)
 
 
 # ------------------------------------------------------- compaction / rebuild
@@ -722,21 +691,19 @@ def clear_warehouse(directory: Union[str, Path]) -> int:
 # ------------------------------------------------------------------ analytics
 
 
-def warehouse_stats(directory: Union[str, Path]) -> Dict[str, object]:
+def warehouse_stats(directory: Union[str, Path],
+                    schema_version: int) -> Dict[str, object]:
     """Summary of the rows table for ``repro cache stats``: files, rows, kinds.
 
-    Tabular-only (zero object-store decodes); ``present`` is False when no
-    rows-table file exists, which is how the stats path knows to say so
-    instead of printing an empty table.
+    Tabular-only (zero object-store decodes).  The files and bytes cover the
+    whole table; the row counts cover the rows of ``schema_version``, as
+    :func:`load_rows` does.
     """
     base = warehouse_dir(directory)
     summary: Dict[str, object] = {
-        "present": warehouse_present(directory),
         "segments": 0, "row_files": 0, "total_bytes": 0,
         "rows": 0, "by_kind": {}, "by_config": {},
     }
-    if not summary["present"]:
-        return summary
     for pattern, field in ((f"*{ROWS_TABLE.segment_suffix}", "segments"),
                            (f"*{ROWS_TABLE.log_suffix}", "row_files")):
         for path in base.glob(pattern):
@@ -745,7 +712,7 @@ def warehouse_stats(directory: Union[str, Path]) -> Dict[str, object]:
                 summary["total_bytes"] += path.stat().st_size
             except OSError:
                 pass
-    rows = read_rows(directory)
+    rows = load_rows(directory, schema_version)
     summary["rows"] = len(rows)
     for row in rows:
         summary["by_kind"][row.kind] = summary["by_kind"].get(row.kind, 0) + 1
@@ -758,27 +725,14 @@ def verify_warehouse(directory: Union[str, Path],
                      schema_version: int) -> Dict[str, object]:
     """Compare warehouse keys against the object-store journal (envelope-only).
 
-    ``missing`` keys — journaled entries with no warehouse row — mean the
-    warehouse disagrees with the journal and ``repro warehouse verify`` exits
-    non-zero.  ``extra`` keys are rows whose entries were since GC-evicted:
-    the warehouse deliberately keeps history, so they fail only ``--strict``.
+    Both sides count ``schema_version`` alone.  ``missing`` keys — journaled
+    entries with no warehouse row — mean the warehouse disagrees with the
+    journal and ``repro warehouse verify`` exits non-zero.  ``extra`` keys
+    are rows whose entries were since GC-evicted: the warehouse deliberately
+    keeps history, so they fail only ``--strict``.
     """
-    entry_keys: Set[str] = set()
-    base = Path(directory)
-    if base.is_dir():
-        for path in base.glob("*/*.json"):
-            try:
-                with path.open("r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            if not isinstance(payload, dict):
-                continue
-            if (payload.get("schema") != schema_version
-                    or payload.get("kind", "result") != "result"):
-                continue
-            entry_keys.add(str(payload.get("key", path.stem)))
-    row_keys = {row.key for row in read_rows(directory)}
+    entry_keys = {key for key, _ in _journal_entries(directory, schema_version)}
+    row_keys = {row.key for row in load_rows(directory, schema_version)}
     return {
         "entries": len(entry_keys),
         "rows": len(row_keys),
@@ -862,7 +816,8 @@ def speedup_summary(rows: Sequence[WarehouseRow],
     ``baseline cycles / config cycles``, skipping degenerate zero-cycle runs
     exactly like :meth:`ExperimentRunner.speedups`.  Returns ``{config:
     {group: geomean}}`` with group ``GEOMEAN`` always present (the overall
-    geomean); ``group_by="suite"`` adds per-suite geomeans.
+    geomean); ``group_by`` adds one geomean per value of that label column,
+    as :func:`aggregate_rows` groups.
     """
     result_rows = [row for row in rows if row.kind == "result"]
     base_cycles = {(row.workload, row.instructions): row.cycles
@@ -875,15 +830,16 @@ def speedup_summary(rows: Sequence[WarehouseRow],
         base = base_cycles.get((row.workload, row.instructions))
         if base is None or base <= 0 or row.cycles <= 0:
             continue
-        ratios.setdefault(row.config, []).append((row.suite, base / row.cycles))
+        group = getattr(row, group_by) if group_by else ""
+        ratios.setdefault(row.config, []).append((group, base / row.cycles))
     for config in sorted(ratios):
         values = ratios[config]
         block = {"GEOMEAN": filtered_geomean([v for _, v in values])}
-        if group_by == "suite":
-            by_suite: Dict[str, List[float]] = {}
-            for suite, value in values:
-                by_suite.setdefault(suite, []).append(value)
-            for suite in sorted(by_suite):
-                block[suite] = filtered_geomean(by_suite[suite])
+        if group_by:
+            grouped: Dict[str, List[float]] = {}
+            for group, value in values:
+                grouped.setdefault(group, []).append(value)
+            for group in sorted(grouped):
+                block[group] = filtered_geomean(grouped[group])
         summary[config] = block
     return summary

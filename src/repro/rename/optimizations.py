@@ -37,10 +37,6 @@ class RenameOptimizationConfig:
     constant_folding: bool = True
     branch_folding: bool = True
 
-    def all_disabled(self) -> "RenameOptimizationConfig":
-        """A copy of the config with every rename optimization turned off."""
-        return RenameOptimizationConfig(False, False, False, False)
-
 
 #: Dense per-kind counter index.
 _KIND_INDEX: Dict[OptimizationKind, int] = {

@@ -58,10 +58,6 @@ class SparseMemory:
         """True if the word containing ``address`` has ever been written."""
         return self._align(address) in self._words
 
-    def written_words(self) -> Dict[int, int]:
-        """A copy of all explicitly written words."""
-        return dict(self._words)
-
 
 class FunctionalVM:
     """Executes a :class:`~repro.isa.program.Program` and records the dynamic trace."""

@@ -16,7 +16,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.cache import ReportCache, ResultCache
-from repro.experiments.configs import baseline_config, constable_config
+from repro.experiments.configs import baseline_config
 from repro.experiments.orchestrator import FigurePlan, SweepOrchestrator
 from repro.experiments.runner import ExperimentRunner, Shard
 
@@ -538,8 +538,9 @@ def test_orchestrated_and_serial_figures_cli_share_cache_bit_identically(
 
 
 def test_figures_cli_rejects_unknown_figure(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["figures", "fig999"] + _runner_args(tmp_path))
+    for name in ("fig999", "warehouse"):
+        with pytest.raises(SystemExit, match=f"unknown figure '{name}'"):
+            main(["figures", name] + _runner_args(tmp_path))
 
 
 def test_figures_cli_standalone_harness_runs_without_runner(capsys):
@@ -548,10 +549,8 @@ def test_figures_cli_standalone_harness_runs_without_runner(capsys):
 
 
 def test_figures_cli_standalone_harnesses_follow_the_runner_flags(
-        tmp_path, monkeypatch, capsys):
-    """``fig23`` runs at the flags' budget and suites, and ``warehouse``
-    reads ``--cache-dir``, not the environment's or the working directory's
-    cache."""
+        tmp_path, capsys):
+    """``fig23`` runs at the flags' budget and suites."""
     from repro.experiments.figures import fig23_fig24_apx_study
 
     assert main(["figures", "fig23", "--json", "--per-suite", "1",
@@ -562,14 +561,3 @@ def test_figures_cli_standalone_harnesses_follow_the_runner_flags(
         ExperimentRunner(per_suite=1, instructions=500, suites=("Client",)))
     library.pop("text")
     assert payload["fig23"] == json.loads(json.dumps(library, sort_keys=True))
-
-    swept = tmp_path / "swept"
-    with _make_runner(swept) as runner:
-        runner.run_config("baseline", baseline_config())
-        runner.run_config("constable", constable_config())
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.chdir(tmp_path)
-    assert main(["figures", "warehouse"] + _runner_args(swept)) == 0
-    out = capsys.readouterr().out
-    assert "cross-sweep speedups [warehouse]" in out
-    assert "constable" in out

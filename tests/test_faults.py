@@ -165,8 +165,7 @@ def test_chaos_sweep_is_bit_identical_to_clean_serial(monkeypatch):
     }))
     with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
                                   suites=SUITES, max_workers=2,
-                                  max_retries=3, job_timeout=3.0,
-                                  retry_backoff_seconds=0.01) as chaotic:
+                                  max_retries=3, job_timeout=3.0) as chaotic:
         results = {name: chaotic.run_config(name, factory())
                    for name, factory in (("baseline", baseline_config),
                                           ("constable", constable_config))}
@@ -188,8 +187,7 @@ def test_worker_exceptions_carry_job_identity_and_traceback(monkeypatch):
                                    "scope": "anywhere"},
     }))
     with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
-                                  suites=SUITES, max_workers=2, max_retries=1,
-                                  retry_backoff_seconds=0.0) as runner:
+                                  suites=SUITES, max_workers=2, max_retries=1) as runner:
         with pytest.raises(SweepExecutionError) as excinfo:
             runner.run_config("baseline", baseline_config())
     (letter,) = excinfo.value.dead_letters
@@ -217,8 +215,7 @@ def test_model_errors_dead_letter_on_first_attempt(monkeypatch):
     # Patched before the fork-started pool exists, so the workers inherit it.
     monkeypatch.setattr(parallel, "OutOfOrderCore", WrongAnswerCore)
     with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
-                                  suites=SUITES, max_workers=2, max_retries=2,
-                                  retry_backoff_seconds=0.0) as runner:
+                                  suites=SUITES, max_workers=2, max_retries=2) as runner:
         with pytest.raises(SweepExecutionError):
             runner.run_config("constable", constable_config())
         health = runner.health
@@ -238,8 +235,7 @@ def test_exhausted_pool_budget_degrades_to_in_process(monkeypatch):
         "sim:*": {"kind": "raise", "times": 99, "scope": "worker"},
     }))
     with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
-                                  suites=SUITES, max_workers=2, max_retries=1,
-                                  retry_backoff_seconds=0.0) as runner:
+                                  suites=SUITES, max_workers=2, max_retries=1) as runner:
         results = runner.run_config("baseline", baseline_config())
         health = runner.health
     assert results == _serial_results()["baseline"]
@@ -261,8 +257,7 @@ def test_one_job_wave_is_supervised_too(monkeypatch):
     }))
     with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
                                   suites=("Client",), max_workers=2,
-                                  max_retries=0, job_timeout=0.5,
-                                  retry_backoff_seconds=0.0) as runner:
+                                  max_retries=0, job_timeout=0.5) as runner:
         results = runner.run_config("baseline", baseline_config())
         health = runner.health
     assert health.timeouts == 1
@@ -304,7 +299,6 @@ def test_failed_sweep_journals_successes_and_resumes(tmp_path, monkeypatch):
     }))
     with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
                                   suites=SUITES, max_workers=2, max_retries=0,
-                                  retry_backoff_seconds=0.0,
                                   cache=ResultCache(tmp_path)) as runner:
         with pytest.raises(SweepExecutionError):
             runner.run_config("baseline", baseline_config())
@@ -331,7 +325,6 @@ def test_failed_wave_journals_and_resume_executes_only_missing(tmp_path,
     }))
     with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
                                   suites=SUITES, max_workers=2, max_retries=0,
-                                  retry_backoff_seconds=0.0,
                                   cache=ResultCache(tmp_path)) as runner:
         with pytest.raises(SweepExecutionError):
             SweepOrchestrator(runner).execute([plan])
@@ -358,8 +351,7 @@ def test_in_memory_commit_stays_atomic_on_failure(monkeypatch):
                                    "scope": "anywhere"},
     }))
     with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
-                                  suites=SUITES, max_workers=2, max_retries=0,
-                                  retry_backoff_seconds=0.0) as runner:
+                                  suites=SUITES, max_workers=2, max_retries=0) as runner:
         with pytest.raises(SweepExecutionError):
             runner.run_config("baseline", baseline_config())
         # Not even the succeeding workload committed to the in-memory store.
@@ -443,7 +435,6 @@ def test_runner_close_flushes_health_to_ledger(tmp_path, monkeypatch):
     }))
     with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
                                   suites=SUITES, max_workers=2, max_retries=2,
-                                  retry_backoff_seconds=0.0,
                                   cache=ResultCache(tmp_path)) as runner:
         runner.run_config("baseline", baseline_config())
     health = persisted_cache_stats(tmp_path)["health"]

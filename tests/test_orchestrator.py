@@ -215,6 +215,25 @@ def test_colliding_config_names_with_different_contents_are_rejected():
         assert stats.unique == len(runner.workloads())
 
 
+def test_dedup_groups_do_not_depend_on_an_attached_cache(tmp_path):
+    """Merging every figure's plan splits the wave into the same job groups,
+    with the same dedup counts, whether or not an on-disk cache is attached:
+    a job's content identity is its cache key either way."""
+    plans = [factory() for factory in FIGURE_PLANS.values()]
+
+    def merged(runner):
+        groups, stats = SweepOrchestrator(runner)._merge_plans(plans, None)
+        partition = sorted(sorted(job.key for job in group)
+                           for group in groups.values())
+        return partition, stats.to_dict()
+
+    with _make_runner() as uncached, _make_runner(cache_dir=tmp_path) as cached:
+        partition, stats = merged(uncached)
+        assert merged(cached) == (partition, stats)
+    assert any(len(group) > 1 for group in partition), "no job was shared"
+    assert stats["unique"] == len(partition) < stats["planned"]
+
+
 def test_smt_pair_budgets_merge_to_the_loosest_request(simulation_counter):
     """Each plan is planned at its own pair budget: plans asking for one SMT
     config at budgets 1 and 2 commit the looser request's two pairs, and the

@@ -21,10 +21,12 @@ from pathlib import Path
 
 import pytest
 
+import repro.experiments.cache as cache_module
 from repro.experiments.cache import (
     CACHE_DIR_ENV,
     CACHE_MAX_MB_ENV,
     DEFAULT_CACHE_DIR,
+    SCHEMA_VERSION,
     ReportCache,
     ResultCache,
     config_fingerprint,
@@ -113,19 +115,17 @@ def test_config_field_change_invalidates_key(tmp_path):
     assert base_key not in threads and len(threads) == 3
 
 
-def test_schema_version_invalidates_key_and_entry(tmp_path, simulation_counter):
-    cold = _make_runner(ResultCache(tmp_path, schema_version=1))
-    cold.run_config("baseline", baseline_config())
+def test_schema_version_invalidates_key_and_entry(tmp_path, simulation_counter,
+                                                 monkeypatch):
+    spec = workload_specs_for_suite("Client")[0]
+    with monkeypatch.context() as old_schema:
+        old_schema.setattr(cache_module, "SCHEMA_VERSION", SCHEMA_VERSION - 1)
+        old_key = ResultCache.key_for(baseline_config(), [spec], INSTRUCTIONS, 16)
+        _make_runner(ResultCache(tmp_path)).run_config("baseline", baseline_config())
     sims_after_cold = simulation_counter["count"]
+    assert ResultCache.key_for(baseline_config(), [spec], INSTRUCTIONS, 16) != old_key
 
-    spec = cold.workloads()[next(iter(cold.workloads()))].spec
-    key_v1 = ResultCache(tmp_path, schema_version=1).key_for(
-        baseline_config(), [spec], INSTRUCTIONS, 16)
-    key_v2 = ResultCache(tmp_path, schema_version=2).key_for(
-        baseline_config(), [spec], INSTRUCTIONS, 16)
-    assert key_v1 != key_v2
-
-    bumped = _make_runner(ResultCache(tmp_path, schema_version=2))
+    bumped = _make_runner(ResultCache(tmp_path))
     bumped.run_config("baseline", baseline_config())
     assert simulation_counter["count"] == sims_after_cold + len(bumped.workloads()), \
         "a schema bump must invalidate every prior entry"
@@ -143,7 +143,7 @@ def test_corrupt_entry_is_a_miss_and_gets_rewritten(tmp_path, simulation_counter
     warm = _make_runner(ResultCache(tmp_path))
     warm.run_config("baseline", baseline_config())
     assert simulation_counter["count"] == sims + 1, "only the corrupt entry re-simulates"
-    assert json.loads(entry.read_text(encoding="utf-8"))["schema"] == cache.schema_version
+    assert json.loads(entry.read_text(encoding="utf-8"))["schema"] == SCHEMA_VERSION
 
 
 def test_aliased_warm_hit_carries_the_requested_name(tmp_path, simulation_counter):

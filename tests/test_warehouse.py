@@ -38,6 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.experiments.cache as cache_module
 from repro.cli import main
 from repro.experiments.cache import (SCHEMA_VERSION, ResultCache,
                                      persisted_cache_stats)
@@ -62,7 +63,6 @@ from repro.experiments.warehouse import (
     speedup_summary,
     verify_warehouse,
     warehouse_dir,
-    warehouse_present,
     warehouse_stats,
 )
 from repro.pipeline.cpu import OutOfOrderCore
@@ -86,7 +86,8 @@ def _dump(rows):
 
 def _run_sweep(cache_dir, workers=1, pairs=0):
     """One baseline+constable sweep committed to ``cache_dir``, plus the
-    baseline over the first ``pairs`` SMT2 pairs."""
+    baseline over the first ``pairs`` SMT2 pairs; returns the closed runner,
+    whose committed results stay readable."""
     if workers > 1:
         runner = ParallelExperimentRunner(
             per_suite=1, instructions=INSTRUCTIONS, suites=SUITES,
@@ -100,6 +101,7 @@ def _run_sweep(cache_dir, workers=1, pairs=0):
             runner.run_config(name, factory())
         if pairs:
             runner.run_smt_config("baseline", baseline_config(), max_pairs=pairs)
+    return runner
 
 
 def _synthetic_result(workload="client_00", config="baseline", cycles=100,
@@ -215,7 +217,7 @@ def test_warehouse_bit_identical_to_object_store(tmp_path, workers):
     bit-for-bit — and stays equal after compaction and after a rebuild."""
     _run_sweep(tmp_path, workers=workers, pairs=1)
     reference = _dump(scan_object_store(tmp_path, SCHEMA_VERSION))
-    assert warehouse_present(tmp_path)
+    assert read_rows(tmp_path)
     (pair_row,) = [row for row in read_rows(tmp_path) if row.kind == "smt"]
     assert pair_row.workload == "client_00+server_00"
     assert pair_row.suite == "Client+Server"
@@ -251,7 +253,6 @@ def test_chaos_partial_wave_then_resume_agrees_with_journal(tmp_path,
     }))
     with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
                                   suites=SUITES, max_workers=2, max_retries=0,
-                                  retry_backoff_seconds=0.0,
                                   cache=ResultCache(tmp_path)) as runner:
         with pytest.raises(SweepExecutionError):
             runner.run_config("baseline", baseline_config())
@@ -283,19 +284,19 @@ def test_query_aggregates_bit_identical_to_object_store_path(tmp_path):
     segments or from full object-store decodes."""
     _run_sweep(tmp_path, workers=2)
     compact_warehouse(tmp_path)
-    tabular = read_rows(tmp_path)
+    from_table = read_rows(tmp_path)
     decoded = scan_object_store(tmp_path, SCHEMA_VERSION)
     for metric, agg, group in (("ipc", "geomean", "config"),
                                ("ipc", "median", "suite"),
                                ("coverage", "geomean", "config"),
                                ("power", "median", None),
                                ("cycles", "sum", "workload")):
-        left = json.dumps(aggregate_rows(tabular, metric, agg=agg,
+        left = json.dumps(aggregate_rows(from_table, metric, agg=agg,
                                          group_by=group), sort_keys=True)
         right = json.dumps(aggregate_rows(decoded, metric, agg=agg,
                                           group_by=group), sort_keys=True)
         assert left == right, (metric, agg, group)
-    assert (json.dumps(speedup_summary(tabular, group_by="suite"),
+    assert (json.dumps(speedup_summary(from_table, group_by="suite"),
                        sort_keys=True)
             == json.dumps(speedup_summary(decoded, group_by="suite"),
                           sort_keys=True))
@@ -323,22 +324,65 @@ def test_query_reads_zero_object_store_decodes(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().out
 
 
-def test_query_falls_back_to_object_store_without_warehouse(tmp_path,
-                                                            capsys):
-    """A pre-warehouse cache (no rows table) still answers queries via the
-    object-store fallback, and ``rebuild`` then migrates it losslessly."""
+def test_rebuild_restores_a_deleted_rows_table(tmp_path, capsys):
+    """Rows lost behind the cache's back are reported, never served from a
+    second reader: ``warehouse verify`` names every journaled entry left
+    without a row, and ``rebuild`` restores them losslessly."""
     _run_sweep(tmp_path)
+    assert main(["query", "--cache-dir", str(tmp_path), "--json"]) == 0
+    before = capsys.readouterr().out
     for path in warehouse_dir(tmp_path).glob(f"*{ROWS_TABLE.log_suffix}"):
         path.unlink()
-    assert not warehouse_present(tmp_path)
-    assert main(["query", "--cache-dir", str(tmp_path), "--json"]) == 0
-    fallback = capsys.readouterr().out
+    assert read_rows(tmp_path) == []
+    assert main(["warehouse", "verify", "--cache-dir", str(tmp_path)]) == 1
+    named = {line.split()[-1] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  missing: ")}
+    assert named == {path.stem for path in tmp_path.glob("*/*.json")}
+    assert len(named) == 4
 
     rows, replaced = rebuild_warehouse(tmp_path, SCHEMA_VERSION)
     assert rows == 4 and replaced == 0
-    assert warehouse_present(tmp_path)
     assert main(["query", "--cache-dir", str(tmp_path), "--json"]) == 0
-    assert capsys.readouterr().out == fallback
+    assert capsys.readouterr().out == before
+
+
+def test_queries_ignore_rows_of_another_schema(tmp_path, monkeypatch, capsys):
+    """Rows a sweep wrote before a ``SCHEMA_VERSION`` bump stay in the table
+    but out of every count: the query overview, ``cache stats`` and
+    ``warehouse verify`` see the current schema's rows alone, so no
+    aggregate mixes two timing models."""
+    with monkeypatch.context() as old_schema:
+        old_schema.setattr(cache_module, "SCHEMA_VERSION", SCHEMA_VERSION - 1)
+        _run_sweep(tmp_path)
+    _run_sweep(tmp_path)
+    assert len(read_rows(tmp_path)) == 8
+
+    assert main(["query", "--cache-dir", str(tmp_path), "--json"]) == 0
+    overview = json.loads(capsys.readouterr().out)
+    assert {config: block["rows"] for config, block in overview.items()} == {
+        "baseline": 2, "constable": 2}
+    assert main(["cache", "stats", "--json",
+                 "--cache-dir", str(tmp_path)]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["warehouse"]["rows"] == stats["by_kind"]["result"] == 4
+    assert len(stats["stale_schema"]) == 4
+    assert main(["warehouse", "verify", "--strict",
+                 "--cache-dir", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("group_by", ["workload", "kind", "config"])
+def test_speedup_over_groups_by_any_label_column(tmp_path, capsys, group_by):
+    """``--speedup-over`` adds one geomean per value of the ``--group-by``
+    column, whichever label column it names, beside ``GEOMEAN``."""
+    runner = _run_sweep(tmp_path)
+    assert main(["query", "--cache-dir", str(tmp_path), "--json",
+                 "--speedup-over", "baseline", "--group-by", group_by]) == 0
+    block = json.loads(capsys.readouterr().out)["constable"]
+    overall = block.pop("GEOMEAN")
+    expected = {"workload": runner.speedups("constable"),
+                "kind": {"result": overall},
+                "config": {"constable": overall}}[group_by]
+    assert block == pytest.approx(expected, rel=1e-12)
 
 
 # ----------------------------------------------------------- crash-safety
@@ -475,9 +519,8 @@ def test_stale_compaction_lock_does_not_wedge(tmp_path, case):
 def test_cache_clear_removes_warehouse(tmp_path):
     cache = ResultCache(tmp_path)
     cache.put(_synthetic_key("gone"), _synthetic_result())
-    assert warehouse_present(tmp_path)
+    assert read_rows(tmp_path)
     assert cache.clear() >= 2  # the entry and its warehouse row file
-    assert not warehouse_present(tmp_path)
     assert read_rows(tmp_path) == []
 
 
@@ -523,7 +566,6 @@ def test_cache_stats_reports_warehouse(tmp_path, capsys):
     assert main(["cache", "stats", "--json",
                  "--cache-dir", str(tmp_path)]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["warehouse"]["present"] is True
     assert payload["warehouse"]["rows"] == 4
     assert payload["warehouse"]["by_kind"] == {"result": 4}
     # entries (envelope scan) and rows (columnar scan) agree.
@@ -532,11 +574,11 @@ def test_cache_stats_reports_warehouse(tmp_path, capsys):
 
 def test_cache_gc_compacts_warehouse(tmp_path, capsys):
     _run_sweep(tmp_path)
-    assert warehouse_stats(tmp_path)["row_files"] >= 1
+    assert warehouse_stats(tmp_path, SCHEMA_VERSION)["row_files"] >= 1
     assert main(["cache", "gc", "--max-mb", "64",
                  "--cache-dir", str(tmp_path)]) == 0
     capsys.readouterr()
-    summary = warehouse_stats(tmp_path)
+    summary = warehouse_stats(tmp_path, SCHEMA_VERSION)
     assert summary["row_files"] == 0
     assert summary["segments"] == 1
     assert summary["rows"] == 4
@@ -564,19 +606,20 @@ def test_query_overview_averages_coverage(tmp_path, capsys):
     assert "mean coverage" in capsys.readouterr().out
 
 
-def test_figures_warehouse_harness(tmp_path, monkeypatch, capsys):
-    from repro.experiments.figures import warehouse_speedup_summary
-    _run_sweep(tmp_path)
+def test_figures_warehouse_harness(tmp_path, capsys):
+    """The cross-sweep speedup table by suite, the one ``repro figures
+    warehouse`` used to print, is ``repro query``'s over compacted rows,
+    and it agrees with the runner that swept them."""
+    runner = _run_sweep(tmp_path)
     compact_warehouse(tmp_path)
-    result = warehouse_speedup_summary(cache_dir=str(tmp_path))
-    assert result["tabular"] is True
-    assert result["rows"] == 4
-    assert "constable" in result["speedups"]
-    assert "GEOMEAN" in result["speedups"]["constable"]
-    assert "warehouse" in result["text"]
-    # Addressable through the CLI figure registry too.
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    assert main(["figures", "warehouse", "--cache-dir", str(tmp_path),
-                 "--per-suite", "1", "--instructions",
-                 str(INSTRUCTIONS)]) == 0
-    assert "cross-sweep speedups" in capsys.readouterr().out
+    argv = ["query", "--cache-dir", str(tmp_path), "--speedup-over",
+            "baseline", "--group-by", "suite"]
+    assert main(argv + ["--json"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary == json.loads(json.dumps(
+        speedup_summary(read_rows(tmp_path), group_by="suite")))
+    assert summary["constable"] == pytest.approx(
+        runner.speedups_by_suite("constable"), rel=1e-12)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "speedup over baseline" in out and "constable" in out
