@@ -6,19 +6,19 @@ Subcommands:
   directory: entry counts and bytes by kind, LRU eviction to a cap, full
   clears, and integrity verification (corrupt/stale/orphan detection against
   the current ``SCHEMA_VERSION``; non-zero exit when anything is wrong).
-  ``stats`` and ``gc`` also report/compact the tables under
-  ``<dir>/.warehouse/``: the columnar results rows and the counters.
-* ``repro query`` — aggregate cached results from the columnar warehouse's
+  ``stats`` also reports the append-only tables under
+  ``<dir>/.warehouse/``: the results rows and the counters.
+* ``repro query`` — aggregate cached results from the warehouse's
   rows table (zero object-store decodes; rows of the current
   ``SCHEMA_VERSION`` only): filter by kind/suite/config/workload,
   ``--metric``/``--agg``/``--group-by`` for geomean/median-style rollups,
   ``--speedup-over baseline`` for cross-sweep speedup tables, ``--json``
   for the machine-readable form.
-* ``repro warehouse rebuild|compact|verify`` — regenerate the rows table from
-  the object store (the repair for lost or deleted rows), fold every
-  table's append-only logs into one segment per table, and check that the
-  rows agree with the cache journal (exit 1 when any journaled entry lacks
-  a row; ``--strict`` also fails on rows whose entries were evicted).
+* ``repro warehouse rebuild|verify`` — append the row of every journaled
+  entry that has none, re-derived from the object store (the repair for
+  lost or deleted rows), and check that the rows agree with the cache
+  journal (exit 1 when any journaled entry lacks a row; ``--strict`` also
+  fails on rows whose entries were evicted).
 * ``repro figures <name ...|all>`` — regenerate paper figure harnesses from
   ``repro.experiments.figures``, running every requested figure's plan as one
   deduplicated wave first (plan → execute → commit); warm from a filled
@@ -87,7 +87,6 @@ from repro.experiments.warehouse import (
     QUERY_AGGREGATES,
     QUERY_METRICS,
     aggregate_rows,
-    compact_warehouse,
     filter_rows,
     load_rows,
     rebuild_warehouse,
@@ -265,10 +264,10 @@ def _print_failure_summary(error: SweepExecutionError) -> None:
 
 
 def _print_warehouse_summary(summary: Dict[str, object]) -> None:
-    """One ``cache stats`` block describing the columnar warehouse."""
+    """One ``cache stats`` block describing the warehouse's rows table."""
     print(f"warehouse       : {summary['rows']} rows in "
-          f"{summary['segments']} segment(s) + {summary['row_files']} row "
-          f"file(s) ({_human_bytes(summary['total_bytes'])})")
+          f"{summary['row_files']} row file(s) "
+          f"({_human_bytes(summary['total_bytes'])})")
     for kind in sorted(summary["by_kind"]):
         print(f"  {kind:<14}: {summary['by_kind'][kind]} rows")
 
@@ -280,7 +279,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         # directories; `cache verify` is the full-decode integrity pass.
         report = cache.verify(decode_bodies=False)
         counters = persisted_cache_stats(cache.directory)
-        # Warehouse summary reads columnar files only — never entry bodies —
+        # Warehouse summary reads the rows table only — never entry bodies —
         # so stats stays cheap however large the object store is.
         wh_summary = warehouse_stats(cache.directory, SCHEMA_VERSION)
         if args.json:
@@ -305,10 +304,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             return 2
         removed = cache.gc(max_mb=max_mb)
         # Flush the evictions to the counters table so `cache stats` on any
-        # host counts manual GC passes, not just runner auto-GC ones — then
-        # fold every table's per-process logs so their count stays bounded.
+        # host counts manual GC passes, not just runner auto-GC ones.
         cache.persist_stats()
-        compact_warehouse(cache.directory)
         print(f"evicted {len(removed)} entries; "
               f"{len(cache)} remain ({_human_bytes(cache.total_bytes())})")
         return 0
@@ -336,7 +333,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
     """Aggregate cached results from the warehouse (``repro query``)."""
     rows = _query_rows(args)
     if args.speedup_over is not None:
-        summary = speedup_summary(rows, baseline=args.speedup_over,
+        # Without --kind, single-thread rows alone: SMT2 pair speedups never
+        # share a geomean with single-thread ones.
+        summary = speedup_summary(filter_rows(rows, kind=args.kind or "result"),
+                                  baseline=args.speedup_over,
                                   group_by=args.group_by)
         if args.json:
             print(json.dumps(summary, indent=2, sort_keys=True))
@@ -400,22 +400,15 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_warehouse(args: argparse.Namespace) -> int:
-    """Maintain the columnar warehouse: rebuild, compact, verify."""
+    """Maintain the warehouse's rows table: rebuild, verify."""
     directory = resolve_cache_dir(args.cache_dir)
     if args.warehouse_command == "rebuild":
         try:
-            rows, replaced = rebuild_warehouse(directory, SCHEMA_VERSION)
+            appended = rebuild_warehouse(directory, SCHEMA_VERSION)
         except OSError as error:
             print(f"rebuild failed: {error}", file=sys.stderr)
             return 1
-        print(f"rebuilt warehouse: {rows} rows "
-              f"(replaced {replaced} warehouse file(s))")
-        return 0
-    if args.warehouse_command == "compact":
-        removed = compact_warehouse(directory)
-        summary = warehouse_stats(directory, SCHEMA_VERSION)
-        print(f"compacted: folded {removed} file(s); {summary['rows']} rows "
-              f"in {summary['segments']} segment(s)")
+        print(f"rebuilt warehouse: appended {appended} missing row(s)")
         return 0
     if args.warehouse_command == "verify":
         report = verify_warehouse(directory, SCHEMA_VERSION)
@@ -567,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--json", action="store_true", help="machine-readable output")
 
     query = commands.add_parser(
-        "query", help="aggregate cached results from the columnar warehouse")
+        "query", help="aggregate cached results from the warehouse rows")
     _add_cache_dir_argument(query)
     query.add_argument("--kind", choices=["result", "smt"], default=None,
                        help="restrict to single-thread or SMT rows")
@@ -589,23 +582,20 @@ def build_parser() -> argparse.ArgumentParser:
                                           "--speedup-over table) by this column")
     query.add_argument("--speedup-over", default=None, metavar="BASELINE",
                        help="per-config geomean speedup table against this "
-                            "baseline config (joined per workload+budget)")
+                            "baseline config (joined per kind+workload+"
+                            "budget; single-thread rows unless --kind)")
     query.add_argument("--json", action="store_true",
                        help="machine-readable output")
 
     warehouse = commands.add_parser(
-        "warehouse", help="maintain the columnar results warehouse "
+        "warehouse", help="maintain the results rows table "
                           "(<cache-dir>/.warehouse/)")
     warehouse_commands = warehouse.add_subparsers(dest="warehouse_command",
                                                   required=True)
     rebuild = warehouse_commands.add_parser(
-        "rebuild", help="regenerate every warehouse row from the object store "
-                        "(repair)")
+        "rebuild", help="append the row of every journaled entry that has "
+                        "none, from the object store (repair)")
     _add_cache_dir_argument(rebuild)
-    compact = warehouse_commands.add_parser(
-        "compact", help="fold every table's append-only logs into one "
-                        "segment per table")
-    _add_cache_dir_argument(compact)
     wverify = warehouse_commands.add_parser(
         "verify", help="check warehouse/journal agreement (exit 1 when a "
                        "journaled entry has no warehouse row)")

@@ -90,8 +90,8 @@ _HEALTH_COUNTERS = ("runs", "jobs", "attempts", "retries", "timeouts",
                     "pool_rebuilds", "degraded", "dead_lettered")
 
 #: The counters of an orchestrated wave's dedup block.  ``waves`` counts the
-#: wave records (1 per flush, summed by compaction), so rates stay
-#: computable after any number of compaction passes.
+#: wave records (1 per flush), so summed blocks still say how many waves
+#: they cover.
 _DEDUP_COUNTERS = ("waves", "planned", "unique", "cache_warm", "executed")
 
 #: Per-class runtime fields excluded from fingerprints: they accumulate while
@@ -613,7 +613,7 @@ class ResultCache(JsonDiskCache):
     """Content-addressed store of :class:`SimulationResult` records.
 
     Every successful :meth:`put` also appends one flat analytics row to the
-    columnar warehouse under ``.warehouse/`` (see
+    warehouse's rows table under ``.warehouse/`` (see
     :mod:`repro.experiments.warehouse`).  Because all cache writes are
     parent-side — the serial runner's commit loop, the parallel runner's
     result drain, orchestrated wave commits, partial-wave journals and the

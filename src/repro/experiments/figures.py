@@ -19,6 +19,7 @@ which qualitative property is expected to hold.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats_utils import box_whisker_summary, filtered_geomean
@@ -770,17 +771,14 @@ def table1_storage_overhead() -> Dict[str, object]:
                                  title="Table 1: Constable storage overhead")}
 
 
-def table3_energy_estimates(use_calibrated: bool = True) -> Dict[str, object]:
+def table3_energy_estimates() -> Dict[str, object]:
     """Table 3: access energy, leakage and area of Constable's structures."""
-    estimates = constable_structure_estimates(use_calibrated=use_calibrated)
+    estimates = constable_structure_estimates()
     rows = [(est.name, f"{est.size_kb:.1f} KB", f"{est.read_energy_pj:.2f}",
              f"{est.write_energy_pj:.2f}", f"{est.leakage_mw:.2f}", f"{est.area_mm2:.3f}")
             for est in estimates.values()]
-    return {"estimates": {key: vars(est) if not hasattr(est, "__dict__") else {
-                field: getattr(est, field) for field in
-                ("name", "size_kb", "read_ports", "write_ports", "read_energy_pj",
-                 "write_energy_pj", "leakage_mw", "area_mm2")}
-            for key, est in estimates.items()},
+    return {"estimates": {key: dataclasses.asdict(est)
+                          for key, est in estimates.items()},
             "text": format_table(
                 ["structure", "size", "read pJ", "write pJ", "leakage mW", "area mm2"], rows,
                 title="Table 3: Constable structure energy/area estimates")}

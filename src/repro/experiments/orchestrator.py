@@ -213,7 +213,7 @@ class SweepOrchestrator:
         disk must never mask the execution error being propagated.  The
         in-memory stores are deliberately untouched: partial results are a
         *journal* for resume, not a committed sweep.  The puts below also
-        append each journaled entry's columnar warehouse
+        append each journaled entry's warehouse
         row (inside ``cache.put``), so after a chaos-faulted wave
         the warehouse lists exactly the journaled jobs — which is what lets
         ``repro warehouse verify`` assert journal agreement before and after
@@ -289,7 +289,7 @@ class SweepOrchestrator:
         # Commit every alias only after the whole wave succeeded — and before
         # the disk-store writes, so a cache I/O failure (disk full,
         # permissions) cannot discard the finished wave.  The disk puts also
-        # append each entry's columnar warehouse row, which keeps the
+        # append each entry's warehouse row, which keeps the
         # warehouse in lockstep with the journal.
         for cache_key, group in groups.items():
             for job in group:

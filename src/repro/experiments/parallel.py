@@ -241,7 +241,7 @@ class ParallelExperimentRunner(ExperimentRunner):
     the CLI, examples).  In particular every cache write stays
     parent-side: workers return results over the pool and the wave's commit
     calls ``cache.put`` here, which is also what
-    appends each entry's columnar warehouse row — N workers never contend on
+    appends each entry's warehouse row — N workers never contend on
     the warehouse, and its rows stay in lockstep with the resume journal.
 
     ``max_retries`` bounds how many times a failed job is resubmitted to the

@@ -1,4 +1,4 @@
-"""The crash-safe tables under a cache directory: results rows and counters.
+"""The append-only tables under a cache directory: results rows and counters.
 
 The object store under a cache directory holds one JSON blob per simulation
 (:mod:`repro.experiments.cache`), which is the right shape for *replaying* a
@@ -22,22 +22,18 @@ keeps append-only tables next to the object store, under
 Both tables share one protocol:
 
 * **Append.**  :class:`WarehouseWriter` appends one JSON line per record to
-  a per-process log.  I/O failures are absorbed: both tables are
-  observability, never a correctness requirement.
-* **Read.**  :func:`read_table` returns a table's live records from its logs
-  and segments, excluding leftovers a crashed compactor had already folded.
-* **Compact.**  :func:`compact_warehouse` folds each table's files into one
-  segment: an ``O_EXCL`` lock serialises compactors, every log is
-  ``flock``-ed for the fold, the segment lists the sources it ``folded`` so
-  readers exclude leftover originals, and a failed write rolls back to the
-  originals.  The rows fold is :func:`canonical_rows`; the counters fold
-  sums each counter per source class.
-* **Rebuild.**  :func:`rebuild_warehouse` is the same locked fold of the rows
-  table, with a fold that re-derives every row from the object store
-  (``repro warehouse rebuild``), which repairs rows lost or deleted.
-  Row derivation is a pure function of ``(key, entry payload)`` — identical
-  on the write path and the rebuild path — which is what the differential
-  suite in ``tests/test_warehouse.py`` proves bit-for-bit.
+  a per-process log that no other writer touches.  I/O failures are
+  absorbed: both tables are observability, never a correctness
+  requirement.
+* **Read.**  :func:`read_table` parses every log of a table, skipping torn
+  or malformed lines and unreadable files.
+* **Rebuild.**  :func:`rebuild_warehouse` appends a row for each journaled
+  entry that has none (``repro warehouse rebuild``), which repairs rows
+  lost or deleted.  Nothing is rewritten or removed, so no writer ever
+  waits on another.  Row derivation is a pure function of ``(key, entry
+  payload)`` — identical on the write path and the rebuild path — which is
+  what the differential suite in ``tests/test_warehouse.py`` proves
+  bit-for-bit.
 
 :func:`load_rows` serves ``repro query`` and ``repro cache stats`` from the
 rows table alone (zero object-store decodes), counting only the rows of the
@@ -53,17 +49,13 @@ RL003 pins :meth:`WarehouseRow.to_dict`'s key set against it.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import fcntl
 import json
 import os
-import tempfile
-import time
 import uuid
 from pathlib import Path
-from typing import (IO, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Set, Tuple, Union)
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.analysis.stats_utils import filtered_geomean, median
 from repro.pipeline.stats import SimulationResult
@@ -73,12 +65,9 @@ from repro.workloads.suites import get_workload_spec
 #: Subdirectory of a cache directory holding every table's files.
 WAREHOUSE_SUBDIR = ".warehouse"
 
-#: Version of the warehouse row/segment layout; bump on any row-shape change
+#: Version of the warehouse row layout; bump on any row-shape change
 #: (RL003 gates :meth:`WarehouseRow.to_dict` drift on this constant).
 WAREHOUSE_SCHEMA_VERSION = 1
-
-#: A compaction lock older than this is from a dead compactor and may be broken.
-_COMPACT_LOCK_STALE_SECONDS = 3600.0
 
 #: The coercion of each declared column type (the annotations are strings).
 _COLUMN_TYPES = {"str": str, "int": int, "float": float}
@@ -110,7 +99,7 @@ class WarehouseRow:
     schema: int
 
     def to_dict(self) -> Dict[str, object]:
-        """The row as a plain dictionary (JSONL/columnar form)."""
+        """The row as a plain dictionary (the JSON object of its log line)."""
         return dataclasses.asdict(self)
 
     @classmethod
@@ -183,50 +172,14 @@ def canonical_rows(rows: Sequence[WarehouseRow]) -> List[WarehouseRow]:
     Entries are content-addressed, so two rows sharing a key are identical;
     the first occurrence wins.  The order — ``(kind, config, workload, key)``
     — is a pure function of row content, so the same logical warehouse always
-    reads back identically whatever mixture of row files and segments holds
-    it (the bit-identity anchor of the differential suite).
+    reads back identically however its rows are spread over logs (the
+    bit-identity anchor of the differential suite).
     """
     seen: Dict[str, WarehouseRow] = {}
     for row in rows:
         seen.setdefault(row.key, row)
     return sorted(seen.values(),
                   key=lambda r: (r.kind, r.config, r.workload, r.key))
-
-
-# ------------------------------------------------------------- columnar codec
-
-
-def encode_rows(rows: Sequence[WarehouseRow]) -> Dict[str, object]:
-    """Encode rows into the columnar (struct-of-arrays) segment payload."""
-    dicts = [row.to_dict() for row in rows]
-    return {
-        "warehouse_schema": WAREHOUSE_SCHEMA_VERSION,
-        "rows": len(dicts),
-        "columns": {name: [entry[name] for entry in dicts]
-                    for name in ROW_COLUMNS},
-    }
-
-
-def decode_rows(payload: Dict[str, object]) -> List[WarehouseRow]:
-    """Decode one columnar segment payload back into rows.
-
-    Raises ``ValueError`` on a schema mismatch or ragged/missing columns, so
-    callers treat a malformed segment as absent rather than half-reading it.
-    """
-    if payload.get("warehouse_schema") != WAREHOUSE_SCHEMA_VERSION:
-        raise ValueError("warehouse schema mismatch")
-    columns = payload.get("columns")
-    if not isinstance(columns, dict):
-        raise ValueError("segment carries no columns")
-    count = int(payload.get("rows", -1))
-    series: List[List[object]] = []
-    for name in ROW_COLUMNS:
-        column = columns.get(name)
-        if not isinstance(column, list) or len(column) != count:
-            raise ValueError(f"column {name!r} missing or ragged")
-        series.append(column)
-    return [WarehouseRow.from_dict(dict(zip(ROW_COLUMNS, values)))
-            for values in zip(*series)] if count else []
 
 
 # -------------------------------------------------------------------- tables
@@ -247,69 +200,30 @@ def _counter_record(data: Dict[str, object]) -> Dict[str, object]:
     return record
 
 
-def _sum_counters(records: Sequence[Dict[str, object]]
-                  ) -> List[Dict[str, object]]:
-    """The counters fold: one record per source class, every counter summed.
-
-    Counters are plain sums, so the folded records aggregate exactly like
-    their originals; classes come back sorted, so folding is idempotent.
-    """
-    folded: Dict[str, Dict[str, object]] = {}
-    for record in records:
-        target = folded.setdefault(record["cache"], {"cache": record["cache"]})
-        for block, counters in record.items():
-            if block == "cache":
-                continue
-            bucket = target.setdefault(block, {})
-            for name, value in counters.items():
-                bucket[name] = bucket.get(name, 0) + value
-    return [folded[name] for name in sorted(folded)]
-
-
 @dataclasses.dataclass(frozen=True)
 class Table:
     """One append-only table under ``<cache-dir>/.warehouse/``.
 
-    Every table shares one crash-safe protocol: :class:`WarehouseWriter`
-    appends, :func:`read_table` reads and :func:`compact_warehouse` folds.  A
-    table only declares its file suffixes, its codecs and its fold.  Live
-    records go to ``*<log_suffix>`` JSONL logs, one record per line, and
-    compaction writes ``*<segment_suffix>`` segments; no table's suffix
-    matches another table's globs.
+    Every table shares one protocol: :class:`WarehouseWriter` appends and
+    :func:`read_table` reads.  A table only declares its log suffix and its
+    codec.  Records go to ``*<log_suffix>`` JSONL logs, one record per line;
+    no table's suffix matches another table's glob.
     """
 
     log_suffix: str
-    segment_suffix: str
     #: One record as the JSON object of its log line, and back (raising on
     #: a malformed line, which readers then skip).
     to_json: Callable[[object], Dict[str, object]]
     from_json: Callable[[Dict[str, object]], object]
-    #: Records as a segment payload, and back (raising on a malformed
-    #: segment, which readers then skip whole).
-    encode: Callable[[Sequence[object]], Dict[str, object]]
-    decode: Callable[[Dict[str, object]], List[object]]
-    #: What compaction writes for the live records.
-    fold: Callable[[Sequence[object]], List[object]]
 
 
-#: One :class:`WarehouseRow` per cached result, in columnar segments.
-ROWS_TABLE = Table(log_suffix=".rows.jsonl", segment_suffix=".whseg",
-                   to_json=WarehouseRow.to_dict,
-                   from_json=WarehouseRow.from_dict,
-                   encode=encode_rows, decode=decode_rows,
-                   fold=canonical_rows)
+#: One :class:`WarehouseRow` per cached result.
+ROWS_TABLE = Table(log_suffix=".rows.jsonl", to_json=WarehouseRow.to_dict,
+                   from_json=WarehouseRow.from_dict)
 
-#: Counter records (see :func:`_counter_record`), folded per source class.
-COUNTERS_TABLE = Table(
-    log_suffix=".counters.jsonl", segment_suffix=".counters.seg",
-    to_json=dict, from_json=_counter_record,
-    encode=lambda records: {"records": list(records)},
-    decode=lambda payload: [_counter_record(data)
-                            for data in payload["records"]],
-    fold=_sum_counters)
-
-#: Every table under a cache directory, in the order compaction folds them.
-TABLES = (ROWS_TABLE, COUNTERS_TABLE)
+#: Counter records (see :func:`_counter_record`), which their readers sum.
+COUNTERS_TABLE = Table(log_suffix=".counters.jsonl", to_json=dict,
+                       from_json=_counter_record)
 
 
 # ---------------------------------------------------------------- write path
@@ -327,17 +241,12 @@ class WarehouseWriter:
     keeps one for its rows and every cache one for its counter flushes.  The
     file name embeds the pid and a fresh UUID, so any number of concurrent
     processes (the N hosts of a sharded sweep) append without contention.
-    Each append is a single ``O_APPEND``-mode line write, so a crash can tear
-    at most the final line — which the readers skip — and every line before
-    it stays intact.  Append I/O failures are absorbed: both tables are
+    No other writer writes, renames or deletes the log; if ``repro cache
+    clear`` deletes it, the next append recreates it.  Each append is a
+    single ``O_APPEND``-mode line write, so a crash can tear at most the
+    final line — which the readers skip — and every line before it stays
+    intact.  Append I/O failures are absorbed: both tables are
     observability, never a correctness requirement.
-
-    Appends and compaction coordinate through an advisory ``flock`` per log:
-    the compactor locks every log before its final read and unlink, and an
-    appender that acquires the lock only to find its file already folded
-    (the path no longer names its inode) rotates to a fresh file and retries
-    — so a record can never land in the window between a compactor's read
-    and its unlink and silently vanish.
     """
 
     def __init__(self, directory: Union[str, Path],
@@ -350,146 +259,47 @@ class WarehouseWriter:
         """Append one record; returns its log file, or None on I/O failure."""
         line = (json.dumps(self.table.to_json(record), sort_keys=True)
                 .encode("utf-8") + b"\n")
+        if self._path is None:
+            self._path = self.directory / (
+                f"{os.getpid()}-{uuid.uuid4().hex}{self.table.log_suffix}")
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            # Bounded retry: each miss means a compactor folded our file
-            # around this append, and the next round rotates to a fresh name.
-            # A folded *name* is never reused (O_EXCL on a new UUID, never
-            # O_CREAT on the old path): segments list folded names to hide
-            # leftover sources, so recreating one would hide live records.
-            for _ in range(4):
-                if self._path is None:
-                    self._path = self.directory / (
-                        f"{os.getpid()}-{uuid.uuid4().hex}"
-                        f"{self.table.log_suffix}")
-                    fd = os.open(self._path,
-                                 os.O_WRONLY | os.O_APPEND | os.O_CREAT
-                                 | os.O_EXCL)
-                else:
-                    try:
-                        fd = os.open(self._path, os.O_WRONLY | os.O_APPEND)
-                    except FileNotFoundError:
-                        # A compactor folded and unlinked our file.
-                        self._path = None
-                        continue
-                try:
-                    fcntl.flock(fd, fcntl.LOCK_EX)
-                    if os.fstat(fd).st_nlink == 0:
-                        # Unlinked between our open and our lock: this inode
-                        # was already folded; the record must go elsewhere.
-                        self._path = None
-                        continue
-                    os.write(fd, line)
-                    return self._path
-                finally:
-                    os.close(fd)
-            return None
+            fd = os.open(self._path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, line)
+            finally:
+                os.close(fd)
         except OSError:
             return None
-
-
-def _write_segment(directory: Path, payload: Dict[str, object],
-                   name: str) -> None:
-    """Atomically write one segment file (temp file + rename).
-
-    The temp prefix starts with a dot, so a compactor that dies mid-write
-    leaves an orphan the ``repro cache verify`` scan surfaces (and
-    ``--purge`` cleans).  Raises ``OSError`` once the temp file is removed.
-    """
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=directory,
-        prefix=".wh.", suffix=".tmp", delete=False)
-    try:
-        with handle:
-            json.dump(payload, handle)
-        os.replace(handle.name, directory / name)
-    except BaseException:
-        try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
-        raise
+        return self._path
 
 
 # ----------------------------------------------------------------- read path
 
 
-def _parse_log(text: str, table: Table) -> List[object]:
-    """Records of one JSONL log; torn or malformed lines are skipped."""
+def read_table(directory: Union[str, Path], table: Table) -> List[object]:
+    """Every record of ``table``, in file order.
+
+    Reads only the table's logs — never an object-store entry.  Torn or
+    malformed lines are skipped, and so are unreadable files: one bad writer
+    must never poison analytics for every host sharing the directory.
+    """
     records: List[object] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
+    for path in sorted(warehouse_dir(directory).glob(f"*{table.log_suffix}")):
         try:
-            records.append(table.from_json(json.loads(line)))
-        except (ValueError, KeyError, TypeError, AttributeError):
+            text = path.read_text(encoding="utf-8")
+        except (OSError, ValueError):
             continue
+        for line in text.splitlines():
+            try:
+                records.append(table.from_json(json.loads(line)))
+            except (ValueError, KeyError, TypeError, AttributeError):
+                continue
     return records
 
 
-def _sources(base: Path, table: Table,
-             locked: Optional[List[IO[str]]] = None
-             ) -> Tuple[List[Tuple[Path, List[object]]], List[Path]]:
-    """Every parseable file of ``table`` as ``(live sources, leftovers)``.
-
-    A segment lists the files it ``folded``; any of those still on disk (a
-    compactor died between writing its segment and unlinking the sources)
-    is excluded from the live set and returned separately, so the crash
-    window can never double-count.  Unreadable files are skipped: one bad
-    writer must never poison analytics for every host sharing the directory.
-    With ``locked``, each log is ``flock``-ed before its read and its open
-    handle appended to ``locked``, for a compactor to hold until its fold
-    commits.
-    """
-    parsed: List[Tuple[Path, List[object]]] = []
-    superseded: Set[str] = set()
-    # Segments are immutable once renamed into place: read them plainly.
-    for path in sorted(base.glob(f"*{table.segment_suffix}")):
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            records = table.decode(payload)
-            folded = [str(name) for name in payload.get("folded", [])]
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
-            continue
-        superseded.update(folded)
-        parsed.append((path, records))
-    for path in sorted(base.glob(f"*{table.log_suffix}")):
-        try:
-            handle = path.open("r", encoding="utf-8")
-        except OSError:
-            continue
-        try:
-            if locked is not None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            records = _parse_log(handle.read(), table)
-        except (OSError, ValueError):
-            handle.close()
-            continue
-        if locked is None:
-            handle.close()
-        else:
-            locked.append(handle)
-        parsed.append((path, records))
-    stale = [path for path, _ in parsed if path.name in superseded]
-    live = [(path, records) for path, records in parsed
-            if path.name not in superseded]
-    return live, stale
-
-
-def read_table(directory: Union[str, Path], table: Table) -> List[object]:
-    """Every live record of ``table``, in file order.
-
-    Reads only the table's files — never an object-store entry — and
-    excludes leftovers a crashed compactor had already folded.
-    """
-    live, _ = _sources(warehouse_dir(directory), table)
-    return [record for _, records in live for record in records]
-
-
 def read_rows(directory: Union[str, Path]) -> List[WarehouseRow]:
-    """Every live warehouse row, deduplicated and in canonical order.
+    """Every warehouse row, deduplicated and in canonical order.
 
     Reads only warehouse files — never an object-store entry — so this is
     the zero-decode path the acceptance criterion instruments.
@@ -528,7 +338,7 @@ def scan_object_store(directory: Union[str, Path],
                       schema_version: int) -> List[WarehouseRow]:
     """Derive every row straight from the object store (full JSON decodes).
 
-    The slow path, and the fold of ``repro warehouse rebuild``.  Undecodable
+    The slow path, and the source of ``repro warehouse rebuild``.  Undecodable
     payloads are skipped along with the entries :func:`_journal_entries`
     skips, matching what the write path would have appended.
     """
@@ -543,148 +353,41 @@ def scan_object_store(directory: Union[str, Path],
     return canonical_rows(rows)
 
 
-# ------------------------------------------------------- compaction / rebuild
+# ------------------------------------------------------------ rebuild / clear
 
 
-@contextlib.contextmanager
-def _compaction_lock(base: Path) -> Iterator[bool]:
-    """Hold the directory's ``O_EXCL`` compaction lock for the ``with`` body.
+def rebuild_warehouse(directory: Union[str, Path], schema_version: int) -> int:
+    """Append a row for each journaled entry of ``schema_version`` that has
+    none (``repro warehouse rebuild``); returns the number appended.
 
-    Yields False, without waiting, when another compactor holds the lock.
-    A lock older than :data:`_COMPACT_LOCK_STALE_SECONDS` is from a dead
-    compactor: it is broken — after a re-stat, so a lock refreshed since is
-    left alone — and the *next* caller takes it.
+    The rows come from :func:`scan_object_store`, and all of them go to one
+    new log.  Nothing is rewritten or removed, so a put that lands while a
+    rebuild runs keeps its row; if both append the same row,
+    :func:`canonical_rows` reads it once.  Raises ``OSError`` when an append
+    fails: unlike a put, an explicitly requested rebuild must fail loudly.
     """
-    lock = base / ".compact.lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        try:
-            if time.time() - lock.stat().st_mtime > _COMPACT_LOCK_STALE_SECONDS:
-                lock.unlink()
-        except OSError:
-            pass
-        fd = None
-    except OSError:
-        fd = None
-    if fd is None:
-        yield False
-        return
-    try:
-        yield True
-    finally:
-        os.close(fd)
-        try:
-            lock.unlink()
-        except OSError:
-            pass
-
-
-def _fold_table(base: Path, table: Table,
-                fold: Callable[[Sequence[object]], List[object]],
-                force: bool = False) -> Tuple[int, int]:
-    """Replace every file of ``table`` by one segment of ``fold(records)``.
-
-    The caller holds the compaction lock.  Every log is ``flock``-ed before
-    its final read and held until the fold commits: an appender either lands
-    its record before that read (it is folded) or finds its file gone and
-    rotates to a fresh one (it survives the fold) — never in between.  Only
-    files read here are replaced; one created after the glob keeps its
-    records.  The segment lists every file it replaces as ``folded``, so
-    readers exclude leftovers of a compactor that dies before unlinking
-    them.  A failed segment write raises ``OSError`` and leaves the
-    originals authoritative.  Unless ``force``, a table already held in at
-    most one segment is left alone.  Returns ``(files removed, records
-    written)``.
-    """
-    locked: List[IO[str]] = []
-    try:
-        live, stale = _sources(base, table, locked)
-        files = [path for path, _ in live] + stale
-        settled = len(files) <= 1 and not any(
-            path.name.endswith(table.log_suffix) for path in files)
-        if settled and not force:
-            return 0, 0
-        records = fold([record for _, batch in live for record in batch])
-        payload = table.encode(records)
-        payload.update({"pid": os.getpid(), "written_at": time.time(),
-                        "compacted": True,
-                        "folded": [path.name for path in files]})
-        _write_segment(base, payload,
-                       f"compacted-{uuid.uuid4().hex}{table.segment_suffix}")
-        removed = 0
-        for path in files:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed, len(records)
-    finally:
-        for handle in locked:
-            handle.close()
-
-
-def compact_warehouse(directory: Union[str, Path]) -> int:
-    """Fold each table's live files into one segment per table.
-
-    Each process appends its own logs, so a long-lived shared directory
-    accumulates them; ``repro cache gc`` and ``repro warehouse compact``
-    call this to keep the file count at one per table.  Concurrent
-    compactors are serialised by one ``O_EXCL`` lock (the loser is a no-op),
-    and a table whose segment write fails keeps its originals.  Readers
-    racing a compaction of the counters table may transiently double- or
-    under-count — acceptable for advisory counters.  Returns files removed.
-    """
-    base = warehouse_dir(directory)
-    removed = 0
-    with _compaction_lock(base) as held:
-        if held:
-            for table in TABLES:
-                try:
-                    removed += _fold_table(base, table, table.fold)[0]
-                except OSError:
-                    pass  # rolled back: this table's originals stay live
-    return removed
-
-
-def rebuild_warehouse(directory: Union[str, Path],
-                      schema_version: int) -> Tuple[int, int]:
-    """Regenerate the rows table from the object store.
-
-    A compaction of the rows table whose fold discards the table's records
-    for :func:`scan_object_store`.  The scan runs under the compaction lock
-    and the log flocks, so a row appended meanwhile either reached its log
-    before the fold (its entry was committed first, so the scan sees it) or
-    rotates to a fresh log that survives.  Returns ``(rows written, files
-    replaced)``.  Raises ``OSError`` when another compactor holds the lock
-    or the segment cannot be written: unlike compaction, an explicitly
-    requested rebuild must fail loudly.
-    """
-    base = warehouse_dir(directory)
-    base.mkdir(parents=True, exist_ok=True)
-    with _compaction_lock(base) as held:
-        if not held:
-            raise OSError(f"another compaction of {base} is in progress")
-        replaced, rows = _fold_table(
-            base, ROWS_TABLE,
-            lambda _: scan_object_store(directory, schema_version),
-            force=True)
-    return rows, replaced
+    present = {row.key for row in load_rows(directory, schema_version)}
+    writer = WarehouseWriter(directory)
+    appended = 0
+    for row in scan_object_store(directory, schema_version):
+        if row.key in present:
+            continue
+        if writer.append(row) is None:
+            raise OSError(f"cannot append to {writer.directory}")
+        appended += 1
+    return appended
 
 
 def clear_warehouse(directory: Union[str, Path]) -> int:
-    """Delete every table's files (``repro cache clear``); returns count."""
-    base = warehouse_dir(directory)
+    """Delete every file under ``.warehouse/`` (``repro cache clear``),
+    whatever an earlier version left there too; returns the count."""
     removed = 0
-    for table in TABLES:
-        for suffix in (table.segment_suffix, table.log_suffix):
-            for path in base.glob(f"*{suffix}"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
+    for path in warehouse_dir(directory).glob("*"):
+        try:
+            path.unlink()
+            removed += 1
+        except OSError:
+            pass
     return removed
 
 
@@ -695,23 +398,20 @@ def warehouse_stats(directory: Union[str, Path],
                     schema_version: int) -> Dict[str, object]:
     """Summary of the rows table for ``repro cache stats``: files, rows, kinds.
 
-    Tabular-only (zero object-store decodes).  The files and bytes cover the
-    whole table; the row counts cover the rows of ``schema_version``, as
-    :func:`load_rows` does.
+    Reads the table alone (zero object-store decodes).  The files and bytes
+    cover the whole table; the row counts cover the rows of
+    ``schema_version``, as :func:`load_rows` does.
     """
-    base = warehouse_dir(directory)
     summary: Dict[str, object] = {
-        "segments": 0, "row_files": 0, "total_bytes": 0,
-        "rows": 0, "by_kind": {}, "by_config": {},
+        "row_files": 0, "total_bytes": 0, "rows": 0, "by_kind": {},
+        "by_config": {},
     }
-    for pattern, field in ((f"*{ROWS_TABLE.segment_suffix}", "segments"),
-                           (f"*{ROWS_TABLE.log_suffix}", "row_files")):
-        for path in base.glob(pattern):
-            summary[field] += 1
-            try:
-                summary["total_bytes"] += path.stat().st_size
-            except OSError:
-                pass
+    for path in warehouse_dir(directory).glob(f"*{ROWS_TABLE.log_suffix}"):
+        summary["row_files"] += 1
+        try:
+            summary["total_bytes"] += path.stat().st_size
+        except OSError:
+            pass
     rows = load_rows(directory, schema_version)
     summary["rows"] = len(rows)
     for row in rows:
@@ -810,24 +510,25 @@ def speedup_summary(rows: Sequence[WarehouseRow],
                     ) -> Dict[str, Dict[str, float]]:
     """Geomean speedups of every config against ``baseline`` from rows alone.
 
-    Single-thread rows are joined per ``(workload, instructions)`` — every
-    config of one sweep retires the same trace, so the pair identifies the
-    job across sweeps of different budgets — and the per-workload ratio is
+    Each row is joined to the baseline row of the same ``(kind, workload,
+    instructions)`` — every config of one sweep retires the same trace, so
+    the triple identifies the job across sweeps of different budgets, and
+    an SMT2 pair only ever meets its own baseline pair — and the ratio is
     ``baseline cycles / config cycles``, skipping degenerate zero-cycle runs
-    exactly like :meth:`ExperimentRunner.speedups`.  Returns ``{config:
-    {group: geomean}}`` with group ``GEOMEAN`` always present (the overall
-    geomean); ``group_by`` adds one geomean per value of that label column,
-    as :func:`aggregate_rows` groups.
+    exactly like :meth:`ExperimentRunner.speedups`.  Pass one kind's rows to
+    keep single-thread and SMT2 ratios out of one geomean.  Returns
+    ``{config: {group: geomean}}`` with group ``GEOMEAN`` always present (the
+    overall geomean); ``group_by`` adds one geomean per value of that label
+    column, as :func:`aggregate_rows` groups.
     """
-    result_rows = [row for row in rows if row.kind == "result"]
-    base_cycles = {(row.workload, row.instructions): row.cycles
-                   for row in result_rows if row.config == baseline}
+    base_cycles = {(row.kind, row.workload, row.instructions): row.cycles
+                   for row in rows if row.config == baseline}
     summary: Dict[str, Dict[str, float]] = {}
     ratios: Dict[str, List[Tuple[str, float]]] = {}
-    for row in result_rows:
+    for row in rows:
         if row.config == baseline:
             continue
-        base = base_cycles.get((row.workload, row.instructions))
+        base = base_cycles.get((row.kind, row.workload, row.instructions))
         if base is None or base <= 0 or row.cycles <= 0:
             continue
         group = getattr(row, group_by) if group_by else ""

@@ -1,4 +1,4 @@
-"""Front-end models: branch prediction and branch target buffer."""
+"""Front-end models: branch prediction."""
 
 from repro.frontend.branch_predictor import (
     BimodalPredictor,
@@ -6,12 +6,10 @@ from repro.frontend.branch_predictor import (
     TageConfig,
     BranchPredictor,
 )
-from repro.frontend.btb import BranchTargetBuffer
 
 __all__ = [
     "BimodalPredictor",
     "TagePredictor",
     "TageConfig",
     "BranchPredictor",
-    "BranchTargetBuffer",
 ]

@@ -1,4 +1,4 @@
-"""Tests for the branch predictor, BTB and backend building blocks."""
+"""Tests for the branch predictor and backend building blocks."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.backend.ports import ExecutionPorts, PortConfig, PortKind
 from repro.backend.resources import BackendSizes, ResourcePool
 from repro.backend.store_queue import StoreQueue
 from repro.frontend.branch_predictor import BimodalPredictor, BranchPredictor, TagePredictor
-from repro.frontend.btb import BranchTargetBuffer
 
 
 # --------------------------------------------------------------------- bimodal
@@ -68,16 +67,6 @@ def test_branch_predictor_facade_counts_mispredictions():
     mispredicted = facade.resolve(0x200, True, predicted, not predicted)
     assert mispredicted is True
     assert facade.conditional_mispredictions == 1
-
-
-# ------------------------------------------------------------------------- BTB
-
-def test_btb_miss_then_hit():
-    btb = BranchTargetBuffer(entries=16)
-    assert btb.lookup(0x400) is None
-    btb.update(0x400, 0x1000)
-    assert btb.lookup(0x400) == 0x1000
-    assert btb.hits == 1 and btb.misses == 1
 
 
 # -------------------------------------------------------------------- resources

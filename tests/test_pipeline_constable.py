@@ -7,9 +7,9 @@ from repro.core.ideal import IdealMode, build_oracle_from_trace
 from repro.analysis import inspect_trace
 from repro.experiments.configs import constable_config
 from repro.isa.instruction import AddressingMode
-from repro.pipeline import CoreConfig, simulate_trace
+from repro.pipeline import CoreConfig, simulate_smt_pair, simulate_trace
 from repro.pipeline.cpu import GoldenCheckError
-from repro.workloads.generator import generate_trace
+from repro.workloads.generator import THREAD_BASE_PCS, generate_trace
 from repro.workloads.suites import get_workload_spec
 
 
@@ -59,6 +59,25 @@ def test_constable_stays_correct_under_snoops_at_10000_instructions():
     trace = generate_trace(get_workload_spec("enterprise_01"), num_instructions=10_000)
     result = simulate_trace(trace, constable_config(), name="constable")
     assert result.instructions == len(trace)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "SMT2 power double count (ROADMAP item 1): OutOfOrderCore._power_events "
+    "adds the core-wide loads_renamed and loads_executed once per thread's "
+    "Constable engine, so constable on client_00+server_00 at 2,000 "
+    "instructions reads sld_reads 2660 for 1330 renamed loads and sld_writes "
+    "2224 = 2 x 1057 + 110, while one thread reads 635 for 635; the fix "
+    "changes cached SMT results and waits for item 1's SCHEMA_VERSION bump"))
+def test_smt2_constable_counts_each_sld_access_once():
+    traces = [generate_trace(get_workload_spec(name), num_instructions=2000,
+                             base_pc=base_pc)
+              for name, base_pc in zip(("client_00", "server_00"),
+                                       THREAD_BASE_PCS)]
+    result = simulate_smt_pair(*traces, constable_config(), name="constable")
+    events, stats = result.power_events, result.stats
+    assert events["sld_reads"] == stats.loads_renamed
+    assert events["sld_writes"] == (stats.loads_executed
+                                    + result.constable_stats["sld_update_events"])
 
 
 def test_constable_paper_default_threshold_is_usable(client_trace):

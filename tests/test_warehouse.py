@@ -1,36 +1,34 @@
-"""Differential and property battery for the columnar results warehouse.
+"""Differential and property battery for the append-only results warehouse.
 
 The warehouse (:mod:`repro.experiments.warehouse`) is a derived analytics
 index over the object store, and derived data earns trust only by proof of
 losslessness.  Four layers of evidence here:
 
-* **Codec properties** (hypothesis): the columnar encode/decode round-trips
-  arbitrary rows exactly — unicode workload names, zero-cycle results,
-  adversarial finite floats — and malformed segments are rejected whole
-  rather than half-read.
+* **Round-trip properties** (hypothesis): the rows table's line codec is
+  exact, and, over both tables of the shared protocol (result rows and
+  counters), whatever records a writer appends read back exactly and in
+  order — unicode workload names, zero-cycle results, adversarial finite
+  floats.
 * **The differential core**: after real sweeps at 1, 2 and 4 workers, under
   both execution engines, through a chaos-faulted partial-wave journal and
-  the rerun that completes it, after compaction and after ``rebuild``, every
-  warehouse read must be **bit-identical** to deriving the same rows from full
+  the rerun that completes it, and after ``rebuild``, every warehouse read
+  must be **bit-identical** to deriving the same rows from full
   object-store decodes (:func:`scan_object_store`) — compared through JSON
   so float bits cannot hide behind repr.
 * **Zero-decode instrumentation**: ``repro query`` on a warm warehouse is
   run with ``SimulationResult.from_dict`` patched to explode, proving the
   read path touches no object-store body.
-* **Crash-safety**, parametrized over both tables of the shared protocol
-  (result rows and counters): torn JSONL tails are skipped, superseded
-  compaction leftovers never double-count, stale compaction locks never
-  wedge, two concurrent writer+compactor threads cannot corrupt either
-  table, a rebuild never loses a row committed while it runs, and ``repro
-  warehouse verify`` flags a warehouse that disagrees with the cache
-  journal.
+* **Crash-safety**: torn JSONL tails are skipped in both tables, two
+  concurrent writer threads cannot corrupt either table, a rebuild never
+  loses a row committed while it runs and fails loudly when it cannot
+  append, and ``repro warehouse verify`` flags a warehouse that disagrees
+  with the cache journal.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
 import tempfile
 import threading
 
@@ -49,13 +47,9 @@ from repro.experiments.runner import ExperimentRunner, SweepExecutionError
 from repro.experiments.warehouse import (
     COUNTERS_TABLE,
     ROWS_TABLE,
-    WAREHOUSE_SCHEMA_VERSION,
     WarehouseRow,
     WarehouseWriter,
     aggregate_rows,
-    compact_warehouse,
-    decode_rows,
-    encode_rows,
     read_rows,
     read_table,
     rebuild_warehouse,
@@ -63,7 +57,6 @@ from repro.experiments.warehouse import (
     speedup_summary,
     verify_warehouse,
     warehouse_dir,
-    warehouse_stats,
 )
 from repro.pipeline.cpu import OutOfOrderCore
 from repro.pipeline.stats import PipelineStats, SimulationResult
@@ -84,10 +77,10 @@ def _dump(rows):
     return json.dumps([row.to_dict() for row in rows], sort_keys=True)
 
 
-def _run_sweep(cache_dir, workers=1, pairs=0):
-    """One baseline+constable sweep committed to ``cache_dir``, plus the
-    baseline over the first ``pairs`` SMT2 pairs; returns the closed runner,
-    whose committed results stay readable."""
+def _run_sweep(cache_dir, workers=1, pairs=0, smt_configs=("baseline",)):
+    """One baseline+constable sweep committed to ``cache_dir``, plus each of
+    ``smt_configs`` over the first ``pairs`` SMT2 pairs; returns the closed
+    runner, whose committed results stay readable."""
     if workers > 1:
         runner = ParallelExperimentRunner(
             per_suite=1, instructions=INSTRUCTIONS, suites=SUITES,
@@ -95,12 +88,13 @@ def _run_sweep(cache_dir, workers=1, pairs=0):
     else:
         runner = ExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
                                   suites=SUITES, cache=ResultCache(cache_dir))
+    configs = {"baseline": baseline_config, "constable": constable_config}
     with runner:
-        for name, factory in (("baseline", baseline_config),
-                              ("constable", constable_config)):
+        for name, factory in configs.items():
             runner.run_config(name, factory())
         if pairs:
-            runner.run_smt_config("baseline", baseline_config(), max_pairs=pairs)
+            for name in smt_configs:
+                runner.run_smt_config(name, configs[name](), max_pairs=pairs)
     return runner
 
 
@@ -127,7 +121,7 @@ def _row_dict():
             "l1d_accesses": 7, "schema": SCHEMA_VERSION}
 
 
-# ------------------------------------------------------------ codec properties
+# ------------------------------------------------------- round-trip properties
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -150,8 +144,8 @@ _COUNTER = st.fixed_dictionaries({
         st.integers(min_value=0, max_value=2**31)),
 })
 
-#: The crash-safety battery runs over every table of the shared protocol;
-#: each case is ``(table, record strategy, one sample record)``.
+#: The round-trip and torn-tail tests run over every table of the shared
+#: protocol; each case is ``(table, record strategy, one sample record)``.
 _TABLE_CASES = {
     "rows": (ROWS_TABLE, _ROW, WarehouseRow.from_dict(_row_dict())),
     "counters": (COUNTERS_TABLE, _COUNTER,
@@ -163,48 +157,28 @@ each_table = pytest.mark.parametrize("case", list(_TABLE_CASES))
 @settings(max_examples=50, deadline=None)
 @given(rows=st.lists(_ROW, max_size=20))
 def test_codec_round_trip_is_exact(rows):
-    """encode → JSON → decode reproduces every row exactly (zero-cycle
-    results, unicode names and adversarial finite floats included)."""
-    payload = json.loads(json.dumps(encode_rows(rows)))
-    assert decode_rows(payload) == rows
+    """The rows table's line codec — to_json → JSON text → from_json —
+    reproduces every row exactly (zero-cycle results, unicode names and
+    adversarial finite floats included)."""
+    lines = [json.dumps(ROWS_TABLE.to_json(row), sort_keys=True)
+             for row in rows]
+    assert [ROWS_TABLE.from_json(json.loads(line)) for line in lines] == rows
 
 
 @each_table
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_append_compact_equivalence(case, data):
-    """Whatever records the writer appended, compaction never changes what
-    the table's fold reads (canonical rows; per-class counter sums)."""
+def test_append_read_round_trip_is_exact(case, data):
+    """Whatever records the writer appended read back exactly and in order
+    (zero-cycle results, unicode names and adversarial finite floats
+    included)."""
     table, strategy, _ = _TABLE_CASES[case]
-    records = data.draw(st.lists(strategy, max_size=12))
+    records = data.draw(st.lists(strategy, max_size=20))
     with tempfile.TemporaryDirectory() as tmp:
         writer = WarehouseWriter(tmp, table)
         for record in records:
             assert writer.append(record)
-        before = table.fold(read_table(tmp, table))
-        assert before == table.fold(records)
-        compact_warehouse(tmp)
-        assert table.fold(read_table(tmp, table)) == before
-        # Compacting a compacted table is a no-op.
-        assert compact_warehouse(tmp) == 0
-        assert table.fold(read_table(tmp, table)) == before
-
-
-def test_codec_rejects_malformed_segments():
-    rows = [WarehouseRow.from_dict(_row_dict())]
-    good = encode_rows(rows)
-    with pytest.raises(ValueError):
-        decode_rows({**good, "warehouse_schema": WAREHOUSE_SCHEMA_VERSION + 1})
-    with pytest.raises(ValueError):
-        decode_rows({**good, "columns": "nope"})
-    ragged = json.loads(json.dumps(good))
-    ragged["columns"]["ipc"] = []
-    with pytest.raises(ValueError):
-        decode_rows(ragged)
-    missing = json.loads(json.dumps(good))
-    del missing["columns"]["cycles"]
-    with pytest.raises(ValueError):
-        decode_rows(missing)
+        assert read_table(tmp, table) == records
 
 
 # --------------------------------------------------------- differential core
@@ -214,7 +188,7 @@ def test_codec_rejects_malformed_segments():
 def test_warehouse_bit_identical_to_object_store(tmp_path, workers):
     """The tentpole differential: after a real sweep at N workers, SMT2 pair
     included, the warehouse read equals a full object-store decode
-    bit-for-bit — and stays equal after compaction and after a rebuild."""
+    bit-for-bit — and a rebuild finds no row to append."""
     _run_sweep(tmp_path, workers=workers, pairs=1)
     reference = _dump(scan_object_store(tmp_path, SCHEMA_VERSION))
     assert read_rows(tmp_path)
@@ -222,9 +196,7 @@ def test_warehouse_bit_identical_to_object_store(tmp_path, workers):
     assert pair_row.workload == "client_00+server_00"
     assert pair_row.suite == "Client+Server"
     assert _dump(read_rows(tmp_path)) == reference
-    compact_warehouse(tmp_path)
-    assert _dump(read_rows(tmp_path)) == reference
-    rebuild_warehouse(tmp_path, SCHEMA_VERSION)
+    assert rebuild_warehouse(tmp_path, SCHEMA_VERSION) == 0
     assert _dump(read_rows(tmp_path)) == reference
     report = verify_warehouse(tmp_path, SCHEMA_VERSION)
     assert report["missing"] == [] and report["extra"] == []
@@ -281,9 +253,8 @@ def test_chaos_partial_wave_then_resume_agrees_with_journal(tmp_path,
 def test_query_aggregates_bit_identical_to_object_store_path(tmp_path):
     """The aggregates ``repro query`` serves (geomean/median rollups and the
     speedup join) are byte-identical whether the rows came from warehouse
-    segments or from full object-store decodes."""
+    logs or from full object-store decodes."""
     _run_sweep(tmp_path, workers=2)
-    compact_warehouse(tmp_path)
     from_table = read_rows(tmp_path)
     decoded = scan_object_store(tmp_path, SCHEMA_VERSION)
     for metric, agg, group in (("ipc", "geomean", "config"),
@@ -307,7 +278,6 @@ def test_query_reads_zero_object_store_decodes(tmp_path, monkeypatch, capsys):
     must read only warehouse files.  The record decoder is patched to
     explode, so a single object-store body read fails the test."""
     _run_sweep(tmp_path, pairs=1)
-    compact_warehouse(tmp_path)
 
     def explode(cls_data):
         raise AssertionError("object-store body decoded on the query path")
@@ -327,7 +297,7 @@ def test_query_reads_zero_object_store_decodes(tmp_path, monkeypatch, capsys):
 def test_rebuild_restores_a_deleted_rows_table(tmp_path, capsys):
     """Rows lost behind the cache's back are reported, never served from a
     second reader: ``warehouse verify`` names every journaled entry left
-    without a row, and ``rebuild`` restores them losslessly."""
+    without a row, and ``rebuild`` appends them losslessly, once."""
     _run_sweep(tmp_path)
     assert main(["query", "--cache-dir", str(tmp_path), "--json"]) == 0
     before = capsys.readouterr().out
@@ -340,8 +310,8 @@ def test_rebuild_restores_a_deleted_rows_table(tmp_path, capsys):
     assert named == {path.stem for path in tmp_path.glob("*/*.json")}
     assert len(named) == 4
 
-    rows, replaced = rebuild_warehouse(tmp_path, SCHEMA_VERSION)
-    assert rows == 4 and replaced == 0
+    assert rebuild_warehouse(tmp_path, SCHEMA_VERSION) == 4
+    assert rebuild_warehouse(tmp_path, SCHEMA_VERSION) == 0
     assert main(["query", "--cache-dir", str(tmp_path), "--json"]) == 0
     assert capsys.readouterr().out == before
 
@@ -385,6 +355,29 @@ def test_speedup_over_groups_by_any_label_column(tmp_path, capsys, group_by):
     assert block == pytest.approx(expected, rel=1e-12)
 
 
+def test_speedup_over_reads_smt_pairs(tmp_path, capsys):
+    """``--kind smt --speedup-over`` joins each SMT2 pair to its own
+    baseline pair, and without ``--kind`` the table still reads the
+    single-thread rows alone."""
+    runner = _run_sweep(tmp_path, pairs=1,
+                        smt_configs=("baseline", "constable"))
+    pair = runner.smt_pairs(1)[0]
+    base = runner.smt_results("baseline", 1)[pair]
+    config = runner.smt_results("constable", 1)[pair]
+    argv = ["query", "--cache-dir", str(tmp_path), "--json",
+            "--speedup-over", "baseline"]
+    assert main(argv + ["--kind", "smt", "--group-by", "workload"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    ratio = base.cycles / config.cycles
+    assert list(summary) == ["constable"]
+    assert summary["constable"] == pytest.approx(
+        {"GEOMEAN": ratio, "+".join(pair): ratio}, rel=1e-12)
+    assert main(argv) == 0
+    block = json.loads(capsys.readouterr().out)["constable"]
+    assert block == pytest.approx(
+        {"GEOMEAN": runner.geomean_speedup("constable")}, rel=1e-12)
+
+
 # ----------------------------------------------------------- crash-safety
 
 
@@ -398,28 +391,10 @@ def test_torn_tail_line_is_skipped(tmp_path, case):
     assert read_table(tmp_path, table) == [record]
 
 
-@each_table
-def test_superseded_leftovers_never_double_count(tmp_path, case):
-    """A compactor that died after writing its segment but before unlinking
-    the sources leaves both on disk; readers must count each record once,
-    and the next compaction removes the leftovers."""
-    table, _, record = _TABLE_CASES[case]
-    source = WarehouseWriter(tmp_path, table).append(record)
-    assert source is not None
-    source_text = source.read_text(encoding="utf-8")
-    assert compact_warehouse(tmp_path) == 1
-    # Resurrect the folded source, as if the unlink never happened.
-    source.write_text(source_text, encoding="utf-8")
-    assert read_table(tmp_path, table) == [record]
-    compact_warehouse(tmp_path)
-    assert not source.exists()
-    assert read_table(tmp_path, table) == [record]
-
-
-def test_two_writer_compaction_stress(tmp_path):
+def test_two_writer_stress(tmp_path):
     """Two threads, each appending rows and counter flushes through its own
-    cache and compacting concurrently: no operation may raise, and every
-    key and every counted store must survive."""
+    cache concurrently: no operation may raise, and every key and every
+    counted store must survive."""
     errors = []
     barrier = threading.Barrier(2)
 
@@ -432,8 +407,6 @@ def test_two_writer_compaction_stress(tmp_path):
                           _synthetic_result(config=name))
                 if index % 5 == 0:
                     cache.persist_stats()
-                if index % 7 == 0:
-                    compact_warehouse(tmp_path)
             cache.persist_stats()
         except BaseException as error:  # pragma: no cover - failure path
             errors.append(error)
@@ -446,7 +419,6 @@ def test_two_writer_compaction_stress(tmp_path):
         assert not thread.is_alive()
     assert not errors, errors
 
-    compact_warehouse(tmp_path)
     rows = read_rows(tmp_path)
     assert len(rows) == 80
     assert {row.key for row in rows} == {
@@ -458,9 +430,8 @@ def test_two_writer_compaction_stress(tmp_path):
 
 def test_rebuild_keeps_rows_committed_while_it_runs(tmp_path, monkeypatch):
     """A put whose append lands after rebuild's object-store scan keeps its
-    row: rebuild holds the compaction lock and every log's flock from before
-    the scan until after the unlink, so the blocked append then finds its
-    log folded and rotates to a fresh one."""
+    row: rebuild only appends, so nothing it does can remove the late row,
+    and the late put never waits on it."""
     import repro.experiments.warehouse as warehouse
 
     cache = ResultCache(tmp_path)
@@ -472,7 +443,7 @@ def test_rebuild_keeps_rows_committed_while_it_runs(tmp_path, monkeypatch):
     def scan_then_put(directory, schema_version):
         rows = real_scan(directory, schema_version)
         late.start()
-        late.join(timeout=0.5)  # lands now, or waits on the log's flock
+        late.join(timeout=30)
         return rows
 
     monkeypatch.setattr(warehouse, "scan_object_store", scan_then_put)
@@ -484,33 +455,15 @@ def test_rebuild_keeps_rows_committed_while_it_runs(tmp_path, monkeypatch):
     assert report["missing"] == []
 
 
-def test_rebuild_fails_loudly_while_another_compactor_runs(tmp_path, capsys):
-    """Rebuild takes the compaction lock; losing it is an error, never a
-    silent no-op, and the existing rows stay untouched."""
+def test_rebuild_fails_loudly_when_it_cannot_append(tmp_path, capsys):
+    """A rebuild that cannot append a missing row is an error, never a
+    silent no-op: a file where ``.warehouse/`` should be makes every append
+    fail, so the journaled entry's row stays missing."""
+    warehouse_dir(tmp_path).write_text("not a directory", encoding="utf-8")
     ResultCache(tmp_path).put(_synthetic_key("kept"), _synthetic_result())
-    before = read_rows(tmp_path)
-    (warehouse_dir(tmp_path) / ".compact.lock").touch()
+    assert verify_warehouse(tmp_path, SCHEMA_VERSION)["missing"]
     assert main(["warehouse", "rebuild", "--cache-dir", str(tmp_path)]) == 1
     assert "rebuild failed" in capsys.readouterr().err
-    assert read_rows(tmp_path) == before
-
-
-@each_table
-def test_stale_compaction_lock_does_not_wedge(tmp_path, case):
-    """A lock from a dead compactor blocks one pass, is broken once stale,
-    and the following pass proceeds."""
-    table, _, record = _TABLE_CASES[case]
-    assert WarehouseWriter(tmp_path, table).append(record)
-    lock = warehouse_dir(tmp_path) / ".compact.lock"
-    lock.touch()
-    assert compact_warehouse(tmp_path) == 0  # held: no fold
-    assert lock.exists()
-    old = 10_000.0
-    os.utime(lock, (old, old))
-    assert compact_warehouse(tmp_path) == 0  # stale: broken, still no fold
-    assert not lock.exists()
-    assert compact_warehouse(tmp_path) == 1  # and now the fold happens
-    assert read_table(tmp_path, table) == [record]
 
 
 # ------------------------------------------------------ wiring and CLI layer
@@ -568,20 +521,8 @@ def test_cache_stats_reports_warehouse(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["warehouse"]["rows"] == 4
     assert payload["warehouse"]["by_kind"] == {"result": 4}
-    # entries (envelope scan) and rows (columnar scan) agree.
+    # entries (envelope scan) and rows (rows-table scan) agree.
     assert payload["warehouse"]["rows"] == payload["entries"]
-
-
-def test_cache_gc_compacts_warehouse(tmp_path, capsys):
-    _run_sweep(tmp_path)
-    assert warehouse_stats(tmp_path, SCHEMA_VERSION)["row_files"] >= 1
-    assert main(["cache", "gc", "--max-mb", "64",
-                 "--cache-dir", str(tmp_path)]) == 0
-    capsys.readouterr()
-    summary = warehouse_stats(tmp_path, SCHEMA_VERSION)
-    assert summary["row_files"] == 0
-    assert summary["segments"] == 1
-    assert summary["rows"] == 4
 
 
 def test_query_overview_averages_coverage(tmp_path, capsys):
@@ -608,10 +549,9 @@ def test_query_overview_averages_coverage(tmp_path, capsys):
 
 def test_figures_warehouse_harness(tmp_path, capsys):
     """The cross-sweep speedup table by suite, the one ``repro figures
-    warehouse`` used to print, is ``repro query``'s over compacted rows,
+    warehouse`` used to print, is ``repro query``'s over the rows table,
     and it agrees with the runner that swept them."""
     runner = _run_sweep(tmp_path)
-    compact_warehouse(tmp_path)
     argv = ["query", "--cache-dir", str(tmp_path), "--speedup-over",
             "baseline", "--group-by", "suite"]
     assert main(argv + ["--json"]) == 0
