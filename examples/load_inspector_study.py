@@ -7,9 +7,10 @@ plus the effect of an APX-sized (32-entry) architectural register file - the
 analysis performed by the paper's open-source Load Inspector tool.
 """
 
-from repro.analysis import inspect_trace
-from repro.experiments import format_table
-from repro.workloads import SUITE_NAMES, generate_trace, workload_specs_for_suite
+from repro.analysis.load_inspector import inspect_trace
+from repro.experiments.reporting import format_table
+from repro.workloads.generator import generate_trace
+from repro.workloads.suites import SUITE_NAMES, workload_specs_for_suite
 
 
 def main() -> None:

@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import argparse
 
-from repro.analysis import inspect_trace
-from repro.core import ConstableConfig
+from repro.analysis.load_inspector import inspect_trace
+from repro.core.config import ConstableConfig
 from repro.experiments.configs import baseline_config, constable_config
 from repro.experiments.figures import default_runner
 from repro.experiments.runner import ExperimentRunner
-from repro.pipeline import CoreConfig, simulate_trace
-from repro.workloads import generate_trace, get_workload_spec
+from repro.pipeline.config import CoreConfig
+from repro.pipeline.cpu import simulate_trace
+from repro.workloads.generator import generate_trace
+from repro.workloads.suites import get_workload_spec
 
 
 def make_runner(args: argparse.Namespace) -> ExperimentRunner:

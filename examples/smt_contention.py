@@ -7,11 +7,12 @@ reservation-station entries that SMT threads fight over.  This example runs a
 Client+Server thread pair in both modes and prints the comparison.
 """
 
-from repro.core import ConstableConfig
-from repro.experiments import format_table
-from repro.pipeline import CoreConfig, simulate_smt_pair, simulate_trace
-from repro.workloads import generate_trace, workload_specs_for_suite
-from repro.workloads.generator import THREAD_BASE_PCS
+from repro.core.config import ConstableConfig
+from repro.experiments.reporting import format_table
+from repro.pipeline.config import CoreConfig
+from repro.pipeline.cpu import simulate_smt_pair, simulate_trace
+from repro.workloads.generator import THREAD_BASE_PCS, generate_trace
+from repro.workloads.suites import workload_specs_for_suite
 
 
 def main() -> None:

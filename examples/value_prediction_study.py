@@ -8,15 +8,15 @@ value prediction breaks only the data dependence, Constable also removes the
 load's resource usage.
 """
 
-from repro.experiments import (
-    ExperimentRunner,
+from repro.experiments.configs import (
     baseline_config,
     constable_config,
     eves_config,
     eves_constable_config,
-    format_table,
 )
-from repro.power import CorePowerModel
+from repro.experiments.reporting import format_table
+from repro.experiments.runner import ExperimentRunner
+from repro.power.power_model import CorePowerModel
 
 
 def main() -> None:

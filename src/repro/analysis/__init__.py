@@ -1,27 +1,1 @@
 """Trace analysis: the Load Inspector and small statistics helpers."""
-
-from repro.analysis.load_inspector import (
-    LoadInspector,
-    LoadSiteStats,
-    GlobalStableReport,
-    inspect_trace,
-    DISTANCE_BUCKETS,
-)
-from repro.analysis.stats_utils import (
-    geomean,
-    speedup,
-    box_whisker_summary,
-    weighted_fraction,
-)
-
-__all__ = [
-    "LoadInspector",
-    "LoadSiteStats",
-    "GlobalStableReport",
-    "inspect_trace",
-    "DISTANCE_BUCKETS",
-    "geomean",
-    "speedup",
-    "box_whisker_summary",
-    "weighted_fraction",
-]

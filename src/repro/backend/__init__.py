@@ -1,15 +1,1 @@
 """Out-of-order backend building blocks: buffers, ports, memory disambiguation."""
-
-from repro.backend.resources import ResourcePool
-from repro.backend.ports import ExecutionPorts, PortKind
-from repro.backend.dependence import MemoryDependencePredictor
-from repro.backend.store_queue import StoreQueue, StoreRecord
-
-__all__ = [
-    "ResourcePool",
-    "ExecutionPorts",
-    "PortKind",
-    "MemoryDependencePredictor",
-    "StoreQueue",
-    "StoreRecord",
-]

@@ -56,6 +56,10 @@ performed and flushes them to the directory's counters table on exit, so
 ``repro cache stats`` reports real aggregate hit rates across every process —
 including the other hosts of a ``--shard K/N`` wave — that shared the
 directory.  Each ``figures`` wave also records its dedup stats there.
+
+Every subcommand exits 141 (128 + SIGPIPE), without a traceback, when the
+reader of its standard output exits before reading it all, as ``| head``
+does.
 """
 
 from __future__ import annotations
@@ -63,16 +67,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.bench import (
-    BENCH_FAMILIES,
-    DEFAULT_BENCH_REPS,
-    format_bench_table,
-    run_bench,
-)
 from repro.experiments.cache import (
     CACHE_DIR_ENV,
     DEFAULT_CACHE_DIR,
@@ -101,9 +100,7 @@ from repro.experiments.figures import (
     default_runner,
     orchestrate_figures,
 )
-from repro.analysis.lint import all_rules, refresh_manifest, run_lint
 from repro.experiments.orchestrator import SweepOrchestrator
-from repro.experiments.parallel import DEFAULT_MAX_RETRIES
 from repro.experiments.reporting import (
     format_dead_letters,
     format_dedup_stats,
@@ -112,7 +109,12 @@ from repro.experiments.reporting import (
     format_persisted_health,
     format_table,
 )
-from repro.experiments.runner import ExperimentRunner, Shard, SweepExecutionError
+from repro.experiments.runner import (
+    DEFAULT_MAX_RETRIES,
+    ExperimentRunner,
+    Shard,
+    SweepExecutionError,
+)
 from repro.workloads.suites import SUITE_NAMES
 
 #: Exit code for a wave that dead-lettered at least one job after exhausting
@@ -123,6 +125,10 @@ EXIT_DEAD_LETTER = 3
 
 #: Exit code on Ctrl-C, following the shell convention of 128 + SIGINT.
 EXIT_INTERRUPT = 130
+
+#: Exit code when the reader of stdout exits early (``repro query | head``),
+#: following the shell convention of 128 + SIGPIPE.
+EXIT_BROKEN_PIPE = 141
 
 
 def _human_bytes(count: int) -> str:
@@ -490,6 +496,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Run the invariant checker; exit 0 clean, 1 on findings, 2 on usage."""
+    from repro.analysis.lint import refresh_manifest, run_lint
+
     if args.refresh_manifest:
         path = refresh_manifest(args.root)
         print(f"wrote {path}")
@@ -507,13 +515,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.experiments.bench import (DEFAULT_BENCH_REPS,
+                                         format_bench_table, run_bench)
+
     families = None
     if args.families:
         families = [name.strip() for name in args.families.split(",")
                     if name.strip()]
+    reps = DEFAULT_BENCH_REPS if args.reps is None else args.reps
     try:
         payload = run_bench(quick=args.quick, families=families,
-                            instructions=args.instructions, reps=args.reps)
+                            instructions=args.instructions, reps=reps)
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -619,8 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="exit 2 if anything had to be simulated or inspected")
 
     lint = commands.add_parser(
-        "lint", help="run the AST-based repo invariant checker "
-                     f"(rules: {', '.join(all_rules())})")
+        "lint", help="run the AST-based repo invariant checker")
     lint.add_argument("--json", action="store_true", help="machine-readable output")
     lint.add_argument("--rule", action="append", dest="rules", default=None,
                       metavar="RLxxx",
@@ -638,13 +649,13 @@ def build_parser() -> argparse.ArgumentParser:
                       "are bit-identical and report the event-engine speedup")
     bench.add_argument("--quick", action="store_true",
                        help="reduced instruction budgets (CI perf-smoke mode)")
-    bench.add_argument("--reps", type=int, default=DEFAULT_BENCH_REPS,
+    bench.add_argument("--reps", type=int, default=None,
                        help="repetitions per measurement; the first is a "
-                            "warm-up when there are several "
-                            f"(default: {DEFAULT_BENCH_REPS})")
+                            "warm-up when there are several (default: "
+                            "repro.experiments.bench.DEFAULT_BENCH_REPS)")
     bench.add_argument("--families", default=None,
-                       help="comma-separated family subset "
-                            f"(default: all of {', '.join(BENCH_FAMILIES)})")
+                       help="comma-separated family subset (default: all "
+                            "families)")
     bench.add_argument("--instructions", type=int, default=None,
                        help="override the per-family instruction budgets")
     bench.add_argument("--output", default=None,
@@ -677,7 +688,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point: parse ``argv``, dispatch, return the exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        status = _dispatch(args)
+        # Flushed here so that a block-buffered pipe fails inside this
+        # handler, not in the interpreter's exit-time flush.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader went away; whatever is still buffered goes to devnull
+        # so the exit-time flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except KeyboardInterrupt:
         # The `with runner` blocks unwound on the way here: pools are shut
         # down and the counter ledgers flushed, so the journal is consistent.

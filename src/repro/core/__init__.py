@@ -8,29 +8,3 @@ locations.  Once a load's ``can_eliminate`` flag is set, later instances are
 converted at rename into register moves fed from a small extra register file
 (xPRF) and never execute.
 """
-
-from repro.core.config import ConstableConfig
-from repro.core.sld import StableLoadDetector, SldEntry
-from repro.core.rmt import RegisterMonitorTable
-from repro.core.amt import AddressMonitorTable
-from repro.core.xprf import ExtraRegisterFile
-from repro.core.constable import ConstableEngine, EliminationDecision, ConstableStats
-from repro.core.ideal import IdealOracle, IdealMode, build_oracle_from_trace
-from repro.core.storage import storage_overhead_bits, storage_overhead_report
-
-__all__ = [
-    "ConstableConfig",
-    "StableLoadDetector",
-    "SldEntry",
-    "RegisterMonitorTable",
-    "AddressMonitorTable",
-    "ExtraRegisterFile",
-    "ConstableEngine",
-    "EliminationDecision",
-    "ConstableStats",
-    "IdealOracle",
-    "IdealMode",
-    "build_oracle_from_trace",
-    "storage_overhead_bits",
-    "storage_overhead_report",
-]

@@ -241,6 +241,22 @@ def persisted_cache_stats(directory: Union[str, Path]) -> Dict[str, object]:
     return summary
 
 
+#: The counters-table writer of each (process, directory).  Every cache and
+#: every dedup or health flush of one process appends to the same log; the
+#: pid in the key gives a forked child its own writer, and so its own log.
+_COUNTER_WRITERS: Dict[Tuple[int, str], WarehouseWriter] = {}
+
+
+def _counters_writer(directory: Union[str, Path]) -> WarehouseWriter:
+    """This process's writer of the counters table under ``directory``."""
+    key = (os.getpid(), os.path.abspath(directory))
+    writer = _COUNTER_WRITERS.get(key)
+    if writer is None:
+        writer = _COUNTER_WRITERS[key] = WarehouseWriter(directory,
+                                                         COUNTERS_TABLE)
+    return writer
+
+
 #: Source class under which orchestrator waves record dedup stats.
 DEDUP_LEDGER_CLASS = "SweepOrchestrator"
 
@@ -258,7 +274,7 @@ def persist_dedup_stats(directory: Union[str, Path],
     """
     block = {name: int(dedup.get(name, 0)) for name in _DEDUP_COUNTERS}
     block["waves"] = 1
-    return WarehouseWriter(directory, COUNTERS_TABLE).append(
+    return _counters_writer(directory).append(
         {"cache": DEDUP_LEDGER_CLASS, "dedup": block})
 
 
@@ -281,7 +297,7 @@ def persist_health_stats(directory: Union[str, Path],
     """
     block = {name: int(health.get(name, 0)) for name in _HEALTH_COUNTERS}
     block["runs"] = 1
-    return WarehouseWriter(directory, COUNTERS_TABLE).append(
+    return _counters_writer(directory).append(
         {"cache": HEALTH_LEDGER_CLASS, "health": block})
 
 
@@ -352,7 +368,6 @@ class JsonDiskCache:
         # writes only the delta since the last flush, so calling it from both
         # a runner's close() and a CLI epilogue never double-counts.
         self._persisted_counters: Dict[str, int] = {}
-        self._counter_log = WarehouseWriter(self.directory, COUNTERS_TABLE)
         # Running directory-size estimate for the auto-GC: initialised by one
         # full scan on the first capped store, then maintained incrementally
         # so puts stay O(1) while the directory is under the cap.  A GC pass
@@ -510,8 +525,8 @@ class JsonDiskCache:
                  for name, value in counters.items()}
         if not any(delta.values()):
             return None
-        path = self._counter_log.append({"cache": type(self).__name__,
-                                         "counters": delta})
+        path = _counters_writer(self.directory).append(
+            {"cache": type(self).__name__, "counters": delta})
         if path is not None:
             self._persisted_counters = counters
         return path

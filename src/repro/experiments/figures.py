@@ -39,11 +39,9 @@ from repro.experiments.configs import (
 )
 from repro.experiments.cache import ReportCache, ResultCache
 from repro.experiments.orchestrator import DedupStats, FigurePlan, SweepOrchestrator
-from repro.experiments.parallel import (DEFAULT_MAX_RETRIES,
-                                       ParallelExperimentRunner,
-                                       check_supervision)
 from repro.experiments.reporting import format_table, per_suite_table
-from repro.experiments.runner import ConfigLike, ExperimentRunner
+from repro.experiments.runner import (DEFAULT_MAX_RETRIES, ConfigLike,
+                                      ExperimentRunner, check_supervision)
 from repro.isa.instruction import AddressingMode
 from repro.pipeline.config import CoreConfig
 from repro.power.cacti import constable_structure_estimates
@@ -60,12 +58,13 @@ def default_runner(per_suite: Optional[int] = 2, instructions: int = 6000,
     """The reduced workload set the CLI and the paper-claims tests run.
 
     Every figure harness accepts either runner flavour: pass ``workers > 1``
-    for a :class:`ParallelExperimentRunner` that shards Load Inspector passes
-    and simulations (single-thread and SMT) over a process pool, and/or
-    ``cache_dir`` to share an on-disk cache directory with other harnesses and
-    reruns.  The directory holds both the result cache (single-thread + SMT
-    entries) and the Load Inspector report cache, so a warm rerun of any
-    figure harness performs zero simulations and zero inspection passes.
+    for a :class:`~repro.experiments.parallel.ParallelExperimentRunner` that
+    shards Load Inspector passes and simulations (single-thread and SMT) over
+    a process pool, and/or ``cache_dir`` to share an on-disk cache directory
+    with other harnesses and reruns.  The directory holds both the result
+    cache (single-thread + SMT entries) and the Load Inspector report cache,
+    so a warm rerun of any figure harness performs zero simulations and zero
+    inspection passes.
 
     ``max_retries`` and ``job_timeout`` tune the parallel runner's per-job
     supervision (retry budget and wall-clock timeout).  They are checked
@@ -78,6 +77,9 @@ def default_runner(per_suite: Optional[int] = 2, instructions: int = 6000,
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     report_cache = ReportCache(cache_dir) if cache_dir is not None else None
     if workers is not None and workers > 1:
+        # The pool, and the simulator it loads before forking, are imported
+        # only by a run that asks for workers.
+        from repro.experiments.parallel import ParallelExperimentRunner
         return ParallelExperimentRunner(per_suite=per_suite, instructions=instructions,
                                         suites=suites, cache=cache,
                                         report_cache=report_cache,

@@ -40,7 +40,8 @@ text home inside a pickle-safe :class:`JobExecutionError`.  The parent-side
 supervisor (:meth:`ParallelExperimentRunner._supervise`) gives each job a
 retry budget (``1 + max_retries`` pool attempts with exponential backoff), an
 optional per-attempt wall timeout (``job_timeout``; both are constructor
-arguments only, checked by :func:`check_supervision`), rebuilds the pool
+arguments only, checked by
+:func:`~repro.experiments.runner.check_supervision`), rebuilds the pool
 when a dying worker breaks it (``BrokenProcessPool``), validates every
 returned value (corrupted results are retried, never merged) and, once the
 pool budget is exhausted, degrades the job to one in-process serial attempt
@@ -78,11 +79,13 @@ from repro.analysis.load_inspector import GlobalStableReport, inspect_trace
 from repro.experiments.cache import ReportCache, ResultCache
 from repro.experiments.faults import active_fault_plan, corrupt_result, maybe_inject
 from repro.experiments.runner import (
+    DEFAULT_MAX_RETRIES,
     DeadLetter,
     ExperimentRunner,
     SimulationJob,
     SweepExecutionError,
     WorkloadRun,
+    check_supervision,
 )
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.cpu import GoldenCheckError, OutOfOrderCore
@@ -91,8 +94,11 @@ from repro.workloads.generator import DEFAULT_BASE_PC, THREAD_BASE_PCS, generate
 from repro.workloads.suites import SUITE_NAMES, WorkloadSpec
 from repro.workloads.trace import Trace
 
-#: Pool retry budget unless ``max_retries`` says otherwise.
-DEFAULT_MAX_RETRIES = 2
+# Everything a worker runs loads with this module, before the pool forks, so
+# no worker compiles it again: the timing model above, and the kernel library
+# and VM that the generator would otherwise import with its first trace.
+import repro.workloads.kernels  # noqa: E402,F401
+import repro.workloads.vm  # noqa: E402,F401
 
 #: Delay before a failed job's first retry; it doubles on each later retry.
 RETRY_BACKOFF_SECONDS = 0.05
@@ -108,16 +114,6 @@ _POOL_CONTEXT = multiprocessing.get_context(
 #: Per-worker memo of regenerated traces:
 #: (workload, instructions, registers, base_pc) -> Trace.
 _WORKER_TRACES: Dict[Tuple[str, int, int, int], Trace] = {}
-
-
-def check_supervision(max_retries: int, job_timeout: Optional[float]) -> None:
-    """Reject a negative retry budget or a timeout that is not a positive
-    number of seconds (None means no timeout)."""
-    if max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
-    if job_timeout is not None and (not math.isfinite(job_timeout)
-                                    or job_timeout <= 0):
-        raise ValueError("job_timeout must be a positive number of seconds")
 
 
 def _regenerate_trace(spec_dict: Dict[str, object], instructions: int,

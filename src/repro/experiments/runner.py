@@ -50,6 +50,7 @@ bit-identical to a serial unsharded run.
 
 from __future__ import annotations
 
+import math
 import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
@@ -58,7 +59,6 @@ from repro.analysis.load_inspector import GlobalStableReport, inspect_trace
 from repro.analysis.stats_utils import filtered_geomean
 from repro.experiments.cache import ReportCache, ResultCache, persist_health_stats
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.cpu import OutOfOrderCore
 from repro.pipeline.stats import SimulationResult
 from repro.workloads.generator import DEFAULT_BASE_PC, THREAD_BASE_PCS, generate_trace
 from repro.workloads.suites import (
@@ -74,6 +74,19 @@ from repro.workloads.trace import Trace
 ConfigLike = Union[CoreConfig, Callable[[GlobalStableReport], CoreConfig]]
 
 _Item = TypeVar("_Item")
+
+#: Pool retry budget unless ``max_retries`` says otherwise.
+DEFAULT_MAX_RETRIES = 2
+
+
+def check_supervision(max_retries: int, job_timeout: Optional[float]) -> None:
+    """Reject a negative retry budget or a timeout that is not a positive
+    number of seconds (None means no timeout)."""
+    if max_retries < 0:
+        raise ValueError("max_retries must be >= 0")
+    if job_timeout is not None and (not math.isfinite(job_timeout)
+                                    or job_timeout <= 0):
+        raise ValueError("job_timeout must be a positive number of seconds")
 
 
 @dataclass(frozen=True)
@@ -426,6 +439,10 @@ class ExperimentRunner:
         Each thread runs its workload's trace at its own base PC, so a pair's
         threads do not alias in the PC-indexed predictors.
         """
+        # Imported here, not at module level: a run that simulates nothing
+        # (a warm sweep) never loads the timing model.
+        from repro.pipeline.cpu import OutOfOrderCore
+
         traces = [self.trace(run.spec, base_pc)
                   for run, base_pc in zip(job.runs, THREAD_BASE_PCS)]
         return OutOfOrderCore(job.config, traces, name=job.config_name).run()

@@ -238,7 +238,8 @@ class WarehouseWriter:
     """Appends records to one per-process JSONL log of a table.
 
     Each writer owns one log: :class:`~repro.experiments.cache.ResultCache`
-    keeps one for its rows and every cache one for its counter flushes.  The
+    keeps one for its rows, and each process keeps one per directory for
+    every counter flush of its caches and waves.  The
     file name embeds the pid and a fresh UUID, so any number of concurrent
     processes (the N hosts of a sharded sweep) append without contention.
     No other writer writes, renames or deletes the log; if ``repro cache

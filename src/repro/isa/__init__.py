@@ -5,45 +5,3 @@ stores, and branches.  Loads carry an explicit addressing mode (PC-relative,
 stack-relative, register-relative) because Constable's characterisation and the
 per-category results of the paper (Figs. 3, 13, 17, 24) are keyed on it.
 """
-
-from repro.isa.registers import (
-    ARCH_REGISTER_COUNT,
-    APX_REGISTER_COUNT,
-    REGISTER_NAMES,
-    RSP,
-    RBP,
-    STACK_REGISTERS,
-    RegisterFile,
-    register_name,
-)
-from repro.isa.instruction import (
-    AddressingMode,
-    OpClass,
-    MemOperand,
-    StaticInstruction,
-    DynamicInstruction,
-    SnoopEvent,
-    is_memory_op,
-)
-from repro.isa.program import Program, ProgramBuilder, Label
-
-__all__ = [
-    "ARCH_REGISTER_COUNT",
-    "APX_REGISTER_COUNT",
-    "REGISTER_NAMES",
-    "RSP",
-    "RBP",
-    "STACK_REGISTERS",
-    "RegisterFile",
-    "register_name",
-    "AddressingMode",
-    "OpClass",
-    "MemOperand",
-    "StaticInstruction",
-    "DynamicInstruction",
-    "SnoopEvent",
-    "is_memory_op",
-    "Program",
-    "ProgramBuilder",
-    "Label",
-]

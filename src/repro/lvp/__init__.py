@@ -1,14 +1,1 @@
 """Load value predictors: the EVES predictor (CVP-1 winner) and the Lipasti LLVP."""
-
-from repro.lvp.base import LoadValuePredictor, ValuePrediction
-from repro.lvp.eves import EvesPredictor, EvesConfig
-from repro.lvp.llvp import LipastiPredictor, LipastiConfig
-
-__all__ = [
-    "LoadValuePredictor",
-    "ValuePrediction",
-    "EvesPredictor",
-    "EvesConfig",
-    "LipastiPredictor",
-    "LipastiConfig",
-]

@@ -1,23 +1,1 @@
 """Memory hierarchy substrate: caches, prefetchers, DRAM, TLB and coherence directory."""
-
-from repro.memory.cache import CacheConfig, SetAssociativeCache
-from repro.memory.prefetcher import StridePrefetcher, StreamPrefetcher
-from repro.memory.dram import DramConfig, DramModel
-from repro.memory.tlb import TlbConfig, Tlb
-from repro.memory.coherence import Directory
-from repro.memory.hierarchy import MemoryHierarchy, MemoryHierarchyConfig, CACHE_LINE_SIZE
-
-__all__ = [
-    "CacheConfig",
-    "SetAssociativeCache",
-    "StridePrefetcher",
-    "StreamPrefetcher",
-    "DramConfig",
-    "DramModel",
-    "TlbConfig",
-    "Tlb",
-    "Directory",
-    "MemoryHierarchy",
-    "MemoryHierarchyConfig",
-    "CACHE_LINE_SIZE",
-]

@@ -1,17 +1,1 @@
 """Power modelling: CACTI-like structure estimates and the event-based core power model."""
-
-from repro.power.cacti import StructureEstimate, cacti_estimate, TABLE3_ESTIMATES
-from repro.power.power_model import (
-    EnergyTable,
-    PowerBreakdown,
-    CorePowerModel,
-)
-
-__all__ = [
-    "StructureEstimate",
-    "cacti_estimate",
-    "TABLE3_ESTIMATES",
-    "EnergyTable",
-    "PowerBreakdown",
-    "CorePowerModel",
-]

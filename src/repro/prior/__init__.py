@@ -1,11 +1,1 @@
 """Prior works compared against Constable: ELAR and Register File Prefetching."""
-
-from repro.prior.elar import EarlyLoadAddressResolver, ElarConfig
-from repro.prior.rfp import RegisterFilePrefetcher, RfpConfig
-
-__all__ = [
-    "EarlyLoadAddressResolver",
-    "ElarConfig",
-    "RegisterFilePrefetcher",
-    "RfpConfig",
-]

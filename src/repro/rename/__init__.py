@@ -1,15 +1,2 @@
 """Rename-stage machinery: register alias table, dynamic instruction optimizations
 (move/zero elimination, constant and branch folding) and Memory Renaming (MRN)."""
-
-from repro.rename.rat import RegisterAliasTable
-from repro.rename.optimizations import RenameOptimizer, RenameOptimizationConfig, OptimizationKind
-from repro.rename.memory_renaming import MemoryRenamer, MemoryRenamingConfig
-
-__all__ = [
-    "RegisterAliasTable",
-    "RenameOptimizer",
-    "RenameOptimizationConfig",
-    "OptimizationKind",
-    "MemoryRenamer",
-    "MemoryRenamingConfig",
-]

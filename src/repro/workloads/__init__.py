@@ -11,26 +11,3 @@ A functional VM executes the composed program to produce the dynamic
 instruction trace consumed by the timing model; the same functional values
 back the golden check at retirement.
 """
-
-from repro.workloads.trace import Trace
-from repro.workloads.vm import FunctionalVM
-from repro.workloads.generator import generate_trace, generate_suite
-from repro.workloads.suites import (
-    WorkloadSpec,
-    SUITE_NAMES,
-    all_workload_specs,
-    workload_specs_for_suite,
-    get_workload_spec,
-)
-
-__all__ = [
-    "Trace",
-    "FunctionalVM",
-    "generate_trace",
-    "generate_suite",
-    "WorkloadSpec",
-    "SUITE_NAMES",
-    "all_workload_specs",
-    "workload_specs_for_suite",
-    "get_workload_spec",
-]

@@ -12,18 +12,16 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.instruction import DynamicInstruction, SnoopEvent
 from repro.isa.program import Program, ProgramBuilder
 from repro.isa.registers import ARCH_REGISTER_COUNT, RBP, RSP
-from repro.workloads.kernels import (
-    KernelContext,
-    STACK_TOP,
-    create_kernel,
-)
 from repro.workloads.trace import Trace
-from repro.workloads.vm import FunctionalVM, SparseMemory
+
+if TYPE_CHECKING:
+    from repro.workloads.kernels import KernelContext
+    from repro.workloads.vm import FunctionalVM
 
 #: Code base address of each hardware thread's workload, by thread position:
 #: an SMT second thread starts elsewhere so two threads never alias in the
@@ -50,6 +48,11 @@ def build_workload_program(kernel_recipes: Sequence[Tuple[str, Dict[str, object]
     Returns the program and the kernel context (which records, among other
     things, the shared-region addresses eligible for external writes).
     """
+    # Imported on first use, like the VM in generate_trace: the runner binds
+    # this module, and the caches read its base PCs, in runs that generate no
+    # trace at all.
+    from repro.workloads.kernels import STACK_TOP, KernelContext, create_kernel
+
     if not kernel_recipes:
         raise ValueError("a workload needs at least one kernel")
     rng = random.Random(seed)
@@ -111,6 +114,8 @@ def generate_trace(spec, num_instructions: int = 50_000,
     program, ctx = build_workload_program(
         kernel_recipes, num_registers=registers, seed=spec.seed, base_pc=base_pc,
     )
+    from repro.workloads.vm import FunctionalVM, SparseMemory
+
     memory = SparseMemory(initial=ctx.initial_memory)
     vm = FunctionalVM(program, num_registers=registers, memory=memory)
     rng = random.Random(spec.seed ^ 0xBEEF)

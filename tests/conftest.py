@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ConstableConfig
+from repro.core.config import ConstableConfig
 from repro.experiments import parallel as parallel_module
 from repro.experiments import runner as runner_module
-from repro.pipeline import CoreConfig, simulate_trace
-from repro.pipeline.cpu import OutOfOrderCore
-from repro.workloads import generate_trace, workload_specs_for_suite
-from repro.workloads.suites import WorkloadSpec
+from repro.pipeline.config import CoreConfig
+from repro.pipeline.cpu import OutOfOrderCore, simulate_trace
+from repro.workloads.generator import generate_trace
+from repro.workloads.suites import WorkloadSpec, workload_specs_for_suite
 
 #: Trace length used by integration tests: long enough for Constable to train,
 #: short enough to keep the whole suite fast.

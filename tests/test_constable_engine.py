@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import ConstableConfig, ConstableEngine
+from repro.core.config import ConstableConfig
+from repro.core.constable import ConstableEngine
 from repro.core.ideal import IdealMode, IdealOracle, build_oracle_from_trace
 from repro.isa.instruction import AddressingMode
 

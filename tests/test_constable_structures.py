@@ -2,14 +2,12 @@
 
 import pytest
 
-from repro.core import (
-    AddressMonitorTable,
-    ConstableConfig,
-    ExtraRegisterFile,
-    RegisterMonitorTable,
-    StableLoadDetector,
-    storage_overhead_report,
-)
+from repro.core.amt import AddressMonitorTable
+from repro.core.config import ConstableConfig
+from repro.core.rmt import RegisterMonitorTable
+from repro.core.sld import StableLoadDetector
+from repro.core.storage import storage_overhead_report
+from repro.core.xprf import ExtraRegisterFile
 from repro.isa.registers import RBP, RSP
 
 

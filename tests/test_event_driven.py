@@ -181,7 +181,7 @@ def _run_sweeps(runner: ExperimentRunner):
 def reference_sweeps():
     """Serial sweeps whose cores run the per-cycle reference engine."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("repro.experiments.runner.OutOfOrderCore",
+        patch.setattr("repro.pipeline.cpu.OutOfOrderCore",
                       functools.partial(OutOfOrderCore, engine="cycle"))
         runner = ExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
                                   suites=SUITES)

@@ -2,18 +2,23 @@
 
 import pytest
 
-from repro.experiments import (
-    ExperimentRunner,
+from repro.experiments import figures
+from repro.experiments.configs import (
     baseline_config,
     constable_config,
     constable_engine_config,
     eves_config,
     eves_constable_config,
-    figures,
-    format_table,
     named_configs,
 )
-from repro.experiments.reporting import format_mapping, format_percent, format_speedup, per_suite_table
+from repro.experiments.reporting import (
+    format_mapping,
+    format_percent,
+    format_speedup,
+    format_table,
+    per_suite_table,
+)
+from repro.experiments.runner import ExperimentRunner
 
 
 @pytest.fixture(scope="module")
@@ -245,11 +250,11 @@ def test_config_builder_type_error_reaches_the_caller():
 
 def test_run_config_simulation_failure_is_atomic(monkeypatch):
     """An executor raising during simulation also commits nothing."""
-    from repro.experiments import runner as runner_module
+    from repro.pipeline import cpu
 
     runner = ExperimentRunner(per_suite=1, instructions=1000,
                               suites=("Client", "Server"))
-    original = runner_module.OutOfOrderCore.run
+    original = cpu.OutOfOrderCore.run
     calls = {"count": 0}
 
     def failing_run(self):
@@ -258,12 +263,12 @@ def test_run_config_simulation_failure_is_atomic(monkeypatch):
             raise RuntimeError("simulator crashed")
         return original(self)
 
-    monkeypatch.setattr(runner_module.OutOfOrderCore, "run", failing_run)
+    monkeypatch.setattr(cpu.OutOfOrderCore, "run", failing_run)
     with pytest.raises(RuntimeError, match="crashed"):
         runner.run_config("baseline", baseline_config())
     for run in runner.workloads().values():
         assert "baseline" not in run.results
-    monkeypatch.setattr(runner_module.OutOfOrderCore, "run", original)
+    monkeypatch.setattr(cpu.OutOfOrderCore, "run", original)
     results = runner.run_config("baseline", baseline_config())
     assert set(results) == set(runner.workloads())
 

@@ -44,17 +44,17 @@ from repro.experiments.faults import (
     active_fault_plan,
 )
 from repro.experiments.orchestrator import FigurePlan, SweepOrchestrator
-from repro.experiments.parallel import (
-    DEFAULT_MAX_RETRIES,
-    JobExecutionError,
-    ParallelExperimentRunner,
-)
+from repro.experiments.parallel import JobExecutionError, ParallelExperimentRunner
 from repro.experiments.reporting import (
     format_dead_letters,
     format_health_report,
     format_persisted_health,
 )
-from repro.experiments.runner import ExperimentRunner, SweepExecutionError
+from repro.experiments.runner import (
+    DEFAULT_MAX_RETRIES,
+    ExperimentRunner,
+    SweepExecutionError,
+)
 
 #: Reduced sweep shared by the chaos tests: 2 workloads, short traces.
 SUITES = ("Client", "Server")

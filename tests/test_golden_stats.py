@@ -40,7 +40,7 @@ from repro.analysis.load_inspector import inspect_trace
 from repro.core.ideal import IdealMode, IdealOracle
 from repro.experiments.configs import baseline_config, constable_config, named_configs
 from repro.experiments.runner import ExperimentRunner
-from repro.pipeline import simulate_smt_pair, simulate_trace
+from repro.pipeline.cpu import simulate_smt_pair, simulate_trace
 from repro.pipeline.config import CoreConfig
 from repro.workloads.generator import generate_trace, trace_signature
 from repro.workloads.suites import get_workload_spec

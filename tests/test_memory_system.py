@@ -2,19 +2,12 @@
 
 import pytest
 
-from repro.memory import (
-    CacheConfig,
-    Directory,
-    DramConfig,
-    DramModel,
-    MemoryHierarchy,
-    MemoryHierarchyConfig,
-    SetAssociativeCache,
-    StridePrefetcher,
-    StreamPrefetcher,
-    Tlb,
-    TlbConfig,
-)
+from repro.memory.cache import CacheConfig, SetAssociativeCache
+from repro.memory.coherence import Directory
+from repro.memory.dram import DramConfig, DramModel
+from repro.memory.hierarchy import MemoryHierarchy, MemoryHierarchyConfig
+from repro.memory.prefetcher import StridePrefetcher, StreamPrefetcher
+from repro.memory.tlb import Tlb, TlbConfig
 
 
 # ------------------------------------------------------------------------ cache

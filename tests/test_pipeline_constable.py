@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core import ConstableConfig
+from repro.core.config import ConstableConfig
 from repro.core.ideal import IdealMode, build_oracle_from_trace
-from repro.analysis import inspect_trace
+from repro.analysis.load_inspector import inspect_trace
 from repro.experiments.configs import constable_config
 from repro.isa.instruction import AddressingMode
-from repro.pipeline import CoreConfig, simulate_smt_pair, simulate_trace
-from repro.pipeline.cpu import GoldenCheckError
+from repro.pipeline.config import CoreConfig
+from repro.pipeline.cpu import GoldenCheckError, simulate_smt_pair, simulate_trace
 from repro.workloads.generator import THREAD_BASE_PCS, generate_trace
 from repro.workloads.suites import get_workload_spec
 

@@ -11,7 +11,8 @@ from repro.experiments.configs import baseline_config, constable_config
 from repro.memory.cache import CacheConfig
 from repro.memory.dram import DramConfig
 from repro.memory.tlb import TlbConfig
-from repro.pipeline import CoreConfig, OutOfOrderCore, simulate_trace
+from repro.pipeline.config import CoreConfig
+from repro.pipeline.cpu import OutOfOrderCore, simulate_trace
 from repro.rename.optimizations import RenameOptimizationConfig
 from repro.workloads.generator import generate_trace
 from repro.workloads.suites import get_workload_spec

@@ -1,7 +1,9 @@
 """Integration tests for EVES, ELAR, RFP, combinations and SMT2."""
 
-from repro.pipeline import CoreConfig, simulate_smt_pair, simulate_trace
-from repro.workloads import generate_trace, workload_specs_for_suite
+from repro.pipeline.config import CoreConfig
+from repro.pipeline.cpu import simulate_smt_pair, simulate_trace
+from repro.workloads.generator import generate_trace
+from repro.workloads.suites import workload_specs_for_suite
 
 
 def test_eves_runs_and_predicts(client_trace):

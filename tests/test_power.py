@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.power import (
-    CorePowerModel,
-    EnergyTable,
+from repro.power.cacti import (
     TABLE3_ESTIMATES,
     cacti_estimate,
+    constable_structure_estimates,
 )
-from repro.power.cacti import constable_structure_estimates
+from repro.power.power_model import CorePowerModel, EnergyTable
 
 
 def test_table3_calibration_points_match_paper():

@@ -11,7 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.load_inspector import GlobalStableReport, LoadSiteStats
 from repro.analysis.stats_utils import box_whisker_summary, geomean
-from repro.core import AddressMonitorTable, ConstableConfig, StableLoadDetector
+from repro.core.amt import AddressMonitorTable
+from repro.core.config import ConstableConfig
+from repro.core.sld import StableLoadDetector
 from repro.experiments.cache import ResultCache
 from repro.frontend.branch_predictor import TageConfig, TagePredictor, _fold
 from repro.isa.instruction import MemOperand, AddressingMode

@@ -207,7 +207,7 @@ def test_both_engines_produce_identical_rows(tmp_path, monkeypatch):
     included — engines are excluded from cache keys) equal the event
     engine's bit-for-bit."""
     _run_sweep(tmp_path / "event")
-    monkeypatch.setattr("repro.experiments.runner.OutOfOrderCore",
+    monkeypatch.setattr("repro.pipeline.cpu.OutOfOrderCore",
                         functools.partial(OutOfOrderCore, engine="cycle"))
     _run_sweep(tmp_path / "cycle")
     event_rows = _dump(read_rows(tmp_path / "event"))

@@ -2,18 +2,18 @@
 
 import pytest
 
-from repro.analysis import inspect_trace
+from repro.analysis.load_inspector import inspect_trace
 from repro.isa.instruction import AddressingMode
-from repro.workloads import (
+from repro.workloads.generator import build_workload_program, generate_trace
+from repro.workloads.kernels import KERNEL_REGISTRY, KernelContext, create_kernel
+from repro.workloads.suites import (
     SUITE_NAMES,
+    SUITE_TRACE_COUNTS,
     all_workload_specs,
-    generate_trace,
     get_workload_spec,
+    representative_specs,
     workload_specs_for_suite,
 )
-from repro.workloads.generator import build_workload_program
-from repro.workloads.kernels import KERNEL_REGISTRY, KernelContext, create_kernel
-from repro.workloads.suites import SUITE_TRACE_COUNTS, representative_specs
 
 
 def test_suite_counts_match_paper_table4():
