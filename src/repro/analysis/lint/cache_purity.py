@@ -5,15 +5,14 @@ key fingerprints *what will be simulated* and nothing else.  The execution
 engine (``engine=``) is deliberately excluded — the engines are
 bit-identical, so warm entries must stay valid under either —
 and no ``REPRO_*`` runtime knob may leak in, or two hosts with different
-environments would silently stop sharing work.  The same goes for the fault
-injection and supervision layer (``REPRO_FAULT_PLAN``, retry budgets, job
-timeouts): a faulted-and-retried run must produce entries bit-identical to a
-clean run, so none of that configuration may fingerprint.  This rule
-statically forbids ``os.environ``/``os.getenv`` reads, any ``engine``-named
-name or attribute, and any fault/retry/timeout-named name, attribute or
-parameter inside the key/fingerprint functions of ``experiments/cache.py``,
-``experiments/orchestrator.py``, ``experiments/faults.py`` and
-``experiments/parallel.py``.
+environments would silently stop sharing work.  The same goes for how a
+sweep copes with failure (fault plans, retry budgets, job timeouts): none of
+it may fingerprint, so none can come back into key material unnoticed.  This
+rule statically forbids ``os.environ``/``os.getenv`` reads, any
+``engine``-named name or attribute, and any fault/retry/timeout-named name,
+attribute or parameter inside the key/fingerprint functions of
+``experiments/cache.py``, ``experiments/orchestrator.py``,
+``experiments/parallel.py`` and ``experiments/warehouse.py``.
 
 **Reachability.**  The call graph is walked one level deep within each
 module: a seed function's body plus the bodies of same-module functions it
@@ -43,7 +42,6 @@ from repro.analysis.lint.engine import (
 SCOPE_FILES = (
     "src/repro/experiments/cache.py",
     "src/repro/experiments/orchestrator.py",
-    "src/repro/experiments/faults.py",
     "src/repro/experiments/parallel.py",
     "src/repro/experiments/warehouse.py",
 )

@@ -27,14 +27,13 @@ Subcommands:
   restricts the wave to shard K of N and renders no figure, so N hosts
   pointed at one cache directory cover the wave disjointly; an unsharded
   run over the same directory afterwards folds the per-shard cache entries
-  into results bit-identical to a serial unsharded run.  With
-  ``--workers > 1`` every job runs under per-job supervision
-  (``--max-retries`` pool attempts with backoff, ``--job-timeout`` wall
-  clocks, pool rebuilds, in-process degradation); jobs that exhaust every
-  recovery path are *dead-lettered* and the command exits with code 3 after
-  journaling all completed work to the cache, so rerunning the same
-  command executes only the missing jobs.  Ctrl-C shuts the pool down,
-  flushes the counters and exits 130.
+  into results bit-identical to a serial unsharded run.  A job that fails,
+  or was in flight in a worker that died, is *dead-lettered* at once and
+  never retried (the simulator is deterministic); the rest of the wave
+  still runs, and the command exits with code 3 after journaling all
+  completed work to the cache, so rerunning the same command executes only
+  the missing jobs.  Ctrl-C shuts the pool down, flushes the counters and
+  exits 130.
 * ``repro lint`` — AST-based invariant checker (``repro.analysis.lint``):
   enforces the determinism, cache-key-purity, schema-manifest, env-registry,
   engine-parity and exception-hygiene contracts statically, before a single
@@ -104,22 +103,15 @@ from repro.experiments.orchestrator import SweepOrchestrator
 from repro.experiments.reporting import (
     format_dead_letters,
     format_dedup_stats,
-    format_health_report,
     format_persisted_dedup,
     format_persisted_health,
     format_table,
 )
-from repro.experiments.runner import (
-    DEFAULT_MAX_RETRIES,
-    ExperimentRunner,
-    Shard,
-    SweepExecutionError,
-)
+from repro.experiments.runner import ExperimentRunner, Shard, SweepExecutionError
 from repro.workloads.suites import SUITE_NAMES
 
-#: Exit code for a wave that dead-lettered at least one job after exhausting
-#: every recovery path (retries, pool rebuilds, in-process fallback).  Distinct
-#: from 1 (generic failure) and 2 (usage/validation) so wrappers can branch on
+#: Exit code for a wave that dead-lettered at least one job.  Distinct from 1
+#: (generic failure) and 2 (usage/validation) so wrappers can branch on
 #: "partial results are journaled; rerun the same command".
 EXIT_DEAD_LETTER = 3
 
@@ -155,13 +147,6 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
                         help="trace length in instructions")
     parser.add_argument("--suites", default=None,
                         help="comma-separated suite subset (default: all suites)")
-    parser.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES,
-                        help="extra pool attempts per failed job before the "
-                             "in-process fallback (parallel runner only; "
-                             f"default: {DEFAULT_MAX_RETRIES})")
-    parser.add_argument("--job-timeout", type=float, default=None,
-                        help="per-job wall-clock timeout in seconds (parallel "
-                             "runner only; default: no timeout)")
 
 
 def _build_runner(args: argparse.Namespace) -> ExperimentRunner:
@@ -175,9 +160,7 @@ def _build_runner(args: argparse.Namespace) -> ExperimentRunner:
     return default_runner(per_suite=per_suite, instructions=args.instructions,
                           workers=args.workers,
                           cache_dir=resolve_cache_dir(args.cache_dir),
-                          suites=suites,
-                          max_retries=args.max_retries,
-                          job_timeout=args.job_timeout)
+                          suites=suites)
 
 
 def _print_verify_report(report: CacheVerifyReport, as_json: bool) -> None:
@@ -245,26 +228,11 @@ def _print_persisted_counters(counters: Dict[str, object]) -> None:
         print(format_persisted_health(health))
 
 
-def _print_runner_health(runner: ExperimentRunner) -> None:
-    """Surface supervision events (retries, timeouts, ...) after a sweep.
-
-    Quiet on a healthy run: the table only appears when something had to be
-    recovered, so clean CI logs stay clean.
-    """
-    if runner.health.healthy:
-        return
-    print(format_health_report(runner.health))
-    if runner.health.dead_letters:
-        print(format_dead_letters(runner.health.dead_letters))
-
-
 def _print_failure_summary(error: SweepExecutionError) -> None:
     """Explain a dead-lettered wave on stderr, including the rerun hint."""
-    print("sweep failed: job(s) dead-lettered after exhausting retries and "
-          "the in-process fallback", file=sys.stderr)
-    print(format_dead_letters(error.dead_letters), file=sys.stderr)
-    print(format_health_report(error.health, title="sweep health at failure"),
+    print(f"sweep failed: {len(error.dead_letters)} job(s) dead-lettered",
           file=sys.stderr)
+    print(format_dead_letters(error.dead_letters), file=sys.stderr)
     print("completed jobs are journaled in the cache; rerun the same command "
           "to execute only the missing ones", file=sys.stderr)
 
@@ -487,7 +455,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         hits = runner.cache.stats.hits if runner.cache is not None else 0
         print(f"done: {simulated} simulated, {hits} cache hits, "
               f"{inspected} inspection passes")
-        _print_runner_health(runner)
     if args.expect_warm and _expect_warm_violated(simulated, inspected,
                                                   dedup_stats):
         return 2
@@ -674,7 +641,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "figures":
         try:
             return _cmd_figures(args)
-        except ValueError as error:  # e.g. malformed --shard or --max-retries
+        except ValueError as error:  # e.g. malformed --shard or --workers 0
             print(str(error), file=sys.stderr)
             return 2
     if args.command == "lint":

@@ -84,10 +84,9 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: The four cache counters a flush records (mirrors :meth:`CacheStats.as_dict`).
 _LEDGER_COUNTERS = ("hits", "misses", "stores", "evictions")
 
-#: Counter names of the supervision-health block (see
-#: :func:`persist_health_stats`); ``runs`` counts runner flushes.
-_HEALTH_COUNTERS = ("runs", "jobs", "attempts", "retries", "timeouts",
-                    "pool_rebuilds", "degraded", "dead_lettered")
+#: Counter names of the health block (see :func:`persist_health_stats`);
+#: ``runs`` counts runner flushes.
+_HEALTH_COUNTERS = ("runs", "jobs", "dead_lettered")
 
 #: The counters of an orchestrated wave's dedup block.  ``waves`` counts the
 #: wave records (1 per flush), so summed blocks still say how many waves
@@ -210,14 +209,13 @@ def persisted_cache_stats(directory: Union[str, Path]) -> Dict[str, object]:
 
     Returns ``{"ledgers": n, "total": {hits, misses, stores, evictions},
     "by_cache": {<cache class>: {...}}, "dedup": {waves, planned, unique,
-    deduped, cache_warm, executed}, "health": {runs, jobs, attempts, retries,
-    timeouts, pool_rebuilds, degraded, dead_lettered}}`` summed over every
-    live counter record (``ledgers`` counts them) — i.e. over every process
-    (and every shard host writing to a shared directory) that flushed its
-    counters via :meth:`JsonDiskCache.persist_stats`, plus every orchestrated
-    wave streamed in via :func:`persist_dedup_stats` and every runner close
-    streamed in via :func:`persist_health_stats`.  An empty or missing
-    directory aggregates to all-zero counters.
+    deduped, cache_warm, executed}, "health": {runs, jobs, dead_lettered}}``
+    summed over every live counter record (``ledgers`` counts them) — i.e.
+    over every process (and every shard host writing to a shared directory)
+    that flushed its counters via :meth:`JsonDiskCache.persist_stats`, plus
+    every orchestrated wave streamed in via :func:`persist_dedup_stats` and
+    every runner close streamed in via :func:`persist_health_stats`.  An
+    empty or missing directory aggregates to all-zero counters.
     """
     zero = {name: 0 for name in _LEDGER_COUNTERS}
     dedup_total = {name: 0 for name in _DEDUP_COUNTERS}
@@ -278,22 +276,22 @@ def persist_dedup_stats(directory: Union[str, Path],
         {"cache": DEDUP_LEDGER_CLASS, "dedup": block})
 
 
-#: Source class under which runners record supervision health.
+#: Source class under which runners record their health counters.
 HEALTH_LEDGER_CLASS = "SweepSupervisor"
 
 
 def persist_health_stats(directory: Union[str, Path],
                          health: Dict[str, object]) -> Optional[Path]:
-    """Append one runner's supervision-health deltas to the counters table.
+    """Append one runner's health-counter deltas to the counters table.
 
     ``health`` carries :data:`_HEALTH_COUNTERS` deltas (a
     :meth:`~repro.experiments.runner.SweepHealthReport.counters` payload, or
     the delta since the runner's previous flush); each flush counts as one
     ``runs``.  The block is appended as one record of class
     :data:`HEALTH_LEDGER_CLASS` and :func:`persisted_cache_stats` sums it,
-    which is how ``repro cache stats`` reports cross-host
-    retry/timeout/dead-letter rates for a shared sweep directory.  Returns
-    the log appended to, or None on I/O failure.
+    which is how ``repro cache stats`` reports cross-host job and
+    dead-letter counts for a shared sweep directory.  Returns the log
+    appended to, or None on I/O failure.
     """
     block = {name: int(health.get(name, 0)) for name in _HEALTH_COUNTERS}
     block["runs"] = 1

@@ -40,8 +40,7 @@ from repro.experiments.configs import (
 from repro.experiments.cache import ReportCache, ResultCache
 from repro.experiments.orchestrator import DedupStats, FigurePlan, SweepOrchestrator
 from repro.experiments.reporting import format_table, per_suite_table
-from repro.experiments.runner import (DEFAULT_MAX_RETRIES, ConfigLike,
-                                      ExperimentRunner, check_supervision)
+from repro.experiments.runner import ConfigLike, ExperimentRunner
 from repro.isa.instruction import AddressingMode
 from repro.pipeline.config import CoreConfig
 from repro.power.cacti import constable_structure_estimates
@@ -52,9 +51,7 @@ from repro.workloads.suites import SUITE_NAMES
 def default_runner(per_suite: Optional[int] = 2, instructions: int = 6000,
                    workers: Optional[int] = None,
                    cache_dir: Optional[str] = None,
-                   suites: Sequence[str] = SUITE_NAMES,
-                   max_retries: int = DEFAULT_MAX_RETRIES,
-                   job_timeout: Optional[float] = None) -> ExperimentRunner:
+                   suites: Sequence[str] = SUITE_NAMES) -> ExperimentRunner:
     """The reduced workload set the CLI and the paper-claims tests run.
 
     Every figure harness accepts either runner flavour: pass ``workers > 1``
@@ -65,15 +62,9 @@ def default_runner(per_suite: Optional[int] = 2, instructions: int = 6000,
     cache (single-thread + SMT entries) and the Load Inspector report cache,
     so a warm rerun of any figure harness performs zero simulations and zero
     inspection passes.
-
-    ``max_retries`` and ``job_timeout`` tune the parallel runner's per-job
-    supervision (retry budget and wall-clock timeout).  They are checked
-    whatever the worker count, and the serial runner, which has no
-    supervision layer, ignores them.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    check_supervision(max_retries, job_timeout)
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     report_cache = ReportCache(cache_dir) if cache_dir is not None else None
     if workers is not None and workers > 1:
@@ -83,9 +74,7 @@ def default_runner(per_suite: Optional[int] = 2, instructions: int = 6000,
         return ParallelExperimentRunner(per_suite=per_suite, instructions=instructions,
                                         suites=suites, cache=cache,
                                         report_cache=report_cache,
-                                        max_workers=workers,
-                                        max_retries=max_retries,
-                                        job_timeout=job_timeout)
+                                        max_workers=workers)
     return ExperimentRunner(per_suite=per_suite, instructions=instructions,
                             suites=suites, cache=cache, report_cache=report_cache)
 

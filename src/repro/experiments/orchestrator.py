@@ -213,11 +213,10 @@ class SweepOrchestrator:
         disk must never mask the execution error being propagated.  The
         in-memory stores are deliberately untouched: partial results are a
         *journal* for resume, not a committed sweep.  The puts below also
-        append each journaled entry's warehouse
-        row (inside ``cache.put``), so after a chaos-faulted wave
-        the warehouse lists exactly the journaled jobs — which is what lets
-        ``repro warehouse verify`` assert journal agreement before and after
-        the rerun.
+        append each journaled entry's warehouse row (inside ``cache.put``),
+        so after a dead-lettered wave the warehouse lists exactly the
+        journaled jobs — which is what lets ``repro warehouse verify``
+        assert journal agreement before and after the rerun.
         """
         runner = self.runner
         if runner.cache is None or not isinstance(error.partial, dict):

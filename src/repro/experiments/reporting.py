@@ -81,20 +81,6 @@ def format_persisted_dedup(dedup: Mapping[str, int],
     return format_table(["metric", "value"], rows, title=title)
 
 
-def format_health_report(health, title: str = "sweep health") -> str:
-    """Render a :class:`~repro.experiments.runner.SweepHealthReport`."""
-    rows = [
-        ("jobs supervised", health.jobs),
-        ("attempts", health.attempts),
-        ("retries", health.retries),
-        ("timeouts", health.timeouts),
-        ("pool rebuilds", health.pool_rebuilds),
-        ("degraded (in-process)", health.degraded),
-        ("dead-lettered", health.dead_lettered),
-    ]
-    return format_table(["metric", "count"], rows, title=title)
-
-
 def _last_line(text: str) -> str:
     lines = [line for line in str(text).strip().splitlines() if line.strip()]
     return lines[-1] if lines else ""
@@ -105,18 +91,13 @@ def format_dead_letters(dead_letters: Sequence[object],
     """Render :class:`~repro.experiments.runner.DeadLetter` records, one per line.
 
     Full tracebacks are deliberately reduced to their last line here — the
-    complete text stays on the records (and in the health report's
-    ``to_dict()`` form) for forensics; the human summary needs *which* job
-    died of *what*, not forty frames each.
+    complete text stays on the records for forensics; the human summary
+    needs *which* job died of *what*, not forty frames each.
     """
     lines: List[str] = [title] if title else []
     for letter in dead_letters:
-        line = (f"  {letter.label} (attempts {letter.attempts}): "
-                f"{_last_line(letter.error) or 'unknown error'}")
-        fallback = _last_line(letter.fallback_error)
-        if fallback:
-            line += f"; in-process fallback: {fallback}"
-        lines.append(line)
+        lines.append(f"  {letter.label}: "
+                     f"{_last_line(letter.error) or 'unknown error'}")
     return "\n".join(lines)
 
 
@@ -124,22 +105,13 @@ def format_persisted_health(health: Mapping[str, int],
                             title: str = "sweep health (all processes)") -> str:
     """Render the aggregated health block of ``persisted_cache_stats``.
 
-    Counts are sums over every runner that flushed supervision counters into
-    the cache directory (possibly from several shard hosts); the retry rate
-    says how flaky the fleet actually was, dead-lettered whether anything was
-    lost.
+    Counts are sums over every runner that flushed its counters into the
+    cache directory (possibly from several shard hosts); dead-lettered says
+    whether any job was lost.
     """
-    attempts = health.get("attempts", 0)
-    retries = health.get("retries", 0)
     rows = [
         ("runs", health.get("runs", 0)),
-        ("jobs supervised", health.get("jobs", 0)),
-        ("attempts", attempts),
-        ("retries", retries),
-        ("retry rate", format_percent(retries / attempts) if attempts else "n/a"),
-        ("timeouts", health.get("timeouts", 0)),
-        ("pool rebuilds", health.get("pool_rebuilds", 0)),
-        ("degraded (in-process)", health.get("degraded", 0)),
+        ("jobs", health.get("jobs", 0)),
         ("dead-lettered", health.get("dead_lettered", 0)),
     ]
     return format_table(["metric", "value"], rows, title=title)

@@ -50,7 +50,6 @@ bit-identical to a serial unsharded run.
 
 from __future__ import annotations
 
-import math
 import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
@@ -74,19 +73,6 @@ from repro.workloads.trace import Trace
 ConfigLike = Union[CoreConfig, Callable[[GlobalStableReport], CoreConfig]]
 
 _Item = TypeVar("_Item")
-
-#: Pool retry budget unless ``max_retries`` says otherwise.
-DEFAULT_MAX_RETRIES = 2
-
-
-def check_supervision(max_retries: int, job_timeout: Optional[float]) -> None:
-    """Reject a negative retry budget or a timeout that is not a positive
-    number of seconds (None means no timeout)."""
-    if max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
-    if job_timeout is not None and (not math.isfinite(job_timeout)
-                                    or job_timeout <= 0):
-        raise ValueError("job_timeout must be a positive number of seconds")
 
 
 @dataclass(frozen=True)
@@ -178,80 +164,51 @@ class SimulationJob:
 
     @property
     def label(self) -> str:
-        """The canonical supervision/fault label, ``sim:<config>/<workload>``."""
+        """The job's label in dead letters and logs, ``sim:<config>/<workload>``."""
         return f"sim:{self.config_name}/{self.workload}"
 
 
 @dataclass
 class DeadLetter:
-    """One job that exhausted every execution rung of a sweep.
+    """One job of a wave that failed.
 
-    ``error`` is the traceback text of the last pool-side failure (remote
-    workers format it before the exception crosses the process boundary, so
-    the text survives pickling); ``fallback_error`` is filled when the final
-    in-process degradation attempt failed too.
+    ``error`` is the failure's traceback text (pool workers format it before
+    the exception crosses the process boundary, so the text survives
+    pickling).
     """
 
     label: str
-    attempts: int
     error: str
-    fallback_error: str = ""
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable form, embedded in health reports and ledgers."""
-        return {"label": self.label, "attempts": self.attempts,
-                "error": self.error, "fallback_error": self.fallback_error}
 
 
 @dataclass
 class SweepHealthReport:
-    """Supervision accounting for every job a runner executed.
+    """Accounting for every simulation job a runner executed.
 
     Counters accumulate across the runner's lifetime (every wave, including
-    the one-plan waves of ``run_config`` / ``run_smt_config``), are rendered by
-    ``repro.experiments.reporting.format_health_report`` and flushed to the
-    cache directory's counters table on close, so ``repro cache stats``
-    surfaces retry/timeout/dead-letter rates across every process sharing a
-    sweep directory.
+    the one-plan waves of ``run_config`` / ``run_smt_config``) and are
+    flushed to the cache directory's counters table on close, so ``repro
+    cache stats`` surfaces job and dead-letter counts across every process
+    sharing a sweep directory.
     """
 
     jobs: int = 0
-    attempts: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    pool_rebuilds: int = 0
-    degraded: int = 0
     dead_letters: List[DeadLetter] = field(default_factory=list)
 
     @property
     def dead_lettered(self) -> int:
-        """How many jobs failed every rung (pool retries + in-process)."""
+        """How many jobs failed."""
         return len(self.dead_letters)
-
-    @property
-    def healthy(self) -> bool:
-        """True when every job succeeded on its first attempt in the pool."""
-        return not (self.retries or self.timeouts or self.pool_rebuilds
-                    or self.degraded or self.dead_letters)
 
     def counters(self) -> Dict[str, int]:
         """The integer counters (ledger form; dead letters reduce to a count)."""
-        return {"jobs": self.jobs, "attempts": self.attempts,
-                "retries": self.retries, "timeouts": self.timeouts,
-                "pool_rebuilds": self.pool_rebuilds, "degraded": self.degraded,
-                "dead_lettered": self.dead_lettered}
-
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-serializable form: the counters plus every dead letter."""
-        payload: Dict[str, object] = dict(self.counters())
-        payload["dead_letters"] = [letter.to_dict()
-                                   for letter in self.dead_letters]
-        return payload
+        return {"jobs": self.jobs, "dead_lettered": self.dead_lettered}
 
 
 class SweepExecutionError(RuntimeError):
-    """One or more jobs dead-lettered after every retry/degradation rung.
+    """One or more jobs of a wave dead-lettered.
 
+    Raised once the whole wave has run, so every other job finished first.
     Subclasses :class:`RuntimeError` and embeds the last failure's traceback
     text in its message, so callers matching on the underlying error's text
     (and the atomic-commit tests doing exactly that) keep working.  Carries
@@ -264,18 +221,16 @@ class SweepExecutionError(RuntimeError):
     keyed exactly as its return value.
     """
 
-    def __init__(self, dead_letters: Sequence[DeadLetter],
-                 health: "SweepHealthReport"):
+    def __init__(self, dead_letters: Sequence[DeadLetter]):
         labels = ", ".join(letter.label for letter in dead_letters[:5])
         if len(dead_letters) > 5:
             labels += f", ... ({len(dead_letters) - 5} more)"
         detail = dead_letters[-1].error if dead_letters else ""
         super().__init__(
-            f"{len(dead_letters)} job(s) dead-lettered after retries: "
+            f"{len(dead_letters)} job(s) dead-lettered: "
             f"{labels}\nlast failure:\n{detail}")
         self.dead_letters = list(dead_letters)
-        self.health = health
-        #: Raw supervisor successes (executor-internal shape); the hooks
+        #: Raw pool successes (executor-internal shape); the hooks
         #: reduce these into ``partial``.
         self.results: List[object] = []
         self.partial: Optional[object] = None
@@ -308,7 +263,7 @@ class ExperimentRunner:
         self.suites = list(suites)
         self.cache = cache
         self.report_cache = report_cache
-        #: Supervision accounting across this runner's lifetime.
+        #: Job and dead-letter accounting across this runner's lifetime.
         self.health = SweepHealthReport()
         self._flushed_health: Dict[str, int] = {}
         self._workloads: Optional[Dict[str, WorkloadRun]] = None
@@ -447,15 +402,6 @@ class ExperimentRunner:
                   for run, base_pc in zip(job.runs, THREAD_BASE_PCS)]
         return OutOfOrderCore(job.config, traces, name=job.config_name).run()
 
-    def _dead_letter(self, label: str, attempts: int = 1,
-                     error: Optional[BaseException] = None) -> DeadLetter:
-        """Record one exhausted job in the health report and return the letter."""
-        letter = DeadLetter(label=label, attempts=attempts,
-                            error=traceback.format_exc() if error is not None
-                            else "")
-        self.health.dead_letters.append(letter)
-        return letter
-
     def _execute_wave(self, jobs: Sequence[SimulationJob]
                       ) -> Dict[Tuple[str, str], SimulationResult]:
         """Execute a multi-configuration batch as one wave.
@@ -469,21 +415,24 @@ class ExperimentRunner:
         pool submission, so the pool never drains between configurations or
         figure harnesses.
 
-        A failure raises :class:`SweepExecutionError` whose ``partial``
-        carries the results completed so far, so the orchestrator can journal
-        them to the on-disk cache before the error propagates.
+        A job that raises is dead-lettered and the loop runs on; once every
+        job has run, a failure raises :class:`SweepExecutionError` whose
+        ``partial`` carries the wave's successes, so the orchestrator can
+        journal them to the on-disk cache before the error propagates.
         """
         results: Dict[Tuple[str, str], SimulationResult] = {}
+        dead: List[DeadLetter] = []
         self.health.jobs += len(jobs)
         for job in jobs:
-            self.health.attempts += 1
             try:
                 results[job.key] = self._simulate_job(job)
-            except Exception as exc:
-                letter = self._dead_letter(job.label, error=exc)
-                error = SweepExecutionError([letter], self.health)
-                error.partial = results
-                raise error from exc
+            except Exception:
+                dead.append(DeadLetter(job.label, traceback.format_exc()))
+        if dead:
+            self.health.dead_letters.extend(dead)
+            error = SweepExecutionError(dead)
+            error.partial = results
+            raise error
         return results
 
     def _run_wave(self, name: str, **demand) -> None:
@@ -521,9 +470,9 @@ class ExperimentRunner:
         The flush is what makes ``repro cache stats`` see this process's
         hit/miss counters after the run is gone; it writes only deltas, so
         closing a runner repeatedly (context manager plus explicit call)
-        never double-counts.  Supervision health counters flush the same way
-        (class ``SweepSupervisor``), so retry/timeout/dead-letter rates are
-        visible cross-process too.
+        never double-counts.  The job and dead-letter counters flush the same
+        way (class ``SweepSupervisor``), so they are visible cross-process
+        too.
         """
         if self.cache is not None:
             counters = self.health.counters()

@@ -16,8 +16,8 @@ keeps append-only tables next to the object store, under
   the rows can never disagree with the cache journal: a journaled entry and
   its row are written by the same ``put`` call.
 * **The counters table** (:data:`COUNTERS_TABLE`) holds the cache hit/miss,
-  orchestrator dedup and supervision-health counter records that
-  ``cache.py`` flushes and ``repro cache stats`` sums.
+  orchestrator dedup and runner health (job, dead-letter) counter records
+  that ``cache.py`` flushes and ``repro cache stats`` sums.
 
 Both tables share one protocol:
 
@@ -190,7 +190,8 @@ def _counter_record(data: Dict[str, object]) -> Dict[str, object]:
 
     A record is ``{"cache": <source class>, <block>: {<counter>: int}, ...}``:
     ``counters`` for a cache's hit/miss/store/eviction deltas, ``dedup`` for
-    an orchestrated wave, ``health`` for a runner's supervision counters.
+    an orchestrated wave, ``health`` for a runner's job and dead-letter
+    counters.
     """
     record: Dict[str, object] = {"cache": str(data["cache"])}
     for block, counters in data.items():

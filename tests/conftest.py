@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from typing import Dict, Tuple
+
 import pytest
 
 from repro.core.config import ConstableConfig
 from repro.experiments import parallel as parallel_module
 from repro.experiments import runner as runner_module
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.cpu import OutOfOrderCore, simulate_trace
+from repro.pipeline.cpu import GoldenCheckError, OutOfOrderCore, simulate_trace
 from repro.workloads.generator import generate_trace
 from repro.workloads.suites import WorkloadSpec, workload_specs_for_suite
 
@@ -97,3 +101,50 @@ def simulation_counter(monkeypatch):
     for module in (parallel_module, runner_module):
         monkeypatch.setattr(module, "generate_trace", counted_trace)
     return calls
+
+
+class JobFailures:
+    """The jobs :func:`fail_job` has armed, by ``(config name, workload)``;
+    a pair's workload is ``a+b``.  The value says whether the job crashes
+    its worker (True) or raises (False)."""
+
+    def __init__(self) -> None:
+        self.armed: Dict[Tuple[str, str], bool] = {}
+
+    def __call__(self, config: str, workload: str, crash: bool = False) -> None:
+        """Make the simulation of ``config`` over ``workload`` fail."""
+        self.armed[(config, workload)] = crash
+
+    def disarm(self) -> None:
+        """Let every job simulate again (pools forked later inherit this)."""
+        self.armed.clear()
+
+
+@pytest.fixture()
+def fail_job(monkeypatch):
+    """Fails chosen simulation jobs: ``fail_job(config, workload)`` makes
+    that job raise a :class:`GoldenCheckError`, and ``crash=True`` makes it
+    kill its pool worker with ``os._exit`` instead.
+
+    The patch lands on ``OutOfOrderCore.run`` in this process, so it must be
+    armed before a pool forks for the workers to inherit it, and a disarm
+    reaches only pools forked after it.
+    """
+    failures = JobFailures()
+    original_run = OutOfOrderCore.run
+
+    def failing_run(self):
+        workload = "+".join(thread.trace.name for thread in self.threads)
+        crash = failures.armed.get((self.name, workload))
+        if crash:
+            if multiprocessing.parent_process() is None:
+                raise RuntimeError(f"a crash of {self.name} over {workload} "
+                                   f"must run in a pool worker")
+            os._exit(17)
+        if crash is not None:
+            raise GoldenCheckError(
+                f"injected failure of {self.name} over {workload}")
+        return original_run(self)
+
+    monkeypatch.setattr(OutOfOrderCore, "run", failing_run)
+    return failures

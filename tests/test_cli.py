@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.experiments.cache import ReportCache, ResultCache
+from repro.experiments.cache import ReportCache, ResultCache, persisted_cache_stats
 from repro.experiments.configs import baseline_config
 from repro.experiments.orchestrator import FigurePlan, SweepOrchestrator
 from repro.experiments.runner import ExperimentRunner, Shard
@@ -100,7 +100,7 @@ def test_sharded_sweep_union_is_bit_identical_to_serial(tmp_path, capsys,
                                                         simulation_counter):
     """``figures --shard`` runs only its slice and renders nothing; the
     unsharded run then folds the shards warm, payloads bit-identical to a
-    cold unsharded run."""
+    cold unsharded run, and every host's wave is counted in the directory."""
     figures = ["figures", "fig14", "fig18", "table1", "--json"]
     for shard in ("1/2", "2/2"):
         assert main(figures + _runner_args(tmp_path) + ["--shard", shard]) == 0
@@ -114,6 +114,8 @@ def test_sharded_sweep_union_is_bit_identical_to_serial(tmp_path, capsys,
     folded = _figure_payloads(capsys.readouterr().out)
     assert simulation_counter["count"] == sharded_sims, \
         "folding shard results must not re-simulate"
+    assert persisted_cache_stats(tmp_path)["dedup"]["waves"] == 3, \
+        "each shard and the fold record their wave"
     assert main(figures + _runner_args(tmp_path / "cold")) == 0
     assert folded == _figure_payloads(capsys.readouterr().out)
     assert sorted(folded) == ["fig14", "fig18", "table1"]
@@ -129,8 +131,6 @@ def test_sweep_rejects_malformed_shard(tmp_path, capsys):
     ("--workers", "-3", "workers must be at least 1"),
     ("--workers", "0", "workers must be at least 1"),
     ("--instructions", "0", "instructions must be positive"),
-    ("--max-retries", "-1", "max_retries must be >= 0"),
-    ("--job-timeout", "-5", "job_timeout must be a positive number of seconds"),
     ("--suites", ",", "suites must name at least one suite"),
     ("--suites", " , ", "suites must name at least one suite"),
 ])
@@ -138,8 +138,8 @@ def test_figures_cli_rejects_out_of_range_runner_sizes(tmp_path, capsys,
                                                        simulation_counter,
                                                        flag, value, message):
     """An out-of-range size or setting exits 2 with the error's one line,
-    before any work: ``--workers -3``, ``--max-retries -1`` and
-    ``--suites " , "`` once ran serially and exited 0."""
+    before any work: ``--workers -3`` and ``--suites " , "`` once ran
+    serially and exited 0."""
     assert main(["figures", "fig11"] + _runner_args(tmp_path) + [flag, value]) == 2
     captured = capsys.readouterr()
     assert message in captured.err and len(captured.err.strip().splitlines()) == 1
@@ -248,13 +248,13 @@ def test_cache_stats_reports_cross_run_hit_rates(tmp_path, capsys):
     assert counters["total"]["stores"] == len(SUITES) * 2
     assert counters["total"]["hits"] >= len(SUITES) * 2, \
         "the warm rerun's hits must be visible to a later process"
-    # Orchestrated waves also stream their dedup stats in, and the
-    # supervisor flushes its health counters alongside them.
+    # Orchestrated waves also stream their dedup stats in, and the runner
+    # flushes its health counters alongside them.
     assert set(counters["by_cache"]) == {"ResultCache", "ReportCache",
                                          "SweepOrchestrator", "SweepSupervisor"}
     assert counters["dedup"]["waves"] == 2
-    # Only the cold run supervised jobs; the warm rerun's delta is all-zero
-    # and deliberately not flushed.
+    # Only the cold run ran jobs; the warm rerun's delta is all-zero and
+    # deliberately not flushed.
     assert counters["health"]["runs"] == 1
     assert counters["health"]["jobs"] > 0
 
@@ -318,7 +318,7 @@ def test_dedup_ledger_aggregates_across_waves(tmp_path):
 def test_orchestrated_sweep_streams_dedup_into_cache_stats(tmp_path, capsys):
     """An orchestrated `repro figures` wave leaves its dedup rates readable
     by a later `repro cache stats` process — the cross-host observability
-    contract the CI sharded smoke relies on."""
+    contract a sharded sweep relies on."""
     assert main(["figures", "fig17", "fig18"] + _runner_args(tmp_path)) == 0
     capsys.readouterr()
     assert main(["cache", "stats", "--cache-dir", str(tmp_path), "--json"]) == 0

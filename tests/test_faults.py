@@ -1,31 +1,29 @@
-"""Chaos, supervision and resume tests for the fault-tolerant sweep stack.
+"""Failure, dead-letter and resume tests for the sweep stack.
 
-Three layers under test:
+Two layers under test:
 
-* ``experiments/faults.py`` — the deterministic :class:`FaultPlan` harness
-  (parsing, validation, budgets, scoping);
-* ``experiments/parallel.py`` — per-job supervision: retries with backoff,
-  wall timeouts, pool rebuilds after worker crashes, in-process degradation
-  and dead-lettering, with the chaos differential asserting that a sweep
-  which crashed/hung/corrupted its way home is **bit-identical** to a clean
-  serial run;
+* ``experiments/parallel.py`` and the serial runner — fail fast: a job that
+  raises is dead-lettered at once with its label and traceback while the
+  rest of the wave runs, and a worker that dies dead-letters every job still
+  in flight and drops the broken pool;
 * the commit layer — partial-wave journaling to the on-disk cache, resume
   (only missing jobs re-execute, asserted via executed-job counts), the
   health ledger, and the CLI's distinct exit codes (3 = dead-lettered,
   130 = interrupted) plus the rerun that completes a dead-lettered wave.
 
-Everything here injects faults only through ``REPRO_FAULT_PLAN`` via
-monkeypatch, so a failing test can never leave chaos armed for its
-neighbours.
+Jobs fail only through the ``fail_job`` fixture (``tests/conftest.py``),
+which patches the simulator in this process before any pool forks, so a
+failing test can never leave a failure armed for its neighbours.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import pickle
 import re
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -36,35 +34,19 @@ from repro.experiments.cache import (
     persisted_cache_stats,
 )
 from repro.experiments.configs import baseline_config, constable_config
-from repro.experiments.faults import (
-    CORRUPTED_RESULT,
-    FAULT_PLAN_ENV,
-    FaultPlan,
-    FaultSpec,
-    active_fault_plan,
-)
 from repro.experiments.orchestrator import FigurePlan, SweepOrchestrator
 from repro.experiments.parallel import JobExecutionError, ParallelExperimentRunner
-from repro.experiments.reporting import (
-    format_dead_letters,
-    format_health_report,
-    format_persisted_health,
-)
+from repro.experiments.reporting import format_dead_letters, format_persisted_health
 from repro.experiments.runner import (
-    DEFAULT_MAX_RETRIES,
+    DeadLetter,
     ExperimentRunner,
     SweepExecutionError,
+    SweepHealthReport,
 )
 
-#: Reduced sweep shared by the chaos tests: 2 workloads, short traces.
+#: Reduced sweep shared by the failure tests: 2 workloads, short traces.
 SUITES = ("Client", "Server")
 INSTRUCTIONS = 1200
-
-
-@pytest.fixture(autouse=True)
-def _no_inherited_chaos(monkeypatch):
-    """Tests opt into chaos explicitly; never inherit it from the session."""
-    monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
 
 
 def _serial_results(cache=None):
@@ -75,234 +57,132 @@ def _serial_results(cache=None):
                                    ("constable", constable_config))}
 
 
-# ---------------------------------------------------------------- plan layer
+def _runner(workers, cache=None):
+    """A runner over the reduced sweep: serial for 1 worker, else a pool."""
+    if workers == 1:
+        return ExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
+                                suites=SUITES, cache=cache)
+    return ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
+                                    suites=SUITES, max_workers=workers,
+                                    cache=cache)
 
 
-def test_plan_parse_budget_and_first_match_wins():
-    plan = FaultPlan.parse(json.dumps({
-        "sim:baseline/client_00": {"kind": "crash", "times": 2},
-        "sim:baseline/*": {"kind": "raise"},
-    }))
-    # The specific rule shadows the glob; its budget covers attempts 1-2.
-    assert plan.lookup("sim:baseline/client_00", 1).kind == "crash"
-    assert plan.lookup("sim:baseline/client_00", 2).kind == "crash"
-    assert plan.lookup("sim:baseline/client_00", 3) is None
-    assert plan.lookup("sim:baseline/server_00", 1).kind == "raise"
-    assert plan.lookup("sim:constable/client_00", 1) is None
-
-
-@pytest.mark.parametrize("text", [
-    "not json at all",
-    "[1, 2, 3]",
-    '{"sim:*": "crash"}',
-    '{"sim:*": {"times": 2}}',
-    '{"sim:*": {"kind": "explode"}}',
-    '{"sim:*": {"kind": "raise", "times": 0}}',
-    '{"sim:*": {"kind": "hang", "seconds": -1}}',
-    '{"sim:*": {"kind": "raise", "scope": "everywhere"}}',
-    '{"sim:*": {"kind": "raise", "typo": 1}}',
-], ids=["not-json", "not-object", "spec-not-object", "missing-kind",
-        "bad-kind", "zero-times", "negative-seconds", "bad-scope",
-        "unknown-field"])
-def test_malformed_plans_raise(text):
-    with pytest.raises(ValueError):
-        FaultPlan.parse(text)
-
-
-def test_active_plan_reads_inline_json_and_files(tmp_path, monkeypatch):
-    monkeypatch.setenv(FAULT_PLAN_ENV, '{"gen:*": {"kind": "corrupt"}}')
-    assert active_fault_plan().lookup("gen:client_00", 1).kind == "corrupt"
-    path = tmp_path / "plan.json"
-    path.write_text('{"sim:*": {"kind": "hang", "seconds": 0.5}}',
-                    encoding="utf-8")
-    monkeypatch.setenv(FAULT_PLAN_ENV, str(path))
-    assert active_fault_plan().lookup("sim:x/y", 1).seconds == 0.5
-    monkeypatch.setenv(FAULT_PLAN_ENV, str(tmp_path / "missing.json"))
-    with pytest.raises(ValueError, match="neither inline JSON"):
-        active_fault_plan()
-
-
-def test_malformed_plan_fails_runner_construction_loudly(monkeypatch):
-    monkeypatch.setenv(FAULT_PLAN_ENV, '{"sim:*": {"kind": "explode"}}')
-    with pytest.raises(ValueError, match="fault kind"):
-        ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
-                                 suites=SUITES, max_workers=2)
+def _sweep_plan():
+    return FigurePlan("sweep", configs={"baseline": baseline_config(),
+                                        "constable": constable_config()})
 
 
 def test_job_execution_error_survives_pickling():
-    error = JobExecutionError("sim:baseline/client_00", 2,
+    error = JobExecutionError("sim:baseline/client_00",
                               "Traceback ...\nValueError: boom")
     clone = pickle.loads(pickle.dumps(error))
     assert clone.label == error.label
-    assert clone.attempt == 2
     assert clone.remote_traceback == error.remote_traceback
     assert "sim:baseline/client_00" in str(clone)
     assert "ValueError: boom" in str(clone)
-    assert clone.retryable
-    model_error = JobExecutionError("sim:constable/client_00", 1,
-                                    "GoldenCheckError: stale value",
-                                    retryable=False)
-    assert not pickle.loads(pickle.dumps(model_error)).retryable
 
 
-# ----------------------------------------------------- the chaos differential
+# ------------------------------------------------------------ fail fast
 
 
-def test_chaos_sweep_is_bit_identical_to_clean_serial(monkeypatch):
-    """Crash + hang + corrupt + raise, all recovered; results unchanged.
-
-    This is the tentpole differential: a worker crash breaks (and rebuilds)
-    the pool, a hung job trips the wall timeout and terminates its worker, a
-    corrupted result is rejected by validation, and a raising job retries —
-    yet every committed statistic must equal the fault-free serial run's.
-    """
-    monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps({
-        "sim:baseline/client_00": {"kind": "crash", "times": 1},
-        "sim:constable/server_00": {"kind": "hang", "seconds": 30},
-        "sim:constable/client_00": {"kind": "corrupt", "times": 1},
-        "sim:baseline/server_00": {"kind": "raise", "times": 2},
-    }))
-    with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
-                                  suites=SUITES, max_workers=2,
-                                  max_retries=3, job_timeout=3.0) as chaotic:
-        results = {name: chaotic.run_config(name, factory())
-                   for name, factory in (("baseline", baseline_config),
-                                          ("constable", constable_config))}
-        health = chaotic.health
-    assert results == _serial_results()
-    assert not health.healthy
-    assert not health.dead_letters
-    assert health.jobs == 6  # 2 gen (trace generation) + 4 sim jobs
-    assert health.retries >= 4  # crash + timeout + corrupt + 2x raise
-    assert health.pool_rebuilds >= 2  # crash collateral + hang termination
-    assert health.timeouts >= 1
-    assert health.attempts > health.jobs
-
-
-def test_worker_exceptions_carry_job_identity_and_traceback(monkeypatch):
-    """Satellite: no failure crosses the process boundary anonymously."""
-    monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps({
-        "sim:baseline/client_00": {"kind": "raise", "times": 99,
-                                   "scope": "anywhere"},
-    }))
-    with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
-                                  suites=SUITES, max_workers=2, max_retries=1) as runner:
+def test_worker_exceptions_carry_job_identity_and_traceback(fail_job):
+    """No failure crosses the process boundary anonymously."""
+    fail_job("baseline", "client_00")
+    with _runner(2) as runner:
         with pytest.raises(SweepExecutionError) as excinfo:
             runner.run_config("baseline", baseline_config())
     (letter,) = excinfo.value.dead_letters
     assert letter.label == "sim:baseline/client_00"
-    assert letter.attempts == 2  # 1 + max_retries pool attempts
-    assert "InjectedFault" in letter.error  # the remote traceback text
-    assert "InjectedFault" in letter.fallback_error
+    # The worker-side traceback text, down to the failing frame.
+    assert "Traceback" in letter.error
+    assert "simulate_keyed_job_payload" in letter.error
+    assert "injected failure of baseline over client_00" in letter.error
     assert "sim:baseline/client_00" in str(excinfo.value)
 
 
-def test_model_errors_dead_letter_on_first_attempt(monkeypatch):
+def test_model_errors_dead_letter_on_first_attempt(fail_job):
     """A wrong answer fails as fast as it fails loudly: a GoldenCheckError is
-    deterministic, so the supervisor neither retries it in the pool nor
-    degrades it in-process, and the dead letter names the job and the load."""
-    from repro.experiments import parallel
-    from repro.pipeline.cpu import GoldenCheckError, OutOfOrderCore
-
-    class WrongAnswerCore(OutOfOrderCore):
-        def run(self):
-            if self.name == "constable" and self.threads[0].trace.name == "client_00":
-                raise GoldenCheckError("eliminated load at pc=0x400094 seq=42 "
-                                       "retired with a stale value")
-            return super().run()
-
-    # Patched before the fork-started pool exists, so the workers inherit it.
-    monkeypatch.setattr(parallel, "OutOfOrderCore", WrongAnswerCore)
-    with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
-                                  suites=SUITES, max_workers=2, max_retries=2) as runner:
+    deterministic, so the job runs once, and the dead letter names the job
+    and carries the model error's own message."""
+    fail_job("constable", "client_00")
+    with _runner(2) as runner:
         with pytest.raises(SweepExecutionError):
             runner.run_config("constable", constable_config())
         health = runner.health
-    assert health.retries == 0
-    assert health.degraded == 0
     (letter,) = health.dead_letters
-    assert letter.attempts == 1
     assert letter.label == "sim:constable/client_00"
     assert "GoldenCheckError" in letter.error
-    assert "pc=0x400094 seq=42" in letter.error
-    assert letter.fallback_error == ""
+    assert "injected failure of constable over client_00" in letter.error
+    assert health.jobs == 2
 
 
-def test_exhausted_pool_budget_degrades_to_in_process(monkeypatch):
-    """Worker-scoped faults burn the pool budget; the in-parent rung saves it."""
-    monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps({
-        "sim:*": {"kind": "raise", "times": 99, "scope": "worker"},
-    }))
-    with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
-                                  suites=SUITES, max_workers=2, max_retries=1) as runner:
-        results = runner.run_config("baseline", baseline_config())
-        health = runner.health
-    assert results == _serial_results()["baseline"]
-    assert health.degraded == 2
-    assert not health.dead_letters
-    # 2 gen jobs succeed first try; each sim job burns 1 + max_retries.
-    assert health.attempts == 6
+def test_dying_worker_ends_the_wave_and_the_next_wave_resumes(tmp_path,
+                                                              fail_job):
+    """A worker killed mid-job dead-letters every job still in flight; the
+    runner drops the broken pool, and the next wave starts a fresh one that
+    executes exactly the dead-lettered jobs and matches a clean serial run."""
+    plan = _sweep_plan()
+    fail_job("baseline", "client_00", crash=True)
+    with _runner(2, cache=ResultCache(tmp_path)) as runner:
+        with pytest.raises(SweepExecutionError) as excinfo:
+            SweepOrchestrator(runner).execute([plan])
+        labels = [letter.label for letter in excinfo.value.dead_letters]
+        assert "sim:baseline/client_00" in labels
+        assert "died" in excinfo.value.dead_letters[0].error
+        assert runner._pool is None, "the broken pool must be dropped"
+
+        fail_job.disarm()
+        stats = SweepOrchestrator(runner).execute([plan])
+        assert sorted(stats.cold_jobs) == sorted(labels)
+        assert stats.executed == len(labels)
+        assert stats.cache_warm == 4 - len(labels)
+        wave = {name: runner.results(name) for name in plan.configs}
+    assert wave == _serial_results()
 
 
-def test_one_job_wave_is_supervised_too(monkeypatch):
-    """A wave of exactly one job still runs in the pool, under its timeout.
+def test_jobs_submitted_after_a_worker_died_are_dead_lettered(monkeypatch):
+    """A pool that breaks while a wave is still being submitted refuses the
+    remaining submissions; those jobs are dead-lettered like the ones in
+    flight, and the finished one is kept."""
+    with _runner(2) as runner:
+        runner.workloads()  # generation runs on the intact pool
+        pool = runner._pool
+        submitted = []
 
-    One workload, one config: the lone job hangs past ``job_timeout`` in its
-    worker, so the supervisor must record the timeout and rescue the job
-    in-process (worker-scoped faults do not fire in the parent).
-    """
-    monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps({
-        "sim:baseline/client_00": {"kind": "hang", "seconds": 2},
-    }))
-    with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
-                                  suites=("Client",), max_workers=2,
-                                  max_retries=0, job_timeout=0.5) as runner:
-        results = runner.run_config("baseline", baseline_config())
-        health = runner.health
-    assert health.timeouts == 1
-    assert health.degraded == 1
-    assert not health.dead_letters
-    reference = ExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
-                                 suites=("Client",))
-    assert results == reference.run_config("baseline", baseline_config())
+        def submit(*args):
+            if submitted:
+                raise BrokenProcessPool("a child process terminated abruptly")
+            submitted.append(args)
+            return ProcessPoolExecutor.submit(pool, *args)
 
-
-def test_supervision_parameters_are_strict():
-    """The retry budget and the timeout come only from their parameters:
-    the defaults are two retries and no timeout, and an out-of-range value
-    raises."""
-    with ParallelExperimentRunner(suites=SUITES, max_workers=2) as runner:
-        assert runner.max_retries == DEFAULT_MAX_RETRIES == 2
-        assert runner.job_timeout is None
-    for bad in (dict(max_retries=-1), dict(job_timeout=0),
-                dict(job_timeout=-3.0), dict(job_timeout=float("nan"))):
-        with pytest.raises(ValueError):
-            ParallelExperimentRunner(suites=SUITES, max_workers=2, **bad)
+        monkeypatch.setattr(pool, "submit", submit)
+        with pytest.raises(SweepExecutionError) as excinfo:
+            runner.run_config("baseline", baseline_config())
+        assert runner._pool is None, "the broken pool must be dropped"
+    (letter,) = excinfo.value.dead_letters
+    assert letter.label == "sim:baseline/server_00"
+    assert "died" in letter.error
+    assert list(excinfo.value.partial) == [("baseline", "client_00")]
 
 
 # -------------------------------------------------- partial commit and resume
 
 
-def test_failed_sweep_journals_successes_and_resumes(tmp_path, monkeypatch):
-    """The acceptance differential: kill one job, resume runs only the rest.
+def test_failed_sweep_journals_successes_and_resumes(tmp_path, fail_job):
+    """The acceptance differential: fail one job, resume runs only the rest.
 
-    The first (faulted) sweep dead-letters ``sim:baseline/client_00`` but
-    journals the surviving ``server_00`` result to the cache before raising.
-    The resumed sweep must then execute exactly the one missing job — asserted
-    via the cache's executed-store counters — and end bit-identical to a
-    clean serial sweep.
+    The first sweep dead-letters ``sim:baseline/client_00`` but journals the
+    surviving ``server_00`` result to the cache before raising.  The resumed
+    sweep must then execute exactly the one missing job — asserted via the
+    cache's executed-store counters — and end bit-identical to a clean
+    serial sweep.
     """
-    monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps({
-        "sim:baseline/client_00": {"kind": "raise", "times": 99,
-                                   "scope": "anywhere"},
-    }))
-    with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
-                                  suites=SUITES, max_workers=2, max_retries=0,
-                                  cache=ResultCache(tmp_path)) as runner:
+    fail_job("baseline", "client_00")
+    with _runner(2, cache=ResultCache(tmp_path)) as runner:
         with pytest.raises(SweepExecutionError):
             runner.run_config("baseline", baseline_config())
 
-    monkeypatch.delenv(FAULT_PLAN_ENV)
+    fail_job.disarm()
     resumed = ExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
                                suites=SUITES, cache=ResultCache(tmp_path))
     results = resumed.run_config("baseline", baseline_config())
@@ -311,27 +191,32 @@ def test_failed_sweep_journals_successes_and_resumes(tmp_path, monkeypatch):
     assert results == _serial_results()["baseline"]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 def test_failed_wave_journals_and_resume_executes_only_missing(tmp_path,
-                                                               monkeypatch):
+                                                               fail_job,
+                                                               workers):
     """Multi-config waves journal partial successes too
-    (orchestrator._journal_partial_wave), and the resumed wave's own dedup
-    stats prove only the missing job executed."""
-    plan = FigurePlan("sweep", configs={"baseline": baseline_config(),
-                                        "constable": constable_config()})
-    monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps({
-        "sim:constable/client_00": {"kind": "raise", "times": 99,
-                                    "scope": "anywhere"},
-    }))
-    with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
-                                  suites=SUITES, max_workers=2, max_retries=0,
-                                  cache=ResultCache(tmp_path)) as runner:
-        with pytest.raises(SweepExecutionError):
+    (orchestrator._journal_partial_wave), at every worker count: a serial
+    wave runs its remaining jobs after a failure just as the pool does, so
+    both name the same dead letters and journal the same successes, and the
+    resumed wave's own dedup stats prove only the missing job executed."""
+    plan = _sweep_plan()
+    fail_job("constable", "client_00")
+    with _runner(workers, cache=ResultCache(tmp_path)) as runner:
+        with pytest.raises(SweepExecutionError) as excinfo:
             SweepOrchestrator(runner).execute([plan])
+        jobs = [job for name, config in plan.configs.items()
+                for job in runner.plan_jobs(name, config)]
+    assert [letter.label for letter in excinfo.value.dead_letters] \
+        == ["sim:constable/client_00"]
+    journal = ResultCache(tmp_path)
+    journaled = {job.label for job in jobs
+                 if journal.get(job.cache_key) is not None}
+    assert journaled == {"sim:baseline/client_00", "sim:baseline/server_00",
+                         "sim:constable/server_00"}
 
-    monkeypatch.delenv(FAULT_PLAN_ENV)
-    with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
-                                  suites=SUITES, max_workers=2,
-                                  cache=ResultCache(tmp_path)) as resumed:
+    fail_job.disarm()
+    with _runner(2, cache=ResultCache(tmp_path)) as resumed:
         stats = SweepOrchestrator(resumed).execute([plan])
         wave = {name: resumed.run_config(name, plan.configs[name])
                 for name in plan.configs}
@@ -342,15 +227,11 @@ def test_failed_wave_journals_and_resume_executes_only_missing(tmp_path,
     assert wave == _serial_results()
 
 
-def test_in_memory_commit_stays_atomic_on_failure(monkeypatch):
+def test_in_memory_commit_stays_atomic_on_failure(fail_job):
     """The atomic-commit contract survives the partial-commit layer: a failed
     sweep without a cache leaves no trace in the runner's aggregates."""
-    monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps({
-        "sim:baseline/client_00": {"kind": "raise", "times": 99,
-                                   "scope": "anywhere"},
-    }))
-    with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
-                                  suites=SUITES, max_workers=2, max_retries=0) as runner:
+    fail_job("baseline", "client_00")
+    with _runner(2) as runner:
         with pytest.raises(SweepExecutionError):
             runner.run_config("baseline", baseline_config())
         # Not even the succeeding workload committed to the in-memory store.
@@ -415,82 +296,78 @@ def test_crash_during_commit_leaves_reclaimable_orphan(tmp_path):
 
 
 def test_health_ledger_aggregates_across_runs(tmp_path):
-    persist_health_stats(tmp_path, {"jobs": 4, "attempts": 7, "retries": 3,
-                                    "timeouts": 1, "pool_rebuilds": 2,
-                                    "degraded": 1, "dead_lettered": 0})
-    persist_health_stats(tmp_path, {"jobs": 2, "attempts": 2})
+    persist_health_stats(tmp_path, {"jobs": 4, "dead_lettered": 1})
+    persist_health_stats(tmp_path, {"jobs": 2})
     summary = persisted_cache_stats(tmp_path)
-    assert summary["health"]["runs"] == 2
-    assert summary["health"]["jobs"] == 6
-    assert summary["health"]["attempts"] == 9
-    assert summary["health"]["retries"] == 3
+    assert summary["health"] == {"runs": 2, "jobs": 6, "dead_lettered": 1}
 
 
-def test_runner_close_flushes_health_to_ledger(tmp_path, monkeypatch):
-    monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps({
-        "sim:baseline/client_00": {"kind": "raise", "times": 1},
-    }))
-    with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
-                                  suites=SUITES, max_workers=2, max_retries=2,
-                                  cache=ResultCache(tmp_path)) as runner:
-        runner.run_config("baseline", baseline_config())
+def test_runner_close_flushes_health_to_ledger(tmp_path, fail_job):
+    fail_job("baseline", "client_00")
+    with _runner(2, cache=ResultCache(tmp_path)) as runner:
+        with pytest.raises(SweepExecutionError):
+            runner.run_config("baseline", baseline_config())
     health = persisted_cache_stats(tmp_path)["health"]
     assert health["runs"] == 1
-    assert health["jobs"] == 4  # 2 gen + 2 sim jobs went through supervision
-    assert health["retries"] >= 1
-    assert health["dead_lettered"] == 0
+    assert health["jobs"] == 2  # the simulation jobs; generation is not counted
+    assert health["dead_lettered"] == 1
+
+
+def test_serial_and_pool_runs_flush_equal_health(tmp_path, capsys):
+    """``jobs`` counts the same work under both runners: simulation jobs
+    only, never the pool's trace-generation tasks."""
+    blocks = {}
+    for workers in ("1", "2"):
+        cache_dir = tmp_path / workers
+        assert main(_figures_argv(cache_dir, workers)) == 0
+        blocks[workers] = persisted_cache_stats(cache_dir)["health"]
+    capsys.readouterr()
+    assert blocks["1"] == blocks["2"] == {"runs": 1, "jobs": 2,
+                                          "dead_lettered": 0}
 
 
 def test_health_and_dead_letter_rendering():
-    from repro.experiments.runner import DeadLetter, SweepHealthReport
-    health = SweepHealthReport(jobs=5, attempts=9, retries=3, timeouts=1,
-                               pool_rebuilds=2, degraded=1,
-                               dead_letters=[DeadLetter(
-                                   "sim:eves/client_00", 3,
-                                   "Traceback ...\nValueError: boom",
-                                   fallback_error="RuntimeError: again")])
-    text = format_health_report(health)
-    assert "retries" in text and "3" in text
-    assert "dead-lettered" in text
+    health = SweepHealthReport(jobs=5, dead_letters=[DeadLetter(
+        "sim:eves/client_00", "Traceback ...\nValueError: boom")])
+    assert health.counters() == {"jobs": 5, "dead_lettered": 1}
     letters = format_dead_letters(health.dead_letters)
     assert "sim:eves/client_00" in letters
     assert "ValueError: boom" in letters        # last line, not the full text
     assert "Traceback" not in letters
-    assert "RuntimeError: again" in letters
-    persisted = format_persisted_health({"runs": 2, "jobs": 10, "attempts": 20,
-                                         "retries": 5, "timeouts": 0,
-                                         "pool_rebuilds": 0, "degraded": 0,
-                                         "dead_lettered": 0})
-    assert "25.0%" in persisted  # retry rate = 5/20
+    persisted = format_persisted_health({"runs": 2, "jobs": 10,
+                                         "dead_lettered": 1})
+    assert re.search(r"^dead-lettered +\| 1 *$", persisted, re.MULTILINE)
+    assert re.search(r"^jobs +\| 10 *$", persisted, re.MULTILINE)
 
 
 # ------------------------------------------------------------------ CLI layer
 
 
-def _figures_argv(cache_dir):
-    """``repro figures fig17`` (Constable over two workloads) on two workers."""
-    return ["figures", "fig17", "--cache-dir", str(cache_dir), "--workers", "2",
-            "--suites", "Client,Server", "--per-suite", "1",
-            "--instructions", str(INSTRUCTIONS)]
+def _figures_argv(cache_dir, workers="2"):
+    """``repro figures fig17`` (Constable over two workloads)."""
+    return ["figures", "fig17", "--cache-dir", str(cache_dir),
+            "--workers", workers, "--suites", "Client,Server",
+            "--per-suite", "1", "--instructions", str(INSTRUCTIONS)]
 
 
-def test_cli_dead_letter_exit_code_and_resume(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps({
-        "sim:constable/client_00": {"kind": "raise", "times": 99,
-                                    "scope": "anywhere"},
-    }))
-    assert main(_figures_argv(tmp_path) + ["--max-retries", "0"]) == EXIT_DEAD_LETTER
+def test_cli_dead_letter_exit_code_and_resume(tmp_path, capsys, fail_job):
+    fail_job("constable", "client_00")
+    assert main(_figures_argv(tmp_path)) == EXIT_DEAD_LETTER
     captured = capsys.readouterr()
     assert "dead-lettered" in captured.err
     assert "sim:constable/client_00" in captured.err
     assert "rerun the same command" in captured.err
 
     # The same command again: the journaled job is warm, the other executes.
-    monkeypatch.delenv(FAULT_PLAN_ENV)
+    fail_job.disarm()
     assert main(_figures_argv(tmp_path)) == 0
     out = capsys.readouterr().out
     assert re.search(r"^cache-warm +\| 1 *$", out, re.MULTILINE)
     assert re.search(r"^executed +\| 1 *$", out, re.MULTILINE)
+    # The warehouse lists exactly the journaled entries: none missing, and
+    # (--strict) none extra.
+    assert main(["warehouse", "verify", "--strict",
+                 "--cache-dir", str(tmp_path)]) == 0
 
 
 def test_cli_interrupt_exits_130(tmp_path, capsys, monkeypatch):
@@ -500,16 +377,3 @@ def test_cli_interrupt_exits_130(tmp_path, capsys, monkeypatch):
     assert main(_figures_argv(tmp_path)) == EXIT_INTERRUPT
     err = capsys.readouterr().err
     assert "interrupted" in err and "rerun the same command" in err
-
-
-def test_cli_sweep_prints_health_on_recovered_faults(tmp_path, capsys,
-                                                     monkeypatch):
-    monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps({
-        "sim:constable/client_00": {"kind": "raise", "times": 1},
-    }))
-    assert main(_figures_argv(tmp_path) + ["--max-retries", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "sweep health" in out
-    # ... and `repro cache stats` aggregates the flushed health ledger.
-    assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
-    assert "sweep health (all processes)" in capsys.readouterr().out

@@ -363,8 +363,8 @@ def test_cache_fingerprint_ignores_engine_and_runtime_env(tmp_path, monkeypatch)
     """The dynamic half of RL002's static purity guarantee.
 
     The cache key of a fixed (config, workload, trace) job takes no engine
-    argument, and it must be byte-identical however the fault-injection
-    plan is set — otherwise hosts with different environments would
+    argument, and it must be byte-identical however the ``REPRO_*``
+    variables are set — otherwise hosts with different environments would
     silently stop sharing warm entries.
     """
     config = baseline_config()
@@ -374,10 +374,12 @@ def test_cache_fingerprint_ignores_engine_and_runtime_env(tmp_path, monkeypatch)
         cache = ResultCache(tmp_path / "cache")
         return cache.key_for(config, [spec], instructions=2000, num_registers=16)
 
-    monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+    monkeypatch.delenv("REPRO_CACHE_MAX_MB", raising=False)
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     reference = key()
 
-    monkeypatch.setenv("REPRO_FAULT_PLAN", '{"sim:*": {"kind": "raise"}}')
+    monkeypatch.setenv("REPRO_CACHE_MAX_MB", "64")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
     assert key() == reference
 
 

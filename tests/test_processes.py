@@ -31,9 +31,8 @@ FIG11 = ["figures", "fig11", "--per-suite", "1", "--instructions", "300",
 #: nothing has no use for.
 NOT_LOADED_WHEN_WARM = (
     "repro.pipeline.cpu", "repro.workloads.kernels", "repro.workloads.vm",
-    "repro.experiments.parallel", "repro.experiments.faults",
-    "repro.experiments.bench", "repro.analysis.lint", "multiprocessing",
-    "concurrent.futures")
+    "repro.experiments.parallel", "repro.experiments.bench",
+    "repro.analysis.lint", "multiprocessing", "concurrent.futures")
 
 
 def _python(*args: str, **kwargs) -> subprocess.CompletedProcess:
@@ -106,7 +105,7 @@ def test_each_process_writes_one_counters_log(tmp_path):
     assert proc.returncode == 0, proc.stderr[-3000:]
     counters = json.loads(proc.stdout)["persisted_counters"]
     # Cold: both caches, the wave's dedup and the runner's health; warm:
-    # both caches and the dedup (a warm run supervises nothing).
+    # both caches and the dedup (a warm run runs no job).
     assert counters["ledgers"] == 7
     for _ in range(2):
         assert main(FIG11 + ["--cache-dir", str(reference)]) == 0

@@ -10,7 +10,7 @@ losslessness.  Four layers of evidence here:
   order — unicode workload names, zero-cycle results, adversarial finite
   floats.
 * **The differential core**: after real sweeps at 1, 2 and 4 workers, under
-  both execution engines, through a chaos-faulted partial-wave journal and
+  both execution engines, through a dead-lettered partial-wave journal and
   the rerun that completes it, and after ``rebuild``, every warehouse read
   must be **bit-identical** to deriving the same rows from full
   object-store decodes (:func:`scan_object_store`) — compared through JSON
@@ -41,7 +41,6 @@ from repro.cli import main
 from repro.experiments.cache import (SCHEMA_VERSION, ResultCache,
                                      persisted_cache_stats)
 from repro.experiments.configs import baseline_config, constable_config
-from repro.experiments.faults import FAULT_PLAN_ENV
 from repro.experiments.parallel import ParallelExperimentRunner
 from repro.experiments.runner import ExperimentRunner, SweepExecutionError
 from repro.experiments.warehouse import (
@@ -64,12 +63,6 @@ from repro.pipeline.stats import PipelineStats, SimulationResult
 #: Reduced sweep shared by the differential tests: 2 workloads, short traces.
 SUITES = ("Client", "Server")
 INSTRUCTIONS = 1200
-
-
-@pytest.fixture(autouse=True)
-def _no_inherited_knobs(monkeypatch):
-    """Tests opt into chaos explicitly."""
-    monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
 
 
 def _dump(rows):
@@ -216,15 +209,12 @@ def test_both_engines_produce_identical_rows(tmp_path, monkeypatch):
 
 
 def test_chaos_partial_wave_then_resume_agrees_with_journal(tmp_path,
-                                                            monkeypatch):
+                                                            fail_job):
     """A dead-lettered sweep journals its successes — and the warehouse must
     list exactly those journaled entries, before and after the rerun."""
-    monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps({
-        "sim:baseline/client_00": {"kind": "raise", "times": 99,
-                                   "scope": "anywhere"},
-    }))
+    fail_job("baseline", "client_00")
     with ParallelExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
-                                  suites=SUITES, max_workers=2, max_retries=0,
+                                  suites=SUITES, max_workers=2,
                                   cache=ResultCache(tmp_path)) as runner:
         with pytest.raises(SweepExecutionError):
             runner.run_config("baseline", baseline_config())
@@ -236,7 +226,7 @@ def test_chaos_partial_wave_then_resume_agrees_with_journal(tmp_path,
     assert _dump(read_rows(tmp_path)) == _dump(
         scan_object_store(tmp_path, SCHEMA_VERSION))
 
-    monkeypatch.delenv(FAULT_PLAN_ENV)
+    fail_job.disarm()
     resumed = ExperimentRunner(per_suite=1, instructions=INSTRUCTIONS,
                                suites=SUITES, cache=ResultCache(tmp_path))
     resumed.run_config("baseline", baseline_config())
