@@ -10,6 +10,11 @@ The per-kind availability lives in plain integer slots rather than a dict
 keyed by :class:`PortKind` — :meth:`new_cycle` runs every issue sweep and
 :meth:`issue` runs on every issued micro-op, so the enum-hashing dictionary
 rebuild used to dominate the sweep.
+
+:meth:`issue` is the only reader of the load-port count, so the most load
+ports one sweep ever claimed (:meth:`ExecutionPorts.load_peak`) bounds which
+load widths would have run the same sweeps; the core's capacity witness
+records it.
 """
 
 from __future__ import annotations
@@ -57,14 +62,20 @@ class ExecutionPorts:
         self._avail_load = config.load
         self._avail_sa = config.store_address
         self._avail_sd = config.store_data
+        # The most load ports any sweep before the current one claimed.
+        self._load_peak = 0
 
     def new_cycle(self) -> None:
         """Refresh port availability and issue bandwidth.
 
         The issue sweep is the only client and runs at most once per cycle,
-        so the core calls this at the start of each sweep.
+        so the core calls this at the start of each sweep.  The previous
+        sweep's load-port claims are folded into the peak first.
         """
         config = self.config
+        claimed = config.load - self._avail_load
+        if claimed > self._load_peak:
+            self._load_peak = claimed
         self._avail_alu = config.alu
         self._avail_load = config.load
         self._avail_sa = config.store_address
@@ -93,3 +104,7 @@ class ExecutionPorts:
             self._avail_sd -= 1
         self._issued_this_cycle += 1
         return True
+
+    def load_peak(self) -> int:
+        """The most load ports one sweep has claimed, the current one included."""
+        return max(self._load_peak, self.config.load - self._avail_load)

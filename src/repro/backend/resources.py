@@ -2,8 +2,11 @@
 
 Occupancy-limited resources are what make load *resource* dependence visible:
 a load that cannot get an RS entry or a load port stalls allocation for
-everything behind it.  Each pool counts allocations (Fig. 18a reports the
-reduction in RS allocations) and allocation-stall events.
+everything behind it.  The core claims and frees pool entries inline (rename
+checks capacity and claims, issue, retire and flush free), counts the
+allocations itself (Fig. 18a reports the reduction in RS allocations), and
+folds each pool's occupancy into its peak at the end of every rename sweep
+that renamed something.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 
 class ResourcePool:
-    """A capacity-limited resource with allocation statistics."""
+    """A capacity-limited resource: occupancy, its peak and allocation stalls."""
 
     def __init__(self, name: str, capacity: int):
         if capacity <= 0:
@@ -20,38 +23,12 @@ class ResourcePool:
         self.name = name
         self.capacity = capacity
         self.occupied = 0
-        self.total_allocations = 0
         self.allocation_stalls = 0
         self.peak_occupancy = 0
 
-    def can_allocate(self, count: int = 1) -> bool:
-        """True if ``count`` entries can be allocated right now."""
-        return self.occupied + count <= self.capacity
-
-    def allocate(self, count: int = 1) -> bool:
-        """Allocate ``count`` entries; returns False (and records a stall) if full."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if not self.can_allocate(count):
-            self.allocation_stalls += 1
-            return False
-        self.occupied += count
-        self.total_allocations += count
-        if self.occupied > self.peak_occupancy:
-            self.peak_occupancy = self.occupied
-        return True
-
-    def release(self, count: int = 1) -> None:
-        """Free ``count`` previously allocated entries."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count > self.occupied:
-            raise ValueError(f"{self.name}: releasing more entries than occupied")
-        self.occupied -= count
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"ResourcePool({self.name}, {self.occupied}/{self.capacity}, "
-                f"allocations={self.total_allocations})")
+                f"peak={self.peak_occupancy})")
 
 
 @dataclass

@@ -421,19 +421,26 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         orchestrated: Dict[str, Dict[str, object]] = {}
         dedup_stats = None
         planned = [name for name in names if name in FIGURE_PLANS]
-        if shard is not None:
-            # A shard only executes and journals its slice of the wave and
-            # renders nothing; an unsharded run then folds every shard warm.
-            names = []
-            if planned:
-                dedup_stats = SweepOrchestrator(runner).execute(
-                    [FIGURE_PLANS[name]() for name in planned], shard=shard)
-        elif planned:
-            # One deduped wave over every requested figure's plan; each
-            # harness then finds its own results already committed.
-            orchestrated, dedup_stats = orchestrate_figures(runner, planned)
-        if dedup_stats is not None and runner.cache is not None:
-            persist_dedup_stats(runner.cache.directory, dedup_stats.to_dict())
+        try:
+            if shard is not None:
+                # A shard only executes and journals its slice of the wave
+                # and renders nothing; an unsharded run then folds every
+                # shard warm.
+                names = []
+                if planned:
+                    dedup_stats = SweepOrchestrator(runner).execute(
+                        [FIGURE_PLANS[name]() for name in planned], shard=shard)
+            elif planned:
+                # One deduped wave over every requested figure's plan; each
+                # harness then finds its own results already committed.
+                orchestrated, dedup_stats = orchestrate_figures(runner, planned)
+        except SweepExecutionError as error:
+            dedup_stats = error.stats  # a failed wave is recorded too
+            raise
+        finally:
+            if dedup_stats is not None and runner.cache is not None:
+                persist_dedup_stats(runner.cache.directory,
+                                    dedup_stats.to_dict())
         for name in names:
             if name in orchestrated:
                 result = orchestrated[name]

@@ -27,10 +27,24 @@ worker pool fed instead of draining it between harnesses:
    consults the on-disk cache once.
 3. **Execute** — every outstanding representative job goes through the
    runner's
-   :meth:`~repro.experiments.runner.ExperimentRunner._execute_wave` hook as
-   **one** batch: the parallel runner submits them all to one process pool
-   up front and awaits once.  A failed batch journals its successes to the
-   on-disk cache before the error propagates.
+   :meth:`~repro.experiments.runner.ExperimentRunner._execute_wave` hook in
+   at most two batches; the parallel runner submits each batch to one
+   process pool up front and awaits once.  Single-thread jobs over one
+   workload whose configs differ only in the capacities the figures sweep
+   (:data:`~repro.pipeline.cpu.WITNESSED_FIELDS`: load ports, ROB, RS, load
+   and store buffers) form a *family*.  The first batch runs every SMT2
+   pair and every job that no other member of its family dominates in
+   every capacity.  Each of those runs returns a
+   :class:`~repro.pipeline.cpu.CapacityWitness`, and a member whose
+   differing capacities all sit at or above a witness's floors is that run
+   step for step, so it takes the run's result, relabelled, without
+   simulating (fig. 20's load-width and depth grid points and fig. 7's
+   ``2x_load_width`` mostly).  The second batch runs the members no witness
+   covered, so a member whose representative dead-lettered simulates
+   itself.  Witnesses are never persisted: reuse happens within one wave.
+   A failed batch does not stop the other; one
+   :class:`~repro.experiments.runner.SweepExecutionError` then carries every
+   dead letter, after every success is journaled to the on-disk cache.
 4. **Commit** — each group's single result is committed under *every*
    ``(config name, workload)`` alias that demanded it, into the runner's
    in-memory stores (a pair's workload is ``a+b``).  A figure harness run
@@ -44,25 +58,37 @@ aliasing sound: committing one result object under several names is
 observationally identical to simulating the same inputs once per name.
 
 The :class:`DedupStats` record (``planned`` figure demand, ``unique`` after
-dedup, ``cache_warm`` served from disk, ``executed`` actually simulated) is
-printed by ``repro figures``, which also streams it into the cache
-directory's counters table.
+dedup, ``cache_warm`` served from disk, ``executed`` not served from disk,
+``witnessed`` of those served by a capacity witness) is printed by ``repro
+figures``, which also streams it into the cache directory's counters table,
+failed waves included.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.experiments.cache import config_fingerprint
 from repro.experiments.runner import (
     ConfigLike,
+    DeadLetter,
     ExperimentRunner,
+    JobOutcome,
     Shard,
     SimulationJob,
     SweepExecutionError,
 )
 from repro.pipeline.stats import SimulationResult
+
+#: A wave's outcomes, by :attr:`SimulationJob.key`.
+Outcomes = Dict[Tuple[str, str], JobOutcome]
+
+#: A job that waits for a witness: the job, its effective capacities and
+#: its family's first-batch members.
+Waiting = Tuple[SimulationJob, Tuple[int, ...], List[SimulationJob]]
 
 
 @dataclass(frozen=True)
@@ -90,10 +116,12 @@ class DedupStats:
     per-figure execution with per-figure runners and a cold cache would
     simulate.  ``unique`` is the job count after merging identical names and
     grouping by cache key; ``cache_warm`` of those came from the
-    on-disk cache and ``executed`` were actually simulated in the wave.
-    ``cold_jobs`` names each executed job by its label
+    on-disk cache and ``executed`` did not; of those, ``witnessed`` took a
+    wider run's result through its capacity witness instead of being
+    simulated.  ``cold_jobs`` names each executed job by its label
     (``sim:<config>/<workload>``) so an ``--expect-warm`` violation can say
-    exactly *which* jobs ran cold instead of just how many.
+    exactly *which* jobs ran cold instead of just how many.  ``witnessed``
+    stays out of :meth:`to_dict`, the counters table's record.
     """
 
     figures: List[str] = field(default_factory=list)
@@ -102,6 +130,7 @@ class DedupStats:
     cache_warm: int = 0
     executed: int = 0
     cold_jobs: List[str] = field(default_factory=list)
+    witnessed: int = 0
 
     @property
     def deduped(self) -> int:
@@ -132,6 +161,47 @@ def _relabelled(result: SimulationResult, config_name: str) -> SimulationResult:
     if result.config_name == config_name:
         return result
     return dataclasses.replace(result, config_name=config_name)
+
+
+def _dominates(capacities: Tuple[int, ...], other: Tuple[int, ...]) -> bool:
+    """True if ``capacities`` is at least ``other`` everywhere and differs."""
+    return capacities != other and all(
+        mine >= theirs for mine, theirs in zip(capacities, other))
+
+
+def _witness_phases(jobs: Sequence[SimulationJob]
+                    ) -> Tuple[List[SimulationJob], List[Waiting]]:
+    """Split outstanding jobs into the batch that runs first and the jobs
+    that wait for its witnesses, both in ``jobs`` order.
+
+    Single-thread jobs group into families: the same workload, and configs
+    whose fingerprints agree once the witnessed fields are dropped.  A job
+    that another member of its family dominates in every capacity waits;
+    the rest, and every SMT2 pair, run first.
+    """
+    # Imported here: only a wave with outstanding jobs needs the core's
+    # capacity rules, and such a wave loads the simulator anyway.
+    from repro.pipeline.cpu import WITNESSED_FIELDS, effective_capacities
+
+    families: Dict[Tuple[str, str], List[Tuple[SimulationJob, Tuple[int, ...]]]] = {}
+    for job in jobs:
+        if len(job.runs) != 1:
+            continue
+        fingerprint = config_fingerprint(job.config)
+        for group, name in WITNESSED_FIELDS:
+            del fingerprint[group][name]
+        family = (job.workload, json.dumps(fingerprint, sort_keys=True))
+        families.setdefault(family, []).append(
+            (job, effective_capacities(job.config)))
+    waiting: Dict[Tuple[str, str], Waiting] = {}
+    for members in families.values():
+        tops = [job for job, capacities in members
+                if not any(_dominates(other, capacities) for _, other in members)]
+        for job, capacities in members:
+            if job not in tops:
+                waiting[job.key] = (job, capacities, tops)
+    return ([job for job in jobs if job.key not in waiting],
+            [waiting[job.key] for job in jobs if job.key in waiting])
 
 
 class SweepOrchestrator:
@@ -205,7 +275,7 @@ class SweepOrchestrator:
 
     # --------------------------------------------------------------- execution
 
-    def _journal_partial_wave(self, error: SweepExecutionError,
+    def _journal_partial_wave(self, outcomes: Outcomes,
                               outstanding: Sequence[SimulationJob]) -> None:
         """Best-effort cache journal of a failed wave's completed jobs.
 
@@ -219,15 +289,52 @@ class SweepOrchestrator:
         assert journal agreement before and after the rerun.
         """
         runner = self.runner
-        if runner.cache is None or not isinstance(error.partial, dict):
+        if runner.cache is None:
             return
         for job in outstanding:
-            result = error.partial.get(job.key)
-            if result is not None:
+            outcome = outcomes.get(job.key)
+            if outcome is not None:
                 try:
-                    runner.cache.put(job.cache_key, result)
+                    runner.cache.put(job.cache_key, outcome.result)
                 except OSError:
                     pass
+
+    def _execute_batch(self, jobs: Sequence[SimulationJob]
+                       ) -> Tuple[Outcomes, List[DeadLetter]]:
+        """One ``_execute_wave`` call: its outcomes and its dead letters."""
+        try:
+            return self.runner._execute_wave(jobs), []
+        except SweepExecutionError as error:
+            return dict(error.partial or {}), list(error.dead_letters)
+
+    def _execute_outstanding(self, jobs: Sequence[SimulationJob],
+                             stats: DedupStats
+                             ) -> Tuple[Outcomes, List[DeadLetter]]:
+        """Execute ``jobs`` in at most two batches, serving every job a
+        capacity witness of the first batch covers with that run's result,
+        relabelled.  Returns every success and every dead letter; the second
+        batch runs even when the first dead-lettered."""
+        if not jobs:  # a warm wave: nothing to run, no simulator to load
+            return {}, []
+        first, waiting = _witness_phases(jobs)
+        outcomes, dead = self._execute_batch(first)
+        rest: List[SimulationJob] = []
+        for job, capacities, tops in waiting:
+            served = next((outcomes[top.key].result for top in tops
+                           if top.key in outcomes
+                           and outcomes[top.key].witness.covers(capacities)),
+                          None)
+            if served is None:
+                rest.append(job)
+            else:
+                outcomes[job.key] = JobOutcome(
+                    _relabelled(served, job.config_name), None)
+                stats.witnessed += 1
+        if rest:
+            more, more_dead = self._execute_batch(rest)
+            outcomes.update(more)
+            dead += more_dead
+        return outcomes, dead
 
     def execute(self, plans: Sequence[FigurePlan],
                 shard: Optional[Shard] = None) -> DedupStats:
@@ -238,7 +345,8 @@ class SweepOrchestrator:
         runner's stores, so running the corresponding figure harnesses
         performs zero simulations.  The commit is atomic: a failure anywhere
         in the wave leaves every in-memory store untouched (the failed wave's
-        successes are journaled to the on-disk cache only).
+        successes are journaled to the on-disk cache only, and the raised
+        :class:`SweepExecutionError` carries the wave's stats).
 
         With a :class:`Shard`, only the workloads and SMT pairs that shard
         owns are planned, executed and committed.  Membership is an item's
@@ -267,23 +375,24 @@ class SweepOrchestrator:
         stats.executed = len(outstanding)
         stats.cold_jobs = [job.label for job in outstanding]
 
-        # One continuously fed wave over every outstanding representative.
-        try:
-            results = runner._execute_wave(outstanding)
-        except SweepExecutionError as error:
+        outcomes, dead = self._execute_outstanding(outstanding, stats)
+        if dead:
             # Partial-wave commit: journal the failed wave's successes to the
             # on-disk cache (never the in-memory stores — the atomic-commit
             # contract of `execute` holds), so the content-addressed cache
             # doubles as the resume journal and rerunning the same command
             # stages them warm and executes only the missing jobs.
-            self._journal_partial_wave(error, outstanding)
-            raise
-        missing = [job.label for job in outstanding if job.key not in results]
+            self._journal_partial_wave(outcomes, outstanding)
+            error = SweepExecutionError(dead)
+            error.partial = outcomes
+            error.stats = stats
+            raise error
+        missing = [job.label for job in outstanding if job.key not in outcomes]
         if missing:
             raise RuntimeError(
                 f"wave executor returned no result for jobs {missing!r}")
         for job in outstanding:
-            staged[job.cache_key] = results[job.key]
+            staged[job.cache_key] = outcomes[job.key].result
 
         # Commit every alias only after the whole wave succeeded — and before
         # the disk-store writes, so a cache I/O failure (disk full,

@@ -59,13 +59,13 @@ from repro.experiments.cache import ReportCache, ResultCache
 from repro.experiments.runner import (
     DeadLetter,
     ExperimentRunner,
+    JobOutcome,
     SimulationJob,
     SweepExecutionError,
     WorkloadRun,
 )
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.cpu import OutOfOrderCore
-from repro.pipeline.stats import SimulationResult
 from repro.workloads.generator import DEFAULT_BASE_PC, THREAD_BASE_PCS, generate_trace
 from repro.workloads.suites import SUITE_NAMES, WorkloadSpec
 from repro.workloads.trace import Trace
@@ -102,21 +102,21 @@ def _regenerate_trace(spec_dict: Dict[str, object], instructions: int,
 
 def simulate_keyed_job_payload(
         payload: Tuple[str, Tuple[Dict[str, object], ...], int, int, CoreConfig]
-) -> Tuple[Tuple[str, str], SimulationResult]:
+) -> Tuple[Tuple[str, str], JobOutcome]:
     """Worker entry point for one job of a wave.
 
     Regenerates each thread's trace at its base PC (memoised under that PC),
-    simulates, and returns the result keyed by ``(config_name, workload)``, so
-    one wave may carry jobs for many configurations without the merged keys
-    colliding.  Module-level (not a closure) so it pickles under every start
-    method.
+    simulates, and returns the result with the run's capacity witness beside
+    it, keyed by ``(config_name, workload)``, so one wave may carry jobs for
+    many configurations without the merged keys colliding.  Module-level
+    (not a closure) so it pickles under every start method.
     """
     config_name, spec_dicts, instructions, num_registers, config = payload
     traces = [_regenerate_trace(spec_dict, instructions, num_registers, base_pc)
               for spec_dict, base_pc in zip(spec_dicts, THREAD_BASE_PCS)]
     core = OutOfOrderCore(config, traces, name=config_name)
     workload = "+".join(str(spec_dict["name"]) for spec_dict in spec_dicts)
-    return (config_name, workload), core.run()
+    return (config_name, workload), JobOutcome(core.run(), core.capacity_witness())
 
 
 def generate_workload_payload(payload: Tuple[Dict[str, object], int, int]
@@ -273,14 +273,14 @@ class ParallelExperimentRunner(ExperimentRunner):
     # ---------------------------------------------------------------- execution
 
     def _execute_wave(self, jobs: Sequence[SimulationJob]
-                      ) -> Dict[Tuple[str, str], SimulationResult]:
+                      ) -> Dict[Tuple[str, str], JobOutcome]:
         """Feed a multi-configuration batch into one pool submission.
 
         Every job, across every configuration in the batch, is submitted up
         front, so the pool stays continuously fed for the whole wave instead
         of draining at each per-configuration barrier.  Submission order is
         sorted by :attr:`SimulationJob.key` for a reproducible shard
-        assignment; results merge keyed by those same tuples, so completion
+        assignment; outcomes merge keyed by those same tuples, so completion
         order never affects the merged value.
         """
         if not jobs or self.max_workers == 1:

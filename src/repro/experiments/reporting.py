@@ -43,7 +43,10 @@ def format_mapping(mapping: Mapping[str, object], title: str = "") -> str:
 
 
 def format_dedup_stats(stats, title: str = "orchestrated wave") -> str:
-    """Render a :class:`~repro.experiments.orchestrator.DedupStats` record."""
+    """Render a :class:`~repro.experiments.orchestrator.DedupStats` record.
+
+    The capacity-witness row appears only when a witness served a job.
+    """
     rows = [
         ("figures", len(stats.figures)),
         ("jobs planned", stats.planned),
@@ -52,6 +55,8 @@ def format_dedup_stats(stats, title: str = "orchestrated wave") -> str:
         ("cache-warm", stats.cache_warm),
         ("executed", stats.executed),
     ]
+    if stats.witnessed:
+        rows.append(("served by witness", stats.witnessed))
     return format_table(["metric", "count"], rows, title=title)
 
 

@@ -17,10 +17,12 @@ supplies the pieces, with every expensive phase behind an overridable hook:
   materialise one :class:`SimulationJob` per outstanding workload or SMT2
   pair: a job is a config over one or two workload threads;
 * :meth:`ExperimentRunner._execute_wave` executes a batch of jobs (the one
-  execution hook), and the orchestrator commits the results
-  *atomically* — either every planned job gets a result or none does, so a
-  config factory raising mid-sweep can never leave a partially populated
-  :class:`WorkloadRun` that later aggregation misreads as complete;
+  execution hook) and returns each job's :class:`JobOutcome`: its result and
+  the capacity witness the orchestrator serves dominated grid points from.
+  The orchestrator commits the results *atomically* — either every planned
+  job gets a result or none does, so a config factory raising mid-sweep can
+  never leave a partially populated :class:`WorkloadRun` that later
+  aggregation misreads as complete;
 * :meth:`ExperimentRunner.workloads` gathers every workload's Load Inspector
   report through the :meth:`ExperimentRunner._generate_workloads` hook, so
   cold starts can shard trace synthesis too.  Reports are served from the
@@ -52,7 +54,8 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple, TypeVar, Union)
 
 from repro.analysis.load_inspector import GlobalStableReport, inspect_trace
 from repro.analysis.stats_utils import filtered_geomean
@@ -67,6 +70,9 @@ from repro.workloads.suites import (
     workload_specs_for_suite,
 )
 from repro.workloads.trace import Trace
+
+if TYPE_CHECKING:
+    from repro.pipeline.cpu import CapacityWitness
 
 #: A configuration is a CoreConfig or a builder taking the workload's Load
 #: Inspector report, which oracle-based configurations need.
@@ -168,6 +174,18 @@ class SimulationJob:
         return f"sim:{self.config_name}/{self.workload}"
 
 
+class JobOutcome(NamedTuple):
+    """What executing one job returns: its result and, for a single-thread
+    job, the capacity witness of its run (None for an SMT2 pair).
+
+    The witness lives only in memory, for the wave that produced it: it is
+    in no result payload, cache entry, warehouse row or cache key.
+    """
+
+    result: SimulationResult
+    witness: Optional["CapacityWitness"]
+
+
 @dataclass
 class DeadLetter:
     """One job of a wave that failed.
@@ -217,8 +235,11 @@ class SweepExecutionError(RuntimeError):
     a resume journal: rerunning the same command re-executes only the jobs
     that are genuinely missing.
 
-    ``partial`` is set by ``_execute_wave`` to the results completed so far,
-    keyed exactly as its return value.
+    ``partial`` is set by ``_execute_wave`` to the outcomes completed so
+    far, keyed exactly as its return value, and ``stats`` by the
+    orchestrator to the failed wave's
+    :class:`~repro.experiments.orchestrator.DedupStats`, so a failed
+    ``repro figures`` run still records its wave.
     """
 
     def __init__(self, dead_letters: Sequence[DeadLetter]):
@@ -234,6 +255,7 @@ class SweepExecutionError(RuntimeError):
         #: reduce these into ``partial``.
         self.results: List[object] = []
         self.partial: Optional[object] = None
+        self.stats: Optional[object] = None
 
 
 class ExperimentRunner:
@@ -330,15 +352,28 @@ class ExperimentRunner:
 
         A report missing from the report cache is inspected from a freshly
         generated trace.  Returns runs keyed by workload name, so merging is
-        independent of generation order.
+        independent of generation order.  A workload whose generation or
+        inspection raises is dead-lettered as ``gen:<workload>`` while the
+        rest are still inspected and published, and
+        :class:`SweepExecutionError` is raised after the loop, exactly as
+        the pool does it.
         """
         runs: Dict[str, WorkloadRun] = {}
+        dead: List[DeadLetter] = []
         for spec in specs:
             report = self._cached_report(spec)
             if report is None:
-                report = inspect_trace(self.trace(spec))
+                try:
+                    report = inspect_trace(self.trace(spec))
+                except Exception:
+                    dead.append(DeadLetter(f"gen:{spec.name}",
+                                           traceback.format_exc()))
+                    continue
                 self._publish_report(spec, report)
             runs[spec.name] = WorkloadRun(spec=spec, report=report)
+        if dead:
+            self.health.dead_letters.extend(dead)
+            raise SweepExecutionError(dead)
         return runs
 
     # ------------------------------------------------------------------ running
@@ -388,7 +423,7 @@ class ExperimentRunner:
             (run,) for workload_name, run in self.workloads().items()
             if workload_names is None or workload_name in workload_names])
 
-    def _simulate_job(self, job: SimulationJob) -> SimulationResult:
+    def _simulate_job(self, job: SimulationJob) -> JobOutcome:
         """Simulate one planned job in-process.
 
         Each thread runs its workload's trace at its own base PC, so a pair's
@@ -400,27 +435,28 @@ class ExperimentRunner:
 
         traces = [self.trace(run.spec, base_pc)
                   for run, base_pc in zip(job.runs, THREAD_BASE_PCS)]
-        return OutOfOrderCore(job.config, traces, name=job.config_name).run()
+        core = OutOfOrderCore(job.config, traces, name=job.config_name)
+        return JobOutcome(core.run(), core.capacity_witness())
 
     def _execute_wave(self, jobs: Sequence[SimulationJob]
-                      ) -> Dict[Tuple[str, str], SimulationResult]:
+                      ) -> Dict[Tuple[str, str], JobOutcome]:
         """Execute a multi-configuration batch as one wave.
 
         The one execution hook: every simulation, from a single
         ``run_config`` call to a whole ``repro figures all`` sweep, reaches
         the simulator through here.  A wave may carry jobs for *many*
-        configurations at once, so results are keyed by :attr:`SimulationJob.key`,
-        ``(config_name, workload)``.  The serial implementation just loops;
-        the parallel runner overrides this to feed every job into one process
-        pool submission, so the pool never drains between configurations or
-        figure harnesses.
+        configurations at once, so outcomes are keyed by
+        :attr:`SimulationJob.key`, ``(config_name, workload)``.  The serial
+        implementation just loops; the parallel runner overrides this to
+        feed every job into one process pool submission, so the pool never
+        drains between configurations or figure harnesses.
 
         A job that raises is dead-lettered and the loop runs on; once every
         job has run, a failure raises :class:`SweepExecutionError` whose
         ``partial`` carries the wave's successes, so the orchestrator can
         journal them to the on-disk cache before the error propagates.
         """
-        results: Dict[Tuple[str, str], SimulationResult] = {}
+        results: Dict[Tuple[str, str], JobOutcome] = {}
         dead: List[DeadLetter] = []
         self.health.jobs += len(jobs)
         for job in jobs:

@@ -88,6 +88,19 @@ comparable.
 
 The differential tests in ``tests/test_event_driven.py`` and the golden
 fixtures pin this equivalence.
+
+**Capacity witnesses.**  The load-port count and the ROB, RS, load-buffer
+and store-buffer sizes (:data:`WITNESSED_FIELDS`) are read only by refusal
+checks: :meth:`~repro.backend.ports.ExecutionPorts.issue` and rename's pool
+checks.  So every run records the most it used of each, folded once per
+issue or rename sweep and never per micro-op, and a single-thread run's
+:meth:`OutOfOrderCore.capacity_witness` turns those peaks into floors: a
+run that never reached a capacity is, step for step, the run of any config
+that differs only in setting that capacity at or above its floor.  The
+orchestrator serves fig. 20's load-width and depth grid points from a wider
+run this way.  ``tests/test_capacity_witness.py`` checks every covered pair
+of a load-width x depth grid against a direct simulation, so a new reader
+of a witnessed capacity must join the witness or that test fails.
 """
 
 from __future__ import annotations
@@ -95,7 +108,8 @@ from __future__ import annotations
 import functools
 import operator
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.backend.dependence import MemoryDependencePredictor
 from repro.backend.ports import ExecutionPorts, PortKind
@@ -138,6 +152,46 @@ _INT_OPCLASSES = frozenset({OpClass.ALU, OpClass.MUL, OpClass.DIV,
 #: Supported execution engines: event-driven cycle skipping (default) and the
 #: per-cycle reference stepper it is differentially tested against.
 CORE_ENGINES = ("event", "cycle")
+
+#: The capacities a single-thread run witnesses, as the ``CoreConfig``
+#: fields that set them: the load ports one issue sweep may claim and the
+#: ROB, RS, load-buffer and store-buffer entries rename may hold.
+WITNESSED_FIELDS = (("ports", "load"), ("sizes", "rob"), ("sizes", "rs"),
+                    ("sizes", "load_buffer"), ("sizes", "store_buffer"))
+
+
+def effective_capacities(config: CoreConfig, threads: int = 1) -> Tuple[int, ...]:
+    """The capacities a core with ``threads`` hardware threads enforces, in
+    :data:`WITNESSED_FIELDS` order.
+
+    SMT threads split the ROB and the load and store buffers, which keep at
+    least 8, 4 and 4 entries per thread.
+    """
+    sizes = config.sizes
+    return (config.ports.load, max(8, sizes.rob // threads), sizes.rs,
+            max(4, sizes.load_buffer // threads),
+            max(4, sizes.store_buffer // threads))
+
+
+@dataclass(frozen=True)
+class CapacityWitness:
+    """What one finished single-thread run proves about its capacities.
+
+    ``capacities`` are the run's effective capacities and ``floors`` the
+    smallest value of each that admits every claim the run checked, both in
+    :data:`WITNESSED_FIELDS` order.  A floor is None where the run reached
+    the capacity: a refused claim there may have shaped the run.
+    """
+
+    capacities: Tuple[int, ...]
+    floors: Tuple[Optional[int], ...]
+
+    def covers(self, capacities: Sequence[int]) -> bool:
+        """True if a run at ``capacities``, its config and trace otherwise
+        the same, is this run step for step."""
+        return all(theirs == ours or (floor is not None and theirs >= floor)
+                   for ours, floor, theirs
+                   in zip(self.capacities, self.floors, capacities))
 
 
 class GoldenCheckError(AssertionError):
@@ -213,17 +267,14 @@ class OutOfOrderCore:
         self.rename_optimizer = RenameOptimizer(config.rename_optimizations)
         self.elar = EarlyLoadAddressResolver() if config.enable_elar else None
         self.rfp = RegisterFilePrefetcher() if config.enable_rfp else None
-        self.rs_pool = ResourcePool("RS", config.sizes.rs)
+        _, rob_capacity, rs_capacity, lb_capacity, sb_capacity = \
+            effective_capacities(config, len(traces))
+        self.rs_pool = ResourcePool("RS", rs_capacity)
 
-        partition = 2 if self.smt else 1
         self.threads: List[_ThreadState] = []
         for thread_id, trace in enumerate(traces):
-            thread = _ThreadState(
-                thread_id, trace, config,
-                rob_capacity=max(8, config.sizes.rob // partition),
-                lb_capacity=max(4, config.sizes.load_buffer // partition),
-                sb_capacity=max(4, config.sizes.store_buffer // partition),
-            )
+            thread = _ThreadState(thread_id, trace, config, rob_capacity,
+                                  lb_capacity, sb_capacity)
             if config.constable is not None:
                 thread.constable = ConstableEngine(config.constable,
                                                    num_registers=config.num_registers)
@@ -244,6 +295,10 @@ class OutOfOrderCore:
         # because both run loops touch them every cycle.
         self._constables = [t.constable for t in self.threads
                             if t.constable is not None]
+        # Every allocation pool, for the rename sweep's peak fold.
+        self._pools = (self.rs_pool,) + tuple(
+            pool for t in self.threads
+            for pool in (t.rob_pool, t.lb_pool, t.sb_pool))
 
         # Coherence bookkeeping: CV bits follow L1 fills and evictions.  The
         # listeners are the directory's and the engines' own methods, never
@@ -568,9 +623,10 @@ class OutOfOrderCore:
             self._rename_stall_acted = True
             return None
 
-        # Claim resources (inlined ResourcePool.allocate: capacity was checked
-        # above, so the claim is occupancy bookkeeping only; the allocation
-        # counts are the renamed-op counters and the RS slot counter).
+        # Claim resources: capacity was checked above, so the claim is
+        # occupancy bookkeeping only (the allocation counts are the
+        # renamed-op counters and the RS slot counter, and the rename sweep
+        # folds the peaks).
         rob_pool.occupied += 1
         if is_load:
             lb_pool.occupied += 1
@@ -579,8 +635,6 @@ class OutOfOrderCore:
             op.store_record = thread.store_queue.insert(dyn.seq, dyn.pc)
         if needs_rs:
             rs_pool.occupied += 1
-            if rs_pool.occupied > rs_pool.peak_occupancy:
-                rs_pool.peak_occupancy = rs_pool.occupied
             op.in_rs = True
             op.rs_slot = self._rs_slot_counter
             self._rs_slot_counter += 1
@@ -622,6 +676,10 @@ class OutOfOrderCore:
         mechanisms against a full reservation station — both flagged by
         :meth:`_rename_one`).  A False sweep only probed allocation pools and
         invisible classifier scratch, so it was observably pure.
+
+        Only rename claims pool entries, so a sweep that renamed something
+        ends at its own peak occupancy of every pool; that is when each
+        pool's ``peak_occupancy`` is folded.
         """
         self._rename_stall_acted = False
         budget = self.config.rename_width
@@ -646,7 +704,12 @@ class OutOfOrderCore:
                 progress = True
             if not progress:
                 break
-        return renamed > 0 or self._rename_stall_acted
+        if renamed:
+            for pool in self._pools:
+                if pool.occupied > pool.peak_occupancy:
+                    pool.peak_occupancy = pool.occupied
+            return True
+        return self._rename_stall_acted
 
     # ===================================================================== issue
 
@@ -1298,6 +1361,29 @@ class OutOfOrderCore:
             if idle:
                 histogram[0] = idle
         return self._build_result()
+
+    def capacity_witness(self) -> Optional[CapacityWitness]:
+        """What this finished run proves about its capacities; None for an
+        SMT pair, whose ROB and buffers are partitioned.
+
+        The floors are the load-port and RS peaks, where a check that passes
+        always claims, and one above the ROB, load- and store-buffer peaks:
+        rename checks those before the RS, so a check can pass at their peak
+        and the micro-op still stall on a full RS after its rename
+        mechanisms ran, which a capacity equal to the peak would have
+        refused first.
+        """
+        if self.smt:
+            return None
+        thread = self.threads[0]
+        capacities = effective_capacities(self.config)
+        peaks = (self.ports.load_peak(), thread.rob_pool.peak_occupancy,
+                 self.rs_pool.peak_occupancy, thread.lb_pool.peak_occupancy,
+                 thread.sb_pool.peak_occupancy)
+        slack = (0, 1, 0, 1, 1)
+        return CapacityWitness(capacities, tuple(
+            peak + extra if peak < capacity else None
+            for peak, extra, capacity in zip(peaks, slack, capacities)))
 
     # ---------------------------------------------------------------- reporting
 

@@ -27,7 +27,10 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.analysis.load_inspector import inspect_trace
 from repro.cli import EXIT_DEAD_LETTER, EXIT_INTERRUPT, main
+from repro.experiments import parallel as parallel_module
+from repro.experiments import runner as runner_module
 from repro.experiments.cache import (
     ResultCache,
     persist_health_stats,
@@ -263,7 +266,7 @@ def test_crash_during_commit_leaves_reclaimable_orphan(tmp_path):
                               suites=("Client",), cache=ResultCache(tmp_path))
     (job,) = runner.plan_jobs("baseline", baseline_config())
     assert job.cache_key is not None
-    result = runner._execute_wave([job])[job.key]
+    result = runner._execute_wave([job])[job.key].result
 
     context = multiprocessing.get_context("fork")
     child = context.Process(target=_crash_inside_commit,
@@ -368,6 +371,41 @@ def test_cli_dead_letter_exit_code_and_resume(tmp_path, capsys, fail_job):
     # (--strict) none extra.
     assert main(["warehouse", "verify", "--strict",
                  "--cache-dir", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_failed_inspection_dead_letters_and_resumes(tmp_path, capsys,
+                                                        monkeypatch, workers):
+    """A Load Inspector pass that raises dead-letters its ``gen:`` task at
+    every worker count: the other workload's report is published, the run
+    exits 3, and the rerun inspects only the failed workload."""
+    def inspect(trace):
+        if trace.name == "client_00":
+            raise ValueError("injected inspection failure")
+        return inspect_trace(trace)
+
+    for module in (runner_module, parallel_module):
+        monkeypatch.setattr(module, "inspect_trace", inspect)
+    assert main(_figures_argv(tmp_path, workers)) == EXIT_DEAD_LETTER
+    err = capsys.readouterr().err
+    assert "gen:client_00: ValueError: injected inspection failure" in err
+
+    monkeypatch.undo()
+    assert main(_figures_argv(tmp_path, workers)) == 0
+    assert re.search(r"^done: .*, 1 inspection passes$",
+                     capsys.readouterr().out, re.MULTILINE)
+
+
+def test_cli_failed_wave_records_its_dedup_stats(tmp_path, capsys, fail_job):
+    """A dead-lettered wave reaches the counters table like any other, so
+    ``repro cache stats`` counts both waves of a failed run and its rerun."""
+    fail_job("constable", "client_00")
+    assert main(_figures_argv(tmp_path)) == EXIT_DEAD_LETTER
+    fail_job.disarm()
+    assert main(_figures_argv(tmp_path)) == 0
+    capsys.readouterr()
+    dedup = persisted_cache_stats(tmp_path)["dedup"]
+    assert (dedup["waves"], dedup["planned"], dedup["executed"]) == (2, 4, 3)
 
 
 def test_cli_interrupt_exits_130(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.backend.dependence import MemoryDependencePredictor
 from repro.backend.ports import ExecutionPorts, PortConfig, PortKind
-from repro.backend.resources import BackendSizes, ResourcePool
+from repro.backend.resources import BackendSizes
 from repro.backend.store_queue import StoreQueue
 from repro.frontend.branch_predictor import BimodalPredictor, BranchPredictor, TagePredictor
 
@@ -70,23 +70,6 @@ def test_branch_predictor_facade_counts_mispredictions():
 
 
 # -------------------------------------------------------------------- resources
-
-def test_resource_pool_allocation_and_release():
-    pool = ResourcePool("RS", capacity=2)
-    assert pool.allocate() and pool.allocate()
-    assert not pool.allocate()
-    assert pool.allocation_stalls == 1
-    pool.release()
-    assert pool.allocate()
-    assert pool.total_allocations == 3
-    assert pool.peak_occupancy == 2
-
-
-def test_resource_pool_over_release_raises():
-    pool = ResourcePool("LB", capacity=1)
-    with pytest.raises(ValueError):
-        pool.release()
-
 
 def test_backend_sizes_scaling():
     sizes = BackendSizes()

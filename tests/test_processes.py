@@ -4,13 +4,15 @@ Each test starts a new interpreter, because the properties are per process:
 the modules a warm ``repro figures`` run imports (a warm run must not pay
 for the timing model, the workload kernels and VM, the process pool,
 ``repro lint`` or ``repro bench``), the counters log each process leaves in
-a cache directory, and the exit of a run whose reader closed its stdout.
+a cache directory, the exit of a run whose reader closed its stdout, and
+what ``examples/quickstart.py`` prints when both caches serve it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -128,3 +130,24 @@ def test_closed_stdout_exits_141_without_a_traceback(tmp_path, unbuffered):
     assert proc.returncode == 141, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "BrokenPipeError" not in proc.stderr
+
+
+def test_quickstart_warm_rerun_is_served_wholly_from_the_caches(tmp_path):
+    """A cold quickstart sweep inspects and simulates through the pool, which
+    ships reports only; the serial warm rerun then simulates and inspects
+    nothing and prints the cold run's speedups."""
+    script = str(SRC.parent / "examples" / "quickstart.py")
+    common = ["--skip-single", "--instructions", "1500", "--cache", str(tmp_path)]
+    cold = _python(script, *common, "--workers", "2")
+    warm = _python(script, *common)
+    for proc in (cold, warm):
+        assert proc.returncode == 0, proc.stderr[-3000:]
+    assert re.search(r"^  result cache: [1-9][0-9]* hits, 0 misses, 0 stores ",
+                     warm.stdout, re.MULTILINE), warm.stdout
+    assert re.search(r"^  report cache: [1-9][0-9]* hits, 0 misses, 0 stores$",
+                     warm.stdout, re.MULTILINE), warm.stdout
+
+    def speedups(stdout):
+        return [line for line in stdout.splitlines() if "speedup" in line]
+
+    assert speedups(warm.stdout) and speedups(warm.stdout) == speedups(cold.stdout)
