@@ -178,13 +178,7 @@ class GlobalStableReport:
                 result[mode.value] = {label: count / total for label, count in counts.items()}
         return result
 
-    # -------------------------------------------------------------- Fig 23/24
-
-    def dynamic_load_fraction(self) -> float:
-        """Dynamic loads as a fraction of all dynamic instructions."""
-        if self.total_instructions == 0:
-            return 0.0
-        return self.total_dynamic_loads() / self.total_instructions
+    # ------------------------------------------------------------------ summary
 
     def summary(self) -> Dict[str, object]:
         """A compact dictionary of the headline Load Inspector numbers."""

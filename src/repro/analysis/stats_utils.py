@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List
 
 
 def geomean(values: Iterable[float]) -> float:
@@ -27,21 +27,6 @@ def filtered_geomean(values: Iterable[float], default: float = 1.0) -> float:
     """
     positive = [value for value in values if value > 0]
     return geomean(positive) if positive else default
-
-
-def speedup(baseline_cycles: float, candidate_cycles: float) -> float:
-    """Speedup of a candidate over a baseline given cycle counts."""
-    if baseline_cycles <= 0 or candidate_cycles <= 0:
-        raise ValueError("cycle counts must be positive")
-    return baseline_cycles / candidate_cycles
-
-
-def weighted_fraction(numerators: Sequence[float], denominators: Sequence[float]) -> float:
-    """Sum(numerators) / sum(denominators), 0.0 when the denominator sum is zero."""
-    total = sum(denominators)
-    if total == 0:
-        return 0.0
-    return sum(numerators) / total
 
 
 def median(values: Iterable[float]) -> float:

@@ -50,7 +50,3 @@ class MemoryDependencePredictor:
                 self._conflicting[load_pc] = remaining
         if self.forget_interval and self._observations % self.forget_interval == 0:
             self._conflicting.clear()
-
-    def tracked_loads(self) -> int:
-        """Number of load PCs currently tracked as store-conflicting."""
-        return len(self._conflicting)

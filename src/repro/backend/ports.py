@@ -20,7 +20,8 @@ records it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+
+from repro.pipeline.config import PortConfig
 
 
 class PortKind(enum.Enum):
@@ -30,26 +31,6 @@ class PortKind(enum.Enum):
     LOAD = "load"
     STORE_ADDRESS = "store_address"
     STORE_DATA = "store_data"
-
-
-@dataclass
-class PortConfig:
-    """Number of ports of each kind and the overall issue width."""
-
-    issue_width: int = 6
-    alu: int = 5
-    load: int = 3
-    store_address: int = 2
-    store_data: int = 2
-
-    def count(self, kind: PortKind) -> int:
-        """Number of ports of ``kind`` in this configuration."""
-        return {
-            PortKind.ALU: self.alu,
-            PortKind.LOAD: self.load,
-            PortKind.STORE_ADDRESS: self.store_address,
-            PortKind.STORE_DATA: self.store_data,
-        }[kind]
 
 
 class ExecutionPorts:

@@ -11,8 +11,6 @@ that renamed something.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class ResourcePool:
     """A capacity-limited resource: occupancy, its peak and allocation stalls."""
@@ -29,26 +27,3 @@ class ResourcePool:
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"ResourcePool({self.name}, {self.occupied}/{self.capacity}, "
                 f"peak={self.peak_occupancy})")
-
-
-@dataclass
-class BackendSizes:
-    """Convenience bundle of backend buffer sizes (paper Table 2 defaults)."""
-
-    rob: int = 512
-    rs: int = 248
-    load_buffer: int = 240
-    store_buffer: int = 112
-    xprf: int = 32
-
-    def scaled(self, factor: float) -> "BackendSizes":
-        """Scale the window depth (Fig. 20b pipeline-depth sensitivity)."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return BackendSizes(
-            rob=max(16, int(self.rob * factor)),
-            rs=max(8, int(self.rs * factor)),
-            load_buffer=max(8, int(self.load_buffer * factor)),
-            store_buffer=max(8, int(self.store_buffer * factor)),
-            xprf=self.xprf,
-        )

@@ -66,10 +66,6 @@ class StoreQueue:
         """Drop all stores younger than ``seq`` (pipeline flush)."""
         self._stores = [s for s in self._stores if s.seq <= seq]
 
-    def clear(self) -> None:
-        """Drop every buffered store record."""
-        self._stores = []
-
     def records(self) -> List[StoreRecord]:
         """A snapshot copy of the buffered store records."""
         return list(self._stores)

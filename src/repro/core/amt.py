@@ -8,7 +8,7 @@ resets the listed loads' ``can_eliminate`` flags (Condition 2, §6.4.3/§6.4.4).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.config import ConstableConfig
 
@@ -97,11 +97,3 @@ class AddressMonitorTable:
     def tracked_lines(self) -> int:
         """Number of cachelines currently tracked across all sets."""
         return sum(len(s) for s in self._sets)
-
-    def tracked_pcs(self) -> int:
-        """Number of (line, load PC) associations currently tracked."""
-        return sum(len(e.load_pcs) for s in self._sets for e in s)
-
-    def clear(self) -> None:
-        """Invalidate the whole table (context switch, §6.7.3)."""
-        self._sets = [[] for _ in range(self.config.amt_sets)]

@@ -16,8 +16,8 @@ memory-ordering-violation hook used by the disambiguation logic (§6.5/§6.8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional
 
 from repro.core.amt import AddressMonitorTable
 from repro.core.config import ConstableConfig
@@ -191,18 +191,6 @@ class ConstableEngine:
         """Free the xPRF register of a retired (or squashed) eliminated load."""
         self.xprf.release()
 
-    def on_context_switch(self) -> None:
-        """Physical address mapping changed: drop all elimination state (§6.7.3)."""
-        self.sld.reset_all()
-        self.rmt.clear()
-        self.amt.clear()
-
     def begin_cycle(self) -> None:
         """Reset the per-cycle SLD write counter (write-port model, §6.7.1)."""
         self.sld_updates_this_cycle = 0
-
-    # -------------------------------------------------------------------- stats
-
-    def coverage(self) -> float:
-        """Fraction of eligible loads eliminated (stats shortcut)."""
-        return self.stats.elimination_coverage()

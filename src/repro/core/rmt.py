@@ -60,21 +60,8 @@ class RegisterMonitorTable:
         entry.clear()
         return pcs
 
-    def peek(self, register: int) -> List[int]:
-        """Read the tracked load PCs without clearing them."""
-        return list(self._entries.get(register, []))
-
     def remove_pc(self, load_pc: int) -> None:
         """Remove ``load_pc`` from every register entry (when it stops being eliminated)."""
         for entry in self._entries.values():
             if load_pc in entry:
                 entry.remove(load_pc)
-
-    def clear(self) -> None:
-        """Invalidate the whole table (context switch, §6.7.3)."""
-        for entry in self._entries.values():
-            entry.clear()
-
-    def tracked_pcs(self) -> int:
-        """Number of (register, load PC) associations currently tracked."""
-        return sum(len(entry) for entry in self._entries.values())

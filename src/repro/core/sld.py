@@ -8,7 +8,7 @@ both address and value match the previous execution and halved otherwise.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.config import ConstableConfig
 
@@ -111,22 +111,8 @@ class StableLoadDetector:
         entry.confidence //= 2
         entry.can_eliminate = False
 
-    def reset_all(self) -> None:
-        """Drop elimination state everywhere (physical address mapping change, §6.7.3)."""
-        for sld_set in self._sets:
-            for entry in sld_set:
-                entry.can_eliminate = False
-
-    def clear(self) -> None:
-        """Invalidate the whole table."""
-        self._sets = [[] for _ in range(self.config.sld_sets)]
-
     # -------------------------------------------------------------------- stats
 
     def tracked_loads(self) -> int:
         """Number of load PCs currently tracked across all sets."""
         return sum(len(s) for s in self._sets)
-
-    def eliminable_loads(self) -> int:
-        """Number of tracked loads currently eligible for elimination."""
-        return sum(1 for s in self._sets for e in s if e.can_eliminate)

@@ -39,14 +39,3 @@ class ExtraRegisterFile:
         if self.occupied <= 0:
             raise ValueError("xPRF release without a matching allocation")
         self.occupied -= 1
-
-    def release_all(self) -> None:
-        """Free everything (full pipeline flush)."""
-        self.occupied = 0
-
-    def failure_rate(self) -> float:
-        """Fraction of allocation attempts that failed (register file full)."""
-        total = self.total_allocations + self.allocation_failures
-        if total == 0:
-            return 0.0
-        return self.allocation_failures / total

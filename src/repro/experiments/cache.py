@@ -93,11 +93,6 @@ _HEALTH_COUNTERS = ("runs", "jobs", "dead_lettered")
 #: they cover.
 _DEDUP_COUNTERS = ("waves", "planned", "unique", "cache_warm", "executed")
 
-#: Per-class runtime fields excluded from fingerprints: they accumulate while
-#: a simulation runs and say nothing about what will be simulated.
-_FINGERPRINT_EXCLUDE: Dict[str, frozenset] = {
-    "IdealOracle": frozenset({"_seen", "loads_covered", "loads_seen"}),
-}
 
 def resolve_cache_dir(directory: Optional[Union[str, Path]] = None
                       ) -> Union[str, Path]:
@@ -144,11 +139,10 @@ _SCALAR_TYPES = frozenset({type(None), bool, int, float, str})
 
 @functools.lru_cache(maxsize=None)
 def _field_names(kind: type) -> Optional[Tuple[str, ...]]:
-    """``kind``'s fields after :data:`_FINGERPRINT_EXCLUDE`; None for a non-dataclass."""
+    """``kind``'s field names; None for a non-dataclass."""
     if not dataclasses.is_dataclass(kind):
         return None
-    excluded = _FINGERPRINT_EXCLUDE.get(kind.__name__, frozenset())
-    return tuple(f.name for f in dataclasses.fields(kind) if f.name not in excluded)
+    return tuple(f.name for f in dataclasses.fields(kind))
 
 
 def canonical_value(value: object) -> object:

@@ -24,7 +24,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats_utils import box_whisker_summary, filtered_geomean
 from repro.core.config import ConstableConfig
-from repro.core.ideal import IdealMode, IdealOracle
 from repro.core.storage import storage_overhead_report
 from repro.experiments.configs import (
     baseline_config,
@@ -42,7 +41,7 @@ from repro.experiments.orchestrator import DedupStats, FigurePlan, SweepOrchestr
 from repro.experiments.reporting import format_table, per_suite_table
 from repro.experiments.runner import ConfigLike, ExperimentRunner
 from repro.isa.instruction import AddressingMode
-from repro.pipeline.config import CoreConfig
+from repro.pipeline.config import CoreConfig, IdealMode, IdealOracle
 from repro.power.cacti import constable_structure_estimates
 from repro.power.power_model import CorePowerModel
 from repro.workloads.suites import SUITE_NAMES
@@ -90,7 +89,8 @@ FIG20_DEPTH_SCALES = (1.0, 2.0, 4.0)
 def _ideal_builder(mode: IdealMode, lvp: Optional[str] = None):
     """Config builder for the oracle-driven ideal mechanisms (needs the report)."""
     def build(report):
-        oracle = IdealOracle(stable_pcs=set(report.global_stable_pcs()), mode=mode)
+        oracle = IdealOracle(stable_pcs=frozenset(report.global_stable_pcs()),
+                             mode=mode)
         return CoreConfig(ideal_oracle=oracle, lvp=lvp)
     return build
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Iterable, List, Mapping, Sequence
 
 
 def format_percent(value: float, digits: int = 1) -> str:
@@ -33,13 +33,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
     for row in rows:
         lines.append(" | ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def format_mapping(mapping: Mapping[str, object], title: str = "") -> str:
-    """Render a key/value mapping as a two-column table."""
-    return format_table(["metric", "value"],
-                        [(key, value) for key, value in mapping.items()],
-                        title=title)
 
 
 def format_dedup_stats(stats, title: str = "orchestrated wave") -> str:

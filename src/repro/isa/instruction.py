@@ -38,11 +38,6 @@ MEMORY_OP_CLASSES = frozenset({OpClass.LOAD, OpClass.STORE})
 CONTROL_OP_CLASSES = frozenset({OpClass.BRANCH, OpClass.JUMP})
 
 
-def is_memory_op(opclass: OpClass) -> bool:
-    """True if ``opclass`` is a load or a store."""
-    return opclass in MEMORY_OP_CLASSES
-
-
 class AddressingMode(enum.Enum):
     """Load/store addressing-mode taxonomy used throughout the paper (Fig. 3b)."""
 

@@ -76,16 +76,6 @@ class RegisterFile:
         """Write ``value`` (wrapped to 64 bits) into register ``index``."""
         self._values[index] = value & _MASK64
 
-    def snapshot(self) -> List[int]:
-        """Return a copy of all register values."""
-        return list(self._values)
-
-    def load_snapshot(self, values: List[int]) -> None:
-        """Restore register values from a previous :meth:`snapshot`."""
-        if len(values) != self._count:
-            raise ValueError("snapshot length mismatch")
-        self._values = [v & _MASK64 for v in values]
-
     def __len__(self) -> int:
         return self._count
 

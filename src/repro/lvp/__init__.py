@@ -1,1 +1,1 @@
-"""Load value predictors: the EVES predictor (CVP-1 winner) and the Lipasti LLVP."""
+"""Load value prediction: the EVES predictor (CVP-1 winner)."""

@@ -19,9 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.lvp.base import LoadValuePredictor, ValuePrediction
-
 _MASK64 = (1 << 64) - 1
+
+
+@dataclass
+class ValuePrediction:
+    """Outcome of one prediction attempt."""
+
+    predicted: bool
+    value: int = 0
+    component: str = ""
 
 
 @dataclass
@@ -59,13 +66,19 @@ class _VtageEntry:
         self.useful = 0
 
 
-class EvesPredictor(LoadValuePredictor):
-    """E-Stride + E-VTAGE hybrid value predictor."""
+class EvesPredictor:
+    """E-Stride + E-VTAGE hybrid value predictor.
 
-    name = "eves"
+    The core consults it at rename for every load; a confident prediction
+    breaks the load's data dependence.  The load still executes to verify
+    the prediction, and a mismatch at writeback flushes the younger window,
+    just like a branch misprediction (paper §2).
+    """
 
     def __init__(self, config: Optional[EvesConfig] = None):
-        super().__init__()
+        self.attempts = 0
+        self.predictions = 0
+        self.correct = 0
         self.config = config or EvesConfig()
         cfg = self.config
         self._stride: Dict[int, _StrideEntry] = {}
@@ -166,3 +179,16 @@ class EvesPredictor(LoadValuePredictor):
         """Train both components with the committed value."""
         self._train_stride(pc, actual_value)
         self._train_vtage(pc, actual_value, branch_history)
+
+    # ------------------------------------------------------------------- stats
+
+    def record_outcome(self, prediction: ValuePrediction, actual_value: int) -> bool:
+        """Account the verification outcome; returns True if the prediction was correct."""
+        self.attempts += 1
+        if not prediction.predicted:
+            return True
+        self.predictions += 1
+        if prediction.value == actual_value:
+            self.correct += 1
+            return True
+        return False

@@ -11,32 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-
-@dataclass
-class CacheConfig:
-    """Geometry and latency of one cache level."""
-
-    name: str
-    size_bytes: int
-    ways: int
-    line_size: int = 64
-    latency: int = 5
-
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0 or self.ways <= 0 or self.line_size <= 0:
-            raise ValueError("cache geometry values must be positive")
-        if self.latency < 0:
-            raise ValueError(f"{self.name}: latency must be non-negative")
-        if self.size_bytes % (self.ways * self.line_size) != 0:
-            raise ValueError(
-                f"{self.name}: size must be a multiple of ways*line_size "
-                f"({self.size_bytes} % {self.ways * self.line_size})"
-            )
-
-    @property
-    def num_sets(self) -> int:
-        """Number of sets implied by size, ways and line size."""
-        return self.size_bytes // (self.ways * self.line_size)
+from repro.pipeline.config import CacheConfig
 
 
 @dataclass
@@ -49,12 +24,6 @@ class CacheStats:
     evictions: int = 0
     prefetch_fills: int = 0
     invalidations: int = 0
-
-    def hit_rate(self) -> float:
-        """Hits as a fraction of accesses (0.0 when idle)."""
-        if self.accesses == 0:
-            return 0.0
-        return self.hits / self.accesses
 
     def as_dict(self) -> Dict[str, int]:
         """The counters as a plain dictionary (stats-summary form)."""

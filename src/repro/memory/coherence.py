@@ -69,10 +69,6 @@ class Directory:
         entry.pinned.add(core)
         entry.cv_bits.add(core)
 
-    def unpin(self, address: int, core: int) -> None:
-        """Remove the pin (e.g. when the load loses its elimination status)."""
-        self._entry(address).pinned.discard(core)
-
     def snoop_reaches_core(self, address: int, core: int) -> bool:
         """Would a snoop for ``address`` be forwarded to ``core``?
 

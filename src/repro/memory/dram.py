@@ -9,27 +9,9 @@ and tRP+tRCD+tCAS for row misses, in core cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
-
-@dataclass
-class DramConfig:
-    """DRAM geometry and timing (latencies in core cycles)."""
-
-    channels: int = 4
-    banks_per_channel: int = 16
-    row_size_bytes: int = 2048
-    row_hit_latency: int = 70        # ~tCAS at 3.2 GHz core clock
-    row_miss_latency: int = 210      # ~tRP + tRCD + tCAS
-    bus_latency: int = 20
-
-    def __post_init__(self) -> None:
-        if self.channels <= 0 or self.banks_per_channel <= 0:
-            raise ValueError("channels and banks must be positive")
-        for name in ("row_hit_latency", "row_miss_latency", "bus_latency"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+from repro.pipeline.config import DramConfig
 
 
 class DramModel:

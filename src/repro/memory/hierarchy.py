@@ -9,34 +9,16 @@ counts (used by Fig. 18b and the MEU power breakdown of Fig. 19).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.memory.cache import CacheConfig, SetAssociativeCache
-from repro.memory.dram import DramConfig, DramModel
+from repro.memory.cache import SetAssociativeCache
+from repro.memory.dram import DramModel
 from repro.memory.prefetcher import StridePrefetcher, StreamPrefetcher
-from repro.memory.tlb import Tlb, TlbConfig
-
-#: Cache line size used across the hierarchy and the coherence directory.
-CACHE_LINE_SIZE = 64
+from repro.memory.tlb import Tlb
+from repro.pipeline.config import MemoryHierarchyConfig
 
 #: How many of the shared stride table's candidates the L1-D prefetches.
 L1_STRIDE_DEGREE = 2
-
-
-@dataclass
-class MemoryHierarchyConfig:
-    """Configuration of the full data-side memory hierarchy."""
-
-    l1d: CacheConfig = field(default_factory=lambda: CacheConfig(
-        name="L1D", size_bytes=48 * 1024, ways=12, line_size=CACHE_LINE_SIZE, latency=5))
-    l2: CacheConfig = field(default_factory=lambda: CacheConfig(
-        name="L2", size_bytes=2 * 1024 * 1024, ways=16, line_size=CACHE_LINE_SIZE, latency=14))
-    llc: CacheConfig = field(default_factory=lambda: CacheConfig(
-        name="LLC", size_bytes=3 * 1024 * 1024, ways=12, line_size=CACHE_LINE_SIZE, latency=50))
-    dram: DramConfig = field(default_factory=DramConfig)
-    tlb: TlbConfig = field(default_factory=TlbConfig)
-    enable_prefetchers: bool = True
 
 
 class MemoryHierarchy:
@@ -138,10 +120,6 @@ class MemoryHierarchy:
         self.llc.invalidate(address)
 
     # -------------------------------------------------------------------- stats
-
-    def l1d_accesses(self) -> int:
-        """Total L1-D demand accesses (loads + stores)."""
-        return self.l1d.stats.accesses
 
     def stats_summary(self) -> Dict[str, object]:
         """Per-level cache/TLB/DRAM counters as one nested dictionary."""

@@ -6,26 +6,9 @@ miss penalty matter; page-table walks are modelled as a fixed latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
-
-@dataclass
-class TlbConfig:
-    """DTLB geometry and miss penalty."""
-
-    entries: int = 96
-    ways: int = 6
-    page_size: int = 4096
-    miss_penalty: int = 25
-
-    def __post_init__(self) -> None:
-        if self.entries <= 0 or self.ways <= 0:
-            raise ValueError("TLB geometry must be positive")
-        if self.entries % self.ways != 0:
-            raise ValueError("TLB entries must be a multiple of ways")
-        if self.miss_penalty < 0:
-            raise ValueError("TLB miss penalty must be non-negative")
+from repro.pipeline.config import TlbConfig
 
 
 class Tlb:

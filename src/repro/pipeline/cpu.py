@@ -116,14 +116,12 @@ from repro.backend.ports import ExecutionPorts, PortKind
 from repro.backend.resources import ResourcePool
 from repro.backend.store_queue import StoreQueue
 from repro.core.constable import ConstableEngine
-from repro.core.ideal import IdealMode, IdealOracle
 from repro.frontend.branch_predictor import BranchPredictor
 from repro.isa.instruction import DynamicInstruction, OpClass, StaticInstruction
-from repro.lvp.eves import EvesPredictor
-from repro.lvp.llvp import LipastiPredictor
+from repro.lvp.eves import EvesPredictor, ValuePrediction
 from repro.memory.coherence import Directory
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.pipeline.config import CoreConfig
+from repro.pipeline.config import CoreConfig, IdealMode, IdealOracle
 from repro.pipeline.stats import PipelineStats, SimulationResult
 from repro.pipeline.uop import InflightOp
 from repro.prior.elar import EarlyLoadAddressResolver
@@ -280,15 +278,14 @@ class OutOfOrderCore:
                                                    num_registers=config.num_registers)
             if config.lvp == "eves":
                 thread.lvp = EvesPredictor()
-            elif config.lvp == "llvp":
-                thread.lvp = LipastiPredictor()
             if config.enable_memory_renaming:
                 thread.mrn = MemoryRenamer()
             self.threads.append(thread)
 
         self.oracle: Optional[IdealOracle] = config.ideal_oracle
-        if self.oracle is not None:
-            self.oracle.reset_runtime_state()
+        # The first executed (address, value) of each oracle-stable load PC;
+        # the oracle covers every later instance.
+        self._oracle_values: Dict[int, Tuple[int, int]] = {}
         self.stats_oracle_pcs: Set[int] = set(config.stats_oracle_pcs or ())
 
         # The threads' Constable engines (fixed after construction); hoisted
@@ -491,11 +488,11 @@ class OutOfOrderCore:
             self.stats.oracle_stable_loads_renamed += 1
 
         # Ideal oracle mechanisms (Fig. 7) take precedence over everything else.
-        if self.oracle is not None and self.oracle.covers(dyn.pc):
+        if self.oracle is not None and dyn.pc in self._oracle_values:
             op.ideal_covered = True
             if self.oracle.mode is IdealMode.CONSTABLE:
                 op.eliminated = True
-                op.constable_address, op.constable_value = self.oracle.known_value(dyn.pc)
+                op.constable_address, op.constable_value = self._oracle_values[dyn.pc]
                 op.mark_complete(self.cycle)
                 op.value_obtained_cycle = self.cycle
                 return False
@@ -516,7 +513,7 @@ class OutOfOrderCore:
                 op.value_obtained_cycle = self.cycle
                 return False
 
-        # Load value prediction (EVES / LLVP).
+        # Load value prediction (EVES).
         if thread.lvp is not None:
             prediction = thread.lvp.predict(dyn.pc, thread.branch_history)
             if prediction.predicted:
@@ -589,9 +586,9 @@ class OutOfOrderCore:
         else:
             # Producer capture happens only on the paths that can reach the
             # reservation station: a micro-op that completes at rename never
-            # has its depends_on scanned.  Inlined
-            # RegisterAliasTable.producer_of.
-            producers = thread.rat._producer
+            # has its depends_on scanned.  The register alias table maps
+            # each register to its in-flight producer.
+            producers = thread.rat.producers
             depends = None
             for register in sources:
                 producer = producers[register]
@@ -645,8 +642,8 @@ class OutOfOrderCore:
             # Constable: every destination write is visible to the RMT (steps 7-8).
             if constable is not None:
                 constable.on_register_write(dest)
-            # Inlined RegisterAliasTable.set_producer.
-            thread.rat._producer[dest] = op
+            # Record the producer in the register alias table.
+            thread.rat.producers[dest] = op
         thread.rob.append(op)
         if is_load:
             thread.load_buffer.append(op)
@@ -909,8 +906,8 @@ class OutOfOrderCore:
         actual_value = dyn.load_value
         address = dyn.address
 
-        if self.oracle is not None and self.oracle.is_stable(dyn.pc):
-            self.oracle.observe_execution(dyn.pc, address, actual_value)
+        if self.oracle is not None and dyn.pc in self.oracle.stable_pcs:
+            self._oracle_values.setdefault(dyn.pc, (address, actual_value))
 
         # Value prediction verification and training.
         if thread.lvp is not None:
@@ -922,7 +919,7 @@ class OutOfOrderCore:
                     self.stats.lvp_misprediction_flushes += 1
                     self._flush_after(thread, op, reason="lvp")
             else:
-                thread.lvp.record_outcome(op.lvp_prediction or _NO_PREDICTION, actual_value)
+                thread.lvp.record_outcome(_NO_PREDICTION, actual_value)
             thread.lvp.train(dyn.pc, actual_value, thread.branch_history)
 
         # Memory renaming verification and training.
@@ -1016,7 +1013,7 @@ class OutOfOrderCore:
         retired = 0
         rob = thread.rob
         cycle = self.cycle
-        producers = thread.rat._producer
+        producers = thread.rat.producers
         while retired < budget and rob:
             op = rob[0]
             if not op.complete or (op.complete_cycle is not None
@@ -1494,15 +1491,8 @@ class OutOfOrderCore:
         )
 
 
-class _NoPrediction:
-    """Sentinel standing in for "no prediction made" when accounting LVP outcomes."""
-
-    predicted = False
-    value = 0
-    component = ""
-
-
-_NO_PREDICTION = _NoPrediction()
+#: Stands in for "no prediction made" when accounting LVP outcomes.
+_NO_PREDICTION = ValuePrediction(predicted=False)
 
 
 def simulate_trace(trace: Trace, config: Optional[CoreConfig] = None,

@@ -64,12 +64,6 @@ class PipelineStats:
     value_predicted_loads: int = 0
     value_predictions_correct: int = 0
 
-    def ipc(self) -> float:
-        """Retired instructions per cycle (0.0 before any cycle)."""
-        if self.cycles == 0:
-            return 0.0
-        return self.instructions_retired / self.cycles
-
     def record_sld_updates(self, updates: int) -> None:
         """Record one thread-cycle that performed ``updates`` SLD writes.
 

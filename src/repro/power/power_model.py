@@ -61,31 +61,6 @@ class PowerBreakdown:
         """Sum of all unit powers."""
         return sum(self.units.values())
 
-    def fraction(self, unit: str) -> float:
-        """One unit's share of the total power (0.0 when total is zero)."""
-        total = self.total
-        if total == 0:
-            return 0.0
-        return self.units.get(unit, 0.0) / total
-
-    def relative_to(self, baseline: "PowerBreakdown") -> float:
-        """This configuration's total energy relative to a baseline (1.0 = equal)."""
-        if baseline.total == 0:
-            return 0.0
-        return self.total / baseline.total
-
-    def sub_unit_relative_to(self, baseline: "PowerBreakdown", name: str) -> float:
-        """One sub-unit's power relative to the same sub-unit in ``baseline``."""
-        base = baseline.sub_units.get(name, 0.0)
-        if base == 0:
-            return 0.0
-        return self.sub_units.get(name, 0.0) / base
-
-    def as_dict(self) -> Dict[str, object]:
-        """Units, sub-units and total as a plain dictionary."""
-        return {"units": dict(self.units), "sub_units": dict(self.sub_units),
-                "total": self.total}
-
 
 class CorePowerModel:
     """Computes the FE/OOO/EU/MEU/Others dynamic-energy breakdown from event counts."""

@@ -11,10 +11,10 @@ station entry and no execution port.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.isa.instruction import DynamicInstruction, OpClass
+from repro.pipeline.config import RenameOptimizationConfig
 
 
 class OptimizationKind(enum.Enum):
@@ -28,46 +28,18 @@ class OptimizationKind(enum.Enum):
     NOP_ELIMINATION = "nop_elimination"
 
 
-@dataclass
-class RenameOptimizationConfig:
-    """Enable/disable individual baseline optimizations."""
-
-    move_elimination: bool = True
-    zero_elimination: bool = True
-    constant_folding: bool = True
-    branch_folding: bool = True
-
-
-#: Dense per-kind counter index.
-_KIND_INDEX: Dict[OptimizationKind, int] = {
-    kind: index for index, kind in enumerate(OptimizationKind)}
-
-
 class RenameOptimizer:
     """Classifies micro-ops for rename-stage elimination/folding."""
 
     def __init__(self, config: Optional[RenameOptimizationConfig] = None):
         self.config = config or RenameOptimizationConfig()
-        self._counts = [0] * len(OptimizationKind)
-
-    @property
-    def counts(self) -> Dict[OptimizationKind, int]:
-        """Per-kind classification counts (reporting view)."""
-        return {kind: self._counts[index]
-                for kind, index in _KIND_INDEX.items()}
 
     def classify(self, dyn: DynamicInstruction) -> OptimizationKind:
         """Return the optimization applied to ``dyn`` (NONE if it must execute).
 
         The answer depends only on ``dyn.static`` and the config, so the core
-        classifies each static instruction once, when it first decodes it;
-        :attr:`counts` then counts classified static instructions.
+        classifies each static instruction once, when it first decodes it.
         """
-        kind = self._classify(dyn)
-        self._counts[_KIND_INDEX[kind]] += 1
-        return kind
-
-    def _classify(self, dyn: DynamicInstruction) -> OptimizationKind:
         cfg = self.config
         opclass = dyn.static.opclass
         if opclass is OpClass.NOP:
@@ -87,8 +59,3 @@ class RenameOptimizer:
             # Unconditional direct jumps are folded in the front end.
             return OptimizationKind.BRANCH_FOLDING
         return OptimizationKind.NONE
-
-    def optimized_count(self) -> int:
-        """Total micro-ops removed from the execution stream."""
-        return sum(count for kind, count in self.counts.items()
-                   if kind is not OptimizationKind.NONE)

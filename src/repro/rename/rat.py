@@ -21,25 +21,20 @@ class RegisterAliasTable(Generic[ProducerT]):
         if num_registers <= 0:
             raise ValueError("num_registers must be positive")
         self.num_registers = num_registers
-        self._producer: Dict[int, Optional[ProducerT]] = {r: None for r in range(num_registers)}
-
-    def producer_of(self, register: int) -> Optional[ProducerT]:
-        """The in-flight producer of ``register`` (None if the value is architectural)."""
-        return self._producer[register]
-
-    def set_producer(self, register: int, producer: Optional[ProducerT]) -> None:
-        """Record ``producer`` as the newest writer of ``register``."""
-        self._producer[register] = producer
+        #: Register -> its newest in-flight producer (None: the value is
+        #: architectural).  The core reads and writes it directly at rename
+        #: and retire.
+        self.producers: Dict[int, Optional[ProducerT]] = {r: None for r in range(num_registers)}
 
     def clear_producer(self, register: int, producer: ProducerT) -> None:
         """Clear the mapping if ``producer`` is still the newest writer (at retire)."""
-        if self._producer[register] is producer:
-            self._producer[register] = None
+        if self.producers[register] is producer:
+            self.producers[register] = None
 
     def clear_all(self) -> None:
         """Reset every mapping (full pipeline flush)."""
-        for register in self._producer:
-            self._producer[register] = None
+        for register in self.producers:
+            self.producers[register] = None
 
     def rebuild(self, producers: Iterable[ProducerT], dest_of) -> None:
         """Rebuild the table from the surviving in-flight micro-ops, oldest first.
@@ -51,4 +46,4 @@ class RegisterAliasTable(Generic[ProducerT]):
         for producer in producers:
             dest = dest_of(producer)
             if dest is not None:
-                self._producer[dest] = producer
+                self.producers[dest] = producer

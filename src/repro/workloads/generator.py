@@ -156,16 +156,3 @@ def trace_signature(trace: Trace) -> str:
         hasher.update(repr((snoop.after_seq, snoop.address,
                             snoop.writer_core)).encode("utf-8"))
     return hasher.hexdigest()
-
-
-def generate_suite(suite: str, num_instructions: int = 50_000,
-                   num_registers: Optional[int] = None,
-                   limit: Optional[int] = None) -> List[Trace]:
-    """Generate traces for every workload in ``suite`` (optionally the first ``limit``)."""
-    from repro.workloads.suites import workload_specs_for_suite
-
-    specs = workload_specs_for_suite(suite)
-    if limit is not None:
-        specs = specs[:limit]
-    return [generate_trace(spec, num_instructions=num_instructions,
-                           num_registers=num_registers) for spec in specs]

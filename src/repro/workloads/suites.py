@@ -303,15 +303,3 @@ def round_robin_specs(specs: Sequence[WorkloadSpec]) -> List[WorkloadSpec]:
             return interleaved
         interleaved.extend(layer)
         index += 1
-
-
-def representative_specs(per_suite: int = 3) -> List[WorkloadSpec]:
-    """A reduced, suite-balanced workload set for quick experiments."""
-    if per_suite <= 0:
-        raise ValueError("per_suite must be positive")
-    specs: List[WorkloadSpec] = []
-    for suite in SUITE_NAMES:
-        suite_specs = workload_specs_for_suite(suite)
-        step = max(1, len(suite_specs) // per_suite)
-        specs.extend(suite_specs[::step][:per_suite])
-    return specs

@@ -47,26 +47,6 @@ class Trace:
         """All dynamic load instructions."""
         return [d for d in self.instructions if d.is_load]
 
-    def stores(self) -> List[DynamicInstruction]:
-        """All dynamic store instructions."""
-        return [d for d in self.instructions if d.is_store]
-
-    def branches(self) -> List[DynamicInstruction]:
-        """All dynamic branch/jump instructions."""
-        return [d for d in self.instructions if d.is_branch]
-
-    def load_fraction(self) -> float:
-        """Fraction of dynamic instructions that are loads."""
-        return len(self.loads()) / len(self.instructions)
-
-    def static_load_pcs(self) -> List[int]:
-        """Distinct PCs of load instructions, in first-occurrence order."""
-        seen = {}
-        for d in self.instructions:
-            if d.is_load and d.pc not in seen:
-                seen[d.pc] = True
-        return list(seen.keys())
-
     def slice(self, start: int, stop: int) -> "Trace":
         """Return a sub-trace over instruction indices ``[start, stop)``."""
         sub = self.instructions[start:stop]
@@ -79,23 +59,6 @@ class Trace:
             instructions=sub, snoops=snoops, program=self.program,
             num_registers=self.num_registers, metadata=dict(self.metadata),
         )
-
-    def summary(self) -> Dict[str, object]:
-        """A small dictionary of headline trace statistics."""
-        n_loads = len(self.loads())
-        n_stores = len(self.stores())
-        n_branches = len(self.branches())
-        return {
-            "name": self.name,
-            "category": self.category,
-            "instructions": len(self.instructions),
-            "loads": n_loads,
-            "stores": n_stores,
-            "branches": n_branches,
-            "load_fraction": n_loads / len(self.instructions),
-            "snoops": len(self.snoops),
-            "static_loads": len(self.static_load_pcs()),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"Trace(name={self.name!r}, category={self.category!r}, "

@@ -1,10 +1,7 @@
 """Unit tests for the ConstableEngine state machine (paper §5-§6 semantics)."""
 
-import pytest
-
 from repro.core.config import ConstableConfig
 from repro.core.constable import ConstableEngine
-from repro.core.ideal import IdealMode, IdealOracle, build_oracle_from_trace
 from repro.isa.instruction import AddressingMode
 
 
@@ -143,15 +140,6 @@ def test_ordering_violation_halves_confidence_and_blocks_elimination():
     assert engine.stats.ordering_violations == 1
 
 
-def test_context_switch_clears_all_structures():
-    engine = _engine()
-    _train_until_eliminable(engine)
-    engine.on_context_switch()
-    assert engine.on_load_rename(0x100, AddressingMode.STACK_RELATIVE).eliminate is False
-    assert engine.rmt.tracked_pcs() == 0
-    assert engine.amt.tracked_lines() == 0
-
-
 def test_sld_update_counter_tracks_per_cycle_writes():
     engine = _engine()
     _train_until_eliminable(engine, source_registers=(5,))
@@ -179,22 +167,4 @@ def test_coverage_statistic():
     for _ in range(5):
         engine.on_load_rename(0x100, AddressingMode.STACK_RELATIVE)
         engine.release_xprf()
-    assert 0.0 < engine.coverage() <= 1.0
-
-
-# ----------------------------------------------------------------------- ideal
-
-def test_ideal_oracle_covers_after_first_execution():
-    oracle = IdealOracle(stable_pcs={0x100}, mode=IdealMode.CONSTABLE)
-    assert oracle.covers(0x100) is False
-    oracle.observe_execution(0x100, 0x8000, 42)
-    assert oracle.covers(0x100) is True
-    assert oracle.known_value(0x100) == (0x8000, 42)
-    assert oracle.covers(0x200) is False
-    assert 0.0 < oracle.coverage() < 1.0
-
-
-def test_build_oracle_from_trace(tiny_trace):
-    oracle = build_oracle_from_trace(tiny_trace, mode=IdealMode.STABLE_LVP)
-    assert oracle.mode is IdealMode.STABLE_LVP
-    assert len(oracle.stable_pcs) > 0
+    assert 0.0 < engine.stats.elimination_coverage() <= 1.0

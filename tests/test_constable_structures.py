@@ -77,16 +77,6 @@ def test_sld_set_associative_eviction():
     assert sld.evictions == 1
 
 
-def test_sld_reset_all_clears_eliminations_but_keeps_entries():
-    sld = StableLoadDetector(ConstableConfig(confidence_threshold=2))
-    entry = sld.record_execution(0x100, 0x8000, 1)
-    entry.can_eliminate = True
-    sld.reset_all()
-    assert sld.lookup(0x100) is not None
-    assert sld.lookup(0x100).can_eliminate is False
-    assert sld.eliminable_loads() == 0
-
-
 # ------------------------------------------------------------------------- RMT
 
 def test_rmt_capacity_differs_for_stack_registers():
@@ -100,7 +90,6 @@ def test_rmt_insert_and_consume():
     rmt = RegisterMonitorTable(ConstableConfig())
     rmt.insert(3, 0x100)
     rmt.insert(3, 0x200)
-    assert set(rmt.peek(3)) == {0x100, 0x200}
     pcs = rmt.consume(3)
     assert set(pcs) == {0x100, 0x200}
     assert rmt.consume(3) == []
@@ -119,7 +108,7 @@ def test_rmt_duplicate_insert_is_idempotent():
     rmt = RegisterMonitorTable(ConstableConfig())
     rmt.insert(1, 0x100)
     rmt.insert(1, 0x100)
-    assert rmt.peek(1) == [0x100]
+    assert rmt.consume(1) == [0x100]
 
 
 def test_rmt_remove_pc_everywhere():
@@ -127,7 +116,7 @@ def test_rmt_remove_pc_everywhere():
     rmt.insert(1, 0x100)
     rmt.insert(2, 0x100)
     rmt.remove_pc(0x100)
-    assert rmt.tracked_pcs() == 0
+    assert rmt.consume(1) == [] and rmt.consume(2) == []
 
 
 # ------------------------------------------------------------------------- AMT
@@ -159,13 +148,6 @@ def test_amt_set_eviction_returns_all_pcs():
     assert amt.tracked_lines() == 1
 
 
-def test_amt_clear():
-    amt = AddressMonitorTable(ConstableConfig())
-    amt.insert(0x8000, 0x100)
-    amt.clear()
-    assert amt.tracked_lines() == 0 and amt.tracked_pcs() == 0
-
-
 # ------------------------------------------------------------------------ xPRF
 
 def test_xprf_allocation_until_full():
@@ -175,21 +157,13 @@ def test_xprf_allocation_until_full():
     assert xprf.allocation_failures == 1
     xprf.release()
     assert xprf.try_allocate() is True
-    assert 0.0 < xprf.failure_rate() < 1.0
+    assert (xprf.total_allocations, xprf.allocation_failures) == (3, 1)
 
 
 def test_xprf_release_without_allocation_raises():
     xprf = ExtraRegisterFile()
     with pytest.raises(ValueError):
         xprf.release()
-
-
-def test_xprf_release_all():
-    xprf = ExtraRegisterFile()
-    xprf.try_allocate()
-    xprf.try_allocate()
-    xprf.release_all()
-    assert xprf.occupied == 0
 
 
 # ---------------------------------------------------------------------- storage

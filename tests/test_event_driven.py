@@ -24,7 +24,6 @@ import functools
 import pytest
 
 from repro.analysis.load_inspector import inspect_trace
-from repro.core.ideal import IdealMode, IdealOracle
 from repro.experiments.bench import run_bench
 from repro.experiments.configs import (
     baseline_config,
@@ -33,7 +32,7 @@ from repro.experiments.configs import (
 )
 from repro.experiments.parallel import ParallelExperimentRunner
 from repro.experiments.runner import ExperimentRunner
-from repro.pipeline.config import CoreConfig
+from repro.pipeline.config import CoreConfig, IdealMode, IdealOracle
 from repro.pipeline.cpu import OutOfOrderCore, simulate_smt_pair
 from repro.workloads.generator import generate_trace
 from repro.workloads.suites import WorkloadSpec
@@ -100,11 +99,10 @@ def test_engines_identical_on_memory_bound_trace(membound_trace):
 
 def test_engines_identical_with_ideal_oracle(client_trace):
     report = inspect_trace(client_trace)
-    oracle = IdealOracle(stable_pcs=set(report.global_stable_pcs()),
+    oracle = IdealOracle(stable_pcs=frozenset(report.global_stable_pcs()),
                          mode=IdealMode.CONSTABLE)
     reference = OutOfOrderCore(CoreConfig(ideal_oracle=oracle), [client_trace],
                                name="ideal", engine="cycle").run()
-    oracle.reset_runtime_state()
     event = OutOfOrderCore(CoreConfig(ideal_oracle=oracle), [client_trace],
                            name="ideal", engine="event").run()
     assert event == reference

@@ -12,7 +12,6 @@ from repro.experiments.configs import (
     named_configs,
 )
 from repro.experiments.reporting import (
-    format_mapping,
     format_percent,
     format_speedup,
     format_table,
@@ -56,8 +55,6 @@ def test_format_helpers():
     assert format_speedup(1.0512) == "1.051x"
     table = format_table(["a", "b"], [("x", 1), ("yy", 22)], title="t")
     assert "t" in table and "yy" in table
-    mapping = format_mapping({"k": "v"})
-    assert "k" in mapping
     suites = per_suite_table({"Client": {"constable": 1.05}},
                              title="fig")
     assert "Client" in suites and "constable" in suites

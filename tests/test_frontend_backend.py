@@ -3,10 +3,10 @@
 import pytest
 
 from repro.backend.dependence import MemoryDependencePredictor
-from repro.backend.ports import ExecutionPorts, PortConfig, PortKind
-from repro.backend.resources import BackendSizes
+from repro.backend.ports import ExecutionPorts, PortKind
 from repro.backend.store_queue import StoreQueue
 from repro.frontend.branch_predictor import BimodalPredictor, BranchPredictor, TagePredictor
+from repro.pipeline.config import BackendSizes, PortConfig
 
 
 # --------------------------------------------------------------------- bimodal
@@ -138,5 +138,5 @@ def test_store_queue_squash_and_remove():
     assert [s.seq for s in queue.records()] == [1, 2]
     queue.remove(1)
     assert [s.seq for s in queue.records()] == [2]
-    queue.clear()
+    queue.remove(2)
     assert len(queue) == 0

@@ -37,11 +37,10 @@ from typing import Callable, Dict, Tuple
 import pytest
 
 from repro.analysis.load_inspector import inspect_trace
-from repro.core.ideal import IdealMode, IdealOracle
 from repro.experiments.configs import baseline_config, constable_config, named_configs
 from repro.experiments.runner import ExperimentRunner
 from repro.pipeline.cpu import simulate_smt_pair, simulate_trace
-from repro.pipeline.config import CoreConfig
+from repro.pipeline.config import CoreConfig, IdealMode, IdealOracle
 from repro.workloads.generator import generate_trace, trace_signature
 from repro.workloads.suites import get_workload_spec
 
@@ -91,7 +90,7 @@ def _digest_configs(report) -> Dict[str, Callable[[], CoreConfig]]:
                for name, factory in named_configs().items()}
     for mode in IdealMode:
         configs[mode.value] = (lambda mode=mode: CoreConfig(
-            ideal_oracle=IdealOracle(stable_pcs=set(stable), mode=mode),
+            ideal_oracle=IdealOracle(stable_pcs=frozenset(stable), mode=mode),
             stats_oracle_pcs=stable))
     return configs
 

@@ -9,16 +9,8 @@ from repro.isa.instruction import (
     OpClass,
     SnoopEvent,
     StaticInstruction,
-    is_memory_op,
 )
 from repro.isa.registers import RBP, RSP
-
-
-def test_is_memory_op():
-    assert is_memory_op(OpClass.LOAD)
-    assert is_memory_op(OpClass.STORE)
-    assert not is_memory_op(OpClass.ALU)
-    assert not is_memory_op(OpClass.BRANCH)
 
 
 def test_mem_operand_pc_relative_classification():

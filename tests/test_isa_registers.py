@@ -49,21 +49,6 @@ def test_register_file_wraps_to_64_bits():
     assert regs.read(1) == ((1 << 70) & ((1 << 64) - 1))
 
 
-def test_register_file_snapshot_roundtrip():
-    regs = RegisterFile(count=4)
-    regs.write(2, 42)
-    snapshot = regs.snapshot()
-    regs.write(2, 99)
-    regs.load_snapshot(snapshot)
-    assert regs.read(2) == 42
-
-
-def test_register_file_snapshot_length_mismatch():
-    regs = RegisterFile(count=4)
-    with pytest.raises(ValueError):
-        regs.load_snapshot([1, 2, 3])
-
-
 def test_register_file_rejects_bad_sizes():
     with pytest.raises(ValueError):
         RegisterFile(count=0)

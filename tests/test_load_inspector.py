@@ -7,7 +7,6 @@ from repro.analysis.load_inspector import (
     inspect_trace,
 )
 from repro.isa.instruction import DynamicInstruction, MemOperand, OpClass, StaticInstruction
-from repro.workloads.trace import Trace
 
 
 def _make_load(pc, seq, address, value):
@@ -82,7 +81,6 @@ def test_mixed_instructions_counted_in_fraction():
     report = inspector.report()
     assert report.total_instructions == 8
     assert report.total_dynamic_loads() == 4
-    assert report.dynamic_load_fraction() == 0.5
 
 
 def test_inspect_trace_on_generated_workload(tiny_trace):

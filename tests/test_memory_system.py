@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.memory.cache import CacheConfig, SetAssociativeCache
+from repro.memory.cache import SetAssociativeCache
 from repro.memory.coherence import Directory
-from repro.memory.dram import DramConfig, DramModel
-from repro.memory.hierarchy import MemoryHierarchy, MemoryHierarchyConfig
+from repro.memory.dram import DramModel
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.prefetcher import StridePrefetcher, StreamPrefetcher
-from repro.memory.tlb import Tlb, TlbConfig
+from repro.memory.tlb import Tlb
+from repro.pipeline.config import (CacheConfig, DramConfig,
+                                   MemoryHierarchyConfig, TlbConfig)
 
 
 # ------------------------------------------------------------------------ cache
@@ -119,7 +121,7 @@ def test_hierarchy_counts_l1_accesses_for_loads_and_stores():
     hierarchy = MemoryHierarchy()
     hierarchy.load_access(0x5000)
     hierarchy.store_access(0x6000)
-    assert hierarchy.l1d_accesses() == 2
+    assert hierarchy.l1d.stats.accesses == 2
 
 
 def test_hierarchy_eviction_listener_fires():
@@ -177,7 +179,8 @@ def test_directory_pin_and_unpin():
     directory = Directory()
     directory.pin(0x4000, core=1)
     assert directory.is_pinned(0x4000, core=1)
-    directory.unpin(0x4000, core=1)
+    # A snoop that reaches the core clears its pin with its CV bit.
+    assert directory.snoop_reaches_core(0x4000, core=1)
     assert not directory.is_pinned(0x4000, core=1)
 
 

@@ -3,11 +3,10 @@
 import pytest
 
 from repro.core.config import ConstableConfig
-from repro.core.ideal import IdealMode, build_oracle_from_trace
 from repro.analysis.load_inspector import inspect_trace
 from repro.experiments.configs import constable_config
 from repro.isa.instruction import AddressingMode
-from repro.pipeline.config import CoreConfig
+from repro.pipeline.config import CoreConfig, IdealMode, IdealOracle
 from repro.pipeline.cpu import GoldenCheckError, simulate_smt_pair, simulate_trace
 from repro.workloads.generator import THREAD_BASE_PCS, generate_trace
 from repro.workloads.suites import get_workload_spec
@@ -127,14 +126,16 @@ def test_sld_update_rate_is_small(constable_result):
 
 def test_ideal_constable_outperforms_or_matches_real(client_trace, baseline_result,
                                                      constable_result):
-    oracle = build_oracle_from_trace(client_trace, mode=IdealMode.CONSTABLE)
+    oracle = IdealOracle(frozenset(inspect_trace(client_trace).global_stable_pcs()),
+                         IdealMode.CONSTABLE)
     ideal = simulate_trace(client_trace, CoreConfig(ideal_oracle=oracle))
     assert ideal.instructions == len(client_trace)
     assert ideal.cycles <= constable_result.cycles * 1.02
 
 
 def test_ideal_stable_lvp_runs_and_is_no_slower_than_baseline(client_trace, baseline_result):
-    oracle = build_oracle_from_trace(client_trace, mode=IdealMode.STABLE_LVP)
+    oracle = IdealOracle(frozenset(inspect_trace(client_trace).global_stable_pcs()),
+                         IdealMode.STABLE_LVP)
     result = simulate_trace(client_trace, CoreConfig(ideal_oracle=oracle))
     assert result.cycles <= baseline_result.cycles * 1.02
 

@@ -1,19 +1,25 @@
 """Integration tests for the out-of-order core: baseline behaviour and invariants."""
 
+import copy
 import gc
 import weakref
 
 import pytest
 
-from repro.backend.ports import PortConfig
-from repro.backend.resources import BackendSizes
+from repro.analysis.load_inspector import inspect_trace
+from repro.experiments.cache import config_fingerprint
 from repro.experiments.configs import baseline_config, constable_config
-from repro.memory.cache import CacheConfig
-from repro.memory.dram import DramConfig
-from repro.memory.tlb import TlbConfig
-from repro.pipeline.config import CoreConfig
-from repro.pipeline.cpu import OutOfOrderCore, simulate_trace
-from repro.rename.optimizations import RenameOptimizationConfig
+from repro.experiments.figures import FIGURE_PLANS
+from repro.pipeline.config import (
+    BackendSizes,
+    CacheConfig,
+    CoreConfig,
+    DramConfig,
+    PortConfig,
+    RenameOptimizationConfig,
+    TlbConfig,
+)
+from repro.pipeline.cpu import CORE_ENGINES, OutOfOrderCore, simulate_trace
 from repro.workloads.generator import generate_trace
 from repro.workloads.suites import get_workload_spec
 
@@ -162,6 +168,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         CoreConfig(lvp="unknown")
     with pytest.raises(ValueError):
+        CoreConfig(lvp="llvp")
+    with pytest.raises(ValueError):
         CoreConfig().with_load_width(0)
 
 
@@ -189,3 +197,35 @@ def test_finished_core_is_freed_without_the_cycle_collector(client_trace):
     finally:
         if was_enabled:
             gc.enable()
+
+
+@pytest.fixture(scope="module")
+def planned_configs():
+    """A short Client trace and every distinct config the figure plans
+    declare, materialised over its report as the runner does."""
+    trace = generate_trace(get_workload_spec("client_00"), num_instructions=600)
+    report = inspect_trace(trace)
+    configs = {}
+    for plan_factory in FIGURE_PLANS.values():
+        plan = plan_factory()
+        for config in (*plan.configs.values(), *plan.smt_configs.values()):
+            if not isinstance(config, CoreConfig):
+                config = config(report)
+            config = config.copy(stats_oracle_pcs=report.global_stable_pcs())
+            configs.setdefault(repr(config_fingerprint(config)), config)
+    return trace, list(configs.values())
+
+
+@pytest.mark.parametrize("engine", CORE_ENGINES)
+def test_a_run_leaves_its_config_as_it_found_it(planned_configs, engine):
+    """A config is a plain value: simulating it changes neither its fields
+    nor its cache fingerprint, so two runs may share one config."""
+    trace, configs = planned_configs
+    assert any(config.ideal_oracle is not None and config.ideal_oracle.stable_pcs
+               for config in configs)
+    for config in configs:
+        before = copy.deepcopy(config)
+        fingerprint = config_fingerprint(config)
+        OutOfOrderCore(config, [trace], engine=engine).run()
+        assert config == before
+        assert config_fingerprint(config) == fingerprint

@@ -19,11 +19,6 @@ def test_eves_never_catastrophically_slows_down(client_trace, baseline_result):
     assert result.cycles <= baseline_result.cycles * 1.05
 
 
-def test_llvp_runs(client_trace):
-    result = simulate_trace(client_trace, CoreConfig(lvp="llvp"))
-    assert result.instructions == len(client_trace)
-
-
 def test_elar_and_rfp_run(client_trace, baseline_result):
     elar = simulate_trace(client_trace, CoreConfig(enable_elar=True))
     rfp = simulate_trace(client_trace, CoreConfig(enable_rfp=True))

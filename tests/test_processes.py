@@ -30,9 +30,13 @@ FIG11 = ["figures", "fig11", "--per-suite", "1", "--instructions", "300",
          "--suites", "Client"]
 
 #: Modules that a run which simulates, generates, pools, lints and benches
-#: nothing has no use for.
+#: nothing has no use for, the timing models whose configs it reads among
+#: them.
 NOT_LOADED_WHEN_WARM = (
     "repro.pipeline.cpu", "repro.workloads.kernels", "repro.workloads.vm",
+    "repro.memory.hierarchy", "repro.memory.cache", "repro.memory.dram",
+    "repro.memory.prefetcher", "repro.memory.tlb", "repro.backend.ports",
+    "repro.backend.resources", "repro.rename.optimizations",
     "repro.experiments.parallel", "repro.experiments.bench",
     "repro.analysis.lint", "multiprocessing", "concurrent.futures")
 
@@ -70,6 +74,22 @@ def test_warm_figures_loads_no_simulator_pool_lint_or_bench(tmp_path):
     assert seen["status"] == 0
     assert [name for name in NOT_LOADED_WHEN_WARM
             if name in seen["modules"]] == []
+
+
+def test_the_config_module_loads_no_model():
+    """``repro.pipeline.config`` is a leaf: it loads the Constable config
+    and the ISA, and no timing model."""
+    probe = ("import json, sys\n"
+             "import repro.pipeline.config\n"
+             "print(json.dumps(sorted(sys.modules)))")
+    proc = _python("-c", probe)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    loaded = [name for name in json.loads(proc.stdout)
+              if name == "repro" or name.startswith("repro.")]
+    allowed = {"repro", "repro.core", "repro.core.config", "repro.isa",
+               "repro.pipeline", "repro.pipeline.config"}
+    assert [name for name in loaded if name not in allowed
+            and not name.startswith("repro.isa.")] == []
 
 
 def test_pool_runner_loads_the_simulator_before_its_first_job():

@@ -18,7 +18,8 @@ from repro.experiments.cache import ResultCache
 from repro.frontend.branch_predictor import TageConfig, TagePredictor, _fold
 from repro.isa.instruction import MemOperand, AddressingMode
 from repro.isa.registers import STACK_REGISTERS
-from repro.memory.cache import CacheConfig, SetAssociativeCache
+from repro.memory.cache import SetAssociativeCache
+from repro.pipeline.config import CacheConfig
 from repro.pipeline.stats import PipelineStats, SimulationResult
 from repro.workloads.suites import WorkloadSpec
 from repro.workloads.vm import SparseMemory

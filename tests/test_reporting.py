@@ -11,7 +11,6 @@ import pytest
 from repro.experiments.orchestrator import DedupStats
 from repro.experiments.reporting import (
     format_dedup_stats,
-    format_mapping,
     format_percent,
     format_speedup,
     format_table,
@@ -63,15 +62,6 @@ def test_format_table_without_title_has_no_title_line():
 def test_format_table_stringifies_arbitrary_cells():
     text = format_table(["k", "v"], [("pi", 3.14159), ("none", None)])
     assert "3.14159" in text and "None" in text
-
-
-def test_format_mapping_is_a_two_column_table():
-    text = format_mapping({"cycles": 100, "ipc": 1.5}, title="stats")
-    lines = text.splitlines()
-    assert lines[0] == "stats"
-    assert lines[1].startswith("metric")
-    assert any(line.startswith("cycles") for line in lines)
-    assert any(line.startswith("ipc") for line in lines)
 
 
 def test_per_suite_table_uses_figure_layout_and_dashes_missing_cells():

@@ -8,8 +8,6 @@ from repro.analysis.stats_utils import (
     box_whisker_summary,
     filtered_geomean,
     geomean,
-    speedup,
-    weighted_fraction,
 )
 
 
@@ -40,17 +38,6 @@ def test_filtered_geomean_default_when_nothing_positive():
     assert filtered_geomean([]) == 1.0
     assert filtered_geomean([0.0, -1.0]) == 1.0
     assert filtered_geomean([0.0], default=0.0) == 0.0
-
-
-def test_speedup_ratio():
-    assert speedup(200, 100) == 2.0
-    with pytest.raises(ValueError):
-        speedup(0, 10)
-
-
-def test_weighted_fraction():
-    assert weighted_fraction([1, 2], [4, 4]) == pytest.approx(0.375)
-    assert weighted_fraction([], []) == 0.0
 
 
 def test_box_whisker_summary_quartiles():
