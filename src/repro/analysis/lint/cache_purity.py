@@ -17,7 +17,8 @@ attribute or parameter inside the key/fingerprint functions of
 **Reachability.**  The call graph is walked one level deep within each
 module: a seed function's body plus the bodies of same-module functions it
 calls directly.  That covers the real composition (``key_for`` →
-``_digest``) without a whole-program analysis; deeper or cross-module
+``key_for_fingerprint`` → ``_digest``, each a seed) without a
+whole-program analysis; deeper or cross-module
 helpers are expected to be seeds themselves (``config_fingerprint`` in
 ``cache.py`` is, for example).  The
 runtime twin — ``test_cache_fingerprint_ignores_engine_and_runtime_env`` in

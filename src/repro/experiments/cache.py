@@ -183,6 +183,30 @@ def _digest(payload: Dict[str, object]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def key_for_fingerprint(fingerprint: Dict[str, object],
+                        specs: Sequence[WorkloadSpec], instructions: int,
+                        num_registers: int) -> str:
+    """The content hash identifying one (config, workload threads, trace) job.
+
+    ``fingerprint`` is the fully materialised config's
+    :func:`config_fingerprint`; ``specs`` holds one spec per hardware
+    thread, in thread order, and thread ``i`` runs at
+    ``THREAD_BASE_PCS[i]``.  :meth:`ResultCache.key_for` and the planner
+    both key jobs through this one function.
+    """
+    payload = {
+        "schema": SCHEMA_VERSION,
+        "config": fingerprint,
+        "workloads": [spec.to_dict() for spec in specs],
+        "trace": {
+            "instructions": instructions,
+            "num_registers": num_registers,
+            "base_pcs": list(THREAD_BASE_PCS[:len(specs)]),
+        },
+    }
+    return _digest(payload)
+
+
 class CacheStats:
     """Hit/miss/store/eviction counters for one cache instance."""
 
@@ -415,7 +439,8 @@ class JsonDiskCache:
             prefix=f".{key[:8]}.", suffix=".tmp", delete=False)
         try:
             with handle:
-                json.dump(payload, handle)
+                # ``json.dumps`` takes the C encoder; ``json.dump`` never does.
+                handle.write(json.dumps(payload))
             os.replace(handle.name, path)
         except BaseException:
             try:
@@ -641,22 +666,10 @@ class ResultCache(JsonDiskCache):
     @staticmethod
     def key_for(config: CoreConfig, specs: Sequence[WorkloadSpec],
                 instructions: int, num_registers: int) -> str:
-        """The content hash identifying one (config, workload threads, trace) job.
-
-        ``specs`` holds one spec per hardware thread, in thread order; thread
-        ``i`` runs at ``THREAD_BASE_PCS[i]``.
-        """
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "config": config_fingerprint(config),
-            "workloads": [spec.to_dict() for spec in specs],
-            "trace": {
-                "instructions": instructions,
-                "num_registers": num_registers,
-                "base_pcs": list(THREAD_BASE_PCS[:len(specs)]),
-            },
-        }
-        return _digest(payload)
+        """The content hash identifying one (config, workload threads, trace)
+        job: :func:`key_for_fingerprint` of the config's fingerprint."""
+        return key_for_fingerprint(config_fingerprint(config), specs,
+                                   instructions, num_registers)
 
     def get(self, key: str) -> Optional[SimulationResult]:
         """The cached result for ``key``, or None (corrupt entries are misses)."""

@@ -52,14 +52,16 @@ bit-identical to a serial unsharded run.
 
 from __future__ import annotations
 
-import traceback
+import json
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional,
                     Sequence, Tuple, TypeVar, Union)
 
 from repro.analysis.load_inspector import GlobalStableReport, inspect_trace
 from repro.analysis.stats_utils import filtered_geomean
-from repro.experiments.cache import ReportCache, ResultCache, persist_health_stats
+from repro.experiments.cache import (ReportCache, ResultCache,
+                                     config_fingerprint, key_for_fingerprint,
+                                     persist_health_stats)
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.stats import SimulationResult
 from repro.workloads.generator import DEFAULT_BASE_PC, THREAD_BASE_PCS, generate_trace
@@ -141,7 +143,8 @@ class SimulationJob:
     ``runs`` holds one :class:`WorkloadRun` per hardware thread; two make an
     SMT2 pair.  The configuration is fully materialised (oracles built, the
     first thread's stats-oracle PCs attached), so executing a job needs
-    nothing beyond the job itself.  Thread ``i`` runs at
+    nothing beyond the job itself; the jobs a runner plans from one content
+    over one thread set share one config object.  Thread ``i`` runs at
     ``THREAD_BASE_PCS[i]``: executors regenerate traces deterministically from
     each run's spec instead of shipping them across a process boundary.
     ``cache_key`` is the job's content identity
@@ -293,6 +296,11 @@ class ExperimentRunner:
         self._traces: Dict[Tuple[str, int], Trace] = {}
         #: Committed SMT2 results: pair -> config name -> result.
         self._pair_results: Dict[Tuple[str, ...], Dict[str, SimulationResult]] = {}
+        #: Every job planned so far, by content: (canonical JSON text of the
+        #: config's fingerprint before the stats-oracle PCs are attached,
+        #: each thread's workload name) -> (cache key, materialised config).
+        self._planned: Dict[Tuple[str, Tuple[str, ...]],
+                            Tuple[str, CoreConfig]] = {}
 
     # ---------------------------------------------------------------- workloads
 
@@ -366,6 +374,7 @@ class ExperimentRunner:
                 try:
                     report = inspect_trace(self.trace(spec))
                 except Exception:
+                    import traceback  # only a failure formats one
                     dead.append(DeadLetter(f"gen:{spec.name}",
                                            traceback.format_exc()))
                     continue
@@ -378,13 +387,23 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------------ running
 
-    def _materialise_config(self, config: ConfigLike, run: WorkloadRun) -> CoreConfig:
-        materialised = (config if isinstance(config, CoreConfig)
-                        else config(run.report))
-        if materialised.stats_oracle_pcs is None:
-            materialised = materialised.copy(
-                stats_oracle_pcs=run.report.global_stable_pcs())
-        return materialised
+    def _materialise_config(self, config: CoreConfig,
+                            fingerprint: Dict[str, object],
+                            runs: Sequence[WorkloadRun]) -> Tuple[str, CoreConfig]:
+        """The cache key and the materialised config of ``config`` over
+        ``runs``: the first thread's stats-oracle PCs attached, unless
+        ``config`` carries its own.
+
+        The key's fingerprint is derived from ``fingerprint``, ``config``'s
+        own, not recomputed: ``canonical_value`` makes a set of PCs its
+        sorted list.
+        """
+        if config.stats_oracle_pcs is None:
+            pcs = runs[0].report.global_stable_pcs()
+            config = config.copy(stats_oracle_pcs=pcs)
+            fingerprint = dict(fingerprint, stats_oracle_pcs=sorted(pcs))
+        return key_for_fingerprint(fingerprint, [run.spec for run in runs],
+                                   self.instructions, self.num_registers), config
 
     def _committed(self, runs: Sequence[WorkloadRun]) -> Dict[str, SimulationResult]:
         """The committed results, by config name, of the job over ``runs``:
@@ -403,15 +422,31 @@ class ExperimentRunner:
         so a factory raising mid-sweep aborts the whole sweep with the in-memory
         result store untouched.  Every job carries its cache key, with or
         without an attached cache: the key is the job's content identity.
+
+        Planning pays once per distinct job, not once per demand.  A
+        :class:`CoreConfig` is canonicalised once per call (a builder's
+        config once per thread set, since it depends on the report), and
+        :attr:`_planned` hands every later demand for the same content over
+        the same workloads, under any name, the first demand's key and
+        materialised config.  Aliases thus share one config object, which is
+        safe because a run never mutates its config.
         """
         jobs: List[SimulationJob] = []
+        plain = isinstance(config, CoreConfig)
+        text: Optional[str] = None
         for runs in threads:
             if name in self._committed(runs):
                 continue
-            core_config = self._materialise_config(config, runs[0])
-            cache_key = ResultCache.key_for(
-                core_config, [run.spec for run in runs],
-                self.instructions, self.num_registers)
+            built = config if plain else config(runs[0].report)
+            if text is None or not plain:
+                fingerprint = config_fingerprint(built)
+                text = json.dumps(fingerprint, sort_keys=True)
+            memo = (text, tuple(run.spec.name for run in runs))
+            planned = self._planned.get(memo)
+            if planned is None:
+                planned = self._planned[memo] = self._materialise_config(
+                    built, fingerprint, runs)
+            cache_key, core_config = planned
             jobs.append(SimulationJob(config_name=name, runs=tuple(runs),
                                       config=core_config, cache_key=cache_key))
         return jobs
@@ -463,6 +498,7 @@ class ExperimentRunner:
             try:
                 results[job.key] = self._simulate_job(job)
             except Exception:
+                import traceback  # only a failure formats one
                 dead.append(DeadLetter(job.label, traceback.format_exc()))
         if dead:
             self.health.dead_letters.extend(dead)

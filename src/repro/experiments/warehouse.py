@@ -52,7 +52,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import uuid
 from pathlib import Path
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
                     Union)
@@ -240,9 +239,10 @@ class WarehouseWriter:
 
     Each writer owns one log: :class:`~repro.experiments.cache.ResultCache`
     keeps one for its rows, and each process keeps one per directory for
-    every counter flush of its caches and waves.  The
-    file name embeds the pid and a fresh UUID, so any number of concurrent
-    processes (the N hosts of a sharded sweep) append without contention.
+    every counter flush of its caches and waves.  The file name embeds the
+    pid and 16 random bytes in hex (the bytes a ``uuid4`` draws), so any
+    number of concurrent processes (the N hosts of a sharded sweep) append
+    without contention.
     No other writer writes, renames or deletes the log; if ``repro cache
     clear`` deletes it, the next append recreates it.  Each append is a
     single ``O_APPEND``-mode line write, so a crash can tear at most the
@@ -263,7 +263,7 @@ class WarehouseWriter:
                 .encode("utf-8") + b"\n")
         if self._path is None:
             self._path = self.directory / (
-                f"{os.getpid()}-{uuid.uuid4().hex}{self.table.log_suffix}")
+                f"{os.getpid()}-{os.urandom(16).hex()}{self.table.log_suffix}")
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             fd = os.open(self._path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)

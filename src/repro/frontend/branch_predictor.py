@@ -116,8 +116,6 @@ class TagePredictor:
         # index and tag computation until the next update reads them.
         self._index_mix = [table * 0x9E5 for table in range(cfg.num_tables)]
         self._tag_mix = list(range(cfg.num_tables))
-        self.predictions = 0
-        self.mispredictions = 0
 
     # ------------------------------------------------------------------ hashing
 
@@ -172,7 +170,6 @@ class TagePredictor:
 
     def predict(self, pc: int) -> bool:
         """Predict the direction of the conditional branch at ``pc``."""
-        self.predictions += 1
         _, entry = self._find_provider(pc)
         if entry is not None:
             return entry.counter >= 0
@@ -186,13 +183,11 @@ class TagePredictor:
     def predict_and_update(self, pc: int, taken: bool) -> bool:
         """Fused predict + update sharing one provider search.
 
-        ``predict`` mutates nothing besides its counter, so running it and
-        ``update`` back to back performs the identical provider search twice;
-        this entry point does the search once and feeds both.  Returns the
-        prediction, with counters updated exactly as the two-call sequence
-        would have.
+        ``predict`` mutates nothing, so running it and ``update`` back to
+        back performs the identical provider search twice; this entry point
+        does the search once and feeds both.  Returns the prediction, with the
+        tables trained exactly as the two-call sequence would have.
         """
-        self.predictions += 1
         provider_table, provider = self._find_provider(pc)
         predicted = (provider.counter >= 0) if provider is not None else self.base.predict(pc)
         self._train(pc, taken, provider_table, provider)
@@ -203,9 +198,6 @@ class TagePredictor:
                provider: Optional[_TaggedEntry]) -> None:
         cfg = self.config
         predicted = (provider.counter >= 0) if provider is not None else self.base.predict(pc)
-        if predicted != taken:
-            self.mispredictions += 1
-
         if provider is not None:
             if taken:
                 provider.counter = min(provider.counter + 1, cfg.counter_max)
@@ -231,20 +223,12 @@ class TagePredictor:
 
         self._push_history(taken)
 
-    def misprediction_rate(self) -> float:
-        """Fraction of predictions that were wrong."""
-        if self.predictions == 0:
-            return 0.0
-        return self.mispredictions / self.predictions
-
 
 class BranchPredictor:
     """Front-end facade: direction prediction for branches, always-correct jumps."""
 
     def __init__(self, tage_config: Optional[TageConfig] = None):
         self.direction = TagePredictor(tage_config)
-        self.conditional_predictions = 0
-        self.conditional_mispredictions = 0
 
     def predict_taken(self, pc: int, is_conditional: bool) -> bool:
         """Predict whether the branch at ``pc`` is taken."""
@@ -256,30 +240,15 @@ class BranchPredictor:
         """Train with the outcome; returns True if the branch was mispredicted."""
         if not is_conditional:
             return False
-        self.conditional_predictions += 1
         self.direction.update(pc, taken)
-        mispredicted = predicted != taken
-        if mispredicted:
-            self.conditional_mispredictions += 1
-        return mispredicted
+        return predicted != taken
 
     def resolve_at_writeback(self, pc: int, is_conditional: bool, taken: bool) -> bool:
         """``predict_taken`` + ``resolve`` fused for the branch writeback path.
 
-        Counter updates and training are bit-identical to the two-call
-        sequence; only the duplicated TAGE provider search is saved.
+        Training is bit-identical to the two-call sequence; only the
+        duplicated TAGE provider search is saved.
         """
         if not is_conditional:
             return False
-        self.conditional_predictions += 1
-        predicted = self.direction.predict_and_update(pc, taken)
-        mispredicted = predicted != taken
-        if mispredicted:
-            self.conditional_mispredictions += 1
-        return mispredicted
-
-    def misprediction_rate(self) -> float:
-        """Fraction of conditional predictions that were wrong."""
-        if self.conditional_predictions == 0:
-            return 0.0
-        return self.conditional_mispredictions / self.conditional_predictions
+        return self.direction.predict_and_update(pc, taken) != taken

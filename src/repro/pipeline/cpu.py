@@ -927,7 +927,6 @@ class OutOfOrderCore:
             if op.mrn_predicted and op.mrn_store is not None:
                 correct = (not op.mrn_store.address_ready
                            or op.mrn_store.overlaps(address))
-                thread.mrn.record_prediction(correct)
                 if not correct:
                     self.stats.mrn_misprediction_flushes += 1
                     self._flush_after(thread, op, reason="mrn")

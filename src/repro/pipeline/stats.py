@@ -7,7 +7,6 @@ experiment cache and shipped across process boundaries as JSON.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -104,6 +103,17 @@ class PipelineStats:
         return cls(**fields)
 
 
+def _copy_memory_stats(stats: Dict[str, object]) -> Dict[str, object]:
+    """A copy of a ``memory_stats`` record that shares no dictionary with it.
+
+    The record is scalars beside one level of dictionaries of scalars (each
+    cache level's counters, the service-level counts), so copying every
+    dictionary value copies it whole, without ``copy.deepcopy``'s walk.
+    """
+    return {name: dict(value) if isinstance(value, dict) else value
+            for name, value in stats.items()}
+
+
 @dataclass
 class SimulationResult:
     """Everything an experiment needs from one simulation run."""
@@ -157,7 +167,7 @@ class SimulationResult:
             "instructions": self.instructions,
             "stats": self.stats.to_dict(),
             "power_events": dict(self.power_events),
-            "memory_stats": copy.deepcopy(self.memory_stats),
+            "memory_stats": _copy_memory_stats(self.memory_stats),
             "constable_stats": (dict(self.constable_stats)
                                 if self.constable_stats is not None else None),
             "lvp_stats": dict(self.lvp_stats) if self.lvp_stats is not None else None,
@@ -175,7 +185,7 @@ class SimulationResult:
             instructions=int(data["instructions"]),
             stats=PipelineStats.from_dict(data["stats"]),
             power_events=dict(data.get("power_events", {})),
-            memory_stats=copy.deepcopy(data.get("memory_stats", {})),
+            memory_stats=_copy_memory_stats(data.get("memory_stats", {})),
             constable_stats=(dict(data["constable_stats"])
                              if data.get("constable_stats") is not None else None),
             lvp_stats=(dict(data["lvp_stats"])

@@ -36,30 +36,16 @@ class EarlyLoadAddressResolver:
         self._trackable: Set[int] = {RSP}
         if config.track_frame_pointer:
             self._trackable.add(RBP)
-        self.resolved_loads = 0
-        self.total_loads = 0
 
     def can_resolve_early(self, dyn: DynamicInstruction) -> bool:
         """True if this load's address is available right after decode."""
         if not dyn.is_load:
             return False
-        self.total_loads += 1
-        mem = dyn.static.mem
-        regs = mem.address_registers()
         if dyn.static.addressing_mode() is AddressingMode.PC_RELATIVE:
-            self.resolved_loads += 1
             return True
-        if regs and all(r in self._trackable for r in regs):
-            self.resolved_loads += 1
-            return True
-        return False
+        regs = dyn.static.mem.address_registers()
+        return bool(regs) and all(r in self._trackable for r in regs)
 
     def latency_savings(self) -> int:
         """Cycles of load latency hidden for an early-resolved load."""
         return self.config.early_cycles
-
-    def coverage(self) -> float:
-        """Fraction of loads whose address resolved early."""
-        if self.total_loads == 0:
-            return 0.0
-        return self.resolved_loads / self.total_loads

@@ -39,9 +39,6 @@ class RegisterFilePrefetcher:
     def __init__(self, config: Optional[RfpConfig] = None):
         self.config = config or RfpConfig()
         self._table: Dict[int, _RfpEntry] = {}
-        self.prefetches_issued = 0
-        self.prefetches_useful = 0
-        self.prefetches_wasted = 0
 
     def predict_address(self, pc: int) -> Optional[int]:
         """Predicted effective address for the next instance of the load at ``pc``."""
@@ -52,20 +49,11 @@ class RegisterFilePrefetcher:
 
     def issue_prefetch(self, pc: int) -> Optional[int]:
         """Issue a register-file prefetch at rename; returns the prefetched address."""
-        address = self.predict_address(pc)
-        if address is not None:
-            self.prefetches_issued += 1
-        return address
+        return self.predict_address(pc)
 
     def verify(self, prefetched_address: Optional[int], actual_address: int) -> bool:
         """Check the prefetch against the executed load's address."""
-        if prefetched_address is None:
-            return False
-        if prefetched_address == actual_address:
-            self.prefetches_useful += 1
-            return True
-        self.prefetches_wasted += 1
-        return False
+        return prefetched_address is not None and prefetched_address == actual_address
 
     def train(self, pc: int, actual_address: int) -> None:
         """Train the address predictor with the executed load's address."""
@@ -82,9 +70,3 @@ class RegisterFilePrefetcher:
             entry.confidence = max(entry.confidence - 1, 0)
             entry.stride = stride
         entry.last_address = actual_address
-
-    def accuracy(self) -> float:
-        """Useful prefetches as a fraction of prefetches issued."""
-        if self.prefetches_issued == 0:
-            return 0.0
-        return self.prefetches_useful / self.prefetches_issued

@@ -38,9 +38,6 @@ class MemoryRenamer:
         self._pairs: Dict[int, _PairEntry] = {}
         # Most recent store seen for each word address: (store_pc, seq).
         self._recent_stores: Dict[int, Tuple[int, int]] = {}
-        self.predictions = 0
-        self.correct_predictions = 0
-        self.mispredictions = 0
 
     # ---------------------------------------------------------------- training
 
@@ -75,17 +72,3 @@ class MemoryRenamer:
         if entry is not None and entry.confidence >= self.config.confidence_threshold:
             return entry.store_pc
         return None
-
-    def record_prediction(self, correct: bool) -> None:
-        """Account a rename-time forwarding prediction outcome."""
-        self.predictions += 1
-        if correct:
-            self.correct_predictions += 1
-        else:
-            self.mispredictions += 1
-
-    def accuracy(self) -> float:
-        """Correct forwarding predictions as a fraction of all predictions."""
-        if self.predictions == 0:
-            return 0.0
-        return self.correct_predictions / self.predictions

@@ -47,14 +47,6 @@ def test_tage_learns_loop_exit_pattern():
     assert late_mispredicts < 100  # better than always-taken on the exit
 
 
-def test_tage_misprediction_rate_tracking():
-    predictor = TagePredictor()
-    for _ in range(10):
-        predictor.predict(0x100)
-        predictor.update(0x100, True)
-    assert 0.0 <= predictor.misprediction_rate() <= 1.0
-
-
 def test_branch_predictor_facade_unconditional_always_correct():
     facade = BranchPredictor()
     assert facade.predict_taken(0x100, is_conditional=False) is True
@@ -66,7 +58,7 @@ def test_branch_predictor_facade_counts_mispredictions():
     predicted = facade.predict_taken(0x200, is_conditional=True)
     mispredicted = facade.resolve(0x200, True, predicted, not predicted)
     assert mispredicted is True
-    assert facade.conditional_mispredictions == 1
+    assert facade.resolve(0x200, True, predicted, predicted) is False
 
 
 # -------------------------------------------------------------------- resources

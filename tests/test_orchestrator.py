@@ -12,12 +12,19 @@ The three load-bearing guarantees:
 * **Plans cover their harnesses** — every figure harness runs with *zero*
   simulations after the shared wave over :data:`FIGURE_PLANS`.  Each harness
   runs the plan declared beside it, so the two cannot drift apart.
+
+Planning itself pays once per distinct job: the planner's memo hands every
+alias its first demand's key and config, and neither the keys nor the
+results move with it.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import repro.experiments.cache as cache_module
+import repro.experiments.orchestrator as orchestrator_module
+import repro.experiments.runner as runner_module
 from repro.experiments.cache import ReportCache, ResultCache
 from repro.experiments.configs import baseline_config, constable_config
 from repro.experiments.figures import (
@@ -28,6 +35,7 @@ from repro.experiments.figures import (
 from repro.experiments.orchestrator import FigurePlan, SweepOrchestrator
 from repro.experiments.parallel import ParallelExperimentRunner
 from repro.experiments.runner import ExperimentRunner, Shard
+from repro.pipeline.config import CoreConfig
 
 SUITES = ("Client", "Server")
 INSTRUCTIONS = 600
@@ -249,6 +257,114 @@ def test_smt_pair_budgets_merge_to_the_loosest_request(simulation_counter):
         assert list(runner.smt_results("baseline", max_pairs=2)) == pairs
     assert (stats.planned, stats.unique, stats.executed) == (3, 2, 2)
     assert simulation_counter["count"] == 2
+
+
+# ------------------------------------------------------ planning by content
+
+def _committed_results(runner):
+    """Every committed result, by (config name, workload); a pair's is a+b."""
+    results = {(name, workload): result
+               for workload, run in runner.workloads().items()
+               for name, result in run.results.items()}
+    results.update({(name, "+".join(pair)): result
+                    for pair, by_name in runner._pair_results.items()
+                    for name, result in by_name.items()})
+    return results
+
+
+def _all_figures_wave(runner, forget=False):
+    """Run every figure's plan as one wave; returns every job planned.
+
+    With ``forget``, the planner's memo is cleared before each call, so
+    every demand is canonicalised, materialised and keyed afresh.
+    """
+    planned = []
+    plan = runner._plan
+
+    def recording(name, config, threads):
+        if forget:
+            runner._planned.clear()
+        jobs = plan(name, config, threads)
+        planned.extend(jobs)
+        return jobs
+
+    runner._plan = recording
+    SweepOrchestrator(runner).execute(
+        [factory() for factory in FIGURE_PLANS.values()])
+    return planned
+
+
+@pytest.fixture(scope="module")
+def memoless_results():
+    """The committed results of a wave planned without the memo."""
+    with _make_runner() as runner:
+        _all_figures_wave(runner, forget=True)
+        return _committed_results(runner)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_planned_keys_are_their_configs_cache_keys(workers, memoless_results):
+    """Every job of a wave over every figure carries ``ResultCache.key_for``
+    of its materialised config, and the memo changes no committed result."""
+    with _make_runner(workers) as runner:
+        jobs = _all_figures_wave(runner)
+        for job in jobs:
+            assert job.cache_key == ResultCache.key_for(
+                job.config, [run.spec for run in job.runs],
+                runner.instructions, runner.num_registers), job.label
+        assert _committed_results(runner) == memoless_results
+
+
+def test_a_warm_wave_keys_each_distinct_job_once(tmp_path, monkeypatch):
+    """Over a warm wave of every figure, a plain config is canonicalised at
+    most once per planning call and a builder's once per job it plans,
+    nothing else fingerprints, and each distinct job is materialised once."""
+    with _make_runner(cache_dir=tmp_path) as cold:
+        orchestrate_figures(cold, list(FIGURE_PLANS))
+
+    plans = []  # one record per ``_plan`` call
+    counts = {"outside_plans": 0, "materialised": 0}
+    fingerprint = cache_module.config_fingerprint
+
+    def counted_fingerprint(config):
+        if plans and plans[-1]["open"]:
+            plans[-1]["fingerprints"] += 1
+        else:
+            counts["outside_plans"] += 1
+        return fingerprint(config)
+
+    for module in (cache_module, runner_module, orchestrator_module):
+        if hasattr(module, "config_fingerprint"):
+            monkeypatch.setattr(module, "config_fingerprint",
+                                counted_fingerprint)
+    plan = ExperimentRunner._plan
+
+    def counted_plan(self, name, config, threads):
+        record = {"plain": isinstance(config, CoreConfig), "fingerprints": 0,
+                  "open": True}
+        plans.append(record)
+        jobs = plan(self, name, config, threads)
+        record.update(open=False, jobs=len(jobs))
+        return jobs
+
+    materialise = ExperimentRunner._materialise_config
+
+    def counted_materialise(self, *args):
+        counts["materialised"] += 1
+        return materialise(self, *args)
+
+    monkeypatch.setattr(ExperimentRunner, "_plan", counted_plan)
+    monkeypatch.setattr(ExperimentRunner, "_materialise_config",
+                        counted_materialise)
+    with _make_runner(cache_dir=tmp_path) as warm:
+        _, stats = orchestrate_figures(warm, list(FIGURE_PLANS))
+
+    assert stats.executed == 0
+    assert counts["outside_plans"] == 0
+    assert [record for record in plans
+            if record["fingerprints"] > (1 if record["plain"]
+                                         else record["jobs"])] == []
+    assert counts["materialised"] == stats.unique < stats.planned
 
 
 def test_dedup_stats_serialise_round_trip():

@@ -90,13 +90,6 @@ def test_memory_renamer_unrelated_load_not_predicted():
     assert mrn.predicted_store_pc(0x600) is None
 
 
-def test_memory_renamer_accuracy_accounting():
-    mrn = MemoryRenamer()
-    mrn.record_prediction(True)
-    mrn.record_prediction(False)
-    assert mrn.accuracy() == 0.5
-
-
 # ------------------------------------------------------------------------- EVES
 
 def test_eves_predicts_constant_value_after_training():
@@ -145,7 +138,6 @@ def test_elar_resolves_stack_and_pc_relative_loads():
     assert elar.can_resolve_early(stack_load)
     assert elar.can_resolve_early(pc_load)
     assert not elar.can_resolve_early(reg_load)
-    assert 0.0 < elar.coverage() <= 1.0
     assert elar.latency_savings() > 0
 
 
@@ -157,7 +149,6 @@ def test_rfp_learns_stable_address():
     prefetched = rfp.issue_prefetch(0x720)
     assert rfp.verify(prefetched, 0x8000) is True
     assert rfp.verify(prefetched, 0x9000) is False
-    assert 0.0 <= rfp.accuracy() <= 1.0
 
 
 def test_rfp_learns_strided_address():

@@ -70,6 +70,19 @@ def test_simulation_result_to_dict_is_a_deep_copy(baseline_result):
     assert baseline_result.memory_stats["service_levels"]["L1D"] != -1
 
 
+def test_simulation_result_from_dict_shares_nothing_with_its_input(baseline_result):
+    data = _json_round_trip(baseline_result.to_dict())
+    before = json.dumps(data, sort_keys=True)
+    memory_stats = SimulationResult.from_dict(data).memory_stats
+    for name, value in memory_stats.items():
+        if isinstance(value, dict):
+            for key in value:
+                value[key] = -1
+        else:
+            memory_stats[name] = -1
+    assert json.dumps(data, sort_keys=True) == before
+
+
 # ------------------------------------------------------------- GlobalStableReport
 
 def test_global_stable_report_round_trip(client_trace):
