@@ -9,7 +9,7 @@ schemes and the experiment machinery to reproduce its figures:
   event engines).
 * ``repro.workloads`` — deterministic synthetic kernels and suite specs.
 * ``repro.experiments`` — sweeps, the on-disk result cache, figure
-  harnesses, the orchestrator and the ``repro bench`` engine check.
+  harnesses, the orchestrator and perfbench's memory-bound workloads.
 * ``repro.analysis`` — trace inspection and the ``repro lint`` invariant
   checker.
 

@@ -32,28 +32,13 @@ def filtered_geomean(values: Iterable[float], default: float = 1.0) -> float:
 def median(values: Iterable[float]) -> float:
     """Median of ``values`` (0.0 for an empty input).
 
-    The bench layer gates on medians, not means: on shared CI hosts a single
-    contended run inflates a mean arbitrarily but moves the median of N
-    repetitions only when the host is *persistently* loaded.
+    ``repro query --agg median`` rolls metrics up with it: one outlier
+    workload moves a median far less than it moves a mean.
     """
     data = sorted(values)
     if not data:
         return 0.0
     return _percentile(data, 0.50)
-
-
-def median_abs_deviation(values: Iterable[float]) -> float:
-    """Median absolute deviation around the median (0.0 for < 2 values).
-
-    A robust spread estimate: unlike the standard deviation a single outlier
-    repetition cannot blow it up, which is what makes it usable as the noise
-    margin of a perf gate fed by a handful of repetitions.
-    """
-    data = sorted(values)
-    if len(data) < 2:
-        return 0.0
-    center = _percentile(data, 0.50)
-    return median(abs(value - center) for value in data)
 
 
 def _percentile(sorted_values: List[float], fraction: float) -> float:

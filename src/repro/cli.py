@@ -41,12 +41,6 @@ Subcommands:
   select rules, ``--refresh-manifest`` to regenerate the committed
   ``schema_manifest.json`` after a deliberate schema bump.  Exits 1 on any
   finding.
-* ``repro bench`` — the engine check: runs four figure families under the
-  per-cycle reference stepper and the event-driven cycle-skipping engine,
-  verifies the two are bit-identical (exit 1 otherwise) and prints per-family
-  speedups and skipped-cycle fractions (``--quick`` for the reduced CI
-  budgets, ``--output`` to also write the JSON payload).  How fast the
-  simulator runs end to end is measured by ``perfbench/``, not here.
 
 Every subcommand resolves its cache directory from ``--cache-dir``, then the
 ``REPRO_CACHE_DIR`` environment variable (when set and non-empty), then
@@ -68,7 +62,6 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.cache import (
@@ -488,35 +481,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.bench import (DEFAULT_BENCH_REPS,
-                                         format_bench_table, run_bench)
-
-    families = None
-    if args.families:
-        families = [name.strip() for name in args.families.split(",")
-                    if name.strip()]
-    reps = DEFAULT_BENCH_REPS if args.reps is None else args.reps
-    try:
-        payload = run_bench(quick=args.quick, families=families,
-                            instructions=args.instructions, reps=reps)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    print(format_bench_table(payload))
-    if args.output is not None:
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-        print(f"wrote {path}")
-    if not payload["identical"]:
-        print("ENGINE DIVERGENCE: at least one workload/config simulated "
-              "differently under the cycle and event engines", file=sys.stderr)
-        return 1
-    return 0
-
-
 # --------------------------------------------------------------------- parser
 
 def build_parser() -> argparse.ArgumentParser:
@@ -617,24 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="regenerate src/repro/analysis/lint/"
                            "schema_manifest.json from the current tree "
                            "(required after a deliberate schema bump)")
-
-    bench = commands.add_parser(
-        "bench", help="run every bench family under both engines, check they "
-                      "are bit-identical and report the event-engine speedup")
-    bench.add_argument("--quick", action="store_true",
-                       help="reduced instruction budgets (CI perf-smoke mode)")
-    bench.add_argument("--reps", type=int, default=None,
-                       help="repetitions per measurement; the first is a "
-                            "warm-up when there are several (default: "
-                            "repro.experiments.bench.DEFAULT_BENCH_REPS)")
-    bench.add_argument("--families", default=None,
-                       help="comma-separated family subset (default: all "
-                            "families)")
-    bench.add_argument("--instructions", type=int, default=None,
-                       help="override the per-family instruction budgets")
-    bench.add_argument("--output", default=None,
-                       help="also write the JSON payload to this path "
-                            "(default: no file)")
     return parser
 
 
@@ -653,8 +599,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             return 2
     if args.command == "lint":
         return _cmd_lint(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -397,7 +397,7 @@ class JsonDiskCache:
 
     # ------------------------------------------------------------------ raw i/o
 
-    def _read_payload(self, key: str, kind: Optional[str] = None) -> Optional[Dict[str, object]]:
+    def _read_payload(self, path: Path, kind: Optional[str] = None) -> Optional[Dict[str, object]]:
         """Load and validate one entry envelope; corrupt entries are misses.
 
         Recency is *not* refreshed here: callers decode the record body first
@@ -405,7 +405,6 @@ class JsonDiskCache:
         a permanently undecodable entry ages out through the LRU GC instead of
         being promoted to most-recently-used on every failed read.
         """
-        path = self._path_for(key)
         try:
             with path.open("r", encoding="utf-8") as handle:
                 payload = json.load(handle)
@@ -418,10 +417,10 @@ class JsonDiskCache:
             return None
         return payload
 
-    def _mark_hit(self, key: str) -> None:
+    def _mark_hit(self, path: Path) -> None:
         """Count a hit and refresh the entry's mtime so the LRU GC keeps it."""
         try:
-            os.utime(self._path_for(key), None)
+            os.utime(path, None)
         except OSError:
             pass
         self.stats.hits += 1
@@ -673,7 +672,8 @@ class ResultCache(JsonDiskCache):
 
     def get(self, key: str) -> Optional[SimulationResult]:
         """The cached result for ``key``, or None (corrupt entries are misses)."""
-        payload = self._read_payload(key)
+        path = self._path_for(key)
+        payload = self._read_payload(path)
         if payload is None:
             return None
         try:
@@ -681,7 +681,7 @@ class ResultCache(JsonDiskCache):
         except (ValueError, KeyError, TypeError):
             self.stats.misses += 1
             return None
-        self._mark_hit(key)
+        self._mark_hit(path)
         return result
 
     def put(self, key: str, result: SimulationResult) -> None:
@@ -722,7 +722,8 @@ class ReportCache(JsonDiskCache):
 
     def get(self, key: str) -> Optional[GlobalStableReport]:
         """The cached report for ``key``, or None (corrupt entries are misses)."""
-        payload = self._read_payload(key, kind="report")
+        path = self._path_for(key)
+        payload = self._read_payload(path, kind="report")
         if payload is None:
             return None
         try:
@@ -730,7 +731,7 @@ class ReportCache(JsonDiskCache):
         except (ValueError, KeyError, TypeError):
             self.stats.misses += 1
             return None
-        self._mark_hit(key)
+        self._mark_hit(path)
         return report
 
     def put(self, key: str, report: GlobalStableReport) -> None:

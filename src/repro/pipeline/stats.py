@@ -95,12 +95,16 @@ class PipelineStats:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "PipelineStats":
         """Rebuild stats from :meth:`to_dict` output (unknown keys are ignored)."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        fields = {key: value for key, value in data.items() if key in known}
+        fields = {key: value for key, value in data.items()
+                  if key in _STATS_FIELDS}
         histogram = fields.get("sld_update_cycles_histogram", {})
         fields["sld_update_cycles_histogram"] = {
             int(updates): int(count) for updates, count in histogram.items()}
         return cls(**fields)
+
+
+#: The counter names :meth:`PipelineStats.from_dict` accepts.
+_STATS_FIELDS = frozenset(f.name for f in dataclasses.fields(PipelineStats))
 
 
 def _copy_memory_stats(stats: Dict[str, object]) -> Dict[str, object]:

@@ -1,13 +1,9 @@
 """CACTI-like per-structure energy/leakage/area estimates (paper §8.2, Table 3).
 
-The paper runs CACTI 7.0 at 22 nm and scales to 14 nm.  Without CACTI, two
-things are provided here:
-
-* :data:`TABLE3_ESTIMATES` - the paper's published numbers for SLD/RMT/AMT,
-  used as the calibration points and reproduced verbatim by the Table 3 bench.
-* :func:`cacti_estimate` - a simple parametric SRAM model (energy grows with
-  capacity and port count) fitted against those calibration points, used for
-  any other structure geometry (e.g. sensitivity studies).
+The paper runs CACTI 7.0 at 22 nm and scales to 14 nm.  Without CACTI, this
+module carries the paper's published numbers for SLD/RMT/AMT
+(:data:`TABLE3_ESTIMATES`): the power model charges Constable's structures
+with them, and the Table 3 harness reproduces them verbatim.
 """
 
 from __future__ import annotations
@@ -37,46 +33,7 @@ TABLE3_ESTIMATES: Dict[str, StructureEstimate] = {
     "amt": StructureEstimate("AMT", 4.0, 1, 1, 1.58, 4.22, 0.74, 0.017),
 }
 
-# Parametric model coefficients, fitted (coarsely) to the Table 3 points.
-_READ_COEFF = 0.55
-_WRITE_COEFF = 0.95
-_PORT_FACTOR = 0.45
-_LEAKAGE_COEFF = 0.13
-_AREA_COEFF = 0.011
-_SIZE_EXPONENT = 1.05
 
-
-def cacti_estimate(name: str, size_kb: float, read_ports: int = 1,
-                   write_ports: int = 1) -> StructureEstimate:
-    """Parametric SRAM estimate for an arbitrary structure geometry."""
-    if size_kb <= 0:
-        raise ValueError("size_kb must be positive")
-    if read_ports <= 0 or write_ports <= 0:
-        raise ValueError("port counts must be positive")
-    size_term = size_kb ** _SIZE_EXPONENT
-    port_term_read = 1.0 + _PORT_FACTOR * (read_ports - 1)
-    port_term_write = 1.0 + _PORT_FACTOR * (write_ports - 1)
-    read_energy = _READ_COEFF * size_term * port_term_read
-    write_energy = _WRITE_COEFF * size_term * port_term_write
-    total_ports = read_ports + write_ports
-    leakage = _LEAKAGE_COEFF * size_kb * (1.0 + 0.2 * (total_ports - 2))
-    area = _AREA_COEFF * size_kb * (1.0 + 0.3 * (total_ports - 2))
-    return StructureEstimate(
-        name=name, size_kb=size_kb, read_ports=read_ports, write_ports=write_ports,
-        read_energy_pj=read_energy, write_energy_pj=write_energy,
-        leakage_mw=leakage, area_mm2=area,
-    )
-
-
-def constable_structure_estimates(use_calibrated: bool = True) -> Dict[str, StructureEstimate]:
-    """Estimates for Constable's three structures.
-
-    With ``use_calibrated=True`` (default) the paper's Table 3 values are
-    returned; otherwise the parametric model is applied to the same geometries.
-    """
-    if use_calibrated:
-        return dict(TABLE3_ESTIMATES)
-    return {
-        key: cacti_estimate(est.name, est.size_kb, est.read_ports, est.write_ports)
-        for key, est in TABLE3_ESTIMATES.items()
-    }
+def constable_structure_estimates() -> Dict[str, StructureEstimate]:
+    """Estimates for Constable's three structures (the paper's Table 3)."""
+    return dict(TABLE3_ESTIMATES)

@@ -263,13 +263,6 @@ def test_cache_stats_reports_cross_run_hit_rates(tmp_path, capsys):
     assert "hit rate" in capsys.readouterr().out
 
 
-def test_bench_rejects_non_positive_instruction_budget():
-    from repro.experiments.bench import run_bench
-    for bad in (0, -5):
-        with pytest.raises(ValueError):
-            run_bench(families=["sensitivity"], instructions=bad)
-
-
 def test_persist_stats_flushes_deltas_exactly_once(tmp_path):
     cache = ResultCache(tmp_path)
     from repro.experiments.warehouse import COUNTERS_TABLE
@@ -351,112 +344,6 @@ def test_sweep_sensitivity_family_warms_fig13_and_fig20(tmp_path, simulation_cou
         "warm sensitivity figures must not simulate"
 
 
-# ----------------------------------------------------------------------- bench
-
-def test_bench_cli_writes_no_report_without_output(tmp_path, monkeypatch,
-                                                    capsys):
-    # Without --output the payload is only printed: no file appears.
-    monkeypatch.chdir(tmp_path)
-    assert main(["bench", "--quick", "--families", "sensitivity", "--reps", "1",
-                 "--instructions", "200"]) == 0
-    assert "wrote" not in capsys.readouterr().out
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_bench_cli_writes_report(tmp_path, capsys):
-    output = tmp_path / "bench.json"
-    assert main(["bench", "--quick", "--families", "sensitivity", "--reps", "2",
-                 "--instructions", "400", "--output", str(output)]) == 0
-    out = capsys.readouterr().out
-    assert "repro bench" in out and str(output) in out
-    payload = json.loads(output.read_text(encoding="utf-8"))
-    assert payload["identical"] is True
-    assert payload["engines"] == ["cycle", "event"]
-    assert payload["reps"] == 2 and payload["warmup_discarded"] is True
-    assert payload["host"]["cpu_count"] == os.cpu_count()
-    family = payload["families"]["sensitivity"]
-    assert family["speedup"] > 0
-    assert all(job["identical"] for job in family["jobs"])
-    for engine in family["totals"].values():
-        assert len(engine["wall_samples"]) == 2
-        # Warm-up discarded: the summary is the median of the single
-        # remaining sample.
-        assert engine["wall_seconds"] == engine["wall_samples"][1]
-
-
-def test_bench_reps_distribution_statistics():
-    from repro.analysis.stats_utils import median, median_abs_deviation
-    from repro.experiments.bench import run_bench
-
-    payload = run_bench(quick=True, families=["sensitivity"],
-                        instructions=300, reps=3)
-    job = payload["families"]["sensitivity"]["jobs"][0]
-    for engine in job["engines"].values():
-        samples = engine["wall_samples"]
-        assert len(samples) == 3
-        measured = samples[1:]  # warm-up discarded by default
-        assert engine["wall_seconds"] == pytest.approx(median(measured))
-        assert engine["wall_min"] == pytest.approx(min(measured))
-        assert engine["wall_mad"] == pytest.approx(
-            median_abs_deviation(measured))
-    totals = payload["families"]["sensitivity"]["totals"]
-    for engine_name, engine in totals.items():
-        per_rep = [sum(j["engines"][engine_name]["wall_samples"][rep]
-                       for j in payload["families"]["sensitivity"]["jobs"])
-                   for rep in range(3)]
-        assert engine["wall_samples"] == pytest.approx(per_rep), \
-            "family totals must be per-repetition sums, not sums of medians"
-
-
-def test_bench_cli_rejects_unknown_family_and_engine(tmp_path, capsys):
-    assert main(["bench", "--families", "nope",
-                 "--output", str(tmp_path / "b.json")]) == 2
-    assert "families" in capsys.readouterr().err
-    # An empty list once measured nothing, printed an empty table and exited 0.
-    assert main(["bench", "--families", ",",
-                 "--output", str(tmp_path / "b.json")]) == 2
-    captured = capsys.readouterr()
-    assert "no bench families selected" in captured.err and captured.out == ""
-    assert not (tmp_path / "b.json").exists()
-
-
-def _floor_payload(**overrides) -> dict:
-    payload = {
-        "speedup_geomean": 1.7,
-        "families": {
-            "memory_bound": {"speedup": 3.5},
-            "speedup": {"speedup": 1.8},
-            "smt": {"speedup": 1.3},
-            "sensitivity": {"speedup": 1.15},
-        },
-    }
-    payload.update(overrides)
-    return payload
-
-
-def test_speedup_floor_gate_passes_healthy_payloads():
-    from repro.experiments.bench import speedup_floor_gate
-
-    assert speedup_floor_gate(_floor_payload()) == []
-
-
-def test_speedup_floor_gate_flags_collapsed_wins():
-    from repro.experiments.bench import speedup_floor_gate
-
-    # One family falling below parity-ish trips the family floor.
-    slow_family = _floor_payload()
-    slow_family["families"]["sensitivity"]["speedup"] = 0.80
-    problems = speedup_floor_gate(slow_family)
-    assert len(problems) == 1 and "sensitivity" in problems[0]
-    # A broad collapse trips the geomean floor even with every family >= the
-    # per-family bar.
-    broad = _floor_payload(speedup_geomean=1.05)
-    for family in broad["families"].values():
-        family["speedup"] = 1.05
-    problems = speedup_floor_gate(broad)
-    assert problems and "geomean" in problems[-1]
-    with pytest.raises(ValueError):
-        speedup_floor_gate(_floor_payload(), geomean_floor=0.0)
 
 
 # --------------------------------------------------------------------- figures

@@ -5,16 +5,17 @@ reference stepper (``engine="cycle"``) and the default event-driven
 cycle-skipping engine (``engine="event"``), which jumps over idle gaps in one
 step.  These tests pin their equivalence:
 
-* direct core-level comparisons across baseline, Constable, EVES and
-  ideal-oracle configurations, under SMT2, and on a memory-bound workload
-  where skipping is the whole point — every :class:`SimulationResult` must
-  compare equal field by field;
+* direct core-level comparisons on Client and ISPEC traces across baseline,
+  Constable, EVES, EVES+Constable, a load-width and a depth variant and an
+  ideal oracle, under SMT2, and on memory-bound workloads (perfbench's
+  ``memory_bound`` jobs among them) where skipping is the whole point —
+  every :class:`SimulationResult` must compare equal field by field, and the
+  event engine must actually skip, with skipped plus stepped cycles
+  partitioning the run;
 * a runner-level sweep where the serial reference runs cycle-engine cores
   and the sharded runner runs the event engine at 1/2/4 workers — results
   must match the reference exactly, extending the existing
-  parallel-determinism guarantees to the engine dimension;
-* the ``repro bench`` harness, which re-verifies engine equality on every
-  run, must report ``identical`` and actually skip cycles.
+  parallel-determinism guarantees to the engine dimension.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ import functools
 import pytest
 
 from repro.analysis.load_inspector import inspect_trace
-from repro.experiments.bench import run_bench
+from repro.experiments.bench import BENCH_FAMILIES
 from repro.experiments.configs import (
     baseline_config,
     constable_config,
     eves_config,
+    eves_constable_config,
 )
 from repro.experiments.parallel import ParallelExperimentRunner
 from repro.experiments.runner import ExperimentRunner
@@ -46,6 +48,30 @@ CONFIGS = {
 }
 
 
+def constable_w1_config():
+    return constable_config().with_load_width(1)
+
+
+def constable_d2_config():
+    return constable_config().with_depth_scale(2.0)
+
+
+#: Single-thread configurations compared on every suite trace.  The default
+#: load width is 3, so the width variant narrows it to 1.
+SUITE_TRACE_CONFIGS = (
+    ("baseline", baseline_config),
+    ("constable", constable_config),
+    ("eves", eves_config),
+    ("eves+constable", eves_constable_config),
+    ("constable_w1", constable_w1_config),
+    ("constable_d2.0", constable_d2_config),
+)
+
+#: perfbench's memory-bound jobs, compared at this budget.
+MEMBOUND_JOBS = BENCH_FAMILIES["memory_bound"][0]()
+MEMBOUND_INSTRUCTIONS = 4000
+
+
 @pytest.fixture(scope="session")
 def membound_trace():
     """A memory-bound trace: dependent misses far past the LLC."""
@@ -54,6 +80,14 @@ def membound_trace():
         kernels=[("pointer_chase", {"inner_iterations": 12, "ring_nodes": 1 << 14}),
                  ("random_access", {"inner_iterations": 6, "region_words": 1 << 19})])
     return generate_trace(spec, num_instructions=4000)
+
+
+@pytest.fixture(scope="module")
+def membound_job_traces():
+    """Traces of perfbench's memory-bound specs, by workload name."""
+    specs = {spec.name: spec for job in MEMBOUND_JOBS for spec in job.specs}
+    return {name: generate_trace(spec, num_instructions=MEMBOUND_INSTRUCTIONS)
+            for name, spec in specs.items()}
 
 
 def _both_engines(trace_or_traces, config, name):
@@ -66,19 +100,28 @@ def _both_engines(trace_or_traces, config, name):
     return reference, event, core
 
 
-# ------------------------------------------------------------- core level
-
-@pytest.mark.parametrize("config_name,factory", [
-    ("baseline", baseline_config),
-    ("constable", constable_config),
-    ("eves", eves_config),
-])
-def test_engines_identical_on_suite_trace(client_trace, config_name, factory):
-    reference, event, core = _both_engines(client_trace, factory(), config_name)
-    assert event == reference, config_name
+def _assert_skips_and_partitions(core, event):
     assert core.skipped_idle_cycles > 0, "no idle gap was ever skipped"
     assert (core.skipped_idle_cycles + core.stepped_cycles
             == event.cycles), "skip accounting must partition the cycle count"
+
+
+# ------------------------------------------------------------- core level
+
+@pytest.mark.parametrize("trace_fixture,config_name,factory", [
+    # Client cases are named by config alone, ISPEC cases carry a suffix.
+    pytest.param(trace_fixture, config_name, factory,
+                 id=f"{config_name}-{factory.__name__}{suffix}")
+    for trace_fixture, suffix in (("client_trace", ""),
+                                  ("ispec_trace", "-ispec"))
+    for config_name, factory in SUITE_TRACE_CONFIGS
+])
+def test_engines_identical_on_suite_trace(request, trace_fixture, config_name,
+                                          factory):
+    trace = request.getfixturevalue(trace_fixture)
+    reference, event, core = _both_engines(trace, factory(), config_name)
+    assert event == reference, config_name
+    _assert_skips_and_partitions(core, event)
 
 
 def test_engines_identical_on_snoopy_trace(server_trace):
@@ -91,10 +134,24 @@ def test_engines_identical_on_memory_bound_trace(membound_trace):
     reference, event, core = _both_engines(membound_trace, baseline_config(),
                                            "baseline")
     assert event == reference
+    _assert_skips_and_partitions(core, event)
     skipped_fraction = core.skipped_idle_cycles / max(1, event.cycles)
     assert skipped_fraction > 0.5, (
         f"memory-bound run should spend most cycles idle; only "
         f"{skipped_fraction:.1%} were skipped")
+
+
+@pytest.mark.parametrize("job", MEMBOUND_JOBS,
+                         ids=lambda job: f"{job.workload}-{job.config_name}")
+def test_engines_identical_on_perfbench_memory_bound_job(membound_job_traces,
+                                                         job):
+    """No skip floor here: ``membound_scatter`` skips under half its cycles
+    at this budget."""
+    (spec,) = job.specs
+    reference, event, core = _both_engines(membound_job_traces[spec.name],
+                                           job.config, job.config_name)
+    assert event == reference
+    _assert_skips_and_partitions(core, event)
 
 
 def test_engines_identical_with_ideal_oracle(client_trace):
@@ -110,11 +167,10 @@ def test_engines_identical_with_ideal_oracle(client_trace):
 
 def test_engines_identical_under_smt2(client_trace, server_trace):
     for name, factory in CONFIGS.items():
-        reference = simulate_smt_pair(client_trace, server_trace, factory(),
-                                      name=name, engine="cycle")
-        event = simulate_smt_pair(client_trace, server_trace, factory(),
-                                  name=name, engine="event")
+        reference, event, core = _both_engines([client_trace, server_trace],
+                                               factory(), name)
         assert event == reference, name
+        _assert_skips_and_partitions(core, event)
 
 
 def test_engines_identical_adversarial_flush_heavy_smt2_tiny_rob(
@@ -219,31 +275,3 @@ def test_event_engine_smt_sweep_matches_cycle_reference(reference_sweeps,
         assert list(reference_results) == list(event_results)
         for pair, reference_result in reference_results.items():
             assert event_results[pair] == reference_result, (config, pair)
-
-
-# ------------------------------------------------------------ bench harness
-
-def test_bench_harness_reports_identical_engines():
-    payload = run_bench(quick=True, families=["speedup"], instructions=500,
-                        reps=1)
-    assert payload["identical"] is True
-    assert payload["reps"] == 1
-    assert payload["warmup_discarded"] is False, \
-        "a single repetition has nothing to discard"
-    family = payload["families"]["speedup"]
-    assert family["speedup"] > 0
-    assert 0.0 < family["skipped_cycle_fraction"] < 1.0
-    for job in family["jobs"]:
-        assert job["identical"] is True
-        assert set(job["engines"]) == {"cycle", "event"}
-        engine = job["engines"]["event"]
-        assert engine["wall_seconds"] > 0
-        assert engine["wall_samples"] == [engine["wall_seconds"]]
-        assert engine["wall_mad"] == 0.0, "one sample has zero spread"
-
-
-def test_bench_rejects_unknown_inputs():
-    with pytest.raises(ValueError):
-        run_bench(families=["nope"])
-    with pytest.raises(ValueError):
-        run_bench(families=["speedup"], instructions=200, reps=0)

@@ -3,9 +3,10 @@
 Each test starts a new interpreter, because the properties are per process:
 the modules a warm ``repro figures`` run imports (a warm run must not pay
 for the timing model, the workload kernels and VM, the process pool,
-``repro lint`` or ``repro bench``), the counters log each process leaves in
-a cache directory, the exit of a run whose reader closed its stdout, and
-what ``examples/quickstart.py`` prints when both caches serve it.
+``repro lint`` or perfbench's workload module), the counters log each
+process leaves in a cache directory, the exit of a run whose reader closed
+its stdout, and what ``examples/quickstart.py`` prints when both caches
+serve it.
 """
 
 from __future__ import annotations

@@ -340,7 +340,7 @@ def test_vm_trace_sequence_numbers_are_dense(budget, seed):
     assert sequence == list(range(len(sequence)))
 
 
-# ------------------------------------------------- bench statistics helpers
+# ------------------------------------------------------ statistics helpers
 
 _samples = st.lists(
     st.floats(min_value=-1e9, max_value=1e9,
@@ -362,24 +362,6 @@ def test_median_matches_statistics_module_and_is_bounded(values):
     assert result == pytest.approx(statistics.median(values), abs=1e-6)
     # Order independence: the helper sorts internally.
     assert median(list(reversed(sorted(values)))) == result
-
-
-@given(_samples, st.floats(min_value=-1e6, max_value=1e6,
-                           allow_nan=False, allow_infinity=False))
-@settings(max_examples=100, deadline=None)
-def test_median_abs_deviation_invariances(values, shift):
-    from repro.analysis.stats_utils import median_abs_deviation
-
-    mad = median_abs_deviation(values)
-    assert mad >= 0.0
-    if len(values) < 2:
-        assert mad == 0.0, "spread of fewer than two samples is defined as 0"
-    assert median_abs_deviation([v for v in values for _ in (0, 1)]) \
-        == pytest.approx(mad, abs=1e-6), "duplicating every sample keeps MAD"
-    # Translation invariance: shifting every sample leaves the spread alone.
-    assert median_abs_deviation([v + shift for v in values]) \
-        == pytest.approx(mad, abs=max(1e-6, abs(shift) * 1e-9))
-    assert median_abs_deviation([values[0]] * len(values)) == 0.0
 
 
 @given(st.lists(st.floats(min_value=-1e9, max_value=1e9, allow_nan=False,
